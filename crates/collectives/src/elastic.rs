@@ -26,7 +26,6 @@
 use std::fmt;
 
 use faults::FaultEvent;
-use summit_metrics::FaultCounters;
 
 use crate::algo::Algorithm;
 use crate::exec_fault::FaultSession;
@@ -197,8 +196,7 @@ impl ElasticAllreduce {
                         return Err(ElasticError::AllRanksDead);
                     }
                     rebuilds += 1;
-                    FaultCounters::bump(&session.counters().degradations);
-                    session.events().push(FaultEvent::Degraded {
+                    session.record(FaultEvent::Degraded {
                         step: session.step(),
                         dead: dead_orig,
                         new_world: self.live.len(),

@@ -1,83 +1,68 @@
 //! Fault-aware schedule execution: drops, corruptions, stragglers, and
-//! crashes injected from a seeded [`FaultPlan`], survived by a
-//! sequence-numbered resend protocol.
+//! crashes injected from a seeded [`FaultPlan`], survived by the
+//! reliability protocol of [`exec_peer`](crate::exec_peer).
 //!
 //! This is a *separate* path from [`exec_thread`](crate::exec_thread)'s
 //! plain `run` on purpose: the plain hot path keeps its zero-overhead,
-//! zero-allocation guarantees, while this path pays for per-payload
-//! CRCs, resend buffering, and deadline bookkeeping only when a caller
-//! explicitly opts in with a [`FaultSession`].
+//! zero-allocation guarantees (a 4 MiB ring allreduce takes 1.25 ms
+//! there vs 4.30 ms through [`PeerExecutor`] over [`ChannelWire`] —
+//! `benchmark/results/latest.json`, 2 cores), while this path pays for
+//! frames, resend buffering, and deadline bookkeeping only when a
+//! caller explicitly opts in with a [`FaultSession`].
 //!
-//! # Protocol
+//! # One protocol, one decorator
 //!
-//! Every ordered rank pair gets two channels: a **data** channel
-//! carrying [`FMsg`] (round, offset, sequence number, CRC32, payload)
-//! and a reverse **control** channel carrying [`Ctl`] acks and nacks.
-//! Senders keep a clean copy of every un-acked payload in a
-//! sequence-indexed resend buffer; receivers track the next expected
-//! sequence number per peer, stash out-of-order arrivals, discard
-//! duplicates idempotently, and CRC-check every payload before applying
-//! it. A receive that misses its deadline nacks the missing sequence
-//! number and backs off exponentially ([`RetryPolicy`]); a nack makes
-//! the sender re-send the clean buffered copy, so a dropped or
-//! corrupted message is repaired without any rank ever applying dirty
-//! bytes. Injected faults touch only the wire copy — the resend buffer
-//! always holds clean data — which is why the *numeric result under
-//! faults is bit-identical to the fault-free run*: the applied payloads
-//! and the per-rank combine order are exactly those of the schedule.
+//! Nothing here re-implements reliability. [`ExecContext::run_with_faults`]
+//! builds a [`ChannelWire`] mesh over the live original ids, wraps each
+//! endpoint in a [`FaultWire`], and runs one [`PeerExecutor`] per rank
+//! thread — the same rank body the multi-process trainer runs over a
+//! `SocketMesh`. [`FaultWire`] is generic over the wire it wraps, so
+//! the same seeded plan can be pointed at the real socket path. It
+//! injects on the link:
+//!
+//! * **drop** — the first transmission of the round's data frames is
+//!   swallowed; the receiver's deadline nacks it and the sender's clean
+//!   buffered copy repairs it;
+//! * **corrupt** — the frame is encoded, one payload bit is flipped,
+//!   and the production decoder ([`parse_body`]) rejects it on its
+//!   CRC, exactly as a socket reader would: corruption becomes loss;
+//! * **straggle** — the rank's round entry is delayed on the session's
+//!   [`FaultClock`];
+//! * **crash** — the rank refuses the round and stops.
+//!
+//! Resends always pass clean, which is why the *numeric result under
+//! recoverable faults is bit-identical to the fault-free run*.
 //!
 //! # Crashes and abort
 //!
-//! A plan-crashed rank logs the injection and exits at the scheduled
-//! round, dropping its channel endpoints. A peer blocked on data the
-//! dead rank never sent observes `Disconnected` (after draining
-//! whatever *was* sent), declares the peer dead, and aborts; the abort
-//! cascades the same way. Because std channels deliver everything that
-//! was sent before a disconnect surfaces, each rank's abort point — and
-//! hence the whole cascade and every [`FaultEvent::PeerDead`] — is a
-//! function of the schedule and the plan, not of thread timing. The
-//! collective returns [`ExecError::RanksDead`]; buffers are partial and
-//! the [`elastic`](crate::elastic) layer owns restoring them and
+//! A rank that stops — plan-crashed, or aborting because a peer died —
+//! hangs up its channel *senders* and nothing else. A peer blocked on
+//! data the stopped rank never sent observes `PeerGone` (after
+//! draining whatever *was* sent), declares it dead, and aborts; the
+//! abort cascades the same way. The stopped rank's *receivers* stay
+//! open until every rank thread has finished, so a send to it never
+//! fails: death is observed on the receive side only, after the queue
+//! drains. That makes each rank's abort point — and hence the whole
+//! cascade and every [`FaultEvent::PeerDead`] — a function of the
+//! schedule and the plan, not of thread timing. The collective returns
+//! [`ExecError::RanksDead`]; buffers are partial and the
+//! [`elastic`](crate::elastic) layer owns restoring them and
 //! rebuilding over the survivors.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use faults::{
-    crc32, EventLog, FaultClock, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SendFault,
-};
+use faults::{EventLog, FaultClock, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SendFault};
 use parking_lot::Mutex;
 use summit_metrics::FaultCounters;
-
 use trace::Lane;
+use transport::{encode_into, parse_body, ChannelWire, Frame, FrameKind, Wire, WireError};
 
-use crate::exec_thread::{ExecContext, ExecError, PayloadPool};
+use crate::exec_peer::{CtlSignal, PeerExecError, PeerExecutor};
+use crate::exec_thread::{ExecContext, ExecError};
 use crate::exec_trace::ExecTrace;
-use crate::reduce::{combine, finalize, ReduceOp};
-use crate::sched::{Action, Schedule};
-
-/// A data message on the faulty path. `seq` numbers the (sender,
-/// receiver) stream from zero; `crc` covers `payload` only.
-#[derive(Debug)]
-struct FMsg {
-    round: usize,
-    offset: usize,
-    seq: u64,
-    crc: u32,
-    payload: Vec<f32>,
-}
-
-/// Control traffic flowing from a data receiver back to the sender.
-#[derive(Debug, Clone, Copy)]
-enum Ctl {
-    /// `seq` was applied (or was a duplicate of an applied message):
-    /// the sender may drop its resend-buffer entry.
-    Ack { seq: u64 },
-    /// `seq` is missing or arrived corrupted: re-send the clean copy.
-    Nack { seq: u64 },
-}
+use crate::reduce::{finalize, ReduceOp};
+use crate::sched::Schedule;
 
 /// Everything one fault-aware run (or one training run of many steps)
 /// shares: the plan, the retry policy, the delay clock, and the
@@ -108,13 +93,6 @@ impl FaultSession {
     /// Override the retry policy.
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Use a real clock: injected straggler delays actually sleep, so
-    /// the timeout/retry machinery is exercised under wall-clock skew.
-    pub fn with_real_delays(mut self) -> Self {
-        self.clock = FaultClock::real();
         self
     }
 
@@ -158,35 +136,199 @@ impl FaultSession {
     pub fn events(&self) -> &EventLog {
         &self.events
     }
+
+    /// Log `event` and bump the counter that tallies its kind — every
+    /// event has exactly one.
+    pub fn record(&self, event: FaultEvent) {
+        let c = &self.counters;
+        FaultCounters::bump(match &event {
+            FaultEvent::Injected { kind: FaultKind::Straggle { .. }, .. } => &c.injected_straggles,
+            FaultEvent::Injected { kind: FaultKind::Drop, .. } => &c.injected_drops,
+            FaultEvent::Injected { kind: FaultKind::Corrupt, .. } => &c.injected_corruptions,
+            FaultEvent::Injected { kind: FaultKind::Crash, .. } => &c.injected_crashes,
+            FaultEvent::RetryTimeout { .. } => &c.timeouts,
+            FaultEvent::CrcReject { .. } => &c.crc_rejects,
+            FaultEvent::Resend { .. } => &c.resends,
+            FaultEvent::DuplicateDropped { .. } => &c.duplicates_dropped,
+            FaultEvent::PeerDead { .. } => &c.rank_deaths,
+            FaultEvent::Degraded { .. } => &c.degradations,
+            FaultEvent::CheckpointSave { .. } => &c.checkpoint_saves,
+            FaultEvent::CheckpointRestore { .. } => &c.checkpoint_restores,
+        });
+        self.events.push(event);
+    }
+
+    /// The handle rank `rank` (original id) reports through: this
+    /// session's counters and event log, plus the rank's trace lane
+    /// when tracing is on.
+    pub fn sink(&self, rank: usize) -> FaultSink<'_> {
+        FaultSink { session: self, lane: self.trace().and_then(|t| t.lane(rank)).cloned() }
+    }
 }
 
-/// One sender-side resend-buffer entry: the clean payload plus enough
-/// header to reconstruct the exact message on a nack.
-struct PendingSend {
-    seq: u64,
-    round: usize,
-    offset: usize,
-    crc: u32,
-    clean: Vec<f32>,
+/// One rank's view of a [`FaultSession`]'s observability sinks — what
+/// [`FaultWire`] reports injections through and what a
+/// [`PeerExecutor`] reports recovery actions through.
+#[derive(Debug)]
+pub struct FaultSink<'s> {
+    session: &'s FaultSession,
+    lane: Option<Lane>,
 }
 
-/// Why a rank thread stopped short of completing the schedule.
-enum RankOutcome {
-    Done,
-    /// The plan crashed this rank (self-report; the authoritative
-    /// source for the aggregate dead set).
-    Crashed,
-    /// A peer's channels closed before it delivered data this rank was
-    /// still owed — the peer crashed or aborted. `peer` is local; the
-    /// round is in the logged [`FaultEvent::PeerDead`].
-    PeerStopped {
-        peer: usize,
-    },
-    /// The retry budget ran out on a silent but connected peer.
-    Exhausted {
-        peer: usize,
-        round: usize,
-    },
+impl FaultSink<'_> {
+    /// Mark (on the lane, if traced, with args `a0`/`a1`), count, and
+    /// log one injection or recovery action.
+    pub(crate) fn note(&self, a0: u64, a1: u64, event: FaultEvent) {
+        if let Some(l) = &self.lane {
+            let cat = match event {
+                FaultEvent::Injected { .. } | FaultEvent::PeerDead { .. } => "FAULT",
+                _ => "RETRY",
+            };
+            l.record_args(cat, event.name(), l.now_us(), 0.0, a0, a1);
+        }
+        self.session.record(event);
+    }
+
+    /// Lane time now — the start stamp of a [`FaultSink::span`].
+    pub(crate) fn now_us(&self) -> Option<f64> {
+        self.lane.as_ref().map(Lane::now_us)
+    }
+
+    /// Record a span begun at `t0` (no-op untraced).
+    pub(crate) fn span(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        t0: Option<f64>,
+        a0: u64,
+        a1: u64,
+    ) {
+        if let (Some(l), Some(t0)) = (&self.lane, t0) {
+            l.record_args(cat, name, t0, l.now_us() - t0, a0, a1);
+        }
+    }
+}
+
+/// What [`FaultWire`] remembers about its outgoing links.
+#[derive(Debug, Default)]
+struct LinkState {
+    /// Per peer: the `(era, seq)` the next *first* transmission will
+    /// carry. Anything below it is a resend and passes clean.
+    fresh: Vec<(u32, u64)>,
+    /// The `(era, step, round)` whose send fault has been logged — one
+    /// `Injected` event per round, however many frames it sends.
+    announced: Option<(u32, u32, u32)>,
+    /// Encode target for the corruption path.
+    encoded: Vec<u8>,
+}
+
+/// A [`Wire`] decorator that injects `session`'s plan into the link
+/// beneath a [`PeerExecutor`] (see the module docs for the four
+/// injections). The plan addresses ranks by the wire's original ids.
+pub struct FaultWire<'s, W: Wire> {
+    inner: W,
+    sink: FaultSink<'s>,
+    link: Mutex<LinkState>,
+}
+
+impl<'s, W: Wire> FaultWire<'s, W> {
+    pub fn new(inner: W, session: &'s FaultSession) -> Self {
+        let slots = inner.world_ids().iter().copied().max().map_or(0, |m| m + 1);
+        let sink = session.sink(inner.rank());
+        let link = Mutex::new(LinkState { fresh: vec![(0, 0); slots], ..Default::default() });
+        FaultWire { inner, sink, link }
+    }
+
+    fn injected(&self, step: usize, round: usize, kind: FaultKind, arg: u64) {
+        let me = self.inner.rank();
+        self.sink.note(me as u64, arg, FaultEvent::Injected { step, rank: me, round, kind });
+    }
+}
+
+impl<W: Wire> Wire for FaultWire<'_, W> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world_ids(&self) -> &[usize] {
+        self.inner.world_ids()
+    }
+
+    fn send(&self, peer: usize, frame: &Frame) -> Result<(), WireError> {
+        if frame.kind != FrameKind::Data {
+            return self.inner.send(peer, frame);
+        }
+        let mut guard = self.link.lock();
+        let link = &mut *guard;
+        let fresh = &mut link.fresh[peer];
+        if (frame.era, frame.seq) < *fresh {
+            return self.inner.send(peer, frame); // a resend: always clean
+        }
+        *fresh = (frame.era, frame.seq + 1);
+        let (step, round) = (frame.step as usize, frame.round as usize);
+        let plan = self.sink.session.plan();
+        let Some(fault) = plan.send_fault(step, self.inner.rank(), round) else {
+            return self.inner.send(peer, frame);
+        };
+        let site = Some((frame.era, frame.step, frame.round));
+        if link.announced != site {
+            link.announced = site;
+            let kind = match fault {
+                SendFault::Drop => FaultKind::Drop,
+                SendFault::Corrupt => FaultKind::Corrupt,
+            };
+            self.injected(step, round, kind, round as u64);
+        }
+        if fault == SendFault::Corrupt {
+            // Flip the last bit ahead of the CRC tail and let the
+            // production decoder judge the bytes.
+            encode_into(frame, &mut link.encoded);
+            let at = link.encoded.len() - 5;
+            link.encoded[at] ^= 1;
+            match parse_body(&link.encoded[4..], Vec::new()) {
+                Err(_) => self.sink.note(
+                    peer as u64,
+                    frame.seq,
+                    FaultEvent::CrcReject {
+                        step,
+                        rank: peer,
+                        peer: self.inner.rank(),
+                        round,
+                        seq: frame.seq,
+                    },
+                ),
+                Ok(_) => unreachable!("CRC32 detects every single-bit error"),
+            }
+        }
+        Ok(()) // dropped, or rejected at decode: either way the frame is lost
+    }
+
+    fn recv_timeout(&self, peer: usize, timeout: Duration) -> Result<Frame, WireError> {
+        self.inner.recv_timeout(peer, timeout)
+    }
+
+    fn silence(&self, peer: usize) -> Duration {
+        self.inner.silence(peer)
+    }
+
+    fn release(&self, payload: Vec<u8>) {
+        self.inner.release(payload);
+    }
+
+    fn enter_round(&self, step: u32, round: u32) -> bool {
+        let (s, r) = (step as usize, round as usize);
+        let (me, plan) = (self.inner.rank(), self.sink.session.plan());
+        if plan.crashes_at(s, me, r) {
+            self.injected(s, r, FaultKind::Crash, round as u64);
+            return false;
+        }
+        if let Some(delay) = plan.straggle(s, me, r) {
+            let millis = delay.as_millis() as u64;
+            self.injected(s, r, FaultKind::Straggle { millis }, millis);
+            self.sink.session.clock().inject(delay);
+        }
+        self.inner.enter_round(step, round)
+    }
 }
 
 impl ExecContext {
@@ -208,95 +350,69 @@ impl ExecContext {
     ) -> Result<(), ExecError> {
         self.preflight(schedule, buffers)?;
         assert_eq!(rank_ids.len(), schedule.n_ranks, "need one original rank id per schedule rank");
-        let n = schedule.n_ranks;
-        if n == 1 || schedule.rounds.is_empty() {
+        if schedule.n_ranks == 1 || schedule.rounds.is_empty() {
             return Ok(());
         }
-        self.pool().reserve_hint(schedule.n_elems);
-
-        // data: s -> d; ctl: d -> s (acks/nacks about that data).
-        let mut data_tx: Vec<Vec<Option<Sender<FMsg>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut data_rx: Vec<Vec<Option<Receiver<FMsg>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut ctl_tx: Vec<Vec<Option<Sender<Ctl>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut ctl_rx: Vec<Vec<Option<Receiver<Ctl>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    let (dt, dr) = unbounded();
-                    data_tx[s][d] = Some(dt);
-                    data_rx[d][s] = Some(dr);
-                    let (ct, cr) = unbounded();
-                    ctl_tx[d][s] = Some(ct);
-                    ctl_rx[s][d] = Some(cr);
-                }
-            }
-        }
-
-        let outcomes: Mutex<Vec<Option<RankOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
+        // The wires outlive every rank thread: a stopped rank's
+        // receivers stay open until the whole collective is over.
+        let mut wires: Vec<FaultWire<'_, ChannelWire>> = ChannelWire::mesh_of(rank_ids)
+            .into_iter()
+            .map(|wire| FaultWire::new(wire, session))
+            .collect();
+        let mut outcomes: Vec<Result<(), PeerExecError>> = vec![Ok(()); schedule.n_ranks];
         std::thread::scope(|scope| {
-            for (rank, buf) in buffers.iter_mut().enumerate() {
-                let io = RankIo {
-                    rank,
-                    orig: rank_ids[rank],
-                    step: session.step(),
-                    data_tx: std::mem::take(&mut data_tx[rank]),
-                    data_rx: std::mem::take(&mut data_rx[rank]),
-                    ctl_tx: std::mem::take(&mut ctl_tx[rank]),
-                    ctl_rx: std::mem::take(&mut ctl_rx[rank]),
-                    next_seq: vec![0; n],
-                    pending: (0..n).map(|_| VecDeque::new()).collect(),
-                    expected: vec![0; n],
-                    stash: (0..n).map(|_| BTreeMap::new()).collect(),
-                    pool: self.pool(),
-                    session,
-                    rank_ids,
-                    lane: session.trace().and_then(|t| t.lane(rank_ids[rank])).cloned(),
-                };
-                let outcomes = &outcomes;
-                let sched = &*schedule;
+            for ((wire, buf), outcome) in
+                wires.iter_mut().zip(buffers.iter_mut()).zip(&mut outcomes)
+            {
                 scope.spawn(move || {
-                    let out = rank_main_fault(io, buf, sched, op);
-                    outcomes.lock()[rank] = Some(out);
+                    let mut exec = PeerExecutor::new(&*wire, session.policy())
+                        .with_sink(session.sink(wire.rank()));
+                    exec.begin_step(session.step());
+                    *outcome = exec.run(schedule, buf, op, rank_ids, &mut || CtlSignal::Continue);
+                    if outcome.is_err() {
+                        for &peer in rank_ids {
+                            wire.inner.hang_up(peer);
+                        }
+                    }
                 });
             }
         });
 
-        let outs = outcomes.into_inner();
-        let dead: Vec<usize> = outs
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, Some(RankOutcome::Crashed)))
-            .map(|(r, _)| r)
-            .collect();
+        let local = |orig: usize| {
+            let at = rank_ids.iter().position(|&id| id == orig);
+            at.expect("peer is live") // lint: allow(unwrap): the mesh was built over rank_ids
+        };
+        // The poll above never aborts, so `Aborted` can only be the
+        // wire refusing a round: a plan crash, the authoritative source
+        // for the dead set.
+        let dead: Vec<usize> =
+            (0..outcomes.len()).filter(|&r| outcomes[r] == Err(PeerExecError::Aborted)).collect();
         if !dead.is_empty() {
             return Err(ExecError::RanksDead { dead });
         }
         // A peer stopped without a crash injection on record: surface
-        // the suspects so the caller still gets a actionable dead set.
-        let suspects: Vec<usize> = {
-            let mut s: Vec<usize> = outs
-                .iter()
-                .filter_map(|o| match o {
-                    Some(RankOutcome::PeerStopped { peer, .. }) => Some(*peer),
-                    _ => None,
-                })
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
+        // the suspects so the caller still gets an actionable dead set.
+        let mut suspects: Vec<usize> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                Err(PeerExecError::PeerDead { dead }) => Some(dead.iter().map(|&d| local(d))),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        suspects.sort_unstable();
+        suspects.dedup();
         if !suspects.is_empty() {
             return Err(ExecError::RanksDead { dead: suspects });
         }
-        if let Some((rank, peer, round)) = outs.iter().enumerate().find_map(|(r, o)| match o {
-            Some(RankOutcome::Exhausted { peer, round }) => Some((r, *peer, *round)),
-            _ => None,
-        }) {
-            return Err(ExecError::RetriesExhausted { rank, peer, round });
+        for (rank, outcome) in outcomes.iter().enumerate() {
+            if let Err(PeerExecError::RetriesExhausted { peer, round }) = outcome {
+                return Err(ExecError::RetriesExhausted {
+                    rank,
+                    peer: local(*peer),
+                    round: *round,
+                });
+            }
         }
         Ok(())
     }
@@ -317,444 +433,6 @@ impl ExecContext {
         }
         Ok(())
     }
-}
-
-/// Per-rank channel endpoints and protocol state, threaded through the
-/// helpers so signatures stay sane.
-struct RankIo<'a> {
-    rank: usize,
-    orig: usize,
-    step: usize,
-    data_tx: Vec<Option<Sender<FMsg>>>,
-    data_rx: Vec<Option<Receiver<FMsg>>>,
-    ctl_tx: Vec<Option<Sender<Ctl>>>,
-    ctl_rx: Vec<Option<Receiver<Ctl>>>,
-    /// Next sequence number per destination.
-    next_seq: Vec<u64>,
-    /// Un-acked sends per destination, oldest first.
-    pending: Vec<VecDeque<PendingSend>>,
-    /// Next expected sequence number per source.
-    expected: Vec<u64>,
-    /// Out-of-order arrivals per source, keyed by sequence number.
-    stash: Vec<BTreeMap<u64, FMsg>>,
-    pool: &'a PayloadPool,
-    session: &'a FaultSession,
-    rank_ids: &'a [usize],
-    /// This rank's trace lane (pid = original id), if tracing is on.
-    lane: Option<Lane>,
-}
-
-impl RankIo<'_> {
-    /// Send one payload, applying the round's injected send fault (if
-    /// any) to the wire copy only; the resend buffer keeps clean bytes.
-    fn send_payload(
-        &mut self,
-        peer: usize,
-        round: usize,
-        offset: usize,
-        src: &[f32],
-        fault: Option<SendFault>,
-    ) {
-        let t0 = self.lane.as_ref().map(Lane::now_us);
-        let clean = self.pool.acquire_copy(src);
-        let crc = crc32(&clean);
-        let seq = self.next_seq[peer];
-        self.next_seq[peer] += 1;
-        let dropped = fault == Some(SendFault::Drop);
-        if !dropped {
-            let mut wire = self.pool.acquire_copy(&clean);
-            if fault == Some(SendFault::Corrupt) {
-                if let Some(x) = wire.first_mut() {
-                    *x = f32::from_bits(x.to_bits() ^ 1);
-                }
-            }
-            let msg = FMsg { round, offset, seq, crc, payload: wire };
-            let tx = self.data_tx[peer].as_ref().expect("no self-sends"); // lint: allow(unwrap): channel exists for every schedule peer
-            if let Err(e) = tx.send(msg) {
-                // Peer already gone; death is detected on the receive
-                // side. Reclaim the wire copy.
-                self.pool.release(e.0.payload);
-            }
-        }
-        self.pending[peer].push_back(PendingSend { seq, round, offset, crc, clean });
-        if let (Some(l), Some(t0)) = (self.lane.as_ref(), t0) {
-            l.record_args("SEND", "send", t0, l.now_us() - t0, self.rank_ids[peer] as u64, seq);
-        }
-    }
-
-    /// Drain every control channel, clearing acked resend-buffer
-    /// entries and answering nacks with clean re-sends.
-    fn service_ctl(&mut self) {
-        for peer in 0..self.ctl_rx.len() {
-            while let Some(rx) = &self.ctl_rx[peer] {
-                let ctl = match rx.try_recv() {
-                    Ok(c) => c,
-                    Err(_) => break, // empty or disconnected: nothing to service
-                };
-                self.handle_ctl(peer, ctl);
-            }
-        }
-    }
-
-    fn handle_ctl(&mut self, peer: usize, ctl: Ctl) {
-        match ctl {
-            Ctl::Ack { seq } => {
-                if let Some(pos) = self.pending[peer].iter().position(|p| p.seq == seq) {
-                    let entry = self.pending[peer].remove(pos).expect("position just found"); // lint: allow(unwrap): position just found by iter().position
-                    self.pool.release(entry.clean);
-                }
-            }
-            Ctl::Nack { seq } => {
-                // Resend iff still buffered; a nack for an already-acked
-                // or not-yet-assigned seq is a benign race.
-                if let Some(entry) = self.pending[peer].iter().find(|p| p.seq == seq) {
-                    let wire = self.pool.acquire_copy(&entry.clean);
-                    let msg = FMsg {
-                        round: entry.round,
-                        offset: entry.offset,
-                        seq: entry.seq,
-                        crc: entry.crc,
-                        payload: wire,
-                    };
-                    let tx = self.data_tx[peer].as_ref().expect("no self-sends"); // lint: allow(unwrap): channel exists for every schedule peer
-                    if let Err(e) = tx.send(msg) {
-                        self.pool.release(e.0.payload);
-                        return;
-                    }
-                    if let Some(l) = &self.lane {
-                        l.record_args(
-                            "RETRY",
-                            "resend",
-                            l.now_us(),
-                            0.0,
-                            self.rank_ids[peer] as u64,
-                            seq,
-                        );
-                    }
-                    FaultCounters::bump(&self.session.counters().resends);
-                    self.session.events().push(FaultEvent::Resend {
-                        step: self.step,
-                        rank: self.orig,
-                        peer: self.rank_ids[peer],
-                        seq,
-                    });
-                }
-            }
-        }
-    }
-
-    fn ack(&self, peer: usize, seq: u64) {
-        if let Some(tx) = &self.ctl_tx[peer] {
-            let _ = tx.send(Ctl::Ack { seq }); // peer gone: nothing to clear
-        }
-    }
-
-    fn nack(&self, peer: usize, seq: u64) {
-        if let Some(tx) = &self.ctl_tx[peer] {
-            let _ = tx.send(Ctl::Nack { seq });
-        }
-    }
-
-    /// Receive, validate, and apply the next in-sequence message from
-    /// `peer` for the given action. Returns the outcome that aborts the
-    /// rank, or `None` on success.
-    fn recv_apply(
-        &mut self,
-        buf: &mut [f32],
-        peer: usize,
-        round_idx: usize,
-        action: &Action,
-        op: ReduceOp,
-    ) -> Option<RankOutcome> {
-        let policy = self.session.policy();
-        let mut attempt: u32 = 0;
-        let mut deadline = policy.base;
-        let mut waited = Duration::ZERO;
-        let t0 = self.lane.as_ref().map(Lane::now_us);
-        loop {
-            let want = self.expected[peer];
-            // Out-of-order arrivals may already hold the wanted seq.
-            let stashed = self.stash[peer].remove(&want);
-            let recv = match stashed {
-                Some(m) => Ok(m),
-                None => {
-                    let rx = self.data_rx[peer].as_ref().expect("no self-recvs"); // lint: allow(unwrap): channel exists for every schedule peer
-                    rx.recv_timeout(policy.tick)
-                }
-            };
-            let msg = match recv {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.session.clock().note_wait(policy.tick);
-                    waited += policy.tick;
-                    self.service_ctl();
-                    if waited >= deadline {
-                        attempt += 1;
-                        if let Some(l) = &self.lane {
-                            l.record_args(
-                                "RETRY",
-                                "timeout",
-                                l.now_us(),
-                                0.0,
-                                self.rank_ids[peer] as u64,
-                                attempt as u64,
-                            );
-                        }
-                        FaultCounters::bump(&self.session.counters().timeouts);
-                        self.session.events().push(FaultEvent::RetryTimeout {
-                            step: self.step,
-                            rank: self.orig,
-                            peer: self.rank_ids[peer],
-                            round: round_idx,
-                            attempt,
-                        });
-                        if attempt >= policy.max_attempts {
-                            return Some(RankOutcome::Exhausted { peer, round: round_idx });
-                        }
-                        self.nack(peer, want);
-                        deadline *= policy.factor;
-                        waited = Duration::ZERO;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Everything the peer ever sent has been drained
-                    // and it still owes us this message: it crashed
-                    // or aborted before sending it.
-                    if let Some(l) = &self.lane {
-                        l.record_args(
-                            "FAULT",
-                            "peer_dead",
-                            l.now_us(),
-                            0.0,
-                            self.rank_ids[peer] as u64,
-                            round_idx as u64,
-                        );
-                    }
-                    FaultCounters::bump(&self.session.counters().rank_deaths);
-                    self.session.events().push(FaultEvent::PeerDead {
-                        step: self.step,
-                        rank: self.orig,
-                        peer: self.rank_ids[peer],
-                        round: round_idx,
-                    });
-                    return Some(RankOutcome::PeerStopped { peer });
-                }
-            };
-            if msg.seq < want {
-                // Duplicate of an applied message (timeout-nack raced a
-                // slow original). Re-ack so the sender clears it.
-                FaultCounters::bump(&self.session.counters().duplicates_dropped);
-                self.session.events().push(FaultEvent::DuplicateDropped {
-                    step: self.step,
-                    rank: self.orig,
-                    peer: self.rank_ids[peer],
-                    seq: msg.seq,
-                });
-                self.ack(peer, msg.seq);
-                self.pool.release(msg.payload);
-                continue;
-            }
-            if msg.seq > want {
-                self.stash[peer].insert(msg.seq, msg);
-                continue;
-            }
-            if crc32(&msg.payload) != msg.crc {
-                if let Some(l) = &self.lane {
-                    l.record_args(
-                        "RETRY",
-                        "crc_reject",
-                        l.now_us(),
-                        0.0,
-                        self.rank_ids[peer] as u64,
-                        msg.seq,
-                    );
-                }
-                FaultCounters::bump(&self.session.counters().crc_rejects);
-                self.session.events().push(FaultEvent::CrcReject {
-                    step: self.step,
-                    rank: self.orig,
-                    peer: self.rank_ids[peer],
-                    round: round_idx,
-                    seq: msg.seq,
-                });
-                self.nack(peer, msg.seq);
-                self.pool.release(msg.payload);
-                continue;
-            }
-            // In-sequence and clean: this must be the awaited message —
-            // seq order equals schedule order within a pair, corruption
-            // can only touch payload bits, and the CRC just passed.
-            let seg = match *action {
-                Action::RecvReduce { seg, .. } | Action::RecvReplace { seg, .. } => seg,
-                Action::Send { .. } => unreachable!("recv_apply called on a send"),
-            };
-            assert_eq!(msg.round, round_idx, "rank {}: out-of-round message", self.rank);
-            assert_eq!(msg.offset, seg.offset, "rank {}: segment mismatch", self.rank);
-            assert_eq!(msg.payload.len(), seg.len, "rank {}: length mismatch", self.rank);
-            self.ack(peer, msg.seq);
-            self.expected[peer] = want + 1;
-            match action {
-                Action::RecvReduce { .. } => {
-                    combine(op, &mut buf[seg.offset..seg.end()], &msg.payload)
-                }
-                Action::RecvReplace { .. } => {
-                    buf[seg.offset..seg.end()].copy_from_slice(&msg.payload)
-                }
-                Action::Send { .. } => unreachable!(),
-            }
-            self.pool.release(msg.payload);
-            if let (Some(l), Some(t0)) = (self.lane.as_ref(), t0) {
-                l.record_args(
-                    "RECV",
-                    "recv",
-                    t0,
-                    l.now_us() - t0,
-                    self.rank_ids[peer] as u64,
-                    want,
-                );
-            }
-            return None;
-        }
-    }
-
-    /// After the schedule completes: stay alive answering nacks until
-    /// every send is acked or the un-acking peers are gone, bounded by
-    /// one full retry budget per peer so a wedged peer cannot pin us.
-    fn drain_pending(&mut self) {
-        let policy = self.session.policy();
-        let budget: Duration =
-            (0..policy.max_attempts).map(|a| policy.base * policy.factor.pow(a)).sum();
-        for peer in 0..self.pending.len() {
-            let mut waited = Duration::ZERO;
-            while !self.pending[peer].is_empty() && waited < budget {
-                let ctl = match &self.ctl_rx[peer] {
-                    Some(rx) => rx.recv_timeout(policy.tick),
-                    None => break,
-                };
-                match ctl {
-                    Ok(c) => self.handle_ctl(peer, c),
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.session.clock().note_wait(policy.tick);
-                        waited += policy.tick;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // Whatever is still un-acked goes back to the pool: the
-            // peer is gone (dead or aborted) or out of budget.
-            while let Some(entry) = self.pending[peer].pop_front() {
-                self.pool.release(entry.clean);
-            }
-        }
-    }
-
-    /// Return every parked protocol buffer to the pool on abort paths.
-    fn scrap(&mut self) {
-        for peer in 0..self.pending.len() {
-            while let Some(entry) = self.pending[peer].pop_front() {
-                self.pool.release(entry.clean);
-            }
-            let stash = std::mem::take(&mut self.stash[peer]);
-            for (_, msg) in stash {
-                self.pool.release(msg.payload);
-            }
-        }
-    }
-}
-
-fn rank_main_fault(
-    mut io: RankIo<'_>,
-    buf: &mut [f32],
-    schedule: &Schedule,
-    op: ReduceOp,
-) -> RankOutcome {
-    let plan: &FaultPlan = io.session.plan();
-    let (step, orig) = (io.step, io.orig);
-    for (round_idx, round) in schedule.rounds.iter().enumerate() {
-        if plan.crashes_at(step, orig, round_idx) {
-            if let Some(l) = &io.lane {
-                l.record_args("FAULT", "crash", l.now_us(), 0.0, orig as u64, round_idx as u64);
-            }
-            FaultCounters::bump(&io.session.counters().injected_crashes);
-            io.session.events().push(FaultEvent::Injected {
-                step,
-                rank: orig,
-                round: round_idx,
-                kind: FaultKind::Crash,
-            });
-            io.scrap();
-            return RankOutcome::Crashed; // channel endpoints drop here
-        }
-        if let Some(delay) = plan.straggle(step, orig, round_idx) {
-            if let Some(l) = &io.lane {
-                l.record_args(
-                    "FAULT",
-                    "straggle",
-                    l.now_us(),
-                    0.0,
-                    orig as u64,
-                    delay.as_millis() as u64,
-                );
-            }
-            FaultCounters::bump(&io.session.counters().injected_straggles);
-            io.session.events().push(FaultEvent::Injected {
-                step,
-                rank: orig,
-                round: round_idx,
-                kind: FaultKind::Straggle { millis: delay.as_millis() as u64 },
-            });
-            io.session.clock().inject(delay);
-        }
-        let actions = &round.per_rank[io.rank];
-        let fault = plan.send_fault(step, orig, round_idx);
-        if fault.is_some() && actions.iter().any(|a| a.is_send()) {
-            let kind = match fault {
-                Some(SendFault::Drop) => {
-                    FaultCounters::bump(&io.session.counters().injected_drops);
-                    FaultKind::Drop
-                }
-                Some(SendFault::Corrupt) => {
-                    FaultCounters::bump(&io.session.counters().injected_corruptions);
-                    FaultKind::Corrupt
-                }
-                None => unreachable!(),
-            };
-            if let Some(l) = &io.lane {
-                let name = if matches!(kind, FaultKind::Drop) { "drop" } else { "corrupt" };
-                l.record_args("FAULT", name, l.now_us(), 0.0, orig as u64, round_idx as u64);
-            }
-            io.session.events().push(FaultEvent::Injected {
-                step,
-                rank: orig,
-                round: round_idx,
-                kind,
-            });
-        }
-        // Phase A: snapshot-and-send, exactly like the plain path but
-        // with headers, resend buffering, and the injected send fault.
-        for a in actions {
-            if let Action::Send { peer, seg } = *a {
-                io.send_payload(peer, round_idx, seg.offset, &buf[seg.offset..seg.end()], fault);
-            }
-        }
-        io.service_ctl();
-        // Phase B: blocking, validated receives in action order.
-        for a in actions {
-            match *a {
-                Action::Send { .. } => {}
-                Action::RecvReduce { peer, .. } | Action::RecvReplace { peer, .. } => {
-                    if let Some(outcome) = io.recv_apply(buf, peer, round_idx, a, op) {
-                        io.scrap();
-                        return outcome;
-                    }
-                }
-            }
-        }
-    }
-    io.drain_pending();
-    io.scrap();
-    RankOutcome::Done
 }
 
 #[cfg(test)]
@@ -787,6 +465,36 @@ mod tests {
         ctx.allreduce_with_faults(&s, &mut by_fault, ReduceOp::Sum, &session, &ids(n)).unwrap();
         assert_eq!(by_ref, by_fault);
         assert!(session.events().is_empty());
+    }
+
+    /// The decorator's one piece of state: a first transmission is
+    /// faulted, the same `(era, seq)` again is a resend and passes, and
+    /// a new era's seq 0 is a first transmission again.
+    #[test]
+    fn fault_wire_faults_first_transmissions_only() {
+        let plan = FaultPlan::explicit(
+            0,
+            vec![Injection { step: 3, rank: 0, round: 1, kind: FaultKind::Drop }],
+        );
+        let session = FaultSession::new(plan);
+        let mut mesh = ChannelWire::mesh(2);
+        let rx = mesh.pop().unwrap();
+        let tx = FaultWire::new(mesh.pop().unwrap(), &session);
+        let mut f = Frame::control(FrameKind::Data, 0, 0, 3);
+        f.round = 1;
+        let tick = Duration::from_millis(20);
+        tx.send(1, &f).unwrap();
+        assert_eq!(rx.recv_timeout(0, tick), Err(WireError::Timeout), "first send is dropped");
+        tx.send(1, &f).unwrap();
+        assert_eq!(rx.recv_timeout(0, tick), Ok(f.clone()), "the resend passes clean");
+        f.era = 1;
+        tx.send(1, &f).unwrap();
+        assert_eq!(rx.recv_timeout(0, tick), Err(WireError::Timeout), "new era, new first send");
+        f.round = 0;
+        f.seq = 1;
+        tx.send(1, &f).unwrap();
+        assert_eq!(rx.recv_timeout(0, tick), Ok(f), "no injection on this round");
+        assert_eq!(session.counters().snapshot().injected_drops, 2);
     }
 
     #[test]

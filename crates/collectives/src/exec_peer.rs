@@ -1,30 +1,32 @@
-//! Single-rank schedule execution over a [`transport::Wire`]: the §5d
-//! resend protocol ([`exec_fault`](crate::exec_fault)) lifted out of
-//! the shared-memory thread world and onto framed byte streams, so the
-//! same verified [`Schedule`] runs between separate OS processes.
+//! Single-rank schedule execution over a [`transport::Wire`]: the one
+//! implementation of the reliability protocol (seq/ack/nack/resend/
+//! dedup) every multi-rank path that can lose a frame runs on, so the
+//! same verified [`Schedule`] executes between rank threads
+//! ([`ChannelWire`](transport::ChannelWire), driven by
+//! [`exec_fault`](crate::exec_fault)) and between separate OS processes
+//! ([`SocketMesh`](transport::SocketMesh), driven by the trainer's
+//! worker loop).
 //!
-//! # What moved, what stayed
+//! # The protocol
 //!
-//! [`exec_fault`](crate::exec_fault) owns *all* ranks: it spawns one
-//! thread per buffer and aggregates their outcomes. Here each process
-//! owns exactly one rank, so [`PeerExecutor`] is the body of a single
-//! `rank_main` — Phase A snapshot-and-send, Phase B validated in-order
-//! receive-and-apply — with the identical reliability discipline:
-//! per-peer sequence numbers, a clean-copy resend buffer cleared by
-//! acks, nacks on deadline expiry with exponential backoff
-//! ([`RetryPolicy`]), CRC-rejected frames surfacing as loss (the wire
-//! drops them at decode), and a [`DedupWindow`] that discards
-//! duplicates idempotently and re-orders early arrivals. Because the
-//! applied payloads and the per-rank combine order are exactly those of
-//! the schedule, the result is bit-identical to the in-process
-//! executors — that is the parity the multi-process integration tests
-//! assert.
+//! [`PeerExecutor`] is the body of a single rank — Phase A
+//! snapshot-and-send, Phase B validated in-order receive-and-apply —
+//! under one reliability discipline: per-peer sequence numbers, a
+//! clean-copy resend buffer cleared by acks, nacks on deadline expiry
+//! with exponential backoff ([`RetryPolicy`]), CRC-rejected frames
+//! surfacing as loss (the wire drops them at decode), and a
+//! [`DedupWindow`] that discards duplicates idempotently and re-orders
+//! early arrivals. Injected faults touch only the wire copy — the
+//! resend buffer always holds clean bytes — and the applied payloads
+//! and the per-rank combine order are exactly those of the schedule,
+//! so the result under faults is bit-identical to the in-process
+//! executors' fault-free one. That is the parity the chaos suites and
+//! the multi-process integration tests assert.
 //!
 //! # Streams multiplex data and control
 //!
-//! Thread-world acks ride a dedicated reverse channel; a socket gives
-//! us one full-duplex stream per peer, so data, acks, and nacks
-//! interleave on it. Every receive demultiplexes: acks clear the
+//! A wire gives us one full-duplex stream per peer, so data, acks, and
+//! nacks interleave on it. Every receive demultiplexes: acks clear the
 //! resend buffer, nacks answer with the clean copy, data goes through
 //! the era filter and the dedup window, and in-order deliveries queue
 //! per peer until the schedule asks for them (a frame from peer Q can
@@ -44,18 +46,26 @@
 //!
 //! Two signals, both mapped to [`PeerExecError::PeerDead`]: the wire
 //! reports [`WireError::PeerGone`] (EOF after draining — the kernel
-//! closes a SIGKILLed process's sockets), or the peer's
-//! [`Wire::silence`] exceeds [`RetryPolicy::death_threshold`] while we
-//! starve (wedged-but-open). The caller — the elastic layer in the
-//! worker loop — restores its snapshot, rebuilds the schedule over the
-//! survivors, re-verifies it, bumps the era, and retries.
+//! closes a SIGKILLed process's sockets, a crashed rank thread hangs
+//! up its channel senders), or the peer's [`Wire::silence`] exceeds
+//! [`RetryPolicy::death_threshold`] while we starve (wedged-but-open).
+//! The caller — the elastic layer — restores its snapshot, rebuilds
+//! the schedule over the survivors, re-verifies it, and retries.
+//!
+//! # Observability
+//!
+//! The per-frame path reports nothing. A fault-aware run attaches a
+//! [`FaultSink`] ([`PeerExecutor::with_sink`]) and the cold branches —
+//! deadline → nack, resend, duplicate re-ack, peer death — count
+//! themselves into its session's counters, event log and trace lane.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use faults::{FaultClock, RetryPolicy};
+use faults::{FaultEvent, RetryPolicy};
 use transport::{DedupWindow, Frame, FrameKind, Offer, Wire, WireError};
 
+use crate::exec_fault::FaultSink;
 use crate::reduce::{combine, finalize, ReduceOp};
 use crate::sched::{Action, Schedule};
 
@@ -79,7 +89,9 @@ pub enum PeerExecError {
     PeerDead { dead: Vec<usize> },
     /// The retry budget ran out on a peer that still looks alive.
     RetriesExhausted { peer: usize, round: usize },
-    /// The control poll demanded an abort mid-collective.
+    /// The control poll demanded an abort mid-collective, or the wire
+    /// refused a round ([`Wire::enter_round`]: this endpoint was
+    /// killed).
     Aborted,
 }
 
@@ -129,7 +141,9 @@ struct PendingOut {
 pub struct PeerExecutor<'w> {
     wire: &'w dyn Wire,
     policy: RetryPolicy,
-    clock: FaultClock,
+    /// Where the cold branches report on a fault-aware run; `None` on
+    /// the plain path, which then pays one `Option` test per site.
+    sink: Option<FaultSink<'w>>,
     era: u32,
     step: u32,
     /// Next outbound sequence number, per destination.
@@ -154,14 +168,13 @@ pub struct PeerExecutor<'w> {
 }
 
 impl<'w> PeerExecutor<'w> {
-    /// An executor over `wire` pacing every wait from `policy`. Uses a
-    /// real clock — socket peers really do time out.
+    /// An executor over `wire` pacing every wait from `policy`.
     pub fn new(wire: &'w dyn Wire, policy: RetryPolicy) -> Self {
         let slots = wire.world_ids().iter().copied().max().unwrap_or(0) + 1;
         PeerExecutor {
             wire,
             policy,
-            clock: FaultClock::real(),
+            sink: None,
             era: 0,
             step: 0,
             next_seq: vec![0; slots],
@@ -176,10 +189,10 @@ impl<'w> PeerExecutor<'w> {
         }
     }
 
-    /// Substitute a [`FaultClock`] (tests use a virtual clock so waits
-    /// are accounted, not slept).
-    pub fn with_clock(mut self, clock: FaultClock) -> Self {
-        self.clock = clock;
+    /// Report timeouts, resends, duplicates, peer deaths and SEND/RECV
+    /// spans into `sink` (see the module docs).
+    pub fn with_sink(mut self, sink: FaultSink<'w>) -> Self {
+        self.sink = Some(sink);
         self
     }
 
@@ -270,6 +283,9 @@ impl<'w> PeerExecutor<'w> {
             return Ok(());
         }
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
+            if !self.wire.enter_round(self.step, round_idx as u32) {
+                return Err(PeerExecError::Aborted);
+            }
             let actions = &round.per_rank[me_local];
             // Phase A: snapshot-and-send every outgoing segment before
             // touching any incoming one — pre-round values, exactly
@@ -293,6 +309,7 @@ impl<'w> PeerExecutor<'w> {
                         (rank_ids[peer], seg)
                     }
                 };
+                let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
                 let frame = self.next_data(peer, round_idx, rank_ids, poll)?;
                 assert_eq!(frame.step, self.step, "rank {my}: out-of-step frame from {peer}");
                 assert_eq!(
@@ -318,6 +335,9 @@ impl<'w> PeerExecutor<'w> {
                     }
                     Action::Send { .. } => unreachable!(),
                 }
+                if let Some(s) = &self.sink {
+                    s.span("RECV", "recv", t0, peer as u64, frame.seq);
+                }
                 self.wire.release(frame.payload);
             }
         }
@@ -336,10 +356,7 @@ impl<'w> PeerExecutor<'w> {
             while !self.pending[peer].is_empty() && waited < budget {
                 match self.wire.recv_timeout(peer, self.policy.tick) {
                     Ok(frame) => self.ingest(peer, frame)?,
-                    Err(WireError::Timeout) => {
-                        self.clock.note_wait(self.policy.tick);
-                        waited += self.policy.tick;
-                    }
+                    Err(WireError::Timeout) => waited += self.policy.tick,
                     Err(WireError::PeerGone) => break,
                     Err(WireError::NoSuchPeer(p)) => unreachable!("flush addressed rank {p}"),
                 }
@@ -357,6 +374,7 @@ impl<'w> PeerExecutor<'w> {
         offset: usize,
         src: &[f32],
     ) -> Result<(), PeerExecError> {
+        let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
         let mut clean = self.byte_pool.pop().unwrap_or_default();
         f32s_to_bytes(src, &mut clean);
         let seq = self.next_seq[peer];
@@ -381,6 +399,9 @@ impl<'w> PeerExecutor<'w> {
             offset: offset as u32,
             clean: frame.payload,
         });
+        if let Some(s) = &self.sink {
+            s.span("SEND", "send", t0, peer as u64, seq);
+        }
         match sent {
             Ok(()) => Ok(()),
             Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
@@ -388,11 +409,10 @@ impl<'w> PeerExecutor<'w> {
         }
     }
 
-    /// Drain whatever every live peer has queued, without blocking.
-    /// This is `exec_fault`'s `service_ctl` generalized to multiplexed
-    /// streams: a rank blocked on peer P must still clear acks, answer
-    /// nacks, and bank early data arriving from Q — the cross-peer
-    /// dependency chains of a schedule deadlock otherwise.
+    /// Drain whatever every live peer has queued, without blocking: a
+    /// rank blocked on peer P must still clear acks, answer nacks, and
+    /// bank early data arriving from Q — the cross-peer dependency
+    /// chains of a schedule deadlock otherwise.
     fn service(&mut self, live: &[usize]) -> Result<(), PeerExecError> {
         let my = self.wire.rank();
         for &p in live.iter().filter(|&&id| id != my) {
@@ -435,7 +455,6 @@ impl<'w> PeerExecutor<'w> {
                     }
                 }
                 Err(WireError::Timeout) => {
-                    self.clock.note_wait(self.policy.tick);
                     waited += self.policy.tick;
                     if poll() == CtlSignal::Abort {
                         return Err(PeerExecError::Aborted);
@@ -445,10 +464,17 @@ impl<'w> PeerExecutor<'w> {
                         return Ok(f);
                     }
                     if self.wire.silence(peer) > self.policy.death_threshold() {
-                        return Err(PeerExecError::PeerDead { dead: vec![peer] });
+                        return Err(self.peer_dead(peer, round));
                     }
                     if waited >= deadline {
                         attempt += 1;
+                        self.note(peer, attempt as u64, |step, rank| FaultEvent::RetryTimeout {
+                            step,
+                            rank,
+                            peer,
+                            round,
+                            attempt,
+                        });
                         if attempt >= self.policy.max_attempts {
                             return Err(PeerExecError::RetriesExhausted { peer, round });
                         }
@@ -458,11 +484,29 @@ impl<'w> PeerExecutor<'w> {
                         waited = Duration::ZERO;
                     }
                 }
-                Err(WireError::PeerGone) => {
-                    return Err(PeerExecError::PeerDead { dead: vec![peer] })
-                }
+                Err(WireError::PeerGone) => return Err(self.peer_dead(peer, round)),
                 Err(WireError::NoSuchPeer(p)) => unreachable!("recv addressed rank {p}"),
             }
+        }
+    }
+
+    /// `peer` died owing us round `round`'s data: everything it ever
+    /// sent has been drained (or it has been silent past the bound).
+    fn peer_dead(&self, peer: usize, round: usize) -> PeerExecError {
+        self.note(peer, round as u64, |step, rank| FaultEvent::PeerDead {
+            step,
+            rank,
+            peer,
+            round,
+        });
+        PeerExecError::PeerDead { dead: vec![peer] }
+    }
+
+    /// Report a cold-branch event about `peer` (lane arg `a1`) to the
+    /// sink, if one is attached; the event is only built then.
+    fn note(&self, peer: usize, a1: u64, event: impl FnOnce(usize, usize) -> FaultEvent) {
+        if let Some(s) = &self.sink {
+            s.note(peer as u64, a1, event(self.step as usize, self.wire.rank()));
         }
     }
 
@@ -498,6 +542,12 @@ impl<'w> PeerExecutor<'w> {
                 if !self.ingest_data(peer, frame) {
                     // Duplicate of an applied frame (a nack raced the
                     // original): re-ack so the sender clears it.
+                    self.note(peer, seq, |step, rank| FaultEvent::DuplicateDropped {
+                        step,
+                        rank,
+                        peer,
+                        seq,
+                    });
                     self.control(peer, FrameKind::Ack, seq)?;
                 }
                 // Ack every seq the window has newly committed to
@@ -557,6 +607,7 @@ impl<'w> PeerExecutor<'w> {
         self.stats.resends += 1;
         self.stats.data_bytes += frame.payload.len() as u64;
         self.pending[peer][pos].clean = frame.payload;
+        self.note(peer, seq, |step, rank| FaultEvent::Resend { step, rank, peer, seq });
         match sent {
             Ok(()) => Ok(()),
             Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
@@ -597,10 +648,10 @@ fn bytes_to_f32s(bytes: &[u8], out: &mut Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec_fault::{FaultSession, FaultWire};
     use crate::reference::apply_allreduce;
     use crate::{rd, ring};
-    use parking_lot::Mutex;
-    use std::collections::HashSet;
+    use faults::{FaultKind, FaultPlan, Injection};
     use transport::ChannelWire;
 
     fn policy() -> RetryPolicy {
@@ -697,19 +748,13 @@ mod tests {
         assert_eq!(expect, bufs);
     }
 
-    /// A wire that eats the first transmission of chosen data frames —
-    /// loss the deadline/nack/resend machinery must repair exactly.
-    struct LossyWire {
+    /// A wire that sends every data frame twice — the one fault a
+    /// [`FaultPlan`] cannot express; the dedup window must absorb it.
+    struct DuplicatingWire {
         inner: ChannelWire,
-        /// (peer, seq) pairs already seen once (resends pass through).
-        seen: Mutex<HashSet<(usize, u64)>>,
-        /// Drop the first transmission of seqs where `seq % 3 == 0`.
-        drop_thirds: bool,
-        /// Send every data frame twice.
-        duplicate: bool,
     }
 
-    impl Wire for LossyWire {
+    impl Wire for DuplicatingWire {
         fn rank(&self) -> usize {
             self.inner.rank()
         }
@@ -718,15 +763,7 @@ mod tests {
         }
         fn send(&self, peer: usize, frame: &Frame) -> Result<(), WireError> {
             if frame.kind == FrameKind::Data {
-                if self.drop_thirds
-                    && frame.seq.is_multiple_of(3)
-                    && self.seen.lock().insert((peer, frame.seq))
-                {
-                    return Ok(()); // swallowed: the wire "lost" it
-                }
-                if self.duplicate {
-                    self.inner.send(peer, frame)?;
-                }
+                self.inner.send(peer, frame)?;
             }
             self.inner.send(peer, frame)
         }
@@ -748,17 +785,21 @@ mod tests {
         let ins = inputs(n, e);
         let mut by_ref = ins.clone();
         apply_allreduce(&schedule, &mut by_ref, ReduceOp::Sum);
-        let wires: Vec<LossyWire> = ChannelWire::mesh(n)
-            .into_iter()
-            .map(|inner| LossyWire {
-                inner,
-                seen: Mutex::new(HashSet::new()),
-                drop_thirds: true,
-                duplicate: false,
-            })
-            .collect();
+        // Every rank loses its first transmissions in two rounds; with
+        // no sink attached the protocol must still repair them all.
+        let plan = FaultPlan::explicit(
+            0,
+            (0..n)
+                .flat_map(|rank| [rank, rank + 2].map(|round| (rank, round)))
+                .map(|(rank, round)| Injection { step: 0, rank, round, kind: FaultKind::Drop })
+                .collect(),
+        );
+        let session = FaultSession::new(plan);
+        let wires: Vec<FaultWire<'_, ChannelWire>> =
+            ChannelWire::mesh(n).into_iter().map(|w| FaultWire::new(w, &session)).collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
+        assert_eq!(session.counters().snapshot().injected_drops, 2 * n as u64);
     }
 
     #[test]
@@ -768,15 +809,8 @@ mod tests {
         let ins = inputs(n, e);
         let mut by_ref = ins.clone();
         apply_allreduce(&schedule, &mut by_ref, ReduceOp::Sum);
-        let wires: Vec<LossyWire> = ChannelWire::mesh(n)
-            .into_iter()
-            .map(|inner| LossyWire {
-                inner,
-                seen: Mutex::new(HashSet::new()),
-                drop_thirds: false,
-                duplicate: true,
-            })
-            .collect();
+        let wires: Vec<DuplicatingWire> =
+            ChannelWire::mesh(n).into_iter().map(|inner| DuplicatingWire { inner }).collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
     }

@@ -403,10 +403,6 @@ impl ExecContext {
         self.verify_before_spawn(schedule)
     }
 
-    pub(crate) fn pool(&self) -> &PayloadPool {
-        &self.pool
-    }
-
     /// Execute `schedule` on real buffers, one thread per rank.
     ///
     /// Buffers are modified in place; no finalization (callers apply

@@ -3,8 +3,8 @@
 //! An [`ExecTrace`] maps rank ids onto [`trace::Lane`] handles of one
 //! shared [`trace::TraceRecorder`] — rank → Chrome `pid`, executor
 //! thread → `tid` — so every rank thread of
-//! [`exec_thread`](crate::exec_thread) and
-//! [`exec_fault`](crate::exec_fault) records SEND/RECV/RETRY spans
+//! [`exec_thread`](crate::exec_thread) and of the fault path
+//! ([`exec_fault`](crate::exec_fault)) records SEND/RECV/RETRY spans
 //! into its own row of the combined trace. Lane lookup happens once
 //! per rank thread at spawn; recording afterwards is the recorder's
 //! no-alloc ring write, which keeps the traced plain path inside the

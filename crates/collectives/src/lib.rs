@@ -26,13 +26,16 @@
 //! assert!(bufs.iter().all(|b| b[0] == 6.0)); // 0+1+2+3
 //! ```
 //!
-//! Fault tolerance lives in two layers on top of the same executor:
-//! [`exec_fault`] runs a schedule under a seeded
-//! [`faults::FaultPlan`] with CRC-checked, sequence-numbered resend
-//! (drops and corruptions are repaired in place), and [`elastic`]
-//! wraps it with crash recovery — when ranks die the collective is
-//! aborted, the schedule is rebuilt over the survivors, re-verified,
-//! and re-run.
+//! Wherever a frame can be lost there is one more executor,
+//! [`exec_peer`]: a single rank's schedule body over a
+//! [`transport::Wire`] with the seq/ack/nack/resend/dedup reliability
+//! protocol — across processes over sockets, across threads over
+//! channels. Fault tolerance is two layers around it: [`exec_fault`]
+//! runs one such body per rank thread behind a [`FaultWire`] decorator
+//! that injects a seeded [`faults::FaultPlan`] (drops and corruptions
+//! are repaired in place), and [`elastic`] wraps that with crash
+//! recovery — when ranks die the collective is aborted, the schedule
+//! is rebuilt over the survivors, re-verified, and re-run.
 
 pub mod algo;
 pub mod analytic;
@@ -57,7 +60,7 @@ pub use algo::Algorithm;
 pub use analytic::{allreduce_cost, crossover, AlphaBeta};
 pub use compression::{codec_for, Codec, CodecKind, EncodeScratch, ErrorFeedback};
 pub use elastic::{ElasticAllreduce, ElasticError, ElasticReport};
-pub use exec_fault::FaultSession;
+pub use exec_fault::{FaultSession, FaultSink, FaultWire};
 pub use exec_peer::{CtlSignal, PeerExecError, PeerExecutor, WireStats};
 pub use exec_sim::{
     simulate, simulate_compressed, simulate_dense, CostModel, MsgParams, UniformCost, ELEM_BYTES,

@@ -1,5 +1,6 @@
-//! Bounded model check of the resend/ack protocol behind
-//! `exec_fault` (see `crates/collectives/src/exec_fault.rs`), via the
+//! Bounded model check of the resend/ack protocol — the one
+//! `PeerExecutor` implements (see `crates/collectives/src/exec_peer.rs`)
+//! for the threaded fault path and the socket path alike — via the
 //! vendored explicit-state checker (`vendor/interleave`).
 //!
 //! The model is the wire protocol distilled to its atomic actions: each

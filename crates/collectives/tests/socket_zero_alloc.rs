@@ -42,6 +42,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the two proofs must not overlap:
+/// one's setup (or a failing one's backtrace) would land in the
+/// other's measured region.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Minimum allocation count over three runs of `f`: ambient one-time
 /// noise (libtest thread parking, lazy TLS) cannot recur in all three,
 /// while anything `f` itself allocates does.
@@ -72,6 +77,7 @@ const TOTAL: usize = WARMUP + MEASURED;
 
 #[test]
 fn steady_state_socket_allreduce_is_allocation_free() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (a, b) = UnixStream::pair().expect("socketpair");
     let pol = policy();
     let schedule = Algorithm::Ring.build(2, N_ELEMS);
@@ -147,6 +153,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     use trace::telemetry::{metric, WorkerTelemetry};
     use transport::frame::{encode_into, Frame, FrameKind};
 
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
     let sink = std::thread::spawn(move || {
         let mut buf = [0u8; 4096];

@@ -1,6 +1,6 @@
-//! The fault clock: every injected delay and every protocol wait goes
-//! through here, never through a bare `std::thread::sleep` (`xtask
-//! lint` bans those in library code).
+//! The fault clock: every injected delay goes through here, never
+//! through a bare `std::thread::sleep` (`xtask lint` bans those in
+//! library code).
 //!
 //! Two modes:
 //!
@@ -10,10 +10,10 @@
 //!   unit tests and simulator re-plots stay fast while still observing
 //!   exactly which delays the plan injected.
 //!
-//! Either way the clock keeps separate ledgers for *injected* delay
+//! Either way the clock keeps a ledger of the *injected* delay
 //! (plan-driven straggling — deterministic, replayable, asserted by the
-//! chaos suite) and *protocol* waiting (poll ticks while blocked on a
-//! slow peer — timing-dependent, excluded from replay assertions).
+//! chaos suite). Protocol waiting (poll ticks while blocked on a slow
+//! peer) is timing-dependent and is not accounted here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -25,31 +25,22 @@ enum Mode {
 }
 
 /// See the module docs. Cheap to share by reference across rank
-/// threads; all counters are relaxed atomics.
+/// threads; the ledger is a relaxed atomic.
 #[derive(Debug)]
 pub struct FaultClock {
     mode: Mode,
     injected_ns: AtomicU64,
-    waited_ns: AtomicU64,
 }
 
 impl FaultClock {
     /// A clock whose delays really sleep.
     pub fn real() -> Self {
-        FaultClock {
-            mode: Mode::Real,
-            injected_ns: AtomicU64::new(0),
-            waited_ns: AtomicU64::new(0),
-        }
+        FaultClock { mode: Mode::Real, injected_ns: AtomicU64::new(0) }
     }
 
     /// A clock that only accounts delays (nothing sleeps).
     pub fn virtual_clock() -> Self {
-        FaultClock {
-            mode: Mode::Virtual,
-            injected_ns: AtomicU64::new(0),
-            waited_ns: AtomicU64::new(0),
-        }
+        FaultClock { mode: Mode::Virtual, injected_ns: AtomicU64::new(0) }
     }
 
     /// Apply an *injected* (plan-driven) delay.
@@ -60,20 +51,9 @@ impl FaultClock {
         }
     }
 
-    /// Account a *protocol* wait (a poll tick while blocked). Never
-    /// sleeps — the caller's blocking receive already waited for real.
-    pub fn note_wait(&self, d: Duration) {
-        self.waited_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed); // lint: allow(relaxed): time-accounting accumulator; read for reporting, carries no data
-    }
-
     /// Total plan-driven delay injected so far, across all threads.
     pub fn injected(&self) -> Duration {
         Duration::from_nanos(self.injected_ns.load(Ordering::Relaxed)) // lint: allow(relaxed): time-accounting accumulator; read for reporting, carries no data
-    }
-
-    /// Total protocol waiting accounted so far, across all threads.
-    pub fn waited(&self) -> Duration {
-        Duration::from_nanos(self.waited_ns.load(Ordering::Relaxed)) // lint: allow(relaxed): time-accounting accumulator; read for reporting, carries no data
     }
 
     /// True when [`FaultClock::inject`] really sleeps.
@@ -100,7 +80,6 @@ mod tests {
         c.inject(Duration::from_secs(3600));
         assert!(t0.elapsed() < Duration::from_secs(1), "virtual inject must not sleep");
         assert_eq!(c.injected(), Duration::from_secs(3600));
-        assert_eq!(c.waited(), Duration::ZERO);
         assert!(!c.is_real());
     }
 
@@ -115,12 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn ledgers_are_separate_and_cumulative() {
+    fn ledger_is_cumulative() {
         let c = FaultClock::virtual_clock();
         c.inject(Duration::from_millis(5));
         c.inject(Duration::from_millis(7));
-        c.note_wait(Duration::from_millis(2));
         assert_eq!(c.injected(), Duration::from_millis(12));
-        assert_eq!(c.waited(), Duration::from_millis(2));
     }
 }

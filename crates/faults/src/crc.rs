@@ -1,11 +1,11 @@
-//! CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) payload
-//! checksums.
+//! CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) checksums.
 //!
-//! The fault-aware executor stamps every payload with the checksum of
-//! its clean contents; an injected bit-flip in flight makes the
-//! receiver's recomputation disagree, which triggers a resend request
-//! instead of silently averaging garbage into the gradients. The table
-//! is built at compile time — no lazy init on the message path.
+//! The transport tails every frame with the checksum of its header and
+//! payload; a bit-flip in flight — injected or real — makes the
+//! decoder's recomputation disagree, the frame is dropped, and the
+//! reliability protocol resends it instead of silently averaging
+//! garbage into the gradients. The table is built at compile time — no
+//! lazy init on the message path.
 
 /// The 256-entry lookup table, computed in a `const` context.
 const CRC_TABLE: [u32; 256] = {
@@ -33,18 +33,6 @@ pub fn crc32_bytes(data: &[u8]) -> u32 {
     !crc
 }
 
-/// CRC32 of an `f32` payload, over its little-endian byte image — the
-/// same bits the executor actually moves.
-pub fn crc32(data: &[f32]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &x in data {
-        for b in x.to_le_bytes() {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,28 +45,15 @@ mod tests {
     }
 
     #[test]
-    fn f32_crc_matches_byte_crc() {
-        let xs = [1.5f32, -2.25, 0.0, f32::MIN_POSITIVE, 1e30];
-        let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
-        assert_eq!(crc32(&xs), crc32_bytes(&bytes));
-    }
-
-    #[test]
     fn single_bit_flip_changes_crc() {
-        let clean = vec![0.125f32; 64];
-        let base = crc32(&clean);
-        for elem in [0usize, 17, 63] {
-            for bit in [0u32, 13, 31] {
+        let clean = vec![0x3Eu8; 256];
+        let base = crc32_bytes(&clean);
+        for byte in [0usize, 70, 255] {
+            for bit in [0u32, 5, 7] {
                 let mut bad = clean.clone();
-                bad[elem] = f32::from_bits(bad[elem].to_bits() ^ (1 << bit));
-                assert_ne!(crc32(&bad), base, "flip elem {elem} bit {bit} undetected");
+                bad[byte] ^= 1 << bit;
+                assert_ne!(crc32_bytes(&bad), base, "flip byte {byte} bit {bit} undetected");
             }
         }
-    }
-
-    #[test]
-    fn empty_payload_has_stable_crc() {
-        assert_eq!(crc32(&[]), crc32(&[]));
-        assert_eq!(crc32(&[]), 0);
     }
 }

@@ -17,16 +17,16 @@
 //!   ([`FaultClock::real`]) or merely accounts the delay virtually
 //!   ([`FaultClock::virtual_clock`]), keeping unit tests fast while the
 //!   chaos suite exercises genuine wall-clock straggling.
-//! * [`crc32`] — the payload checksum the fault-aware executor uses to
-//!   detect injected corruption and trigger a resend.
+//! * [`crc32_bytes`] — the frame checksum the transport uses to
+//!   detect corruption (injected or real) and trigger a resend.
 //! * [`EventLog`] / [`FaultEvent`] — every injection and every recovery
 //!   action (retry, resend, CRC reject, declared death, degradation,
 //!   checkpoint save/restore) as a structured, timestamped record, so
 //!   chaos runs are observable and their deterministic core is
 //!   assertable.
 //!
-//! Nothing here knows about schedules or training; the executor
-//! (`collectives::exec_fault`), the elastic wrapper
+//! Nothing here knows about schedules or training; the injecting wire
+//! decorator (`collectives::exec_fault`), the elastic wrapper
 //! (`collectives::elastic`), and the trainer consume these types.
 
 pub mod clock;
@@ -35,6 +35,6 @@ pub mod event;
 pub mod plan;
 
 pub use clock::FaultClock;
-pub use crc::{crc32, crc32_bytes};
+pub use crc::crc32_bytes;
 pub use event::{EventLog, FaultEvent, Stamped};
 pub use plan::{FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy, SendFault};

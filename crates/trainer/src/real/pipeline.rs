@@ -54,9 +54,9 @@ use std::time::Instant;
 
 use collectives::compression::{self, CodecKind, EncodeScratch};
 use collectives::reduce::{combine_sum, finalize, ReduceOp};
+use simd::fp16;
 use trace::{Lane, TraceRecorder};
 
-use super::fp16;
 use super::net::{chunk_range, NetConfig, SegNet, Workspace};
 use super::pool::{CorePool, RangeQueue};
 use super::segdata::Sample;
@@ -805,7 +805,7 @@ mod tests {
             for shard in &shards {
                 net.batch_loss_grad_ws(shard, &mut bw);
                 let mut g = bw.grad.clone();
-                fp16::compress_gradients(&mut g);
+                fp16::roundtrip_slice(&mut g);
                 for (a, gi) in global.iter_mut().zip(&g) {
                     *a += gi;
                 }

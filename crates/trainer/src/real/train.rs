@@ -20,13 +20,13 @@ use collectives::{
 use faults::{FaultEvent, FaultPlan, RetryPolicy};
 use rayon::prelude::*;
 use summit_metrics::rng::derive_seed;
-use summit_metrics::{FaultCounterSnapshot, FaultCounters};
+use summit_metrics::FaultCounterSnapshot;
 use trace::{Lane, TraceSession};
 
 use super::checkpoint::{Checkpoint, CheckpointError};
 use super::miou::Confusion;
 use super::net::{BatchWorkspace, NetConfig, SegNet};
-use super::segdata::{generate, generate_batch, DataConfig};
+use super::segdata::{augment, generate, generate_batch, DataConfig, Sample};
 use super::sgd::{LrSchedule, MomentumSgd};
 
 /// Fault-injection knobs for a chaos run. Absent (`TrainConfig::faults
@@ -37,14 +37,11 @@ pub struct FaultToleranceConfig {
     pub plan: FaultPlan,
     /// Receive deadlines / backoff / death threshold.
     pub policy: RetryPolicy,
-    /// Injected straggler delays really sleep (wall-clock chaos) rather
-    /// than being accounted on the virtual clock.
-    pub real_delays: bool,
 }
 
 impl FaultToleranceConfig {
     pub fn with_plan(plan: FaultPlan) -> Self {
-        FaultToleranceConfig { plan, policy: RetryPolicy::default(), real_delays: false }
+        FaultToleranceConfig { plan, policy: RetryPolicy::default() }
     }
 }
 
@@ -122,13 +119,9 @@ pub struct TrainConfig {
     /// Mutually exclusive with `faults` — chaos runs need the elastic
     /// bulk-synchronous path.
     pub pipeline: bool,
-    /// Round-trip gradients through fp16 before averaging (Horovod's
-    /// `HOROVOD_COMPRESSION=fp16`), to measure the accuracy cost.
-    /// Legacy alias for `codec = CodecKind::Fp16` — see
-    /// [`TrainConfig::effective_codec`].
-    pub fp16_gradients: bool,
     /// Wire codec applied to each worker's local-mean gradient before
-    /// averaging (`None` ⇒ full fp32). Lossier codecs (`Int4`, `TopK`)
+    /// averaging (`None` ⇒ full fp32; `Fp16` is Horovod's
+    /// `HOROVOD_COMPRESSION=fp16`). Lossier codecs (`Int4`, `TopK`)
     /// should be paired with `error_feedback`.
     pub codec: CodecKind,
     /// Keep a persistent per-worker fp32 residual of what the codec
@@ -181,7 +174,6 @@ impl TrainConfig {
             accumulation_steps: 1,
             algo: Algorithm::Ring,
             pipeline: false,
-            fp16_gradients: false,
             codec: CodecKind::None,
             error_feedback: false,
             augment: false,
@@ -194,20 +186,20 @@ impl TrainConfig {
         }
     }
 
+    /// The learning-rate schedule every replica's optimizer follows.
+    pub(crate) fn lr_schedule(&self) -> LrSchedule {
+        LrSchedule {
+            base_lr: self.base_lr,
+            scale: self.lr_scale,
+            warmup_steps: self.warmup_steps,
+            total_steps: self.steps,
+            poly_power: 0.9,
+        }
+    }
+
     /// Examples consumed per optimizer update.
     pub fn global_batch(&self) -> usize {
         self.workers * self.batch_per_worker * self.accumulation_steps
-    }
-
-    /// The wire codec actually applied: `codec`, with the legacy
-    /// `fp16_gradients` flag mapping to `Fp16` when no explicit codec
-    /// is set.
-    pub fn effective_codec(&self) -> CodecKind {
-        if self.codec == CodecKind::None && self.fp16_gradients {
-            CodecKind::Fp16
-        } else {
-            self.codec
-        }
     }
 
     fn check(&self) {
@@ -308,9 +300,6 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
 
     let session: Option<FaultSession> = cfg.faults.as_ref().map(|f| {
         let mut s = FaultSession::new(f.plan.clone()).with_policy(f.policy);
-        if f.real_delays {
-            s = s.with_real_delays();
-        }
         if let Some(t) = &comm_trace {
             s = s.with_trace(t.clone());
         }
@@ -349,13 +338,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
         }
     }
 
-    let lr = LrSchedule {
-        base_lr: cfg.base_lr,
-        scale: cfg.lr_scale,
-        warmup_steps: cfg.warmup_steps,
-        total_steps: cfg.steps,
-        poly_power: 0.9,
-    };
+    let lr = cfg.lr_schedule();
     // Per-worker state persists across steps: model replica, optimizer,
     // reusable gradient workspaces, and a per-worker loss cell. `id` is
     // the worker's *original* rank — data sharding keys off it, so the
@@ -396,8 +379,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             state.opt.restore(ck.opt_step, &ck.velocity);
         }
         if let Some(s) = &session {
-            FaultCounters::bump(&s.counters().checkpoint_restores);
-            s.events().push(FaultEvent::CheckpointRestore { step: ck.step });
+            s.record(FaultEvent::CheckpointRestore { step: ck.step });
         }
     }
     let mut grads: Vec<Vec<f32>> = vec![vec![0.0f32; n_params]; workers.len()];
@@ -424,7 +406,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
     // Wire-byte ledger: what each step's gradient exchange costs on the
     // wire under the configured codec, vs the raw fp32 bytes it stands
     // in for (one payload per live worker per step).
-    let codec = cfg.effective_codec();
+    let codec = cfg.codec;
     let wire_metrics = cfg.trace.as_ref().map(|ts| {
         (
             ts.registry.counter("train_wire_bytes_total"),
@@ -433,8 +415,8 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
     });
     // Persistent codec state for the classic path: per-worker fp32
     // error-feedback residuals and one reusable encode scratch
-    // (compression is serial there, mirroring the historical fp16
-    // sweep). Allocated once, so the step path stays allocation-free.
+    // (compression is serial there). Allocated once, so the step path
+    // stays allocation-free.
     let mut ef_states: Vec<ErrorFeedback> = if cfg.error_feedback && codec.is_lossy() {
         (0..workers.len()).map(|_| ErrorFeedback::new(n_params)).collect()
     } else {
@@ -474,14 +456,6 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
         if let Some(s) = &session {
             s.begin_step(step);
         }
-        let start = (step * cfg.global_batch()) as u64;
-        // Gradient computation: one rayon task per worker; per-sample
-        // work inside fans out further on the same pool. Each worker
-        // accumulates straight into its persistent allreduce buffer.
-        // Shard addressing uses the ORIGINAL world layout (`cfg.workers`
-        // and `state.id`), so each survivor keeps its own slice of the
-        // data stream no matter who else has died.
-        let micro = cfg.workers * cfg.batch_per_worker;
         if let Some(exec) = pipe.as_mut() {
             // Pipelined step: generate the same shards the classic path
             // would (identical seed addressing), micro-batch major, then
@@ -490,16 +464,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             for state in workers.iter() {
                 let mut shard = Vec::with_capacity(cfg.accumulation_steps * cfg.batch_per_worker);
                 for m in 0..cfg.accumulation_steps {
-                    let base =
-                        start + (m * micro) as u64 + (state.id * cfg.batch_per_worker) as u64;
-                    let mut s = generate_batch(&cfg.data, cfg.seed, base, cfg.batch_per_worker);
-                    if cfg.augment {
-                        for (i, smp) in s.iter_mut().enumerate() {
-                            *smp =
-                                super::segdata::augment(&cfg.data, smp, cfg.seed, base + i as u64);
-                        }
-                    }
-                    shard.append(&mut s);
+                    shard.append(&mut micro_batch(cfg, state.id, step, m));
                 }
                 pipe_shards.push(shard);
             }
@@ -517,28 +482,13 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             }
             step_losses.push(last_loss);
         } else {
+            // Gradient computation: one rayon task per worker; per-sample
+            // work inside fans out further on the same pool. Each worker
+            // accumulates straight into its persistent allreduce buffer.
             workers.par_iter_mut().zip(grads.par_iter_mut()).for_each(|(state, acc)| {
                 let t0 = state.lane.as_ref().map(Lane::now_us);
-                // Accumulate over micro-batches before communicating.
-                let mut loss_sum = 0.0f64;
-                acc.fill(0.0);
-                for m in 0..cfg.accumulation_steps {
-                    let base =
-                        start + (m * micro) as u64 + (state.id * cfg.batch_per_worker) as u64;
-                    let mut shard = generate_batch(&cfg.data, cfg.seed, base, cfg.batch_per_worker);
-                    if cfg.augment {
-                        for (i, s) in shard.iter_mut().enumerate() {
-                            *s = super::segdata::augment(&cfg.data, s, cfg.seed, base + i as u64);
-                        }
-                    }
-                    loss_sum += state.net.batch_loss_grad_ws(&shard, &mut state.bw);
-                    for (a, gi) in acc.iter_mut().zip(&state.bw.grad) {
-                        *a += gi;
-                    }
-                }
-                let inv = 1.0 / cfg.accumulation_steps as f32;
-                acc.iter_mut().for_each(|a| *a *= inv);
-                state.loss = loss_sum / cfg.accumulation_steps as f64;
+                state.loss =
+                    local_mean_gradient(cfg, state.id, step, &state.net, &mut state.bw, acc);
                 if let (Some(l), Some(t0)) = (state.lane.as_ref(), t0) {
                     // Forward and backward are fused in batch_loss_grad_ws,
                     // so one span covers both halves of the compute phase.
@@ -553,25 +503,11 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
                 }
             });
             last_loss = workers.iter().map(|s| s.loss).sum::<f64>() / workers.len() as f64;
-            // Apply the wire codec to each worker's local-mean gradient
-            // (the averaging itself stays fp32). Plain fp16 keeps the
-            // rayon-parallel fused sweep; everything else goes through
-            // the shared codec roundtrip, error-feedback compensated
-            // when configured.
-            if codec == CodecKind::Fp16 && !cfg.error_feedback {
-                for g in grads.iter_mut() {
-                    super::fp16::compress_gradients(g);
-                }
-            } else if codec.is_lossy() {
-                if cfg.error_feedback {
-                    for (g, ef) in grads.iter_mut().zip(ef_states.iter_mut()) {
-                        ef.roundtrip(codec, g, &mut codec_scratch);
-                    }
-                } else {
-                    for g in grads.iter_mut() {
-                        compression::roundtrip(codec, g, &mut codec_scratch);
-                    }
-                }
+            // `ef_states` is empty without error feedback: `next()` then
+            // hands every worker the plain roundtrip.
+            let mut efs = ef_states.iter_mut();
+            for g in grads.iter_mut() {
+                apply_wire_codec(codec, efs.next(), g, &mut codec_scratch);
             }
 
             // The real allreduce: gradients cross threads through the same
@@ -626,8 +562,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
                     l.record_args("CHECKPOINT", "save", t0, l.now_us() - t0, (step + 1) as u64, 0);
                 }
                 if let Some(s) = &session {
-                    FaultCounters::bump(&s.counters().checkpoint_saves);
-                    s.events().push(FaultEvent::CheckpointSave { step: step + 1 });
+                    s.record(FaultEvent::CheckpointSave { step: step + 1 });
                 }
             }
             halt = ck_cfg.halt_after == Some(step + 1);
@@ -692,6 +627,66 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
     })
 }
 
+/// Micro-batch `m` of worker `orig_rank`'s shard at `step`. Addressing
+/// uses the ORIGINAL world layout (`cfg.workers` and the worker's
+/// original id), so each survivor keeps its own slice of the data
+/// stream no matter who else has died.
+fn micro_batch(cfg: &TrainConfig, orig_rank: usize, step: usize, m: usize) -> Vec<Sample> {
+    let micro = cfg.workers * cfg.batch_per_worker;
+    let base = (step * cfg.global_batch() + m * micro + orig_rank * cfg.batch_per_worker) as u64;
+    let mut shard = generate_batch(&cfg.data, cfg.seed, base, cfg.batch_per_worker);
+    if cfg.augment {
+        for (i, s) in shard.iter_mut().enumerate() {
+            *s = augment(&cfg.data, s, cfg.seed, base + i as u64);
+        }
+    }
+    shard
+}
+
+/// One worker's gradient for `step`: accumulate its
+/// `cfg.accumulation_steps` micro-batches into `acc` and scale to their
+/// mean. Returns the mean loss. The one definition both the threaded
+/// classic path and [`run_worker`](super::worker::run_worker) compute —
+/// which is what makes the two bit-identical.
+pub(crate) fn local_mean_gradient(
+    cfg: &TrainConfig,
+    orig_rank: usize,
+    step: usize,
+    net: &SegNet,
+    bw: &mut BatchWorkspace,
+    acc: &mut [f32],
+) -> f64 {
+    let mut loss_sum = 0.0f64;
+    acc.fill(0.0);
+    for m in 0..cfg.accumulation_steps {
+        loss_sum += net.batch_loss_grad_ws(&micro_batch(cfg, orig_rank, step, m), bw);
+        for (a, gi) in acc.iter_mut().zip(&bw.grad) {
+            *a += gi;
+        }
+    }
+    let inv = 1.0 / cfg.accumulation_steps as f32;
+    acc.iter_mut().for_each(|a| *a *= inv);
+    loss_sum / cfg.accumulation_steps as f64
+}
+
+/// Apply the wire codec to one worker's local-mean gradient in place
+/// (the averaging itself stays fp32), error-feedback compensated when
+/// `ef` is given.
+pub(crate) fn apply_wire_codec(
+    codec: CodecKind,
+    ef: Option<&mut ErrorFeedback>,
+    grad: &mut [f32],
+    scratch: &mut EncodeScratch,
+) {
+    if !codec.is_lossy() {
+        return;
+    }
+    match ef {
+        Some(ef) => ef.roundtrip(codec, grad, scratch),
+        None => compression::roundtrip(codec, grad, scratch),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,7 +710,6 @@ mod tests {
             accumulation_steps: 1,
             algo: Algorithm::Ring,
             pipeline: false,
-            fp16_gradients: false,
             codec: CodecKind::None,
             error_feedback: false,
             augment: false,
@@ -802,7 +796,7 @@ mod tests {
     fn fp16_gradients_barely_move_the_result() {
         let base = train(&tiny(2, 30));
         let mut c = tiny(2, 30);
-        c.fp16_gradients = true;
+        c.codec = CodecKind::Fp16;
         let fp16 = train(&c);
         assert!(
             (base.final_miou - fp16.final_miou).abs() < 0.08,
@@ -1054,7 +1048,7 @@ mod tests {
         let mut cfg = tiny(2, 10);
         cfg.pipeline = true;
         cfg.accumulation_steps = 2;
-        cfg.fp16_gradients = true;
+        cfg.codec = CodecKind::Fp16;
         let a = train(&cfg);
         let b = train(&cfg);
         assert_eq!(a.final_params, b.final_params);

@@ -43,7 +43,7 @@
 
 use std::time::Duration;
 
-use collectives::compression::{self, CodecKind, EncodeScratch, ErrorFeedback};
+use collectives::compression::{EncodeScratch, ErrorFeedback};
 use collectives::{CtlSignal, PeerExecError, PeerExecutor, ReduceOp, Schedule, Violation};
 use faults::RetryPolicy;
 use summit_metrics::rng::derive_seed;
@@ -51,9 +51,8 @@ use trace::telemetry::{metric, WorkerTelemetry};
 use transport::{Frame, FrameKind, PeerConn, Wire, WireError};
 
 use super::net::{BatchWorkspace, SegNet};
-use super::segdata::generate_batch;
-use super::sgd::{LrSchedule, MomentumSgd};
-use super::train::TrainConfig;
+use super::sgd::MomentumSgd;
+use super::train::{apply_wire_codec, local_mean_gradient, TrainConfig};
 
 /// One elastic degradation as the worker observed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,13 +165,7 @@ pub fn run_worker(
         let process = format!("rank {rank} (os pid {})", std::process::id());
         ts.recorder.lane(rank as u32, 0, &process, "train step")
     });
-    let lr = LrSchedule {
-        base_lr: cfg.base_lr,
-        scale: cfg.lr_scale,
-        warmup_steps: cfg.warmup_steps,
-        total_steps: cfg.steps,
-        poly_power: 0.9,
-    };
+    let lr = cfg.lr_schedule();
     let mut net = SegNet::new(cfg.net, derive_seed(cfg.seed, "init"));
     let mut opt = MomentumSgd::new(lr, cfg.momentum, n_params).with_weight_decay(cfg.weight_decay);
     let mut bw = BatchWorkspace::new(&cfg.net);
@@ -183,7 +176,7 @@ pub fn run_worker(
     let mut schedule = build_verified(cfg, live.len(), n_params)?;
     let mut exec = PeerExecutor::new(wire, policy);
 
-    let codec = cfg.effective_codec();
+    let codec = cfg.codec;
     let mut ef = if cfg.error_feedback && codec.is_lossy() {
         Some(ErrorFeedback::new(n_params))
     } else {
@@ -213,42 +206,12 @@ pub fn run_worker(
             fold_wire_stats(tel, &exec);
             send_telemetry(ctl, tel, &mut tel_buf);
         }
-        // Gradient computation — identical addressing to try_train's
-        // classic path: the shard layout keys off the ORIGINAL world
-        // (`cfg.workers`, `rank`), so each survivor keeps its slice of
-        // the data stream no matter who else has died.
+        // Gradient and wire codec: the very functions try_train's
+        // classic path calls, so the two cannot drift apart.
         let compute_t0 = lane.as_ref().map(|l| l.now_us());
         let compute_t0i = std::time::Instant::now();
-        let start = (step * cfg.global_batch()) as u64;
-        let micro = cfg.workers * cfg.batch_per_worker;
-        let mut loss_sum = 0.0f64;
-        grad.fill(0.0);
-        for m in 0..cfg.accumulation_steps {
-            let base = start + (m * micro) as u64 + (rank * cfg.batch_per_worker) as u64;
-            let mut shard = generate_batch(&cfg.data, cfg.seed, base, cfg.batch_per_worker);
-            if cfg.augment {
-                for (i, s) in shard.iter_mut().enumerate() {
-                    *s = super::segdata::augment(&cfg.data, s, cfg.seed, base + i as u64);
-                }
-            }
-            loss_sum += net.batch_loss_grad_ws(&shard, &mut bw);
-            for (a, gi) in grad.iter_mut().zip(&bw.grad) {
-                *a += gi;
-            }
-        }
-        let inv = 1.0 / cfg.accumulation_steps as f32;
-        grad.iter_mut().for_each(|a| *a *= inv);
-        let loss = loss_sum / cfg.accumulation_steps as f64;
-
-        // Wire codec on the local-mean gradient, exactly as try_train.
-        if codec == CodecKind::Fp16 && !cfg.error_feedback {
-            super::fp16::compress_gradients(&mut grad);
-        } else if codec.is_lossy() {
-            match ef.as_mut() {
-                Some(ef) => ef.roundtrip(codec, &mut grad, &mut codec_scratch),
-                None => compression::roundtrip(codec, &mut grad, &mut codec_scratch),
-            }
-        }
+        let loss = local_mean_gradient(cfg, rank, step, &net, &mut bw, &mut grad);
+        apply_wire_codec(codec, ef.as_mut(), &mut grad, &mut codec_scratch);
 
         if let (Some(l), Some(t0)) = (&lane, compute_t0) {
             l.record("COMPUTE", "grad_compute", t0, l.now_us() - t0);

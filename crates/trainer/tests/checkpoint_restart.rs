@@ -25,7 +25,6 @@ fn tiny(workers: usize, steps: usize) -> TrainConfig {
         accumulation_steps: 1,
         algo: collectives::Algorithm::Ring,
         pipeline: false,
-        fp16_gradients: false,
         codec: CodecKind::None,
         error_feedback: false,
         augment: false,

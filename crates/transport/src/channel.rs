@@ -3,9 +3,10 @@
 //! sockets, no heartbeats (a thread cannot be SIGKILLed out from under
 //! the mesh; explicit disconnection is the only death signal).
 //!
-//! This is the backend the protocol unit tests drive, including the
-//! fault-injecting wrappers that drop, duplicate, and reorder frames
-//! to exercise the §5d reliability layer in `collectives::exec_peer`.
+//! This is the backend the threaded fault path runs on — one
+//! `collectives::PeerExecutor` per rank thread, each endpoint wrapped
+//! in the `collectives::FaultWire` decorator — and the one the protocol
+//! unit tests drive.
 
 use std::time::Duration;
 
@@ -27,35 +28,45 @@ pub struct ChannelWire {
 
 impl ChannelWire {
     /// Build a full mesh over original ids `0..world`, one wire per
-    /// rank. Channels are bounded generously — a schedule's in-flight
-    /// frame count is bounded by its round structure.
+    /// rank.
     pub fn mesh(world: usize) -> Vec<ChannelWire> {
-        let ids: Vec<usize> = (0..world).collect();
-        // links[a][b] = channel a -> b
+        Self::mesh_of(&(0..world).collect::<Vec<_>>())
+    }
+
+    /// Build a full mesh over the original ids `ids` (ascending, with
+    /// holes after an elastic degradation), one wire per id in `ids`
+    /// order. Channels are bounded generously — a schedule's in-flight
+    /// frame count is bounded by its round structure.
+    pub fn mesh_of(ids: &[usize]) -> Vec<ChannelWire> {
+        let slots = ids.iter().copied().max().map_or(0, |m| m + 1);
+        // senders[i][b] = channel ids[i] -> b; receivers[j][a] = its far end at ids[j]
         let mut senders: Vec<Vec<Option<Sender<Frame>>>> =
-            (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
+            ids.iter().map(|_| (0..slots).map(|_| None).collect()).collect();
         let mut receivers: Vec<Vec<Option<Mutex<Receiver<Frame>>>>> =
-            (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-        for a in 0..world {
-            for b in 0..world {
-                if a == b {
+            ids.iter().map(|_| (0..slots).map(|_| None).collect()).collect();
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate() {
+                if i == j {
                     continue;
                 }
                 let (s, r) = bounded(4096);
-                senders[a][b] = Some(s);
-                receivers[b][a] = Some(Mutex::new(r));
+                senders[i][b] = Some(s);
+                receivers[j][a] = Some(Mutex::new(r));
             }
         }
         senders
             .into_iter()
             .zip(receivers)
-            .enumerate()
-            .map(|(rank, (tx, rx))| ChannelWire { rank, world_ids: ids.clone(), tx, rx })
+            .zip(ids)
+            .map(|((tx, rx), &rank)| ChannelWire { rank, world_ids: ids.to_vec(), tx, rx })
             .collect()
     }
 
     /// Drop this wire's sender toward `peer` — the in-process analogue
-    /// of a process death, used by tests to simulate a crashed rank.
+    /// of a process death: `peer` drains what was queued, then sees
+    /// [`WireError::PeerGone`]. The receiving half stays open, so
+    /// sends *to* this rank keep succeeding for as long as the wire
+    /// itself lives.
     pub fn hang_up(&mut self, peer: usize) {
         if let Some(slot) = self.tx.get_mut(peer) {
             *slot = None;
@@ -130,6 +141,17 @@ mod tests {
         let got = wires[2].recv_timeout(0, Duration::from_millis(100)).unwrap();
         assert_eq!(got, f);
         assert_eq!(wires[1].recv_timeout(0, Duration::from_millis(10)), Err(WireError::Timeout));
+    }
+
+    #[test]
+    fn mesh_of_addresses_by_original_id_across_holes() {
+        let wires = ChannelWire::mesh_of(&[0, 3, 4]);
+        assert_eq!(wires.iter().map(|w| w.rank()).collect::<Vec<_>>(), vec![0, 3, 4]);
+        assert_eq!(wires[1].world_ids(), &[0, 3, 4]);
+        let f = Frame::control(FrameKind::Data, 3, 0, 0);
+        wires[1].send(4, &f).unwrap();
+        assert_eq!(wires[2].recv_timeout(3, Duration::from_millis(100)).unwrap(), f);
+        assert_eq!(wires[1].send(2, &f), Err(WireError::PeerGone));
     }
 
     #[test]

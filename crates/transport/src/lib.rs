@@ -6,8 +6,8 @@
 //! [`Wire`] — with two backends:
 //!
 //! * [`channel::ChannelWire`] — in-process, frames pass by value over
-//!   crossbeam channels. Zero serialization; used by protocol unit
-//!   tests and as the degenerate single-process backend.
+//!   crossbeam channels. Zero serialization; the backend of the
+//!   threaded fault path and of the protocol unit tests.
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed
 //!   [`frame::Frame`]. A reader thread per connection decodes frames
@@ -23,9 +23,10 @@
 //! `thread::sleep` and hard-coded `Duration` literals here (rule 8).
 //!
 //! The crate knows nothing about schedules or reduction: it moves
-//! frames. The §5d reliability protocol (seq/ack/nack/resend/dedup)
-//! executes above it, in `collectives::exec_peer`, identically over
-//! both backends.
+//! frames. The reliability protocol (seq/ack/nack/resend/dedup) has
+//! one implementation, `collectives::exec_peer`, which executes above
+//! this crate identically over both backends; fault injection is a
+//! [`Wire`] decorator (`collectives::FaultWire`), not a backend.
 
 pub mod channel;
 pub mod conn;
@@ -121,4 +122,14 @@ pub trait Wire: Send + Sync {
     /// that recycle every received payload keep the steady state
     /// allocation-free on the socket backend.
     fn release(&self, payload: Vec<u8>);
+
+    /// The executor is about to run `round` of `step`'s schedule. A
+    /// backend ignores it; a fault-injecting decorator keys its
+    /// round-entry injections (straggle, crash) on it, so they fire
+    /// even in rounds where this rank only receives. `false` ⇔ this
+    /// endpoint was killed: the executor stops without touching the
+    /// wire again.
+    fn enter_round(&self, _step: u32, _round: u32) -> bool {
+        true
+    }
 }

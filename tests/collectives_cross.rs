@@ -76,8 +76,9 @@ fn fp16_compressed_allreduce_matches_reference_on_compressed_inputs() {
     // compressed buffers must agree exactly with the reference reduction
     // of the same compressed inputs — compression commutes with which
     // executor runs the schedule.
-    use summit_dlv3_repro::trainer::real::fp16::compress_gradients;
+    use summit_dlv3_repro::collectives::compression::{roundtrip, CodecKind, EncodeScratch};
     let ctx = exec_thread::ExecContext::new();
+    let mut scratch = EncodeScratch::new();
     for algo in all_algorithms() {
         let (n, e) = (6usize, 37usize);
         let s = algo.build(n, e);
@@ -85,17 +86,18 @@ fn fp16_compressed_allreduce_matches_reference_on_compressed_inputs() {
             .map(|r| (0..e).map(|i| ((r * 7 + i * 3) % 29) as f32 * 0.0137 - 0.19).collect())
             .collect();
         for buf in &mut ins {
-            compress_gradients(buf);
+            roundtrip(CodecKind::Fp16, buf, &mut scratch);
         }
         let mut bufs = ins.clone();
         ctx.allreduce(&s, &mut bufs, ReduceOp::Average).unwrap();
         reference::assert_allreduce_result(&ins, &bufs, ReduceOp::Average, 1e-5);
         // And the values really went through half precision: every input
-        // must be exactly f16-representable.
+        // must be exactly f16-representable, i.e. a second roundtrip is
+        // the identity.
         for buf in &ins {
-            for &x in buf {
-                assert_eq!(x, summit_dlv3_repro::trainer::real::fp16::roundtrip(x));
-            }
+            let mut again = buf.clone();
+            roundtrip(CodecKind::Fp16, &mut again, &mut scratch);
+            assert_eq!(&again, buf);
         }
     }
 }

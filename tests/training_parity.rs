@@ -23,7 +23,6 @@ fn cfg(workers: usize, batch_per_worker: usize, steps: usize) -> TrainConfig {
         weight_decay: 0.0,
         accumulation_steps: 1,
         algo: Algorithm::Ring,
-        fp16_gradients: false,
         codec: CodecKind::None,
         error_feedback: false,
         augment: false,
