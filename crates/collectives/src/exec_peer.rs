@@ -23,6 +23,11 @@
 //! executors' fault-free one. That is the parity the chaos suites and
 //! the multi-process integration tests assert.
 //!
+//! The executor touches each payload byte twice: one bulk copy of the
+//! outgoing segment into the resend buffer (the frame borrows those
+//! bytes for the send), and one pass of the reduction kernel reading
+//! the f32s straight out of the received frame's payload.
+//!
 //! # Streams multiplex data and control
 //!
 //! A wire gives us one full-duplex stream per peer, so data, acks, and
@@ -51,6 +56,12 @@
 //! [`RetryPolicy::death_threshold`] while we starve (wedged-but-open).
 //! The caller — the elastic layer — restores its snapshot, rebuilds
 //! the schedule over the survivors, re-verifies it, and retries.
+//! Death is reported where it costs something: by the receive that
+//! still awaits the peer's data, or the first transmission that has
+//! data to give it. An ack, nack or resend that a closed stream
+//! refuses is dropped silently — its addressee is past needing it (a
+//! peer that completed its last step hangs up while our re-ack of a
+//! duplicate is still in flight), and a channel wire never refuses one.
 //!
 //! # Observability
 //!
@@ -161,8 +172,6 @@ pub struct PeerExecutor<'w> {
     future: Vec<VecDeque<Frame>>,
     /// Recycled payload-byte buffers for outbound clean copies.
     byte_pool: Vec<Vec<u8>>,
-    /// Reusable decode target: payload bytes → f32s before combine.
-    f32_scratch: Vec<f32>,
     /// Cumulative wire statistics (telemetry reads these).
     stats: WireStats,
 }
@@ -184,7 +193,6 @@ impl<'w> PeerExecutor<'w> {
             ready: (0..slots).map(|_| VecDeque::new()).collect(),
             future: (0..slots).map(|_| VecDeque::new()).collect(),
             byte_pool: Vec::new(),
-            f32_scratch: Vec::new(),
             stats: WireStats::default(),
         }
     }
@@ -300,7 +308,7 @@ impl<'w> PeerExecutor<'w> {
                     )?;
                 }
             }
-            self.service(rank_ids)?;
+            self.service(rank_ids);
             // Phase B: blocking, validated receives in action order.
             for a in actions {
                 let (peer, seg) = match *a {
@@ -325,13 +333,13 @@ impl<'w> PeerExecutor<'w> {
                     seg.len * 4,
                     "rank {my}: length mismatch from {peer}"
                 );
-                bytes_to_f32s(&frame.payload, &mut self.f32_scratch);
+                let dst = &mut buf[seg.offset..seg.end()];
                 match a {
                     Action::RecvReduce { .. } => {
-                        combine(op, &mut buf[seg.offset..seg.end()], &self.f32_scratch)
+                        apply_f32s(&frame.payload, dst, |d, s| combine(op, d, s))
                     }
                     Action::RecvReplace { .. } => {
-                        buf[seg.offset..seg.end()].copy_from_slice(&self.f32_scratch)
+                        apply_f32s(&frame.payload, dst, |d, s| d.copy_from_slice(s))
                     }
                     Action::Send { .. } => unreachable!(),
                 }
@@ -341,28 +349,28 @@ impl<'w> PeerExecutor<'w> {
                 self.wire.release(frame.payload);
             }
         }
-        self.flush(rank_ids)
+        self.flush(rank_ids);
+        Ok(())
     }
 
     /// Stay responsive after the schedule completes until every send is
     /// acked (bounded by one death threshold per peer): the last frame
     /// of a schedule has no later receive to piggyback its nack
     /// servicing on, so a lossy wire needs this window to repair it.
-    fn flush(&mut self, rank_ids: &[usize]) -> Result<(), PeerExecError> {
+    fn flush(&mut self, rank_ids: &[usize]) {
         let my = self.wire.rank();
         for &peer in rank_ids.iter().filter(|&&id| id != my) {
             let mut waited = Duration::ZERO;
             let budget = self.policy.death_threshold();
             while !self.pending[peer].is_empty() && waited < budget {
                 match self.wire.recv_timeout(peer, self.policy.tick) {
-                    Ok(frame) => self.ingest(peer, frame)?,
+                    Ok(frame) => self.ingest(peer, frame),
                     Err(WireError::Timeout) => waited += self.policy.tick,
                     Err(WireError::PeerGone) => break,
                     Err(WireError::NoSuchPeer(p)) => unreachable!("flush addressed rank {p}"),
                 }
             }
         }
-        Ok(())
     }
 
     /// Send one data frame and park its clean copy in the resend
@@ -413,12 +421,12 @@ impl<'w> PeerExecutor<'w> {
     /// rank blocked on peer P must still clear acks, answer nacks, and
     /// bank early data arriving from Q — the cross-peer dependency
     /// chains of a schedule deadlock otherwise.
-    fn service(&mut self, live: &[usize]) -> Result<(), PeerExecError> {
+    fn service(&mut self, live: &[usize]) {
         let my = self.wire.rank();
         for &p in live.iter().filter(|&&id| id != my) {
             loop {
                 match self.wire.recv_timeout(p, Duration::ZERO) {
-                    Ok(frame) => self.ingest(p, frame)?,
+                    Ok(frame) => self.ingest(p, frame),
                     Err(WireError::Timeout) => break,
                     // Death is surfaced by whoever awaits this peer's
                     // data; servicing just stops early.
@@ -427,7 +435,6 @@ impl<'w> PeerExecutor<'w> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Next applicable data frame from `peer`: the delivered queue if
@@ -449,7 +456,7 @@ impl<'w> PeerExecutor<'w> {
         loop {
             match self.wire.recv_timeout(peer, self.policy.tick) {
                 Ok(frame) => {
-                    self.ingest(peer, frame)?;
+                    self.ingest(peer, frame);
                     if let Some(f) = self.ready[peer].pop_front() {
                         return Ok(f);
                     }
@@ -459,7 +466,7 @@ impl<'w> PeerExecutor<'w> {
                     if poll() == CtlSignal::Abort {
                         return Err(PeerExecError::Aborted);
                     }
-                    self.service(live)?;
+                    self.service(live);
                     if let Some(f) = self.ready[peer].pop_front() {
                         return Ok(f);
                     }
@@ -478,7 +485,7 @@ impl<'w> PeerExecutor<'w> {
                         if attempt >= self.policy.max_attempts {
                             return Err(PeerExecError::RetriesExhausted { peer, round });
                         }
-                        self.control(peer, FrameKind::Nack, self.window[peer].expected())?;
+                        self.control(peer, FrameKind::Nack, self.window[peer].expected());
                         self.stats.nacks_sent += 1;
                         deadline = deadline.saturating_mul(self.policy.factor);
                         waited = Duration::ZERO;
@@ -512,7 +519,7 @@ impl<'w> PeerExecutor<'w> {
 
     /// Demultiplex one received frame: ack/nack bookkeeping or the
     /// data path (era filter, then dedup window, then ready queue).
-    fn ingest(&mut self, peer: usize, frame: Frame) -> Result<(), PeerExecError> {
+    fn ingest(&mut self, peer: usize, frame: Frame) {
         match frame.kind {
             FrameKind::Ack => {
                 if let Some(pos) = self.pending[peer].iter().position(|p| p.seq == frame.seq) {
@@ -520,23 +527,21 @@ impl<'w> PeerExecutor<'w> {
                     self.byte_pool.push(entry.clean);
                 }
                 self.wire.release(frame.payload);
-                Ok(())
             }
             FrameKind::Nack => {
-                self.resend(peer, frame.seq)?;
+                self.resend(peer, frame.seq);
                 self.wire.release(frame.payload);
-                Ok(())
             }
             FrameKind::Data => {
                 if frame.era < self.era {
                     // Stale era: the degrade already invalidated it.
                     self.wire.release(frame.payload);
-                    return Ok(());
+                    return;
                 }
                 if frame.era > self.era {
                     // The sender degraded first; replay after our bump.
                     self.future[peer].push_back(frame);
-                    return Ok(());
+                    return;
                 }
                 let seq = frame.seq;
                 if !self.ingest_data(peer, frame) {
@@ -548,16 +553,15 @@ impl<'w> PeerExecutor<'w> {
                         peer,
                         seq,
                     });
-                    self.control(peer, FrameKind::Ack, seq)?;
+                    self.control(peer, FrameKind::Ack, seq);
                 }
                 // Ack every seq the window has newly committed to
                 // delivery order.
                 while self.acked[peer] < self.window[peer].expected() {
                     let next = self.acked[peer];
-                    self.control(peer, FrameKind::Ack, next)?;
+                    self.control(peer, FrameKind::Ack, next);
                     self.acked[peer] = next + 1;
                 }
-                Ok(())
             }
             // Heartbeats die in the socket reader; other kinds are
             // control-plane traffic that never shares a data stream.
@@ -582,10 +586,10 @@ impl<'w> PeerExecutor<'w> {
     }
 
     /// Answer a nack with the clean buffered copy, if still held.
-    fn resend(&mut self, peer: usize, seq: u64) -> Result<(), PeerExecError> {
+    fn resend(&mut self, peer: usize, seq: u64) {
         // Already acked or not yet assigned: a benign race.
         let Some(pos) = self.pending[peer].iter().position(|p| p.seq == seq) else {
-            return Ok(());
+            return;
         };
         // The clean bytes ride the frame only for the send, then go
         // straight back into the buffer.
@@ -609,39 +613,71 @@ impl<'w> PeerExecutor<'w> {
         self.pending[peer][pos].clean = frame.payload;
         self.note(peer, seq, |step, rank| FaultEvent::Resend { step, rank, peer, seq });
         match sent {
-            Ok(()) => Ok(()),
-            Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
+            // The peer that asked has since closed its stream: nobody
+            // is left to want this copy (see `control`).
+            Ok(()) | Err(WireError::PeerGone) => {}
             Err(e) => unreachable!("resend to schedule peer {peer}: {e}"),
         }
     }
 
     /// Send one payload-less protocol frame carrying `seq`.
-    fn control(&mut self, peer: usize, kind: FrameKind, seq: u64) -> Result<(), PeerExecError> {
+    fn control(&mut self, peer: usize, kind: FrameKind, seq: u64) {
         let mut f = Frame::control(kind, self.wire.rank() as u16, self.era, self.step);
         f.seq = seq;
         match self.wire.send(peer, &f) {
-            Ok(()) => Ok(()),
-            Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
+            // An ack or nack its addressee can no longer read is moot,
+            // not a failed collective: a peer that finished its last
+            // step closes its stream while our re-ack of a duplicate is
+            // still on its way. A death that matters is reported by
+            // whoever still awaits that peer's data (`next_data`) or
+            // has data to give it (`send_data`) — which is also the
+            // only place a channel wire ever reports one.
+            Ok(()) | Err(WireError::PeerGone) => {}
             Err(e) => unreachable!("control to schedule peer {peer}: {e}"),
         }
     }
 }
 
-/// Encode f32s little-endian into a reused byte buffer.
+/// Encode f32s little-endian into a reused byte buffer — the clean
+/// resend copy, and the one copy of a payload this executor makes:
+/// `buf` is overwritten by later rounds before the ack arrives.
 fn f32s_to_bytes(src: &[f32], out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(src.len() * 4);
-    for &x in src {
-        out.extend_from_slice(&x.to_le_bytes());
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: any initialized f32 is four initialized bytes, u8 has
+        // no alignment requirement, and the view borrows `src`.
+        let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), src.len() * 4) };
+        out.extend_from_slice(bytes);
     }
+    #[cfg(target_endian = "big")]
+    out.extend(src.iter().flat_map(|x| x.to_le_bytes()));
 }
 
-/// Decode little-endian bytes into a reused f32 buffer.
-fn bytes_to_f32s(bytes: &[u8], out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(bytes.len() / 4);
-    for c in bytes.chunks_exact(4) {
-        out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+/// f32s staged per pass when a payload cannot be viewed in place.
+const STAGE_ELEMS: usize = 1024;
+
+/// Run `apply(dst, src)` with `src` the little-endian f32s encoded in
+/// `bytes` (`4 * dst.len()` of them). An aligned payload on a
+/// little-endian target is viewed in place and applied in one call;
+/// anything else is decoded through a fixed stack stage, a run of
+/// `dst` at a time. `apply` must be element-wise, so both routes give
+/// bit-identical results.
+fn apply_f32s(bytes: &[u8], dst: &mut [f32], mut apply: impl FnMut(&mut [f32], &[f32])) {
+    debug_assert_eq!(bytes.len(), dst.len() * 4);
+    // SAFETY: every bit pattern is a valid f32; `align_to` itself
+    // guarantees `view` is aligned and in bounds.
+    let (head, view, tail) = unsafe { bytes.align_to::<f32>() };
+    if cfg!(target_endian = "little") && head.is_empty() && tail.is_empty() {
+        return apply(dst, view);
+    }
+    let mut stage = [0.0f32; STAGE_ELEMS];
+    for (run, raw) in dst.chunks_mut(STAGE_ELEMS).zip(bytes.chunks(STAGE_ELEMS * 4)) {
+        let staged = &mut stage[..run.len()];
+        for (x, c) in staged.iter_mut().zip(raw.chunks_exact(4)) {
+            *x = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        }
+        apply(run, staged);
     }
 }
 
@@ -699,6 +735,31 @@ mod tests {
         bufs
     }
 
+    /// The bulk byte copy is the per-element little-endian encoding,
+    /// and a payload applies to the same bits whether it is viewed in
+    /// place or staged: all four byte alignments (exactly one of them
+    /// takes the in-place view), across two stage boundaries.
+    #[test]
+    fn payload_bytes_apply_identically_at_every_alignment() {
+        let n = STAGE_ELEMS * 2 + 37;
+        let src: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
+        let mut bytes = Vec::new();
+        f32s_to_bytes(&src, &mut bytes);
+        assert_eq!(bytes, src.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let summed: Vec<f32> = src.iter().map(|s| 1.5 + s).collect();
+        let mut backing = vec![0u8; bytes.len() + 4];
+        for shift in 0..4 {
+            backing[shift..shift + bytes.len()].copy_from_slice(&bytes);
+            let payload = &backing[shift..shift + bytes.len()];
+            let mut dst = vec![1.5f32; n];
+            apply_f32s(payload, &mut dst, |d, s| combine(ReduceOp::Sum, d, s));
+            assert_eq!(bits(&dst), bits(&summed), "reduce at byte offset {shift}");
+            apply_f32s(payload, &mut dst, |d, s| d.copy_from_slice(s));
+            assert_eq!(bits(&dst), bits(&src), "replace at byte offset {shift}");
+        }
+    }
+
     #[test]
     fn parity_with_reference_over_channel_mesh() {
         for (n, e) in [(4usize, 96usize), (3, 31)] {
@@ -748,13 +809,23 @@ mod tests {
         assert_eq!(expect, bufs);
     }
 
-    /// A wire that sends every data frame twice — the one fault a
-    /// [`FaultPlan`] cannot express; the dedup window must absorb it.
-    struct DuplicatingWire {
-        inner: ChannelWire,
+    /// Link misbehaviours a [`FaultPlan`] cannot express.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Quirk {
+        /// Every data frame is sent twice; the dedup window must absorb it.
+        DuplicateData,
+        /// The peer has stopped listening: data still passes, but every
+        /// ack/nack this rank sends is refused with `PeerGone` — what a
+        /// socket does once the far end has shut its stream down.
+        RefuseControl,
     }
 
-    impl Wire for DuplicatingWire {
+    struct QuirkyWire {
+        inner: ChannelWire,
+        quirk: Option<Quirk>,
+    }
+
+    impl Wire for QuirkyWire {
         fn rank(&self) -> usize {
             self.inner.rank()
         }
@@ -762,8 +833,10 @@ mod tests {
             self.inner.world_ids()
         }
         fn send(&self, peer: usize, frame: &Frame) -> Result<(), WireError> {
-            if frame.kind == FrameKind::Data {
-                self.inner.send(peer, frame)?;
+            match (self.quirk, frame.kind == FrameKind::Data) {
+                (Some(Quirk::DuplicateData), true) => self.inner.send(peer, frame)?,
+                (Some(Quirk::RefuseControl), false) => return Err(WireError::PeerGone),
+                _ => {}
             }
             self.inner.send(peer, frame)
         }
@@ -776,6 +849,27 @@ mod tests {
         fn release(&self, payload: Vec<u8>) {
             self.inner.release(payload);
         }
+    }
+
+    /// Rank 1 receives everything it needs but cannot deliver one ack:
+    /// its collective still completes, bit-exactly. Rank 0, never
+    /// acked, completes too once its flush window closes.
+    #[test]
+    fn refused_acks_do_not_fail_a_collective_whose_data_arrived() {
+        let (n, e) = (2usize, 32usize);
+        let schedule = ring::allreduce(n, e);
+        let ins = inputs(n, e);
+        let mut by_ref = ins.clone();
+        apply_allreduce(&schedule, &mut by_ref, ReduceOp::Sum);
+        let wires: Vec<QuirkyWire> = ChannelWire::mesh(n)
+            .into_iter()
+            .map(|inner| {
+                let quirk = (inner.rank() == 1).then_some(Quirk::RefuseControl);
+                QuirkyWire { inner, quirk }
+            })
+            .collect();
+        let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
+        assert_eq!(by_ref, got);
     }
 
     #[test]
@@ -809,8 +903,10 @@ mod tests {
         let ins = inputs(n, e);
         let mut by_ref = ins.clone();
         apply_allreduce(&schedule, &mut by_ref, ReduceOp::Sum);
-        let wires: Vec<DuplicatingWire> =
-            ChannelWire::mesh(n).into_iter().map(|inner| DuplicatingWire { inner }).collect();
+        let wires: Vec<QuirkyWire> = ChannelWire::mesh(n)
+            .into_iter()
+            .map(|inner| QuirkyWire { inner, quirk: Some(Quirk::DuplicateData) })
+            .collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
     }

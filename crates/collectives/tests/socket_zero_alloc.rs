@@ -1,9 +1,10 @@
 //! Counting-allocator proof for the socket transport: once a
 //! [`SocketMesh`] is warmed up, a steady-state allreduce step over real
 //! Unix-domain sockets allocates nothing — payload buffers recycle
-//! through the connection pool, the frame rings and encode scratch are
-//! retained, and the executor's working state is reused. The socket
-//! backend may allocate only at connection setup/teardown.
+//! through the connection pool (a CRC-rejected frame's included), the
+//! frame rings are retained, sends borrow their payload, and the
+//! executor's working state is reused. The socket backend may allocate
+//! only at connection setup/teardown.
 //!
 //! The in-process channel backend's zero-alloc story is covered by the
 //! executor proofs; this test pins the harder claim for the byte-stream
@@ -11,13 +12,15 @@
 //! allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use collectives::{Algorithm, CtlSignal, PeerExecutor, ReduceOp};
 use faults::RetryPolicy;
-use transport::SocketMesh;
+use transport::{encode, Frame, FrameKind, SocketMesh};
 
 struct CountingAlloc;
 
@@ -74,6 +77,7 @@ const N_ELEMS: usize = 1024;
 const WARMUP: usize = 5;
 const MEASURED: usize = 3; // count_allocs runs the step closure 3 times
 const TOTAL: usize = WARMUP + MEASURED;
+const REJECTS_PER_STEP: usize = 16;
 
 #[test]
 fn steady_state_socket_allreduce_is_allocation_free() {
@@ -83,10 +87,33 @@ fn steady_state_socket_allreduce_is_allocation_free() {
     let schedule = Algorithm::Ring.build(2, N_ELEMS);
     schedule.verify_allreduce().expect("ring schedule verifies");
 
+    // A second handle on rank 1's end of the socket: bytes written to
+    // it reach rank 0's reader thread exactly like rank 1's own frames.
+    // Every measured step opens with a burst of data-sized frames, each
+    // with a bit flipped in flight. Rank 0's reader must reject every
+    // one on its CRC *and keep the pooled buffer it was read into*: a
+    // reject that dropped its buffer would drain the pool — the burst
+    // outnumbers any surplus this exchange can have built up — and the
+    // good frames behind it would have to allocate.
+    let mut raw = b.try_clone().expect("clone rank 1's stream");
+    let mut corrupt = Frame::control(FrameKind::Data, 1, 0, 0);
+    corrupt.payload = vec![0x5A; N_ELEMS / 2 * 4];
+    let mut corrupt = encode(&corrupt);
+    let mid = corrupt.len() / 2;
+    corrupt[mid] ^= 0x04;
+
+    // Two rendezvous per step fence a window in which neither rank is
+    // mid-allreduce (every send of the step before has been written
+    // and acked), so the injected bytes land on a frame boundary.
+    // Heartbeats still flow, but a 36-byte beacon and a 2 KiB frame are
+    // one small `write` each and cannot interleave.
+    let fence = Arc::new(Barrier::new(2));
+
     // Rank 1 runs lockstep on its own thread; both sides step together
     // through the synchronous allreduce, so the measured region covers
     // the full two-rank exchange.
     let peer_schedule = schedule.clone();
+    let peer_fence = Arc::clone(&fence);
     let peer = std::thread::spawn(move || {
         let mesh = SocketMesh::new(1, vec![0, 1], vec![(0, b)], policy()).expect("mesh rank 1");
         let mut exec = PeerExecutor::new(&mesh, policy());
@@ -95,6 +122,8 @@ fn steady_state_socket_allreduce_is_allocation_free() {
             for (i, x) in buf.iter_mut().enumerate() {
                 *x = (step * N_ELEMS + i) as f32 * 0.5 + 1.0;
             }
+            peer_fence.wait();
+            peer_fence.wait();
             exec.begin_step(step);
             exec.allreduce(&peer_schedule, &mut buf, ReduceOp::Sum, &[0, 1], &mut || {
                 CtlSignal::Continue
@@ -112,6 +141,13 @@ fn steady_state_socket_allreduce_is_allocation_free() {
         for (i, x) in buf.iter_mut().enumerate() {
             *x = (step * N_ELEMS + i) as f32 * 0.25 - 3.0;
         }
+        fence.wait();
+        if step >= WARMUP {
+            for _ in 0..REJECTS_PER_STEP {
+                raw.write_all(&corrupt).expect("inject a corrupted frame");
+            }
+        }
+        fence.wait();
         exec.begin_step(step);
         exec.allreduce(&schedule, buf, ReduceOp::Sum, &[0, 1], &mut || CtlSignal::Continue)
             .expect("rank 0 allreduce");
@@ -129,8 +165,9 @@ fn steady_state_socket_allreduce_is_allocation_free() {
          every buffer after warmup"
     );
 
-    // The math still holds on the measured steps: both ranks computed
-    // the same final sum.
+    // The math still holds on the measured steps — every good frame
+    // behind a rejected one was delivered: both ranks computed the same
+    // final sum.
     let peer_buf = peer.join().expect("rank 1 thread");
     let last = TOTAL - 1;
     for (i, (&mine, &theirs)) in buf.iter().zip(&peer_buf).enumerate() {
@@ -144,9 +181,11 @@ fn steady_state_socket_allreduce_is_allocation_free() {
 /// The telemetry plane makes the same promise as the gradient path: a
 /// warmed worker records its per-step metrics and flight spans, encodes
 /// the snapshot, frames it, and ships it down a real socket without a
-/// single allocation. Mirrors the exact sequence `run_worker` +
+/// single allocation. Mirrors the sequence `run_worker` +
 /// `heartbeat_main` perform each step: record → `encode_into` →
-/// payload swap → frame encode → `write_all`.
+/// payload swap → frame → write (the pump itself hands the same three
+/// pieces to one vectored write instead of staging them; the proof
+/// above covers that path, this one the contiguous encoder).
 #[test]
 fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     use std::io::{Read, Write};

@@ -4,33 +4,17 @@
 //! payload; a bit-flip in flight — injected or real — makes the
 //! decoder's recomputation disagree, the frame is dropped, and the
 //! reliability protocol resends it instead of silently averaging
-//! garbage into the gradients. The table is built at compile time — no
-//! lazy init on the message path.
+//! garbage into the gradients. The kernels (PCLMULQDQ folding, with a
+//! portable slice-by-16 twin) live in [`simd::crc`]; this module is
+//! the name the rest of the stack knows them by.
 
-/// The 256-entry lookup table, computed in a `const` context.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
+/// A running CRC32 (`new` / `update` / `finish`) for checksumming
+/// pieces that do not lie contiguously — a frame's header and payload.
+pub use simd::crc::Crc32;
 
 /// CRC32 of raw bytes.
 pub fn crc32_bytes(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    simd::crc::crc32(data)
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //!   ([`FaultClock::real`]) or merely accounts the delay virtually
 //!   ([`FaultClock::virtual_clock`]), keeping unit tests fast while the
 //!   chaos suite exercises genuine wall-clock straggling.
-//! * [`crc32_bytes`] — the frame checksum the transport uses to
-//!   detect corruption (injected or real) and trigger a resend.
+//! * [`crc32_bytes`] / [`Crc32`] — the frame checksum the transport
+//!   uses to detect corruption (injected or real) and trigger a resend.
 //! * [`EventLog`] / [`FaultEvent`] — every injection and every recovery
 //!   action (retry, resend, CRC reject, declared death, degradation,
 //!   checkpoint save/restore) as a structured, timestamped record, so
@@ -35,6 +35,6 @@ pub mod event;
 pub mod plan;
 
 pub use clock::FaultClock;
-pub use crc::crc32_bytes;
+pub use crc::{crc32_bytes, Crc32};
 pub use event::{EventLog, FaultEvent, Stamped};
 pub use plan::{FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy, SendFault};

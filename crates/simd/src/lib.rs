@@ -1,11 +1,12 @@
 //! Runtime CPU-feature dispatch for the vectorized hot-path kernels.
 //!
-//! The SIMD kernels in `trainer::real::net`, `trainer::real::fp16`, and
-//! `collectives::reduce` are written against `std::arch` x86-64
-//! intrinsics and guarded by the predicates here: every
+//! The SIMD kernels in `trainer::real::net`, `trainer::real::fp16`,
+//! `collectives::reduce`, and [`crc`] are written against `std::arch`
+//! x86-64 intrinsics and guarded by the predicates here: every
 //! `#[target_feature]` function has a same-module scalar twin, and every
-//! call site dispatches through [`have_avx2_fma`] / [`have_f16c`]
-//! (enforced by the `simd-fallback` rule of `cargo run -p xtask -- lint`).
+//! call site dispatches through [`have_avx2_fma`] / [`have_f16c`] /
+//! [`have_pclmul`] (enforced by the `simd-fallback` rule of
+//! `cargo run -p xtask -- lint`).
 //!
 //! Detection is cached in a relaxed atomic after the first query, so the
 //! per-call cost on the hot path is one load and one predictable branch —
@@ -18,6 +19,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+pub mod crc;
 pub mod fp16;
 pub mod quant;
 
@@ -46,6 +48,7 @@ impl Cached {
 
 static AVX2_FMA: Cached = Cached::new();
 static F16C: Cached = Cached::new();
+static PCLMUL: Cached = Cached::new();
 
 /// True when the CPU supports AVX2 **and** FMA — the feature pair every
 /// vectorized f32 kernel in this workspace is compiled against.
@@ -80,6 +83,21 @@ pub fn have_f16c() -> bool {
     }
 }
 
+/// True when the CPU supports PCLMULQDQ (carry-less multiply) — the
+/// gate for the folding CRC32 kernel.
+// lint: hot-path
+#[inline]
+pub fn have_pclmul() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        PCLMUL.get(|| std::arch::is_x86_feature_detected!("pclmulqdq"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Force-disable every SIMD path for the rest of the process — the
 /// differential tests use this to run the scalar twins on hardware that
 /// would otherwise dispatch to the vector kernels. Irreversible by
@@ -88,6 +106,7 @@ pub fn have_f16c() -> bool {
 pub fn force_scalar_for_testing() {
     AVX2_FMA.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
     F16C.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
+    PCLMUL.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
 }
 
 #[cfg(test)]

@@ -1,20 +1,27 @@
 //! One peer connection: a Unix-domain stream wrapped with a decoding
 //! reader thread, a liveness heartbeat, and pooled frame buffers.
 //!
-//! The reader thread owns the receive half: it blocks on `read_exact`,
-//! decodes frames ([`crate::frame`]), stamps a last-heard-from clock,
-//! consumes heartbeats, and pushes everything else into a pre-allocated
-//! ring the consumer drains with a timeout. EOF (the peer died — a
-//! SIGKILLed process's kernel closes its sockets) closes the ring:
-//! queued frames drain first, then receives report
-//! [`WireError::PeerGone`]. A frame that fails its CRC is *dropped*
-//! here — to the reliability layer above it looks like loss, and the
-//! §5d deadline/nack machinery recovers it.
+//! The reader thread owns the receive half: it runs
+//! [`read_frame`] in a loop — each payload is read off the socket
+//! straight into the pooled buffer its frame will own, and checksummed
+//! there — stamps a last-heard-from clock, consumes heartbeats, and
+//! pushes everything else into a pre-allocated ring the consumer drains
+//! with a timeout. EOF (the peer died — a SIGKILLed process's kernel
+//! closes its sockets) closes the ring: queued frames drain first, then
+//! receives report [`WireError::PeerGone`]. A frame that fails its CRC
+//! is *dropped* here, before any header field is trusted — to the
+//! reliability layer above it looks like loss, and the §5d
+//! deadline/nack machinery recovers it; its buffer stays with the
+//! reader for the next frame.
+//!
+//! The send half never copies a payload either: [`PeerConn::send`]
+//! hands the kernel `[len + header] [frame.payload] [crc]` as one
+//! vectored write, under the lock every writer of the stream shares.
 //!
 //! All pacing derives from [`RetryPolicy`]; connect retries sleep
 //! through [`FaultClock`].
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +31,7 @@ use std::time::{Duration, Instant};
 use faults::{FaultClock, RetryPolicy};
 use parking_lot::Mutex;
 
-use crate::frame::{parse_body, Frame, FrameKind, HEADER_LEN, MAX_FRAME_LEN};
+use crate::frame::{encode, envelope, read_frame, Frame, FrameKind, PREFIX_LEN};
 use crate::{TelemetrySource, WireError};
 
 /// Frames queued per connection before the ring grows (it still grows
@@ -35,7 +42,9 @@ const RING_CAPACITY: usize = 256;
 
 /// A shared pool of payload byte buffers: the reader thread acquires,
 /// the consumer releases. Keeps the per-frame buffer churn off the
-/// allocator once warm.
+/// allocator once warm. Buffers come back with their old length and
+/// contents — the reader overwrites them, so nothing is cleared or
+/// zero-filled per frame.
 #[derive(Debug, Default)]
 pub(crate) struct BufPool {
     free: Mutex<Vec<Vec<u8>>>,
@@ -50,8 +59,12 @@ impl BufPool {
         self.free.lock().pop().unwrap_or_default()
     }
 
-    pub(crate) fn release(&self, mut buf: Vec<u8>) {
-        buf.clear();
+    /// Payload-less frames carry `Vec::new()`; there is nothing in one
+    /// to recycle.
+    pub(crate) fn release(&self, buf: Vec<u8>) {
+        if buf.capacity() == 0 {
+            return;
+        }
         let mut free = self.free.lock();
         if free.len() < RING_CAPACITY {
             free.push(buf);
@@ -127,33 +140,64 @@ impl FrameRing {
     }
 }
 
-/// Write half: the stream plus a reusable encode scratch, serialized
-/// under one lock so concurrent senders cannot interleave frame bytes.
-/// *Every* frame write — consumer sends and the heartbeat/telemetry
-/// pump alike — goes through this lock; a partially completed
-/// `write_all` under send-buffer backpressure would otherwise splice
-/// two frames together and the peer's reader would see framing loss.
+/// Write half: the stream, serialized under one lock so concurrent
+/// senders cannot interleave frame bytes. *Every* frame write —
+/// consumer sends and the heartbeat/telemetry pump alike — goes through
+/// [`send_frame`]; a partially completed write under send-buffer
+/// backpressure would otherwise splice two frames together and the
+/// peer's reader would see framing loss.
 #[derive(Debug)]
 struct WriteHalf {
     stream: UnixStream,
-    scratch: Vec<u8>,
     broken: bool,
 }
 
-impl WriteHalf {
-    /// Write pre-encoded frame bytes; a failure marks the half broken
-    /// and the connection dead.
-    fn write_encoded(&mut self, bytes: &[u8], alive: &AtomicBool) -> bool {
-        if self.broken {
-            return false;
+/// `write_all` over several slices: one `writev` per pass, resuming
+/// mid-slice after a partial write.
+fn write_all_vectored(
+    stream: &mut UnixStream,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        if self.stream.write_all(bytes).is_err() {
-            self.broken = true;
-            alive.store(false, Ordering::Release);
-            return false;
-        }
-        true
     }
+    Ok(())
+}
+
+/// Put one frame on the wire: `[len + header] [payload] [crc]`, the
+/// payload borrowed where it lies. Header and CRC are computed before
+/// the lock is taken; only the write itself serializes. A payload-less
+/// frame is one contiguous write. A failure marks the half broken and
+/// the connection dead.
+fn send_frame(
+    writer: &Mutex<WriteHalf>,
+    frame: &Frame,
+    alive: &AtomicBool,
+) -> Result<(), WireError> {
+    let (prefix, crc) = envelope(frame);
+    let mut w = writer.lock();
+    if w.broken {
+        return Err(WireError::PeerGone);
+    }
+    let written = if frame.payload.is_empty() {
+        let mut whole = [0u8; PREFIX_LEN + 4];
+        whole[..PREFIX_LEN].copy_from_slice(&prefix);
+        whole[PREFIX_LEN..].copy_from_slice(&crc);
+        w.stream.write_all(&whole)
+    } else {
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(&frame.payload), IoSlice::new(&crc)];
+        write_all_vectored(&mut w.stream, &mut parts)
+    };
+    written.map_err(|_| {
+        w.broken = true;
+        alive.store(false, Ordering::Release);
+        WireError::PeerGone
+    })
 }
 
 /// See the module docs.
@@ -192,8 +236,7 @@ impl PeerConn {
 
         let read_stream = stream.try_clone()?;
         let shutdown_handle = stream.try_clone()?;
-        let writer =
-            Arc::new(Mutex::new(WriteHalf { stream, scratch: Vec::new(), broken: false }));
+        let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false }));
         {
             let ring = Arc::clone(&ring);
             let pool = Arc::clone(&pool);
@@ -246,23 +289,11 @@ impl PeerConn {
         self.peer
     }
 
-    /// Encode and write one frame. A write error marks the connection
-    /// broken (the peer is gone; Rust ignores SIGPIPE, so a dead reader
-    /// surfaces as `BrokenPipe` here).
+    /// Write one frame (see [`send_frame`]). A write error marks the
+    /// connection broken (the peer is gone; Rust ignores SIGPIPE, so a
+    /// dead reader surfaces as `BrokenPipe` here).
     pub fn send(&self, frame: &Frame) -> Result<(), WireError> {
-        let mut w = self.writer.lock();
-        if w.broken {
-            return Err(WireError::PeerGone);
-        }
-        let mut scratch = std::mem::take(&mut w.scratch);
-        crate::frame::encode_into(frame, &mut scratch);
-        let ok = w.write_encoded(&scratch, &self.alive);
-        w.scratch = scratch;
-        if ok {
-            Ok(())
-        } else {
-            Err(WireError::PeerGone)
-        }
+        send_frame(&self.writer, frame, &self.alive)
     }
 
     /// Next decoded frame, waiting up to `timeout`.
@@ -307,23 +338,18 @@ fn reader_main(
     alive: Arc<AtomicBool>,
     epoch: Instant,
 ) {
-    let mut body: Vec<u8> = Vec::new();
-    let mut len_buf = [0u8; 4];
+    // The buffer the next payload lands in. A delivered data frame
+    // takes it; a payload-less or rejected frame leaves it here.
+    let mut buf = Vec::new();
     loop {
-        if stream.read_exact(&mut len_buf).is_err() {
-            break; // EOF or error: the peer is gone.
+        if buf.capacity() == 0 {
+            buf = pool.acquire();
         }
-        let body_len = u32::from_le_bytes(len_buf) as usize;
-        if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
-            break; // Framing lost for good; treat as a dead stream.
-        }
-        body.clear();
-        body.resize(body_len, 0);
-        if stream.read_exact(&mut body).is_err() {
-            break;
-        }
+        // EOF, an I/O error, or a length out of bounds: the peer is
+        // gone or framing is lost for good — a dead stream either way.
+        let Ok(frame) = read_frame(&mut stream, &mut buf) else { break };
         last_rx_ms.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
-        match parse_body(&body, pool.acquire()) {
+        match frame {
             Ok(frame) if frame.kind == FrameKind::Heartbeat => pool.release(frame.payload),
             Ok(frame) => ring.push(frame),
             // CRC/version rejects look like loss to the layer above;
@@ -331,6 +357,7 @@ fn reader_main(
             Err(_) => {}
         }
     }
+    pool.release(buf);
     alive.store(false, Ordering::Release);
     ring.close();
 }
@@ -342,33 +369,21 @@ fn heartbeat_main(
     alive: Arc<AtomicBool>,
     telemetry: Option<Arc<dyn TelemetrySource>>,
 ) {
-    let beacon =
-        crate::frame::encode(&Frame::control(FrameKind::Heartbeat, self_rank as u16, 0, 0));
+    let beacon = Frame::control(FrameKind::Heartbeat, self_rank as u16, 0, 0);
     let interval = policy.heartbeat_interval();
-    // Telemetry reuses one frame (its payload buffer included) and one
-    // encode scratch across intervals, so the pump allocates nothing
-    // once the buffers are warm. Encoding happens outside the writer
-    // lock; only the actual write serializes with the consumer's sends
-    // (interleaving frame bytes would be framing loss to the peer).
+    // Telemetry reuses one frame (its payload buffer included) across
+    // intervals, so the pump allocates nothing once the buffer is warm.
     let mut tel_frame = Frame::control(FrameKind::Telemetry, self_rank as u16, 0, 0);
-    let mut wire_buf: Vec<u8> = Vec::new();
     while alive.load(Ordering::Acquire) {
         // The beacon must track wall time even under a virtual
         // FaultClock — a real socket peer really times out.
         std::thread::sleep(interval); // lint: allow(sleep): heartbeat pacing, interval from RetryPolicy::heartbeat_interval
-        let mut sent_telemetry = false;
-        if let Some(src) = &telemetry {
-            if src.fill(&mut tel_frame.payload) {
-                crate::frame::encode_into(&tel_frame, &mut wire_buf);
-                if !writer.lock().write_encoded(&wire_buf, &alive) {
-                    break;
-                }
-                tel_frame.seq += 1;
-                sent_telemetry = true;
-            }
-        }
-        if !sent_telemetry && !writer.lock().write_encoded(&beacon, &alive) {
+        let snapshot = telemetry.as_ref().is_some_and(|src| src.fill(&mut tel_frame.payload));
+        if send_frame(&writer, if snapshot { &tel_frame } else { &beacon }, &alive).is_err() {
             break;
+        }
+        if snapshot {
+            tel_frame.seq += 1;
         }
     }
 }
@@ -399,24 +414,13 @@ pub fn connect_with_backoff(
 /// Read exactly one frame off a raw stream (rendezvous handshakes,
 /// before the reader thread exists). Not for the hot path.
 pub fn read_frame_blocking(stream: &mut UnixStream) -> std::io::Result<Frame> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let body_len = u32::from_le_bytes(len_buf) as usize;
-    if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame body length {body_len} out of bounds"),
-        ));
-    }
-    let mut body = vec![0u8; body_len];
-    stream.read_exact(&mut body)?;
-    parse_body(&body, Vec::new())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    read_frame(stream, &mut Vec::new())?
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Write one frame to a raw stream (rendezvous handshakes).
 pub fn write_frame_blocking(stream: &mut UnixStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(&crate::frame::encode(frame))
+    stream.write_all(&encode(frame))
 }
 
 #[cfg(test)]

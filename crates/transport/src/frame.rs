@@ -26,11 +26,26 @@
 //! malformed input is a typed [`FrameError`] (proven by the adversarial
 //! proptests in `tests/frame_proptests.rs`, differentially against
 //! [`reference_decode`]).
+//!
+//! The layout above is written down once, in [`write_header`] and
+//! [`read_header`]; the CRC is always computed by [`frame_crc`] over the
+//! header and the payload *where they lie*. Everything that produces or
+//! consumes wire bytes goes through those three: [`encode_into`] and
+//! [`parse_body`] (contiguous buffers — the fault injector, the
+//! benchmark, the reference decoder), the socket send path
+//! ([`envelope`]: the payload is borrowed into a vectored write, never
+//! copied), and the socket read path ([`read_frame`]: the payload is
+//! read straight into the buffer the frame will own).
 
-use faults::crc32_bytes;
+use std::io::{self, Read};
+
+use faults::Crc32;
 
 /// Header bytes after the u32 length prefix.
 pub const HEADER_LEN: usize = 1 + 1 + 2 + 4 + 8 + 4 + 4 + 4;
+
+/// Length prefix plus header: the fixed bytes ahead of every payload.
+pub(crate) const PREFIX_LEN: usize = 4 + HEADER_LEN;
 
 /// Hard upper bound on the body length a decoder will accept. Large
 /// enough for any gradient segment this repo ships (64 MiB), small
@@ -152,30 +167,87 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// The length prefix and header of `frame` — the one place the layout
+/// of the module docs is written.
+fn write_header(frame: &Frame) -> [u8; PREFIX_LEN] {
+    let body_len = HEADER_LEN + frame.payload.len() + 4;
+    debug_assert!(body_len <= MAX_FRAME_LEN, "no receiver accepts a {body_len}-byte body");
+    let mut h = [0u8; PREFIX_LEN];
+    h[0..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    h[4] = frame.kind as u8;
+    h[5] = WIRE_VERSION;
+    h[6..8].copy_from_slice(&frame.from.to_le_bytes());
+    h[8..12].copy_from_slice(&frame.era.to_le_bytes());
+    h[12..20].copy_from_slice(&frame.seq.to_le_bytes());
+    h[20..24].copy_from_slice(&frame.step.to_le_bytes());
+    h[24..28].copy_from_slice(&frame.round.to_le_bytes());
+    h[28..32].copy_from_slice(&frame.offset.to_le_bytes());
+    h
+}
+
+/// Interpret a CRC-verified `header` (the [`HEADER_LEN`] bytes after
+/// the length prefix) — the one place the layout is read. The frame
+/// comes back payload-less; the caller attaches the payload it holds.
+fn read_header(header: &[u8]) -> Result<Frame, FrameError> {
+    debug_assert_eq!(header.len(), HEADER_LEN);
+    let kind = FrameKind::from_byte(header[0])?;
+    if header[1] != WIRE_VERSION {
+        return Err(FrameError::BadVersion(header[1]));
+    }
+    Ok(Frame {
+        kind,
+        from: read_u16(header, 2),
+        era: read_u32(header, 4),
+        seq: read_u64(header, 8),
+        step: read_u32(header, 16),
+        round: read_u32(header, 20),
+        offset: read_u32(header, 24),
+        payload: Vec::new(),
+    })
+}
+
+/// The CRC tail of a frame: header (after the length prefix), then
+/// payload, each hashed where it lies.
+fn frame_crc(header: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(header);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// Accept `header` + `payload` only if they hash to the received `tail`.
+fn check_crc(header: &[u8], payload: &[u8], tail: &[u8]) -> Result<(), FrameError> {
+    let want = read_u32(tail, 0);
+    let got = frame_crc(header, payload);
+    if want != got {
+        return Err(FrameError::BadCrc { want, got });
+    }
+    Ok(())
+}
+
+/// Everything of `frame`'s wire form except the payload: the bytes
+/// that go before it (length prefix + header) and after it (CRC tail).
+pub(crate) fn envelope(frame: &Frame) -> ([u8; PREFIX_LEN], [u8; 4]) {
+    let prefix = write_header(frame);
+    let crc = frame_crc(&prefix[4..], &frame.payload);
+    (prefix, crc.to_le_bytes())
+}
+
 /// Encode `frame` into `out` (cleared first). The buffer can be pooled
 /// and reused; steady-state encoding allocates nothing once `out` has
 /// grown to the largest frame size.
 pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let (prefix, crc) = envelope(frame);
     out.clear();
-    let body_len = HEADER_LEN + frame.payload.len() + 4;
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.push(frame.kind as u8);
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&frame.from.to_le_bytes());
-    out.extend_from_slice(&frame.era.to_le_bytes());
-    out.extend_from_slice(&frame.seq.to_le_bytes());
-    out.extend_from_slice(&frame.step.to_le_bytes());
-    out.extend_from_slice(&frame.round.to_le_bytes());
-    out.extend_from_slice(&frame.offset.to_le_bytes());
+    out.reserve(PREFIX_LEN + frame.payload.len() + 4);
+    out.extend_from_slice(&prefix);
     out.extend_from_slice(&frame.payload);
-    let crc = crc32_bytes(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&crc);
 }
 
-/// Encode `frame` into a fresh buffer (test/rendezvous convenience; the
-/// hot path uses [`encode_into`] with a pooled buffer).
+/// Encode `frame` into a fresh buffer (test/rendezvous convenience).
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + HEADER_LEN + frame.payload.len() + 4);
+    let mut out = Vec::new();
     encode_into(frame, &mut out);
     out
 }
@@ -202,28 +274,57 @@ pub fn parse_body(body: &[u8], mut payload_buf: Vec<u8>) -> Result<Frame, FrameE
     if body.len() < HEADER_LEN + 4 || body.len() > MAX_FRAME_LEN {
         return Err(FrameError::BadLength(body.len()));
     }
-    let crc_at = body.len() - 4;
-    let want = read_u32(body, crc_at);
-    let got = crc32_bytes(&body[..crc_at]);
-    if want != got {
-        return Err(FrameError::BadCrc { want, got });
-    }
-    let kind = FrameKind::from_byte(body[0])?;
-    if body[1] != WIRE_VERSION {
-        return Err(FrameError::BadVersion(body[1]));
-    }
+    let (covered, tail) = body.split_at(body.len() - 4);
+    let (header, payload) = covered.split_at(HEADER_LEN);
+    check_crc(header, payload, tail)?;
+    let mut frame = read_header(header)?;
     payload_buf.clear();
-    payload_buf.extend_from_slice(&body[HEADER_LEN..crc_at]);
-    Ok(Frame {
-        kind,
-        from: read_u16(body, 2),
-        era: read_u32(body, 4),
-        seq: read_u64(body, 8),
-        step: read_u32(body, 16),
-        round: read_u32(body, 20),
-        offset: read_u32(body, 24),
-        payload: payload_buf,
-    })
+    payload_buf.extend_from_slice(payload);
+    frame.payload = payload_buf;
+    Ok(frame)
+}
+
+/// Read one frame off a byte stream, the payload straight into `buf`
+/// — the framing loop of the socket reader thread and of the
+/// rendezvous handshakes.
+///
+/// * `Err` — the stream is finished: EOF, an I/O error, or a length
+///   prefix outside bounds (`InvalidData` wrapping
+///   [`FrameError::BadLength`]; byte alignment is lost for good).
+/// * `Ok(Err(_))` — one whole frame was consumed and rejected: CRC
+///   first, and only then kind and version, exactly like
+///   [`parse_body`]. The stream is still aligned and `buf` stays with
+///   the caller.
+/// * `Ok(Ok(frame))` — a frame with a payload *takes* `buf` (leaving an
+///   empty `Vec`; the caller supplies the next buffer), a payload-less
+///   one carries `Vec::new()` and leaves `buf` untouched.
+///
+/// `buf` arrives with whatever length and contents it last had: it is
+/// resized to the payload length — which only zero-fills bytes past its
+/// old length — and then overwritten by the read, so a recycled buffer
+/// is not cleared per frame.
+pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Result<Frame, FrameError>> {
+    let mut prefix = [0u8; PREFIX_LEN];
+    r.read_exact(&mut prefix)?;
+    let body_len = read_u32(&prefix, 0) as usize;
+    if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, FrameError::BadLength(body_len)));
+    }
+    let payload_len = body_len - HEADER_LEN - 4;
+    if payload_len > 0 {
+        buf.resize(payload_len, 0);
+        r.read_exact(buf)?;
+    }
+    let mut tail = [0u8; 4];
+    r.read_exact(&mut tail)?;
+    let header = &prefix[4..];
+    let payload: &[u8] = if payload_len > 0 { buf } else { &[] };
+    Ok(check_crc(header, payload, &tail).and_then(|()| read_header(header)).map(|mut frame| {
+        if payload_len > 0 {
+            frame.payload = std::mem::take(buf);
+        }
+        frame
+    }))
 }
 
 /// Incremental decoder: feed arbitrary byte chunks, pop complete

@@ -13,7 +13,10 @@
 //!   [`frame::Frame`]. A reader thread per connection decodes frames
 //!   into a pre-allocated ring; a heartbeat thread beacons liveness so
 //!   silence is distinguishable from death; payload buffers are pooled
-//!   so steady-state exchange allocates nothing.
+//!   so steady-state exchange allocates nothing. No payload is copied
+//!   in user space on either side: a send is one vectored write that
+//!   borrows `frame.payload`, a receive reads the payload off the
+//!   socket into the buffer the frame will own and checksums it there.
 //!
 //! Death detection is two-signal: a SIGKILLed peer's socket returns EOF
 //! (fast path), and a wedged-but-open peer trips the
@@ -39,8 +42,8 @@ use std::time::Duration;
 pub use channel::ChannelWire;
 pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, PeerConn};
 pub use frame::{
-    encode, encode_into, parse_body, reference_decode, DedupWindow, Frame, FrameDecoder,
-    FrameError, FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
+    encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame,
+    FrameDecoder, FrameError, FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use mesh::SocketMesh;
 pub use rendezvous::{join, Joined, Rendezvous, Welcome, WorkerHello, COORD_SOCK};

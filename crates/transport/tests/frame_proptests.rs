@@ -4,12 +4,23 @@
 //! reordered frames must come out of the dedup window exactly once, in
 //! order. The incremental [`FrameDecoder`] is differentially tested
 //! against the naive [`reference_decode`] under arbitrary chunk splits.
+//!
+//! [`read_frame`] — the framing loop the socket reader thread and the
+//! rendezvous handshakes actually run — gets the same differential
+//! treatment through a short-read `Read` adapter (arbitrary cut points
+//! down to a one-byte dribble) into a dirty recycled buffer, and a
+//! golden pins the bytes [`PeerConn::send`] puts on a raw socket to
+//! [`encode`]'s.
+
+use std::io::{self, Read};
+use std::os::unix::net::UnixStream;
 
 use proptest::prelude::*;
 use transport::frame::{
-    encode, parse_body, reference_decode, DedupWindow, Frame, FrameDecoder, FrameError, FrameKind,
-    Offer, HEADER_LEN,
+    encode, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameDecoder, FrameError,
+    FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
 };
+use transport::PeerConn;
 
 fn kind_strategy() -> impl Strategy<Value = FrameKind> {
     prop::sample::select(vec![
@@ -76,8 +87,191 @@ fn feed_in_chunks(dec: &mut FrameDecoder, bytes: &[u8], cuts: &[usize]) {
     dec.feed(&bytes[at..]);
 }
 
+/// A `Read` over a byte slice that returns at most `cuts[i]` bytes on
+/// its i-th call (cycling; an empty script reads without limit) —
+/// models a socket delivering a stream in arbitrary pieces.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    cuts: &'a [usize],
+    calls: usize,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let limit = if self.cuts.is_empty() {
+            usize::MAX
+        } else {
+            self.cuts[self.calls % self.cuts.len()].max(1)
+        };
+        self.calls += 1;
+        let n = out.len().min(limit).min(self.bytes.len() - self.at);
+        out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Run [`read_frame`] over `bytes` the way the reader thread does —
+/// one buffer carried from call to call, replaced by a *dirty* recycled
+/// one whenever a frame takes it — until the stream ends. Returns the
+/// per-frame outcomes, the error that ended the stream, and how many
+/// bytes were still unread when the failing call began.
+fn read_all(bytes: &[u8], cuts: &[usize]) -> (Vec<Result<Frame, FrameError>>, io::Error, usize) {
+    let mut stream = ShortReads { bytes, at: 0, cuts, calls: 0 };
+    let mut frames = Vec::new();
+    let mut buf = Vec::new();
+    loop {
+        if buf.capacity() == 0 {
+            buf = vec![0xA5; 300]; // longer than any generated payload
+        }
+        let left = bytes.len() - stream.at;
+        match read_frame(&mut stream, &mut buf) {
+            Ok(frame) => frames.push(frame),
+            Err(e) => return (frames, e, left),
+        }
+    }
+}
+
+/// [`read_all`] must see exactly what [`reference_decode`] sees: the
+/// same frames and per-frame rejects in the same order, and a stream
+/// end of the matching kind — `InvalidData` carrying the same
+/// `BadLength` where the reference calls the stream unframeable (given
+/// the 32 bytes `read_frame` reads before it looks), `UnexpectedEof`
+/// for truncation and for a clean end.
+fn assert_reads_like_reference(bytes: &[u8], cuts: &[usize]) -> Result<(), TestCaseError> {
+    let mut want = reference_decode(bytes);
+    let fatal = match want.last() {
+        Some(Err(FrameError::Truncated | FrameError::BadLength(_))) => want.pop(),
+        _ => None,
+    };
+    let (got, end, left) = read_all(bytes, cuts);
+    prop_assert_eq!(&got, &want);
+    match fatal {
+        Some(Err(FrameError::BadLength(n))) if left >= 4 + HEADER_LEN => {
+            prop_assert_eq!(end.kind(), io::ErrorKind::InvalidData);
+            let inner = end.get_ref().and_then(|e| e.downcast_ref::<FrameError>());
+            prop_assert_eq!(inner, Some(&FrameError::BadLength(n)));
+        }
+        Some(_) => {
+            prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+            prop_assert!(left > 0, "a stream cut mid-frame has bytes left");
+        }
+        None => {
+            prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(left, 0, "a clean end is at a frame boundary");
+        }
+    }
+    Ok(())
+}
+
+/// The bytes `PeerConn::send` puts on a raw socket are `encode`'s, for
+/// payloads on both sides of every path boundary: none (the contiguous
+/// write), 1, 63 | 64 (the CRC kernels' crossover), the quick preset's
+/// gradient, and 2 MiB (many partial vectored writes). Pins "no
+/// wire-version bump".
+#[test]
+fn peer_conn_send_puts_encode_bytes_on_the_socket() {
+    let frames: Vec<Frame> = [0usize, 1, 63, 64, 5840, 2 << 20]
+        .into_iter()
+        .enumerate()
+        .map(|(i, len)| Frame {
+            kind: if len == 0 { FrameKind::Ack } else { FrameKind::Data },
+            from: 3,
+            era: 2,
+            seq: 40 + i as u64,
+            step: 7,
+            round: i as u32,
+            offset: 128,
+            payload: (0..len).map(|b| (b * 31 + i) as u8).collect(),
+        })
+        .collect();
+    let want: Vec<u8> = frames.iter().flat_map(encode).collect();
+
+    let (ours, mut raw) = UnixStream::pair().expect("socketpair");
+    let got = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let conn = PeerConn::solo(1, 0, ours, None).expect("peer conn");
+            for f in &frames {
+                conn.send(f).expect("send");
+            }
+            // Dropping the conn shuts the socket down: EOF for the raw side.
+        });
+        let mut got = Vec::new();
+        raw.read_to_end(&mut got).expect("raw read");
+        got
+    });
+    assert_eq!(got.len(), want.len());
+    assert!(got == want, "PeerConn::send and encode disagree on the wire bytes");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// encode → `read_frame` is the identity however the socket chops
+    /// the stream, including a one-byte dribble.
+    #[test]
+    fn read_frame_roundtrips_under_short_reads(
+        frames in prop::collection::vec(frame_strategy(), 1..8),
+        cuts in prop::collection::vec(1usize..96, 0..12),
+    ) {
+        let bytes: Vec<u8> = frames.iter().flat_map(encode).collect();
+        let want: Vec<Result<Frame, FrameError>> = frames.into_iter().map(Ok).collect();
+        for cuts in [&cuts[..], &[1]] {
+            let (got, end, left) = read_all(&bytes, cuts);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(left, 0);
+        }
+    }
+
+    /// A valid stream damaged one way — cut short, one bit flipped
+    /// anywhere (length prefixes included), or a length prefix
+    /// overwritten with an out-of-bounds value — reads exactly as the
+    /// reference decodes it, under any short-read schedule.
+    #[test]
+    fn read_frame_matches_reference_on_damaged_streams(
+        frames in prop::collection::vec(frame_strategy(), 1..6),
+        cuts in prop::collection::vec(1usize..96, 0..12),
+        damage in (0u8..4, 0usize..1 << 20, 0u32..HEADER_LEN as u32 + 4),
+    ) {
+        let starts: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                let start = *at;
+                *at += encode(f).len();
+                Some(start)
+            })
+            .collect();
+        let mut bytes: Vec<u8> = frames.iter().flat_map(encode).collect();
+        let (how, at, small) = damage;
+        match how {
+            0 => {}
+            1 => bytes.truncate(at % (bytes.len() + 1)),
+            2 => {
+                let bit = at % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            _ => {
+                // Too short for a header on even picks, past the cap on odd.
+                let bad = if at % 2 == 0 { small } else { MAX_FRAME_LEN as u32 + 1 + small };
+                let start = starts[at % starts.len()];
+                bytes[start..start + 4].copy_from_slice(&bad.to_le_bytes());
+            }
+        }
+        assert_reads_like_reference(&bytes, &cuts)?;
+        assert_reads_like_reference(&bytes, &[1])?;
+    }
+
+    /// Arbitrary garbage never panics `read_frame`, and it agrees with
+    /// the reference on every frame and on how the stream ends.
+    #[test]
+    fn read_frame_matches_reference_on_garbage(
+        bytes in prop::collection::vec(0u8..=255, 0..2048),
+        cuts in prop::collection::vec(1usize..96, 0..12),
+    ) {
+        assert_reads_like_reference(&bytes, &cuts)?;
+    }
 
     /// encode → decode is the identity, no matter how the stream is
     /// chopped into read chunks.

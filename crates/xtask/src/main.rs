@@ -30,7 +30,8 @@
 //!    `// lint: allow(sleep): <reason>`; an empty reason is itself a
 //!    violation.
 //! 6. **simd-fallback** — every `#[target_feature]` fn must (a) carry
-//!    an `_avx2` / `_f16c` suffix naming the feature it needs, (b) have
+//!    an `_avx2` / `_f16c` / `_pclmul` suffix naming the feature it
+//!    needs, (b) have
 //!    a same-file `_scalar` twin, (c) be reachable only through a
 //!    runtime-dispatch call site (the file must consult the matching
 //!    `simd::have_*` predicate), and (d) both twins must actually be
@@ -490,6 +491,11 @@ fn declared_fn_name(line: &str) -> Option<&str> {
     }
 }
 
+/// Rule 6: the feature suffix a `#[target_feature]` fn may carry, and
+/// the `simd::have_*` predicate its file must then consult.
+const SIMD_SUFFIXES: [(&str, &str); 3] =
+    [("_avx2", "have_avx2_fma("), ("_f16c", "have_f16c("), ("_pclmul", "have_pclmul(")];
+
 /// Rule 6 (`simd-fallback`): see the module docs. Whole-file pass —
 /// the twin/dispatch requirements relate distant lines, so it runs
 /// separately from the line-state machine in [`lint_file`].
@@ -528,18 +534,17 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
         stripped.iter().filter(|l| l.contains(&call) && !l.contains(&declaration)).count()
     };
     for (line, name) in &simd_fns {
-        let Some((stem, predicate)) = name
-            .strip_suffix("_avx2")
-            .map(|s| (s, "have_avx2_fma("))
-            .or_else(|| name.strip_suffix("_f16c").map(|s| (s, "have_f16c(")))
+        let Some((stem, predicate)) = SIMD_SUFFIXES
+            .iter()
+            .find_map(|(suffix, predicate)| Some((name.strip_suffix(suffix)?, *predicate)))
         else {
             findings.push(Finding {
                 path: rel.clone(),
                 line: *line,
                 rule: "simd-fallback",
                 detail: format!(
-                    "`#[target_feature]` fn `{name}` must carry an `_avx2`/`_f16c` suffix \
-                     naming the feature it needs"
+                    "`#[target_feature]` fn `{name}` must carry an `_avx2`/`_f16c`/`_pclmul` \
+                     suffix naming the feature it needs"
                 ),
             });
             continue;
@@ -872,6 +877,38 @@ pub fn pack(x: &mut [f32]) {
             vec![("simd-fallback".to_string(), 4), ("simd-fallback".to_string(), 4)],
             "both the simd fn and the scalar twin are dead: {f:?}"
         );
+    }
+
+    const PCLMUL_OK: &str = "\
+fn update_scalar(crc: u32, data: &[u8]) -> u32 { crc }
+
+#[cfg(target_arch = \"x86_64\")]
+#[target_feature(enable = \"pclmulqdq\")]
+unsafe fn update_pclmul(crc: u32, data: &[u8]) -> u32 { crc }
+
+fn update(crc: u32, data: &[u8]) -> u32 {
+    if data.len() >= 64 && crate::have_pclmul() {
+        return unsafe { update_pclmul(crc, data) };
+    }
+    update_scalar(crc, data)
+}
+";
+
+    #[test]
+    fn pclmul_suffix_gets_the_same_four_checks() {
+        assert!(simd_findings_for(PCLMUL_OK).is_empty());
+        let at = vec![("simd-fallback".to_string(), 5)];
+        // (a) the suffix must name the feature,
+        assert_eq!(simd_findings_for(&PCLMUL_OK.replace("update_pclmul", "update_clmul")), at);
+        // (b) the scalar twin must exist in the file,
+        assert_eq!(simd_findings_for(&PCLMUL_OK.replace("update_scalar", "update_slow")), at);
+        // (c) the matching predicate — not another feature's — must gate it,
+        assert_eq!(simd_findings_for(&PCLMUL_OK.replace("have_pclmul()", "have_f16c()")), at);
+        // (d) and both twins must be called.
+        let undispatched = PCLMUL_OK.replace("return unsafe { update_pclmul(crc, data) };", "");
+        assert_eq!(simd_findings_for(&undispatched), at);
+        let no_fallback = PCLMUL_OK.replace("    update_scalar(crc, data)\n", "    crc\n");
+        assert_eq!(simd_findings_for(&no_fallback), at);
     }
 
     #[test]
