@@ -2,8 +2,8 @@
 //!
 //! [`ElasticAllreduce`] wraps one algorithm + executor pair and owns
 //! the *survivor topology*: a sorted list of original rank ids that are
-//! still alive. A call with no fault session delegates straight to the
-//! plain zero-overhead path. Under a [`FaultSession`], the buffers are
+//! still alive. A call with no fault session is a plain traced
+//! allreduce over that list. Under a [`FaultSession`], the buffers are
 //! snapshotted before the attempt; if the fault-aware executor reports
 //! [`ExecError::RanksDead`], the in-flight collective has already been
 //! aborted, so the wrapper
@@ -15,8 +15,10 @@
 //!    algorithm, re-runs the full static verifier on it
 //!    ([`Schedule::verify_allreduce`]) — a degraded topology gets no
 //!    less scrutiny than the original — and
-//! 4. rebuilds the executor around the new schedule while inheriting
-//!    the warm payload pool ([`ExecContext::for_schedule_with_pool`]),
+//! 4. replaces the executor with one verified for the new schedule
+//!    (the aborted attempt's rank set — mesh, executors, their queues —
+//!    died with it; the retry builds a fresh one over the survivors'
+//!    original ids),
 //!
 //! then retries. Because [`ReduceOp::Average`] finalizes by the
 //! schedule's rank count, the result after degradation is automatically
@@ -29,7 +31,7 @@ use faults::FaultEvent;
 
 use crate::algo::Algorithm;
 use crate::exec_fault::FaultSession;
-use crate::exec_thread::{ExecContext, ExecError};
+use crate::exec_thread::{Call, ExecContext, ExecError};
 use crate::exec_trace::ExecTrace;
 use crate::reduce::ReduceOp;
 use crate::sched::{Schedule, Violation};
@@ -92,10 +94,6 @@ pub struct ElasticAllreduce {
     ctx: ExecContext,
     /// World-id-keyed trace lanes (see [`ElasticAllreduce::set_trace`]).
     trace: Option<ExecTrace>,
-    /// `trace` reindexed to the current local ranks — precomputed at
-    /// `set_trace` and on degradation (both cold), so the per-step
-    /// plain path hands the executor a ready view without allocating.
-    trace_view: Option<ExecTrace>,
 }
 
 impl ElasticAllreduce {
@@ -117,7 +115,7 @@ impl ElasticAllreduce {
         let schedule = algo.build(live.len(), n_elems);
         schedule.verify_allreduce().map_err(ElasticError::Rejected)?;
         let ctx = ExecContext::for_schedule(&schedule).map_err(ElasticError::Exec)?;
-        Ok(ElasticAllreduce { algo, n_elems, live, schedule, ctx, trace: None, trace_view: None })
+        Ok(ElasticAllreduce { algo, n_elems, live, schedule, ctx, trace: None })
     }
 
     /// Attach trace lanes keyed by *original* rank id: the plain path
@@ -126,7 +124,6 @@ impl ElasticAllreduce {
     /// traces through [`FaultSession::with_trace`] instead, which owns
     /// the same world-id keying.)
     pub fn set_trace(&mut self, trace: ExecTrace) {
-        self.trace_view = Some(trace.reindex(&self.live));
         self.trace = Some(trace);
     }
 
@@ -145,7 +142,7 @@ impl ElasticAllreduce {
         &self.schedule
     }
 
-    /// The executor (rebuilt after degradations, pool carried over).
+    /// The executor (replaced after degradations).
     pub fn ctx(&self) -> &ExecContext {
         &self.ctx
     }
@@ -154,8 +151,8 @@ impl ElasticAllreduce {
     /// replica per live rank, in `live` order; dead ranks' buffers are
     /// removed from the vec during degradation.
     ///
-    /// `session: None` is the fault-layer-off switch: the call goes
-    /// through the plain zero-overhead executor untouched.
+    /// `session: None` is the fault-layer-off switch: no injection, no
+    /// deadlines, no snapshot.
     pub fn allreduce(
         &mut self,
         buffers: &mut Vec<Vec<f32>>,
@@ -164,9 +161,13 @@ impl ElasticAllreduce {
     ) -> Result<ElasticReport, ElasticError> {
         let session = match session {
             None => {
-                self.ctx
-                    .allreduce_traced(&self.schedule, buffers, op, self.trace_view.as_ref())
-                    .map_err(ElasticError::Exec)?;
+                let call = Call {
+                    rank_ids: Some(&self.live),
+                    trace: self.trace.as_ref(),
+                    finish: true,
+                    ..Call::default()
+                };
+                self.ctx.execute(&self.schedule, buffers, op, call).map_err(ElasticError::Exec)?;
                 return Ok(ElasticReport { dead: Vec::new(), world: self.live.len(), rebuilds: 0 });
             }
             Some(s) => s,
@@ -202,13 +203,11 @@ impl ElasticAllreduce {
                         new_world: self.live.len(),
                     });
                     // Rebuild schedule + executor over the survivors;
-                    // the degraded topology is re-verified in full and
-                    // the warm payload pool carries over.
+                    // the degraded topology is re-verified in full.
                     self.schedule = self.algo.build(self.live.len(), self.n_elems);
                     self.schedule.verify_allreduce().map_err(ElasticError::Rejected)?;
-                    self.ctx = ExecContext::for_schedule_with_pool(&self.schedule, &self.ctx)
-                        .map_err(ElasticError::Exec)?;
-                    self.trace_view = self.trace.as_ref().map(|t| t.reindex(&self.live));
+                    self.ctx =
+                        ExecContext::for_schedule(&self.schedule).map_err(ElasticError::Exec)?;
                 }
                 Err(other) => return Err(ElasticError::Exec(other)),
             }

@@ -1,24 +1,18 @@
-//! Fault-aware schedule execution: drops, corruptions, stragglers, and
-//! crashes injected from a seeded [`FaultPlan`], survived by the
-//! reliability protocol of [`exec_peer`](crate::exec_peer).
-//!
-//! This is a *separate* path from [`exec_thread`](crate::exec_thread)'s
-//! plain `run` on purpose: the plain hot path keeps its zero-overhead,
-//! zero-allocation guarantees (a 4 MiB ring allreduce takes 1.25 ms
-//! there vs 4.30 ms through [`PeerExecutor`] over [`ChannelWire`] —
-//! `benchmark/results/latest.json`, 2 cores), while this path pays for
-//! frames, resend buffering, and deadline bookkeeping only when a
-//! caller explicitly opts in with a [`FaultSession`].
+//! Fault injection for the one rank body: drops, corruptions,
+//! stragglers, and crashes from a seeded [`FaultPlan`], put on the link
+//! beneath [`exec_peer`](crate::exec_peer) and survived by its
+//! reliability protocol.
 //!
 //! # One protocol, one decorator
 //!
-//! Nothing here re-implements reliability. [`ExecContext::run_with_faults`]
-//! builds a [`ChannelWire`] mesh over the live original ids, wraps each
-//! endpoint in a [`FaultWire`], and runs one [`PeerExecutor`] per rank
-//! thread — the same rank body the multi-process trainer runs over a
-//! `SocketMesh`. [`FaultWire`] is generic over the wire it wraps, so
-//! the same seeded plan can be pointed at the real socket path. It
-//! injects on the link:
+//! Nothing here executes a schedule or re-implements reliability.
+//! [`ExecContext::run_with_faults`] is the same spawn-and-collect
+//! function as every other [`ExecContext`] entry point — one
+//! [`PeerExecutor`](crate::exec_peer::PeerExecutor) per rank thread
+//! over a [`ChannelWire`](transport::ChannelWire) mesh — with each
+//! endpoint wrapped in a [`FaultWire`] for the duration of the call.
+//! [`FaultWire`] is generic over the wire it wraps, so the same seeded
+//! plan can be pointed at the real socket path. It injects on the link:
 //!
 //! * **drop** — the first transmission of the round's data frames is
 //!   swallowed; the receiver's deadline nacks it and the sender's clean
@@ -56,12 +50,12 @@ use faults::{EventLog, FaultClock, FaultEvent, FaultKind, FaultPlan, RetryPolicy
 use parking_lot::Mutex;
 use summit_metrics::FaultCounters;
 use trace::Lane;
-use transport::{encode_into, parse_body, ChannelWire, Frame, FrameKind, Wire, WireError};
+use transport::{encode_into, parse_body, Frame, FrameKind, Wire, WireError};
 
 use crate::exec_peer::{CtlSignal, PeerExecError, PeerExecutor};
-use crate::exec_thread::{ExecContext, ExecError};
+use crate::exec_thread::{Call, ExecContext, ExecError, RankSet};
 use crate::exec_trace::ExecTrace;
-use crate::reduce::{finalize, ReduceOp};
+use crate::reduce::ReduceOp;
 use crate::sched::Schedule;
 
 /// Everything one fault-aware run (or one training run of many steps)
@@ -162,20 +156,28 @@ impl FaultSession {
     /// session's counters and event log, plus the rank's trace lane
     /// when tracing is on.
     pub fn sink(&self, rank: usize) -> FaultSink<'_> {
-        FaultSink { session: self, lane: self.trace().and_then(|t| t.lane(rank)).cloned() }
+        FaultSink { session: Some(self), lane: self.trace().and_then(|t| t.lane(rank)).cloned() }
     }
 }
 
-/// One rank's view of a [`FaultSession`]'s observability sinks — what
-/// [`FaultWire`] reports injections through and what a
-/// [`PeerExecutor`] reports recovery actions through.
+/// One rank's observability sinks — what [`FaultWire`] reports
+/// injections through and what a
+/// [`PeerExecutor`](crate::exec_peer::PeerExecutor) reports its spans
+/// and recovery actions through: a [`FaultSession`]'s counters and
+/// event log, a trace lane, or both.
 #[derive(Debug)]
 pub struct FaultSink<'s> {
-    session: &'s FaultSession,
+    session: Option<&'s FaultSession>,
     lane: Option<Lane>,
 }
 
 impl FaultSink<'_> {
+    /// A sink that only draws spans: what a plain traced run attaches,
+    /// having a lane but no event log to feed.
+    pub fn lane_only(lane: Lane) -> FaultSink<'static> {
+        FaultSink { session: None, lane: Some(lane) }
+    }
+
     /// Mark (on the lane, if traced, with args `a0`/`a1`), count, and
     /// log one injection or recovery action.
     pub(crate) fn note(&self, a0: u64, a1: u64, event: FaultEvent) {
@@ -186,7 +188,9 @@ impl FaultSink<'_> {
             };
             l.record_args(cat, event.name(), l.now_us(), 0.0, a0, a1);
         }
-        self.session.record(event);
+        if let Some(session) = self.session {
+            session.record(event);
+        }
     }
 
     /// Lane time now — the start stamp of a [`FaultSink::span`].
@@ -224,19 +228,22 @@ struct LinkState {
 
 /// A [`Wire`] decorator that injects `session`'s plan into the link
 /// beneath a [`PeerExecutor`] (see the module docs for the four
-/// injections). The plan addresses ranks by the wire's original ids.
-pub struct FaultWire<'s, W: Wire> {
-    inner: W,
+/// injections). It borrows the wire it wraps — one collective's worth
+/// of faults over a mesh that outlives it — and the plan addresses
+/// ranks by that wire's original ids.
+pub struct FaultWire<'s, W: Wire + ?Sized> {
+    inner: &'s W,
+    session: &'s FaultSession,
     sink: FaultSink<'s>,
     link: Mutex<LinkState>,
 }
 
-impl<'s, W: Wire> FaultWire<'s, W> {
-    pub fn new(inner: W, session: &'s FaultSession) -> Self {
+impl<'s, W: Wire + ?Sized> FaultWire<'s, W> {
+    pub fn new(inner: &'s W, session: &'s FaultSession) -> Self {
         let slots = inner.world_ids().iter().copied().max().map_or(0, |m| m + 1);
         let sink = session.sink(inner.rank());
         let link = Mutex::new(LinkState { fresh: vec![(0, 0); slots], ..Default::default() });
-        FaultWire { inner, sink, link }
+        FaultWire { inner, session, sink, link }
     }
 
     fn injected(&self, step: usize, round: usize, kind: FaultKind, arg: u64) {
@@ -245,7 +252,7 @@ impl<'s, W: Wire> FaultWire<'s, W> {
     }
 }
 
-impl<W: Wire> Wire for FaultWire<'_, W> {
+impl<W: Wire + ?Sized> Wire for FaultWire<'_, W> {
     fn rank(&self) -> usize {
         self.inner.rank()
     }
@@ -266,7 +273,7 @@ impl<W: Wire> Wire for FaultWire<'_, W> {
         }
         *fresh = (frame.era, frame.seq + 1);
         let (step, round) = (frame.step as usize, frame.round as usize);
-        let plan = self.sink.session.plan();
+        let plan = self.session.plan();
         let Some(fault) = plan.send_fault(step, self.inner.rank(), round) else {
             return self.inner.send(peer, frame);
         };
@@ -317,7 +324,7 @@ impl<W: Wire> Wire for FaultWire<'_, W> {
 
     fn enter_round(&self, step: u32, round: u32) -> bool {
         let (s, r) = (step as usize, round as usize);
-        let (me, plan) = (self.inner.rank(), self.sink.session.plan());
+        let (me, plan) = (self.inner.rank(), self.session.plan());
         if plan.crashes_at(s, me, r) {
             self.injected(s, r, FaultKind::Crash, round as u64);
             return false;
@@ -325,10 +332,104 @@ impl<W: Wire> Wire for FaultWire<'_, W> {
         if let Some(delay) = plan.straggle(s, me, r) {
             let millis = delay.as_millis() as u64;
             self.injected(s, r, FaultKind::Straggle { millis }, millis);
-            self.sink.session.clock().inject(delay);
+            self.session.clock().inject(delay);
         }
         self.inner.enter_round(step, round)
     }
+}
+
+/// The pacing of a run with no fault plan: lossless channels between
+/// threads that cannot die never need a resend, so no receive deadline
+/// and no death bound ever fires — a slow rank is waited for, as long
+/// as it takes. Only the tick (how often a blocked receive looks at its
+/// other peers) is in play.
+fn patient() -> RetryPolicy {
+    RetryPolicy { base: Duration::MAX, factor: 1, max_attempts: 1, ..RetryPolicy::default() }
+}
+
+/// The one place rank threads are spawned for a schedule: each resumes
+/// its parked executor over its endpoint of `set`'s mesh — behind a
+/// [`FaultWire`] when there is a `session` — runs the schedule on its
+/// buffer, and parks again. A rank that stops short hangs up its
+/// senders; the wires outlive every thread, so its receivers stay open
+/// until the whole collective is over (see the module docs). Spans go
+/// to the lane `call.trace` (or the session's trace) holds for the
+/// rank's original id.
+pub(crate) fn run_ranks(
+    set: &mut RankSet,
+    schedule: &Schedule,
+    buffers: &mut [Vec<f32>],
+    op: ReduceOp,
+    call: &Call<'_>,
+) -> Result<(), ExecError> {
+    let mut outcomes = vec![Ok(()); schedule.n_ranks];
+    let (ids, session) = (&set.ids, call.session);
+    let ranks = set.wires.iter_mut().zip(&mut set.peers).zip(buffers).zip(&mut outcomes);
+    std::thread::scope(|scope| {
+        for (local, (((wire, parked), buf), outcome)) in ranks.enumerate() {
+            scope.spawn(move || {
+                let faulty = session.map(|s| FaultWire::new(&*wire, s));
+                let link: &dyn Wire = match &faulty {
+                    Some(faulty) => faulty,
+                    None => &*wire,
+                };
+                let policy = session.map_or_else(patient, FaultSession::policy);
+                let mut exec = PeerExecutor::resume(link, policy, std::mem::take(parked))
+                    .with_codec(call.codec);
+                let lane = |t: &ExecTrace| t.lane(ids[local]).cloned().map(FaultSink::lane_only);
+                let sink = match session {
+                    Some(s) => Some(s.sink(ids[local])),
+                    None => call.trace.and_then(lane),
+                };
+                if let Some(sink) = sink {
+                    exec = exec.with_sink(sink);
+                }
+                exec.begin_step(session.map_or(0, FaultSession::step));
+                *outcome = exec.run(schedule, buf, op, ids, &mut || CtlSignal::Continue);
+                *parked = exec.park();
+                drop(faulty);
+                if outcome.is_err() {
+                    for &peer in ids {
+                        wire.hang_up(peer);
+                    }
+                }
+            });
+        }
+    });
+
+    let local = |orig: usize| {
+        let at = ids.iter().position(|&id| id == orig);
+        at.expect("peer is live") // lint: allow(unwrap): the mesh was built over `ids`
+    };
+    // No rank's poll ever aborts, so `Aborted` can only be the wire
+    // refusing a round: a plan crash, the authoritative source for the
+    // dead set.
+    let dead: Vec<usize> =
+        (0..outcomes.len()).filter(|&r| outcomes[r] == Err(PeerExecError::Aborted)).collect();
+    if !dead.is_empty() {
+        return Err(ExecError::RanksDead { dead });
+    }
+    // A peer stopped without a crash injection on record: surface
+    // the suspects so the caller still gets an actionable dead set.
+    let mut suspects: Vec<usize> = outcomes
+        .iter()
+        .filter_map(|o| match o {
+            Err(PeerExecError::PeerDead { dead }) => Some(dead.iter().map(|&d| local(d))),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    suspects.sort_unstable();
+    suspects.dedup();
+    if !suspects.is_empty() {
+        return Err(ExecError::RanksDead { dead: suspects });
+    }
+    for (rank, outcome) in outcomes.iter().enumerate() {
+        if let Err(PeerExecError::RetriesExhausted { peer, round }) = outcome {
+            return Err(ExecError::RetriesExhausted { rank, peer: local(*peer), round: *round });
+        }
+    }
+    Ok(())
 }
 
 impl ExecContext {
@@ -348,73 +449,8 @@ impl ExecContext {
         session: &FaultSession,
         rank_ids: &[usize],
     ) -> Result<(), ExecError> {
-        self.preflight(schedule, buffers)?;
-        assert_eq!(rank_ids.len(), schedule.n_ranks, "need one original rank id per schedule rank");
-        if schedule.n_ranks == 1 || schedule.rounds.is_empty() {
-            return Ok(());
-        }
-        // The wires outlive every rank thread: a stopped rank's
-        // receivers stay open until the whole collective is over.
-        let mut wires: Vec<FaultWire<'_, ChannelWire>> = ChannelWire::mesh_of(rank_ids)
-            .into_iter()
-            .map(|wire| FaultWire::new(wire, session))
-            .collect();
-        let mut outcomes: Vec<Result<(), PeerExecError>> = vec![Ok(()); schedule.n_ranks];
-        std::thread::scope(|scope| {
-            for ((wire, buf), outcome) in
-                wires.iter_mut().zip(buffers.iter_mut()).zip(&mut outcomes)
-            {
-                scope.spawn(move || {
-                    let mut exec = PeerExecutor::new(&*wire, session.policy())
-                        .with_sink(session.sink(wire.rank()));
-                    exec.begin_step(session.step());
-                    *outcome = exec.run(schedule, buf, op, rank_ids, &mut || CtlSignal::Continue);
-                    if outcome.is_err() {
-                        for &peer in rank_ids {
-                            wire.inner.hang_up(peer);
-                        }
-                    }
-                });
-            }
-        });
-
-        let local = |orig: usize| {
-            let at = rank_ids.iter().position(|&id| id == orig);
-            at.expect("peer is live") // lint: allow(unwrap): the mesh was built over rank_ids
-        };
-        // The poll above never aborts, so `Aborted` can only be the
-        // wire refusing a round: a plan crash, the authoritative source
-        // for the dead set.
-        let dead: Vec<usize> =
-            (0..outcomes.len()).filter(|&r| outcomes[r] == Err(PeerExecError::Aborted)).collect();
-        if !dead.is_empty() {
-            return Err(ExecError::RanksDead { dead });
-        }
-        // A peer stopped without a crash injection on record: surface
-        // the suspects so the caller still gets an actionable dead set.
-        let mut suspects: Vec<usize> = outcomes
-            .iter()
-            .filter_map(|o| match o {
-                Err(PeerExecError::PeerDead { dead }) => Some(dead.iter().map(|&d| local(d))),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        suspects.sort_unstable();
-        suspects.dedup();
-        if !suspects.is_empty() {
-            return Err(ExecError::RanksDead { dead: suspects });
-        }
-        for (rank, outcome) in outcomes.iter().enumerate() {
-            if let Err(PeerExecError::RetriesExhausted { peer, round }) = outcome {
-                return Err(ExecError::RetriesExhausted {
-                    rank,
-                    peer: local(*peer),
-                    round: *round,
-                });
-            }
-        }
-        Ok(())
+        let call = Call { session: Some(session), rank_ids: Some(rank_ids), ..Call::default() };
+        self.execute(schedule, buffers, op, call)
     }
 
     /// [`ExecContext::run_with_faults`] plus op finalization — the
@@ -427,11 +463,13 @@ impl ExecContext {
         session: &FaultSession,
         rank_ids: &[usize],
     ) -> Result<(), ExecError> {
-        self.run_with_faults(schedule, buffers, op, session, rank_ids)?;
-        for b in buffers.iter_mut() {
-            finalize(op, b, schedule.n_ranks);
-        }
-        Ok(())
+        let call = Call {
+            session: Some(session),
+            rank_ids: Some(rank_ids),
+            finish: true,
+            ..Call::default()
+        };
+        self.execute(schedule, buffers, op, call)
     }
 }
 
@@ -441,6 +479,7 @@ mod tests {
     use crate::reference::apply_allreduce;
     use crate::{rd, ring};
     use faults::{FaultSpec, Injection};
+    use transport::ChannelWire;
 
     fn inputs(n_ranks: usize, n_elems: usize) -> Vec<Vec<f32>> {
         (0..n_ranks)
@@ -477,9 +516,8 @@ mod tests {
             vec![Injection { step: 3, rank: 0, round: 1, kind: FaultKind::Drop }],
         );
         let session = FaultSession::new(plan);
-        let mut mesh = ChannelWire::mesh(2);
-        let rx = mesh.pop().unwrap();
-        let tx = FaultWire::new(mesh.pop().unwrap(), &session);
+        let mesh = ChannelWire::mesh(2);
+        let (tx, rx) = (FaultWire::new(&mesh[0], &session), &mesh[1]);
         let mut f = Frame::control(FrameKind::Data, 0, 0, 3);
         f.round = 1;
         let tick = Duration::from_millis(20);

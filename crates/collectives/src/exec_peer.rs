@@ -1,11 +1,13 @@
 //! Single-rank schedule execution over a [`transport::Wire`]: the one
-//! implementation of the reliability protocol (seq/ack/nack/resend/
-//! dedup) every multi-rank path that can lose a frame runs on, so the
-//! same verified [`Schedule`] executes between rank threads
+//! rank body in the crate. Every path that moves real data through a
+//! verified [`Schedule`] runs it — between rank threads
 //! ([`ChannelWire`](transport::ChannelWire), driven by
-//! [`exec_fault`](crate::exec_fault)) and between separate OS processes
+//! [`ExecContext`](crate::exec_thread::ExecContext), with or without a
+//! fault plan) and between separate OS processes
 //! ([`SocketMesh`](transport::SocketMesh), driven by the trainer's
-//! worker loop).
+//! worker loop) — so back-ends differ only below `Wire`, and the
+//! reliability protocol (seq/ack/nack/resend/dedup) and the gradient
+//! codec stage each have one implementation.
 //!
 //! # The protocol
 //!
@@ -23,10 +25,21 @@
 //! executors' fault-free one. That is the parity the chaos suites and
 //! the multi-process integration tests assert.
 //!
-//! The executor touches each payload byte twice: one bulk copy of the
-//! outgoing segment into the resend buffer (the frame borrows those
-//! bytes for the send), and one pass of the reduction kernel reading
-//! the f32s straight out of the received frame's payload.
+//! # Payload bytes
+//!
+//! Without a codec ([`CodecKind::None`]) the executor touches each
+//! payload byte twice: one bulk copy of the outgoing segment into the
+//! resend buffer (the frame borrows those bytes for the send), and one
+//! pass of the reduction kernel reading the f32s straight out of the
+//! received frame's payload. With one ([`PeerExecutor::with_codec`])
+//! the copy becomes the encode — the segment is encoded straight into
+//! the pooled resend buffer, so the bytes on the wire (and in
+//! [`WireStats::data_bytes`]) are exactly `encoded_len` — and the
+//! receiver decodes into one reused f32 stage before the same
+//! reduction kernel. Lossy codecs re-quantise per hop, so a coded
+//! allreduce is approximate, but it is bit-deterministic: the codecs
+//! are CPU-independent and the schedule fixes every combine order.
+//! Error feedback stays with the caller.
 //!
 //! # Streams multiplex data and control
 //!
@@ -65,10 +78,15 @@
 //!
 //! # Observability
 //!
-//! The per-frame path reports nothing. A fault-aware run attaches a
-//! [`FaultSink`] ([`PeerExecutor::with_sink`]) and the cold branches —
-//! deadline → nack, resend, duplicate re-ack, peer death — count
-//! themselves into its session's counters, event log and trace lane.
+//! The per-frame path counts into [`WireStats`] and nothing else. A
+//! [`FaultSink`] ([`PeerExecutor::with_sink`]) adds, when it carries a
+//! trace lane, one SEND span per transmission (resends included) and
+//! one RECV span per applied frame — `a0` the peer, `a1` the payload
+//! bytes that crossed the wire, which is what
+//! `trace::critical_path::Breakdown::wire_bytes` sums — and, when it
+//! carries a fault session, the cold branches — deadline → nack,
+//! resend, duplicate re-ack, peer death — count themselves into the
+//! session's counters and event log.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -76,6 +94,7 @@ use std::time::Duration;
 use faults::{FaultEvent, RetryPolicy};
 use transport::{DedupWindow, Frame, FrameKind, Offer, Wire, WireError};
 
+use crate::compression::{codec_for, CodecKind, EncodeScratch};
 use crate::exec_fault::FaultSink;
 use crate::reduce::{combine, finalize, ReduceOp};
 use crate::sched::{Action, Schedule};
@@ -137,6 +156,7 @@ pub struct WireStats {
 
 /// One un-acked send: the clean payload bytes plus the header needed to
 /// reconstruct the exact frame on a nack.
+#[derive(Debug)]
 struct PendingOut {
     seq: u64,
     step: u32,
@@ -145,16 +165,17 @@ struct PendingOut {
     clean: Vec<u8>,
 }
 
-/// See the module docs. One instance per process, living across
-/// training steps (sequence numbers, dedup windows, and ready queues
-/// persist; only era bumps reset them) — all state vectors are indexed
-/// by **original** rank id.
-pub struct PeerExecutor<'w> {
-    wire: &'w dyn Wire,
+/// Everything a [`PeerExecutor`] owns, apart from its borrow of the
+/// wire: what [`PeerExecutor::park`] hands back so the holder of a
+/// long-lived mesh ([`ExecContext`](crate::exec_thread::ExecContext))
+/// can keep the queues, resend buffers and codec scratch — all sized by
+/// the world and the payload — across collectives. All vectors are
+/// indexed by **original** rank id.
+#[derive(Debug, Default)]
+pub(crate) struct PeerState {
     policy: RetryPolicy,
-    /// Where the cold branches report on a fault-aware run; `None` on
-    /// the plain path, which then pays one `Option` test per site.
-    sink: Option<FaultSink<'w>>,
+    /// How segments cross the wire; `None` is raw little-endian f32s.
+    codec: CodecKind,
     era: u32,
     step: u32,
     /// Next outbound sequence number, per destination.
@@ -172,79 +193,107 @@ pub struct PeerExecutor<'w> {
     future: Vec<VecDeque<Frame>>,
     /// Recycled payload-byte buffers for outbound clean copies.
     byte_pool: Vec<Vec<u8>>,
+    /// Codec working buffers and the f32s a coded payload decodes into.
+    scratch: EncodeScratch,
+    stage: Vec<f32>,
     /// Cumulative wire statistics (telemetry reads these).
-    stats: WireStats,
+    pub(crate) stats: WireStats,
+}
+
+/// See the module docs. One instance per rank, living across training
+/// steps (sequence numbers, dedup windows, and ready queues persist;
+/// only era bumps reset them).
+pub struct PeerExecutor<'w> {
+    wire: &'w dyn Wire,
+    /// Where spans and the cold branches report; `None` on the plain
+    /// path, which then pays one `Option` test per site.
+    sink: Option<FaultSink<'w>>,
+    st: PeerState,
 }
 
 impl<'w> PeerExecutor<'w> {
     /// An executor over `wire` pacing every wait from `policy`.
     pub fn new(wire: &'w dyn Wire, policy: RetryPolicy) -> Self {
         let slots = wire.world_ids().iter().copied().max().unwrap_or(0) + 1;
-        PeerExecutor {
-            wire,
+        let st = PeerState {
             policy,
-            sink: None,
-            era: 0,
-            step: 0,
             next_seq: vec![0; slots],
             pending: (0..slots).map(|_| VecDeque::new()).collect(),
             window: (0..slots).map(|_| DedupWindow::new()).collect(),
             acked: vec![0; slots],
             ready: (0..slots).map(|_| VecDeque::new()).collect(),
             future: (0..slots).map(|_| VecDeque::new()).collect(),
-            byte_pool: Vec::new(),
-            stats: WireStats::default(),
-        }
+            ..PeerState::default()
+        };
+        PeerExecutor { wire, sink: None, st }
     }
 
-    /// Report timeouts, resends, duplicates, peer deaths and SEND/RECV
-    /// spans into `sink` (see the module docs).
+    /// Pick up a parked state (built by [`PeerExecutor::new`] over the
+    /// same endpoint of the same mesh) for one more collective.
+    pub(crate) fn resume(wire: &'w dyn Wire, policy: RetryPolicy, st: PeerState) -> Self {
+        PeerExecutor { wire, sink: None, st: PeerState { policy, ..st } }
+    }
+
+    /// Let go of the wire, keeping everything else for `resume`.
+    pub(crate) fn park(self) -> PeerState {
+        self.st
+    }
+
+    /// Report SEND/RECV spans, timeouts, resends, duplicates and peer
+    /// deaths into `sink` (see the module docs).
     pub fn with_sink(mut self, sink: FaultSink<'w>) -> Self {
         self.sink = Some(sink);
         self
     }
 
+    /// Move segments through `codec` from the next collective on: every
+    /// peer of the mesh must be given the same one.
+    pub fn with_codec(mut self, codec: CodecKind) -> Self {
+        self.st.codec = codec;
+        self
+    }
+
     pub fn era(&self) -> u32 {
-        self.era
+        self.st.era
     }
 
     /// Cumulative wire statistics since construction.
     pub fn stats(&self) -> WireStats {
-        self.stats
+        self.st.stats
     }
 
     /// Data sends currently awaiting an ack, across all peers — the
     /// "in-flight sends" a crashed rank's post-mortem reports.
     pub fn pending_sends(&self) -> usize {
-        self.pending.iter().map(VecDeque::len).sum()
+        self.st.pending.iter().map(VecDeque::len).sum()
     }
 
     /// Tag subsequent frames with the training step they belong to.
     pub fn begin_step(&mut self, step: usize) {
-        self.step = step as u32;
+        self.st.step = step as u32;
     }
 
     /// Enter the next era after a degrade: sequence spaces restart at
     /// zero, stale state is scrapped, and frames that arrived early
     /// from survivors already in the new era are replayed.
     pub fn bump_era(&mut self) {
-        self.era += 1;
-        for p in 0..self.window.len() {
-            self.window[p].reset();
-            self.next_seq[p] = 0;
-            self.acked[p] = 0;
-            while let Some(entry) = self.pending[p].pop_front() {
-                self.byte_pool.push(entry.clean);
+        self.st.era += 1;
+        for p in 0..self.st.window.len() {
+            self.st.window[p].reset();
+            self.st.next_seq[p] = 0;
+            self.st.acked[p] = 0;
+            while let Some(entry) = self.st.pending[p].pop_front() {
+                self.st.byte_pool.push(entry.clean);
             }
-            while let Some(f) = self.ready[p].pop_front() {
+            while let Some(f) = self.st.ready[p].pop_front() {
                 self.wire.release(f.payload);
             }
-            let parked = std::mem::take(&mut self.future[p]);
+            let parked = std::mem::take(&mut self.st.future[p]);
             for f in parked {
-                if f.era == self.era {
+                if f.era == self.st.era {
                     self.ingest_data(p, f);
-                } else if f.era > self.era {
-                    self.future[p].push_back(f);
+                } else if f.era > self.st.era {
+                    self.st.future[p].push_back(f);
                 } else {
                     self.wire.release(f.payload);
                 }
@@ -253,7 +302,7 @@ impl<'w> PeerExecutor<'w> {
     }
 
     /// Run `schedule` against this rank's `buf` and apply the op's
-    /// finalization — the peer analogue of `ExecContext::allreduce`.
+    /// finalization — one rank's share of an allreduce.
     /// `rank_ids[local]` maps the schedule's local rank indices to
     /// original wire ids (the elastic live-set).
     pub fn allreduce(
@@ -272,6 +321,10 @@ impl<'w> PeerExecutor<'w> {
     /// Execute the schedule without finalization. On any `Err` the
     /// buffer is in an unspecified partial state — the caller restores
     /// its snapshot exactly as the elastic layer does.
+    // Instrumentation on the per-frame path (here, `send_data`,
+    // `apply`) stays on the no-alloc recorder API: the ring write is
+    // the only trace cost a steady-state step pays.
+    // lint: hot-path
     pub fn run(
         &mut self,
         schedule: &Schedule,
@@ -291,13 +344,13 @@ impl<'w> PeerExecutor<'w> {
             return Ok(());
         }
         for (round_idx, round) in schedule.rounds.iter().enumerate() {
-            if !self.wire.enter_round(self.step, round_idx as u32) {
+            if !self.wire.enter_round(self.st.step, round_idx as u32) {
                 return Err(PeerExecError::Aborted);
             }
             let actions = &round.per_rank[me_local];
             // Phase A: snapshot-and-send every outgoing segment before
-            // touching any incoming one — pre-round values, exactly
-            // like the threaded executors.
+            // touching any incoming one — the pre-round values the
+            // schedule's exchanges rely on.
             for a in actions {
                 if let Action::Send { peer, seg } = *a {
                     self.send_data(
@@ -311,15 +364,14 @@ impl<'w> PeerExecutor<'w> {
             self.service(rank_ids);
             // Phase B: blocking, validated receives in action order.
             for a in actions {
-                let (peer, seg) = match *a {
+                let (peer, seg, reduce) = match *a {
                     Action::Send { .. } => continue,
-                    Action::RecvReduce { peer, seg } | Action::RecvReplace { peer, seg } => {
-                        (rank_ids[peer], seg)
-                    }
+                    Action::RecvReduce { peer, seg } => (rank_ids[peer], seg, true),
+                    Action::RecvReplace { peer, seg } => (rank_ids[peer], seg, false),
                 };
                 let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
                 let frame = self.next_data(peer, round_idx, rank_ids, poll)?;
-                assert_eq!(frame.step, self.step, "rank {my}: out-of-step frame from {peer}");
+                assert_eq!(frame.step, self.st.step, "rank {my}: out-of-step frame from {peer}");
                 assert_eq!(
                     frame.round as usize, round_idx,
                     "rank {my}: out-of-round frame from {peer}"
@@ -328,23 +380,9 @@ impl<'w> PeerExecutor<'w> {
                     frame.offset as usize, seg.offset,
                     "rank {my}: segment mismatch from {peer}"
                 );
-                assert_eq!(
-                    frame.payload.len(),
-                    seg.len * 4,
-                    "rank {my}: length mismatch from {peer}"
-                );
-                let dst = &mut buf[seg.offset..seg.end()];
-                match a {
-                    Action::RecvReduce { .. } => {
-                        apply_f32s(&frame.payload, dst, |d, s| combine(op, d, s))
-                    }
-                    Action::RecvReplace { .. } => {
-                        apply_f32s(&frame.payload, dst, |d, s| d.copy_from_slice(s))
-                    }
-                    Action::Send { .. } => unreachable!(),
-                }
+                self.apply(&frame.payload, &mut buf[seg.offset..seg.end()], reduce.then_some(op));
                 if let Some(s) = &self.sink {
-                    s.span("RECV", "recv", t0, peer as u64, frame.seq);
+                    s.span("RECV", "recv", t0, peer as u64, frame.payload.len() as u64);
                 }
                 self.wire.release(frame.payload);
             }
@@ -361,11 +399,11 @@ impl<'w> PeerExecutor<'w> {
         let my = self.wire.rank();
         for &peer in rank_ids.iter().filter(|&&id| id != my) {
             let mut waited = Duration::ZERO;
-            let budget = self.policy.death_threshold();
-            while !self.pending[peer].is_empty() && waited < budget {
-                match self.wire.recv_timeout(peer, self.policy.tick) {
+            let budget = self.st.policy.death_threshold();
+            while !self.st.pending[peer].is_empty() && waited < budget {
+                match self.wire.recv_timeout(peer, self.st.policy.tick) {
                     Ok(frame) => self.ingest(peer, frame),
-                    Err(WireError::Timeout) => waited += self.policy.tick,
+                    Err(WireError::Timeout) => waited += self.st.policy.tick,
                     Err(WireError::PeerGone) => break,
                     Err(WireError::NoSuchPeer(p)) => unreachable!("flush addressed rank {p}"),
                 }
@@ -374,7 +412,11 @@ impl<'w> PeerExecutor<'w> {
     }
 
     /// Send one data frame and park its clean copy in the resend
-    /// buffer. A dead stream surfaces immediately as `PeerDead`.
+    /// buffer: the segment's little-endian f32s, or its encoding — the
+    /// one copy of a payload this executor makes, since `buf` is
+    /// overwritten by later rounds before the ack arrives. A dead
+    /// stream surfaces immediately as `PeerDead`.
+    // lint: hot-path
     fn send_data(
         &mut self,
         peer: usize,
@@ -383,37 +425,67 @@ impl<'w> PeerExecutor<'w> {
         src: &[f32],
     ) -> Result<(), PeerExecError> {
         let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
-        let mut clean = self.byte_pool.pop().unwrap_or_default();
-        f32s_to_bytes(src, &mut clean);
-        let seq = self.next_seq[peer];
-        self.next_seq[peer] += 1;
+        let mut clean = self.st.byte_pool.pop().unwrap_or_default();
+        match self.st.codec {
+            CodecKind::None => f32s_to_bytes(src, &mut clean),
+            kind => codec_for(kind).encode(src, &mut clean, &mut self.st.scratch),
+        }
+        let seq = self.st.next_seq[peer];
+        self.st.next_seq[peer] += 1;
         let frame = Frame {
             kind: FrameKind::Data,
             from: self.wire.rank() as u16,
-            era: self.era,
+            era: self.st.era,
             seq,
-            step: self.step,
+            step: self.st.step,
             round: round as u32,
             offset: offset as u32,
             payload: clean,
         };
         let sent = self.wire.send(peer, &frame);
-        self.stats.data_frames += 1;
-        self.stats.data_bytes += frame.payload.len() as u64;
-        self.pending[peer].push_back(PendingOut {
+        let bytes = frame.payload.len() as u64;
+        self.st.stats.data_frames += 1;
+        self.st.stats.data_bytes += bytes;
+        self.st.pending[peer].push_back(PendingOut {
             seq,
-            step: self.step,
+            step: self.st.step,
             round: round as u32,
             offset: offset as u32,
             clean: frame.payload,
         });
         if let Some(s) = &self.sink {
-            s.span("SEND", "send", t0, peer as u64, seq);
+            s.span("SEND", "send", t0, peer as u64, bytes);
         }
         match sent {
             Ok(()) => Ok(()),
-            Err(WireError::PeerGone) => Err(PeerExecError::PeerDead { dead: vec![peer] }),
+            Err(WireError::PeerGone) => Err(dead(peer)),
             Err(e) => unreachable!("send to schedule peer {peer}: {e}"),
+        }
+    }
+
+    /// Fold one received payload into its segment of the buffer:
+    /// combine under `reduce`'s op, or overwrite. A raw payload is
+    /// reduced where it lies; a coded one is decoded into the stage
+    /// first. Either way the kernel sees the sender's f32s in order.
+    // lint: hot-path
+    fn apply(&mut self, payload: &[u8], dst: &mut [f32], reduce: Option<ReduceOp>) {
+        let st = &mut self.st;
+        let wire_len = match st.codec {
+            CodecKind::None => dst.len() * 4,
+            kind => codec_for(kind).encoded_len(dst.len()),
+        };
+        assert_eq!(payload.len(), wire_len, "rank {}: payload length mismatch", self.wire.rank());
+        let fold = |dst: &mut [f32], src: &[f32]| match reduce {
+            Some(op) => combine(op, dst, src),
+            None => dst.copy_from_slice(src),
+        };
+        match st.codec {
+            CodecKind::None => apply_f32s(payload, dst, fold),
+            kind => {
+                st.stage.resize(dst.len(), 0.0);
+                codec_for(kind).decode(payload, &mut st.stage, &mut st.scratch);
+                fold(dst, &st.stage);
+            }
         }
     }
 
@@ -447,30 +519,31 @@ impl<'w> PeerExecutor<'w> {
         live: &[usize],
         poll: &mut dyn FnMut() -> CtlSignal,
     ) -> Result<Frame, PeerExecError> {
-        if let Some(f) = self.ready[peer].pop_front() {
+        if let Some(f) = self.st.ready[peer].pop_front() {
             return Ok(f);
         }
+        let policy = self.st.policy;
         let mut attempt: u32 = 0;
-        let mut deadline = self.policy.base;
+        let mut deadline = policy.base;
         let mut waited = Duration::ZERO;
         loop {
-            match self.wire.recv_timeout(peer, self.policy.tick) {
+            match self.wire.recv_timeout(peer, policy.tick) {
                 Ok(frame) => {
                     self.ingest(peer, frame);
-                    if let Some(f) = self.ready[peer].pop_front() {
+                    if let Some(f) = self.st.ready[peer].pop_front() {
                         return Ok(f);
                     }
                 }
                 Err(WireError::Timeout) => {
-                    waited += self.policy.tick;
+                    waited += policy.tick;
                     if poll() == CtlSignal::Abort {
                         return Err(PeerExecError::Aborted);
                     }
                     self.service(live);
-                    if let Some(f) = self.ready[peer].pop_front() {
+                    if let Some(f) = self.st.ready[peer].pop_front() {
                         return Ok(f);
                     }
-                    if self.wire.silence(peer) > self.policy.death_threshold() {
+                    if self.wire.silence(peer) > policy.death_threshold() {
                         return Err(self.peer_dead(peer, round));
                     }
                     if waited >= deadline {
@@ -482,12 +555,12 @@ impl<'w> PeerExecutor<'w> {
                             round,
                             attempt,
                         });
-                        if attempt >= self.policy.max_attempts {
+                        if attempt >= policy.max_attempts {
                             return Err(PeerExecError::RetriesExhausted { peer, round });
                         }
-                        self.control(peer, FrameKind::Nack, self.window[peer].expected());
-                        self.stats.nacks_sent += 1;
-                        deadline = deadline.saturating_mul(self.policy.factor);
+                        self.control(peer, FrameKind::Nack, self.st.window[peer].expected());
+                        self.st.stats.nacks_sent += 1;
+                        deadline = deadline.saturating_mul(policy.factor);
                         waited = Duration::ZERO;
                     }
                 }
@@ -506,14 +579,14 @@ impl<'w> PeerExecutor<'w> {
             peer,
             round,
         });
-        PeerExecError::PeerDead { dead: vec![peer] }
+        dead(peer)
     }
 
     /// Report a cold-branch event about `peer` (lane arg `a1`) to the
     /// sink, if one is attached; the event is only built then.
     fn note(&self, peer: usize, a1: u64, event: impl FnOnce(usize, usize) -> FaultEvent) {
         if let Some(s) = &self.sink {
-            s.note(peer as u64, a1, event(self.step as usize, self.wire.rank()));
+            s.note(peer as u64, a1, event(self.st.step as usize, self.wire.rank()));
         }
     }
 
@@ -522,9 +595,10 @@ impl<'w> PeerExecutor<'w> {
     fn ingest(&mut self, peer: usize, frame: Frame) {
         match frame.kind {
             FrameKind::Ack => {
-                if let Some(pos) = self.pending[peer].iter().position(|p| p.seq == frame.seq) {
-                    let entry = self.pending[peer].remove(pos).expect("position just found"); // lint: allow(unwrap): position just found by iter().position
-                    self.byte_pool.push(entry.clean);
+                let pending = &mut self.st.pending[peer];
+                if let Some(pos) = pending.iter().position(|p| p.seq == frame.seq) {
+                    let entry = pending.remove(pos).expect("position just found"); // lint: allow(unwrap): position just found by iter().position
+                    self.st.byte_pool.push(entry.clean);
                 }
                 self.wire.release(frame.payload);
             }
@@ -533,14 +607,14 @@ impl<'w> PeerExecutor<'w> {
                 self.wire.release(frame.payload);
             }
             FrameKind::Data => {
-                if frame.era < self.era {
+                if frame.era < self.st.era {
                     // Stale era: the degrade already invalidated it.
                     self.wire.release(frame.payload);
                     return;
                 }
-                if frame.era > self.era {
+                if frame.era > self.st.era {
                     // The sender degraded first; replay after our bump.
-                    self.future[peer].push_back(frame);
+                    self.st.future[peer].push_back(frame);
                     return;
                 }
                 let seq = frame.seq;
@@ -557,10 +631,10 @@ impl<'w> PeerExecutor<'w> {
                 }
                 // Ack every seq the window has newly committed to
                 // delivery order.
-                while self.acked[peer] < self.window[peer].expected() {
-                    let next = self.acked[peer];
+                while self.st.acked[peer] < self.st.window[peer].expected() {
+                    let next = self.st.acked[peer];
                     self.control(peer, FrameKind::Ack, next);
-                    self.acked[peer] = next + 1;
+                    self.st.acked[peer] = next + 1;
                 }
             }
             // Heartbeats die in the socket reader; other kinds are
@@ -572,11 +646,12 @@ impl<'w> PeerExecutor<'w> {
     /// Run `frame` through the dedup window, queueing it (and anything
     /// it unblocks from the stash) for application. False ⇔ duplicate.
     fn ingest_data(&mut self, peer: usize, frame: Frame) -> bool {
-        match self.window[peer].offer(frame) {
+        let st = &mut self.st;
+        match st.window[peer].offer(frame) {
             Offer::Deliver(f) => {
-                self.ready[peer].push_back(f);
-                while let Some(g) = self.window[peer].pop_ready() {
-                    self.ready[peer].push_back(g);
+                st.ready[peer].push_back(f);
+                while let Some(g) = st.window[peer].pop_ready() {
+                    st.ready[peer].push_back(g);
                 }
                 true
             }
@@ -588,19 +663,20 @@ impl<'w> PeerExecutor<'w> {
     /// Answer a nack with the clean buffered copy, if still held.
     fn resend(&mut self, peer: usize, seq: u64) {
         // Already acked or not yet assigned: a benign race.
-        let Some(pos) = self.pending[peer].iter().position(|p| p.seq == seq) else {
+        let Some(pos) = self.st.pending[peer].iter().position(|p| p.seq == seq) else {
             return;
         };
+        let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
         // The clean bytes ride the frame only for the send, then go
         // straight back into the buffer.
         let (step, round, offset, clean) = {
-            let e = &mut self.pending[peer][pos];
+            let e = &mut self.st.pending[peer][pos];
             (e.step, e.round, e.offset, std::mem::take(&mut e.clean))
         };
         let frame = Frame {
             kind: FrameKind::Data,
             from: self.wire.rank() as u16,
-            era: self.era,
+            era: self.st.era,
             seq,
             step,
             round,
@@ -608,9 +684,13 @@ impl<'w> PeerExecutor<'w> {
             payload: clean,
         };
         let sent = self.wire.send(peer, &frame);
-        self.stats.resends += 1;
-        self.stats.data_bytes += frame.payload.len() as u64;
-        self.pending[peer][pos].clean = frame.payload;
+        let bytes = frame.payload.len() as u64;
+        self.st.stats.resends += 1;
+        self.st.stats.data_bytes += bytes;
+        self.st.pending[peer][pos].clean = frame.payload;
+        if let Some(s) = &self.sink {
+            s.span("SEND", "resend", t0, peer as u64, bytes);
+        }
         self.note(peer, seq, |step, rank| FaultEvent::Resend { step, rank, peer, seq });
         match sent {
             // The peer that asked has since closed its stream: nobody
@@ -622,7 +702,7 @@ impl<'w> PeerExecutor<'w> {
 
     /// Send one payload-less protocol frame carrying `seq`.
     fn control(&mut self, peer: usize, kind: FrameKind, seq: u64) {
-        let mut f = Frame::control(kind, self.wire.rank() as u16, self.era, self.step);
+        let mut f = Frame::control(kind, self.wire.rank() as u16, self.st.era, self.st.step);
         f.seq = seq;
         match self.wire.send(peer, &f) {
             // An ack or nack its addressee can no longer read is moot,
@@ -638,9 +718,14 @@ impl<'w> PeerExecutor<'w> {
     }
 }
 
-/// Encode f32s little-endian into a reused byte buffer — the clean
-/// resend copy, and the one copy of a payload this executor makes:
-/// `buf` is overwritten by later rounds before the ack arrives.
+/// The error for one dead peer — kept out of line so the per-frame
+/// functions that can return it stay allocation-free.
+#[cold]
+fn dead(peer: usize) -> PeerExecError {
+    PeerExecError::PeerDead { dead: vec![peer] }
+}
+
+/// Encode f32s little-endian into a reused byte buffer.
 fn f32s_to_bytes(src: &[f32], out: &mut Vec<u8>) {
     out.clear();
     #[cfg(target_endian = "little")]
@@ -889,8 +974,9 @@ mod tests {
                 .collect(),
         );
         let session = FaultSession::new(plan);
+        let mesh = ChannelWire::mesh(n);
         let wires: Vec<FaultWire<'_, ChannelWire>> =
-            ChannelWire::mesh(n).into_iter().map(|w| FaultWire::new(w, &session)).collect();
+            mesh.iter().map(|w| FaultWire::new(w, &session)).collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
         assert_eq!(session.counters().snapshot().injected_drops, 2 * n as u64);

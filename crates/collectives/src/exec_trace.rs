@@ -1,20 +1,19 @@
-//! Per-rank trace lanes for the threaded executors.
+//! Per-rank trace lanes for the threaded executor.
 //!
 //! An [`ExecTrace`] maps rank ids onto [`trace::Lane`] handles of one
 //! shared [`trace::TraceRecorder`] — rank → Chrome `pid`, executor
-//! thread → `tid` — so every rank thread of
-//! [`exec_thread`](crate::exec_thread) and of the fault path
-//! ([`exec_fault`](crate::exec_fault)) records SEND/RECV/RETRY spans
-//! into its own row of the combined trace. Lane lookup happens once
-//! per rank thread at spawn; recording afterwards is the recorder's
-//! no-alloc ring write, which keeps the traced plain path inside the
-//! zero-allocation budget the trainer asserts.
+//! thread → `tid` — so every rank thread
+//! [`exec_thread`](crate::exec_thread) spawns records its SEND/RECV/
+//! RETRY spans into its own row of the combined trace. Lane lookup
+//! happens once per rank thread at spawn; recording afterwards is the
+//! recorder's no-alloc ring write.
 //!
-//! The map is keyed by whatever ids the creator passes: the plain
-//! executor uses local rank indices, while [`FaultSession`]
-//! (crate::exec_fault::FaultSession) keys by *original* world ids so a
-//! plan-addressed rank keeps its trace row across elastic
-//! renumberings; [`ExecTrace::reindex`] converts between the two.
+//! The map is keyed by the rank ids a run addresses its ranks by:
+//! `0..n` for a plain [`ExecContext`](crate::exec_thread::ExecContext)
+//! call, *original* world ids under a
+//! [`FaultSession`](crate::exec_fault::FaultSession) or an
+//! [`ElasticAllreduce`](crate::elastic::ElasticAllreduce), so a rank
+//! keeps its trace row across elastic renumberings.
 
 use trace::{Lane, TraceRecorder};
 
@@ -42,21 +41,6 @@ impl ExecTrace {
         self.lanes.iter().find(|(r, _)| *r == rank).map(|(_, l)| l)
     }
 
-    /// A view keyed by position: lane `local` of the result is the
-    /// lane this map holds for `ids[local]`. The elastic layer uses it
-    /// to hand the plain executor (which speaks local indices) lanes
-    /// registered under original world ids; ids without a lane are
-    /// simply absent from the view.
-    pub fn reindex(&self, ids: &[usize]) -> ExecTrace {
-        ExecTrace {
-            lanes: ids
-                .iter()
-                .enumerate()
-                .filter_map(|(local, orig)| self.lane(*orig).map(|l| (local, l.clone())))
-                .collect(),
-        }
-    }
-
     /// Registered lane count.
     pub fn len(&self) -> usize {
         self.lanes.len()
@@ -72,18 +56,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lanes_key_by_rank_id_and_reindex_by_position() {
+    fn lanes_key_by_rank_id() {
         let rec = TraceRecorder::new();
         let world = ExecTrace::comm(&rec, &[0, 1, 3, 4]);
         assert_eq!(world.len(), 4);
         assert_eq!(world.lane(3).map(Lane::pid), Some(3));
         assert!(world.lane(2).is_none());
-        // Survivors {0, 3, 4} as locals 0..3: local 1 must carry pid 3.
-        let view = world.reindex(&[0, 3, 4]);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.lane(1).map(Lane::pid), Some(3));
-        assert_eq!(view.lane(2).map(Lane::pid), Some(4));
-        // Reindexing never registers new lanes.
         assert_eq!(rec.lane_count(), 4);
     }
 

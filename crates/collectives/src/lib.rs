@@ -8,8 +8,8 @@
 //! * [`mod@reference`] — sequential oracle used by every correctness test;
 //! * [`exec_sim`] — timing over the [`summit_sim`] fluid-flow simulator,
 //!   parameterized by a [`exec_sim::CostModel`] (the MPI personalities);
-//! * [`exec_thread`] — *real* data movement across OS threads over
-//!   crossbeam channels, used by the numerical training experiments.
+//! * [`exec_thread`] — *real* data movement across OS threads, used by
+//!   the numerical training experiments.
 //!
 //! Having one schedule drive both the clock and the data is the point:
 //! the algorithm whose time we report is the algorithm the gradients
@@ -26,16 +26,17 @@
 //! assert!(bufs.iter().all(|b| b[0] == 6.0)); // 0+1+2+3
 //! ```
 //!
-//! Wherever a frame can be lost there is one more executor,
-//! [`exec_peer`]: a single rank's schedule body over a
-//! [`transport::Wire`] with the seq/ack/nack/resend/dedup reliability
-//! protocol — across processes over sockets, across threads over
-//! channels. Fault tolerance is two layers around it: [`exec_fault`]
-//! runs one such body per rank thread behind a [`FaultWire`] decorator
-//! that injects a seeded [`faults::FaultPlan`] (drops and corruptions
-//! are repaired in place), and [`elastic`] wraps that with crash
-//! recovery — when ranks die the collective is aborted, the schedule
-//! is rebuilt over the survivors, re-verified, and re-run.
+//! Real data has one rank body, [`exec_peer`]: a single rank's
+//! schedule over a [`transport::Wire`] with the seq/ack/nack/resend/
+//! dedup reliability protocol and the gradient codec stage — across
+//! processes over sockets, across threads over channels
+//! ([`exec_thread`] is N of them over an in-process mesh). Fault
+//! tolerance is two layers around it: [`exec_fault`] puts a
+//! [`FaultWire`] decorator under each rank thread's executor to inject
+//! a seeded [`faults::FaultPlan`] (drops and corruptions are repaired
+//! in place), and [`elastic`] wraps that with crash recovery — when
+//! ranks die the collective is aborted, the schedule is rebuilt over
+//! the survivors, re-verified, and re-run.
 
 pub mod algo;
 pub mod analytic;
@@ -65,7 +66,7 @@ pub use exec_peer::{CtlSignal, PeerExecError, PeerExecutor, WireStats};
 pub use exec_sim::{
     simulate, simulate_compressed, simulate_dense, CostModel, MsgParams, UniformCost, ELEM_BYTES,
 };
-pub use exec_thread::{ExecContext, ExecError, PoolCounters};
+pub use exec_thread::{ExecContext, ExecError};
 pub use exec_trace::ExecTrace;
 pub use hierarchical::{LeaderAlgo, NodeGroups};
 pub use reduce::ReduceOp;

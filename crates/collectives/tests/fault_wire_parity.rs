@@ -4,7 +4,8 @@
 //! sockets, and both repair every drop and corruption bit-exactly —
 //! the first drop/corrupt coverage of the socket path.
 
-use std::os::unix::net::UnixStream;
+mod common;
+
 use std::time::Duration;
 
 use collectives::reference::apply_allreduce;
@@ -13,7 +14,7 @@ use collectives::{
 };
 use faults::{FaultPlan, FaultSpec, RetryPolicy};
 use summit_metrics::FaultCounterSnapshot;
-use transport::{ChannelWire, SocketMesh, Wire};
+use transport::{ChannelWire, Wire};
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -30,23 +31,6 @@ fn inputs(n_ranks: usize, n_elems: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// A full socket mesh over `n` ranks from `UnixStream::pair()`s.
-fn socket_mesh(n: usize) -> Vec<SocketMesh> {
-    let mut streams: Vec<Vec<(usize, UnixStream)>> = (0..n).map(|_| Vec::new()).collect();
-    for a in 0..n {
-        for b in a + 1..n {
-            let (sa, sb) = UnixStream::pair().expect("socketpair");
-            streams[a].push((b, sa));
-            streams[b].push((a, sb));
-        }
-    }
-    streams
-        .into_iter()
-        .enumerate()
-        .map(|(rank, s)| SocketMesh::new(rank, (0..n).collect(), s, policy()).expect("mesh"))
-        .collect()
-}
-
 /// One allreduce under `plan` with every endpoint of `wires` behind a
 /// [`FaultWire`]: the per-rank results and the session's counters.
 fn run_faulty<W: Wire>(
@@ -57,8 +41,7 @@ fn run_faulty<W: Wire>(
     let n = wires.len();
     let ids: Vec<usize> = (0..n).collect();
     let session = FaultSession::new(plan).with_policy(policy());
-    let wires: Vec<FaultWire<'_, W>> =
-        wires.into_iter().map(|w| FaultWire::new(w, &session)).collect();
+    let wires: Vec<FaultWire<'_, W>> = wires.iter().map(|w| FaultWire::new(w, &session)).collect();
     let mut bufs = inputs(n, schedule.n_elems);
     std::thread::scope(|scope| {
         for (wire, buf) in wires.iter().zip(bufs.iter_mut()) {
@@ -90,7 +73,7 @@ fn one_plan_repairs_identically_over_channels_and_sockets() {
             apply_allreduce(&schedule, &mut want, ReduceOp::Sum);
 
             let (by_channel, chan) = run_faulty(ChannelWire::mesh(n), plan.clone(), &schedule);
-            let (by_socket, sock) = run_faulty(socket_mesh(n), plan, &schedule);
+            let (by_socket, sock) = run_faulty(common::socket_mesh(n, policy()), plan, &schedule);
             assert_eq!(by_channel, want, "{algo:?} n={n}: channel result");
             assert_eq!(by_socket, want, "{algo:?} n={n}: socket result");
             assert_eq!(

@@ -2,16 +2,15 @@
 //! concurrency protocols, via the vendored `interleave` explicit-state
 //! checker (`vendor/interleave`).
 //!
-//! Three families of models:
+//! Two families of models:
 //!
-//! 1. [`PoolModel`] — the `exec_thread::PayloadPool` acquire/release
-//!    protocol, checked exhaustively on 2- and 3-thread configurations.
-//!    Buggy variants (double release, lost buffer) that the checker
-//!    must refute prove the harness is not vacuous.
-//! 2. [`HintModel`] — the pool's capacity-hint counter: the real
-//!    single-step `fetch_max` passes every interleaving; a racy
-//!    load-compare-store version is caught losing an update.
-//! 3. [`ExecModel`] — real generated schedules (ring, recursive
+//! 1. [`PoolModel`] — the acquire/release protocol of the payload pool
+//!    every wire recycles its frame buffers through (`transport`'s
+//!    `BufPool`, reached via `Wire::release`), checked exhaustively on
+//!    2- and 3-thread configurations. Buggy variants (double release,
+//!    lost buffer) that the checker must refute prove the harness is
+//!    not vacuous.
+//! 2. [`ExecModel`] — real generated schedules (ring, recursive
 //!    doubling, chunked ring; 2–3 ranks) executed over per-pair FIFO
 //!    queues with small integer buffers. Every interleaving must be
 //!    deadlock-free, drain every channel, and end with every rank
@@ -22,7 +21,7 @@ use collectives::{Action, Algorithm, Schedule};
 use interleave::{check, replay, Model, Options, Step, Verdict};
 
 // ---------------------------------------------------------------------
-// 1. PayloadPool acquire/release
+// 1. Payload pool acquire/release
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -36,12 +35,12 @@ enum PoolBug {
     LostBuffer,
 }
 
-/// Faithful abstraction of `PayloadPool`: each thread loops `iters`
-/// times over { acquire, release }. Acquire is one atomic step (the
-/// real pool holds the mutex across `free.pop()`, minting a fresh
+/// Faithful abstraction of `transport`'s `BufPool`: each thread loops
+/// `iters` times over { acquire, release }. Acquire is one atomic step
+/// (the real pool holds the mutex across `free.pop()`, minting a fresh
 /// buffer only when the pool is dry); release is one atomic step
-/// (`free.push`). Buffers are ids; `fresh` counts minted ids exactly
-/// like the pool's allocation counter.
+/// (`free.push`). Buffers are ids; `fresh` counts the ids minted, which
+/// is what the conservation invariant balances against.
 struct PoolModel {
     threads: usize,
     iters: u8,
@@ -205,93 +204,7 @@ fn pool_lost_buffer_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Capacity-hint counter
-// ---------------------------------------------------------------------
-
-/// The pool's `reserve_hint`: concurrent raises of a shared maximum.
-/// The real code uses `AtomicUsize::fetch_max` — one atomic step. The
-/// racy variant models the tempting `if hint.load() < v { store(v) }`,
-/// where load and store are separate steps and a lost update lurks.
-struct HintModel {
-    atomic: bool,
-    targets: [u8; 2],
-}
-
-/// (hint, per-thread (pc, loaded value))
-type HintState = (u8, [(u8, u8); 2]);
-
-impl Model for HintModel {
-    type State = HintState;
-
-    fn initial(&self) -> HintState {
-        (0, [(0, 0); 2])
-    }
-
-    fn n_threads(&self) -> usize {
-        2
-    }
-
-    fn step(&self, s: &HintState, tid: usize) -> Step<HintState> {
-        let (hint, mut locals) = *s;
-        let (pc, loaded) = locals[tid];
-        let v = self.targets[tid];
-        if self.atomic {
-            match pc {
-                0 => {
-                    locals[tid] = (1, 0);
-                    Step::Ready((hint.max(v), locals)) // fetch_max: one step
-                }
-                _ => Step::Done,
-            }
-        } else {
-            match pc {
-                0 => {
-                    locals[tid] = (1, hint); // load
-                    Step::Ready((hint, locals))
-                }
-                1 => {
-                    locals[tid] = (2, loaded);
-                    if loaded < v {
-                        Step::Ready((v, locals)) // store over a stale read
-                    } else {
-                        Step::Ready((hint, locals))
-                    }
-                }
-                _ => Step::Done,
-            }
-        }
-    }
-
-    fn invariant(&self, s: &HintState) -> Result<(), String> {
-        let end_pc = if self.atomic { 1 } else { 2 };
-        let all_done = s.1.iter().all(|&(pc, _)| pc >= end_pc);
-        let want = self.targets[0].max(self.targets[1]);
-        if all_done && s.0 != want {
-            return Err(format!("hint settled at {} instead of {want}", s.0));
-        }
-        Ok(())
-    }
-}
-
-#[test]
-fn hint_fetch_max_passes_every_interleaving() {
-    check(&HintModel { atomic: true, targets: [3, 5] }, Options::default())
-        .unwrap_or_else(|v| panic!("fetch_max hint refuted: {v}"));
-}
-
-#[test]
-fn hint_load_then_store_race_is_found() {
-    match check(&HintModel { atomic: false, targets: [3, 5] }, Options::default()) {
-        Err(Verdict::InvariantViolated { state, reason, .. }) => {
-            assert!(reason.contains("instead of 5"), "unexpected reason: {reason}");
-            assert_eq!(state.0, 3, "the larger raise must be the one lost");
-        }
-        other => panic!("load-then-store hint must lose an update, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Real schedules over FIFO queues
+// 2. Real schedules over FIFO queues
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
@@ -311,9 +224,10 @@ struct EOp {
 }
 
 /// A generated [`Schedule`] compiled to per-rank atomic-op programs and
-/// executed over per-ordered-pair FIFO queues, exactly mirroring
-/// `exec_thread::rank_main`: per round, sends are issued first (phase
-/// A snapshot semantics), then receives block in action order. Each
+/// executed over per-ordered-pair FIFO queues, mirroring the round
+/// structure of `PeerExecutor::run` on a lossless wire: per round,
+/// sends are issued first (phase A snapshot semantics), then receives
+/// block in action order. Each
 /// channel push/pop is one atomic step. Buffers hold small integers so
 /// the final element-wise sums are exact.
 struct ExecModel {
@@ -336,7 +250,7 @@ struct ExecState {
 }
 
 impl ExecModel {
-    /// Compile a schedule the way `rank_main` consumes it.
+    /// Compile a schedule the way `PeerExecutor::run` consumes it.
     fn from_schedule(s: &Schedule) -> Self {
         let n = s.n_ranks;
         let mut prog: Vec<Vec<EOp>> = vec![Vec::new(); n];

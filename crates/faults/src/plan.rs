@@ -158,8 +158,9 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with no injections (the executor treats it as "fault layer
-    /// off for every site", but still runs the fault-aware protocol —
-    /// use `None` at the API level to keep the plain fast path).
+    /// off for every site", but still snapshots, wraps every link and
+    /// keeps its receive deadlines — use `None` at the API level to run
+    /// without them).
     pub fn none() -> Self {
         FaultPlan::default()
     }

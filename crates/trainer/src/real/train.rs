@@ -30,7 +30,7 @@ use super::segdata::{augment, generate, generate_batch, DataConfig, Sample};
 use super::sgd::{LrSchedule, MomentumSgd};
 
 /// Fault-injection knobs for a chaos run. Absent (`TrainConfig::faults
-/// = None`) the trainer goes through the plain zero-overhead executor.
+/// = None`) the allreduce runs with no injector, snapshot or deadlines.
 #[derive(Debug, Clone)]
 pub struct FaultToleranceConfig {
     /// The seeded, replayable injection plan.
@@ -135,8 +135,8 @@ pub struct TrainConfig {
     pub eval_every: usize,
     pub eval_samples: usize,
     pub seed: u64,
-    /// Fault-injection session for chaos runs (`None` ⇒ the plain
-    /// zero-overhead executor path, byte-for-byte the old behavior).
+    /// Fault-injection session for chaos runs (`None` ⇒ no injector, no
+    /// snapshot, no deadlines; the numbers are the same either way).
     pub faults: Option<FaultToleranceConfig>,
     /// Checkpoint/restart (`None` ⇒ never saved, never resumed).
     pub checkpoint: Option<CheckpointConfig>,
@@ -512,9 +512,9 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
 
             // The real allreduce: gradients cross threads through the same
             // schedules the timing simulation measures, averaging in place.
-            // Without a fault session this is the plain zero-overhead
-            // executor; with one, drops/corruptions are recovered and rank
-            // deaths degrade the topology onto the survivors.
+            // With a fault session, drops/corruptions are injected and
+            // recovered and rank deaths degrade the topology onto the
+            // survivors; without one, the same executor runs undisturbed.
             let ar_t0 = Instant::now();
             let report = ela
                 .allreduce(&mut grads, ReduceOp::Average, session.as_ref())

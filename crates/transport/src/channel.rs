@@ -1,18 +1,23 @@
 //! The in-process [`Wire`] backend: frames pass by value over
-//! crossbeam channels between rank threads — no serialization, no
-//! sockets, no heartbeats (a thread cannot be SIGKILLed out from under
-//! the mesh; explicit disconnection is the only death signal).
+//! unbounded crossbeam channels between rank threads — no
+//! serialization, no sockets, no heartbeats (a thread cannot be
+//! SIGKILLed out from under the mesh; explicit disconnection is the
+//! only death signal). A send copies the payload once, into a buffer
+//! from the mesh's shared pool; [`Wire::release`] returns it there, so
+//! a mesh held across collectives stops allocating once it is warm.
 //!
-//! This is the backend the threaded fault path runs on — one
+//! This is the backend every threaded collective runs on — one
 //! `collectives::PeerExecutor` per rank thread, each endpoint wrapped
-//! in the `collectives::FaultWire` decorator — and the one the protocol
-//! unit tests drive.
+//! in the `collectives::FaultWire` decorator when a fault plan is in
+//! play — and the one the protocol unit tests drive.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
+use crate::conn::BufPool;
 use crate::frame::Frame;
 use crate::{Wire, WireError};
 
@@ -24,6 +29,9 @@ pub struct ChannelWire {
     tx: Vec<Option<Sender<Frame>>>,
     /// Indexed by original id: receiver from that peer.
     rx: Vec<Option<Mutex<Receiver<Frame>>>>,
+    /// Payload buffers, shared by every endpoint of the mesh: senders
+    /// acquire, receivers release.
+    pool: Arc<BufPool>,
 }
 
 impl ChannelWire {
@@ -35,9 +43,11 @@ impl ChannelWire {
 
     /// Build a full mesh over the original ids `ids` (ascending, with
     /// holes after an elastic degradation), one wire per id in `ids`
-    /// order. Channels are bounded generously — a schedule's in-flight
-    /// frame count is bounded by its round structure.
+    /// order. Channels are unbounded — a send never blocks, which is
+    /// what lets a verified schedule's deadlock-freedom carry over to
+    /// the executor that hoists every round's sends.
     pub fn mesh_of(ids: &[usize]) -> Vec<ChannelWire> {
+        let pool = BufPool::new();
         let slots = ids.iter().copied().max().map_or(0, |m| m + 1);
         // senders[i][b] = channel ids[i] -> b; receivers[j][a] = its far end at ids[j]
         let mut senders: Vec<Vec<Option<Sender<Frame>>>> =
@@ -49,7 +59,7 @@ impl ChannelWire {
                 if i == j {
                     continue;
                 }
-                let (s, r) = bounded(4096);
+                let (s, r) = unbounded();
                 senders[i][b] = Some(s);
                 receivers[j][a] = Some(Mutex::new(r));
             }
@@ -58,7 +68,13 @@ impl ChannelWire {
             .into_iter()
             .zip(receivers)
             .zip(ids)
-            .map(|((tx, rx), &rank)| ChannelWire { rank, world_ids: ids.to_vec(), tx, rx })
+            .map(|((tx, rx), &rank)| ChannelWire {
+                rank,
+                world_ids: ids.to_vec(),
+                tx,
+                rx,
+                pool: Arc::clone(&pool),
+            })
             .collect()
     }
 
@@ -93,7 +109,17 @@ impl Wire for ChannelWire {
             .ok_or(WireError::NoSuchPeer(peer))?
             .as_ref()
             .ok_or(WireError::PeerGone)?;
-        tx.send(frame.clone()).map_err(|_| WireError::PeerGone)
+        // Control frames carry no payload; there is nothing to pool.
+        let mut payload = Vec::new();
+        if !frame.payload.is_empty() {
+            payload = self.pool.acquire();
+            payload.clear();
+            payload.extend_from_slice(&frame.payload);
+        }
+        tx.send(Frame { payload, ..*frame }).map_err(|e| {
+            self.pool.release(e.0.payload);
+            WireError::PeerGone
+        })
     }
 
     fn recv_timeout(&self, peer: usize, timeout: Duration) -> Result<Frame, WireError> {
@@ -124,7 +150,9 @@ impl Wire for ChannelWire {
         Duration::ZERO
     }
 
-    fn release(&self, _payload: Vec<u8>) {}
+    fn release(&self, payload: Vec<u8>) {
+        self.pool.release(payload);
+    }
 }
 
 #[cfg(test)]
@@ -141,6 +169,23 @@ mod tests {
         let got = wires[2].recv_timeout(0, Duration::from_millis(100)).unwrap();
         assert_eq!(got, f);
         assert_eq!(wires[1].recv_timeout(0, Duration::from_millis(10)), Err(WireError::Timeout));
+    }
+
+    /// `release` is not a no-op: the buffer a receiver hands back is
+    /// the one the mesh's next send travels in.
+    #[test]
+    fn released_payloads_carry_the_next_send() {
+        let wires = ChannelWire::mesh(2);
+        let mut f = Frame::control(FrameKind::Data, 0, 0, 0);
+        f.payload = vec![7; 64];
+        wires[0].send(1, &f).unwrap();
+        let got = wires[1].recv_timeout(0, Duration::from_millis(100)).unwrap();
+        let buf = got.payload.as_ptr();
+        wires[1].release(got.payload);
+        wires[0].send(1, &f).unwrap();
+        let again = wires[1].recv_timeout(0, Duration::from_millis(100)).unwrap();
+        assert_eq!(again.payload.as_ptr(), buf, "the released buffer must be reused");
+        assert_eq!(again, f);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Byte-stream transport for the collective schedules.
 //!
-//! The threaded executor ([`collectives::exec_thread`]) moves payloads
-//! between rank *threads* over channels; this crate is the same idea
-//! over real byte streams between rank *processes*. One abstraction —
-//! [`Wire`] — with two backends:
+//! One abstraction — [`Wire`] — with two backends, so the one rank body
+//! (`collectives::PeerExecutor`) runs unchanged between rank *threads*
+//! and between rank *processes*:
 //!
 //! * [`channel::ChannelWire`] — in-process, frames pass by value over
-//!   crossbeam channels. Zero serialization; the backend of the
-//!   threaded fault path and of the protocol unit tests.
+//!   crossbeam channels. Zero serialization; the backend of every
+//!   threaded collective and of the protocol unit tests.
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed
 //!   [`frame::Frame`]. A reader thread per connection decodes frames
@@ -123,7 +122,7 @@ pub trait Wire: Send + Sync {
 
     /// Return a frame payload buffer to the backend's pool. Callers
     /// that recycle every received payload keep the steady state
-    /// allocation-free on the socket backend.
+    /// allocation-free on both backends.
     fn release(&self, payload: Vec<u8>);
 
     /// The executor is about to run `round` of `step`'s schedule. A

@@ -37,9 +37,11 @@ fn every_algorithm_correct_at_awkward_sizes() {
 
 #[test]
 fn pooled_executor_matches_reference_for_every_algorithm() {
-    // One ExecContext reused across all algorithms and calls: the buffer
-    // pool must never change results, and after warm-up it must stop
-    // allocating payload buffers entirely.
+    // One ExecContext reused across all algorithms, world sizes and
+    // calls: the parked rank set (rebuilt whenever the world changes,
+    // reused whenever it does not) must never change results. That the
+    // warm path stops allocating with the payload is pinned under a
+    // counting allocator in `collectives/tests/exec_alloc.rs`.
     let ctx = exec_thread::ExecContext::new();
     for algo in all_algorithms() {
         for (n, e) in [(13usize, 7usize), (9, 100)] {
@@ -52,21 +54,6 @@ fn pooled_executor_matches_reference_for_every_algorithm() {
             reference::assert_allreduce_result(&ins, &bufs, ReduceOp::Average, 1e-3);
         }
     }
-    // Warm: repeat the last schedule; the pool must be in steady state.
-    let algo = Algorithm::Ring;
-    let s = algo.build(9, 100);
-    let mut bufs: Vec<Vec<f32>> = (0..9).map(|r| vec![r as f32; 100]).collect();
-    ctx.allreduce(&s, &mut bufs, ReduceOp::Sum).unwrap();
-    let after_warmup = ctx.payload_allocations();
-    for _ in 0..4 {
-        let mut bufs: Vec<Vec<f32>> = (0..9).map(|r| vec![r as f32; 100]).collect();
-        ctx.allreduce(&s, &mut bufs, ReduceOp::Sum).unwrap();
-    }
-    assert_eq!(
-        ctx.payload_allocations(),
-        after_warmup,
-        "steady-state allreduce must not allocate payload buffers"
-    );
 }
 
 #[test]
