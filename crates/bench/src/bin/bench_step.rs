@@ -287,7 +287,7 @@ fn main() {
          \"threads\": {},\n    \"cores\": {cores},\n    \"variants\": [\n{}\n    ],\n    \
          \"scaling\": [\n{}\n    ],\n    \"speedup\": {speedup:.3}\n  }}",
         today_utc(),
-        rayon::current_num_threads(),
+        collectives::pool::lanes(),
         variants.join(",\n"),
         scaling_json.join(",\n"),
     );

@@ -131,7 +131,7 @@ fn main() {
     );
     // With a single-lane pool the reductions run on the only worker and
     // nothing can overlap; the acceptance check needs real concurrency.
-    if rayon::current_num_threads() >= 2 {
+    if collectives::pool::lanes() >= 2 {
         assert!(
             ar.overlap_us > 0.0,
             "pipelined tile reductions must overlap backprop, got {:.3} ms over {:.3} ms busy",

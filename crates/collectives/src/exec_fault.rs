@@ -6,8 +6,8 @@
 //! # One protocol, one decorator
 //!
 //! Nothing here executes a schedule or re-implements reliability.
-//! [`ExecContext::run_with_faults`] is the same spawn-and-collect
-//! function as every other [`ExecContext`] entry point — one
+//! [`ExecContext::run_with_faults`] is the same function as every
+//! other [`ExecContext`] entry point ([`run_ranks`]) — one
 //! [`PeerExecutor`](crate::exec_peer::PeerExecutor) per rank thread
 //! over a [`ChannelWire`](transport::ChannelWire) mesh — with each
 //! endpoint wrapped in a [`FaultWire`] for the duration of the call.
@@ -347,14 +347,15 @@ fn patient() -> RetryPolicy {
     RetryPolicy { base: Duration::MAX, factor: 1, max_attempts: 1, ..RetryPolicy::default() }
 }
 
-/// The one place rank threads are spawned for a schedule: each resumes
-/// its parked executor over its endpoint of `set`'s mesh — behind a
-/// [`FaultWire`] when there is a `session` — runs the schedule on its
-/// buffer, and parks again. A rank that stops short hangs up its
-/// senders; the wires outlive every thread, so its receivers stay open
-/// until the whole collective is over (see the module docs). Spans go
-/// to the lane `call.trace` (or the session's trace) holds for the
-/// rank's original id.
+/// The one place a schedule's rank bodies run: lane `i` of `set`'s
+/// pool resumes rank `i`'s parked executor over its endpoint of the
+/// mesh — behind a [`FaultWire`] when there is a `session` — runs the
+/// schedule on its buffer, and parks again; a warm call creates no
+/// thread. A rank that stops short hangs up its senders; the wires
+/// outlive the job, so its receivers stay open until the whole
+/// collective is over (see the module docs). Spans go to the lane
+/// `call.trace` (or the session's trace) holds for the rank's original
+/// id.
 pub(crate) fn run_ranks(
     set: &mut RankSet,
     schedule: &Schedule,
@@ -362,40 +363,36 @@ pub(crate) fn run_ranks(
     op: ReduceOp,
     call: &Call<'_>,
 ) -> Result<(), ExecError> {
-    let mut outcomes = vec![Ok(()); schedule.n_ranks];
     let (ids, session) = (&set.ids, call.session);
-    let ranks = set.wires.iter_mut().zip(&mut set.peers).zip(buffers).zip(&mut outcomes);
-    std::thread::scope(|scope| {
-        for (local, (((wire, parked), buf), outcome)) in ranks.enumerate() {
-            scope.spawn(move || {
-                let faulty = session.map(|s| FaultWire::new(&*wire, s));
-                let link: &dyn Wire = match &faulty {
-                    Some(faulty) => faulty,
-                    None => &*wire,
-                };
-                let policy = session.map_or_else(patient, FaultSession::policy);
-                let mut exec = PeerExecutor::resume(link, policy, std::mem::take(parked))
-                    .with_codec(call.codec);
-                let lane = |t: &ExecTrace| t.lane(ids[local]).cloned().map(FaultSink::lane_only);
-                let sink = match session {
-                    Some(s) => Some(s.sink(ids[local])),
-                    None => call.trace.and_then(lane),
-                };
-                if let Some(sink) = sink {
-                    exec = exec.with_sink(sink);
-                }
-                exec.begin_step(session.map_or(0, FaultSession::step));
-                *outcome = exec.run(schedule, buf, op, ids, &mut || CtlSignal::Continue);
-                *parked = exec.park();
-                drop(faulty);
-                if outcome.is_err() {
-                    for &peer in ids {
-                        wire.hang_up(peer);
-                    }
-                }
-            });
+    set.pool.run_zip(&mut set.ranks, buffers, |local, rank, buf| {
+        let wire = &mut rank.wire;
+        let faulty = session.map(|s| FaultWire::new(&*wire, s));
+        let link: &dyn Wire = match &faulty {
+            Some(faulty) => faulty,
+            None => &*wire,
+        };
+        let policy = session.map_or_else(patient, FaultSession::policy);
+        let mut exec = PeerExecutor::resume(link, policy, std::mem::take(&mut rank.parked))
+            .with_codec(call.codec);
+        let lane = |t: &ExecTrace| t.lane(ids[local]).cloned().map(FaultSink::lane_only);
+        let sink = match session {
+            Some(s) => Some(s.sink(ids[local])),
+            None => call.trace.and_then(lane),
+        };
+        if let Some(sink) = sink {
+            exec = exec.with_sink(sink);
+        }
+        exec.begin_step(session.map_or(0, FaultSession::step));
+        rank.outcome = exec.run(schedule, buf, op, ids, &mut || CtlSignal::Continue);
+        rank.parked = exec.park();
+        drop(faulty);
+        if rank.outcome.is_err() {
+            for &peer in ids {
+                wire.hang_up(peer);
+            }
         }
     });
+    let outcomes = || set.ranks.iter().map(|r| &r.outcome);
 
     let local = |orig: usize| {
         let at = ids.iter().position(|&id| id == orig);
@@ -405,14 +402,13 @@ pub(crate) fn run_ranks(
     // refusing a round: a plan crash, the authoritative source for the
     // dead set.
     let dead: Vec<usize> =
-        (0..outcomes.len()).filter(|&r| outcomes[r] == Err(PeerExecError::Aborted)).collect();
+        (0..ids.len()).filter(|&r| set.ranks[r].outcome == Err(PeerExecError::Aborted)).collect();
     if !dead.is_empty() {
         return Err(ExecError::RanksDead { dead });
     }
     // A peer stopped without a crash injection on record: surface
     // the suspects so the caller still gets an actionable dead set.
-    let mut suspects: Vec<usize> = outcomes
-        .iter()
+    let mut suspects: Vec<usize> = outcomes()
         .filter_map(|o| match o {
             Err(PeerExecError::PeerDead { dead }) => Some(dead.iter().map(|&d| local(d))),
             _ => None,
@@ -424,7 +420,7 @@ pub(crate) fn run_ranks(
     if !suspects.is_empty() {
         return Err(ExecError::RanksDead { dead: suspects });
     }
-    for (rank, outcome) in outcomes.iter().enumerate() {
+    for (rank, outcome) in outcomes().enumerate() {
         if let Err(PeerExecError::RetriesExhausted { peer, round }) = outcome {
             return Err(ExecError::RetriesExhausted { rank, peer: local(*peer), round: *round });
         }

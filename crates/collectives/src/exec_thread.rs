@@ -1,16 +1,18 @@
 //! Real execution: run a [`Schedule`] across OS threads with actual data.
 //!
-//! One thread per rank, each running the crate's one rank body —
-//! [`PeerExecutor`] — over its endpoint of an in-process
+//! One thread per rank — a lane of the rank set's own
+//! [`CorePool`], since rank bodies block on each other and all have to
+//! run at once — each running the crate's one rank body,
+//! [`PeerExecutor`], over its endpoint of an in-process
 //! [`ChannelWire`] mesh. Every [`ExecContext`] entry point (plain,
-//! traced, codec-compressed, fault-injected) is the same
-//! spawn-and-collect call ([`exec_fault::run_ranks`](crate::exec_fault));
-//! they differ in the [`CodecKind`] the executors are given, in whether
-//! a trace lane is attached, and in whether each endpoint is wrapped in
-//! a [`FaultWire`](crate::exec_fault::FaultWire) for the call. What
-//! this module adds is what has to happen *around* that call:
-//! verification before any thread spawns, and the rank set kept warm
-//! between calls.
+//! traced, codec-compressed, fault-injected) is the same call
+//! ([`exec_fault::run_ranks`](crate::exec_fault)); they differ in the
+//! [`CodecKind`] the executors are given, in whether a trace lane is
+//! attached, and in whether each endpoint is wrapped in a
+//! [`FaultWire`](crate::exec_fault::FaultWire) for the call. What this
+//! module adds is what has to happen *around* that call: verification
+//! before any rank body runs, and the rank set kept warm between
+//! calls.
 //!
 //! **Deadlock-freedom** is not an informal argument about send
 //! hoisting: [`Schedule::validate`] delegates to the `verifier` crate,
@@ -21,16 +23,17 @@
 //! proof cannot deadlock here, where sends are additionally hoisted to
 //! the start of each round (phase A) and channels are unbounded. In
 //! debug builds the context runs the full verifier on every schedule
-//! it has not seen before, *before* spawning any rank thread; release
+//! it has not seen before, *before* any rank body runs; release
 //! builds keep the cheap structural check per call.
 //!
 //! **The rank set is cached.** Everything whose size depends on the
 //! world or the payload — the mesh's channels and its payload pool,
-//! each executor's queues, resend buffers, codec scratch — is built
-//! once per set of original rank ids and parked in the context between
-//! calls, so a training loop holding an [`ExecContext`] pays for
-//! construction once and the per-call path allocates nothing that
-//! scales with the payload. A call that fails drops the set (its
+//! the rank threads, each executor's queues, resend buffers, codec
+//! scratch — is built once per set of original rank ids and parked in
+//! the context between calls, so a training loop holding an
+//! [`ExecContext`] pays for construction once and a warm call creates
+//! no thread and runs the schedule without allocating
+//! (`tests/exec_alloc.rs`). A call that fails drops the set (its
 //! executors hold a dead collective's state); the next call, or the
 //! elastic layer's rebuild over the survivors, starts from a fresh one.
 //!
@@ -47,8 +50,9 @@ use transport::ChannelWire;
 
 use crate::compression::CodecKind;
 use crate::exec_fault::{run_ranks, FaultSession};
-use crate::exec_peer::{PeerExecutor, PeerState};
+use crate::exec_peer::{PeerExecError, PeerExecutor, PeerState};
 use crate::exec_trace::ExecTrace;
+use crate::pool::CorePool;
 use crate::reduce::{finalize, ReduceOp};
 use crate::sched::{Schedule, Violation};
 
@@ -115,20 +119,36 @@ pub(crate) struct Call<'a> {
     pub(crate) finish: bool,
 }
 
-/// One mesh and its executors, parked between calls (see the module
-/// docs). `wires[i]` and `peers[i]` belong to original rank `ids[i]`.
+/// One mesh, its executors and the threads that run them, parked
+/// between calls (see the module docs). `ranks[i]` belongs to original
+/// rank `ids[i]` and runs on lane `i` of `pool`.
 pub(crate) struct RankSet {
     pub(crate) ids: Vec<usize>,
-    pub(crate) wires: Vec<ChannelWire>,
-    pub(crate) peers: Vec<PeerState>,
+    pub(crate) ranks: Vec<Rank>,
+    /// One lane per rank: rank bodies block on each other's sends, so
+    /// every one of them needs a thread of its own for the whole call.
+    pub(crate) pool: CorePool,
+}
+
+/// One rank's endpoint of the mesh, its parked executor, and how its
+/// last run ended.
+pub(crate) struct Rank {
+    pub(crate) wire: ChannelWire,
+    pub(crate) parked: PeerState,
+    pub(crate) outcome: Result<(), PeerExecError>,
 }
 
 impl RankSet {
     fn new(ids: Vec<usize>) -> Self {
-        let wires = ChannelWire::mesh_of(&ids);
-        let peers =
-            wires.iter().map(|w| PeerExecutor::new(w, RetryPolicy::default()).park()).collect();
-        RankSet { ids, wires, peers }
+        let ranks = ChannelWire::mesh_of(&ids)
+            .into_iter()
+            .map(|wire| {
+                let parked = PeerExecutor::new(&wire, RetryPolicy::default()).park();
+                Rank { wire, parked, outcome: Ok(()) }
+            })
+            .collect();
+        let pool = CorePool::new(ids.len());
+        RankSet { ids, ranks, pool }
     }
 }
 
@@ -138,7 +158,7 @@ impl RankSet {
 /// mesh, its payload buffers and the per-rank executors carry over from
 /// call to call.
 ///
-/// Verification happens *before* any rank thread spawns. In debug
+/// Verification happens *before* any rank body runs. In debug
 /// builds every schedule this context has not executed before goes
 /// through the full static verifier (structural + determinism +
 /// happens-before); the set of already-verified schedule fingerprints
@@ -256,7 +276,8 @@ impl ExecContext {
                 RankSet::new(call.rank_ids.map_or_else(|| (0..n).collect(), <[usize]>::to_vec))
             });
             assert_eq!(set.ids.len(), n, "need one original rank id per schedule rank");
-            let sent = |set: &RankSet| set.peers.iter().map(|p| p.stats.data_bytes).sum::<u64>();
+            let sent =
+                |set: &RankSet| set.ranks.iter().map(|r| r.parked.stats.data_bytes).sum::<u64>();
             let before = sent(&set);
             let outcome = run_ranks(&mut set, schedule, buffers, op, &call);
             self.wire_bytes.fetch_add(sent(&set) - before, Ordering::Relaxed); // lint: allow(relaxed): byte statistic; the rank threads that moved the bytes are joined
@@ -287,8 +308,8 @@ impl ExecContext {
     /// [`ExecContext::run`] with per-rank trace lanes: each rank thread
     /// records a SEND span per payload pushed and a RECV span per
     /// blocking receive (wait + reduce) into `trace`'s lane for its
-    /// rank index. Lane lookup happens as the threads spawn; recording
-    /// is the no-alloc ring write.
+    /// rank index. Lane lookup happens as each rank body starts;
+    /// recording is the no-alloc ring write.
     pub fn run_traced(
         &self,
         schedule: &Schedule,

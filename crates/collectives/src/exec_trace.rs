@@ -2,11 +2,11 @@
 //!
 //! An [`ExecTrace`] maps rank ids onto [`trace::Lane`] handles of one
 //! shared [`trace::TraceRecorder`] — rank → Chrome `pid`, executor
-//! thread → `tid` — so every rank thread
-//! [`exec_thread`](crate::exec_thread) spawns records its SEND/RECV/
+//! thread → `tid` — so every rank body
+//! [`exec_thread`](crate::exec_thread) runs records its SEND/RECV/
 //! RETRY spans into its own row of the combined trace. Lane lookup
-//! happens once per rank thread at spawn; recording afterwards is the
-//! recorder's no-alloc ring write.
+//! happens once per rank body as it starts; recording afterwards is
+//! the recorder's no-alloc ring write.
 //!
 //! The map is keyed by the rank ids a run addresses its ranks by:
 //! `0..n` for a plain [`ExecContext`](crate::exec_thread::ExecContext)

@@ -49,6 +49,7 @@ pub mod exec_thread;
 pub mod exec_trace;
 pub mod hierarchical;
 pub mod pipeline;
+pub mod pool;
 pub mod rabenseifner;
 pub mod rd;
 pub mod reduce;

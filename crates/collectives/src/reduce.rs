@@ -1,10 +1,12 @@
 //! Element-wise reduction kernels.
 //!
-//! Large segments go through rayon so the real threaded executor's
-//! reduction step parallelizes inside a rank, mirroring how a GPU
-//! library reduces fused buffers with many threads.
+//! Large segments fan out over the shared core pool
+//! ([`pool::for_each_chunk_mut`]) so the reduction step parallelizes
+//! inside a rank, mirroring how a GPU library reduces fused buffers
+//! with many threads; a rank that finds the pool busy — its peer rank
+//! threads are reducing too — runs the same chunks serially.
 
-use rayon::prelude::*;
+use crate::pool;
 
 /// Reduction applied by an allreduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,7 +18,8 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Below this many elements the serial loop beats rayon's dispatch cost.
+/// Below this many elements the serial loop beats the pool's wake-up
+/// and join cost.
 const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Chunk width of the parallel paths: big enough to amortize thread
@@ -188,9 +191,9 @@ fn scale_chunk(buf: &mut [f32], scale: f32) {
 pub fn combine_sum(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "segment length mismatch");
     if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(src.par_chunks(PAR_CHUNK))
-            .for_each(|(d, s)| sum_chunk(d, s));
+        pool::for_each_chunk_mut(dst, PAR_CHUNK, |c, d| {
+            sum_chunk(d, &src[c * PAR_CHUNK..][..d.len()])
+        });
     } else {
         sum_chunk(dst, src);
     }
@@ -202,9 +205,9 @@ pub fn combine_sum(dst: &mut [f32], src: &[f32]) {
 pub fn combine_max(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "segment length mismatch");
     if dst.len() >= PAR_THRESHOLD {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(src.par_chunks(PAR_CHUNK))
-            .for_each(|(d, s)| max_chunk(d, s));
+        pool::for_each_chunk_mut(dst, PAR_CHUNK, |c, d| {
+            max_chunk(d, &src[c * PAR_CHUNK..][..d.len()])
+        });
     } else {
         max_chunk(dst, src);
     }
@@ -228,7 +231,7 @@ pub fn finalize(op: ReduceOp, buf: &mut [f32], n_ranks: usize) {
     if op == ReduceOp::Average {
         let inv = 1.0 / n_ranks as f32;
         if buf.len() >= PAR_THRESHOLD {
-            buf.par_chunks_mut(PAR_CHUNK).for_each(|c| scale_chunk(c, inv));
+            pool::for_each_chunk_mut(buf, PAR_CHUNK, |_, c| scale_chunk(c, inv));
         } else {
             scale_chunk(buf, inv);
         }

@@ -1,13 +1,14 @@
 //! Counting-allocator proof for the threaded executor: once an
-//! [`ExecContext`] is warm, nothing on its per-call path scales with
-//! the payload. The mesh's channels, the wire's payload pool, each
-//! rank's queues, resend buffers and codec scratch are all parked in
-//! the context between calls; what a call still allocates — the rank
-//! threads it spawns, their outcome slots — is the same whether it
-//! moves 4 KiB or 1 MiB, with or without a codec.
+//! [`ExecContext`] is warm, running the schedule allocates nothing. The
+//! mesh's channels, the wire's payload pool, each rank's queues, resend
+//! buffers, codec scratch and outcome slot — and the pool threads the
+//! rank bodies run on — are all parked in the context between calls,
+//! whether a call moves 4 KiB or 1 MiB, with or without a codec. What a
+//! call still allocates is its pre-flight check: release builds re-run
+//! the structural verifier on a fresh IR of the schedule every call
+//! (debug builds memoize the verdict), and the test bills exactly that.
 //!
-//! Same method as `socket_zero_alloc.rs`, counting bytes instead of
-//! events, since "the same" rather than "none" is the claim.
+//! Same method as `socket_zero_alloc.rs`, counting bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,15 +38,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Nine ranks keep a 2^18-element ring's segments (29 127 or 29 128
-/// elements) under the reduction kernel's parallel threshold: the
-/// helper threads that kernel spawns for larger segments are its own
-/// business, not the executor's.
-const RANKS: usize = 9;
+const RANKS: usize = 4;
 const WARMUP: usize = 5;
 const MEASURED: usize = 20;
 
-/// Bytes one warm call allocates: the minimum over [`MEASURED`] calls.
+fn bytes_allocated(f: impl FnOnce()) -> usize {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    f();
+    ALLOC_BYTES.load(Ordering::Relaxed) - before
+}
+
+/// Bytes one warm call allocates beyond its pre-flight check: the
+/// minimum over [`MEASURED`] calls.
 /// Anything the call path itself allocates recurs in every call and
 /// survives the minimum; what does not recur is excluded — a channel
 /// growing its queue by a block every few dozen frames, and the pools'
@@ -57,25 +61,28 @@ fn warm_call_bytes(n_elems: usize, codec: CodecKind) -> usize {
     let ctx = ExecContext::for_schedule(&schedule).expect("ring schedule verifies");
     let mut bufs: Vec<Vec<f32>> = (0..RANKS).map(|r| vec![r as f32 + 0.5; n_elems]).collect();
     let mut call = || {
-        let before = ALLOC_BYTES.load(Ordering::Relaxed);
-        ctx.allreduce_compressed(&schedule, &mut bufs, ReduceOp::Sum, codec).expect("allreduce");
-        ALLOC_BYTES.load(Ordering::Relaxed) - before
+        bytes_allocated(|| {
+            ctx.allreduce_compressed(&schedule, &mut bufs, ReduceOp::Sum, codec)
+                .expect("allreduce");
+        })
     };
     for _ in 0..WARMUP {
         call();
     }
-    (0..MEASURED).map(|_| call()).min().unwrap_or(0)
+    let preflight = if cfg!(debug_assertions) {
+        0
+    } else {
+        bytes_allocated(|| assert!(verifier::verify_structural(&schedule.to_ir()).is_empty()))
+    };
+    (0..MEASURED).map(|_| call()).min().unwrap_or(0) - preflight
 }
 
 #[test]
-fn warm_calls_allocate_the_same_bytes_whatever_the_payload() {
+fn warm_calls_allocate_nothing_whatever_the_payload() {
     for codec in [CodecKind::None, CodecKind::Int8] {
-        let small = warm_call_bytes(1 << 10, codec);
-        let large = warm_call_bytes(1 << 18, codec);
-        assert_eq!(
-            small, large,
-            "{codec}: a warm call allocated {small} B at 2^10 elements but {large} B at 2^18; \
-             something on the per-call path scales with the payload"
-        );
+        for n_elems in [1 << 10, 1 << 18] {
+            let bytes = warm_call_bytes(n_elems, codec);
+            assert_eq!(bytes, 0, "{codec}: a warm call allocated {bytes} B at {n_elems} elements");
+        }
     }
 }

@@ -19,10 +19,10 @@
 //! * `RangeQueue` claims and the tile completion counters are AcqRel
 //!   RMW chains → [`SyncKind::AcqRel`] on a sync object per queue word
 //!   / per counter.
-//! * `CorePool::run`'s publish (Release stores + unpark) and the
-//!   helpers' generation load → [`SyncKind::Release`] by the submitter,
-//!   [`SyncKind::Acquire`] by each helper, on one sync object per pool
-//!   phase direction.
+//! * `collectives::pool::CorePool::run`'s publish (Release stores +
+//!   unpark) and the helpers' generation load →
+//!   [`SyncKind::Release`] by the submitter, [`SyncKind::Acquire`] by
+//!   each helper, on one sync object per pool phase direction.
 //! * Gradient tile payloads and the weight buffers are the *data*
 //!   whose accesses `on_read`/`on_write` track.
 

@@ -6,7 +6,6 @@ pub mod checkpoint;
 pub mod miou;
 pub mod net;
 pub mod pipeline;
-pub mod pool;
 pub mod segdata;
 pub mod sgd;
 pub mod train;

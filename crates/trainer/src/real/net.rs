@@ -34,8 +34,8 @@
 
 use std::ops::Range;
 
+use collectives::pool;
 use rand::Rng;
-use rayon::prelude::*;
 use summit_metrics::rng::rng_for;
 
 use super::segdata::Sample;
@@ -1141,18 +1141,10 @@ impl Workspace {
     }
 }
 
-/// Balanced contiguous chunk `c` of `n` chunks over `len` items (the
-/// same partition the rayon shim uses, so slot work matches threads).
-pub(crate) fn chunk_range(len: usize, n: usize, c: usize) -> Range<usize> {
-    let base = len / n;
-    let rem = len % n;
-    let start = c * base + c.min(rem);
-    start..start + base + usize::from(c < rem)
-}
-
-/// Per-thread state for [`SegNet::batch_loss_grad_ws`]: one
-/// ([`Workspace`], gradient accumulator) slot per worker thread, plus
-/// the combined mean gradient. Construct once, reuse every step.
+/// Per-lane state for [`SegNet::batch_loss_grad_ws`]: one
+/// ([`Workspace`], gradient accumulator) slot per lane of the shared
+/// core pool, plus the combined mean gradient. Construct once, reuse
+/// every step.
 #[derive(Debug)]
 pub struct BatchWorkspace {
     slots: Vec<Slot>,
@@ -1170,7 +1162,7 @@ struct Slot {
 impl BatchWorkspace {
     pub fn new(cfg: &NetConfig) -> Self {
         let n_params = cfg.n_params();
-        let slots = (0..rayon::current_num_threads())
+        let slots = (0..pool::lanes())
             .map(|_| Slot { ws: Workspace::new(cfg), grad: vec![0.0; n_params], loss: 0.0 })
             .collect();
         BatchWorkspace { slots, grad: vec![0.0; n_params] }
@@ -1550,18 +1542,19 @@ impl SegNet {
     }
 
     /// Mean loss and gradient over a batch, written into `bw.grad`.
-    /// Zero heap allocations after `bw` is constructed: each thread
-    /// slot folds its contiguous shard of the batch into its own
-    /// workspace and accumulator, and the partials combine in fixed
-    /// slot order (deterministic for a given thread count).
+    /// Zero heap allocations after `bw` is constructed: each slot folds
+    /// its contiguous shard of the batch into its own workspace and
+    /// accumulator — on a pool lane, or one after the other when this
+    /// call is itself inside a fan-out — and the partials combine in
+    /// fixed slot order (deterministic for a given lane count).
     // lint: hot-path
     pub fn batch_loss_grad_ws(&self, batch: &[Sample], bw: &mut BatchWorkspace) -> f64 {
         assert!(!batch.is_empty());
         let n = bw.slots.len().min(batch.len());
-        bw.slots[..n].par_iter_mut().enumerate().for_each(|(c, slot)| {
+        pool::for_each_mut(&mut bw.slots[..n], |c, slot| {
             slot.loss = 0.0;
             slot.grad.fill(0.0);
-            for s in &batch[chunk_range(batch.len(), n, c)] {
+            for s in &batch[pool::chunk_range(batch.len(), n, c)] {
                 slot.loss += self.loss_grad_acc(s, &mut slot.ws, &mut slot.grad);
             }
         });
@@ -1768,22 +1761,5 @@ mod tests {
         let cfg = tiny_cfg();
         assert_eq!(SegNet::new(cfg, 3).params(), SegNet::new(cfg, 3).params());
         assert_ne!(SegNet::new(cfg, 3).params(), SegNet::new(cfg, 4).params());
-    }
-
-    #[test]
-    fn chunk_range_partitions() {
-        for len in [1usize, 2, 7, 16] {
-            for n in 1..=4usize.min(len) {
-                let mut covered = 0;
-                let mut prev = 0;
-                for c in 0..n {
-                    let r = chunk_range(len, n, c);
-                    assert_eq!(r.start, prev);
-                    prev = r.end;
-                    covered += r.len();
-                }
-                assert_eq!(covered, len);
-            }
-        }
     }
 }

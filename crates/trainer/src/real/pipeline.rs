@@ -53,12 +53,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use collectives::compression::{self, CodecKind, EncodeScratch};
+use collectives::pool::{chunk_range, CorePool, RangeQueue};
 use collectives::reduce::{combine_sum, finalize, ReduceOp};
 use simd::fp16;
 use trace::{Lane, TraceRecorder};
 
-use super::net::{chunk_range, NetConfig, SegNet, Workspace};
-use super::pool::{CorePool, RangeQueue};
+use super::net::{NetConfig, SegNet, Workspace};
 use super::segdata::Sample;
 use super::sgd::MomentumSgd;
 

@@ -14,11 +14,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use collectives::compression::{self, CodecKind, EncodeScratch, ErrorFeedback};
+use collectives::pool;
 use collectives::{
     Algorithm, ElasticAllreduce, ElasticError, ExecTrace, FaultSession, ReduceOp, Violation,
 };
 use faults::{FaultEvent, FaultPlan, RetryPolicy};
-use rayon::prelude::*;
 use summit_metrics::rng::derive_seed;
 use summit_metrics::FaultCounterSnapshot;
 use trace::{Lane, TraceSession};
@@ -249,23 +249,21 @@ pub struct TrainResult {
 /// training data by construction).
 pub fn evaluate(net: &SegNet, data: &DataConfig, seed: u64, n: usize) -> Confusion {
     let eval_seed = derive_seed(seed, "eval");
-
-    (0..n as u64)
-        .into_par_iter()
-        .map(|i| {
-            let s = generate(data, eval_seed, i);
-            let pred = net.predict(&s.pixels);
-            let mut c = Confusion::new(data.n_classes);
-            c.add(&s.labels, &pred);
-            c
-        })
-        .reduce(
-            || Confusion::new(data.n_classes),
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        )
+    // One partial per lane; the counts are integers, so the merge order
+    // does not matter.
+    let k = pool::lanes().min(n).max(1);
+    let mut partials = vec![Confusion::new(data.n_classes); k];
+    pool::for_each_mut(&mut partials, |c, partial| {
+        for i in pool::chunk_range(n, k, c) {
+            let s = generate(data, eval_seed, i as u64);
+            partial.add(&s.labels, &net.predict(&s.pixels));
+        }
+    });
+    let mut total = Confusion::new(data.n_classes);
+    for partial in &partials {
+        total.merge(partial);
+    }
+    total
 }
 
 /// Run data-parallel training per `cfg`, panicking on infrastructure
@@ -437,7 +435,7 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             workers.len(),
             cfg.batch_per_worker,
             cfg.accumulation_steps,
-            rayon::current_num_threads(),
+            pool::lanes(),
         );
         if let Some(ts) = &cfg.trace {
             ex.attach_trace(&ts.recorder);
@@ -482,10 +480,12 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
             }
             step_losses.push(last_loss);
         } else {
-            // Gradient computation: one rayon task per worker; per-sample
-            // work inside fans out further on the same pool. Each worker
-            // accumulates straight into its persistent allreduce buffer.
-            workers.par_iter_mut().zip(grads.par_iter_mut()).for_each(|(state, acc)| {
+            // Gradient computation: workers fan out over the shared core
+            // pool; with more than one worker the per-sample fan-out
+            // inside each finds the pool busy and folds its slots in
+            // line. Each worker accumulates straight into its persistent
+            // allreduce buffer.
+            pool::for_each_zip_mut(&mut workers, &mut grads, |_, state, acc| {
                 let t0 = state.lane.as_ref().map(Lane::now_us);
                 state.loss =
                     local_mean_gradient(cfg, state.id, step, &state.net, &mut state.bw, acc);
@@ -536,9 +536,9 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
                 debug_assert_eq!(workers.len(), grads.len());
             }
 
-            workers.par_iter_mut().zip(grads.par_iter()).for_each(|(state, grad)| {
+            pool::for_each_mut(&mut workers, |w, state| {
                 let t0 = state.lane.as_ref().map(Lane::now_us);
-                state.opt.apply(state.net.params_mut(), grad);
+                state.opt.apply(state.net.params_mut(), &grads[w]);
                 if let (Some(l), Some(t0)) = (state.lane.as_ref(), t0) {
                     l.record_args("OPTIMIZER", "apply", t0, l.now_us() - t0, step as u64, 0);
                 }

@@ -1,12 +1,13 @@
-//! DPOR model checking of the pipelined executor's three lock-free
-//! protocols (`trainer::real::{pool, pipeline}`), via the vendored
-//! `interleave` checker's relaxed-memory machine.
+//! DPOR model checking of the three lock-free protocols under the
+//! fan-outs (`collectives::pool`, `trainer::real::pipeline`), via the
+//! vendored `interleave` checker's relaxed-memory machine.
 //!
 //! Each protocol is modeled over [`interleave::Mem`] with the *exact*
 //! orderings the real code uses, so the unmutated checks certify those
 //! orderings are sufficient, and seeded mutants (dropped fence,
 //! Relaxed-ified CAS/RMW, off-by-one counter, torn CAS, lost unpark,
-//! panic-mid-phase) must each be refuted with a replayable trace:
+//! panic-mid-phase, unguarded second submitter) must each be refuted
+//! with a replayable trace:
 //!
 //! 1. [`QueueModel`] — `RangeQueue` (`pool.rs`): owner `pop_front` vs
 //!    two thieves `steal_back` racing CAS on the packed
@@ -19,7 +20,11 @@
 //!    window (a worker observes a stale generation and heads to park
 //!    while the submitter publishes) and the panic-mid-phase window (a
 //!    worker panics after reading the job; the real code still
-//!    decrements `remaining`).
+//!    decrements `remaining`). A second submitter models the shared
+//!    pool: behind the `try_lock` of `pool::fan_out` the handshake
+//!    verifies for both (the loser runs inline); with the lock removed
+//!    — what a `run(&self)` on a shared pool allowed — a helper runs a
+//!    job outside its submitter's borrow.
 //! 3. [`TileModel`] — the pipelined `reduce_tile` completion-counter
 //!    drain (`pipeline.rs`): workers publish partials with plain writes
 //!    ordered only by the counter's `fetch_sub(AcqRel)` chain; the
@@ -327,9 +332,36 @@ fn range_queue_steal_off_by_one_mutant_refuted() {
 const JOB: Loc = 0;
 const REM: Loc = 1;
 const GEN: Loc = 2;
-/// Parking-lot ids (not memory locations).
-const SUB_LOT: Loc = 100;
-const JOB_VAL: u64 = 42;
+/// The shared pool's mutex as `try_lock` sees it (0 free, 1 held).
+const LOCK: Loc = 3;
+/// `Shared::submitter`: whom the last decrementer unparks. A mutex
+/// guards it in the real code, hence SeqCst here.
+const SLOT: Loc = 4;
+
+const N_WORKERS: usize = 2;
+const MAX_SUBMITTERS: usize = 2;
+
+// Submitter program counters.
+const S_LOCK: u8 = 0;
+const S_SLOT: u8 = 1;
+const S_JOB: u8 = 2;
+const S_REM: u8 = 3;
+const S_GEN: u8 = 4;
+/// `S_UNPARK + w` unparks helper `w`.
+const S_UNPARK: u8 = 5;
+const S_WAIT: u8 = S_UNPARK + N_WORKERS as u8;
+const S_PARK: u8 = S_WAIT + 1;
+const S_UNLOCK: u8 = S_PARK + 1;
+const S_DONE: u8 = S_UNLOCK + 1;
+
+// Helper program counters.
+const W_GEN: u8 = 0;
+const W_PARK: u8 = 1;
+const W_JOB: u8 = 2;
+const W_RUN: u8 = 3;
+const W_DEC: u8 = 4;
+const W_SLOT: u8 = 5;
+const W_UNPARK: u8 = 6;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PoolBug {
@@ -344,48 +376,73 @@ enum PoolBug {
     /// A panicking worker skips the `remaining` decrement (the real
     /// code decrements after `catch_unwind`).
     PanicSkipsDecrement,
+    /// Two submitters publish without taking the pool's lock first —
+    /// what `CorePool::run(&self)` on a shared pool allowed: job, slot
+    /// and `remaining` of one overwrite the other's.
+    BothPublish,
 }
 
-/// `CorePool::run` + `helper_loop` for one job: submitter (thread 0)
-/// publishes job/remaining/generation with Release stores, unparks both
-/// helpers, and waits for `remaining == 0` (Acquire) parking in
-/// between; helpers (threads 1..=2) spin-or-park on the generation,
-/// read the job, and decrement `remaining` with AcqRel, unparking the
-/// submitter on the final decrement.
+/// `CorePool::run` + `helper_loop`: each submitter registers itself in
+/// the submitter slot, publishes job/remaining/generation with Release
+/// stores, unparks both helpers, and waits for `remaining == 0`
+/// (Acquire) parking in between; helpers spin-or-park on the
+/// generation, read the job, and decrement `remaining` with AcqRel,
+/// unparking whoever the slot names on the final decrement, then go
+/// back for the next generation.
+///
+/// With one submitter this is an exclusive pool (`run(&mut self)`, no
+/// lock). With two it is the shared pool behind `pool::fan_out`: each
+/// must win a `try_lock` before it may publish, and the loser runs its
+/// job inline — no further steps here.
 struct PoolModel {
     bug: PoolBug,
     /// Worker index (0-based) that panics mid-job, if any.
     panic_in: Option<usize>,
+    submitters: usize,
 }
-
-const N_WORKERS: usize = 2;
 
 #[derive(Clone, Hash, PartialEq, Eq, Debug)]
 struct PoolState {
     mem: Mem,
-    /// 0 store job, 1 store rem, 2 bump gen, 3..4 unpark helpers,
-    /// 5 load rem, 6 park, 7 done.
-    sub_pc: u8,
-    /// 0 load gen, 1 park, 2 load job, 3 run, 4 decrement, 5 unpark
-    /// submitter, 6 done.
+    sub_pc: [u8; MAX_SUBMITTERS],
     w_pc: [u8; N_WORKERS],
+    /// Last generation each helper ran.
+    w_seen: [u64; N_WORKERS],
     seen_job: [u64; N_WORKERS],
-    /// Park tokens (std's `unpark` token semantics).
+    /// Submitter each helper read out of the slot.
+    seen_slot: [usize; N_WORKERS],
+    /// Park tokens (std's `unpark` token semantics) and which submitter
+    /// issued each (for the HB transfer).
     token: [bool; N_WORKERS],
-    sub_token: bool,
-    /// Which worker issued the submitter's token (for the HB transfer).
-    sub_token_from: usize,
+    token_from: [usize; N_WORKERS],
+    sub_token: [bool; MAX_SUBMITTERS],
+    /// Which worker issued the submitter's token.
+    sub_token_from: [usize; MAX_SUBMITTERS],
     panicked: bool,
     underflow: bool,
 }
 
 impl PoolModel {
+    /// Thread ids: submitter 0, the helpers, then submitter 1.
+    fn stid(s: usize) -> usize {
+        s * (1 + N_WORKERS)
+    }
+
     fn wtid(w: usize) -> usize {
         w + 1
     }
 
+    fn sub_lot(s: usize) -> Loc {
+        100 + s as Loc
+    }
+
     fn lot(w: usize) -> Loc {
-        101 + w as Loc
+        110 + w as Loc
+    }
+
+    /// The job "pointer" submitter `s` publishes.
+    fn job_val(s: usize) -> u64 {
+        42 + s as u64
     }
 }
 
@@ -393,28 +450,36 @@ impl NdModel for PoolModel {
     type State = PoolState;
 
     fn initial(&self) -> PoolState {
+        // An exclusive pool has no lock to take; a submitter that does
+        // not exist has nothing to do.
+        let first = if self.submitters == 1 { S_SLOT } else { S_LOCK };
+        let mut sub_pc = [S_DONE; MAX_SUBMITTERS];
+        sub_pc[..self.submitters].fill(first);
         PoolState {
-            mem: Mem::new(1 + N_WORKERS, &[0, 0, 0]),
-            sub_pc: 0,
-            w_pc: [0; N_WORKERS],
+            mem: Mem::new(self.n_threads(), &[0; 5]),
+            sub_pc,
+            w_pc: [W_GEN; N_WORKERS],
+            w_seen: [0; N_WORKERS],
             seen_job: [0; N_WORKERS],
+            seen_slot: [0; N_WORKERS],
             token: [false; N_WORKERS],
-            sub_token: false,
-            sub_token_from: 0,
+            token_from: [0; N_WORKERS],
+            sub_token: [false; MAX_SUBMITTERS],
+            sub_token_from: [0; MAX_SUBMITTERS],
             panicked: false,
             underflow: false,
         }
     }
 
     fn n_threads(&self) -> usize {
-        1 + N_WORKERS
+        self.submitters + N_WORKERS
     }
 
     fn steps(&self, s: &PoolState, tid: usize) -> Steps<PoolState> {
-        if tid == 0 {
-            return self.submitter_steps(s);
+        match tid.checked_sub(1) {
+            Some(w) if w < N_WORKERS => self.worker_steps(s, w),
+            _ => self.submitter_steps(s, tid / (1 + N_WORKERS)),
         }
-        self.worker_steps(s, tid - 1)
     }
 
     fn invariant(&self, s: &PoolState) -> Result<(), String> {
@@ -422,14 +487,27 @@ impl NdModel for PoolModel {
             return Err("remaining underflowed below zero".into());
         }
         for w in 0..N_WORKERS {
-            if s.w_pc[w] >= 3 && s.seen_job[w] != JOB_VAL {
+            if s.w_pc[w] != W_RUN {
+                continue;
+            }
+            let job = s.seen_job[w];
+            let Some(owner) = (0..self.submitters).find(|&o| PoolModel::job_val(o) == job) else {
+                return Err(format!("worker {w} ran with a stale job pointer ({job})"));
+            };
+            // The job borrows its submitter's stack frame: it may only
+            // run between that submitter's publish and the end of its
+            // wait.
+            if !(S_UNPARK..=S_PARK).contains(&s.sub_pc[owner]) {
                 return Err(format!(
-                    "worker {w} ran with a stale job pointer ({} != {JOB_VAL})",
-                    s.seen_job[w]
+                    "worker {w} ran submitter {owner}'s job while it was not waiting on it \
+                     (pc {}): use outside the borrow",
+                    s.sub_pc[owner]
                 ));
             }
         }
-        if s.sub_pc == 7 && s.w_pc.iter().all(|&pc| pc == 6) && s.mem.peek(REM) != 0 {
+        let finished = s.sub_pc.iter().all(|&pc| pc == S_DONE)
+            && s.w_pc.iter().zip(&s.token).all(|(&pc, &token)| pc == W_PARK && !token);
+        if finished && s.mem.peek(REM) != 0 {
             return Err(format!("handshake completed with remaining = {}", s.mem.peek(REM)));
         }
         Ok(())
@@ -437,151 +515,204 @@ impl NdModel for PoolModel {
 }
 
 impl PoolModel {
-    fn submitter_steps(&self, s: &PoolState) -> Steps<PoolState> {
-        let tid = 0;
-        match s.sub_pc {
-            0 => {
-                let mut st = s.clone();
-                st.mem = s.mem.store(tid, JOB, JOB_VAL, MemOrd::Release);
-                st.sub_pc = 1;
-                Steps::Ready(vec![(Op::Write(JOB), st)])
+    fn submitter_steps(&self, s: &PoolState, sub: usize) -> Steps<PoolState> {
+        let tid = PoolModel::stid(sub);
+        let mut st = s.clone();
+        let op = match s.sub_pc[sub] {
+            S_LOCK if self.bug == PoolBug::BothPublish => {
+                st.sub_pc[sub] = S_SLOT;
+                Op::Local
             }
-            1 => {
-                let mut st = s.clone();
+            S_LOCK => {
+                let (won, mem) = s.mem.cas(tid, LOCK, 0, 1, MemOrd::Acquire, MemOrd::Relaxed);
+                st.mem = mem;
+                // Busy pool: the job runs inline on this thread.
+                st.sub_pc[sub] = if won.is_ok() { S_SLOT } else { S_DONE };
+                if won.is_ok() {
+                    Op::CasOk(LOCK)
+                } else {
+                    Op::CasFail(LOCK)
+                }
+            }
+            S_SLOT => {
+                st.mem = s.mem.store(tid, SLOT, sub as u64, MemOrd::SeqCst);
+                st.sub_pc[sub] = S_JOB;
+                Op::Write(SLOT)
+            }
+            S_JOB => {
+                st.mem = s.mem.store(tid, JOB, PoolModel::job_val(sub), MemOrd::Release);
+                st.sub_pc[sub] = S_REM;
+                Op::Write(JOB)
+            }
+            S_REM => {
                 st.mem = s.mem.store(tid, REM, N_WORKERS as u64, MemOrd::Release);
-                st.sub_pc = 2;
-                Steps::Ready(vec![(Op::Write(REM), st)])
+                st.sub_pc[sub] = S_GEN;
+                Op::Write(REM)
             }
-            2 => {
+            S_GEN => {
                 let ord = if self.bug == PoolBug::DroppedGenFence {
                     MemOrd::Relaxed
                 } else {
                     MemOrd::Release
                 };
                 let (_, mem) = s.mem.rmw(tid, GEN, ord, |v| v + 1);
-                let mut st = s.clone();
                 st.mem = mem;
-                st.sub_pc = 3;
-                Steps::Ready(vec![(Op::CasOk(GEN), st)])
+                st.sub_pc[sub] = S_UNPARK;
+                Op::CasOk(GEN)
             }
-            pc @ (3 | 4) => {
-                let w = pc as usize - 3;
-                let mut st = s.clone();
+            pc if (S_UNPARK..S_WAIT).contains(&pc) => {
+                let w = (pc - S_UNPARK) as usize;
                 // The real code unparks every helper unconditionally;
                 // the LostUnpark mutant "optimizes" by only unparking
                 // helpers it observes as already parked.
-                let skip = self.bug == PoolBug::LostUnpark && s.w_pc[w] != 1;
+                let skip = self.bug == PoolBug::LostUnpark && s.w_pc[w] != W_PARK;
                 if !skip {
                     st.token[w] = true;
+                    st.token_from[w] = sub;
                 }
-                st.sub_pc = pc + 1;
-                Steps::Ready(vec![(Op::Unpark(PoolModel::lot(w)), st)])
+                st.sub_pc[sub] = pc + 1;
+                Op::Unpark(PoolModel::lot(w))
             }
-            5 => Steps::Ready(
-                s.mem
-                    .load(tid, REM, MemOrd::Acquire)
-                    .into_iter()
-                    .map(|(v, mem)| {
-                        let mut st = s.clone();
-                        st.mem = mem;
-                        st.sub_pc = if v == 0 { 7 } else { 6 };
-                        (Op::Read(REM), st)
-                    })
-                    .collect(),
-            ),
-            6 => {
-                if !s.sub_token {
+            S_WAIT => {
+                let after_wait = if self.submitters == 1 { S_DONE } else { S_UNLOCK };
+                return Steps::Ready(
+                    s.mem
+                        .load(tid, REM, MemOrd::Acquire)
+                        .into_iter()
+                        .map(|(v, mem)| {
+                            let mut st = s.clone();
+                            st.mem = mem;
+                            st.sub_pc[sub] = if v == 0 { after_wait } else { S_PARK };
+                            (Op::Read(REM), st)
+                        })
+                        .collect(),
+                );
+            }
+            S_PARK => {
+                if !s.sub_token[sub] {
                     return Steps::Blocked;
                 }
-                let mut st = s.clone();
-                st.sub_token = false;
+                st.sub_token[sub] = false;
                 // park() returned because of unpark(): join the
                 // unparker's view (std guarantees this edge).
-                st.mem = s.mem.transfer(PoolModel::wtid(s.sub_token_from), 0);
-                st.sub_pc = 5;
-                Steps::Ready(vec![(Op::Park(SUB_LOT), st)])
+                st.mem = s.mem.transfer(PoolModel::wtid(s.sub_token_from[sub]), tid);
+                st.sub_pc[sub] = S_WAIT;
+                Op::Park(PoolModel::sub_lot(sub))
             }
-            _ => Steps::Done,
-        }
+            S_UNLOCK if self.bug == PoolBug::BothPublish => {
+                st.sub_pc[sub] = S_DONE;
+                Op::Local
+            }
+            S_UNLOCK => {
+                st.mem = s.mem.store(tid, LOCK, 0, MemOrd::Release);
+                st.sub_pc[sub] = S_DONE;
+                Op::Write(LOCK)
+            }
+            _ => return Steps::Done,
+        };
+        Steps::Ready(vec![(op, st)])
     }
 
     fn worker_steps(&self, s: &PoolState, w: usize) -> Steps<PoolState> {
         let tid = PoolModel::wtid(w);
-        match s.w_pc[w] {
-            0 => Steps::Ready(
-                s.mem
-                    .load(tid, GEN, MemOrd::Acquire)
-                    .into_iter()
-                    .map(|(v, mem)| {
-                        let mut st = s.clone();
-                        st.mem = mem;
-                        // gen == seen (0): nothing published yet from
-                        // this helper's point of view — head to park.
-                        st.w_pc[w] = if v == 0 { 1 } else { 2 };
-                        (Op::Read(GEN), st)
-                    })
-                    .collect(),
-            ),
-            1 => {
-                if !s.token[w] {
-                    return Steps::Blocked;
-                }
-                let mut st = s.clone();
-                st.token[w] = false;
-                st.mem = s.mem.transfer(0, tid);
-                st.w_pc[w] = 0;
-                Steps::Ready(vec![(Op::Park(PoolModel::lot(w)), st)])
+        let mut st = s.clone();
+        let op = match s.w_pc[w] {
+            W_GEN => {
+                return Steps::Ready(
+                    s.mem
+                        .load(tid, GEN, MemOrd::Acquire)
+                        .into_iter()
+                        .map(|(v, mem)| {
+                            let mut st = s.clone();
+                            st.mem = mem;
+                            // gen == seen: nothing new published from
+                            // this helper's point of view — head to park.
+                            st.w_pc[w] = if v == s.w_seen[w] { W_PARK } else { W_JOB };
+                            st.w_seen[w] = v;
+                            (Op::Read(GEN), st)
+                        })
+                        .collect(),
+                );
             }
-            2 => Steps::Ready(
-                s.mem
-                    .load(tid, JOB, MemOrd::Acquire)
-                    .into_iter()
-                    .map(|(v, mem)| {
-                        let mut st = s.clone();
-                        st.mem = mem;
-                        st.seen_job[w] = v;
-                        st.w_pc[w] = 3;
-                        (Op::Read(JOB), st)
-                    })
-                    .collect(),
-            ),
-            3 => {
-                let mut st = s.clone();
+            W_PARK => {
+                if !s.token[w] {
+                    // Parked for good once nobody is left to submit.
+                    let idle = s.sub_pc.iter().all(|&pc| pc == S_DONE);
+                    return if idle { Steps::Done } else { Steps::Blocked };
+                }
+                st.token[w] = false;
+                st.mem = s.mem.transfer(PoolModel::stid(s.token_from[w]), tid);
+                st.w_pc[w] = W_GEN;
+                Op::Park(PoolModel::lot(w))
+            }
+            W_JOB => {
+                return Steps::Ready(
+                    s.mem
+                        .load(tid, JOB, MemOrd::Acquire)
+                        .into_iter()
+                        .map(|(v, mem)| {
+                            let mut st = s.clone();
+                            st.mem = mem;
+                            st.seen_job[w] = v;
+                            st.w_pc[w] = W_RUN;
+                            (Op::Read(JOB), st)
+                        })
+                        .collect(),
+                );
+            }
+            W_RUN => {
+                st.w_pc[w] = W_DEC;
                 if self.panic_in == Some(w) {
                     st.panicked = true;
                     // The mutant forgets that a panicking job must
                     // still decrement `remaining`.
-                    st.w_pc[w] = if self.bug == PoolBug::PanicSkipsDecrement { 6 } else { 4 };
-                } else {
-                    st.w_pc[w] = 4;
+                    if self.bug == PoolBug::PanicSkipsDecrement {
+                        st.w_pc[w] = W_GEN;
+                    }
                 }
-                Steps::Ready(vec![(Op::Local, st)])
+                Op::Local
             }
-            4 => {
+            W_DEC => {
                 let (old, mem) = s.mem.rmw(tid, REM, MemOrd::AcqRel, |v| v.wrapping_sub(1));
-                let mut st = s.clone();
                 st.mem = mem;
                 if old == 0 {
                     st.underflow = true;
                 }
-                st.w_pc[w] = if old == 1 { 5 } else { 6 };
-                Steps::Ready(vec![(Op::CasOk(REM), st)])
+                st.w_pc[w] = if old == 1 { W_SLOT } else { W_GEN };
+                Op::CasOk(REM)
             }
-            5 => {
-                let mut st = s.clone();
-                st.sub_token = true;
-                st.sub_token_from = w;
-                st.w_pc[w] = 6;
-                Steps::Ready(vec![(Op::Unpark(SUB_LOT), st)])
+            W_SLOT => {
+                return Steps::Ready(
+                    s.mem
+                        .load(tid, SLOT, MemOrd::SeqCst)
+                        .into_iter()
+                        .map(|(v, mem)| {
+                            let mut st = s.clone();
+                            st.mem = mem;
+                            st.seen_slot[w] = v as usize;
+                            st.w_pc[w] = W_UNPARK;
+                            (Op::Read(SLOT), st)
+                        })
+                        .collect(),
+                );
             }
-            _ => Steps::Done,
-        }
+            W_UNPARK => {
+                let sub = s.seen_slot[w];
+                st.sub_token[sub] = true;
+                st.sub_token_from[sub] = w;
+                st.w_pc[w] = W_GEN;
+                Op::Unpark(PoolModel::sub_lot(sub))
+            }
+            _ => unreachable!("helpers loop"),
+        };
+        Steps::Ready(vec![(op, st)])
     }
 }
 
 #[test]
 fn core_pool_handshake_exhaustive_under_dpor() {
-    let r = check_dpor(&PoolModel { bug: PoolBug::None, panic_in: None }, DporOptions::default())
+    let m = PoolModel { bug: PoolBug::None, panic_in: None, submitters: 1 };
+    let r = check_dpor(&m, DporOptions::default())
         .unwrap_or_else(|v| panic!("CorePool handshake refuted: {v}"));
     assert!(r.complete);
     assert!(r.traces > 1, "park vs spin windows must both be explored ({r:?})");
@@ -591,15 +722,15 @@ fn core_pool_handshake_exhaustive_under_dpor() {
 fn core_pool_panic_mid_phase_window_still_drains() {
     // A worker panicking after reading the job: the real code
     // decrements anyway, so the handshake must still complete.
-    let r =
-        check_dpor(&PoolModel { bug: PoolBug::None, panic_in: Some(1) }, DporOptions::default())
-            .unwrap_or_else(|v| panic!("panic-mid-phase handling refuted: {v}"));
+    let m = PoolModel { bug: PoolBug::None, panic_in: Some(1), submitters: 1 };
+    let r = check_dpor(&m, DporOptions::default())
+        .unwrap_or_else(|v| panic!("panic-mid-phase handling refuted: {v}"));
     assert!(r.complete);
 }
 
 #[test]
 fn core_pool_dropped_gen_fence_mutant_refuted() {
-    let m = PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None };
+    let m = PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None, submitters: 1 };
     let v = check_dpor(&m, DporOptions::default()).expect_err("relaxed gen bump must leak");
     println!("dropped-fence counterexample: {v}");
     match &v {
@@ -614,7 +745,7 @@ fn core_pool_dropped_gen_fence_mutant_refuted() {
 
 #[test]
 fn core_pool_lost_unpark_mutant_deadlocks() {
-    let m = PoolModel { bug: PoolBug::LostUnpark, panic_in: None };
+    let m = PoolModel { bug: PoolBug::LostUnpark, panic_in: None, submitters: 1 };
     let v = check_dpor(&m, DporOptions::default()).expect_err("lost wakeup must wedge the pool");
     println!("lost-unpark counterexample: {v}");
     assert!(
@@ -625,10 +756,38 @@ fn core_pool_lost_unpark_mutant_deadlocks() {
 
 #[test]
 fn core_pool_panic_skips_decrement_mutant_deadlocks() {
-    let m = PoolModel { bug: PoolBug::PanicSkipsDecrement, panic_in: Some(0) };
+    let m = PoolModel { bug: PoolBug::PanicSkipsDecrement, panic_in: Some(0), submitters: 1 };
     let v = check_dpor(&m, DporOptions::default()).expect_err("skipped decrement must wedge");
     println!("panic-skips-decrement counterexample: {v}");
     assert!(matches!(v, NdVerdict::Deadlock { .. }), "got {v}");
+}
+
+#[test]
+fn shared_pool_two_submitters_behind_try_lock_verify() {
+    // Either one wins the lock and the other runs inline, or they take
+    // turns: both shapes must be explored and both must drain.
+    let m = PoolModel { bug: PoolBug::None, panic_in: None, submitters: 2 };
+    let r = check_dpor(&m, DporOptions::default())
+        .unwrap_or_else(|v| panic!("guarded shared pool refuted: {v}"));
+    println!("shared pool, two submitters: {r:?}");
+    assert!(r.complete);
+    assert!(r.traces > 1, "{r:?}");
+}
+
+#[test]
+fn shared_pool_both_publish_mutant_refuted() {
+    let m = PoolModel { bug: PoolBug::BothPublish, panic_in: None, submitters: 2 };
+    let v = check_dpor(&m, DporOptions::default())
+        .expect_err("two unguarded submitters must corrupt the handshake");
+    println!("both-publish counterexample: {v}");
+    match &v {
+        NdVerdict::InvariantViolated { trace, state, .. } => {
+            let states = replay_nd(&m, trace);
+            assert_eq!(states.last(), Some(state));
+        }
+        NdVerdict::Deadlock { .. } => {}
+        other => panic!("expected a violation or a wedge, got {other}"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -862,6 +1021,10 @@ fn preemption_bounded_fallback_still_refutes_every_mutant() {
         opts
     )
     .is_err());
-    assert!(check_dpor(&PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None }, opts).is_err());
+    assert!(check_dpor(
+        &PoolModel { bug: PoolBug::DroppedGenFence, panic_in: None, submitters: 1 },
+        opts
+    )
+    .is_err());
     assert!(check_dpor(&TileModel { bug: TileBug::RelaxedFetchSub }, opts).is_err());
 }

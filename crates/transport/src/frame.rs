@@ -327,74 +327,8 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Result<Fra
     }))
 }
 
-/// Incremental decoder: feed arbitrary byte chunks, pop complete
-/// frames. Framing errors are sticky per frame but not per stream — a
-/// frame that fails its CRC is reported once and skipped (the caller's
-/// reliability layer NACKs it), and decoding continues at the next
-/// length boundary. A length prefix outside bounds poisons the stream
-/// (byte alignment is lost for good).
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    at: usize,
-    poisoned: bool,
-}
-
-impl FrameDecoder {
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Append raw stream bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact lazily so the buffer does not grow without bound.
-        if self.at > 0 && self.at == self.buf.len() {
-            self.buf.clear();
-            self.at = 0;
-        } else if self.at > (1 << 16) {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// True once a malformed length prefix destroyed stream alignment.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Bytes fed but not yet consumed by [`FrameDecoder::next_frame`].
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    /// Pop the next complete frame, a per-frame error, or `None` when
-    /// more bytes are needed.
-    pub fn next_frame(&mut self) -> Option<Result<Frame, FrameError>> {
-        if self.poisoned {
-            return Some(Err(FrameError::Truncated));
-        }
-        let avail = self.buf.len() - self.at;
-        if avail < 4 {
-            return None;
-        }
-        let body_len = read_u32(&self.buf, self.at) as usize;
-        if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
-            self.poisoned = true;
-            return Some(Err(FrameError::BadLength(body_len)));
-        }
-        if avail < 4 + body_len {
-            return None;
-        }
-        let body = &self.buf[self.at + 4..self.at + 4 + body_len];
-        let result = parse_body(body, Vec::new());
-        self.at += 4 + body_len;
-        Some(result)
-    }
-}
-
 /// Reference decoder: the naive, obviously-correct full-buffer decode
-/// the incremental [`FrameDecoder`] is differentially tested against.
+/// [`read_frame`] is differentially tested against.
 /// Returns the frames (or per-frame errors) up to the first point where
 /// the input is truncated or unframeable.
 pub fn reference_decode(mut bytes: &[u8]) -> Vec<Result<Frame, FrameError>> {
@@ -532,44 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn incremental_decoder_handles_byte_at_a_time() {
-        let frames = [data_frame(0, &[1; 10]), data_frame(1, &[2; 3]), data_frame(2, &[])];
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(&encode(f));
-        }
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in &stream {
-            dec.feed(std::slice::from_ref(b));
-            while let Some(r) = dec.next_frame() {
-                got.push(r.unwrap());
-            }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(dec.pending(), 0);
-    }
-
-    #[test]
-    fn oversized_length_poisons_the_stream() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&u32::MAX.to_le_bytes());
-        assert!(matches!(dec.next_frame(), Some(Err(FrameError::BadLength(_)))));
-        assert!(dec.is_poisoned());
+    fn oversized_length_ends_the_stream() {
+        let mut stream: &[u8] = &[0xff; PREFIX_LEN];
+        let err = read_frame(&mut stream, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn corrupt_frame_skipped_stream_continues() {
         let a = encode(&data_frame(0, &[7; 8]));
         let b = encode(&data_frame(1, &[8; 8]));
-        let mut stream = a.clone();
-        let flip_at = stream.len() - 6; // inside a's payload
-        stream[flip_at] ^= 0xff;
-        stream.extend_from_slice(&b);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&stream);
-        assert!(matches!(dec.next_frame(), Some(Err(FrameError::BadCrc { .. }))));
-        assert_eq!(dec.next_frame().unwrap().unwrap().seq, 1);
+        let mut bytes = a.clone();
+        let flip_at = bytes.len() - 6; // inside a's payload
+        bytes[flip_at] ^= 0xff;
+        bytes.extend_from_slice(&b);
+        let (mut stream, mut buf) = (&bytes[..], Vec::new());
+        let first = read_frame(&mut stream, &mut buf).unwrap();
+        assert!(matches!(first, Err(FrameError::BadCrc { .. })));
+        assert_eq!(read_frame(&mut stream, &mut buf).unwrap().unwrap().seq, 1);
     }
 
     #[test]

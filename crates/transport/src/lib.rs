@@ -41,8 +41,8 @@ use std::time::Duration;
 pub use channel::ChannelWire;
 pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, PeerConn};
 pub use frame::{
-    encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame,
-    FrameDecoder, FrameError, FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
+    encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
+    FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use mesh::SocketMesh;
 pub use rendezvous::{join, Joined, Rendezvous, Welcome, WorkerHello, COORD_SOCK};

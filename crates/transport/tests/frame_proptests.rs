@@ -2,23 +2,22 @@
 //! garbage, truncations, and single-bit flips must never panic the
 //! decoder and never smuggle a corrupted frame through; duplicated and
 //! reordered frames must come out of the dedup window exactly once, in
-//! order. The incremental [`FrameDecoder`] is differentially tested
-//! against the naive [`reference_decode`] under arbitrary chunk splits.
+//! order.
 //!
-//! [`read_frame`] — the framing loop the socket reader thread and the
-//! rendezvous handshakes actually run — gets the same differential
-//! treatment through a short-read `Read` adapter (arbitrary cut points
-//! down to a one-byte dribble) into a dirty recycled buffer, and a
-//! golden pins the bytes [`PeerConn::send`] puts on a raw socket to
-//! [`encode`]'s.
+//! [`read_frame`] — the one framing loop, run by the socket reader
+//! thread and the rendezvous handshakes — is differentially tested
+//! against the naive [`reference_decode`] through a short-read `Read`
+//! adapter (arbitrary cut points down to a one-byte dribble) into a
+//! dirty recycled buffer, and a golden pins the bytes
+//! [`PeerConn::send`] puts on a raw socket to [`encode`]'s.
 
 use std::io::{self, Read};
 use std::os::unix::net::UnixStream;
 
 use proptest::prelude::*;
 use transport::frame::{
-    encode, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameDecoder, FrameError,
-    FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
+    encode, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError, FrameKind,
+    Offer, HEADER_LEN, MAX_FRAME_LEN,
 };
 use transport::PeerConn;
 
@@ -59,32 +58,6 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             offset,
             payload,
         })
-}
-
-/// Drain every decodable frame (or error) out of an incremental
-/// decoder, stopping once it poisons or runs out of complete frames.
-fn drain(dec: &mut FrameDecoder) -> Vec<Result<Frame, FrameError>> {
-    let mut out = Vec::new();
-    while let Some(item) = dec.next_frame() {
-        let poisoned = dec.is_poisoned();
-        out.push(item);
-        if poisoned {
-            break;
-        }
-    }
-    out
-}
-
-/// Split `bytes` into chunks at the given cut fractions — models TCP
-/// delivering a stream in arbitrary pieces.
-fn feed_in_chunks(dec: &mut FrameDecoder, bytes: &[u8], cuts: &[usize]) {
-    let mut at = 0;
-    for &c in cuts {
-        let cut = at + c % (bytes.len() - at + 1);
-        dec.feed(&bytes[at..cut]);
-        at = cut;
-    }
-    dec.feed(&bytes[at..]);
 }
 
 /// A `Read` over a byte slice that returns at most `cuts[i]` bytes on
@@ -273,90 +246,39 @@ proptest! {
         assert_reads_like_reference(&bytes, &cuts)?;
     }
 
-    /// encode → decode is the identity, no matter how the stream is
-    /// chopped into read chunks.
-    #[test]
-    fn roundtrip_survives_arbitrary_chunking(
-        frames in prop::collection::vec(frame_strategy(), 1..8),
-        cuts in prop::collection::vec(0usize..4096, 0..12),
-    ) {
-        let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&encode(f));
-        }
-        let mut dec = FrameDecoder::new();
-        feed_in_chunks(&mut dec, &bytes, &cuts);
-        let got = drain(&mut dec);
-        prop_assert_eq!(got.len(), frames.len());
-        for (g, want) in got.iter().zip(&frames) {
-            prop_assert_eq!(g.as_ref().expect("valid frame decodes"), want);
-        }
-        prop_assert!(!dec.is_poisoned());
-        prop_assert_eq!(dec.pending(), 0);
-    }
-
-    /// Arbitrary garbage never panics either decoder, and the
-    /// incremental decoder agrees with the reference on every frame it
-    /// can see. The reference reports trailing incomplete bytes as
-    /// `Truncated`; the incremental decoder just waits for more input,
-    /// so that one trailing entry is allowed to differ.
-    #[test]
-    fn incremental_decoder_matches_reference_on_garbage(
-        bytes in prop::collection::vec(0u8..=255, 0..2048),
-        cuts in prop::collection::vec(0usize..4096, 0..12),
-    ) {
-        let want = reference_decode(&bytes);
-        let mut dec = FrameDecoder::new();
-        feed_in_chunks(&mut dec, &bytes, &cuts);
-        let got = drain(&mut dec);
-
-        let trailing_truncation = matches!(want.last(), Some(Err(FrameError::Truncated)));
-        let head = if trailing_truncation { &want[..want.len() - 1] } else { &want[..] };
-        prop_assert_eq!(got.len(), head.len());
-        for (g, w) in got.iter().zip(head) {
-            prop_assert_eq!(g, w);
-        }
-        if trailing_truncation {
-            prop_assert!(!dec.is_poisoned());
-            prop_assert!(dec.pending() > 0);
-        }
-    }
-
-    /// Garbage mixed into a valid stream: whatever happens, decoding
-    /// never panics and the frames *before* the corruption decode
-    /// exactly.
+    /// Garbage mixed into a valid stream: whatever happens, reading
+    /// never panics, agrees with the reference, and the frames *before*
+    /// the corruption decode exactly.
     #[test]
     fn garbage_after_valid_frames_never_panics(
         frames in prop::collection::vec(frame_strategy(), 1..4),
         garbage in prop::collection::vec(0u8..=255, 0..256),
+        cuts in prop::collection::vec(1usize..96, 0..12),
     ) {
-        let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&encode(f));
-        }
+        let mut bytes: Vec<u8> = frames.iter().flat_map(encode).collect();
         bytes.extend_from_slice(&garbage);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let got = drain(&mut dec);
+        assert_reads_like_reference(&bytes, &cuts)?;
+        let (got, _, _) = read_all(&bytes, &cuts);
         prop_assert!(got.len() >= frames.len());
         for (g, want) in got.iter().zip(&frames) {
             prop_assert_eq!(g.as_ref().expect("pre-corruption frame decodes"), want);
         }
     }
 
-    /// Truncating a valid frame anywhere never yields a frame and never
-    /// poisons the stream — the decoder waits for the rest.
+    /// Truncating a valid frame anywhere never yields a frame: the
+    /// stream just ends short, however it is chopped.
     #[test]
     fn truncation_is_detected_not_misdecoded(
         frame in frame_strategy(),
         cut_sel in 0usize..1 << 16,
+        cuts in prop::collection::vec(1usize..96, 0..12),
     ) {
         let bytes = encode(&frame);
         let cut = cut_sel % bytes.len(); // strictly shorter than the frame
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes[..cut]);
-        prop_assert!(dec.next_frame().is_none());
-        prop_assert!(!dec.is_poisoned());
+        let (got, end, left) = read_all(&bytes[..cut], &cuts);
+        prop_assert_eq!(got, vec![]);
+        prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        prop_assert_eq!(left, cut);
         // The reference decoder calls the same prefix truncated.
         if cut > 0 {
             let want = reference_decode(&bytes[..cut]);
@@ -364,12 +286,11 @@ proptest! {
         }
     }
 
-    /// A single flipped bit is always caught: the decoder either
-    /// reports an error, keeps waiting for bytes, or — if the flip
-    /// lands in the uncovered length prefix and still frames — the
-    /// decoded frame must equal the original (CRC covers everything
-    /// after the prefix). It never panics and never delivers a mangled
-    /// frame.
+    /// A single flipped bit is always caught: the reader either reports
+    /// an error, runs out of bytes, or — if the flip lands in the
+    /// uncovered length prefix and still frames — the decoded frame
+    /// must equal the original (CRC covers everything after the
+    /// prefix). It never panics and never delivers a mangled frame.
     #[test]
     fn single_bit_flip_never_smuggles_a_frame(
         frame in frame_strategy(),
@@ -379,10 +300,9 @@ proptest! {
         let bit = bit_sel % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
 
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        if let Some(Ok(got)) = dec.next_frame() {
-            prop_assert_eq!(got, frame.clone());
+        let (got, _, _) = read_all(&bytes, &[]);
+        for g in got.into_iter().flatten() {
+            prop_assert_eq!(g, frame.clone());
         }
 
         // The body parser (post-length layer) must always reject a

@@ -56,6 +56,11 @@
 //!    timestamp) may be waived with a same-line
 //!    `// lint: allow(duration): <reason>`; an empty reason is itself
 //!    a violation. Test code is exempt as for every rule.
+//! 9. **hot-path-spawn** — inside a `// lint: hot-path` fn, creating a
+//!    thread is a violation: `thread::spawn`, `thread::scope`, and any
+//!    `.spawn(` (a `thread::Builder` chain, a scope handle). Per-step
+//!    fan-out goes through `collectives::pool`, whose helpers are
+//!    spawned once, at pool construction.
 //!
 //! The pass is deliberately token-based (comment- and string-stripped
 //! lines, brace counting) rather than AST-based: it has zero
@@ -216,6 +221,9 @@ const ALLOC_TOKENS: &[&str] = &[
     "format!",
 ];
 
+/// Thread-creating tokens banned inside `// lint: hot-path` bodies.
+const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::scope", ".spawn("];
+
 /// Macros banned outright, waiver or not.
 const BANNED_MACROS: &[&str] = &["dbg!(", "todo!(", "unimplemented!("];
 
@@ -296,15 +304,16 @@ fn lint_file(path: &Path, text: &str, root: &Path, findings: &mut Vec<Finding>) 
         // Rules inside a marked fn body (including its opening line).
         if let Some((hot, no_f64, entry)) = marked {
             if hot {
-                for tok in ALLOC_TOKENS {
-                    if code.contains(tok) {
+                for (tokens, rule, what) in [
+                    (ALLOC_TOKENS, "hot-path-alloc", "allocation-capable"),
+                    (SPAWN_TOKENS, "hot-path-spawn", "thread-creating"),
+                ] {
+                    for tok in tokens.iter().filter(|tok| code.contains(**tok)) {
                         findings.push(Finding {
                             path: rel.clone(),
                             line: line_no,
-                            rule: "hot-path-alloc",
-                            detail: format!(
-                                "allocation-capable `{tok}` in a `// lint: hot-path` fn"
-                            ),
+                            rule,
+                            detail: format!("{what} `{tok}` in a `// lint: hot-path` fn"),
                         });
                     }
                 }
@@ -760,6 +769,31 @@ fn step(lane: &Lane) {
 }
 ";
         assert_eq!(findings_for(src), vec![("hot-path-dyn-trace".to_string(), 3)]);
+    }
+
+    #[test]
+    fn thread_creation_is_banned_in_hot_path_fns() {
+        let src = "\
+// lint: hot-path
+fn step(pool: &mut CorePool, xs: &mut [f32]) {
+    std::thread::scope(|s| {
+        s.spawn(|| xs.fill(0.0));
+    });
+    let h = thread::spawn(|| ());
+    let b = thread::Builder::new()
+        .name(name)
+        .spawn(move || ());
+    pool.run(&|lane| work(lane));
+}
+
+fn cold() {
+    std::thread::scope(|s| {
+        s.spawn(|| ());
+    });
+}
+";
+        let at = |line| ("hot-path-spawn".to_string(), line);
+        assert_eq!(findings_for(src), vec![at(3), at(4), at(6), at(9)]);
     }
 
     #[test]
