@@ -21,10 +21,10 @@
 //! issue model — every receive's matching send is reachable without
 //! waiting on that receive, transitively. Any schedule passing that
 //! proof cannot deadlock here, where sends are additionally hoisted to
-//! the start of each round (phase A) and channels are unbounded. In
-//! debug builds the context runs the full verifier on every schedule
-//! it has not seen before, *before* any rank body runs; release
-//! builds keep the cheap structural check per call.
+//! the start of each round (phase A) and channels are unbounded. The
+//! context runs that verifier on every schedule it has not seen
+//! before, *before* any rank body runs, and remembers the verdict by
+//! schedule fingerprint.
 //!
 //! **The rank set is cached.** Everything whose size depends on the
 //! world or the payload — the mesh's channels and its payload pool,
@@ -158,12 +158,12 @@ impl RankSet {
 /// mesh, its payload buffers and the per-rank executors carry over from
 /// call to call.
 ///
-/// Verification happens *before* any rank body runs. In debug
-/// builds every schedule this context has not executed before goes
-/// through the full static verifier (structural + determinism +
-/// happens-before); the set of already-verified schedule fingerprints
-/// is memoized so a training loop re-running one schedule pays the
-/// analysis once. Release builds run the structural layer only.
+/// Verification happens *before* any rank body runs: every schedule
+/// this context has not executed before goes through the full static
+/// verifier (structural + determinism + happens-before); the set of
+/// already-verified schedule fingerprints is memoized so a training
+/// loop re-running one schedule pays the analysis once and a warm call
+/// allocates nothing.
 #[derive(Default)]
 pub struct ExecContext {
     /// The rank set of the last successful call.
@@ -171,7 +171,6 @@ pub struct ExecContext {
     /// Payload bytes this context's runs have put on their wires.
     wire_bytes: AtomicU64,
     /// Fingerprints of schedules already proven clean by this context.
-    #[cfg(debug_assertions)]
     verified: Mutex<std::collections::HashSet<u64>>,
 }
 
@@ -183,9 +182,8 @@ impl fmt::Debug for ExecContext {
 }
 
 /// A structure-sensitive fingerprint: two schedules collide only if
-/// every round, rank, and action agrees. Only the debug-build
-/// memoization path keys on it.
-#[cfg(debug_assertions)]
+/// every round, rank, and action agrees. The verification memo keys on
+/// it.
 fn schedule_fingerprint(schedule: &Schedule) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -202,21 +200,18 @@ impl ExecContext {
         Self::default()
     }
 
-    /// A context that eagerly runs the *full* verifier on `schedule`
-    /// (all builds) and memoizes it as verified — the constructor the
-    /// training loop uses so the per-step path never re-analyzes.
+    /// A context that eagerly runs the verifier on `schedule` and
+    /// memoizes it as verified — the constructor the training loop uses
+    /// so the per-step path never re-analyzes.
     pub fn for_schedule(schedule: &Schedule) -> Result<Self, ExecError> {
-        schedule.validate().map_err(ExecError::Rejected)?;
         let ctx = Self::new();
-        #[cfg(debug_assertions)]
-        ctx.verified.lock().insert(schedule_fingerprint(schedule));
+        ctx.verify_before_spawn(schedule)?;
         Ok(ctx)
     }
 
-    /// Debug builds: full verification of unseen schedules, memoized.
-    /// Fails with the structured violation list on a bad schedule —
-    /// crucially, before any channel is created or thread spawned.
-    #[cfg(debug_assertions)]
+    /// Full verification of unseen schedules, memoized. Fails with the
+    /// structured violation list on a bad schedule — crucially, before
+    /// any channel is created or thread spawned.
     fn verify_before_spawn(&self, schedule: &Schedule) -> Result<(), ExecError> {
         let fp = schedule_fingerprint(schedule);
         if self.verified.lock().contains(&fp) {
@@ -225,17 +220,6 @@ impl ExecContext {
         schedule.validate().map_err(ExecError::Rejected)?;
         self.verified.lock().insert(fp);
         Ok(())
-    }
-
-    /// Release builds: the cheap structural layer on every call.
-    #[cfg(not(debug_assertions))]
-    fn verify_before_spawn(&self, schedule: &Schedule) -> Result<(), ExecError> {
-        let violations = verifier::verify_structural(&schedule.to_ir());
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(ExecError::Rejected(violations))
-        }
     }
 
     /// Buffer shape checks and pre-spawn verification.

@@ -3,10 +3,8 @@
 //! mesh's channels, the wire's payload pool, each rank's queues, resend
 //! buffers, codec scratch and outcome slot — and the pool threads the
 //! rank bodies run on — are all parked in the context between calls,
-//! whether a call moves 4 KiB or 1 MiB, with or without a codec. What a
-//! call still allocates is its pre-flight check: release builds re-run
-//! the structural verifier on a fresh IR of the schedule every call
-//! (debug builds memoize the verdict), and the test bills exactly that.
+//! whether a call moves 4 KiB or 1 MiB, with or without a codec, and
+//! the pre-flight verdict on the schedule is memoized by fingerprint.
 //!
 //! Same method as `socket_zero_alloc.rs`, counting bytes.
 
@@ -48,8 +46,7 @@ fn bytes_allocated(f: impl FnOnce()) -> usize {
     ALLOC_BYTES.load(Ordering::Relaxed) - before
 }
 
-/// Bytes one warm call allocates beyond its pre-flight check: the
-/// minimum over [`MEASURED`] calls.
+/// Bytes one warm call allocates: the minimum over [`MEASURED`] calls.
 /// Anything the call path itself allocates recurs in every call and
 /// survives the minimum; what does not recur is excluded — a channel
 /// growing its queue by a block every few dozen frames, and the pools'
@@ -69,12 +66,7 @@ fn warm_call_bytes(n_elems: usize, codec: CodecKind) -> usize {
     for _ in 0..WARMUP {
         call();
     }
-    let preflight = if cfg!(debug_assertions) {
-        0
-    } else {
-        bytes_allocated(|| assert!(verifier::verify_structural(&schedule.to_ir()).is_empty()))
-    };
-    (0..MEASURED).map(|_| call()).min().unwrap_or(0) - preflight
+    (0..MEASURED).map(|_| call()).min().unwrap_or(0)
 }
 
 #[test]

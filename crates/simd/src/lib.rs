@@ -4,9 +4,9 @@
 //! `collectives::reduce`, and [`crc`] are written against `std::arch`
 //! x86-64 intrinsics and guarded by the predicates here: every
 //! `#[target_feature]` function has a same-module scalar twin, and every
-//! call site dispatches through [`have_avx2_fma`] / [`have_f16c`] /
-//! [`have_pclmul`] (enforced by the `simd-fallback` rule of
-//! `cargo run -p xtask -- lint`).
+//! call site dispatches through [`have_avx512f`] / [`have_avx2_fma`] /
+//! [`have_f16c`] / [`have_pclmul`] (enforced by the `simd-fallback` rule
+//! of `cargo run -p xtask -- lint`).
 //!
 //! Detection is cached in a relaxed atomic after the first query, so the
 //! per-call cost on the hot path is one load and one predictable branch —
@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod crc;
 pub mod fp16;
+#[cfg(target_arch = "x86_64")]
+pub mod lanes;
 pub mod quant;
 
 /// Cached detection state: 0 = unknown, 1 = absent, 2 = present.
@@ -46,9 +48,26 @@ impl Cached {
     }
 }
 
+static AVX512F: Cached = Cached::new();
 static AVX2_FMA: Cached = Cached::new();
 static F16C: Cached = Cached::new();
 static PCLMUL: Cached = Cached::new();
+
+/// True when the CPU supports AVX-512F on top of AVX2+FMA — the widest
+/// instantiation of the GEMM tiles in `trainer::real::net`; a kernel
+/// that has one tries it before [`have_avx2_fma`].
+// lint: hot-path
+#[inline]
+pub fn have_avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        AVX512F.get(|| have_avx2_fma() && std::arch::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// True when the CPU supports AVX2 **and** FMA — the feature pair every
 /// vectorized f32 kernel in this workspace is compiled against.
@@ -104,6 +123,7 @@ pub fn have_pclmul() -> bool {
 /// design (the caches never re-detect), so call it only from test
 /// binaries.
 pub fn force_scalar_for_testing() {
+    AVX512F.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
     AVX2_FMA.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
     F16C.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
     PCLMUL.0.store(1, Ordering::Relaxed); // lint: allow(relaxed): cpuid cache; detect() is pure so duplicate fills agree
@@ -117,8 +137,8 @@ mod tests {
     fn detection_is_stable_and_consistent() {
         let a = have_avx2_fma();
         assert_eq!(a, have_avx2_fma(), "cached result must not flip");
-        // F16C implies the AVX2+FMA baseline by construction.
-        if have_f16c() {
+        // F16C and AVX-512F imply the AVX2+FMA baseline by construction.
+        if have_f16c() || have_avx512f() {
             assert!(have_avx2_fma());
         }
     }

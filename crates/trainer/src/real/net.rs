@@ -15,20 +15,29 @@
 //! borrows, so the optimizer and the gradient allreduce operate on the
 //! storage in place, with no gather/scatter copies per step.
 //!
-//! Convolutions run as **im2col + register-blocked matmul**
-//! ([`im2col`], `matmul_bias` / `matmul_dw` / `matmul_t_acc`): im2col
-//! hoists the boundary handling out of the inner loops, and the matmul
-//! kernels process four output rows per pass over a pixel tile so the
-//! compiler autovectorizes clean FMA loops. The original naive loops are
-//! retained as [`reference_conv_forward`] / [`reference_conv_backward`]
-//! and property-tested equivalent (see `conv_proptests`).
+//! Convolutions run as **im2col + register-tiled matmul** ([`im2col`],
+//! `matmul_bias` / `matmul_dw` / `matmul_t_acc`): im2col hoists the
+//! boundary handling out of the inner loops, and each matmul is one
+//! register-tile body written against `simd::lanes::Isa` and
+//! instantiated per ISA — a *rows* tile (12 rows × 32 pixels on
+//! AVX-512F, 4 × 16 on AVX2+FMA) that the forward and the transposed
+//! product share through row/reduction strides, and a *dot* tile (4 × 4
+//! and 2 × 4 vector accumulators) for the weight gradient, which
+//! contracts over the contiguous pixel axis. Lane masks cover the one
+//! edge tile of a pixel row; dispatch is by cached `cpuid`, AVX-512F →
+//! AVX2+FMA → the scalar twins (four output rows per pass over a
+//! `PIXEL_TILE`, written so the compiler autovectorizes them). The
+//! original naive loops are retained as [`reference_conv_forward`] /
+//! [`reference_conv_backward`] and property-tested equivalent (see
+//! `conv_proptests`).
 //!
 //! All per-sample scratch (activations, gradients, im2col matrices)
-//! lives in a reusable [`Workspace`]; [`SegNet::loss_grad_acc`]
-//! performs **zero heap allocations**, and [`SegNet::batch_loss_grad_ws`]
-//! folds a batch into per-thread workspaces ([`BatchWorkspace`]) so the
-//! steady-state training step never touches the allocator in the
-//! gradient path (asserted by `tests/zero_alloc.rs`).
+//! lives in a reusable, cache-line-aligned [`Workspace`];
+//! [`SegNet::loss_grad_acc`] performs **zero heap allocations**, and
+//! [`SegNet::batch_loss_grad_ws`] folds a batch into per-thread
+//! workspaces ([`BatchWorkspace`]) so the steady-state training step
+//! never touches the allocator in the gradient path (asserted by
+//! `tests/zero_alloc.rs`).
 //!
 //! Gradients are verified against finite differences in the tests.
 
@@ -36,6 +45,8 @@ use std::ops::Range;
 
 use collectives::pool;
 use rand::Rng;
+#[cfg(target_arch = "x86_64")]
+use simd::lanes::{Avx2, Avx512, Isa};
 use summit_metrics::rng::rng_for;
 
 use super::segdata::Sample;
@@ -178,9 +189,9 @@ pub fn reference_conv_forward(
                     let oy = dy as isize - p as isize;
                     let ox = dx as isize - p as isize;
                     let y0 = (-oy).max(0) as usize;
-                    let y1 = (h as isize - oy).min(h as isize) as usize;
+                    let y1 = (h as isize - oy).clamp(0, h as isize) as usize;
                     let x0 = (-ox).max(0) as usize;
-                    let x1 = (w as isize - ox).min(w as isize) as usize;
+                    let x1 = (w as isize - ox).clamp(0, w as isize) as usize;
                     for y in y0..y1 {
                         let src = ((y as isize + oy) as usize) * w;
                         let dst = y * w;
@@ -223,9 +234,9 @@ pub fn reference_conv_backward(
                     let oy = dy as isize - p as isize;
                     let ox = dx as isize - p as isize;
                     let y0 = (-oy).max(0) as usize;
-                    let y1 = (h as isize - oy).min(h as isize) as usize;
+                    let y1 = (h as isize - oy).clamp(0, h as isize) as usize;
                     let x0 = (-ox).max(0) as usize;
-                    let x1 = (w as isize - ox).min(w as isize) as usize;
+                    let x1 = (w as isize - ox).clamp(0, w as isize) as usize;
                     let mut acc = 0.0f32;
                     for y in y0..y1 {
                         let src = ((y as isize + oy) as usize) * w;
@@ -253,12 +264,12 @@ pub fn reference_conv_backward(
 }
 
 // --------------------------------------------------------------- optimized
-// im2col + register-blocked matmul kernels. Shapes: `cols` is the
+// im2col + register-tiled matmul kernels. Shapes: `cols` is the
 // unrolled-patch matrix, `rdim = cin·k²` rows of `npix = h·w` pixels.
 
-/// Pixel-tile width of the blocked matmul kernels: one 2 KiB cols/dout
-/// row segment plus four output-row segments stay resident in L1 while
-/// the reduction dimension streams past.
+/// Pixel-tile width of the scalar matmul twins: one 2 KiB cols/dout row
+/// segment plus four output-row segments stay resident in L1 while the
+/// reduction dimension streams past.
 const PIXEL_TILE: usize = 512;
 
 /// Length of the im2col matrix for a `cin`-channel, `k×k` convolution
@@ -284,6 +295,9 @@ pub fn im2col(input: &[f32], cin: usize, h: usize, w: usize, k: usize, cols: &mu
             let oy = dy as isize - p as isize;
             for dx in 0..k {
                 let ox = dx as isize - p as isize;
+                // A shift of the whole width or more leaves only padding.
+                let shift = ox.unsigned_abs().min(w);
+                let n = w - shift;
                 let row = rows.next().expect("cols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact_mut yields ci*k*k rows
                 for y in 0..h {
                     let dst = &mut row[y * w..(y + 1) * w];
@@ -294,15 +308,11 @@ pub fn im2col(input: &[f32], cin: usize, h: usize, w: usize, k: usize, cols: &mu
                     }
                     let src = &chan[(sy as usize) * w..(sy as usize + 1) * w];
                     if ox >= 0 {
-                        let ox = ox as usize;
-                        let n = w - ox;
-                        dst[..n].copy_from_slice(&src[ox..]);
+                        dst[..n].copy_from_slice(&src[shift..]);
                         dst[n..].fill(0.0);
                     } else {
-                        let sx = (-ox) as usize;
-                        let n = w - sx;
-                        dst[..sx].fill(0.0);
-                        dst[sx..].copy_from_slice(&src[..n]);
+                        dst[..shift].fill(0.0);
+                        dst[shift..].copy_from_slice(&src[..n]);
                     }
                 }
             }
@@ -326,6 +336,9 @@ pub fn col2im_acc(dcols: &[f32], cin: usize, h: usize, w: usize, k: usize, dinpu
             let oy = dy as isize - p as isize;
             for dx in 0..k {
                 let ox = dx as isize - p as isize;
+                // As in `im2col`: nothing lands inside the row once |ox| ≥ w.
+                let shift = ox.unsigned_abs().min(w);
+                let n = w - shift;
                 let row = rows.next().expect("dcols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact yields ci*k*k rows
                 for y in 0..h {
                     let sy = y as isize + oy;
@@ -334,18 +347,13 @@ pub fn col2im_acc(dcols: &[f32], cin: usize, h: usize, w: usize, k: usize, dinpu
                     }
                     let src = &row[y * w..(y + 1) * w];
                     let dst = &mut chan[(sy as usize) * w..(sy as usize + 1) * w];
-                    if ox >= 0 {
-                        let ox = ox as usize;
-                        let n = w - ox;
-                        for (d, s) in dst[ox..].iter_mut().zip(&src[..n]) {
-                            *d += *s;
-                        }
+                    let (dst, src) = if ox >= 0 {
+                        (&mut dst[shift..], &src[..n])
                     } else {
-                        let sx = (-ox) as usize;
-                        let n = w - sx;
-                        for (d, s) in dst[..n].iter_mut().zip(&src[sx..]) {
-                            *d += *s;
-                        }
+                        (&mut dst[..n], &src[shift..])
+                    };
+                    for (d, s) in dst.iter_mut().zip(src) {
+                        *d += *s;
                     }
                 }
             }
@@ -367,7 +375,8 @@ fn four_rows(buf: &mut [f32], npix: usize, o: usize) -> [&mut [f32]; 4] {
 }
 
 /// `out[o, p] = bias[o] + Σ_r w[o, r]·cols[r, p]` (then optional ReLU)
-/// — the forward matmul, scalar twin of [`matmul_bias_avx2`].
+/// — the forward matmul, scalar twin of [`matmul_bias_avx512`] /
+/// [`matmul_bias_avx2`].
 ///
 /// Blocked two ways: pixel tiles of [`PIXEL_TILE`] keep the working set
 /// in L1, and four output rows advance together so each cols element
@@ -438,200 +447,6 @@ fn matmul_bias_scalar(
     }
 }
 
-/// AVX2+FMA twin of [`matmul_bias_scalar`]: a 4-output-row ×
-/// 16-pixel register tile (8 YMM accumulators seeded with the bias)
-/// with the reduction dimension streaming through broadcasts, ReLU
-/// applied in-register before the single store of each output block.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available (dispatch through
-/// [`simd::have_avx2_fma`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_bias_avx2(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(out.len(), cout * npix);
-    debug_assert_eq!(bias.len(), cout);
-    let wp = w.as_ptr();
-    let cp = cols.as_ptr();
-    let op = out.as_mut_ptr();
-    let zero = _mm256_setzero_ps();
-    let mut o = 0;
-    while o + 4 <= cout {
-        let b0 = _mm256_set1_ps(*bias.get_unchecked(o));
-        let b1 = _mm256_set1_ps(*bias.get_unchecked(o + 1));
-        let b2 = _mm256_set1_ps(*bias.get_unchecked(o + 2));
-        let b3 = _mm256_set1_ps(*bias.get_unchecked(o + 3));
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a00 = b0;
-            let mut a01 = b0;
-            let mut a10 = b1;
-            let mut a11 = b1;
-            let mut a20 = b2;
-            let mut a21 = b2;
-            let mut a30 = b3;
-            let mut a31 = b3;
-            for r in 0..rdim {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                let c1 = _mm256_loadu_ps(cp.add(r * npix + p + 8));
-                let w0 = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a00 = _mm256_fmadd_ps(w0, c0, a00);
-                a01 = _mm256_fmadd_ps(w0, c1, a01);
-                let w1 = _mm256_set1_ps(*wp.add((o + 1) * rdim + r));
-                a10 = _mm256_fmadd_ps(w1, c0, a10);
-                a11 = _mm256_fmadd_ps(w1, c1, a11);
-                let w2 = _mm256_set1_ps(*wp.add((o + 2) * rdim + r));
-                a20 = _mm256_fmadd_ps(w2, c0, a20);
-                a21 = _mm256_fmadd_ps(w2, c1, a21);
-                let w3 = _mm256_set1_ps(*wp.add((o + 3) * rdim + r));
-                a30 = _mm256_fmadd_ps(w3, c0, a30);
-                a31 = _mm256_fmadd_ps(w3, c1, a31);
-            }
-            if relu {
-                a00 = _mm256_max_ps(a00, zero);
-                a01 = _mm256_max_ps(a01, zero);
-                a10 = _mm256_max_ps(a10, zero);
-                a11 = _mm256_max_ps(a11, zero);
-                a20 = _mm256_max_ps(a20, zero);
-                a21 = _mm256_max_ps(a21, zero);
-                a30 = _mm256_max_ps(a30, zero);
-                a31 = _mm256_max_ps(a31, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a00);
-            _mm256_storeu_ps(op.add(o * npix + p + 8), a01);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p), a10);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p + 8), a11);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p), a20);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p + 8), a21);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p), a30);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p + 8), a31);
-            p += 16;
-        }
-        while p + 8 <= npix {
-            let mut a0 = b0;
-            let mut a1 = b1;
-            let mut a2 = b2;
-            let mut a3 = b3;
-            for r in 0..rdim {
-                let c = _mm256_loadu_ps(cp.add(r * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r)), c, a0);
-                a1 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 1) * rdim + r)), c, a1);
-                a2 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 2) * rdim + r)), c, a2);
-                a3 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add((o + 3) * rdim + r)), c, a3);
-            }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-                a1 = _mm256_max_ps(a1, zero);
-                a2 = _mm256_max_ps(a2, zero);
-                a3 = _mm256_max_ps(a3, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            _mm256_storeu_ps(op.add((o + 1) * npix + p), a1);
-            _mm256_storeu_ps(op.add((o + 2) * npix + p), a2);
-            _mm256_storeu_ps(op.add((o + 3) * npix + p), a3);
-            p += 8;
-        }
-        while p < npix {
-            for j in 0..4 {
-                let mut acc = *bias.get_unchecked(o + j);
-                for r in 0..rdim {
-                    acc = (*wp.add((o + j) * rdim + r)).mul_add(*cp.add(r * npix + p), acc);
-                }
-                if relu {
-                    acc = acc.max(0.0);
-                }
-                *op.add((o + j) * npix + p) = acc;
-            }
-            p += 1;
-        }
-        o += 4;
-    }
-    while o < cout {
-        let bo = _mm256_set1_ps(*bias.get_unchecked(o));
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a0 = bo;
-            let mut a1 = bo;
-            for r in 0..rdim {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p)), a0);
-                a1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p + 8)), a1);
-            }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-                a1 = _mm256_max_ps(a1, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            _mm256_storeu_ps(op.add(o * npix + p + 8), a1);
-            p += 16;
-        }
-        while p + 8 <= npix {
-            let mut a0 = bo;
-            for r in 0..rdim {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(cp.add(r * npix + p)), a0);
-            }
-            if relu {
-                a0 = _mm256_max_ps(a0, zero);
-            }
-            _mm256_storeu_ps(op.add(o * npix + p), a0);
-            p += 8;
-        }
-        while p < npix {
-            let mut acc = *bias.get_unchecked(o);
-            for r in 0..rdim {
-                acc = (*wp.add(o * rdim + r)).mul_add(*cp.add(r * npix + p), acc);
-            }
-            if relu {
-                acc = acc.max(0.0);
-            }
-            *op.add(o * npix + p) = acc;
-            p += 1;
-        }
-        o += 1;
-    }
-}
-
-/// Runtime dispatch over the [`matmul_bias_scalar`] /
-/// [`matmul_bias_avx2`] twins. `relu` fuses the activation into the
-/// same pass (one store per output element instead of a second sweep).
-// lint: hot-path
-// lint: no-f64
-#[allow(clippy::too_many_arguments)]
-fn matmul_bias(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_bias_avx2(w, cols, rdim, npix, cout, bias, relu, out) };
-        return;
-    }
-    matmul_bias_scalar(w, cols, rdim, npix, cout, bias, relu, out);
-}
-
 /// Eight-lane dot product: independent partial sums so the reduction
 /// autovectorizes (a strict sequential sum cannot be reassociated).
 // lint: hot-path
@@ -654,7 +469,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `dw[o, r] += Σ_p dout[o, p]·cols[r, p]` — the weight-gradient
-/// matmul, scalar twin of [`matmul_dw_avx2`].
+/// matmul, scalar twin of [`matmul_dw_avx512`] / [`matmul_dw_avx2`].
 ///
 /// Loop order keeps each cols row L1-hot across all `cout` dot products.
 // lint: hot-path
@@ -678,165 +493,11 @@ fn matmul_dw_scalar(
     }
 }
 
-/// Sum the eight lanes of a YMM register through a stack spill — the
-/// same reassociation as the scalar [`dot`]'s `lanes.iter().sum()`.
-#[cfg(target_arch = "x86_64")]
-macro_rules! hsum8 {
-    ($v:expr) => {{
-        let mut buf = [0.0f32; 8];
-        _mm256_storeu_ps(buf.as_mut_ptr(), $v);
-        buf.iter().sum::<f32>()
-    }};
-}
-
-/// AVX2+FMA twin of [`matmul_dw_scalar`]: a 4-output-channel ×
-/// 2-reduction-row block keeps 8 YMM accumulators live while the pixel
-/// dimension streams; each accumulator collapses to one `dw` entry at
-/// block end, so the inner loop has no horizontal operations.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available (dispatch through
-/// [`simd::have_avx2_fma`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_dw_avx2(
-    dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    dw: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(dw.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    let dp = dout.as_ptr();
-    let cp = cols.as_ptr();
-    let gp = dw.as_mut_ptr();
-    let mut o = 0;
-    while o + 4 <= cout {
-        let mut r = 0;
-        while r + 2 <= rdim {
-            let mut a00 = _mm256_setzero_ps();
-            let mut a01 = _mm256_setzero_ps();
-            let mut a10 = _mm256_setzero_ps();
-            let mut a11 = _mm256_setzero_ps();
-            let mut a20 = _mm256_setzero_ps();
-            let mut a21 = _mm256_setzero_ps();
-            let mut a30 = _mm256_setzero_ps();
-            let mut a31 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                let c1 = _mm256_loadu_ps(cp.add((r + 1) * npix + p));
-                let d0 = _mm256_loadu_ps(dp.add(o * npix + p));
-                a00 = _mm256_fmadd_ps(d0, c0, a00);
-                a01 = _mm256_fmadd_ps(d0, c1, a01);
-                let d1 = _mm256_loadu_ps(dp.add((o + 1) * npix + p));
-                a10 = _mm256_fmadd_ps(d1, c0, a10);
-                a11 = _mm256_fmadd_ps(d1, c1, a11);
-                let d2 = _mm256_loadu_ps(dp.add((o + 2) * npix + p));
-                a20 = _mm256_fmadd_ps(d2, c0, a20);
-                a21 = _mm256_fmadd_ps(d2, c1, a21);
-                let d3 = _mm256_loadu_ps(dp.add((o + 3) * npix + p));
-                a30 = _mm256_fmadd_ps(d3, c0, a30);
-                a31 = _mm256_fmadd_ps(d3, c1, a31);
-                p += 8;
-            }
-            let mut t = [[0.0f32; 2]; 4];
-            while p < npix {
-                let cv0 = *cp.add(r * npix + p);
-                let cv1 = *cp.add((r + 1) * npix + p);
-                for (j, tj) in t.iter_mut().enumerate() {
-                    let dv = *dp.add((o + j) * npix + p);
-                    tj[0] = dv.mul_add(cv0, tj[0]);
-                    tj[1] = dv.mul_add(cv1, tj[1]);
-                }
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(a00) + t[0][0];
-            *gp.add(o * rdim + r + 1) += hsum8!(a01) + t[0][1];
-            *gp.add((o + 1) * rdim + r) += hsum8!(a10) + t[1][0];
-            *gp.add((o + 1) * rdim + r + 1) += hsum8!(a11) + t[1][1];
-            *gp.add((o + 2) * rdim + r) += hsum8!(a20) + t[2][0];
-            *gp.add((o + 2) * rdim + r + 1) += hsum8!(a21) + t[2][1];
-            *gp.add((o + 3) * rdim + r) += hsum8!(a30) + t[3][0];
-            *gp.add((o + 3) * rdim + r + 1) += hsum8!(a31) + t[3][1];
-            r += 2;
-        }
-        if r < rdim {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                let c0 = _mm256_loadu_ps(cp.add(r * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add(o * npix + p)), c0, a0);
-                a1 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 1) * npix + p)), c0, a1);
-                a2 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 2) * npix + p)), c0, a2);
-                a3 = _mm256_fmadd_ps(_mm256_loadu_ps(dp.add((o + 3) * npix + p)), c0, a3);
-                p += 8;
-            }
-            let mut t = [0.0f32; 4];
-            while p < npix {
-                let cv = *cp.add(r * npix + p);
-                for (j, tj) in t.iter_mut().enumerate() {
-                    *tj = (*dp.add((o + j) * npix + p)).mul_add(cv, *tj);
-                }
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(a0) + t[0];
-            *gp.add((o + 1) * rdim + r) += hsum8!(a1) + t[1];
-            *gp.add((o + 2) * rdim + r) += hsum8!(a2) + t[2];
-            *gp.add((o + 3) * rdim + r) += hsum8!(a3) + t[3];
-        }
-        o += 4;
-    }
-    while o < cout {
-        for r in 0..rdim {
-            let mut acc = _mm256_setzero_ps();
-            let mut p = 0;
-            while p + 8 <= npix {
-                acc = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(dp.add(o * npix + p)),
-                    _mm256_loadu_ps(cp.add(r * npix + p)),
-                    acc,
-                );
-                p += 8;
-            }
-            let mut tail = 0.0f32;
-            while p < npix {
-                tail = (*dp.add(o * npix + p)).mul_add(*cp.add(r * npix + p), tail);
-                p += 1;
-            }
-            *gp.add(o * rdim + r) += hsum8!(acc) + tail;
-        }
-        o += 1;
-    }
-}
-
-/// Runtime dispatch over the [`matmul_dw_scalar`] / [`matmul_dw_avx2`]
-/// twins.
-// lint: hot-path
-// lint: no-f64
-fn matmul_dw(dout: &[f32], cols: &[f32], rdim: usize, npix: usize, cout: usize, dw: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_dw_avx2(dout, cols, rdim, npix, cout, dw) };
-        return;
-    }
-    matmul_dw_scalar(dout, cols, rdim, npix, cout, dw);
-}
-
-/// `dcols[r, p] += Σ_o w[o, r]·dout[o, p]` — the input-gradient
+/// `dcols[r, p] (+)= Σ_o w[o, r]·dout[o, p]` — the input-gradient
 /// (transposed) matmul, same tiling as [`matmul_bias_scalar`] with the
-/// roles of output channels and cols rows swapped. Scalar twin of
-/// [`matmul_t_acc_avx2`].
+/// roles of output channels and cols rows swapped. `acc` selects `+=`;
+/// without it `dcols` is overwritten and need not be initialised.
+/// Scalar twin of [`matmul_t_acc_avx512`] / [`matmul_t_acc_avx2`].
 // lint: hot-path
 // lint: no-f64
 fn matmul_t_acc_scalar(
@@ -845,11 +506,15 @@ fn matmul_t_acc_scalar(
     rdim: usize,
     npix: usize,
     cout: usize,
+    acc: bool,
     dcols: &mut [f32],
 ) {
     debug_assert_eq!(w.len(), cout * rdim);
     debug_assert_eq!(dcols.len(), rdim * npix);
     debug_assert_eq!(dout.len(), cout * npix);
+    if !acc {
+        dcols.fill(0.0);
+    }
     let mut p0 = 0;
     while p0 < npix {
         let pt = PIXEL_TILE.min(npix - p0);
@@ -893,13 +558,439 @@ fn matmul_t_acc_scalar(
     }
 }
 
-/// AVX2+FMA twin of [`matmul_t_acc_scalar`]: 4 cols rows × 16 pixels
-/// of accumulators loaded from `dcols` (the kernel accumulates), the
-/// output-channel dimension streaming through weight broadcasts.
+// ---- rows form: out[row, p] (= bias | = 0 | +=) Σ_k a[row, k]·b[k, p] ----
+// The forward product (rows = output channels, k = cols rows) and the
+// transposed one (rows = cols rows, k = output channels) are the same
+// tile walked with different strides through the same weight matrix.
+
+/// What a rows-form accumulator starts from.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+enum Init<'a> {
+    /// `out[row, ·] = bias[row] + Σ`.
+    Bias(&'a [f32]),
+    /// `out = Σ`: whatever `out` held is overwritten, not read.
+    Zero,
+    /// `out += Σ`.
+    Acc,
+}
+
+/// One rows-form product: `out[i, p] = init + Σ_k a[i·ars + k·aks]·b[k·npix + p]`
+/// for `i < nrows`, `k < kdim`, `p < npix`, then an optional ReLU.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    a: &'a [f32],
+    ars: usize,
+    aks: usize,
+    b: &'a [f32],
+    nrows: usize,
+    kdim: usize,
+    npix: usize,
+    init: Init<'a>,
+    relu: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<'a> Rows<'a> {
+    /// [`matmul_bias_scalar`]'s product: rows are output channels.
+    fn forward(
+        w: &'a [f32],
+        cols: &'a [f32],
+        rdim: usize,
+        npix: usize,
+        cout: usize,
+        bias: &'a [f32],
+        relu: bool,
+    ) -> Self {
+        let init = Init::Bias(bias);
+        Rows { a: w, ars: rdim, aks: 1, b: cols, nrows: cout, kdim: rdim, npix, init, relu }
+    }
+
+    /// [`matmul_t_acc_scalar`]'s product: rows are cols rows, read down
+    /// the columns of `w`.
+    fn transposed(
+        w: &'a [f32],
+        dout: &'a [f32],
+        rdim: usize,
+        npix: usize,
+        cout: usize,
+        acc: bool,
+    ) -> Self {
+        let init = if acc { Init::Acc } else { Init::Zero };
+        Rows { a: w, ars: 1, aks: rdim, b: dout, nrows: rdim, kdim: cout, npix, init, relu: false }
+    }
+}
+
+/// One vector at `q`: a plain load in a `FULL` tile, through the lane
+/// mask `m` in an edge tile. (A function, not a closure, like every
+/// helper of the tile bodies: only `#[inline(always)]` guarantees it is
+/// compiled with the caller's target features.)
 ///
 /// # Safety
-/// Caller must ensure AVX2 and FMA are available (dispatch through
-/// [`simd::have_avx2_fma`]).
+/// As [`Isa::load`] / [`Isa::load_m`].
+// lint: hot-path
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vec_ld<L: Isa, const FULL: bool>(q: *const f32, m: L::M) -> L::V {
+    if FULL {
+        L::load(q)
+    } else {
+        L::load_m(q, m)
+    }
+}
+
+/// The two vectors of a rows-form pixel tile at `q`. The edge tile's
+/// second vector may start past the buffer; it is then fully masked
+/// and never dereferenced, hence `wrapping_add`.
+///
+/// # Safety
+/// As [`vec_ld`] for both vectors.
+// lint: hot-path
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vec_ld2<L: Isa, const FULL: bool>(q: *const f32, m: [L::M; 2]) -> [L::V; 2] {
+    [vec_ld::<L, FULL>(q, m[0]), vec_ld::<L, FULL>(q.wrapping_add(L::LANES), m[1])]
+}
+
+/// The rows-form register tile: `MR` rows × two vectors of pixels, every
+/// output one FMA chain over `k` in index order — so the result does
+/// not depend on the lane count or on where the tile sits. `FULL`
+/// tiles use plain loads and stores; the one edge tile of a pixel row
+/// goes through the lane masks `m` instead of a narrower copy of the
+/// loop.
+///
+/// # Safety
+/// As [`Isa`]; `g`'s slices and `out` have the lengths [`rows_gemm`]
+/// checks, `r + MR ≤ g.nrows`, and the pixels `m` selects (all
+/// `2·LANES` when `FULL`) start at `p` inside a row.
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn rows_tile<L: Isa, const MR: usize, const FULL: bool>(
+    g: &Rows,
+    out: *mut f32,
+    r: usize,
+    p: usize,
+    m: [L::M; 2],
+) {
+    let a = g.a.as_ptr().add(r * g.ars);
+    let b = g.b.as_ptr().add(p);
+    let o = out.add(r * g.npix + p);
+    let zero = L::splat(0.0);
+    let mut acc = [[zero; 2]; MR];
+    for (i, row) in acc.iter_mut().enumerate() {
+        match g.init {
+            Init::Bias(bias) => *row = [L::splat(*bias.get_unchecked(r + i)); 2],
+            Init::Zero => {}
+            Init::Acc => *row = vec_ld2::<L, FULL>(o.add(i * g.npix), m),
+        }
+    }
+    for k in 0..g.kdim {
+        let bk = vec_ld2::<L, FULL>(b.add(k * g.npix), m);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = L::splat(*a.add(i * g.ars + k * g.aks));
+            *row = [L::fma(av, bk[0], row[0]), L::fma(av, bk[1], row[1])];
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            let v = if g.relu { L::max(v, zero) } else { v };
+            let q = o.add(i * g.npix).wrapping_add(j * L::LANES);
+            if FULL {
+                L::store(q, v)
+            } else {
+                L::store_m(q, m[j], v)
+            }
+        }
+    }
+}
+
+/// Reduction-chunk length of the rows form: at most this many rows of
+/// `b` are live per pass, so a pixel tile's slab of them (two cache
+/// lines a row, rows a whole image row apart) stays within the ways of
+/// an L1 set even when the row stride is a multiple of a large power of
+/// two.
+#[cfg(target_arch = "x86_64")]
+const K_CHUNK: usize = 128;
+
+/// The rows-form loop nest. Inside a reduction chunk the pixel tile is
+/// the outer loop: its `K_CHUNK × 2·LANES` slab of `b` is fetched once
+/// and then read from L1 by every row block, while `a` (the weights) is
+/// the small operand that streams. Later chunks accumulate onto the
+/// first through `out`, which keeps every output one FMA chain over
+/// `k`. A last block of fewer than `MR` rows runs the same tile body at
+/// its own height.
+///
+/// # Safety
+/// As [`Isa`].
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn rows_gemm<L: Isa, const MR: usize>(g: &Rows, out: &mut [f32]) {
+    assert!(MR <= 12, "the tile match below covers heights 1..=12");
+    assert_eq!(g.a.len(), g.nrows * g.kdim);
+    assert_eq!(g.b.len(), g.kdim * g.npix);
+    assert_eq!(out.len(), g.nrows * g.npix);
+    if let Init::Bias(bias) = g.init {
+        assert_eq!(bias.len(), g.nrows);
+    }
+    let out = out.as_mut_ptr();
+    let mut k0 = 0;
+    loop {
+        let kc = K_CHUNK.min(g.kdim - k0);
+        let chunk = Rows {
+            a: &g.a[k0 * g.aks..],
+            b: &g.b[k0 * g.npix..],
+            kdim: kc,
+            init: if k0 == 0 { g.init } else { Init::Acc },
+            relu: g.relu && k0 + kc == g.kdim,
+            ..*g
+        };
+        let mut p = 0;
+        while p < g.npix {
+            let left = g.npix - p;
+            let m = [L::mask(left), L::mask(left.saturating_sub(L::LANES))];
+            let mut r = 0;
+            while r < g.nrows {
+                let mr = MR.min(g.nrows - r);
+                macro_rules! tile {
+                    ($($n:literal)+) => {
+                        match (mr, left >= 2 * L::LANES) {
+                            $(($n, true) => rows_tile::<L, $n, true>(&chunk, out, r, p, m),
+                            ($n, false) => rows_tile::<L, $n, false>(&chunk, out, r, p, m),)+
+                            _ => unreachable!("mr is in 1..=MR"),
+                        }
+                    };
+                }
+                tile!(1 2 3 4 5 6 7 8 9 10 11 12);
+                r += mr;
+            }
+            p += 2 * L::LANES;
+        }
+        k0 += kc;
+        if k0 >= g.kdim {
+            return;
+        }
+    }
+}
+
+/// AVX-512F instantiation of the rows form: 16 lanes, 12-row tile (24
+/// accumulators of the 32 registers). Shared by [`matmul_bias_avx512`]
+/// and [`matmul_t_acc_avx512`].
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn matmul_rows_avx512(g: &Rows, out: &mut [f32]) {
+    rows_gemm::<Avx512, 12>(g, out)
+}
+
+/// AVX2+FMA instantiation of the rows form: 8 lanes, 4-row tile (8
+/// accumulators of the 16 registers). Shared by [`matmul_bias_avx2`]
+/// and [`matmul_t_acc_avx2`].
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available
+/// ([`simd::have_avx2_fma`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn matmul_rows_avx2(g: &Rows, out: &mut [f32]) {
+    rows_gemm::<Avx2, 4>(g, out)
+}
+
+// ---- dot form: dw[o, r] += Σ_p dout[o, p]·cols[r, p] ----
+// The weight gradient contracts over the contiguous pixel axis, so its
+// tile keeps vectors of per-lane partial sums and pays one horizontal
+// reduction per output instead of a broadcast per FMA.
+
+/// One pixel vector of the dot tile: `acc[i][j] += d[i][p..]·c[j][p..]`
+/// lane by lane.
+///
+/// # Safety
+/// As [`dot_tile`], with the lanes `m` selects (all when `FULL`) at
+/// pixel `p` inside the rows.
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_step<L: Isa, const DM: usize, const FULL: bool>(
+    acc: &mut [[L::V; 4]; DM],
+    d: &[*const f32; DM],
+    c: &[*const f32; 4],
+    p: usize,
+    m: L::M,
+) {
+    let cv = [
+        vec_ld::<L, FULL>(c[0].add(p), m),
+        vec_ld::<L, FULL>(c[1].add(p), m),
+        vec_ld::<L, FULL>(c[2].add(p), m),
+        vec_ld::<L, FULL>(c[3].add(p), m),
+    ];
+    for (row, &di) in acc.iter_mut().zip(d) {
+        let dv = vec_ld::<L, FULL>(di.add(p), m);
+        for (a, &cj) in row.iter_mut().zip(&cv) {
+            *a = L::fma(dv, cj, *a);
+        }
+    }
+}
+
+/// The dot-form register tile: `DM` dout rows × 4 cols rows of vector
+/// accumulators over the whole pixel axis (the tail through a lane
+/// mask), reduced by [`Isa::hsum4`] into `dw[i, 0..4]` per dout row.
+/// Rows past an edge are passed as repeats of the last valid row and
+/// dropped on the way out: only `mo × nr` results are added to `dw`.
+///
+/// # Safety
+/// As [`Isa`]; every pointer in `d` and `c` heads `npix` readable
+/// floats, and `dw[i·rdim + j]` is writable for `i < mo`, `j < nr`.
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_tile<L: Isa, const DM: usize>(
+    d: [*const f32; DM],
+    c: [*const f32; 4],
+    npix: usize,
+    mo: usize,
+    nr: usize,
+    dw: *mut f32,
+    rdim: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[L::splat(0.0); 4]; DM];
+    let mut p = 0;
+    while p + L::LANES <= npix {
+        dot_step::<L, DM, true>(&mut acc, &d, &c, p, L::mask(0));
+        p += L::LANES;
+    }
+    if p < npix {
+        dot_step::<L, DM, false>(&mut acc, &d, &c, p, L::mask(npix - p));
+    }
+    let keep = _mm_cmpgt_epi32(_mm_set1_epi32(nr as i32), _mm_setr_epi32(0, 1, 2, 3));
+    for (i, &row) in acc.iter().enumerate().take(mo) {
+        let q = dw.add(i * rdim);
+        _mm_maskstore_ps(q, keep, _mm_add_ps(_mm_maskload_ps(q, keep), L::hsum4(row)));
+    }
+}
+
+/// The dot-form loop nest: four cols rows stay in L1 while the dout
+/// rows stream past `DM` at a time — the tile's shorter side streams.
+///
+/// # Safety
+/// As [`Isa`].
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_gemm<L: Isa, const DM: usize>(
+    dout: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    dw: &mut [f32],
+) {
+    assert_eq!(dw.len(), cout * rdim);
+    assert_eq!(cols.len(), rdim * npix);
+    assert_eq!(dout.len(), cout * npix);
+    for r in (0..rdim).step_by(4) {
+        let c: [*const f32; 4] =
+            std::array::from_fn(|j| cols.as_ptr().add((r + j).min(rdim - 1) * npix));
+        for o in (0..cout).step_by(DM) {
+            let d: [*const f32; DM] =
+                std::array::from_fn(|i| dout.as_ptr().add((o + i).min(cout - 1) * npix));
+            let (mo, nr) = (DM.min(cout - o), 4.min(rdim - r));
+            dot_tile::<L, DM>(d, c, npix, mo, nr, dw.as_mut_ptr().add(o * rdim + r), rdim);
+        }
+    }
+}
+
+// ---- the instantiations: one `#[target_feature]` entry per matmul and
+// ISA, each with the signature of its scalar twin.
+
+/// AVX-512F twin of [`matmul_bias_scalar`]: the bias seeds the
+/// accumulators and the ReLU is applied in-register before the single
+/// store of each output.
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn matmul_bias_avx512(
+    w: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    bias: &[f32],
+    relu: bool,
+    out: &mut [f32],
+) {
+    matmul_rows_avx512(&Rows::forward(w, cols, rdim, npix, cout, bias, relu), out)
+}
+
+/// AVX2+FMA twin of [`matmul_bias_scalar`], as [`matmul_bias_avx512`].
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available
+/// ([`simd::have_avx2_fma`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn matmul_bias_avx2(
+    w: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    bias: &[f32],
+    relu: bool,
+    out: &mut [f32],
+) {
+    matmul_rows_avx2(&Rows::forward(w, cols, rdim, npix, cout, bias, relu), out)
+}
+
+/// AVX-512F twin of [`matmul_t_acc_scalar`]: with `acc` the
+/// accumulators are loaded from `dcols`, without it they start at zero
+/// and `dcols` is only written.
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn matmul_t_acc_avx512(
+    w: &[f32],
+    dout: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    acc: bool,
+    dcols: &mut [f32],
+) {
+    matmul_rows_avx512(&Rows::transposed(w, dout, rdim, npix, cout, acc), dcols)
+}
+
+/// AVX2+FMA twin of [`matmul_t_acc_scalar`], as
+/// [`matmul_t_acc_avx512`].
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available
+/// ([`simd::have_avx2_fma`]).
 // lint: hot-path
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
@@ -910,118 +1001,131 @@ unsafe fn matmul_t_acc_avx2(
     rdim: usize,
     npix: usize,
     cout: usize,
+    acc: bool,
     dcols: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(dcols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    let wp = w.as_ptr();
-    let dp = dout.as_ptr();
-    let tp = dcols.as_mut_ptr();
-    let mut r = 0;
-    while r + 4 <= rdim {
-        let mut p = 0;
-        while p + 16 <= npix {
-            let mut a00 = _mm256_loadu_ps(tp.add(r * npix + p));
-            let mut a01 = _mm256_loadu_ps(tp.add(r * npix + p + 8));
-            let mut a10 = _mm256_loadu_ps(tp.add((r + 1) * npix + p));
-            let mut a11 = _mm256_loadu_ps(tp.add((r + 1) * npix + p + 8));
-            let mut a20 = _mm256_loadu_ps(tp.add((r + 2) * npix + p));
-            let mut a21 = _mm256_loadu_ps(tp.add((r + 2) * npix + p + 8));
-            let mut a30 = _mm256_loadu_ps(tp.add((r + 3) * npix + p));
-            let mut a31 = _mm256_loadu_ps(tp.add((r + 3) * npix + p + 8));
-            for o in 0..cout {
-                let d0 = _mm256_loadu_ps(dp.add(o * npix + p));
-                let d1 = _mm256_loadu_ps(dp.add(o * npix + p + 8));
-                let w0 = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a00 = _mm256_fmadd_ps(w0, d0, a00);
-                a01 = _mm256_fmadd_ps(w0, d1, a01);
-                let w1 = _mm256_set1_ps(*wp.add(o * rdim + r + 1));
-                a10 = _mm256_fmadd_ps(w1, d0, a10);
-                a11 = _mm256_fmadd_ps(w1, d1, a11);
-                let w2 = _mm256_set1_ps(*wp.add(o * rdim + r + 2));
-                a20 = _mm256_fmadd_ps(w2, d0, a20);
-                a21 = _mm256_fmadd_ps(w2, d1, a21);
-                let w3 = _mm256_set1_ps(*wp.add(o * rdim + r + 3));
-                a30 = _mm256_fmadd_ps(w3, d0, a30);
-                a31 = _mm256_fmadd_ps(w3, d1, a31);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a00);
-            _mm256_storeu_ps(tp.add(r * npix + p + 8), a01);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p), a10);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p + 8), a11);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p), a20);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p + 8), a21);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p), a30);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p + 8), a31);
-            p += 16;
-        }
-        while p + 8 <= npix {
-            let mut a0 = _mm256_loadu_ps(tp.add(r * npix + p));
-            let mut a1 = _mm256_loadu_ps(tp.add((r + 1) * npix + p));
-            let mut a2 = _mm256_loadu_ps(tp.add((r + 2) * npix + p));
-            let mut a3 = _mm256_loadu_ps(tp.add((r + 3) * npix + p));
-            for o in 0..cout {
-                let d = _mm256_loadu_ps(dp.add(o * npix + p));
-                a0 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r)), d, a0);
-                a1 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 1)), d, a1);
-                a2 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 2)), d, a2);
-                a3 = _mm256_fmadd_ps(_mm256_set1_ps(*wp.add(o * rdim + r + 3)), d, a3);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a0);
-            _mm256_storeu_ps(tp.add((r + 1) * npix + p), a1);
-            _mm256_storeu_ps(tp.add((r + 2) * npix + p), a2);
-            _mm256_storeu_ps(tp.add((r + 3) * npix + p), a3);
-            p += 8;
-        }
-        while p < npix {
-            for j in 0..4 {
-                let mut acc = *tp.add((r + j) * npix + p);
-                for o in 0..cout {
-                    acc = (*wp.add(o * rdim + r + j)).mul_add(*dp.add(o * npix + p), acc);
-                }
-                *tp.add((r + j) * npix + p) = acc;
-            }
-            p += 1;
-        }
-        r += 4;
-    }
-    while r < rdim {
-        let mut p = 0;
-        while p + 8 <= npix {
-            let mut a0 = _mm256_loadu_ps(tp.add(r * npix + p));
-            for o in 0..cout {
-                let wv = _mm256_set1_ps(*wp.add(o * rdim + r));
-                a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(dp.add(o * npix + p)), a0);
-            }
-            _mm256_storeu_ps(tp.add(r * npix + p), a0);
-            p += 8;
-        }
-        while p < npix {
-            let mut acc = *tp.add(r * npix + p);
-            for o in 0..cout {
-                acc = (*wp.add(o * rdim + r)).mul_add(*dp.add(o * npix + p), acc);
-            }
-            *tp.add(r * npix + p) = acc;
-            p += 1;
-        }
-        r += 1;
-    }
+    matmul_rows_avx2(&Rows::transposed(w, dout, rdim, npix, cout, acc), dcols)
 }
 
-/// Runtime dispatch over the [`matmul_t_acc_scalar`] /
-/// [`matmul_t_acc_avx2`] twins.
+/// AVX-512F twin of [`matmul_dw_scalar`]: 4 × 4 dot tile (16
+/// accumulators, 4 cols vectors and 1 dout vector of the 32 registers).
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
 // lint: hot-path
 // lint: no-f64
-fn matmul_t_acc(w: &[f32], dout: &[f32], rdim: usize, npix: usize, cout: usize, dcols: &mut [f32]) {
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn matmul_dw_avx512(
+    dout: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    dw: &mut [f32],
+) {
+    dot_gemm::<Avx512, 4>(dout, cols, rdim, npix, cout, dw)
+}
+
+/// AVX2+FMA twin of [`matmul_dw_scalar`]: 2 × 4 dot tile (8
+/// accumulators, 4 cols vectors and 1 dout vector of the 16 registers).
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available
+/// ([`simd::have_avx2_fma`]).
+// lint: hot-path
+// lint: no-f64
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn matmul_dw_avx2(
+    dout: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    dw: &mut [f32],
+) {
+    dot_gemm::<Avx2, 2>(dout, cols, rdim, npix, cout, dw)
+}
+
+// ---- dispatch: the widest instantiation the CPU has, by cached cpuid.
+
+/// [`matmul_bias_avx512`] → [`matmul_bias_avx2`] →
+/// [`matmul_bias_scalar`]. `relu` fuses the activation into the same
+/// pass (one store per output element instead of a second sweep).
+// lint: hot-path
+// lint: no-f64
+#[allow(clippy::too_many_arguments)]
+fn matmul_bias(
+    w: &[f32],
+    cols: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    bias: &[f32],
+    relu: bool,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx512f() {
+        // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
+        unsafe { matmul_bias_avx512(w, cols, rdim, npix, cout, bias, relu, out) };
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx2_fma() {
         // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_t_acc_avx2(w, dout, rdim, npix, cout, dcols) };
+        unsafe { matmul_bias_avx2(w, cols, rdim, npix, cout, bias, relu, out) };
         return;
     }
-    matmul_t_acc_scalar(w, dout, rdim, npix, cout, dcols);
+    matmul_bias_scalar(w, cols, rdim, npix, cout, bias, relu, out);
+}
+
+/// [`matmul_dw_avx512`] → [`matmul_dw_avx2`] → [`matmul_dw_scalar`].
+// lint: hot-path
+// lint: no-f64
+fn matmul_dw(dout: &[f32], cols: &[f32], rdim: usize, npix: usize, cout: usize, dw: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx512f() {
+        // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
+        unsafe { matmul_dw_avx512(dout, cols, rdim, npix, cout, dw) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { matmul_dw_avx2(dout, cols, rdim, npix, cout, dw) };
+        return;
+    }
+    matmul_dw_scalar(dout, cols, rdim, npix, cout, dw);
+}
+
+/// [`matmul_t_acc_avx512`] → [`matmul_t_acc_avx2`] →
+/// [`matmul_t_acc_scalar`].
+// lint: hot-path
+// lint: no-f64
+fn matmul_t_acc(
+    w: &[f32],
+    dout: &[f32],
+    rdim: usize,
+    npix: usize,
+    cout: usize,
+    acc: bool,
+    dcols: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx512f() {
+        // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
+        unsafe { matmul_t_acc_avx512(w, dout, rdim, npix, cout, acc, dcols) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if simd::have_avx2_fma() {
+        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
+        unsafe { matmul_t_acc_avx2(w, dout, rdim, npix, cout, acc, dcols) };
+        return;
+    }
+    matmul_t_acc_scalar(w, dout, rdim, npix, cout, acc, dcols);
 }
 
 /// Optimized convolution forward: im2col into `cols` (caller-provided,
@@ -1059,8 +1163,8 @@ pub fn conv_forward(
 /// Optimized convolution backward. `cols` must hold the im2col of the
 /// layer input (left over from [`conv_forward`], ignored for `k == 1`);
 /// `dcols` is scratch for the input gradient (ignored when `dinput` is
-/// `None` or `k == 1`). Accumulates into `dw` / `db` / `dinput` like
-/// the reference.
+/// `None` or `k == 1`; overwritten, so it need not be cleared).
+/// Accumulates into `dw` / `db` / `dinput` like the reference.
 // lint: hot-path
 // lint: no-f64
 #[allow(clippy::too_many_arguments)]
@@ -1097,10 +1201,9 @@ pub fn conv_backward(
     matmul_dw(dout, cols, rdim, npix, cout, dw);
     if let Some(din) = dinput {
         if k == 1 {
-            matmul_t_acc(weights, dout, rdim, npix, cout, din);
+            matmul_t_acc(weights, dout, rdim, npix, cout, true, din);
         } else {
-            dcols.fill(0.0);
-            matmul_t_acc(weights, dout, rdim, npix, cout, dcols);
+            matmul_t_acc(weights, dout, rdim, npix, cout, false, dcols);
             col2im_acc(dcols, cin, h, w, k, din);
         }
     }
@@ -1108,35 +1211,82 @@ pub fn conv_backward(
 
 // --------------------------------------------------------------- workspace
 
+/// A zero-initialised `f32` buffer whose first element sits on a
+/// cache-line boundary. With `npix` a multiple of 16 every matrix row
+/// in it is line-aligned too, and a vector load of the dot-form tile —
+/// eight per sixteen FMAs — never straddles two lines, which on a
+/// plain `Vec<f32>` (16-byte-aligned by the allocator) every 64-byte
+/// load does. Over-allocates by one line and skips to the boundary, so
+/// the storage still comes from `alloc_zeroed` and pages no phase
+/// touches are never made resident.
+#[derive(Debug)]
+struct Buf {
+    store: Vec<f32>,
+    skip: usize,
+    len: usize,
+}
+
+impl Buf {
+    fn new(len: usize) -> Self {
+        let store = vec![0.0f32; len + 15];
+        // Bytes up to the next multiple of 64; a multiple of 4 because
+        // the allocation is `f32`-aligned.
+        let skip = (store.as_ptr() as usize).wrapping_neg() % 64 / 4;
+        Buf { store, skip, len }
+    }
+}
+
+impl Clone for Buf {
+    /// A copy of `store` would land at another offset from a line.
+    fn clone(&self) -> Self {
+        let mut copy = Buf::new(self.len);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl std::ops::Deref for Buf {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        &self.store[self.skip..self.skip + self.len]
+    }
+}
+
+impl std::ops::DerefMut for Buf {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.store[self.skip..self.skip + self.len]
+    }
+}
+
 /// Reusable per-sample scratch for [`SegNet::loss_grad_acc`]: forward
 /// activations, backward gradients, and the im2col matrices of both
 /// k×k layers. Constructing one allocates everything the hot path
 /// needs; using it allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Workspace {
-    a1: Vec<f32>,
-    a2: Vec<f32>,
+    a1: Buf,
+    a2: Buf,
     /// Logits on the way forward, `dlogits` after the softmax backward.
-    dlogits: Vec<f32>,
-    da1: Vec<f32>,
-    da2: Vec<f32>,
-    cols1: Vec<f32>,
-    cols2: Vec<f32>,
-    dcols: Vec<f32>,
+    dlogits: Buf,
+    da1: Buf,
+    da2: Buf,
+    cols1: Buf,
+    cols2: Buf,
+    dcols: Buf,
 }
 
 impl Workspace {
     pub fn new(cfg: &NetConfig) -> Self {
         let npix = cfg.height * cfg.width;
         Workspace {
-            a1: vec![0.0; cfg.hidden1 * npix],
-            a2: vec![0.0; cfg.hidden2 * npix],
-            dlogits: vec![0.0; cfg.n_classes * npix],
-            da1: vec![0.0; cfg.hidden1 * npix],
-            da2: vec![0.0; cfg.hidden2 * npix],
-            cols1: vec![0.0; im2col_len(cfg.cin, cfg.k, npix)],
-            cols2: vec![0.0; im2col_len(cfg.hidden1, cfg.k, npix)],
-            dcols: vec![0.0; im2col_len(cfg.hidden1, cfg.k, npix)],
+            a1: Buf::new(cfg.hidden1 * npix),
+            a2: Buf::new(cfg.hidden2 * npix),
+            dlogits: Buf::new(cfg.n_classes * npix),
+            da1: Buf::new(cfg.hidden1 * npix),
+            da2: Buf::new(cfg.hidden2 * npix),
+            cols1: Buf::new(im2col_len(cfg.cin, cfg.k, npix)),
+            cols2: Buf::new(im2col_len(cfg.hidden1, cfg.k, npix)),
+            dcols: Buf::new(im2col_len(cfg.hidden1, cfg.k, npix)),
         }
     }
 }
@@ -1349,23 +1499,26 @@ impl SegNet {
         let c = &self.cfg;
         let (h, w) = (c.height, c.width);
         let [_, _, _, _, w3, _] = self.layout.split(&self.params);
-        ws.da2.fill(0.0);
+        let (a2, dlogits) = (&ws.a2, &ws.dlogits);
         conv_backward(
-            &ws.a2,
+            a2,
             c.hidden2,
             h,
             w,
             w3,
             1,
             c.n_classes,
-            &ws.dlogits,
+            dlogits,
             &[],
             &mut [],
             gw3,
             gb3,
-            Some(&mut ws.da2),
+            None,
         );
-        for (d, &a) in ws.da2.iter_mut().zip(&ws.a2) {
+        // A 1×1 layer's input gradient is the transposed product itself:
+        // written rather than accumulated, so `da2` needs no zero fill.
+        matmul_t_acc(w3, dlogits, c.hidden2, h * w, c.n_classes, false, &mut ws.da2);
+        for (d, &a) in ws.da2.iter_mut().zip(ws.a2.iter()) {
             if a <= 0.0 {
                 *d = 0.0;
             }
@@ -1395,7 +1548,7 @@ impl SegNet {
             gb2,
             Some(&mut ws.da1),
         );
-        for (d, &a) in ws.da1.iter_mut().zip(&ws.a1) {
+        for (d, &a) in ws.da1.iter_mut().zip(ws.a1.iter()) {
             if a <= 0.0 {
                 *d = 0.0;
             }
@@ -1584,6 +1737,7 @@ impl SegNet {
 mod tests {
     use super::*;
     use crate::real::segdata::{generate, DataConfig};
+    use std::hint::black_box;
 
     fn tiny_cfg() -> NetConfig {
         NetConfig { height: 8, width: 8, cin: 3, hidden1: 4, hidden2: 5, n_classes: 4, k: 3 }
@@ -1761,5 +1915,420 @@ mod tests {
         let cfg = tiny_cfg();
         assert_eq!(SegNet::new(cfg, 3).params(), SegNet::new(cfg, 3).params());
         assert_ne!(SegNet::new(cfg, 3).params(), SegNet::new(cfg, 4).params());
+    }
+
+    #[test]
+    fn workspace_buffers_start_on_a_cache_line() {
+        let ws = Workspace::new(&NetConfig::default());
+        for buf in [&ws.a1, &ws.a2, &ws.dlogits, &ws.da1, &ws.da2, &ws.cols1, &ws.cols2, &ws.dcols]
+        {
+            assert_eq!(buf.as_ptr() as usize % 64, 0);
+        }
+        assert_eq!(ws.a1.len(), 8 * 24 * 24);
+        assert!(Buf::new(0).is_empty());
+        let mut odd = Buf::new(17);
+        odd[16] = 3.0;
+        let copy = odd.clone();
+        assert_eq!((copy.len(), copy[16], copy.as_ptr() as usize % 64), (17, 3.0, 0));
+    }
+
+    /// A map narrower than the kernel's half-width: every column shift
+    /// of the outer taps is pure padding (`w - ox` used to underflow).
+    #[test]
+    fn im2col_on_a_map_narrower_than_the_kernel() {
+        let (cin, h, w, k) = (1, 4, 1, 5);
+        let input = [1.0, 2.0, 3.0, 4.0];
+        let mut cols = vec![f32::NAN; im2col_len(cin, k, h * w)];
+        im2col(&input, cin, h, w, k, &mut cols);
+        let weights = vec![1.0; k * k];
+        let (mut want, mut got) = (vec![0.0; 4], vec![0.0; 4]);
+        reference_conv_forward(&input, cin, h, w, &weights, &[0.0], k, 1, &mut want);
+        conv_forward(&input, cin, h, w, &weights, &[0.0], k, 1, false, &mut cols, &mut got);
+        assert_eq!(got, want);
+        let mut back = vec![0.0; 4];
+        col2im_acc(&cols, cin, h, w, k, &mut back);
+        // Only the centre column's five vertical taps see the image.
+        assert_eq!(back, [3.0, 8.0, 12.0, 12.0]);
+    }
+
+    // ---- the SIMD instantiations against their scalar twins ----
+
+    /// Uniform in [-1, 1), from a splitmix-style counter.
+    fn noise(seed: &mut u64, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (*seed >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The tolerance `tests/conv_proptests.rs` allows between summation
+    /// orders (the twins multiply then add, the tiles fuse).
+    fn close(a: f32, b: f32) -> bool {
+        (a - b).abs() <= 1e-4 * (1.0 + a.abs().max(b.abs()))
+    }
+
+    const CANARY: f32 = -7.5e8;
+    const GUARD: usize = 40;
+
+    /// Run `kernel` on a copy of `init` with [`GUARD`] canaries on both
+    /// sides, and return the output once the canaries are seen intact.
+    /// Together with the element-wise comparison this covers every row
+    /// edge: a store past row `i`'s masked tail lands on the head of
+    /// row `i + 1`, which the edge tile never rewrites, so it shows up
+    /// as a mismatch there — and past the last row, here.
+    fn guarded(init: &[f32], what: &str, kernel: impl Fn(&mut [f32])) -> Vec<f32> {
+        let mut buf = vec![CANARY; init.len() + 2 * GUARD];
+        buf[GUARD..GUARD + init.len()].copy_from_slice(init);
+        kernel(&mut buf[GUARD..GUARD + init.len()]);
+        let intact = |g: &[f32]| g.iter().all(|&x| x == CANARY);
+        assert!(intact(&buf[..GUARD]) && intact(&buf[GUARD + init.len()..]), "{what}: canary");
+        buf[GUARD..GUARD + init.len()].to_vec()
+    }
+
+    fn assert_close(got: &[f32], want: &[f32], what: &str) {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(close(g, w), "{what} [{i}]: {g} vs scalar twin {w}");
+        }
+    }
+
+    /// Which instantiations this CPU can execute; prints the ones it
+    /// cannot so a narrower CI runner is visible in the log.
+    #[cfg(target_arch = "x86_64")]
+    fn runnable() -> (bool, bool) {
+        let have = (simd::have_avx512f(), simd::have_avx2_fma());
+        println!("net kernels: avx512 {}, avx2 {}", have.0, have.1);
+        if !have.0 {
+            println!("SKIP avx512 instantiations: CPU lacks AVX-512F");
+        }
+        if !have.1 {
+            println!("SKIP avx2 instantiations: CPU lacks AVX2+FMA");
+        }
+        have
+    }
+
+    /// One kernel call writing its output in place.
+    type Run<'a> = &'a dyn Fn(&mut [f32]);
+
+    /// Run the AVX-512 and AVX2 instantiations this CPU has (`have`,
+    /// from [`runnable`]) from `start`, each against the scalar twin's
+    /// `want`; `bit_equal` additionally holds the two to identical bits.
+    fn check_instantiations(
+        what: &str,
+        (start, want): (&[f32], &[f32]),
+        bit_equal: bool,
+        have: (bool, bool),
+        [wide, narrow]: [Run; 2],
+    ) {
+        let wide = have.0.then(|| guarded(start, what, wide));
+        let narrow = have.1.then(|| guarded(start, what, narrow));
+        for got in wide.iter().chain(&narrow) {
+            assert_close(got, want, what);
+        }
+        if let (true, Some(a), Some(b)) = (bit_equal, &wide, &narrow) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{what}: one FMA chain per output, whatever the lanes");
+        }
+    }
+
+    /// Every instantiation called directly — not through the
+    /// dispatchers, which only ever take one branch per machine — over
+    /// shapes that put every tile edge in play: pixel counts around one
+    /// and two vectors of either width, row counts around both tile
+    /// heights, odd reduction lengths on both sides of [`K_CHUNK`].
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_instantiations_match_scalar_twins() {
+        // SAFETY (every `unsafe` below): `check_instantiations` runs a
+        // kernel only when its predicate, read here, reported the ISA.
+        let have = runnable();
+        let mut seed = 0x5eed;
+        for npix in [1, 7, 15, 16, 17, 31, 33, 100, 576] {
+            for rows in [1, 3, 4, 5, 11, 12, 13, 64] {
+                for k in [1, 5, 27, 131] {
+                    // Forward: `rows` output channels, reduction `k`.
+                    let (w, cols) = (noise(&mut seed, rows * k), noise(&mut seed, k * npix));
+                    let bias = noise(&mut seed, rows);
+                    for relu in [false, true] {
+                        let what = format!("bias npix {npix} cout {rows} rdim {k} relu {relu}");
+                        let stale = vec![f32::NAN; rows * npix];
+                        let mut want = stale.clone();
+                        matmul_bias_scalar(&w, &cols, k, npix, rows, &bias, relu, &mut want);
+                        let kernels: [Run; 2] = [
+                            &|out| unsafe {
+                                matmul_bias_avx512(&w, &cols, k, npix, rows, &bias, relu, out)
+                            },
+                            &|out| unsafe {
+                                matmul_bias_avx2(&w, &cols, k, npix, rows, &bias, relu, out)
+                            },
+                        ];
+                        check_instantiations(&what, (&stale, &want), true, have, kernels);
+                    }
+
+                    // Transposed: `rows` cols rows, reduction over `k` channels.
+                    let (w, dout) = (noise(&mut seed, k * rows), noise(&mut seed, k * npix));
+                    for acc in [false, true] {
+                        let what = format!("t_acc npix {npix} rdim {rows} cout {k} acc {acc}");
+                        // `=` must not read what it overwrites; `+=` must.
+                        let start = if acc {
+                            noise(&mut seed, rows * npix)
+                        } else {
+                            vec![f32::NAN; rows * npix]
+                        };
+                        let mut want = start.clone();
+                        matmul_t_acc_scalar(&w, &dout, rows, npix, k, acc, &mut want);
+                        let kernels: [Run; 2] = [
+                            &|out| unsafe {
+                                matmul_t_acc_avx512(&w, &dout, rows, npix, k, acc, out)
+                            },
+                            &|out| unsafe { matmul_t_acc_avx2(&w, &dout, rows, npix, k, acc, out) },
+                        ];
+                        check_instantiations(&what, (&start, &want), true, have, kernels);
+                    }
+
+                    // Weight gradient: `rows` channels × `k` cols rows, always
+                    // `+=`; its summation order follows the lane count.
+                    let (dout, cols) = (noise(&mut seed, rows * npix), noise(&mut seed, k * npix));
+                    let what = format!("dw npix {npix} cout {rows} rdim {k}");
+                    let start = noise(&mut seed, rows * k);
+                    let mut want = start.clone();
+                    matmul_dw_scalar(&dout, &cols, k, npix, rows, &mut want);
+                    let kernels: [Run; 2] = [
+                        &|dw| unsafe { matmul_dw_avx512(&dout, &cols, k, npix, rows, dw) },
+                        &|dw| unsafe { matmul_dw_avx2(&dout, &cols, k, npix, rows, dw) },
+                    ];
+                    check_instantiations(&what, (&start, &want), false, have, kernels);
+                }
+            }
+        }
+    }
+
+    // ---- ROADMAP 1(d): the kernels against what this machine can do ----
+
+    /// Seconds per call, best of five timed loops of `reps` calls.
+    fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+        (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                (0..reps).for_each(|_| f());
+                t.elapsed().as_secs_f64() / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Floats per array of the bandwidth triad: three of them are
+    /// 768 KiB, L2-resident like the im2col matrices the copy kernels
+    /// stream.
+    const TRIAD_LEN: usize = 1 << 16;
+
+    /// (GFLOP/s of twelve independent FMA chains — two ports × four
+    /// cycles of latency need eight — , GB/s of `a = b + s·c`). The
+    /// timed loops are written out rather than passed to [`best_secs`]:
+    /// a closure would not inherit the caller's target features.
+    ///
+    /// # Safety
+    /// As [`Isa`].
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn roofs<L: Isa>() -> (f64, f64) {
+        let (x, y) = (L::splat(black_box(1.0 + 1e-7)), L::splat(black_box(1.0 - 1e-7)));
+        let mut acc = [L::splat(0.0); 12];
+        let iters = 1 << 16;
+        let mut fma_secs = f64::INFINITY;
+        for _ in 0..5 {
+            let t = std::time::Instant::now();
+            for _ in 0..iters {
+                for v in &mut acc {
+                    *v = L::fma(x, y, *v);
+                }
+            }
+            fma_secs = fma_secs.min(t.elapsed().as_secs_f64());
+        }
+        let mut sink = [0.0f32; 16];
+        for &v in &acc {
+            L::store_m(sink.as_mut_ptr(), L::mask(L::LANES), v);
+            black_box(&sink);
+        }
+
+        let (mut a, b, c) = (Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN));
+        let s = L::splat(black_box(0.5));
+        let passes = 64;
+        let mut triad_secs = f64::INFINITY;
+        for _ in 0..5 {
+            let t = std::time::Instant::now();
+            for _ in 0..passes {
+                for i in (0..TRIAD_LEN).step_by(L::LANES) {
+                    let v = L::fma(s, L::load(c.as_ptr().add(i)), L::load(b.as_ptr().add(i)));
+                    L::store(a.as_mut_ptr().add(i), v);
+                }
+                black_box(a.as_ptr());
+            }
+            triad_secs = triad_secs.min(t.elapsed().as_secs_f64() / passes as f64);
+        }
+        (
+            (iters * 12 * 2 * L::LANES) as f64 / fma_secs / 1e9,
+            (3 * 4 * TRIAD_LEN) as f64 / triad_secs / 1e9,
+        )
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX-512F is available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn roofs_avx512() -> (f64, f64) {
+        roofs::<Avx512>()
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 and FMA are available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn roofs_avx2() -> (f64, f64) {
+        roofs::<Avx2>()
+    }
+
+    /// What the scalar twins are written against: multiply then add on
+    /// whatever the baseline target autovectorizes to.
+    fn roofs_scalar() -> (f64, f64) {
+        let (x, y) = (black_box(1.0f32 + 1e-7), black_box(1.0f32 - 1e-7));
+        let mut acc = [0.0f32; 48];
+        let iters = 1 << 16;
+        let secs = best_secs(1, || {
+            for _ in 0..iters {
+                for v in &mut acc {
+                    *v += x * y;
+                }
+            }
+        });
+        black_box(acc);
+        let (mut a, b, c) = (Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN));
+        let s = black_box(0.5f32);
+        let triad = best_secs(64, || {
+            for ((a, b), c) in a.iter_mut().zip(b.iter()).zip(c.iter()) {
+                *a = b + s * c;
+            }
+            black_box(a.as_ptr());
+        });
+        ((iters * 48 * 2) as f64 / secs / 1e9, (3 * 4 * TRIAD_LEN) as f64 / triad / 1e9)
+    }
+
+    /// `cargo test -p trainer --release --lib kernel_roofline -- --ignored --nocapture`
+    ///
+    /// Prints, per instantiation this CPU can run, the FMA and L2-triad
+    /// roofs and each kernel at the six layer shapes of the wide and
+    /// quick nets as a share of them — one core, workspace-aligned
+    /// buffers, best of five. The tables go into EXPERIMENTS.md.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "timing report, not a check"]
+    fn kernel_roofline_report() {
+        type Bias = unsafe fn(&[f32], &[f32], usize, usize, usize, &[f32], bool, &mut [f32]);
+        type Dw = unsafe fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+        type TAcc = unsafe fn(&[f32], &[f32], usize, usize, usize, bool, &mut [f32]);
+        let (avx512, avx2) = runnable();
+        /// Name, (FMA GFLOP/s, triad GB/s), the three matmuls.
+        type Instantiation = (&'static str, (f64, f64), Bias, Dw, TAcc);
+        let mut isas: Vec<Instantiation> = Vec::new();
+        if avx512 {
+            // SAFETY: gated on the predicate, here and for the kernels below.
+            let roofs = unsafe { roofs_avx512() };
+            isas.push(("avx512", roofs, matmul_bias_avx512, matmul_dw_avx512, matmul_t_acc_avx512));
+        }
+        if avx2 {
+            let roofs = unsafe { roofs_avx2() };
+            isas.push(("avx2", roofs, matmul_bias_avx2, matmul_dw_avx2, matmul_t_acc_avx2));
+        }
+        let twins = (matmul_bias_scalar, matmul_dw_scalar, matmul_t_acc_scalar);
+        isas.push(("scalar", roofs_scalar(), twins.0, twins.1, twins.2));
+
+        println!("| ISA | FMA peak GFLOP/s | L2 triad GB/s |\n|---|---|---|");
+        for (isa, (gflops, gbs), ..) in &isas {
+            println!("| {isa} | {gflops:.0} | {gbs:.0} |");
+        }
+        let triad = isas.iter().map(|i| i.1 .1).fold(0.0, f64::max);
+
+        println!(
+            "\n| layer (cout × rdim × npix) | kernel | ISA | µs | GFLOP/s or GB/s | % of roof |"
+        );
+        println!("|---|---|---|---|---|---|");
+        let mut seed = 1;
+        for (net, h1, h2) in [("wide", 32, 64), ("quick", 8, 16)] {
+            let (cin, classes, k, side) = (3, 4, 3, 24);
+            let npix = side * side;
+            let layers =
+                [("input", h1, cin, k), ("middle", h2, h1, k), ("head", classes, h2, 1usize)];
+            for (layer, cout, lcin, lk) in layers {
+                let rdim = lcin * lk * lk;
+                let shape = format!("{net} {layer} ({cout} × {rdim} × {npix})");
+                let fill = |seed: &mut u64, n: usize| {
+                    let mut b = Buf::new(n);
+                    b.copy_from_slice(&noise(seed, n));
+                    b
+                };
+                let (w, bias) = (noise(&mut seed, cout * rdim), noise(&mut seed, cout));
+                let (cols, dout) = (fill(&mut seed, rdim * npix), fill(&mut seed, cout * npix));
+                let (mut out, mut dcols) = (Buf::new(cout * npix), Buf::new(rdim * npix));
+                let mut dw = vec![0.0f32; cout * rdim];
+                let flop = (2 * cout * rdim * npix) as f64;
+                let reps = ((2e7 / flop) as usize).clamp(4, 2000);
+                for &(isa, (peak, _), bias_k, dw_k, t_k) in &isas {
+                    // SAFETY: `isas` holds only what `runnable` reported.
+                    let timed: [(&str, f64); 3] = unsafe {
+                        [
+                            (
+                                "matmul_bias",
+                                best_secs(reps, || {
+                                    bias_k(&w, &cols, rdim, npix, cout, &bias, true, &mut out)
+                                }),
+                            ),
+                            (
+                                "matmul_dw",
+                                best_secs(reps, || dw_k(&dout, &cols, rdim, npix, cout, &mut dw)),
+                            ),
+                            (
+                                "matmul_t_acc",
+                                best_secs(reps, || {
+                                    t_k(&w, &dout, rdim, npix, cout, false, &mut dcols)
+                                }),
+                            ),
+                        ]
+                    };
+                    for (kernel, secs) in timed {
+                        let gflops = flop / secs / 1e9;
+                        println!(
+                            "| {shape} | {kernel} | {isa} | {:.1} | {gflops:.1} | {:.0} % |",
+                            secs * 1e6,
+                            100.0 * gflops / peak
+                        );
+                    }
+                }
+                if lk > 1 {
+                    let input = noise(&mut seed, lcin * npix);
+                    let mut cols = Buf::new(rdim * npix);
+                    let mut din = Buf::new(lcin * npix);
+                    let copies = [
+                        (
+                            "im2col",
+                            (lcin + rdim) * npix * 4,
+                            best_secs(reps, || im2col(&input, lcin, side, side, lk, &mut cols)),
+                        ),
+                        (
+                            "col2im_acc",
+                            (rdim + 2 * lcin) * npix * 4,
+                            best_secs(reps, || col2im_acc(&dcols, lcin, side, side, lk, &mut din)),
+                        ),
+                    ];
+                    for (kernel, bytes, secs) in copies {
+                        let gbs = bytes as f64 / secs / 1e9;
+                        println!(
+                            "| {shape} | {kernel} | any | {:.1} | {gbs:.1} GB/s | {:.0} % |",
+                            secs * 1e6,
+                            100.0 * gbs / triad
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -30,14 +30,16 @@
 //!    `// lint: allow(sleep): <reason>`; an empty reason is itself a
 //!    violation.
 //! 6. **simd-fallback** — every `#[target_feature]` fn must (a) carry
-//!    an `_avx2` / `_f16c` / `_pclmul` suffix naming the feature it
-//!    needs, (b) have
+//!    an `_avx512` / `_avx2` / `_f16c` / `_pclmul` suffix naming the
+//!    feature it needs, (b) have
 //!    a same-file `_scalar` twin, (c) be reachable only through a
 //!    runtime-dispatch call site (the file must consult the matching
 //!    `simd::have_*` predicate), and (d) both twins must actually be
 //!    called somewhere in the file. This keeps the crate loadable on
 //!    machines without the extension and keeps the differential tests
-//!    honest — an uncalled twin proves nothing.
+//!    honest — an uncalled twin proves nothing. A helper whose every
+//!    call site sits inside a `#[target_feature]` fn of the same suffix
+//!    is covered by those callers' twins and dispatch and owes only (a).
 //! 7. **atomic-ordering** — every `Ordering::Relaxed` in library code
 //!    must carry a same-line `// lint: allow(relaxed): <invariant>`
 //!    waiver naming the invariant that makes the relaxation sound (an
@@ -502,8 +504,28 @@ fn declared_fn_name(line: &str) -> Option<&str> {
 
 /// Rule 6: the feature suffix a `#[target_feature]` fn may carry, and
 /// the `simd::have_*` predicate its file must then consult.
-const SIMD_SUFFIXES: [(&str, &str); 3] =
-    [("_avx2", "have_avx2_fma("), ("_f16c", "have_f16c("), ("_pclmul", "have_pclmul(")];
+const SIMD_SUFFIXES: [(&str, &str); 4] = [
+    ("_avx512", "have_avx512f("),
+    ("_avx2", "have_avx2_fma("),
+    ("_f16c", "have_f16c("),
+    ("_pclmul", "have_pclmul("),
+];
+
+/// Index of the line on which the body of the fn declared on line
+/// `decl` closes (brace counting over stripped lines); `decl` itself
+/// for a bodiless declaration.
+fn body_end(stripped: &[String], decl: usize) -> usize {
+    let mut depth = 0i64;
+    let mut opened = false;
+    for (idx, code) in stripped.iter().enumerate().skip(decl) {
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        opened |= code.contains('{');
+        if (opened && depth <= 0) || (!opened && code.contains(';')) {
+            return idx;
+        }
+    }
+    stripped.len().saturating_sub(1)
+}
 
 /// Rule 6 (`simd-fallback`): see the module docs. Whole-file pass —
 /// the twin/dispatch requirements relate distant lines, so it runs
@@ -513,10 +535,11 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
     // Collect the `#[target_feature]` fns: attribute line(s), then the
     // declaration. Stripped lines keep attributes-in-strings (as in
     // this file's own tests) from registering.
-    let mut simd_fns: Vec<(usize, String)> = Vec::new();
+    let stripped: Vec<String> = text.lines().map(strip_comments_and_strings).collect();
+    // (declaration line, name, last line of the body), lines 0-based.
+    let mut simd_fns: Vec<(usize, &str, usize)> = Vec::new();
     let mut pending = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let code = strip_comments_and_strings(raw);
+    for (idx, code) in stripped.iter().enumerate() {
         let t = code.trim();
         if t.starts_with("#[target_feature") {
             pending = true;
@@ -526,8 +549,8 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
             if t.starts_with("#[") || t.is_empty() {
                 continue;
             }
-            if let Some(name) = declared_fn_name(&code) {
-                simd_fns.push((idx + 1, name.to_string()));
+            if let Some(name) = declared_fn_name(code) {
+                simd_fns.push((idx, name, body_end(&stripped, idx)));
             }
             pending = false;
         }
@@ -536,33 +559,47 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
         return;
     }
 
-    let stripped: Vec<String> = text.lines().map(strip_comments_and_strings).collect();
-    let calls = |name: &str| {
+    let call_sites = |name: &str| -> Vec<usize> {
         let declaration = format!("fn {name}");
         let call = format!("{name}(");
-        stripped.iter().filter(|l| l.contains(&call) && !l.contains(&declaration)).count()
+        let is_call = |l: &String| l.contains(&call) && !l.contains(&declaration);
+        stripped.iter().enumerate().filter(|(_, l)| is_call(l)).map(|(i, _)| i).collect()
     };
-    for (line, name) in &simd_fns {
+    let calls = |name: &str| call_sites(name).len();
+    for &(decl, name, _) in &simd_fns {
+        let line = decl + 1;
         let Some((stem, predicate)) = SIMD_SUFFIXES
             .iter()
             .find_map(|(suffix, predicate)| Some((name.strip_suffix(suffix)?, *predicate)))
         else {
             findings.push(Finding {
                 path: rel.clone(),
-                line: *line,
+                line,
                 rule: "simd-fallback",
                 detail: format!(
-                    "`#[target_feature]` fn `{name}` must carry an `_avx2`/`_f16c`/`_pclmul` \
-                     suffix naming the feature it needs"
+                    "`#[target_feature]` fn `{name}` must carry an \
+                     `_avx512`/`_avx2`/`_f16c`/`_pclmul` suffix naming the feature it needs"
                 ),
             });
             continue;
         };
+        // A helper reached only from `#[target_feature]` fns of its own
+        // suffix: those drivers carry the twin and the dispatch.
+        let suffix = &name[stem.len()..];
+        let in_same_suffix_fn = |site: &usize| {
+            simd_fns.iter().any(|(start, caller, end)| {
+                *caller != name && caller.ends_with(suffix) && (start..=end).contains(&site)
+            })
+        };
+        let sites = call_sites(name);
+        if !sites.is_empty() && sites.iter().all(in_same_suffix_fn) {
+            continue;
+        }
         let twin = format!("{stem}_scalar");
         if !stripped.iter().any(|l| l.contains(&format!("fn {twin}"))) {
             findings.push(Finding {
                 path: rel.clone(),
-                line: *line,
+                line,
                 rule: "simd-fallback",
                 detail: format!("`{name}` has no same-file scalar twin `{twin}`"),
             });
@@ -571,7 +608,7 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
         if !stripped.iter().any(|l| l.contains(predicate)) {
             findings.push(Finding {
                 path: rel.clone(),
-                line: *line,
+                line,
                 rule: "simd-fallback",
                 detail: format!(
                     "`{name}` has no runtime-dispatch call site: the file never consults \
@@ -583,7 +620,7 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
         if calls(name) == 0 {
             findings.push(Finding {
                 path: rel.clone(),
-                line: *line,
+                line,
                 rule: "simd-fallback",
                 detail: format!("`{name}` is declared but never dispatched"),
             });
@@ -591,7 +628,7 @@ fn lint_simd_fallback(path: &Path, text: &str, root: &Path, findings: &mut Vec<F
         if calls(&twin) == 0 {
             findings.push(Finding {
                 path: rel.clone(),
-                line: *line,
+                line,
                 rule: "simd-fallback",
                 detail: format!("scalar twin `{twin}` is never called — the fallback is dead"),
             });
@@ -943,6 +980,73 @@ fn update(crc: u32, data: &[u8]) -> u32 {
         assert_eq!(simd_findings_for(&undispatched), at);
         let no_fallback = PCLMUL_OK.replace("    update_scalar(crc, data)\n", "    crc\n");
         assert_eq!(simd_findings_for(&no_fallback), at);
+    }
+
+    const AVX512_OK: &str = "\
+fn gemm_scalar(x: &mut [f32]) {}
+
+#[cfg(target_arch = \"x86_64\")]
+#[target_feature(enable = \"avx512f\")]
+unsafe fn gemm_avx512(x: &mut [f32]) {}
+
+pub fn gemm(x: &mut [f32]) {
+    if simd::have_avx512f() {
+        return unsafe { gemm_avx512(x) };
+    }
+    gemm_scalar(x)
+}
+";
+
+    #[test]
+    fn avx512_suffix_gets_the_same_four_checks() {
+        assert!(simd_findings_for(AVX512_OK).is_empty());
+        let at = vec![("simd-fallback".to_string(), 5)];
+        assert_eq!(simd_findings_for(&AVX512_OK.replace("gemm_avx512", "gemm_zmm")), at);
+        assert_eq!(simd_findings_for(&AVX512_OK.replace("gemm_scalar", "gemm_slow")), at);
+        // The narrower ISA's predicate does not license the wider kernel.
+        assert_eq!(simd_findings_for(&AVX512_OK.replace("have_avx512f()", "have_avx2_fma()")), at);
+        let undispatched = AVX512_OK.replace("return unsafe { gemm_avx512(x) };", "");
+        assert_eq!(simd_findings_for(&undispatched), at);
+    }
+
+    const TILE_HELPER_OK: &str = "\
+fn gemm_scalar(x: &mut [f32]) {}
+
+#[target_feature(enable = \"avx512f\")]
+unsafe fn tile_avx512(x: &mut [f32]) {}
+
+#[target_feature(enable = \"avx512f\")]
+unsafe fn gemm_avx512(x: &mut [f32]) {
+    tile_avx512(x)
+}
+
+pub fn gemm(x: &mut [f32]) {
+    if simd::have_avx512f() {
+        return unsafe { gemm_avx512(x) };
+    }
+    gemm_scalar(x)
+}
+";
+
+    #[test]
+    fn helper_called_only_from_same_suffix_simd_fns_needs_no_twin() {
+        // `tile_avx512` has no `tile_scalar`: its one caller's twin covers it.
+        assert!(simd_findings_for(TILE_HELPER_OK).is_empty());
+        // Called from plain code as well, it is a kernel in its own
+        // right again and owes a twin.
+        let leaked = TILE_HELPER_OK.replace("    gemm_scalar(x)\n", "    tile_avx512(x)\n");
+        let f = simd_findings_for(&leaked);
+        assert!(f.contains(&("simd-fallback".to_string(), 4)), "{f:?}");
+        // A caller compiled for another ISA does not count either.
+        let mixed = TILE_HELPER_OK
+            .replace("unsafe fn gemm_avx512", "unsafe fn gemm_avx2")
+            .replace("gemm_avx512(x)", "gemm_avx2(x)")
+            .replace("have_avx512f()", "have_avx2_fma()");
+        let f = simd_findings_for(&mixed);
+        assert!(f.contains(&("simd-fallback".to_string(), 4)), "{f:?}");
+        // And a helper nothing calls is still dead code.
+        let dead = TILE_HELPER_OK.replace("    tile_avx512(x)\n", "");
+        assert_eq!(simd_findings_for(&dead), vec![("simd-fallback".to_string(), 4)]);
     }
 
     #[test]
