@@ -9,8 +9,10 @@ use horovod::StepSim;
 use summit_metrics::Table;
 use trainer::paper_gpu_counts;
 
-fn main() {
-    header("A10", "Compute/communication overlap ablation", "design-choice ablation");
+pub const TITLE: &str = "Compute/communication overlap ablation";
+
+pub fn run() {
+    header("A10", TITLE, "design-choice ablation");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

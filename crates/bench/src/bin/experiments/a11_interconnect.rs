@@ -12,12 +12,10 @@ use horovod::StepSim;
 use summit_metrics::Table;
 use summit_sim::{Machine, MachineConfig};
 
-fn main() {
-    header(
-        "A11",
-        "Interconnect & placement sensitivity (96 GPUs, tuned config)",
-        "design ablation",
-    );
+pub const TITLE: &str = "Interconnect & placement sensitivity (96 GPUs, tuned config)";
+
+pub fn run() {
+    header("A11", TITLE, "design ablation");
     let model = paper_model();
     let gpu = v100();
     let cand = tuned_candidate();

@@ -1,11 +1,16 @@
-//! A12 — gradient compression codecs: wire formats and timing effect.
+//! A12 — gradient compression codecs: wire formats, accuracy cost and
+//! timing effect.
 //!
-//! A thin driver over [`collectives::compression`] — the codecs live
-//! there (and are accuracy-validated for real by `bench_wire`); this
-//! binary checks that every codec's *measured* wire bytes match its
-//! declared format exactly, shows what each buys per MPI backend at the
-//! paper's scale, and sweeps GPU counts to find where compression
-//! overtakes the paper's fusion-tuning-only approach.
+//! A thin driver over [`collectives::compression`], where the codecs
+//! live. It checks that every codec's *measured* wire bytes match its
+//! declared format exactly; trains the F8 run (4 workers, 160 steps)
+//! once per codec — lossy ones with error feedback — and gates int8 at
+//! ≥ 3.5× fewer wire bytes for ≤ 0.5 pt of mIoU; shows what each codec
+//! buys per MPI backend at the paper's scale; and sweeps GPU counts to
+//! find where compression overtakes the paper's fusion-tuning-only
+//! approach.
+
+use std::sync::Arc;
 
 use bench::{header, paper_model, v100, BATCH_PER_GPU, SEED, SIM_STEPS};
 use collectives::compression::{codec_for, CodecKind, EncodeScratch};
@@ -14,6 +19,15 @@ use mpi_profiles::Backend;
 use summit_metrics::rng::splitmix64;
 use summit_metrics::Table;
 use summit_sim::{Machine, MachineConfig};
+use trace::TraceSession;
+use trainer::real::{train, TrainConfig};
+
+use crate::f8_miou;
+
+/// Int8 + error feedback must shrink the wire at least this much …
+const INT8_RATIO_FLOOR: f64 = 3.5;
+/// … at no more than this much mIoU (0.5 pt) against fp32.
+const INT8_MIOU_LIMIT: f64 = 0.005;
 
 /// A deterministic gradient-like buffer (mixed magnitudes, both signs).
 fn gradient(n: usize) -> Vec<f32> {
@@ -27,8 +41,70 @@ fn gradient(n: usize) -> Vec<f32> {
         .collect()
 }
 
-fn main() {
-    header("A12", "gradient compression: wire formats and timing", "extension study");
+/// Real training per codec: wire bytes from the trainer's own metrics
+/// registry against the accuracy cost, fp32 as the baseline. Lossy
+/// codecs run with error feedback — the configuration the convergence
+/// argument (DESIGN.md §5g) is made for.
+fn accuracy_table() {
+    let plan = [
+        (CodecKind::None, false),
+        (CodecKind::Fp16, false),
+        (CodecKind::Int8, true),
+        (CodecKind::Int4, true),
+        (CodecKind::TopK, true),
+    ];
+    let mut t = Table::new(
+        "real training per codec (the F8 run: 4 workers, ring allreduce, 160 steps)",
+        &["codec", "wire ratio", "wire MB", "mIoU", "Δ mIoU vs fp32", "tail loss"],
+    );
+    let mut fp32_miou = 0.0;
+    for (codec, error_feedback) in plan {
+        let session = Arc::new(TraceSession::new());
+        let cfg = TrainConfig {
+            codec,
+            error_feedback,
+            trace: Some(session.clone()),
+            ..f8_miou::config(4, 2)
+        };
+        let r = train(&cfg);
+        let wire_bytes = session.registry.counter("train_wire_bytes_total").get() as f64;
+        let ratio = session.registry.counter("train_raw_bytes_total").get() as f64 / wire_bytes;
+        if codec == CodecKind::None {
+            fp32_miou = r.final_miou;
+        }
+        let delta = r.final_miou - fp32_miou;
+        let tail = &r.step_losses[r.step_losses.len().saturating_sub(10)..];
+        t.row(&[
+            format!("{codec}{}", if error_feedback { "+ef" } else { "" }),
+            format!("{ratio:.4}x"),
+            format!("{:.2}", wire_bytes / 1e6),
+            format!("{:.4}", r.final_miou),
+            format!("{delta:+.4}"),
+            format!("{:.4}", tail.iter().sum::<f64>() / tail.len() as f64),
+        ]);
+        if codec == CodecKind::Int8 {
+            assert!(
+                ratio >= INT8_RATIO_FLOOR,
+                "int8 wire reduction {ratio:.2}x is below the {INT8_RATIO_FLOOR}x floor"
+            );
+            assert!(
+                delta.abs() <= INT8_MIOU_LIMIT,
+                "int8+ef mIoU {:.4} vs fp32 {fp32_miou:.4}: over the {INT8_MIOU_LIMIT} limit",
+                r.final_miou
+            );
+        }
+    }
+    t.print();
+    println!(
+        "Gate passed: int8+ef cuts wire bytes >= {INT8_RATIO_FLOOR}x at <= {:.1} pt of mIoU.\n",
+        INT8_MIOU_LIMIT * 100.0
+    );
+}
+
+pub const TITLE: &str = "gradient compression: wire formats and timing";
+
+pub fn run() {
+    header("A12", TITLE, "extension study");
 
     // --- measured vs declared wire format ---------------------------
     // Whole chunks (exact bytes/elem) and a ragged tail (encoded_len
@@ -75,6 +151,8 @@ fn main() {
         ]);
     }
     t.print();
+
+    accuracy_table();
 
     // --- simulated throughput per backend at the paper's scale ------
     let machine = Machine::new(MachineConfig::summit_for_gpus(132));

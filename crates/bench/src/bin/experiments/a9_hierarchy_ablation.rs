@@ -9,8 +9,10 @@ use collectives::{simulate_dense, Algorithm, LeaderAlgo, UniformCost};
 use summit_metrics::{fmt_bytes, Table};
 use summit_sim::{Machine, MachineConfig};
 
-fn main() {
-    header("A9", "Hierarchical vs flat allreduce", "design-choice ablation");
+pub const TITLE: &str = "Hierarchical vs flat allreduce";
+
+pub fn run() {
+    header("A9", TITLE, "design-choice ablation");
     let cost = UniformCost::default();
     let algos: Vec<(&str, Algorithm)> = vec![
         ("ring", Algorithm::Ring),

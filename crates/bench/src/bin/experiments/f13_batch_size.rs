@@ -12,8 +12,10 @@ use bench::{
 use horovod::StepSim;
 use summit_metrics::Table;
 
-fn main() {
-    header("F13", "Per-GPU batch-size sensitivity (132 GPUs)", "regime analysis");
+pub const TITLE: &str = "Per-GPU batch-size sensitivity (132 GPUs)";
+
+pub fn run() {
+    header("F13", TITLE, "regime analysis");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

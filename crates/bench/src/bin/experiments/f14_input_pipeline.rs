@@ -10,8 +10,10 @@ use horovod::StepSim;
 use summit_metrics::Table;
 use trainer::input::InputPipeline;
 
-fn main() {
-    header("F14", "Input-pipeline sensitivity (96 GPUs, tuned config)", "substrate study");
+pub const TITLE: &str = "Input-pipeline sensitivity (96 GPUs, tuned config)";
+
+pub fn run() {
+    header("F14", TITLE, "substrate study");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

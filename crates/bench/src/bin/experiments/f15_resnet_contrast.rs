@@ -12,8 +12,10 @@ use dlmodels::{deeplab_paper, resnet50};
 use horovod::StepSim;
 use summit_metrics::Table;
 
-fn main() {
-    header("F15", "ResNet-50 vs DLv3+ under the same stack", "the paper's motivation");
+pub const TITLE: &str = "ResNet-50 vs DLv3+ under the same stack";
+
+pub fn run() {
+    header("F15", TITLE, "the paper's motivation");
     let machine = paper_machine();
     let gpu = v100();
     let dl = deeplab_paper();

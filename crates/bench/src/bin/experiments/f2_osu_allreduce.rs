@@ -8,12 +8,10 @@ use bench::{header, paper_machine};
 use mpi_profiles::{allreduce_sweep, size_ladder, Backend};
 use summit_metrics::{series::render_columns, Series};
 
-fn main() {
-    header(
-        "F2",
-        "osu_allreduce latency vs message size",
-        "mechanism behind claims C2/C3 (default vs tuned MPI)",
-    );
+pub const TITLE: &str = "osu_allreduce latency vs message size";
+
+pub fn run() {
+    header("F2", TITLE, "mechanism behind claims C2/C3 (default vs tuned MPI)");
     let machine = paper_machine();
     let sizes = size_ladder(1 << 10, 256 << 20);
 

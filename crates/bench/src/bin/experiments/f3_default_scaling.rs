@@ -9,8 +9,10 @@ use mpi_profiles::Backend;
 use summit_metrics::Table;
 use trainer::{paper_gpu_counts, SweepSpec};
 
-fn main() {
-    header("F3", "DLv3+ scaling with default Horovod knobs", "abstract claim C2");
+pub const TITLE: &str = "DLv3+ scaling with default Horovod knobs";
+
+pub fn run() {
+    header("F3", TITLE, "abstract claim C2");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

@@ -9,8 +9,10 @@ use horovod::{HorovodConfig, StepSim};
 use mpi_profiles::Backend;
 use summit_metrics::{fmt_bytes, Table};
 
-fn main() {
-    header("F4", "Fusion-threshold sweep (96 GPUs)", "tuning methodology, knob 1");
+pub const TITLE: &str = "Fusion-threshold sweep (96 GPUs)";
+
+pub fn run() {
+    header("F4", TITLE, "tuning methodology, knob 1");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

@@ -10,8 +10,10 @@ use horovod::{HorovodConfig, StepSim};
 use mpi_profiles::Backend;
 use summit_metrics::Table;
 
-fn main() {
-    header("F5", "Cycle-time sweep (96 GPUs)", "tuning methodology, knob 2");
+pub const TITLE: &str = "Cycle-time sweep (96 GPUs)";
+
+pub fn run() {
+    header("F5", TITLE, "tuning methodology, knob 2");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

@@ -13,12 +13,10 @@ use summit_metrics::scaling::compare_at;
 use summit_metrics::Table;
 use trainer::{paper_gpu_counts, SweepSpec};
 
-fn main() {
-    header(
-        "F6",
-        "Tuned (MVAPICH2-GDR) vs default Horovod scaling of DLv3+",
-        "abstract claims C3 (92% @ 132), C4 (+23.9 pts), C5 (1.3x)",
-    );
+pub const TITLE: &str = "Tuned (MVAPICH2-GDR) vs default Horovod scaling of DLv3+";
+
+pub fn run() {
+    header("F6", TITLE, "abstract claims C3 (92% @ 132), C4 (+23.9 pts), C5 (1.3x)");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

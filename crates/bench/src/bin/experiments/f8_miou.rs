@@ -14,7 +14,9 @@ use collectives::{Algorithm, CodecKind};
 use summit_metrics::{series::bar, Table};
 use trainer::real::{train, DataConfig, NetConfig, TrainConfig};
 
-fn config(workers: usize, batch_per_worker: usize) -> TrainConfig {
+/// The F8 training run: global batch `workers × batch_per_worker`, 160
+/// steps, fp32 gradients. `a12` trains the same config per codec.
+pub fn config(workers: usize, batch_per_worker: usize) -> TrainConfig {
     let data = DataConfig { noise: 0.86, ..DataConfig::default() };
     let net = NetConfig {
         height: data.height,
@@ -49,12 +51,10 @@ fn config(workers: usize, batch_per_worker: usize) -> TrainConfig {
     }
 }
 
-fn main() {
-    header(
-        "F8",
-        "mIoU convergence, serial vs data-parallel (real training)",
-        "abstract claim C6 (80.8% mIoU, distributed on par with serial)",
-    );
+pub const TITLE: &str = "mIoU convergence, serial vs data-parallel (real training)";
+
+pub fn run() {
+    header("F8", TITLE, "abstract claim C6 (80.8% mIoU, distributed on par with serial)");
 
     // Same global batch (8) split across 1, 2, 4, 8 workers.
     let runs: Vec<(usize, usize)> = vec![(1, 8), (2, 4), (4, 2), (8, 1)];

@@ -27,6 +27,12 @@ use tuner::Candidate;
 /// Rank count of the traced runs (one Chrome pid each).
 const N_RANKS: usize = 4;
 
+/// Steps of each measured training run. The pipelined run asserts that
+/// its tile reductions (3 per step, a few µs each) overlap backprop:
+/// at 6 steps a 2-core box showed no overlap at all in about one run in
+/// four, at 48 in none of twenty.
+const MEASURED_STEPS: usize = 48;
+
 fn traced_step(cand: Candidate, machine: &Machine, label: &str) -> (Breakdown, String) {
     let model = paper_model();
     let sim = StepSim::new(
@@ -57,10 +63,12 @@ fn artifact_path(name: &str) -> String {
     format!("artifacts/{name}")
 }
 
-fn main() {
+pub const TITLE: &str = "Per-rank timeline and critical-path breakdown, default vs tuned (4 GPUs)";
+
+pub fn run() {
     header(
         "O16",
-        "Per-rank timeline and critical-path breakdown, default vs tuned (4 GPUs)",
+        TITLE,
         "methodology: timeline-driven tuning (paper §IV) — allreduce share shrinks",
     );
     // 4 ranks as 2 nodes x 2 GPUs: each pair shares its node's EDR
@@ -96,7 +104,7 @@ fn main() {
     // threads (SEND/RECV per schedule hop) and worker compute spans.
     let session = Arc::new(TraceSession::new());
     let mut cfg = TrainConfig::quick(N_RANKS);
-    cfg.steps = 6;
+    cfg.steps = MEASURED_STEPS;
     cfg.trace = Some(session.clone());
     let result = train(&cfg);
     let events = session.recorder.to_chrome_events();
@@ -112,7 +120,7 @@ fn main() {
     // per-phase overlap column makes a single-command check.
     let pipe_session = Arc::new(TraceSession::new());
     let mut pipe_cfg = TrainConfig::quick(N_RANKS);
-    pipe_cfg.steps = 6;
+    pipe_cfg.steps = MEASURED_STEPS;
     pipe_cfg.pipeline = true;
     pipe_cfg.trace = Some(pipe_session.clone());
     let pipe_result = train(&pipe_cfg);

@@ -9,8 +9,10 @@ use bench::{header, paper_machine, paper_model, v100, BATCH_PER_GPU, SEED};
 use summit_metrics::Table;
 use tuner::{coordinate_descent, grid_search, random_search, Candidate, KnobSpace, Objective};
 
-fn main() {
-    header("T12", "Grid vs coordinate descent vs random search (96 GPUs)", "methodology study");
+pub const TITLE: &str = "Grid vs coordinate descent vs random search (96 GPUs)";
+
+pub fn run() {
+    header("T12", TITLE, "methodology study");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

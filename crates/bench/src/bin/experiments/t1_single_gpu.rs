@@ -8,8 +8,10 @@ use bench::{compare, header, v100};
 use dlmodels::{deeplab_paper, resnet50};
 use summit_metrics::Table;
 
-fn main() {
-    header("T1", "Single-V100 training throughput", "abstract claim C1 (6.7 vs 300 img/s)");
+pub const TITLE: &str = "Single-V100 training throughput";
+
+pub fn run() {
+    header("T1", TITLE, "abstract claim C1 (6.7 vs 300 img/s)");
     let gpu = v100();
     let dl = deeplab_paper();
     let rn = resnet50(224);

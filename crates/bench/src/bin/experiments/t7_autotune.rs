@@ -8,8 +8,10 @@ use bench::{header, paper_machine, paper_model, v100, BATCH_PER_GPU, SEED};
 use summit_metrics::{fmt_bytes, Table};
 use tuner::{coordinate_descent, Candidate, KnobSpace, Objective};
 
-fn main() {
-    header("T7", "Autotuned best configuration per scale", "tuning methodology outcome");
+pub const TITLE: &str = "Autotuned best configuration per scale";
+
+pub fn run() {
+    header("T7", TITLE, "tuning methodology outcome");
     let machine = paper_machine();
     let model = paper_model();
     let gpu = v100();

@@ -11,8 +11,10 @@ use collectives::{allreduce_cost, simulate_dense, Algorithm, AlphaBeta, LeaderAl
 use summit_metrics::Table;
 use summit_sim::{Machine, MachineConfig};
 
-fn main() {
-    header("V0", "Simulator vs analytic α–β–γ bounds", "model validation");
+pub const TITLE: &str = "Simulator vs analytic α–β–γ bounds";
+
+pub fn run() {
+    header("V0", TITLE, "model validation");
     // Single node: all transfers uncontended NVLink, so the analytic
     // model (α = software + wire latency, β = 1/50 GB/s, γ = 1/250 GB/s)
     // is directly comparable.

@@ -1,12 +1,11 @@
-//! Shared harness code for the experiment binaries.
+//! Shared harness code for the `experiments` binary.
 //!
-//! Each `src/bin/<exp>.rs` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library holds the common
-//! setup — the Summit machine at paper scale, the models, the default and
-//! tuned configurations — and the paper-vs-measured reporting helpers
-//! that EXPERIMENTS.md quotes.
-
-pub mod json;
+//! Each module of `src/bin/experiments/` regenerates one table or figure
+//! of the paper (see DESIGN.md §4 for the index). This library holds the
+//! common setup — the Summit machine at paper scale, the models, the
+//! default and tuned configurations — and the paper-vs-measured
+//! reporting helpers that EXPERIMENTS.md quotes. Nothing here times
+//! anything: speed is measured by `benchmark/` (`BENCHMARK.json`).
 
 use dlmodels::{deeplab_paper, GpuModel, ModelGraph};
 use horovod::HorovodConfig;
@@ -44,7 +43,7 @@ pub fn default_candidate() -> Candidate {
     Candidate::paper_default()
 }
 
-/// The tuned configuration (the fixed point `t7_autotune` converges to):
+/// The tuned configuration (the fixed point experiment `t7` converges to):
 /// MVAPICH2-GDR, 16 MB fusion, 1 ms cycle, cache on, hierarchical off
 /// (MV2's own selection table already picks the two-level algorithm in
 /// the mid-size range).

@@ -33,7 +33,7 @@ use trace::chrome::{parse_trace, write_trace, ChromeEvent};
 use trace::cluster::{ClusterView, StragglerPolicy};
 use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry};
 use trace::TraceSession;
-use trainer::real::worker::{preset, run_worker, WorkerOutcome};
+use trainer::real::worker::{preset, preset_names, run_worker, WorkerOutcome};
 use transport::{join, Frame, FrameKind, PeerConn, Rendezvous, TelemetrySource, WireError};
 
 /// The coordinator's pseudo-rank in frame `from` fields (workers are
@@ -66,20 +66,58 @@ fn arg(args: &[String], key: &str) -> Option<String> {
     args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
 }
 
-fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    arg(args, key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// A numeric flag: `default` when absent, an error naming the flag when
+/// present but unparsable — a typo must not silently train the default.
+fn num_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
+    let Some(at) = args.iter().position(|a| a == key) else {
+        return Ok(default);
+    };
+    let v = args.get(at + 1).ok_or_else(|| format!("{key}: needs a value"))?;
+    v.parse().map_err(|_| format!("{key}: {v:?} is not a non-negative integer"))
 }
 
-/// Commit-protocol pacing. `base` also derives the heartbeat interval
-/// and the death threshold (see `RetryPolicy`), so one knob scales the
-/// whole failure-detection stack.
-fn policy(args: &[String]) -> RetryPolicy {
-    RetryPolicy {
-        base: Duration::from_millis(arg_or(args, "--base-ms", 25)),
-        factor: 2,
-        max_attempts: 6,
-        tick: Duration::from_millis(2),
+/// The flags `launch` and `worker` share, checked before anything is
+/// spawned, bound or joined.
+struct RunArgs {
+    workers: usize,
+    steps: usize,
+    seed: u64,
+    preset: String,
+    /// Commit-protocol pacing. `base` also derives the heartbeat
+    /// interval and the death threshold (see `RetryPolicy`), so one
+    /// knob scales the whole failure-detection stack.
+    pol: RetryPolicy,
+}
+
+fn run_args(args: &[String]) -> Result<RunArgs, String> {
+    let workers: usize = num_arg(args, "--workers", 4)?;
+    // `coord_id` and every frame's `from` field carry ranks as u16.
+    if workers == 0 || workers > u16::MAX as usize {
+        return Err(format!("--workers: {workers} is outside 1..={}", u16::MAX));
     }
+    let steps: usize = num_arg(args, "--steps", 8)?;
+    if steps == 0 {
+        return Err("--steps: must be at least 1".into());
+    }
+    let preset = arg(args, "--preset").unwrap_or_else(|| "tiny".into());
+    if !preset_names().contains(&preset.as_str()) {
+        return Err(format!(
+            "--preset: unknown preset {preset:?} (expected {})",
+            preset_names().join("|")
+        ));
+    }
+    Ok(RunArgs {
+        workers,
+        steps,
+        seed: num_arg(args, "--seed", 42)?,
+        preset,
+        pol: RetryPolicy {
+            base: Duration::from_millis(num_arg(args, "--base-ms", 25)?),
+            factor: 2,
+            max_attempts: 6,
+            tick: Duration::from_millis(2),
+        },
+    })
 }
 
 // ---------------------------------------------------------------- launch
@@ -97,16 +135,20 @@ fn launch(args: &[String]) -> i32 {
         eprintln!("launch: --dir is required");
         return 2;
     };
-    let workers: usize = arg_or(args, "--workers", 4);
-    let steps: usize = arg_or(args, "--steps", 8);
-    let seed: u64 = arg_or(args, "--seed", 42);
-    let preset_name = arg(args, "--preset").unwrap_or_else(|| "tiny".into());
+    let (run, summary_every) =
+        match run_args(args).and_then(|r| Ok((r, num_arg(args, "--summary-every", 1u64)?))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("launch: {e}");
+                return 2;
+            }
+        };
+    let RunArgs { workers, steps, seed, preset: preset_name, pol } = run;
     let traced = args.iter().any(|a| a == "--trace");
     let metrics_addr = arg(args, "--metrics-addr");
     // A scrape endpoint is useless without the plane feeding it, so
     // --metrics-addr implies --telemetry.
     let telemetry_on = args.iter().any(|a| a == "--telemetry") || metrics_addr.is_some();
-    let summary_every: u64 = arg_or(args, "--summary-every", 1);
     let kill: Option<(usize, usize)> = match (arg(args, "--kill-rank"), arg(args, "--kill-step")) {
         (Some(r), Some(s)) => match (r.parse(), s.parse()) {
             (Ok(r), Ok(s)) => Some((r, s)),
@@ -127,7 +169,6 @@ fn launch(args: &[String]) -> i32 {
             return 2;
         }
     }
-    let pol = policy(args);
 
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("launch: cannot create {}: {e}", dir.display());
@@ -745,7 +786,14 @@ impl TelemetrySource for TelemetryFeed {
 }
 
 fn worker(args: &[String]) -> i32 {
-    match worker_inner(args) {
+    let run = match run_args(args) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("worker: {e}");
+            return 2;
+        }
+    };
+    match worker_inner(args, run) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("worker: {e}");
@@ -754,14 +802,10 @@ fn worker(args: &[String]) -> i32 {
     }
 }
 
-fn worker_inner(args: &[String]) -> Result<(), String> {
+fn worker_inner(args: &[String], run: RunArgs) -> Result<(), String> {
     let dir = arg(args, "--dir").map(PathBuf::from).ok_or("--dir is required")?;
     let tag = arg(args, "--tag").ok_or("--tag is required")?;
-    let workers: usize = arg_or(args, "--workers", 4);
-    let steps: usize = arg_or(args, "--steps", 8);
-    let seed: u64 = arg_or(args, "--seed", 42);
-    let preset_name = arg(args, "--preset").unwrap_or_else(|| "tiny".into());
-    let pol = policy(args);
+    let RunArgs { workers, steps, seed, preset: preset_name, pol } = run;
     let clock = FaultClock::real();
 
     let joined = join(&dir, &tag, &pol, &clock).map_err(|e| format!("rendezvous join: {e}"))?;

@@ -100,10 +100,17 @@ impl std::fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
+/// The names [`preset`] accepts — what a launcher checks a `--preset`
+/// flag against before it spawns anything.
+pub fn preset_names() -> &'static [&'static str] {
+    &["tiny", "quick"]
+}
+
 /// Shared named configs so the launcher, the workers, and the parity
 /// tests construct the *same* [`TrainConfig`] from four scalars.
 /// `tiny` mirrors the trainer test fixture (10×10 data, 2 per worker);
-/// `quick` is [`TrainConfig::quick`].
+/// `quick` is [`TrainConfig::quick`]. Panics on a name outside
+/// [`preset_names`]: outside input is checked against that list first.
 pub fn preset(name: &str, workers: usize, steps: usize, seed: u64) -> TrainConfig {
     let mut cfg = match name {
         "quick" => TrainConfig::quick(workers),

@@ -1,5 +1,5 @@
 //! The in-process [`Wire`] backend: frames pass by value over
-//! unbounded crossbeam channels between rank threads — no
+//! unbounded `std::sync::mpsc` channels between rank threads — no
 //! serialization, no sockets, no heartbeats (a thread cannot be
 //! SIGKILLed out from under the mesh; explicit disconnection is the
 //! only death signal). A send copies the payload once, into a buffer
@@ -11,10 +11,10 @@
 //! in the `collectives::FaultWire` decorator when a fault plan is in
 //! play — and the one the protocol unit tests drive.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::conn::BufPool;
@@ -59,7 +59,7 @@ impl ChannelWire {
                 if i == j {
                     continue;
                 }
-                let (s, r) = unbounded();
+                let (s, r) = channel();
                 senders[i][b] = Some(s);
                 receivers[j][a] = Some(Mutex::new(r));
             }

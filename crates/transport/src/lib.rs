@@ -5,7 +5,7 @@
 //! and between rank *processes*:
 //!
 //! * [`channel::ChannelWire`] — in-process, frames pass by value over
-//!   crossbeam channels. Zero serialization; the backend of every
+//!   `std::sync::mpsc` channels. Zero serialization; the backend of every
 //!   threaded collective and of the protocol unit tests.
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed

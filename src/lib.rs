@@ -21,8 +21,8 @@
 //! | [`summit_metrics`] | stats, units, scaling math, report rendering |
 //! | [`trace`] | observability: per-rank span recorder, metrics registry, Chrome-trace emitter/parser, critical-path analyzer |
 //!
-//! Every table/figure has a regenerating binary in `crates/bench`
-//! (`cargo run -p bench --bin f6_tuned_vs_default --release`, etc.);
+//! Every table/figure is an entry of the `experiments` binary in
+//! `crates/bench` (`cargo run -p bench --release --bin experiments -- f6`, etc.);
 //! EXPERIMENTS.md records paper-vs-measured for each.
 //!
 //! # Quickstart
