@@ -31,8 +31,7 @@ use faults::FaultEvent;
 
 use crate::algo::Algorithm;
 use crate::exec_fault::FaultSession;
-use crate::exec_thread::{Call, ExecContext, ExecError};
-use crate::exec_trace::ExecTrace;
+use crate::exec_thread::{Call, ExecContext, ExecError, ExecTrace};
 use crate::reduce::ReduceOp;
 use crate::sched::{Schedule, Violation};
 
@@ -304,7 +303,7 @@ mod tests {
         let mut ela = ElasticAllreduce::new(Algorithm::Ring, n, e).unwrap();
         let rec = trace::TraceRecorder::new();
         let world_ids: Vec<usize> = (0..n).collect();
-        let trace = crate::exec_trace::ExecTrace::comm(&rec, &world_ids);
+        let trace = ExecTrace::comm(&rec, &world_ids);
         ela.set_trace(trace.clone());
         let plan = FaultPlan::explicit(
             7,

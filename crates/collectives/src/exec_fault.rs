@@ -53,8 +53,7 @@ use trace::Lane;
 use transport::{encode_into, parse_body, Frame, FrameKind, Wire, WireError};
 
 use crate::exec_peer::{CtlSignal, PeerExecError, PeerExecutor};
-use crate::exec_thread::{Call, ExecContext, ExecError, RankSet};
-use crate::exec_trace::ExecTrace;
+use crate::exec_thread::{Call, ExecContext, ExecError, ExecTrace, RankSet};
 use crate::reduce::ReduceOp;
 use crate::sched::Schedule;
 
@@ -654,8 +653,7 @@ mod tests {
             vec![Injection { step: 0, rank: 1, round: 0, kind: FaultKind::Drop }],
         );
         let rec = trace::TraceRecorder::new();
-        let session =
-            FaultSession::new(plan).with_trace(crate::exec_trace::ExecTrace::comm(&rec, &ids(n)));
+        let session = FaultSession::new(plan).with_trace(ExecTrace::comm(&rec, &ids(n)));
         let mut bufs = inputs(n, e);
         let ctx = ExecContext::for_schedule(&s).unwrap();
         ctx.allreduce_with_faults(&s, &mut bufs, ReduceOp::Sum, &session, &ids(n)).unwrap();

@@ -387,15 +387,22 @@ impl<'w> PeerExecutor<'w> {
                 self.wire.release(frame.payload);
             }
         }
-        self.flush(rank_ids);
-        Ok(())
+        self.flush(rank_ids, poll)
     }
 
     /// Stay responsive after the schedule completes until every send is
     /// acked (bounded by one death threshold per peer): the last frame
     /// of a schedule has no later receive to piggyback its nack
     /// servicing on, so a lossy wire needs this window to repair it.
-    fn flush(&mut self, rank_ids: &[usize]) {
+    /// The wait polls like every other: a peer that aborted this
+    /// collective and entered the next era drops our last frame as
+    /// stale and never acks it, and the abort it obeyed is waiting on
+    /// our control stream too.
+    fn flush(
+        &mut self,
+        rank_ids: &[usize],
+        poll: &mut dyn FnMut() -> CtlSignal,
+    ) -> Result<(), PeerExecError> {
         let my = self.wire.rank();
         for &peer in rank_ids.iter().filter(|&&id| id != my) {
             let mut waited = Duration::ZERO;
@@ -403,12 +410,18 @@ impl<'w> PeerExecutor<'w> {
             while !self.st.pending[peer].is_empty() && waited < budget {
                 match self.wire.recv_timeout(peer, self.st.policy.tick) {
                     Ok(frame) => self.ingest(peer, frame),
-                    Err(WireError::Timeout) => waited += self.st.policy.tick,
+                    Err(WireError::Timeout) => {
+                        waited += self.st.policy.tick;
+                        if poll() == CtlSignal::Abort {
+                            return Err(PeerExecError::Aborted);
+                        }
+                    }
                     Err(WireError::PeerGone) => break,
                     Err(WireError::NoSuchPeer(p)) => unreachable!("flush addressed rank {p}"),
                 }
             }
         }
+        Ok(())
     }
 
     /// Send one data frame and park its clean copy in the resend
@@ -955,6 +968,47 @@ mod tests {
             .collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
+    }
+
+    /// A rank whose rounds are done but whose last frames will never be
+    /// acked (the peer aborted into the next era and drops them as
+    /// stale) must still hear the abort: the flush window polls.
+    #[test]
+    fn an_abort_reaches_a_rank_waiting_for_its_last_acks() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (n, e) = (2usize, 32usize);
+        let schedule = ring::allreduce(n, e);
+        let ids = [0usize, 1];
+        let wires: Vec<QuirkyWire> = ChannelWire::mesh(n)
+            .into_iter()
+            .map(|inner| {
+                let quirk = (inner.rank() == 1).then_some(Quirk::RefuseControl);
+                QuirkyWire { inner, quirk }
+            })
+            .collect();
+        let mut bufs = inputs(n, e);
+        // Set once rank 1 has everything rank 0 will ever send and has
+        // sent everything rank 0 needs: from then on rank 0's rounds
+        // find their data queued and poll only from the flush window.
+        let peer_done = AtomicBool::new(false);
+        let (buf0, buf1) = bufs.split_at_mut(1);
+        let outcome0 = std::thread::scope(|scope| {
+            let rank0 = scope.spawn(|| {
+                let mut ex = PeerExecutor::new(&wires[0], policy());
+                ex.run(&schedule, &mut buf0[0], ReduceOp::Sum, &ids, &mut || match peer_done
+                    .load(Ordering::Acquire)
+                {
+                    true => CtlSignal::Abort,
+                    false => CtlSignal::Continue,
+                })
+            });
+            let mut ex = PeerExecutor::new(&wires[1], policy());
+            ex.run(&schedule, &mut buf1[0], ReduceOp::Sum, &ids, &mut || CtlSignal::Continue)
+                .expect("rank 1 has all its data");
+            peer_done.store(true, Ordering::Release);
+            rank0.join().expect("rank 0 thread")
+        });
+        assert_eq!(outcome0, Err(PeerExecError::Aborted));
     }
 
     #[test]

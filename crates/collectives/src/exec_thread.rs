@@ -5,11 +5,12 @@
 //! run at once — each running the crate's one rank body,
 //! [`PeerExecutor`], over its endpoint of an in-process
 //! [`ChannelWire`] mesh. Every [`ExecContext`] entry point (plain,
-//! traced, codec-compressed, fault-injected) is the same call
-//! ([`exec_fault::run_ranks`](crate::exec_fault)); they differ in the
-//! [`CodecKind`] the executors are given, in whether a trace lane is
-//! attached, and in whether each endpoint is wrapped in a
-//! [`FaultWire`](crate::exec_fault::FaultWire) for the call. What this
+//! codec-compressed, fault-injected, the elastic layer's) is the same
+//! call ([`exec_fault::run_ranks`](crate::exec_fault)); they differ in
+//! the [`CodecKind`] the executors are given, in whether an
+//! [`ExecTrace`] lane is attached, and in whether each endpoint is
+//! wrapped in a [`FaultWire`](crate::exec_fault::FaultWire) for the
+//! call. What this
 //! module adds is what has to happen *around* that call: verification
 //! before any rank body runs, and the rank set kept warm between
 //! calls.
@@ -46,12 +47,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use faults::RetryPolicy;
 use parking_lot::Mutex;
+use trace::{Lane, TraceRecorder};
 use transport::ChannelWire;
 
 use crate::compression::CodecKind;
 use crate::exec_fault::{run_ranks, FaultSession};
 use crate::exec_peer::{PeerExecError, PeerExecutor, PeerState};
-use crate::exec_trace::ExecTrace;
 use crate::pool::CorePool;
 use crate::reduce::{finalize, ReduceOp};
 use crate::sched::{Schedule, Violation};
@@ -100,6 +101,50 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// Chrome `tid` of the executor (communication) thread within a rank.
+const TID_COMM: u32 = 1;
+
+/// Per-rank trace lanes: rank id → a [`Lane`] of one shared
+/// [`TraceRecorder`] (rank → Chrome `pid`, executor thread → `tid`), so
+/// every rank body records its SEND/RECV/RETRY spans into its own row
+/// of the combined trace. Lane lookup happens once per rank body as it
+/// starts; recording afterwards is the recorder's no-alloc ring write.
+///
+/// The map is keyed by the rank ids a run addresses its ranks by:
+/// `0..n` for a plain [`ExecContext`] call, *original* world ids under
+/// a [`FaultSession`] or an
+/// [`ElasticAllreduce`](crate::elastic::ElasticAllreduce), so a rank
+/// keeps its trace row across elastic renumberings.
+#[derive(Debug, Clone, Default)]
+pub struct ExecTrace {
+    lanes: Vec<(usize, Lane)>,
+}
+
+impl ExecTrace {
+    /// Register one "comm" lane per id in `rank_ids` (id → Chrome pid).
+    pub fn comm(recorder: &TraceRecorder, rank_ids: &[usize]) -> Self {
+        let lanes = rank_ids
+            .iter()
+            .map(|&r| (r, recorder.lane(r as u32, TID_COMM, &format!("rank {r}"), "comm")))
+            .collect();
+        ExecTrace { lanes }
+    }
+
+    /// The lane registered for `rank`, if any.
+    pub fn lane(&self, rank: usize) -> Option<&Lane> {
+        self.lanes.iter().find(|(r, _)| *r == rank).map(|(_, l)| l)
+    }
+
+    /// Registered lane count.
+    pub fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+}
 
 /// What one call asks of [`ExecContext::execute`] beyond its schedule,
 /// buffers and op; the default is a plain [`ExecContext::run`].
@@ -289,21 +334,6 @@ impl ExecContext {
         self.execute(schedule, buffers, op, Call::default())
     }
 
-    /// [`ExecContext::run`] with per-rank trace lanes: each rank thread
-    /// records a SEND span per payload pushed and a RECV span per
-    /// blocking receive (wait + reduce) into `trace`'s lane for its
-    /// rank index. Lane lookup happens as each rank body starts;
-    /// recording is the no-alloc ring write.
-    pub fn run_traced(
-        &self,
-        schedule: &Schedule,
-        buffers: &mut [Vec<f32>],
-        op: ReduceOp,
-        trace: Option<&ExecTrace>,
-    ) -> Result<(), ExecError> {
-        self.execute(schedule, buffers, op, Call { trace, ..Call::default() })
-    }
-
     /// Full threaded allreduce: run the schedule and finalize the op.
     pub fn allreduce(
         &self,
@@ -312,18 +342,6 @@ impl ExecContext {
         op: ReduceOp,
     ) -> Result<(), ExecError> {
         self.execute(schedule, buffers, op, Call { finish: true, ..Call::default() })
-    }
-
-    /// [`ExecContext::allreduce`] with per-rank trace lanes (see
-    /// [`ExecContext::run_traced`]).
-    pub fn allreduce_traced(
-        &self,
-        schedule: &Schedule,
-        buffers: &mut [Vec<f32>],
-        op: ReduceOp,
-        trace: Option<&ExecTrace>,
-    ) -> Result<(), ExecError> {
-        self.execute(schedule, buffers, op, Call { trace, finish: true, ..Call::default() })
     }
 
     /// Threaded allreduce with codec-compressed payloads: every hop
@@ -340,20 +358,6 @@ impl ExecContext {
         codec: CodecKind,
     ) -> Result<(), ExecError> {
         self.execute(schedule, buffers, op, Call { codec, finish: true, ..Call::default() })
-    }
-
-    /// [`ExecContext::allreduce_compressed`] with per-rank trace lanes.
-    /// SEND spans record the *encoded* byte count, so a trace of a
-    /// compressed run shows the actual wire traffic.
-    pub fn allreduce_compressed_traced(
-        &self,
-        schedule: &Schedule,
-        buffers: &mut [Vec<f32>],
-        op: ReduceOp,
-        codec: CodecKind,
-        trace: Option<&ExecTrace>,
-    ) -> Result<(), ExecError> {
-        self.execute(schedule, buffers, op, Call { codec, trace, finish: true, ..Call::default() })
     }
 
     /// Payload bytes this context's runs have put on their wires,
@@ -570,11 +574,12 @@ mod tests {
         let mut plain = ins.clone();
         allreduce(&s, &mut plain, ReduceOp::Sum).unwrap();
 
-        let rec = trace::TraceRecorder::new();
+        let rec = TraceRecorder::new();
         let t = ExecTrace::comm(&rec, &(0..n).collect::<Vec<_>>());
         let ctx = ExecContext::for_schedule(&s).unwrap();
         let mut traced = ins.clone();
-        ctx.allreduce_traced(&s, &mut traced, ReduceOp::Sum, Some(&t)).unwrap();
+        let call = Call { trace: Some(&t), finish: true, ..Call::default() };
+        ctx.execute(&s, &mut traced, ReduceOp::Sum, call).unwrap();
         assert_eq!(traced, plain, "tracing must not perturb the numbers");
 
         let snap = rec.snapshot();
@@ -652,12 +657,13 @@ mod tests {
     fn compressed_traced_records_wire_bytes_in_send_spans() {
         let (n, e) = (4usize, 512usize);
         let s = ring::allreduce(n, e);
-        let rec = trace::TraceRecorder::new();
+        let rec = TraceRecorder::new();
         let t = ExecTrace::comm(&rec, &(0..n).collect::<Vec<_>>());
         let ctx = ExecContext::for_schedule(&s).unwrap();
         let mut bufs = inputs(n, e);
-        ctx.allreduce_compressed_traced(&s, &mut bufs, ReduceOp::Sum, CodecKind::Fp16, Some(&t))
-            .unwrap();
+        let call =
+            Call { codec: CodecKind::Fp16, trace: Some(&t), finish: true, ..Call::default() };
+        ctx.execute(&s, &mut bufs, ReduceOp::Sum, call).unwrap();
         let snap = rec.snapshot();
         let send_bytes: u64 = snap
             .lanes
@@ -668,6 +674,30 @@ mod tests {
             .sum();
         assert_eq!(send_bytes, ctx.wire_bytes(), "SEND spans must carry encoded byte counts");
     }
+
+    #[test]
+    fn trace_lanes_key_by_rank_id() {
+        let rec = TraceRecorder::new();
+        let world = ExecTrace::comm(&rec, &[0, 1, 3, 4]);
+        assert_eq!(world.len(), 4);
+        assert_eq!(world.lane(3).map(Lane::pid), Some(3));
+        assert!(world.lane(2).is_none());
+        assert_eq!(rec.lane_count(), 4);
+    }
+
+    #[test]
+    fn traced_spans_land_on_the_rank_pid() {
+        let rec = TraceRecorder::new();
+        let t = ExecTrace::comm(&rec, &[0, 7]);
+        let lane = t.lane(7).expect("registered");
+        lane.record_args("SEND", "send", 1.0, 2.0, 0, 64);
+        let snap = rec.snapshot();
+        assert_eq!(snap.pids(), vec![0, 7]);
+        let l7 = snap.lanes.iter().find(|l| l.pid == 7).expect("pid 7 lane");
+        assert_eq!(l7.tid, TID_COMM);
+        assert_eq!(l7.spans[0].cat, "SEND");
+    }
+
     /// The parked rank set serves every kind of call in any order, is
     /// rebuilt when the rank ids change, and is dropped by a call that
     /// fails — the next one starts clean and still lands bit-exactly.

@@ -46,7 +46,6 @@ pub mod exec_fault;
 pub mod exec_peer;
 pub mod exec_sim;
 pub mod exec_thread;
-pub mod exec_trace;
 pub mod hierarchical;
 pub mod pipeline;
 pub mod pool;
@@ -67,8 +66,7 @@ pub use exec_peer::{CtlSignal, PeerExecError, PeerExecutor, WireStats};
 pub use exec_sim::{
     simulate, simulate_compressed, simulate_dense, CostModel, MsgParams, UniformCost, ELEM_BYTES,
 };
-pub use exec_thread::{ExecContext, ExecError};
-pub use exec_trace::ExecTrace;
+pub use exec_thread::{ExecContext, ExecError, ExecTrace};
 pub use hierarchical::{LeaderAlgo, NodeGroups};
 pub use reduce::ReduceOp;
 pub use sched::{Action, Round, Rule, Schedule, Seg, Span, Violation};

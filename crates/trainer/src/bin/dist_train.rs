@@ -4,26 +4,28 @@
 //!
 //! * `dist_train launch --dir D --workers N ...` — binds the
 //!   rendezvous socket, spawns N copies of itself as `worker`
-//!   subprocesses, assigns ranks, runs the Ready→Start barrier, and
-//!   then arbitrates the commit protocol (see
-//!   `trainer::real::worker`): collect `StepDone` votes, broadcast
-//!   `Commit`, and on a worker death broadcast `Degrade` with a bumped
-//!   era. With `--kill-rank R --kill-step S` it SIGKILLs rank R's
-//!   process when the first vote for step S arrives — the chaos hook
-//!   the kill-a-worker suite drives.
+//!   subprocesses, assigns ranks, and then serves the commit
+//!   coordinator (`trainer::real::commit::Coordinator`): every control
+//!   connection feeds one inbox, each arrival (a frame, an EOF, a
+//!   silence) becomes an event, and each action the machine answers
+//!   with becomes a send, a SIGKILL (`--kill-rank R --kill-step S`, the
+//!   chaos hook the kill-a-worker suite drives) or a file.
 //! * `dist_train worker --dir D --tag T ...` — joins the rendezvous,
 //!   builds the socket mesh, trains its rank, writes
-//!   `result_r<rank>.json` + `params_r<rank>.bin` into the dir, and
-//!   reports `Finished`.
+//!   `result_r<rank>.json` + `params_r<rank>.bin`, reports `Finished`.
 //!
-//! Every file this binary writes lands inside `--dir`; the launcher
-//! writes a final `summary.json` naming the dead and the degrade
-//! steps so tests can replay the exact fault threaded.
+//! The protocol — frames, votes, eras, who is dead — lives in
+//! `trainer::real::commit`; this file owns processes and I/O. Every
+//! file it writes lands inside `--dir`; the launcher's final
+//! `summary.json` names the dead and the degrade steps so tests can
+//! replay the exact fault threaded.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -33,52 +35,45 @@ use trace::chrome::{parse_trace, write_trace, ChromeEvent};
 use trace::cluster::{ClusterView, StragglerPolicy};
 use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry};
 use trace::TraceSession;
-use trainer::real::worker::{preset, preset_names, run_worker, WorkerOutcome};
-use transport::{join, Frame, FrameKind, PeerConn, Rendezvous, TelemetrySource, WireError};
-
-/// The coordinator's pseudo-rank in frame `from` fields (workers are
-/// `0..N`, so `N` can never collide — but any value would do; nothing
-/// routes on it).
-fn coord_id(workers: usize) -> u16 {
-    workers as u16
-}
+use trainer::real::commit::{self, Action, Coordinator, Event};
+use trainer::real::worker::{preset, preset_names, run_worker};
+use transport::{join, Frame, FrameKind, Inbox, PeerConn, Rendezvous, TelemetrySource};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str);
-    let code = match mode {
-        Some("launch") => launch(&args[1..]),
-        Some("worker") => worker(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: dist_train launch --dir D [--workers N] [--steps S] [--seed X] \
-                 [--preset tiny|quick] [--kill-rank R --kill-step S] \
-                 [--telemetry] [--metrics-addr HOST:PORT] [--summary-every K]\n\
-                 \x20      dist_train worker --dir D --tag T --workers N --steps S --seed X --preset P"
-            );
-            2
-        }
-    };
+    let mode = args.first().map_or("", String::as_str);
+    if mode != "launch" && mode != "worker" {
+        eprintln!(
+            "usage: dist_train launch --dir D [--workers N] [--steps S] [--seed X] \
+             [--preset tiny|quick] [--base-ms B] [--kill-rank R --kill-step S] \
+             [--trace] [--telemetry] [--metrics-addr HOST:PORT]\n\
+             \x20      dist_train worker --dir D --tag T --workers N --steps S --seed X --preset P"
+        );
+        std::process::exit(2);
+    }
+    // Flags are checked before anything is created, bound or spawned:
+    // a bad command line is exit 2, a failed run exit 1.
+    let run = Flags::parse(&args[1..], mode == "launch").map_err(|e| (2, e)).and_then(|flags| {
+        let run = if mode == "launch" { launch(&flags) } else { worker(&flags) };
+        run.map_err(|e| (1, e))
+    });
+    let code = run.unwrap_or_else(|(code, e)| {
+        eprintln!("{mode}: {e}");
+        code
+    });
     std::process::exit(code);
 }
 
-fn arg(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
-}
+// ----------------------------------------------------------------- flags
 
-/// A numeric flag: `default` when absent, an error naming the flag when
-/// present but unparsable — a typo must not silently train the default.
-fn num_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
-    let Some(at) = args.iter().position(|a| a == key) else {
-        return Ok(default);
-    };
-    let v = args.get(at + 1).ok_or_else(|| format!("{key}: needs a value"))?;
-    v.parse().map_err(|_| format!("{key}: {v:?} is not a non-negative integer"))
-}
+/// Flags of both modes: those that take a value, and those that do not.
+const VALUED: &[&str] = &["--dir", "--workers", "--steps", "--seed", "--preset", "--base-ms"];
+const BARE: &[&str] = &["--trace", "--telemetry"];
 
-/// The flags `launch` and `worker` share, checked before anything is
-/// spawned, bound or joined.
-struct RunArgs {
+/// One mode's command line: every token accounted for, every value checked.
+struct Flags {
+    dir: PathBuf,
+    tag: Option<String>,
     workers: usize,
     steps: usize,
     seed: u64,
@@ -87,162 +82,149 @@ struct RunArgs {
     /// interval and the death threshold (see `RetryPolicy`), so one
     /// knob scales the whole failure-detection stack.
     pol: RetryPolicy,
+    traced: bool,
+    telemetry: bool,
+    metrics_addr: Option<String>,
+    kill: Option<(usize, usize)>,
+    /// The tokens both modes take, as given: what `launch` hands its
+    /// workers, whose defaults are this parser's too.
+    shared: Vec<String>,
 }
 
-fn run_args(args: &[String]) -> Result<RunArgs, String> {
-    let workers: usize = num_arg(args, "--workers", 4)?;
-    // `coord_id` and every frame's `from` field carry ranks as u16.
-    if workers == 0 || workers > u16::MAX as usize {
-        return Err(format!("--workers: {workers} is outside 1..={}", u16::MAX));
+impl Flags {
+    fn parse(args: &[String], launching: bool) -> Result<Flags, String> {
+        let mode_valued: &[&str] =
+            if launching { &["--kill-rank", "--kill-step", "--metrics-addr"] } else { &["--tag"] };
+        // Each flag given and its value ("" for a flag that takes none).
+        let mut given: Vec<(&str, &str)> = Vec::new();
+        let mut shared: Vec<String> = Vec::new();
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(tok) = tokens.next() {
+            let value = if BARE.contains(&tok) {
+                None
+            } else if VALUED.contains(&tok) || mode_valued.contains(&tok) {
+                Some(tokens.next().ok_or_else(|| format!("{tok}: needs a value"))?)
+            } else {
+                // A typo must not silently train the default.
+                return Err(format!("{tok}: unknown flag"));
+            };
+            if !mode_valued.contains(&tok) {
+                shared.extend(std::iter::once(tok).chain(value).map(str::to_string));
+            }
+            given.push((tok, value.unwrap_or("")));
+        }
+        fn get<'a>(given: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+            given.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+        }
+        fn num<T: FromStr>(given: &[(&str, &str)], key: &str) -> Result<Option<T>, String> {
+            let bad = |v| format!("{key}: {v:?} is not a non-negative integer");
+            get(given, key).map(|v| v.parse().map_err(|_| bad(v))).transpose()
+        }
+
+        let workers: usize = num(&given, "--workers")?.unwrap_or(4);
+        // Every frame's `from` field carries ranks as u16, and the
+        // coordinator signs as `workers`.
+        if workers == 0 || workers > u16::MAX as usize {
+            return Err(format!("--workers: {workers} is outside 1..={}", u16::MAX));
+        }
+        let steps: usize = num(&given, "--steps")?.unwrap_or(8);
+        if steps == 0 {
+            return Err("--steps: must be at least 1".into());
+        }
+        let preset = get(&given, "--preset").unwrap_or("tiny");
+        if !preset_names().contains(&preset) {
+            return Err(format!(
+                "--preset: unknown preset {preset:?} (expected {})",
+                preset_names().join("|")
+            ));
+        }
+        let kill_rank = num(&given, "--kill-rank")?;
+        let kill = match (kill_rank, num(&given, "--kill-step")?) {
+            (Some(r), Some(s)) if r >= workers || s >= steps => {
+                return Err(format!("--kill-rank: rank {r} step {s} is outside the run"))
+            }
+            (Some(r), Some(s)) => Some((r, s)),
+            (None, None) => None,
+            _ => return Err("--kill-rank: goes together with --kill-step".into()),
+        };
+        let metrics_addr = get(&given, "--metrics-addr").map(str::to_string);
+        Ok(Flags {
+            dir: get(&given, "--dir").map(PathBuf::from).ok_or("--dir: is required")?,
+            tag: get(&given, "--tag").map(str::to_string),
+            workers,
+            steps,
+            seed: num(&given, "--seed")?.unwrap_or(42),
+            preset: preset.to_string(),
+            pol: RetryPolicy {
+                base: Duration::from_millis(num(&given, "--base-ms")?.unwrap_or(25)),
+                factor: 2,
+                max_attempts: 6,
+                tick: Duration::from_millis(2),
+            },
+            traced: get(&given, "--trace").is_some(),
+            // A scrape endpoint is useless without the plane feeding
+            // it, so --metrics-addr implies --telemetry.
+            telemetry: get(&given, "--telemetry").is_some() || metrics_addr.is_some(),
+            metrics_addr,
+            kill,
+            shared,
+        })
     }
-    let steps: usize = num_arg(args, "--steps", 8)?;
-    if steps == 0 {
-        return Err("--steps: must be at least 1".into());
-    }
-    let preset = arg(args, "--preset").unwrap_or_else(|| "tiny".into());
-    if !preset_names().contains(&preset.as_str()) {
-        return Err(format!(
-            "--preset: unknown preset {preset:?} (expected {})",
-            preset_names().join("|")
-        ));
-    }
-    Ok(RunArgs {
-        workers,
-        steps,
-        seed: num_arg(args, "--seed", 42)?,
-        preset,
-        pol: RetryPolicy {
-            base: Duration::from_millis(num_arg(args, "--base-ms", 25)?),
-            factor: 2,
-            max_attempts: 6,
-            tick: Duration::from_millis(2),
-        },
-    })
 }
 
 // ---------------------------------------------------------------- launch
 
-struct WorkerSlot {
-    conn: PeerConn,
-    pid: u32,
-    dead: bool,
-    finished: bool,
-    vote: Option<u32>,
+/// The spawned workers (`.0[i]` has tag `i`; ranks go by arrival, so a
+/// rank finds its process through its hello's pid). Dropping the brood
+/// kills and reaps whoever still runs: no error path leaves a worker.
+struct Brood(Vec<Child>);
+
+impl Drop for Brood {
+    fn drop(&mut self) {
+        for c in &mut self.0 {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
 }
 
-fn launch(args: &[String]) -> i32 {
-    let Some(dir) = arg(args, "--dir").map(PathBuf::from) else {
-        eprintln!("launch: --dir is required");
-        return 2;
-    };
-    let (run, summary_every) =
-        match run_args(args).and_then(|r| Ok((r, num_arg(args, "--summary-every", 1u64)?))) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("launch: {e}");
-                return 2;
-            }
-        };
-    let RunArgs { workers, steps, seed, preset: preset_name, pol } = run;
-    let traced = args.iter().any(|a| a == "--trace");
-    let metrics_addr = arg(args, "--metrics-addr");
-    // A scrape endpoint is useless without the plane feeding it, so
-    // --metrics-addr implies --telemetry.
-    let telemetry_on = args.iter().any(|a| a == "--telemetry") || metrics_addr.is_some();
-    let kill: Option<(usize, usize)> = match (arg(args, "--kill-rank"), arg(args, "--kill-step")) {
-        (Some(r), Some(s)) => match (r.parse(), s.parse()) {
-            (Ok(r), Ok(s)) => Some((r, s)),
-            _ => {
-                eprintln!("launch: --kill-rank/--kill-step must be integers");
-                return 2;
-            }
-        },
-        (None, None) => None,
-        _ => {
-            eprintln!("launch: --kill-rank and --kill-step go together");
-            return 2;
-        }
-    };
-    if let Some((r, s)) = kill {
-        if r >= workers || s >= steps {
-            eprintln!("launch: kill target rank {r} step {s} outside the run");
-            return 2;
-        }
-    }
-
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("launch: cannot create {}: {e}", dir.display());
-        return 1;
-    }
-    let rdzv = match Rendezvous::bind(&dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("launch: cannot bind rendezvous socket: {e}");
-            return 1;
-        }
-    };
+fn launch(flags: &Flags) -> Result<i32, String> {
+    let Flags { dir, workers, pol, .. } = flags;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let rdzv = Rendezvous::bind(dir).map_err(|e| format!("cannot bind rendezvous socket: {e}"))?;
 
     // Spawn the workers as copies of this binary.
     let exe = std::env::current_exe().expect("own executable path"); // lint: allow(unwrap): no portable fallback exists for self-spawning
-    let mut children: Vec<Child> = Vec::with_capacity(workers);
-    for i in 0..workers {
+    let mut brood = Brood(Vec::with_capacity(*workers));
+    for i in 0..*workers {
         let mut cmd = Command::new(&exe);
-        cmd.arg("worker")
-            .args(["--dir", &dir.to_string_lossy()])
-            .args(["--tag", &i.to_string()])
-            .args(["--workers", &workers.to_string()])
-            .args(["--steps", &steps.to_string()])
-            .args(["--seed", &seed.to_string()])
-            .args(["--preset", &preset_name])
-            .args(["--base-ms", &pol.base.as_millis().to_string()])
-            .stdin(Stdio::null());
-        if traced {
-            cmd.arg("--trace");
+        cmd.arg("worker").args(&flags.shared).args(["--tag", &i.to_string()]).stdin(Stdio::null());
+        if flags.telemetry {
+            cmd.arg("--telemetry"); // implied by --metrics-addr, which a worker does not take
         }
-        if telemetry_on {
-            cmd.arg("--telemetry");
-        }
-        let child = cmd.spawn();
-        match child {
-            Ok(c) => children.push(c),
-            Err(e) => {
-                eprintln!("launch: spawning worker {i} failed: {e}");
-                for mut c in children {
-                    let _ = c.kill();
-                }
-                return 1;
-            }
-        }
+        brood.0.push(cmd.spawn().map_err(|e| format!("spawning worker {i} failed: {e}"))?);
     }
 
-    let telem = telemetry_on.then(|| TelemetryPlane::new(summary_every));
-    let server = match (&metrics_addr, &telem) {
-        (Some(addr), Some(t)) => match serve_metrics(addr, &dir, Arc::clone(&t.view)) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("launch: metrics endpoint: {e}");
-                for mut c in children {
-                    let _ = c.kill();
-                }
-                return 1;
-            }
-        },
-        _ => None,
-    };
+    let mut telem = flags.telemetry.then(|| TelemetryPlane::new(dir, pol.heartbeat_interval()));
+    let server = (telem.as_ref().zip(flags.metrics_addr.as_ref()))
+        .map(|(t, addr)| serve_metrics(addr, dir, Arc::clone(&t.view)))
+        .transpose()
+        .map_err(|e| format!("metrics endpoint: {e}"))?;
 
-    let result = coordinate(&rdzv, &dir, workers, kill, &pol, &mut children, telem.as_ref());
+    let result = coordinate(&rdzv, flags, &mut brood.0, telem.as_mut());
 
-    // One last window flush so post-mortems see the final cluster
-    // state even when the run (or its summary cadence) ended badly.
-    if let Some(t) = &telem {
-        t.write_summary(&dir);
+    // One last flush so post-mortems see the final cluster state even
+    // when the run ended badly.
+    if let Some(t) = &mut telem {
+        t.write_summary();
     }
     if let Some(s) = server {
         s.shutdown();
     }
+    let dead_pids = result?;
 
-    if traced && result.is_ok() {
-        match merge_traces(&dir, workers) {
+    if flags.traced {
+        match merge_traces(dir, *workers) {
             Ok(n) => println!("launch: merged {n} worker trace lanes into trace_merged.json"),
             Err(e) => eprintln!("launch: trace merge failed: {e}"),
         }
@@ -250,25 +232,12 @@ fn launch(args: &[String]) -> i32 {
 
     // Reap everything; a SIGKILLed child's status is expected to be
     // signal-terminated, anyone else must have exited cleanly.
-    let mut exit = match &result {
-        Ok(_) => 0,
-        Err(e) => {
-            eprintln!("launch: {e}");
-            for c in children.iter_mut() {
-                let _ = c.kill();
-            }
-            1
-        }
-    };
-    let dead_pids = result.unwrap_or_default();
-    for (i, c) in children.iter_mut().enumerate() {
-        let was_killed = dead_pids.contains(&c.id());
+    let mut exit = 0;
+    for (i, c) in brood.0.iter_mut().enumerate() {
         match c.wait() {
-            Ok(status) if !status.success() => {
-                if !was_killed && exit == 0 {
-                    eprintln!("launch: worker process {i} exited with {status}");
-                    exit = 1;
-                }
+            Ok(status) if !status.success() && !dead_pids.contains(&c.id()) && exit == 0 => {
+                eprintln!("launch: worker process {i} exited with {status}");
+                exit = 1;
             }
             Ok(_) => {}
             Err(e) => {
@@ -277,285 +246,121 @@ fn launch(args: &[String]) -> i32 {
             }
         }
     }
-    exit
+    Ok(exit)
 }
 
-/// Rendezvous, barrier, and the commit/degrade event loop. Returns the
-/// pids of the ranks that died (their signal exits are expected when
-/// reaping). `children[i]` is the worker spawned with tag `i`; ranks
-/// are assigned by arrival, so kill targets resolve through the hello
-/// pids.
+/// Rendezvous, then the coordinator's event loop: arrivals and time in,
+/// the machine's actions out. Returns the pids of the ranks that died
+/// (their signal exits are expected when reaping).
 fn coordinate(
     rdzv: &Rendezvous,
-    dir: &Path,
-    workers: usize,
-    kill: Option<(usize, usize)>,
-    pol: &RetryPolicy,
+    flags: &Flags,
     children: &mut [Child],
-    telem: Option<&TelemetryPlane>,
+    mut telem: Option<&mut TelemetryPlane>,
 ) -> Result<Vec<u32>, String> {
-    let me = coord_id(workers);
-    let joined = rdzv.assemble(workers).map_err(|e| format!("rendezvous failed: {e}"))?;
-    let mut slots: Vec<WorkerSlot> = Vec::with_capacity(workers);
+    let Flags { dir, workers, pol, .. } = flags;
+    let me = *workers as u16; // no worker's id; nothing routes on it
+    let joined = rdzv.assemble(*workers).map_err(|e| format!("rendezvous failed: {e}"))?;
+    let inbox = Inbox::default();
+    let mut conns: Vec<PeerConn> = Vec::with_capacity(*workers);
+    let mut pids: Vec<u32> = Vec::with_capacity(*workers);
     for (rank, (hello, stream)) in joined.into_iter().enumerate() {
-        let conn = PeerConn::solo(rank, me as usize, stream, Some(*pol))
-            .map_err(|e| format!("control conn for rank {rank}: {e}"))?;
         if !children.iter().any(|c| c.id() == hello.pid) {
             return Err(format!("rank {rank} announced unknown pid {}", hello.pid));
         }
-        slots.push(WorkerSlot { conn, pid: hello.pid, dead: false, finished: false, vote: None });
+        conns.push(
+            PeerConn::solo_into(rank, me as usize, stream, Some(*pol), &inbox)
+                .map_err(|e| format!("control conn for rank {rank}: {e}"))?,
+        );
+        pids.push(hello.pid);
     }
 
-    // Ready → Start barrier: every worker has a full mesh before any
-    // schedule traffic flows. Telemetry piggybacks the heartbeat pump,
-    // which starts at conn creation — so telemetry frames can race the
-    // Ready and must be absorbed here, not treated as protocol errors.
-    // The wait is bounded by one overall deadline per rank: telemetry
-    // keeps arriving at beacon cadence even from a worker wedged before
-    // its Ready, so per-receive timeouts alone would never expire.
-    for (rank, slot) in slots.iter().enumerate() {
-        let deadline = Instant::now() + pol.death_threshold();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(format!("rank {rank} never became ready: {}", WireError::Timeout));
-            }
-            match slot.conn.recv_timeout(deadline - now) {
-                Ok(f) if f.kind == FrameKind::Ready => break,
-                Ok(f) if f.kind == FrameKind::Telemetry => {
-                    if let Some(t) = telem {
-                        t.ingest(&f);
-                    }
+    let kill = flags.kill.map(|(rank, step)| (rank, step as u32));
+    let mut machine = Coordinator::new(*workers, kill);
+    // Telemetry arrives at beacon cadence even from a worker wedged
+    // before its Ready: the barrier gets a deadline, not a silence bound.
+    let ready_by = Instant::now() + pol.death_threshold();
+    let mut events: VecDeque<(usize, Event)> = VecDeque::new();
+    while !machine.done() {
+        // The launcher's one blocking wait. Telemetry piggybacks the
+        // heartbeat pump, which starts at conn creation, so its frames
+        // can precede a rank's Ready.
+        match inbox.recv_timeout(pol.heartbeat_interval()) {
+            Some((_, Some(f))) if f.kind == FrameKind::Telemetry => {
+                if let Some(t) = telem.as_deref_mut() {
+                    t.ingest(&f);
                 }
-                Ok(f) => return Err(format!("rank {rank} sent {:?} before Ready", f.kind)),
-                Err(e) => return Err(format!("rank {rank} never became ready: {e}")),
+            }
+            Some((rank, Some(f))) => {
+                let ev = Event::from_frame(&f).map_err(|e| format!("rank {rank}: {e}"))?;
+                events.extend(ev.map(|ev| (rank, ev)));
+            }
+            Some((rank, None)) => events.push_back((rank, Event::Gone)),
+            None => {}
+        }
+        // Time enters as events. Heartbeats flow even while a worker
+        // computes, so sustained silence means a wedged process.
+        let barrier_overdue = !machine.started() && Instant::now() >= ready_by;
+        for (rank, conn) in conns.iter().enumerate() {
+            let silent = machine.started() && conn.silence() > pol.death_threshold();
+            if machine.is_live(rank) && (silent || barrier_overdue) {
+                events.push_back((rank, Event::Silent));
             }
         }
-    }
-    for slot in slots.iter() {
-        slot.conn
-            .send(&Frame::control(FrameKind::Start, me, 0, 0))
-            .map_err(|e| format!("start broadcast: {e}"))?;
-    }
-
-    let mut era: u32 = 0;
-    let mut current_step: u32 = 0;
-    let mut killed = false;
-    let mut degrades: Vec<(u32, Vec<usize>)> = Vec::new();
-
-    let all_done = |slots: &[WorkerSlot]| slots.iter().all(|s| s.finished || s.dead);
-    while !all_done(&slots) {
-        for r in 0..workers {
-            if slots[r].dead || slots[r].finished {
-                continue;
-            }
-            match slots[r].conn.recv_timeout(pol.tick) {
-                Ok(f) => match f.kind {
-                    FrameKind::StepDone => {
-                        if f.era != era {
-                            continue; // stale vote from before a degrade
-                        }
-                        slots[r].vote = Some(f.step);
-                        // Chaos hook: the first current-era vote for the
-                        // kill step pulls the trigger — the target may be
-                        // computing, mid-exchange, or already voted.
-                        if let Some((kr, ks)) = kill {
-                            if !killed && f.step as usize == ks && !slots[kr].dead {
-                                killed = true;
-                                // Any vote for step ks means every rank —
-                                // the victim included — already entered the
-                                // step-ks exchange, and the victim's
-                                // begin-of-step snapshot was sent before its
-                                // first mesh send. Drain the victim's ring
-                                // so the flight recorder pins the kill step
-                                // before the process goes away.
-                                if let Some(t) = telem {
-                                    drain_victim(&slots[kr], t, kr, ks, pol);
-                                }
-                                sigkill(children, slots[kr].pid);
-                                degrade(
-                                    &mut slots,
-                                    kr,
-                                    &mut era,
-                                    current_step,
-                                    &mut degrades,
-                                    me,
-                                    telem,
-                                    dir,
-                                )?;
-                                continue;
-                            }
-                        }
-                        try_commit(&mut slots, era, &mut current_step, me, telem, dir)?;
-                    }
-                    FrameKind::Finished => slots[r].finished = true,
-                    FrameKind::Telemetry => {
-                        if let Some(t) = telem {
-                            t.ingest(&f);
+        while let Some((rank, ev)) = events.pop_front() {
+            for action in machine.on(rank, ev) {
+                match action {
+                    Action::Send { to, msg } => {
+                        if conns[to].send(&msg.frame(me)).is_err() {
+                            events.push_back((to, Event::Gone));
                         }
                     }
-                    _ => {}
-                },
-                Err(WireError::Timeout) => {
-                    // Heartbeats flow even while a worker computes, so
-                    // sustained silence means a wedged process.
-                    if slots[r].conn.silence() > pol.death_threshold() {
-                        degrade(
-                            &mut slots,
-                            r,
-                            &mut era,
-                            current_step,
-                            &mut degrades,
-                            me,
-                            telem,
-                            dir,
-                        )?;
+                    Action::Kill(rank) => {
+                        if let Some(c) = children.iter_mut().find(|c| c.id() == pids[rank]) {
+                            let _ = c.kill();
+                        }
                     }
+                    Action::Dead(rank) => {
+                        if let Some(t) = telem.as_deref_mut() {
+                            t.flight_dump(rank);
+                        }
+                    }
+                    Action::Fail(why) => return Err(why),
                 }
-                Err(WireError::PeerGone) => {
-                    degrade(&mut slots, r, &mut era, current_step, &mut degrades, me, telem, dir)?;
-                }
-                Err(WireError::NoSuchPeer(_)) => unreachable!("control conns are per-slot"),
             }
         }
     }
 
-    let survivors: Vec<usize> = (0..workers).filter(|&r| !slots[r].dead).collect();
+    let survivors = machine.survivors();
     if survivors.is_empty() {
         return Err("every worker died".into());
     }
-    write_summary(dir, workers, &survivors, &degrades)
+    write_atomic(dir, "summary.json", &machine.summary_json())
         .map_err(|e| format!("writing summary: {e}"))?;
-    Ok((0..workers).filter(|&r| slots[r].dead).map(|r| slots[r].pid).collect())
-}
-
-fn sigkill(children: &mut [Child], pid: u32) {
-    if let Some(c) = children.iter_mut().find(|c| c.id() == pid) {
-        let _ = c.kill();
-    }
-}
-
-/// Pull whatever the doomed rank already shipped out of its control
-/// ring before SIGKILL lands. The victim's begin-of-step snapshot for
-/// `ks` was written into our socket buffer before any step-`ks` mesh
-/// traffic (see `run_worker`), so this loop terminates as soon as the
-/// reader thread has moved those bytes — the deadline only guards
-/// against a pathological scheduler stall.
-fn drain_victim(
-    slot: &WorkerSlot,
-    telem: &TelemetryPlane,
-    kr: usize,
-    ks: usize,
-    pol: &RetryPolicy,
-) {
-    let deadline = Instant::now() + pol.death_threshold();
-    // Exit conditions head the loop: a steady stream of Ok frames
-    // (beacon-cadence telemetry below step ks, votes) must not be able
-    // to hold the SIGKILL past the deadline.
-    loop {
-        let seen = telem.last_step_of(kr as u16);
-        if seen.is_some_and(|s| s as usize >= ks) || Instant::now() >= deadline {
-            break;
-        }
-        match slot.conn.recv_timeout(pol.tick) {
-            Ok(f) if f.kind == FrameKind::Telemetry => telem.ingest(&f),
-            Ok(_) => {} // in-flight votes for this round get voided by the degrade anyway
-            Err(WireError::PeerGone) => break, // nothing more will ever arrive
-            Err(_) => {}
-        }
-    }
-}
-
-/// Declare `r` dead: bump the era, void the round's votes, record the
-/// degrade, and announce it to every survivor.
-#[allow(clippy::too_many_arguments)]
-fn degrade(
-    slots: &mut [WorkerSlot],
-    r: usize,
-    era: &mut u32,
-    current_step: u32,
-    degrades: &mut Vec<(u32, Vec<usize>)>,
-    me: u16,
-    telem: Option<&TelemetryPlane>,
-    dir: &Path,
-) -> Result<(), String> {
-    if let Some(t) = telem {
-        t.flight_dump(dir, r);
-    }
-    slots[r].dead = true;
-    *era += 1;
-    for s in slots.iter_mut() {
-        s.vote = None;
-    }
-    degrades.push((current_step, vec![r]));
-    let mut f = Frame::control(FrameKind::Degrade, me, *era, current_step);
-    f.payload = r.to_string().into_bytes();
-    for (other, slot) in slots.iter().enumerate() {
-        if slot.dead || slot.finished || other == r {
-            continue;
-        }
-        // A send failing here means that worker is dying too; its own
-        // EOF will degrade it on a later sweep.
-        let _ = slot.conn.send(&f);
-    }
-    Ok(())
-}
-
-/// Broadcast `Commit` once every live worker has voted this era.
-fn try_commit(
-    slots: &mut [WorkerSlot],
-    era: u32,
-    current_step: &mut u32,
-    me: u16,
-    telem: Option<&TelemetryPlane>,
-    dir: &Path,
-) -> Result<(), String> {
-    let live: Vec<usize> =
-        (0..slots.len()).filter(|&r| !slots[r].dead && !slots[r].finished).collect();
-    if live.is_empty() || live.iter().any(|&r| slots[r].vote.is_none()) {
-        return Ok(());
-    }
-    let step = slots[live[0]].vote.expect("checked above"); // lint: allow(unwrap): vote presence checked for every live slot above
-    for &r in &live {
-        if slots[r].vote != Some(step) {
-            return Err(format!(
-                "split vote: rank {r} at step {:?}, rank {} at step {step}",
-                slots[r].vote, live[0]
-            ));
-        }
-    }
-    let f = Frame::control(FrameKind::Commit, me, era, step);
-    for &r in &live {
-        slots[r].conn.send(&f).map_err(|e| format!("commit broadcast to rank {r}: {e}"))?;
-    }
-    *current_step = step + 1;
-    for s in slots.iter_mut() {
-        s.vote = None;
-    }
-    if let Some(t) = telem {
-        t.on_commit(dir);
-    }
-    Ok(())
+    Ok((0..*workers).filter(|r| !survivors.contains(r)).map(|r| pids[r]).collect())
 }
 
 // ------------------------------------------------------------- telemetry
 
 /// Coordinator-side half of the telemetry plane: the shared
-/// [`ClusterView`] every scrape reads, plus the step-window summary
-/// cadence. Ingest happens on the coordinator thread; the HTTP thread
-/// only ever takes the lock to render.
+/// [`ClusterView`] every scrape reads, plus the wall-clock cadence of
+/// `cluster_summary.json`. Ingest happens on the coordinator thread;
+/// the HTTP thread only ever takes the lock to render.
 struct TelemetryPlane {
     view: Arc<Mutex<ClusterView>>,
-    summary_every: u64,
-    commits: std::cell::Cell<u64>,
+    dir: PathBuf,
+    /// Least wall-clock time between two summaries written on ingest.
+    cadence: Duration,
+    summary_due: Instant,
 }
 
 impl TelemetryPlane {
-    fn new(summary_every: u64) -> Self {
+    fn new(dir: &Path, cadence: Duration) -> Self {
         TelemetryPlane {
             view: Arc::new(Mutex::new(ClusterView::new(StragglerPolicy::default()))),
-            summary_every,
-            commits: std::cell::Cell::new(0),
+            dir: dir.to_path_buf(),
+            cadence,
+            summary_due: Instant::now(),
         }
     }
 
@@ -566,8 +371,9 @@ impl TelemetryPlane {
     }
 
     /// Decode and fold one wire snapshot; a straggler edge-crossing
-    /// gets one log line, not one per scrape.
-    fn ingest(&self, f: &Frame) {
+    /// gets one log line, not one per scrape. The summary file follows
+    /// the wall clock, not the step rate.
+    fn ingest(&mut self, f: &Frame) {
         match decode_telemetry(&f.payload) {
             Ok(snap) => {
                 if let Some(a) = self.lock().ingest(snap) {
@@ -579,38 +385,32 @@ impl TelemetryPlane {
             }
             Err(e) => eprintln!("launch: undecodable telemetry from rank {}: {e}", f.from),
         }
+        if Instant::now() >= self.summary_due {
+            self.write_summary();
+        }
     }
 
-    fn last_step_of(&self, rank: u16) -> Option<u32> {
-        self.lock().latest(rank).map(|s| s.current_step)
-    }
-
-    /// Mark `rank` dead and emit its crash flight record — the
-    /// last-known spans, step, and counters that rode telemetry frames
-    /// before the process vanished.
-    fn flight_dump(&self, dir: &Path, rank: usize) {
+    /// Mark `rank` dead, emit its crash flight record — the last-known
+    /// spans, step, and counters that rode telemetry frames before the
+    /// process vanished — and record the shrunken world.
+    fn flight_dump(&mut self, rank: usize) {
         let mut view = self.lock();
         view.mark_dead(rank as u16);
         if let Some(doc) = view.flight_json(rank as u16) {
-            if let Err(e) = write_atomic(dir, &format!("flight_{rank}.json"), &doc) {
+            if let Err(e) = write_atomic(&self.dir, &format!("flight_{rank}.json"), &doc) {
                 eprintln!("launch: writing flight_{rank}.json: {e}");
             }
         }
+        drop(view);
+        self.write_summary();
     }
 
-    fn on_commit(&self, dir: &Path) {
-        let n = self.commits.get() + 1;
-        self.commits.set(n);
-        if self.summary_every > 0 && n.is_multiple_of(self.summary_every) {
-            self.write_summary(dir);
-        }
-    }
-
-    fn write_summary(&self, dir: &Path) {
+    fn write_summary(&mut self) {
         let doc = self.lock().summary_json();
-        if let Err(e) = write_atomic(dir, "cluster_summary.json", &doc) {
+        if let Err(e) = write_atomic(&self.dir, "cluster_summary.json", &doc) {
             eprintln!("launch: writing cluster_summary.json: {e}");
         }
+        self.summary_due = Instant::now() + self.cadence;
     }
 }
 
@@ -652,22 +452,20 @@ fn serve_metrics(
         .map_err(|e| format!("writing metrics_addr.txt: {e}"))?;
     println!("launch: serving metrics on http://{bound}/metrics");
     let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = Arc::clone(&stop);
+    let stopped = Arc::clone(&stop);
+    let scrape_loop = move || {
+        for mut stream in listener.incoming().flatten() {
+            if stopped.load(Ordering::Acquire) {
+                break;
+            }
+            let _ = serve_one(&mut stream, &view);
+        }
+    };
     let handle = std::thread::Builder::new()
         .name("metrics-http".into())
-        .spawn(move || scrape_loop(listener, view, thread_stop))
+        .spawn(scrape_loop)
         .map_err(|e| format!("spawning scrape thread: {e}"))?;
     Ok(MetricsServer { addr: bound, stop, handle })
-}
-
-fn scrape_loop(listener: TcpListener, view: Arc<Mutex<ClusterView>>, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(mut stream) = conn else { continue };
-        let _ = serve_one(&mut stream, &view);
-    }
 }
 
 fn serve_one(stream: &mut TcpStream, view: &Arc<Mutex<ClusterView>>) -> std::io::Result<()> {
@@ -742,35 +540,6 @@ fn gap_event(name: &str, rank: usize) -> ChromeEvent {
     ChromeEvent::complete(name, "FAULT", 0.0, 0.0, rank as u32, 0)
 }
 
-fn write_summary(
-    dir: &Path,
-    workers: usize,
-    survivors: &[usize],
-    degrades: &[(u32, Vec<usize>)],
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!(
-        "  \"survivors\": [{}],\n",
-        survivors.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-    ));
-    out.push_str("  \"degrades\": [");
-    let items: Vec<String> = degrades
-        .iter()
-        .map(|(step, dead)| {
-            format!(
-                "{{\"step\": {step}, \"dead\": [{}]}}",
-                dead.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-            )
-        })
-        .collect();
-    out.push_str(&items.join(", "));
-    out.push_str("]\n}\n");
-    let tmp = dir.join("summary.json.tmp");
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(tmp, dir.join("summary.json"))
-}
-
 // ---------------------------------------------------------------- worker
 
 /// Adapter hanging the worker's [`WorkerTelemetry`] off the control
@@ -785,112 +554,46 @@ impl TelemetrySource for TelemetryFeed {
     }
 }
 
-fn worker(args: &[String]) -> i32 {
-    let run = match run_args(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            return 2;
-        }
-    };
-    match worker_inner(args, run) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            1
-        }
-    }
-}
-
-fn worker_inner(args: &[String], run: RunArgs) -> Result<(), String> {
-    let dir = arg(args, "--dir").map(PathBuf::from).ok_or("--dir is required")?;
-    let tag = arg(args, "--tag").ok_or("--tag is required")?;
-    let RunArgs { workers, steps, seed, preset: preset_name, pol } = run;
+fn worker(flags: &Flags) -> Result<i32, String> {
+    let Flags { dir, workers, steps, pol, .. } = flags;
+    let tag = flags.tag.as_deref().ok_or("--tag: is required")?;
     let clock = FaultClock::real();
 
-    let joined = join(&dir, &tag, &pol, &clock).map_err(|e| format!("rendezvous join: {e}"))?;
+    let joined = join(dir, tag, pol, &clock).map_err(|e| format!("rendezvous join: {e}"))?;
     let rank = joined.rank;
     let (mesh, ctl_stream) =
-        joined.build_mesh(pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
+        joined.build_mesh(*pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
     // Telemetry rides the control conn only — data wires stay
     // byte-identical with or without the plane.
-    let tel: Option<Arc<WorkerTelemetry>> = args
-        .iter()
-        .any(|a| a == "--telemetry")
-        .then(|| Arc::new(WorkerTelemetry::new(rank as u16)));
+    let tel = flags.telemetry.then(|| Arc::new(WorkerTelemetry::new(rank as u16)));
     let ctl = match &tel {
         Some(t) => PeerConn::solo_with_telemetry(
-            workers,
+            *workers,
             rank,
             ctl_stream,
-            pol,
+            *pol,
             Arc::new(TelemetryFeed(Arc::clone(t))),
         ),
-        None => PeerConn::solo(workers, rank, ctl_stream, Some(pol)),
+        None => PeerConn::solo(*workers, rank, ctl_stream, Some(*pol)),
     }
     .map_err(|e| format!("control conn: {e}"))?;
+    commit::join_barrier(&ctl, pol, rank)?;
 
-    ctl.send(&Frame::control(FrameKind::Ready, rank as u16, 0, 0))
-        .map_err(|e| format!("ready: {e}"))?;
-    loop {
-        match ctl.recv_timeout(pol.death_threshold()) {
-            Ok(f) if f.kind == FrameKind::Start => break,
-            Ok(_) => {}
-            Err(e) => return Err(format!("waiting for start: {e}")),
-        }
-    }
-
-    let mut cfg = preset(&preset_name, workers, steps, seed);
-    let session = if args.iter().any(|a| a == "--trace") {
-        Some(std::sync::Arc::new(TraceSession::new()))
-    } else {
-        None
-    };
+    let mut cfg = preset(&flags.preset, *workers, *steps, flags.seed);
+    let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     cfg.trace = session.clone();
-    let outcome = run_worker(&cfg, &mesh, &ctl, pol, tel.as_deref()).map_err(|e| e.to_string())?;
-    write_results(&dir, &outcome).map_err(|e| format!("writing results: {e}"))?;
+    let outcome = run_worker(&cfg, &mesh, &ctl, *pol, tel.as_deref()).map_err(|e| e.to_string())?;
+    let mut params = Vec::with_capacity(outcome.final_params.len() * 4);
+    for &p in &outcome.final_params {
+        params.extend_from_slice(&p.to_le_bytes());
+    }
+    std::fs::write(dir.join(format!("result_r{rank}.json")), outcome.result_json())
+        .and_then(|()| std::fs::write(dir.join(format!("params_r{rank}.bin")), params))
+        .map_err(|e| format!("writing results: {e}"))?;
     if let Some(s) = &session {
         std::fs::write(dir.join(format!("trace_r{rank}.json")), s.recorder.to_chrome_json())
             .map_err(|e| format!("writing trace: {e}"))?;
     }
-    ctl.send(&Frame::control(FrameKind::Finished, rank as u16, 0, steps as u32))
-        .map_err(|e| format!("finished: {e}"))?;
-    Ok(())
-}
-
-fn write_results(dir: &Path, out: &WorkerOutcome) -> std::io::Result<()> {
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"rank\": {},\n", out.rank));
-    json.push_str(&format!(
-        "  \"survivors\": [{}],\n",
-        out.survivors.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str("  \"degrades\": [");
-    let items: Vec<String> = out
-        .degradations
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"step\": {}, \"dead\": [{}], \"era\": {}}}",
-                d.step,
-                d.dead.iter().map(ToString::to_string).collect::<Vec<_>>().join(", "),
-                d.era
-            )
-        })
-        .collect();
-    json.push_str(&items.join(", "));
-    json.push_str("],\n");
-    json.push_str(&format!(
-        "  \"losses\": [{}]\n",
-        out.step_losses.iter().map(|l| format!("{l:.17e}")).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str("}\n");
-    std::fs::write(dir.join(format!("result_r{}.json", out.rank)), json)?;
-
-    let mut bytes = Vec::with_capacity(out.final_params.len() * 4);
-    for &p in &out.final_params {
-        bytes.extend_from_slice(&p.to_le_bytes());
-    }
-    let mut f = std::fs::File::create(dir.join(format!("params_r{}.bin", out.rank)))?;
-    f.write_all(&bytes)
+    commit::report_finished(&ctl, rank, *steps)?;
+    Ok(0)
 }

@@ -3,6 +3,7 @@
 //! gradient allreduce.
 
 pub mod checkpoint;
+pub mod commit;
 pub mod miou;
 pub mod net;
 pub mod pipeline;
@@ -12,6 +13,7 @@ pub mod train;
 pub mod worker;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
+pub use commit::DegradeRecord;
 pub use miou::Confusion;
 pub use net::{BatchWorkspace, NetConfig, SegNet, Workspace};
 pub use segdata::{generate, generate_batch, DataConfig, Sample};
@@ -20,4 +22,4 @@ pub use train::{
     evaluate, train, try_train, CheckpointConfig, EvalPoint, FaultToleranceConfig, TrainConfig,
     TrainError, TrainResult,
 };
-pub use worker::{preset, run_worker, DegradeRecord, WorkerError, WorkerOutcome};
+pub use worker::{preset, run_worker, WorkerError, WorkerOutcome};

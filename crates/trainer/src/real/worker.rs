@@ -10,60 +10,31 @@
 //! the threaded run for the same seed (the socket-parity integration
 //! test pins this).
 //!
-//! # The commit protocol
+//! # Crash tolerance
 //!
-//! Crash tolerance is where processes genuinely differ from threads:
-//! when a rank is SIGKILLed mid-step, some survivors may have finished
-//! the collective while others must abort — under e.g. recursive
-//! doubling the dead rank's last sends can complete one survivor's
-//! exchange posthumously (kernel-buffered bytes drain before EOF). If
-//! each survivor decided alone, they would diverge. So the optimizer
-//! update is gated by the launcher acting as a commit coordinator over
-//! each worker's control stream:
-//!
-//! 1. A worker that completes step `s`'s exchange sends `StepDone{s,
-//!    era}` and *waits* — it does not apply the update.
-//! 2. The coordinator broadcasts `Commit{s}` only when every live
-//!    worker has voted for `s` in the current era.
-//! 3. On a worker death (control-stream EOF, heartbeat silence, or a
-//!    deliberate chaos kill), the coordinator instead bumps the era,
-//!    discards the round's votes, and broadcasts `Degrade{dead, era}`.
-//!
-//! Control streams are ordered, so every survivor observes the same
-//! prefix of `Commit`s before the `Degrade` — all survivors agree on
-//! the degrade step `d` without any inter-worker agreement protocol.
-//! On `Degrade` a worker restores its pre-exchange gradient snapshot,
-//! removes the dead from its live set, rebuilds **and re-verifies**
-//! the schedule over the survivors, bumps the transport era (sequence
-//! numbers restart; stale-era frames are dropped on arrival), and
-//! re-executes the exchange. The optimizer is therefore applied
-//! exactly once per step, on identical bytes, at every survivor —
-//! which is what makes the chaos result reproducible by a threaded
-//! run with a crash injected at `(d, round 0)`.
-
-use std::time::Duration;
+//! The optimizer update is gated by the commit protocol
+//! ([`super::commit`]): a worker that completes a step's exchange votes
+//! and waits; it applies the update only on `Commit`. On `Degrade` it
+//! restores its pre-exchange gradient snapshot, removes the dead from
+//! its live set, rebuilds **and re-verifies** the schedule over the
+//! survivors, bumps the transport era (sequence numbers restart;
+//! stale-era frames are dropped on arrival), and re-executes the
+//! exchange. The optimizer is therefore applied exactly once per step,
+//! on identical bytes, at every survivor — which is what makes the
+//! chaos result reproducible by a threaded run with a crash injected at
+//! `(d, round 0)`.
 
 use collectives::compression::{EncodeScratch, ErrorFeedback};
 use collectives::{CtlSignal, PeerExecError, PeerExecutor, ReduceOp, Schedule, Violation};
 use faults::RetryPolicy;
 use summit_metrics::rng::derive_seed;
 use trace::telemetry::{metric, WorkerTelemetry};
-use transport::{Frame, FrameKind, PeerConn, Wire, WireError};
+use transport::{Frame, FrameKind, PeerConn, Wire};
 
+use super::commit::{self, DegradeRecord, Verdict};
 use super::net::{BatchWorkspace, SegNet};
 use super::sgd::MomentumSgd;
 use super::train::{apply_wire_codec, local_mean_gradient, TrainConfig};
-
-/// One elastic degradation as the worker observed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradeRecord {
-    /// The training step that was re-executed over the survivors.
-    pub step: usize,
-    /// Original ids declared dead by this degrade.
-    pub dead: Vec<usize>,
-    /// The era entered after the degrade.
-    pub era: u32,
-}
 
 /// What one worker process produced.
 #[derive(Debug, Clone)]
@@ -75,6 +46,29 @@ pub struct WorkerOutcome {
     /// Original ids alive at the end, ascending.
     pub survivors: Vec<usize>,
     pub degradations: Vec<DegradeRecord>,
+}
+
+impl WorkerOutcome {
+    /// This rank's `result_r<rank>.json`. Losses print with 17
+    /// significant digits, so a reader recovers the exact f64.
+    pub fn result_json(&self) -> String {
+        let degrades: Vec<String> = self
+            .degradations
+            .iter()
+            .map(|d| {
+                let dead = commit::id_list(&d.dead);
+                format!("{{\"step\": {}, \"dead\": [{dead}], \"era\": {}}}", d.step, d.era)
+            })
+            .collect();
+        let losses: Vec<String> = self.step_losses.iter().map(|l| format!("{l:.17e}")).collect();
+        format!(
+            "{{\n  \"rank\": {},\n  \"survivors\": [{}],\n  \"degrades\": [{}],\n  \"losses\": [{}]\n}}\n",
+            self.rank,
+            commit::id_list(&self.survivors),
+            degrades.join(", "),
+            losses.join(", ")
+        )
+    }
 }
 
 /// Why a worker run failed.
@@ -139,12 +133,6 @@ pub fn preset(name: &str, workers: usize, steps: usize, seed: u64) -> TrainConfi
     cfg.steps = steps;
     cfg.seed = seed;
     cfg
-}
-
-/// What a completed step's commit wait resolved to.
-enum Verdict {
-    Commit,
-    Degrade(DegradeRecord),
 }
 
 /// Run this process's rank of `cfg` over `wire`, arbitrated by the
@@ -239,19 +227,15 @@ pub fn run_worker(
             let exchange_t0 = lane.as_ref().map(|l| l.now_us());
             let exchange_t0i = std::time::Instant::now();
             exec.begin_step(step);
-            let mut announced: Option<Frame> = None;
-            let result = {
-                let announced = &mut announced;
-                exec.allreduce(&schedule, &mut grad, ReduceOp::Average, &live, &mut || match ctl
-                    .recv_timeout(Duration::ZERO)
-                {
-                    Ok(f) if f.kind == FrameKind::Degrade => {
-                        *announced = Some(f);
-                        CtlSignal::Abort
+            let mut announced = Ok(None);
+            let result =
+                exec.allreduce(&schedule, &mut grad, ReduceOp::Average, &live, &mut || {
+                    announced = commit::poll_degrade(ctl, step);
+                    match announced {
+                        Ok(None) => CtlSignal::Continue,
+                        _ => CtlSignal::Abort,
                     }
-                    _ => CtlSignal::Continue,
-                })
-            };
+                });
             if let (Some(l), Some(t0)) = (&lane, exchange_t0) {
                 l.record("MPI_ALLREDUCE", "exchange", t0, l.now_us() - t0);
             }
@@ -273,31 +257,33 @@ pub fn run_worker(
                         // ran, not the stats of its last committed step.
                         fold_wire_stats(tel, &exec);
                     }
-                    let mut vote =
-                        Frame::control(FrameKind::StepDone, rank as u16, exec.era(), step as u32);
-                    vote.seq = step as u64;
-                    ctl.send(&vote).map_err(|e| {
-                        WorkerError::Coordinator(format!("vote for step {step} failed: {e}"))
-                    })?;
+                    commit::vote(ctl, rank, exec.era(), step).map_err(WorkerError::Coordinator)?;
                     let vote_t0 = std::time::Instant::now();
-                    let v = await_verdict(ctl, &policy, step)?;
+                    let v = commit::await_verdict(ctl, &policy, step)
+                        .map_err(WorkerError::Coordinator)?;
                     if let Some(tel) = telemetry {
                         tel.set(metric::COMMIT_WAIT_US, vote_t0.elapsed().as_micros() as u64);
                     }
                     v
                 }
                 Err(PeerExecError::Aborted) => {
-                    let f = announced.take().ok_or_else(|| {
-                        WorkerError::Coordinator("aborted without a degrade frame".into())
-                    })?;
-                    Verdict::Degrade(parse_degrade(&f, step)?)
+                    match announced.map_err(WorkerError::Coordinator)? {
+                        Some(record) => Verdict::Degrade(record),
+                        None => {
+                            return Err(WorkerError::Coordinator(
+                                "aborted without a degrade frame".into(),
+                            ))
+                        }
+                    }
                 }
                 Err(PeerExecError::PeerDead { .. }) => {
                     // The coordinator sees the same death (control EOF /
                     // silence) and owns the verdict; a peer that died
                     // mid-exchange cannot have voted, so no Commit for
                     // this step can exist — only a Degrade can arrive.
-                    match await_verdict(ctl, &policy, step)? {
+                    match commit::await_verdict(ctl, &policy, step)
+                        .map_err(WorkerError::Coordinator)?
+                    {
                         Verdict::Commit => {
                             return Err(WorkerError::Coordinator(format!(
                                 "commit for step {step} after a peer died mid-exchange"
@@ -371,52 +357,6 @@ fn build_verified(
     Ok(schedule)
 }
 
-/// Block on the control stream until the coordinator resolves `step`.
-/// `Start` leftovers are ignored; anything else is protocol insanity.
-fn await_verdict(
-    ctl: &PeerConn,
-    policy: &RetryPolicy,
-    step: usize,
-) -> Result<Verdict, WorkerError> {
-    loop {
-        match ctl.recv_timeout(policy.tick) {
-            Ok(f) => match f.kind {
-                FrameKind::Commit => {
-                    if f.step as usize != step {
-                        return Err(WorkerError::Coordinator(format!(
-                            "commit for step {} while waiting on step {step}",
-                            f.step
-                        )));
-                    }
-                    return Ok(Verdict::Commit);
-                }
-                FrameKind::Degrade => return Ok(Verdict::Degrade(parse_degrade(&f, step)?)),
-                FrameKind::Start => {}
-                other => {
-                    return Err(WorkerError::Coordinator(format!(
-                        "unexpected {other:?} while waiting on step {step}"
-                    )))
-                }
-            },
-            Err(WireError::Timeout) => {
-                // The coordinator may legitimately be waiting on slower
-                // workers' compute; only sustained heartbeat silence
-                // condemns it.
-                if ctl.silence() > policy.death_threshold().saturating_mul(4) {
-                    return Err(WorkerError::Coordinator(format!(
-                        "coordinator silent past the death threshold at step {step}"
-                    )));
-                }
-            }
-            Err(e) => {
-                return Err(WorkerError::Coordinator(format!(
-                    "control stream failed at step {step}: {e}"
-                )))
-            }
-        }
-    }
-}
-
 /// Fold the executor's wire counters into the telemetry gauges, so the
 /// next shipped snapshot — synchronous or heartbeat-cadence — carries
 /// the transport state of the step being run, not of the last commit.
@@ -441,23 +381,4 @@ fn send_telemetry(ctl: &PeerConn, tel: &WorkerTelemetry, buf: &mut Vec<u8>) {
     f.payload = std::mem::take(buf);
     let _ = ctl.send(&f);
     *buf = f.payload;
-}
-
-/// Decode a `Degrade` frame: era in the header, dead original ids as a
-/// comma-separated payload.
-fn parse_degrade(f: &Frame, step: usize) -> Result<DegradeRecord, WorkerError> {
-    let text = std::str::from_utf8(&f.payload)
-        .map_err(|_| WorkerError::Coordinator("degrade payload not utf-8".into()))?;
-    let mut dead = Vec::new();
-    for part in text.split(',').filter(|p| !p.is_empty()) {
-        dead.push(
-            part.parse::<usize>().map_err(|_| {
-                WorkerError::Coordinator(format!("bad dead id {part:?} in degrade"))
-            })?,
-        );
-    }
-    if dead.is_empty() {
-        return Err(WorkerError::Coordinator("degrade names nobody dead".into()));
-    }
-    Ok(DegradeRecord { step, dead, era: f.era })
 }

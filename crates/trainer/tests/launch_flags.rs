@@ -1,7 +1,8 @@
-//! `dist_train launch` rejects malformed flags up front: exit code 2
-//! and a message naming the flag, before a directory is created, a
-//! socket bound or a worker spawned — not a silently substituted
-//! default, and not N children that panic after the rendezvous.
+//! `dist_train launch` rejects malformed and unknown flags up front:
+//! exit code 2 and a message naming the token, before a directory is
+//! created, a socket bound or a worker spawned — not a silently
+//! substituted default, and not N children that panic after the
+//! rendezvous.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -22,7 +23,7 @@ fn processes_mentioning(needle: &str) -> Vec<String> {
 
 #[test]
 fn malformed_launch_flags_exit_2_naming_the_flag_and_spawn_nothing() {
-    let cases: [(&str, &[&str]); 9] = [
+    let cases: [(&str, &[&str]); 13] = [
         ("--workers", &["--workers", "abc"]),
         ("--workers", &["--workers", "0"]),
         ("--workers", &["--workers", "65536"]),
@@ -32,6 +33,12 @@ fn malformed_launch_flags_exit_2_naming_the_flag_and_spawn_nothing() {
         ("--seed", &["--seed", "-1"]),
         ("--base-ms", &["--base-ms", "fast"]),
         ("--preset", &["--preset", "bogus"]),
+        // Unknown tokens: a misspelt flag, a stray positional, a value
+        // after a flag that takes none, a flag of the other mode.
+        ("--worker", &["--worker", "2"]),
+        ("stray", &["--workers", "2", "stray"]),
+        ("x", &["--trace", "x"]),
+        ("--tag", &["--tag", "0"]),
     ];
     for (i, (flag, bad)) in cases.iter().enumerate() {
         let dir: PathBuf =

@@ -12,7 +12,10 @@
 //! is *dropped* here, before any header field is trusted — to the
 //! reliability layer above it looks like loss, and the §5d
 //! deadline/nack machinery recovers it; its buffer stays with the
-//! reader for the next frame.
+//! reader for the next frame. An owner that waits on many connections
+//! at once hands them one [`Inbox`] instead of a ring each: arrivals
+//! come tagged with their peer, and a connection's EOF is an item
+//! queued behind every frame that connection carried.
 //!
 //! The send half never copies a payload either: [`PeerConn::send`]
 //! hands the kernel `[len + header] [frame.payload] [crc]` as one
@@ -72,24 +75,27 @@ impl BufPool {
     }
 }
 
-/// A blocking MPSC ring of decoded frames with explicit close. Built
-/// on std's paired `Mutex`/`Condvar` (the vendored `parking_lot` shim
-/// carries no condvar).
+/// A blocking MPSC ring with explicit close. Built on std's paired
+/// `Mutex`/`Condvar` (the vendored `parking_lot` shim carries no
+/// condvar).
 #[derive(Debug)]
-struct FrameRing {
-    inner: std::sync::Mutex<RingInner>,
+struct Ring<T> {
+    inner: std::sync::Mutex<RingInner<T>>,
     ready: std::sync::Condvar,
 }
 
 #[derive(Debug)]
-struct RingInner {
-    queue: std::collections::VecDeque<Frame>,
+struct RingInner<T> {
+    queue: std::collections::VecDeque<T>,
     closed: bool,
 }
 
-impl FrameRing {
-    fn new() -> Self {
-        FrameRing {
+/// One connection's decoded frames, closed at its EOF.
+type FrameRing = Ring<Frame>;
+
+impl<T> Default for Ring<T> {
+    fn default() -> Self {
+        Ring {
             inner: std::sync::Mutex::new(RingInner {
                 queue: std::collections::VecDeque::with_capacity(RING_CAPACITY),
                 closed: false,
@@ -97,10 +103,12 @@ impl FrameRing {
             ready: std::sync::Condvar::new(),
         }
     }
+}
 
-    fn push(&self, frame: Frame) {
+impl<T> Ring<T> {
+    fn push(&self, item: T) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.queue.push_back(frame);
+        inner.queue.push_back(item);
         drop(inner);
         self.ready.notify_one();
     }
@@ -110,9 +118,9 @@ impl FrameRing {
         self.ready.notify_all();
     }
 
-    /// Pop the next frame, waiting up to `timeout`. Queued frames drain
+    /// Pop the next item, waiting up to `timeout`. Queued items drain
     /// before the closed state is reported.
-    fn pop_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
+    fn pop_timeout(&self, timeout: Duration) -> Result<T, WireError> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -137,6 +145,23 @@ impl FrameRing {
                 };
             }
         }
+    }
+}
+
+/// One receive queue fed by several connections, for an owner that
+/// waits on all of them at once (the launcher's control streams): each
+/// connection built with [`PeerConn::solo_into`] delivers here, tagged
+/// with its peer, instead of into a ring of its own.
+#[derive(Debug, Clone, Default)]
+pub struct Inbox(Arc<Ring<(usize, Option<Frame>)>>);
+
+impl Inbox {
+    /// The next arrival on any feeding connection, waiting up to
+    /// `timeout`: `(peer, Some(frame))`, or `(peer, None)` — that
+    /// connection's EOF, delivered once, after every frame it carried.
+    /// `None` when nothing arrived in time.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<(usize, Option<Frame>)> {
+        self.0.pop_timeout(timeout).ok()
     }
 }
 
@@ -219,8 +244,9 @@ pub struct PeerConn {
 
 impl PeerConn {
     /// Wrap an established stream to original rank `peer`. Spawns the
-    /// reader thread, and — when `heartbeat` is set — a beacon thread
-    /// pacing [`RetryPolicy::heartbeat_interval`].
+    /// reader thread — delivering into `inbox` when one is given, else
+    /// into a ring of this connection's own — and, when `heartbeat` is
+    /// set, a beacon thread pacing [`RetryPolicy::heartbeat_interval`].
     pub(crate) fn spawn(
         peer: usize,
         self_rank: usize,
@@ -228,8 +254,9 @@ impl PeerConn {
         pool: Arc<BufPool>,
         heartbeat: Option<RetryPolicy>,
         telemetry: Option<Arc<dyn TelemetrySource>>,
+        inbox: Option<&Inbox>,
     ) -> std::io::Result<Self> {
-        let ring = Arc::new(FrameRing::new());
+        let ring: Arc<FrameRing> = Arc::default();
         let epoch = Instant::now();
         let last_rx_ms = Arc::new(AtomicU64::new(0));
         let alive = Arc::new(AtomicBool::new(true));
@@ -239,12 +266,20 @@ impl PeerConn {
         let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false }));
         {
             let ring = Arc::clone(&ring);
+            let inbox = inbox.cloned();
             let pool = Arc::clone(&pool);
             let last = Arc::clone(&last_rx_ms);
             let alive = Arc::clone(&alive);
-            std::thread::Builder::new()
-                .name(format!("rx-{self_rank}-{peer}"))
-                .spawn(move || reader_main(read_stream, ring, pool, last, alive, epoch))?;
+            std::thread::Builder::new().name(format!("rx-{self_rank}-{peer}")).spawn(
+                move || {
+                    let deliver = |frame: Option<Frame>| match (&inbox, frame) {
+                        (Some(inbox), frame) => inbox.0.push((peer, frame)),
+                        (None, Some(frame)) => ring.push(frame),
+                        (None, None) => ring.close(),
+                    };
+                    reader_main(read_stream, deliver, pool, last, alive, epoch)
+                },
+            )?;
         }
         if let Some(policy) = heartbeat {
             let writer = Arc::clone(&writer);
@@ -267,7 +302,21 @@ impl PeerConn {
         stream: UnixStream,
         heartbeat: Option<RetryPolicy>,
     ) -> std::io::Result<Self> {
-        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None)
+        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None, None)
+    }
+
+    /// [`PeerConn::solo`], delivering into `inbox` (tagged `peer`)
+    /// instead of a ring of its own: the owner receives from the inbox,
+    /// and this connection's own [`PeerConn::recv_timeout`] never
+    /// yields a frame.
+    pub fn solo_into(
+        peer: usize,
+        self_rank: usize,
+        stream: UnixStream,
+        heartbeat: Option<RetryPolicy>,
+        inbox: &Inbox,
+    ) -> std::io::Result<Self> {
+        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None, Some(inbox))
     }
 
     /// [`PeerConn::solo`] with a [`TelemetrySource`] piggybacking the
@@ -282,7 +331,8 @@ impl PeerConn {
         heartbeat: RetryPolicy,
         telemetry: Arc<dyn TelemetrySource>,
     ) -> std::io::Result<Self> {
-        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), Some(heartbeat), Some(telemetry))
+        let pool = BufPool::new();
+        PeerConn::spawn(peer, self_rank, stream, pool, Some(heartbeat), Some(telemetry), None)
     }
 
     pub fn peer(&self) -> usize {
@@ -332,7 +382,7 @@ impl Drop for PeerConn {
 
 fn reader_main(
     mut stream: UnixStream,
-    ring: Arc<FrameRing>,
+    deliver: impl Fn(Option<Frame>),
     pool: Arc<BufPool>,
     last_rx_ms: Arc<AtomicU64>,
     alive: Arc<AtomicBool>,
@@ -351,7 +401,7 @@ fn reader_main(
         last_rx_ms.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
         match frame {
             Ok(frame) if frame.kind == FrameKind::Heartbeat => pool.release(frame.payload),
-            Ok(frame) => ring.push(frame),
+            Ok(frame) => deliver(Some(frame)),
             // CRC/version rejects look like loss to the layer above;
             // its deadline/nack machinery requests a resend.
             Err(_) => {}
@@ -359,7 +409,7 @@ fn reader_main(
     }
     pool.release(buf);
     alive.store(false, Ordering::Release);
-    ring.close();
+    deliver(None);
 }
 
 fn heartbeat_main(
@@ -444,8 +494,8 @@ mod tests {
     fn frames_cross_a_socketpair() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
+        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 3);
         f.seq = 5;
         f.payload = vec![1, 2, 3];
@@ -459,8 +509,8 @@ mod tests {
     fn eof_drains_queued_frames_then_reports_gone() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
+        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 0);
         f.payload = vec![9; 4];
         left.send(&f).unwrap();
@@ -473,12 +523,44 @@ mod tests {
         assert!(!right.is_alive());
     }
 
+    /// Two connections into one inbox: arrivals come tagged, and a
+    /// connection's EOF is one item behind everything it carried.
+    #[test]
+    fn inbox_tags_arrivals_and_delivers_eof_in_order() {
+        let inbox = Inbox::default();
+        let (a, a_far) = pair();
+        let (b, b_far) = pair();
+        let conn_a = PeerConn::solo_into(0, 9, a, None, &inbox).unwrap();
+        let _conn_b = PeerConn::solo_into(1, 9, b, None, &inbox).unwrap();
+        let far_a = PeerConn::solo(9, 0, a_far, None).unwrap();
+        let far_b = PeerConn::solo(9, 1, b_far, None).unwrap();
+        let wait = Duration::from_secs(2);
+
+        let mut f = Frame::control(FrameKind::Data, 0, 0, 1);
+        f.payload = vec![7; 3];
+        far_a.send(&f).unwrap();
+        assert_eq!(inbox.recv_timeout(wait), Some((0, Some(f.clone()))));
+        f.from = 1;
+        far_b.send(&f).unwrap();
+        far_b.send(&f).unwrap();
+        drop(far_b);
+        assert_eq!(inbox.recv_timeout(wait), Some((1, Some(f.clone()))));
+        assert_eq!(inbox.recv_timeout(wait), Some((1, Some(f))));
+        assert_eq!(inbox.recv_timeout(wait), Some((1, None)));
+        assert_eq!(inbox.recv_timeout(Duration::from_millis(20)), None);
+        // The inbox is the only way to receive from a feeding connection.
+        assert_eq!(conn_a.recv_timeout(Duration::ZERO), Err(WireError::Timeout));
+        conn_a.send(&Frame::control(FrameKind::Start, 9, 0, 0)).unwrap();
+        assert_eq!(far_a.recv_timeout(wait).unwrap().kind, FrameKind::Start);
+    }
+
     #[test]
     fn heartbeats_keep_silence_low_and_never_surface() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let _left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), Some(policy_fast()), None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
+        let _left =
+            PeerConn::spawn(1, 0, a, Arc::clone(&pool), Some(policy_fast()), None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
         // No data frames at all: receives time out...
         assert_eq!(right.recv_timeout(Duration::from_millis(60)), Err(WireError::Timeout));
         // ...but the beacon keeps the peer visibly alive.

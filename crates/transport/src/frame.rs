@@ -77,12 +77,15 @@ pub enum FrameKind {
     Ready = 7,
     /// Coordinator -> workers: all ranks ready, start the run.
     Start = 8,
-    /// Worker -> coordinator: exchange for `step` completed under `era`.
+    /// Worker -> coordinator: exchange for `step` completed under `era`
+    /// (`seq` repeats `step`; no payload).
     StepDone = 9,
     /// Coordinator -> workers: every live rank finished `step`; apply it.
     Commit = 10,
-    /// Coordinator -> workers: ranks died; payload lists the dead
-    /// original ids (u16 each). Rebuild over the survivors under `era`.
+    /// Coordinator -> workers: ranks died while `step` was open; the
+    /// payload lists the dead original ids as comma-separated decimal
+    /// ASCII (`"2"`, `"1,3"`). Rebuild over the survivors under `era`.
+    /// `trainer::real::commit` owns the encoding of these three.
     Degrade = 11,
     /// Worker -> coordinator: run complete, results written.
     Finished = 12,

@@ -39,7 +39,7 @@ pub mod rendezvous;
 use std::time::Duration;
 
 pub use channel::ChannelWire;
-pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, PeerConn};
+pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, Inbox, PeerConn};
 pub use frame::{
     encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
     FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
