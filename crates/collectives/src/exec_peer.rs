@@ -2,10 +2,10 @@
 //! rank body in the crate. Every path that moves real data through a
 //! verified [`Schedule`] runs it — between rank threads
 //! ([`ChannelWire`](transport::ChannelWire), driven by
-//! [`ExecContext`](crate::exec_thread::ExecContext), with or without a
-//! fault plan) and between separate OS processes
-//! ([`SocketMesh`](transport::SocketMesh), driven by the trainer's
-//! worker loop) — so back-ends differ only below `Wire`, and the
+//! [`ExecContext`](crate::exec_thread::ExecContext) or by the trainer's
+//! rank body, with or without a fault plan) and between separate OS
+//! processes ([`SocketMesh`](transport::SocketMesh), driven by the same
+//! rank body) — so back-ends differ only below `Wire`, and the
 //! reliability protocol (seq/ack/nack/resend/dedup) and the gradient
 //! codec stage each have one implementation.
 //!
@@ -52,7 +52,7 @@
 //!
 //! # Eras
 //!
-//! Elastic degradation renumbers the world; the frame `era` field keeps
+//! A degradation renumbers the world; the frame `era` field keeps
 //! pre- and post-degrade traffic apart. Frames below the current era
 //! are stale and dropped; frames above it are stashed and replayed once
 //! [`PeerExecutor::bump_era`] resets the sequence space (a survivor
@@ -67,8 +67,9 @@
 //! closes a SIGKILLed process's sockets, a crashed rank thread hangs
 //! up its channel senders), or the peer's [`Wire::silence`] exceeds
 //! [`RetryPolicy::death_threshold`] while we starve (wedged-but-open).
-//! The caller — the elastic layer — restores its snapshot, rebuilds
-//! the schedule over the survivors, re-verifies it, and retries.
+//! The caller — the trainer's rank body, on its coordinator's
+//! `Degrade` — restores its snapshot, rebuilds the schedule over the
+//! survivors, re-verifies it, and retries.
 //! Death is reported where it costs something: by the receive that
 //! still awaits the peer's data, or the first transmission that has
 //! data to give it. An ack, nack or resend that a closed stream
@@ -304,7 +305,7 @@ impl<'w> PeerExecutor<'w> {
     /// Run `schedule` against this rank's `buf` and apply the op's
     /// finalization — one rank's share of an allreduce.
     /// `rank_ids[local]` maps the schedule's local rank indices to
-    /// original wire ids (the elastic live-set).
+    /// original wire ids (the live set, with holes after a degrade).
     pub fn allreduce(
         &mut self,
         schedule: &Schedule,
@@ -320,7 +321,7 @@ impl<'w> PeerExecutor<'w> {
 
     /// Execute the schedule without finalization. On any `Err` the
     /// buffer is in an unspecified partial state — the caller restores
-    /// its snapshot exactly as the elastic layer does.
+    /// its pre-exchange snapshot before it retries.
     // Instrumentation on the per-frame path (here, `send_data`,
     // `apply`) stays on the no-alloc recorder API: the ring write is
     // the only trace cost a steady-state step pays.

@@ -5,15 +5,14 @@
 //! run at once — each running the crate's one rank body,
 //! [`PeerExecutor`], over its endpoint of an in-process
 //! [`ChannelWire`] mesh. Every [`ExecContext`] entry point (plain,
-//! codec-compressed, fault-injected, the elastic layer's) is the same
-//! call ([`exec_fault::run_ranks`](crate::exec_fault)); they differ in
-//! the [`CodecKind`] the executors are given, in whether an
-//! [`ExecTrace`] lane is attached, and in whether each endpoint is
-//! wrapped in a [`FaultWire`](crate::exec_fault::FaultWire) for the
-//! call. What this
-//! module adds is what has to happen *around* that call: verification
-//! before any rank body runs, and the rank set kept warm between
-//! calls.
+//! traced, codec-compressed) is the same call (`RankSet::run`); they
+//! differ in the [`CodecKind`] the executors are given and in whether
+//! an [`ExecTrace`] lane is attached. What this module adds is what has
+//! to happen *around* that call: verification before any rank body
+//! runs, and the rank set kept warm between calls. Faults and deaths
+//! are not this module's business: a fault plan goes on the link as a
+//! [`FaultWire`](crate::exec_fault::FaultWire), and what a death does
+//! to a training run is the trainer's commit protocol.
 //!
 //! **Deadlock-freedom** is not an informal argument about send
 //! hoisting: [`Schedule::validate`] delegates to the `verifier` crate,
@@ -30,17 +29,14 @@
 //! **The rank set is cached.** Everything whose size depends on the
 //! world or the payload — the mesh's channels and its payload pool,
 //! the rank threads, each executor's queues, resend buffers, codec
-//! scratch — is built once per set of original rank ids and parked in
-//! the context between calls, so a training loop holding an
-//! [`ExecContext`] pays for construction once and a warm call creates
-//! no thread and runs the schedule without allocating
-//! (`tests/exec_alloc.rs`). A call that fails drops the set (its
-//! executors hold a dead collective's state); the next call, or the
-//! elastic layer's rebuild over the survivors, starts from a fresh one.
+//! scratch — is built once per world size and parked in the context
+//! between calls, so a loop holding an [`ExecContext`] pays for
+//! construction once and a warm call creates no thread and runs the
+//! schedule without allocating (`tests/exec_alloc.rs`).
 //!
-//! This is the executor the accuracy experiment trains with — the same
-//! algorithm schedules the simulator times are the ones the real
-//! gradients travel through.
+//! This is the executor the collectives' own suites and the benchmark's
+//! thread cells drive — the same algorithm schedules the simulator
+//! times are the ones the real gradients travel through.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,19 +44,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use faults::RetryPolicy;
 use parking_lot::Mutex;
 use trace::{Lane, TraceRecorder};
-use transport::ChannelWire;
+use transport::{ChannelWire, Wire};
 
 use crate::compression::CodecKind;
-use crate::exec_fault::{run_ranks, FaultSession};
-use crate::exec_peer::{PeerExecError, PeerExecutor, PeerState};
+use crate::exec_fault::FaultSink;
+use crate::exec_peer::{CtlSignal, PeerExecutor, PeerState};
 use crate::pool::CorePool;
 use crate::reduce::{finalize, ReduceOp};
 use crate::sched::{Schedule, Violation};
 
-/// Structured executor failure. The old behavior — asserting on
-/// buffer/rank mismatches and panicking on verification failure — is
-/// gone: every way a run can refuse or abort now comes back as a value
-/// the caller (the trainer, the elastic layer) can route on.
+/// Structured executor failure: every way a call can refuse comes back
+/// as a value the caller can route on, before any rank body runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// `buffers.len()` disagrees with the schedule's rank count.
@@ -70,14 +64,6 @@ pub enum ExecError {
     BufferLen { rank: usize, expected: usize, got: usize },
     /// The schedule failed static verification before any thread spawned.
     Rejected(Vec<Violation>),
-    /// Ranks died (injected crash, or a peer exhausted its retry budget
-    /// and declared them dead). The collective aborted; buffers are in
-    /// an unspecified partial state and must be restored by the caller.
-    /// Ranks are reported as *local indices* into the buffer slice.
-    RanksDead { dead: Vec<usize> },
-    /// A rank gave up waiting on a peer that never disconnected — the
-    /// retry budget ran out with the peer silent but alive.
-    RetriesExhausted { rank: usize, peer: usize, round: usize },
 }
 
 impl fmt::Display for ExecError {
@@ -91,10 +77,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::Rejected(violations) => {
                 write!(f, "schedule failed verification before thread spawn: {violations:?}")
-            }
-            ExecError::RanksDead { dead } => write!(f, "ranks {dead:?} died mid-collective"),
-            ExecError::RetriesExhausted { rank, peer, round } => {
-                write!(f, "rank {rank} exhausted retries waiting on {peer} in round {round}")
             }
         }
     }
@@ -112,10 +94,9 @@ const TID_COMM: u32 = 1;
 /// starts; recording afterwards is the recorder's no-alloc ring write.
 ///
 /// The map is keyed by the rank ids a run addresses its ranks by:
-/// `0..n` for a plain [`ExecContext`] call, *original* world ids under
-/// a [`FaultSession`] or an
-/// [`ElasticAllreduce`](crate::elastic::ElasticAllreduce), so a rank
-/// keeps its trace row across elastic renumberings.
+/// `0..n` for an [`ExecContext`] call, *original* world ids under a
+/// [`FaultSession`](crate::exec_fault::FaultSession), so a rank keeps
+/// its trace row across degradations.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
     lanes: Vec<(usize, Lane)>,
@@ -152,48 +133,71 @@ impl ExecTrace {
 pub(crate) struct Call<'a> {
     /// How segments cross the mesh.
     pub(crate) codec: CodecKind,
-    /// Original (world) id of each schedule rank; `None` numbers them
-    /// `0..n`. The mesh, a fault plan and trace lanes all address
-    /// ranks by these.
-    pub(crate) rank_ids: Option<&'a [usize]>,
-    /// Lanes for SEND/RECV spans (a fault session brings its own).
+    /// Lanes for SEND/RECV spans.
     pub(crate) trace: Option<&'a ExecTrace>,
-    /// Wrap every endpoint in a `FaultWire` over this session's plan.
-    pub(crate) session: Option<&'a FaultSession>,
     /// Apply the op's finalization after the schedule.
     pub(crate) finish: bool,
 }
 
 /// One mesh, its executors and the threads that run them, parked
-/// between calls (see the module docs). `ranks[i]` belongs to original
-/// rank `ids[i]` and runs on lane `i` of `pool`.
-pub(crate) struct RankSet {
-    pub(crate) ids: Vec<usize>,
-    pub(crate) ranks: Vec<Rank>,
+/// between calls (see the module docs). `ranks[i]` is rank `i` and runs
+/// on lane `i` of `pool`.
+struct RankSet {
+    ranks: Vec<Rank>,
     /// One lane per rank: rank bodies block on each other's sends, so
     /// every one of them needs a thread of its own for the whole call.
-    pub(crate) pool: CorePool,
+    pool: CorePool,
 }
 
-/// One rank's endpoint of the mesh, its parked executor, and how its
-/// last run ended.
-pub(crate) struct Rank {
-    pub(crate) wire: ChannelWire,
-    pub(crate) parked: PeerState,
-    pub(crate) outcome: Result<(), PeerExecError>,
+/// One rank's endpoint of the mesh and its parked executor.
+struct Rank {
+    wire: ChannelWire,
+    parked: PeerState,
 }
 
 impl RankSet {
-    fn new(ids: Vec<usize>) -> Self {
-        let ranks = ChannelWire::mesh_of(&ids)
+    fn new(n: usize) -> Self {
+        let ranks = ChannelWire::mesh(n)
             .into_iter()
             .map(|wire| {
-                let parked = PeerExecutor::new(&wire, RetryPolicy::default()).park();
-                Rank { wire, parked, outcome: Ok(()) }
+                let parked = PeerExecutor::new(&wire, RetryPolicy::patient()).park();
+                Rank { wire, parked }
             })
             .collect();
-        let pool = CorePool::new(ids.len());
-        RankSet { ids, ranks, pool }
+        RankSet { ranks, pool: CorePool::new(n) }
+    }
+
+    /// The one place a schedule's rank bodies run: lane `i` resumes rank
+    /// `i`'s parked executor over its endpoint of the mesh, runs the
+    /// schedule on its buffer, and parks again; a warm call creates no
+    /// thread. Lossless channels between ranks that cannot die never
+    /// need a resend, so the executors run on a patient policy and no
+    /// rank body can fail.
+    fn run(
+        &mut self,
+        schedule: &Schedule,
+        buffers: &mut [Vec<f32>],
+        op: ReduceOp,
+        call: &Call<'_>,
+    ) {
+        self.pool.run_zip(&mut self.ranks, buffers, |local, rank, buf| {
+            let parked = std::mem::take(&mut rank.parked);
+            let mut exec = PeerExecutor::resume(&rank.wire, RetryPolicy::patient(), parked)
+                .with_codec(call.codec);
+            if let Some(lane) = call.trace.and_then(|t| t.lane(local)) {
+                exec = exec.with_sink(FaultSink::lane_only(lane.clone()));
+            }
+            let ids = rank.wire.world_ids();
+            let outcome = exec.run(schedule, buf, op, ids, &mut || CtlSignal::Continue);
+            if let Err(e) = outcome {
+                unreachable!("rank {local} of a lossless in-process mesh stopped: {e}");
+            }
+            rank.parked = exec.park();
+        });
+    }
+
+    fn data_bytes(&self) -> u64 {
+        self.ranks.iter().map(|r| r.parked.stats.data_bytes).sum()
     }
 }
 
@@ -206,12 +210,12 @@ impl RankSet {
 /// Verification happens *before* any rank body runs: every schedule
 /// this context has not executed before goes through the full static
 /// verifier (structural + determinism + happens-before); the set of
-/// already-verified schedule fingerprints is memoized so a training
-/// loop re-running one schedule pays the analysis once and a warm call
+/// already-verified schedule fingerprints is memoized so a loop
+/// re-running one schedule pays the analysis once and a warm call
 /// allocates nothing.
 #[derive(Default)]
 pub struct ExecContext {
-    /// The rank set of the last successful call.
+    /// The rank set of the last call.
     ranks: Mutex<Option<RankSet>>,
     /// Payload bytes this context's runs have put on their wires.
     wire_bytes: AtomicU64,
@@ -221,8 +225,8 @@ pub struct ExecContext {
 
 impl fmt::Debug for ExecContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ids = self.ranks.lock().as_ref().map(|set| set.ids.clone());
-        f.debug_struct("ExecContext").field("ranks", &ids).finish_non_exhaustive()
+        let n = self.ranks.lock().as_ref().map(|set| set.ranks.len());
+        f.debug_struct("ExecContext").field("ranks", &n).finish_non_exhaustive()
     }
 }
 
@@ -285,8 +289,7 @@ impl ExecContext {
     }
 
     /// Every entry point's body: verify, run one [`PeerExecutor`] per
-    /// rank over the cached mesh, park the set again if all went well.
-    /// On `Err` the buffers are partial.
+    /// rank over the cached mesh, park the set again.
     pub(crate) fn execute(
         &self,
         schedule: &Schedule,
@@ -297,20 +300,15 @@ impl ExecContext {
         self.preflight(schedule, buffers)?;
         let n = schedule.n_ranks;
         if n > 1 && !schedule.rounds.is_empty() {
-            let same_ranks = |set: &RankSet| match call.rank_ids {
-                Some(ids) => set.ids == ids,
-                None => set.ids.iter().copied().eq(0..n),
-            };
-            let mut set = self.ranks.lock().take().filter(same_ranks).unwrap_or_else(|| {
-                RankSet::new(call.rank_ids.map_or_else(|| (0..n).collect(), <[usize]>::to_vec))
-            });
-            assert_eq!(set.ids.len(), n, "need one original rank id per schedule rank");
-            let sent =
-                |set: &RankSet| set.ranks.iter().map(|r| r.parked.stats.data_bytes).sum::<u64>();
-            let before = sent(&set);
-            let outcome = run_ranks(&mut set, schedule, buffers, op, &call);
-            self.wire_bytes.fetch_add(sent(&set) - before, Ordering::Relaxed); // lint: allow(relaxed): byte statistic; the rank threads that moved the bytes are joined
-            outcome?;
+            let mut set = self
+                .ranks
+                .lock()
+                .take()
+                .filter(|set| set.ranks.len() == n)
+                .unwrap_or_else(|| RankSet::new(n));
+            let before = set.data_bytes();
+            set.run(schedule, buffers, op, &call);
+            self.wire_bytes.fetch_add(set.data_bytes() - before, Ordering::Relaxed); // lint: allow(relaxed): byte statistic; the rank threads that moved the bytes are joined
             *self.ranks.lock() = Some(set);
         }
         if call.finish {
@@ -661,8 +659,7 @@ mod tests {
         let t = ExecTrace::comm(&rec, &(0..n).collect::<Vec<_>>());
         let ctx = ExecContext::for_schedule(&s).unwrap();
         let mut bufs = inputs(n, e);
-        let call =
-            Call { codec: CodecKind::Fp16, trace: Some(&t), finish: true, ..Call::default() };
+        let call = Call { codec: CodecKind::Fp16, trace: Some(&t), finish: true };
         ctx.execute(&s, &mut bufs, ReduceOp::Sum, call).unwrap();
         let snap = rec.snapshot();
         let send_bytes: u64 = snap
@@ -698,13 +695,11 @@ mod tests {
         assert_eq!(l7.spans[0].cat, "SEND");
     }
 
-    /// The parked rank set serves every kind of call in any order, is
-    /// rebuilt when the rank ids change, and is dropped by a call that
-    /// fails — the next one starts clean and still lands bit-exactly.
+    /// The parked rank set serves every kind of call in any order and is
+    /// rebuilt when the world size changes; every call still lands
+    /// bit-exactly.
     #[test]
-    fn one_context_serves_plain_coded_and_faulty_calls_and_survives_a_failure() {
-        use crate::exec_fault::FaultSession;
-        use faults::{FaultKind, FaultPlan, Injection};
+    fn one_context_serves_plain_and_coded_calls_across_world_sizes() {
         let (n, e) = (4usize, 96usize);
         let s = ring::allreduce(n, e);
         let ins = inputs(n, e);
@@ -722,27 +717,19 @@ mod tests {
             assert_eq!(bufs, want);
         };
         plain(&ctx);
-        assert!(ctx.ranks.lock().is_some(), "a clean call parks its rank set");
+        assert!(ctx.ranks.lock().is_some(), "a call parks its rank set");
         let mut coded = ins.clone();
         ctx.allreduce_compressed(&s, &mut coded, ReduceOp::Sum, CodecKind::Int8).unwrap();
         assert_eq!(coded, want_int8, "a warm set changes codec between calls");
         plain(&ctx);
 
-        // Same ranks under other original ids: a different mesh.
-        let drop = Injection { step: 0, rank: 5, round: 1, kind: FaultKind::Drop };
-        let session = FaultSession::new(FaultPlan::explicit(1, vec![drop]));
-        let mut faulty = ins.clone();
-        ctx.allreduce_with_faults(&s, &mut faulty, ReduceOp::Sum, &session, &[2, 5, 7, 8]).unwrap();
-        assert_eq!(faulty, want);
-        assert_eq!(session.counters().snapshot().injected_drops, 1);
-
-        let crash = Injection { step: 0, rank: 7, round: 0, kind: FaultKind::Crash };
-        let session = FaultSession::new(FaultPlan::explicit(2, vec![crash]));
-        let err = ctx
-            .run_with_faults(&s, &mut ins.clone(), ReduceOp::Sum, &session, &[2, 5, 7, 8])
-            .expect_err("rank 7 crashes");
-        assert_eq!(err, ExecError::RanksDead { dead: vec![2] });
-        assert!(ctx.ranks.lock().is_none(), "a failed call's rank set is not kept");
+        // Three ranks: a different mesh, then back to four.
+        let s3 = ring::allreduce(3, e);
+        let mut three = inputs(3, e);
+        let mut want3 = three.clone();
+        allreduce(&s3, &mut want3, ReduceOp::Sum).unwrap();
+        ctx.allreduce(&s3, &mut three, ReduceOp::Sum).unwrap();
+        assert_eq!(three, want3);
         plain(&ctx);
     }
 }

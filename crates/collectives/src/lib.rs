@@ -31,17 +31,16 @@
 //! dedup reliability protocol and the gradient codec stage — across
 //! processes over sockets, across threads over channels
 //! ([`exec_thread`] is N of them over an in-process mesh). Fault
-//! tolerance is two layers around it: [`exec_fault`] puts a
-//! [`FaultWire`] decorator under each rank thread's executor to inject
-//! a seeded [`faults::FaultPlan`] (drops and corruptions are repaired
-//! in place), and [`elastic`] wraps that with crash recovery — when
-//! ranks die the collective is aborted, the schedule is rebuilt over
-//! the survivors, re-verified, and re-run.
+//! injection is one [`FaultWire`] decorator ([`exec_fault`]) under a
+//! rank's executor: a seeded [`faults::FaultPlan`]'s drops and
+//! corruptions are repaired in place, and a planned crash stops the
+//! rank. What a death does to a training run — abort, rebuild over the
+//! survivors, re-verify, re-run — is the trainer's commit protocol, one
+//! for threads and processes.
 
 pub mod algo;
 pub mod analytic;
 pub mod compression;
-pub mod elastic;
 pub mod exec_fault;
 pub mod exec_peer;
 pub mod exec_sim;
@@ -60,7 +59,6 @@ pub mod tree;
 pub use algo::Algorithm;
 pub use analytic::{allreduce_cost, crossover, AlphaBeta};
 pub use compression::{codec_for, Codec, CodecKind, EncodeScratch, ErrorFeedback};
-pub use elastic::{ElasticAllreduce, ElasticError, ElasticReport};
 pub use exec_fault::{FaultSession, FaultSink, FaultWire};
 pub use exec_peer::{CtlSignal, PeerExecError, PeerExecutor, WireStats};
 pub use exec_sim::{

@@ -22,15 +22,19 @@
 //!   calls **inline**, in index order. A fan-out nested inside a shared
 //!   job always finds it busy (the outer caller holds it), so nesting
 //!   never multiplies threads, and two threads fanning out at once
-//!   never queue behind each other. What a slot or chunk index *means*
-//!   is fixed by the caller from the lane count, never by which thread
-//!   ran it, so results do not depend on which path a call took.
+//!   never queue behind each other. A lane of an exclusive pool that
+//!   does per-lane compute (one of several in-process rank bodies) runs
+//!   it under [`fold_inline`], the same fold without holding the pool.
+//!   What a slot or chunk index *means* is fixed by the caller from the
+//!   lane count, never by which thread ran it, so results do not
+//!   depend on which path a call took.
 //!
 //! The pool deliberately does *not* ship a scheduler: jobs receive only
 //! their lane index. Work distribution beyond the balanced contiguous
 //! partition of [`chunk_range`] (the stealing part) lives with the
 //! caller.
 
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::mem;
 use std::ops::Range;
@@ -143,8 +147,18 @@ impl CorePool {
         }
     }
 
-    /// [`CorePool::run`] with lane `i` given `&mut a[i]` and
-    /// `&mut b[i]`; both slices hold exactly one item per lane.
+    /// [`CorePool::run`] with lane `i` given `&mut items[i]`; the slice
+    /// holds exactly one item per lane.
+    // lint: hot-path
+    pub fn run_each<A: Send>(&mut self, items: &mut [A], f: impl Fn(usize, &mut A) + Sync) {
+        assert!(items.len() == self.workers, "one item per lane");
+        let items = Slots::new(items);
+        // SAFETY: `run` calls each lane index exactly once per job.
+        self.run(&|lane| unsafe { f(lane, items.one(lane)) });
+    }
+
+    /// [`CorePool::run_each`] over two slices, lane `i` given
+    /// `&mut a[i]` and `&mut b[i]`.
     // lint: hot-path
     pub fn run_zip<A: Send, B: Send>(
         &mut self,
@@ -152,10 +166,10 @@ impl CorePool {
         b: &mut [B],
         f: impl Fn(usize, &mut A, &mut B) + Sync,
     ) {
-        assert!(a.len() == self.workers && b.len() == self.workers, "one item per lane");
-        let (a, b) = (Slots::new(a), Slots::new(b));
-        // SAFETY: `run` calls each lane index exactly once per job.
-        self.run(&|lane| unsafe { f(lane, a.one(lane), b.one(lane)) });
+        assert_eq!(a.len(), b.len(), "one item per lane");
+        let b = Slots::new(b);
+        // SAFETY: `run_each` calls each lane index exactly once per job.
+        self.run_each(a, |lane, x| f(lane, x, unsafe { b.one(lane) }));
     }
 }
 
@@ -255,12 +269,36 @@ fn shared_pool() -> &'static Mutex<CorePool> {
     POOL.get_or_init(|| Mutex::new(CorePool::new(lanes())))
 }
 
+thread_local! {
+    /// Set while this thread folds its shared fan-outs inline.
+    static INLINE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with every shared fan-out it makes on this thread folded
+/// inline (`on`), exactly as if the shared pool were busy, or offered
+/// to the shared pool as usual (`!on`); the thread's previous setting
+/// is restored afterwards, on unwind too. Folding is for a thread that
+/// is itself one of several concurrent lanes — an in-process rank body
+/// on an exclusive pool — so that nesting never multiplies threads: N
+/// such lanes are N compute threads, not N plus the shared pool's.
+pub fn fold_inline<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INLINE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(INLINE.with(|c| c.replace(on)));
+    f()
+}
+
 /// Call `body(i)` exactly once for every `i` in `0..n`: split over the
 /// shared pool's lanes by [`chunk_range`], or in index order on the
-/// calling thread when the pool is busy (see the module docs).
+/// calling thread when the pool is busy or the thread folds inline
+/// ([`fold_inline`]; see the module docs).
 // lint: hot-path
 fn fan_out(n: usize, body: impl Fn(usize) + Sync) {
-    if n > 1 {
+    if n > 1 && !INLINE.with(Cell::get) {
         // The stand-in's `try_lock` hands back a poisoned lock too: a
         // job that panicked left the pool itself consistent (`run`
         // drains the helpers before unwinding).
@@ -498,6 +536,27 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Folded, every shared fan-out runs on the calling thread, in index
+    /// order, even with the shared pool idle; a nested `fold_inline(false)`
+    /// lifts the fold for its own extent only; afterwards the previous
+    /// setting is back, a panic inside included.
+    #[test]
+    fn fold_inline_folds_shared_fan_outs_onto_the_caller() {
+        let me = thread::current().id();
+        let mut order = vec![None; 16];
+        fold_inline(true, || {
+            for_each_mut(&mut order, |i, slot| *slot = Some((i, thread::current().id())));
+            assert!(!fold_inline(false, || INLINE.with(Cell::get)), "lifted inside");
+            assert!(INLINE.with(Cell::get), "folded again after the lift");
+        });
+        for (i, slot) in order.iter().enumerate() {
+            assert_eq!(*slot, Some((i, me)));
+        }
+        let caught = panic::catch_unwind(|| fold_inline(true, || panic!("boom")));
+        assert!(caught.is_err());
+        assert!(!INLINE.with(Cell::get), "the flag is restored on unwind");
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! What collapsing the two reliability protocols into one buys: the
-//! same seeded [`FaultPlan`] drives the same [`FaultWire`] decorator
-//! over the in-process channel backend and over real Unix-domain
-//! sockets, and both repair every drop and corruption bit-exactly —
-//! the first drop/corrupt coverage of the socket path.
+//! One fault injector under one rank body: N `PeerExecutor`s over
+//! `FaultWire`-wrapped endpoints (`common::run_faulty`). Each
+//! injection repairs bit-exactly and lands in the session's counters,
+//! event log and trace lanes; a crash stops exactly the planned rank,
+//! addressed by original id. And what collapsing the two reliability
+//! protocols into one buys: the same seeded [`FaultPlan`] drives the
+//! same decorator over the in-process channel backend and over real
+//! Unix-domain sockets, and both repair every drop and corruption
+//! bit-exactly.
 
 mod common;
 
 use std::time::Duration;
 
 use collectives::reference::apply_allreduce;
-use collectives::{
-    Algorithm, CtlSignal, FaultSession, FaultWire, PeerExecutor, ReduceOp, Schedule,
-};
-use faults::{FaultPlan, FaultSpec, RetryPolicy};
+use collectives::{Algorithm, ExecTrace, FaultSession, ReduceOp, Schedule};
+use faults::{FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy};
 use summit_metrics::FaultCounterSnapshot;
 use transport::{ChannelWire, Wire};
+
+use common::{run_faulty, run_faulty_channels};
 
 fn policy() -> RetryPolicy {
     RetryPolicy {
@@ -31,30 +35,182 @@ fn inputs(n_ranks: usize, n_elems: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// One allreduce under `plan` with every endpoint of `wires` behind a
-/// [`FaultWire`]: the per-rank results and the session's counters.
-fn run_faulty<W: Wire>(
-    wires: Vec<W>,
+fn ids(n: usize) -> Vec<usize> {
+    (0..n).collect()
+}
+
+/// `schedule`'s fault-free result on `inputs(n, e)`.
+fn reference(schedule: &Schedule) -> Vec<Vec<f32>> {
+    let mut want = inputs(schedule.n_ranks, schedule.n_elems);
+    apply_allreduce(schedule, &mut want, ReduceOp::Sum);
+    want
+}
+
+#[test]
+fn empty_plan_matches_reference_bit_for_bit() {
+    let s = Algorithm::Ring.build(4, 64);
+    let session = FaultSession::new(FaultPlan::none());
+    let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 64), ReduceOp::Sum);
+    assert_eq!(run.bufs, reference(&s));
+    assert!(session.events().is_empty());
+}
+
+#[test]
+fn dropped_payloads_are_recovered_exactly() {
+    let s = Algorithm::Ring.build(4, 32);
+    let plan = FaultPlan::explicit(
+        1,
+        vec![
+            Injection { step: 0, rank: 1, round: 0, kind: FaultKind::Drop },
+            Injection { step: 0, rank: 3, round: 2, kind: FaultKind::Drop },
+        ],
+    );
+    let session = FaultSession::new(plan);
+    let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 32), ReduceOp::Sum);
+    assert_eq!(run.bufs, reference(&s), "drop recovery must be bit-exact");
+    let c = session.counters().snapshot();
+    assert_eq!(c.injected_drops, 2);
+    assert!(c.resends >= 2, "each drop needs at least one resend: {c}");
+    assert!(c.timeouts >= 2, "drops are only noticed via deadlines: {c}");
+}
+
+#[test]
+fn corrupted_payloads_are_rejected_and_resent() {
+    let s = Algorithm::RecursiveDoubling.build(4, 32);
+    let plan = FaultPlan::explicit(
+        2,
+        vec![Injection { step: 0, rank: 2, round: 1, kind: FaultKind::Corrupt }],
+    );
+    let session = FaultSession::new(plan);
+    let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 32), ReduceOp::Sum);
+    assert_eq!(run.bufs, reference(&s), "corruption must never reach the buffers");
+    let c = session.counters().snapshot();
+    assert_eq!(c.injected_corruptions, 1);
+    assert!(c.crc_rejects >= 1, "{c}");
+    assert!(c.resends >= 1, "{c}");
+}
+
+#[test]
+fn stragglers_only_delay_under_virtual_clock() {
+    let s = Algorithm::Ring.build(4, 16);
+    let plan = FaultPlan::explicit(
+        3,
+        vec![Injection {
+            step: 0,
+            rank: 0,
+            round: 1,
+            kind: FaultKind::Straggle { millis: 60_000 },
+        }],
+    );
+    let session = FaultSession::new(plan); // virtual: must not sleep a minute
+    let t0 = std::time::Instant::now();
+    let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 16), ReduceOp::Sum);
+    assert!(t0.elapsed() < Duration::from_secs(10));
+    assert_eq!(run.bufs, reference(&s));
+    assert_eq!(session.clock().injected(), Duration::from_secs(60));
+    assert_eq!(session.counters().snapshot().injected_straggles, 1);
+}
+
+#[test]
+fn crash_aborts_with_the_dead_rank_reported() {
+    let s = Algorithm::Ring.build(4, 24);
+    let plan = FaultPlan::explicit(
+        4,
+        vec![Injection { step: 0, rank: 2, round: 1, kind: FaultKind::Crash }],
+    );
+    let session = FaultSession::new(plan);
+    let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 24), ReduceOp::Sum);
+    assert_eq!(run.crashed(), vec![2], "a crashed rank must abort the collective");
+    let c = session.counters().snapshot();
+    assert_eq!(c.injected_crashes, 1);
+    assert!(c.rank_deaths >= 1, "at least one peer must observe the death: {c}");
+}
+
+/// After a degradation the mesh positions 0..3 may stand for original
+/// ids {0, 1, 3, 4}: the plan must hit original id 3 (position 2), and
+/// a drop addressed to an original id is repaired on such a mesh too.
+#[test]
+fn injections_address_original_ids() {
+    let s = Algorithm::Ring.build(4, 16);
+    let crash = Injection { step: 0, rank: 3, round: 0, kind: FaultKind::Crash };
+    let session = FaultSession::new(FaultPlan::explicit(5, vec![crash]));
+    let run = run_faulty_channels(&[0, 1, 3, 4], &session, &s, inputs(4, 16), ReduceOp::Sum);
+    assert_eq!(run.crashed(), vec![2], "original id 3 is present as position 2");
+
+    let s = Algorithm::Ring.build(4, 96);
+    let drop = Injection { step: 0, rank: 5, round: 1, kind: FaultKind::Drop };
+    let session = FaultSession::new(FaultPlan::explicit(1, vec![drop]));
+    let run = run_faulty_channels(&[2, 5, 7, 8], &session, &s, inputs(4, 96), ReduceOp::Sum);
+    assert_eq!(run.bufs, reference(&s));
+    assert_eq!(session.counters().snapshot().injected_drops, 1);
+    let crash = Injection { step: 0, rank: 7, round: 0, kind: FaultKind::Crash };
+    let session = FaultSession::new(FaultPlan::explicit(2, vec![crash]));
+    let run = run_faulty_channels(&[2, 5, 7, 8], &session, &s, inputs(4, 96), ReduceOp::Sum);
+    assert_eq!(run.crashed(), vec![2], "rank 7 crashes");
+}
+
+#[test]
+fn traced_fault_run_records_retry_and_fault_events() {
+    let s = Algorithm::Ring.build(4, 32);
+    let plan = FaultPlan::explicit(
+        1,
+        vec![Injection { step: 0, rank: 1, round: 0, kind: FaultKind::Drop }],
+    );
+    let rec = trace::TraceRecorder::new();
+    let session = FaultSession::new(plan).with_trace(ExecTrace::comm(&rec, &ids(4)));
+    run_faulty_channels(&ids(4), &session, &s, inputs(4, 32), ReduceOp::Sum);
+    let snap = rec.snapshot();
+    assert_eq!(snap.pids(), vec![0, 1, 2, 3]);
+    let cats: Vec<&str> = snap.lanes.iter().flat_map(|l| l.spans.iter()).map(|s| s.cat).collect();
+    assert!(cats.contains(&"SEND") && cats.contains(&"RECV"), "{cats:?}");
+    assert!(cats.contains(&"FAULT"), "drop injection must land in the FAULT lane: {cats:?}");
+    assert!(cats.contains(&"RETRY"), "drop recovery goes through timeout/resend: {cats:?}");
+    // The injection was recorded on the faulty rank's own pid row.
+    let rank1 = snap.lanes.iter().find(|l| l.pid == 1).expect("rank 1 lane");
+    assert!(rank1.spans.iter().any(|s| s.cat == "FAULT" && s.name == "drop"));
+}
+
+#[test]
+fn faulty_runs_replay_identically_from_the_same_plan() {
+    let s = Algorithm::Ring.build(4, 48);
+    let spec = FaultSpec {
+        drops: 2,
+        corruptions: 2,
+        stragglers: 2,
+        ..FaultSpec::none(4, 1, s.n_rounds())
+    };
+    let run = |seed: u64| {
+        let session = FaultSession::new(FaultPlan::seeded(seed, &spec));
+        let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 48), ReduceOp::Sum);
+        (
+            run.bufs,
+            session.events().deterministic_core(),
+            session.counters().snapshot().deterministic_part(),
+        )
+    };
+    let (b1, e1, c1) = run(11);
+    let (b2, e2, c2) = run(11);
+    assert_eq!(b1, b2, "same seed, same numbers");
+    assert_eq!(e1, e2, "same seed, same deterministic events");
+    assert_eq!(c1, c2, "same seed, same deterministic counters");
+    let mut clean = inputs(4, 48);
+    collectives::exec_thread::allreduce(&s, &mut clean, ReduceOp::Sum).unwrap();
+    assert_eq!(b1, clean, "faults repaired ⇒ identical to the fault-free run");
+}
+
+/// One run of a recoverable `plan` over `mesh`: the per-rank results
+/// and the session's counters.
+fn repair<W: Wire>(
+    mut mesh: Vec<W>,
     plan: FaultPlan,
     schedule: &Schedule,
 ) -> (Vec<Vec<f32>>, FaultCounterSnapshot) {
-    let n = wires.len();
-    let ids: Vec<usize> = (0..n).collect();
     let session = FaultSession::new(plan).with_policy(policy());
-    let wires: Vec<FaultWire<'_, W>> = wires.iter().map(|w| FaultWire::new(w, &session)).collect();
-    let mut bufs = inputs(n, schedule.n_elems);
-    std::thread::scope(|scope| {
-        for (wire, buf) in wires.iter().zip(bufs.iter_mut()) {
-            let (ids, session) = (&ids, &session);
-            scope.spawn(move || {
-                let mut exec =
-                    PeerExecutor::new(wire, session.policy()).with_sink(session.sink(wire.rank()));
-                exec.allreduce(schedule, buf, ReduceOp::Sum, ids, &mut || CtlSignal::Continue)
-                    .expect("recoverable faults only");
-            });
-        }
-    });
-    (bufs, session.counters().snapshot())
+    let ins = inputs(schedule.n_ranks, schedule.n_elems);
+    // No rank stops under a recoverable plan, so none is hung up.
+    let run = run_faulty(&mut mesh, &session, schedule, ins, ReduceOp::Sum, |_| {});
+    assert!(run.outcomes.iter().all(Result::is_ok), "recoverable faults only");
+    (run.bufs, session.counters().snapshot())
 }
 
 #[test]
@@ -69,11 +225,10 @@ fn one_plan_repairs_identically_over_channels_and_sockets() {
                 ..FaultSpec::none(n, 1, schedule.n_rounds())
             };
             let plan = FaultPlan::seeded(0xFA17 + n as u64, &spec);
-            let mut want = inputs(n, schedule.n_elems);
-            apply_allreduce(&schedule, &mut want, ReduceOp::Sum);
+            let want = reference(&schedule);
 
-            let (by_channel, chan) = run_faulty(ChannelWire::mesh(n), plan.clone(), &schedule);
-            let (by_socket, sock) = run_faulty(common::socket_mesh(n, policy()), plan, &schedule);
+            let (by_channel, chan) = repair(ChannelWire::mesh(n), plan.clone(), &schedule);
+            let (by_socket, sock) = repair(common::socket_mesh(n, policy()), plan, &schedule);
             assert_eq!(by_channel, want, "{algo:?} n={n}: channel result");
             assert_eq!(by_socket, want, "{algo:?} n={n}: socket result");
             assert_eq!(

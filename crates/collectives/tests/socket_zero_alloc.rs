@@ -216,7 +216,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         tel.add(metric::WIRE_BYTES, 4096);
         tel.set(metric::STEP_LATENCY_US, 1234);
         tel.flight("STEP", "begin", step, 0, 0);
-        tel.flight("COMPUTE", "grad_compute", step, 500, 0);
+        tel.flight("BACKWARD", "grad_compute", step, 500, 0);
         tel.flight("MPI_ALLREDUCE", "exchange", step, 900, 0);
         frame.seq = tel.encode_into(&mut payload);
         frame.step = step;

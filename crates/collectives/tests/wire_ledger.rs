@@ -115,10 +115,9 @@ fn trace_wire_ledger_is_the_executors_ledger_resends_included() {
     let rec = trace::TraceRecorder::new();
     let session = FaultSession::new(FaultPlan::explicit(1, vec![drop]))
         .with_trace(ExecTrace::comm(&rec, &ids));
-    let ctx = ExecContext::for_schedule(&schedule).expect("schedule verifies");
-    let mut bufs = inputs(n, e);
-    ctx.allreduce_with_faults(&schedule, &mut bufs, ReduceOp::Sum, &session, &ids).expect("repair");
+    let run = common::run_faulty_channels(&ids, &session, &schedule, inputs(n, e), ReduceOp::Sum);
+    assert!(run.outcomes.iter().all(Result::is_ok), "repair");
     assert!(session.counters().snapshot().resends >= 1, "the drop must have been repaired");
-    assert!(ctx.wire_bytes() > once, "a resend puts its bytes on the wire a second time");
-    assert_eq!(trace::analyze(&rec.to_chrome_events()).wire_bytes, ctx.wire_bytes());
+    assert!(run.wire_bytes > once, "a resend puts its bytes on the wire a second time");
+    assert_eq!(trace::analyze(&rec.to_chrome_events()).wire_bytes, run.wire_bytes);
 }

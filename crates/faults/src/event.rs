@@ -1,12 +1,12 @@
 //! Structured fault events: what the chaos machinery observed and did.
 //!
 //! Events split into a **deterministic core** — plan-driven injections
-//! and confirmed topology changes, identical on every replay of the
-//! same seed — and **timing-dependent recovery noise** (spurious
-//! timeouts, duplicate deliveries) that depends on OS scheduling. The
-//! chaos suite asserts equality on the former
-//! ([`FaultEvent::is_deterministic`]) and only sanity bounds on the
-//! latter.
+//! and the topology changes the coordinator decides, identical on every
+//! replay of the same seed — and **timing-dependent recovery noise**
+//! (spurious timeouts, duplicate deliveries, which survivor noticed a
+//! hang-up) that depends on OS scheduling. The chaos suite asserts
+//! equality on the former ([`FaultEvent::is_deterministic`]) and only
+//! sanity bounds on the latter.
 
 use std::fmt;
 use std::time::Instant;
@@ -30,9 +30,10 @@ pub enum FaultEvent {
     /// A duplicate delivery (already-applied sequence number) was
     /// discarded idempotently.
     DuplicateDropped { step: usize, rank: usize, peer: usize, seq: u64 },
-    /// A rank gave up on a peer and declared it dead.
+    /// A rank observed a peer's hang-up (or silence) and gave up on it.
     PeerDead { step: usize, rank: usize, peer: usize, round: usize },
-    /// The elastic layer rebuilt the collective over the survivors.
+    /// The coordinator declared `dead` dead while `step` was open; the
+    /// survivors re-run it over `new_world` ranks.
     Degraded { step: usize, dead: Vec<usize>, new_world: usize },
     /// The trainer wrote a checkpoint after `step`.
     CheckpointSave { step: usize },
@@ -42,13 +43,17 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// True for events that must replay identically from the same seed:
-    /// injections, confirmed deaths, degradations, and checkpoint
-    /// lifecycle. Timeout/resend/duplicate noise is timing-dependent.
+    /// injections, degradations, and checkpoint lifecycle.
+    /// Timeout/resend/duplicate noise is timing-dependent, and so is
+    /// `PeerDead`: a crashed rank hangs up *and* its coordinator
+    /// broadcasts `Degrade`, and whether a survivor notices the hang-up
+    /// before the `Degrade` reaches it is a race between two threads.
+    /// The death itself replays exactly — as the coordinator's
+    /// `Degraded`.
     pub fn is_deterministic(&self) -> bool {
         matches!(
             self,
             FaultEvent::Injected { .. }
-                | FaultEvent::PeerDead { .. }
                 | FaultEvent::Degraded { .. }
                 | FaultEvent::CheckpointSave { .. }
                 | FaultEvent::CheckpointRestore { .. }
@@ -136,14 +141,8 @@ impl EventLog {
     /// The deterministic core, stripped of timestamps — the part a
     /// replay from the same seed must reproduce exactly. Sorted into a
     /// canonical order so concurrent arrival order doesn't matter.
-    ///
-    /// `PeerDead` needs one normalization: *which* rank declares *which*
-    /// peer dead at *which step* replays exactly (the abort cascade is
-    /// schedule-driven), but the `round` a survivor happens to be in
-    /// when it notices a cascading hang-up depends on how many of the
-    /// aborting peer's in-flight messages drained first — real thread
-    /// timing. The core zeroes that field; the raw [`snapshot`] keeps
-    /// the observed round for diagnostics.
+    /// `PeerDead` is left out (see [`FaultEvent::is_deterministic`]);
+    /// the raw [`snapshot`] keeps every observation for diagnostics.
     ///
     /// [`snapshot`]: EventLog::snapshot
     pub fn deterministic_core(&self) -> Vec<FaultEvent> {
@@ -152,12 +151,7 @@ impl EventLog {
             .lock()
             .iter()
             .filter(|s| s.event.is_deterministic())
-            .map(|s| match &s.event {
-                FaultEvent::PeerDead { step, rank, peer, .. } => {
-                    FaultEvent::PeerDead { step: *step, rank: *rank, peer: *peer, round: 0 }
-                }
-                other => other.clone(),
-            })
+            .map(|s| s.event.clone())
             .collect();
         core.sort_by(|a, b| format!("{a}").cmp(&format!("{b}")));
         core
@@ -206,27 +200,31 @@ mod tests {
     }
 
     #[test]
-    fn peer_dead_round_is_normalized_out_of_the_core() {
-        // The round a survivor notices a cascading hang-up in is real
-        // thread timing; two runs of the same seed may differ there.
+    fn peer_dead_is_normalized_out_of_the_core() {
+        // Which survivor notices a hang-up before the coordinator's
+        // degrade reaches it — and in which round — is thread timing;
+        // two runs of the same seed may differ in both. The death they
+        // both record is the Degraded event.
         let a = EventLog::new();
         a.push(FaultEvent::PeerDead { step: 0, rank: 2, peer: 1, round: 3 });
+        a.push(FaultEvent::Degraded { step: 0, dead: vec![1], new_world: 3 });
         let b = EventLog::new();
-        b.push(FaultEvent::PeerDead { step: 0, rank: 2, peer: 1, round: 4 });
+        b.push(FaultEvent::Degraded { step: 0, dead: vec![1], new_world: 3 });
         assert_eq!(a.deterministic_core(), b.deterministic_core());
         assert_eq!(
             a.deterministic_core(),
-            vec![FaultEvent::PeerDead { step: 0, rank: 2, peer: 1, round: 0 }]
+            vec![FaultEvent::Degraded { step: 0, dead: vec![1], new_world: 3 }]
         );
+        assert_eq!(a.snapshot().len(), 2, "the raw log keeps the observation");
     }
 
     #[test]
     fn canonical_order_is_arrival_independent() {
         let a = EventLog::new();
         a.push(FaultEvent::Degraded { step: 1, dead: vec![2], new_world: 3 });
-        a.push(FaultEvent::PeerDead { step: 1, rank: 0, peer: 2, round: 0 });
+        a.push(FaultEvent::CheckpointSave { step: 1 });
         let b = EventLog::new();
-        b.push(FaultEvent::PeerDead { step: 1, rank: 0, peer: 2, round: 0 });
+        b.push(FaultEvent::CheckpointSave { step: 1 });
         b.push(FaultEvent::Degraded { step: 1, dead: vec![2], new_world: 3 });
         assert_eq!(a.deterministic_core(), b.deterministic_core());
     }

@@ -26,8 +26,8 @@
 //!   assertable.
 //!
 //! Nothing here knows about schedules or training; the injecting wire
-//! decorator (`collectives::exec_fault`), the elastic wrapper
-//! (`collectives::elastic`), and the trainer consume these types.
+//! decorator (`collectives::exec_fault`) and the trainer consume these
+//! types.
 
 pub mod clock;
 pub mod crc;

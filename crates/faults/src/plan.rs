@@ -43,7 +43,7 @@ impl FaultKind {
 
 /// One injection: fault `kind` at training step `step`, on `rank`, in
 /// collective round `round`. Ranks are *original* (world) rank ids — a
-/// plan stays addressable after elastic degradation shrinks the live
+/// plan stays addressable after a degradation shrinks the live
 /// set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Injection {
@@ -128,6 +128,15 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// The pacing of ranks that cannot be lost: lossless in-process
+    /// links between threads that die only by plan never need a resend,
+    /// so no receive deadline and no death bound ever fires — a slow
+    /// peer is waited for, as long as it takes. Only the tick (how often
+    /// a blocked receive looks at its other peers) is in play.
+    pub fn patient() -> Self {
+        RetryPolicy { base: Duration::MAX, factor: 1, max_attempts: 1, ..RetryPolicy::default() }
+    }
+
     /// Receive deadline for 0-based `attempt`: `base * factor^attempt`
     /// (exponent clamped so a pathological policy cannot overflow).
     pub fn deadline(&self, attempt: u32) -> Duration {

@@ -5,22 +5,22 @@
 //! * `dist_train launch --dir D --workers N ...` — binds the
 //!   rendezvous socket, spawns N copies of itself as `worker`
 //!   subprocesses, assigns ranks, and then serves the commit
-//!   coordinator (`trainer::real::commit::Coordinator`): every control
-//!   connection feeds one inbox, each arrival (a frame, an EOF, a
-//!   silence) becomes an event, and each action the machine answers
-//!   with becomes a send, a SIGKILL (`--kill-rank R --kill-step S`, the
-//!   chaos hook the kill-a-worker suite drives) or a file.
+//!   coordinator (`trainer::real::commit::coordinate`): every control
+//!   connection feeds one inbox, and this file is the loop's shell —
+//!   each action becomes a frame write, a SIGKILL (`--kill-rank R
+//!   --kill-step S`, the chaos hook the kill-a-worker suite drives) or
+//!   a file.
 //! * `dist_train worker --dir D --tag T ...` — joins the rendezvous,
 //!   builds the socket mesh, trains its rank, writes
 //!   `result_r<rank>.json` + `params_r<rank>.bin`, reports `Finished`.
 //!
-//! The protocol — frames, votes, eras, who is dead — lives in
-//! `trainer::real::commit`; this file owns processes and I/O. Every
+//! The protocol — frames, votes, eras, who is dead, the event loop —
+//! lives in `trainer::real::commit`, and `try_train` runs it too, over
+//! threads; this file owns processes and I/O. Every
 //! file it writes lands inside `--dir`; the launcher's final
 //! `summary.json` names the dead and the degrade steps so tests can
 //! replay the exact fault threaded.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -35,9 +35,9 @@ use trace::chrome::{parse_trace, write_trace, ChromeEvent};
 use trace::cluster::{ClusterView, StragglerPolicy};
 use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry};
 use trace::TraceSession;
-use trainer::real::commit::{self, Action, Coordinator, Event};
+use trainer::real::commit::{self, Coordinator, Shell};
 use trainer::real::worker::{preset, preset_names, run_worker};
-use transport::{join, Frame, FrameKind, Inbox, PeerConn, Rendezvous, TelemetrySource};
+use transport::{join, Frame, Inbox, PeerConn, Rendezvous, TelemetrySource};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -249,17 +249,17 @@ fn launch(flags: &Flags) -> Result<i32, String> {
     Ok(exit)
 }
 
-/// Rendezvous, then the coordinator's event loop: arrivals and time in,
-/// the machine's actions out. Returns the pids of the ranks that died
-/// (their signal exits are expected when reaping).
+/// Rendezvous, then the commit coordinator's event loop over the
+/// workers' control connections. Returns the pids of the ranks that
+/// died (their signal exits are expected when reaping).
 fn coordinate(
     rdzv: &Rendezvous,
     flags: &Flags,
     children: &mut [Child],
-    mut telem: Option<&mut TelemetryPlane>,
+    telem: Option<&mut TelemetryPlane>,
 ) -> Result<Vec<u32>, String> {
     let Flags { dir, workers, pol, .. } = flags;
-    let me = *workers as u16; // no worker's id; nothing routes on it
+    let me = *workers; // no worker's id; nothing routes on it
     let joined = rdzv.assemble(*workers).map_err(|e| format!("rendezvous failed: {e}"))?;
     let inbox = Inbox::default();
     let mut conns: Vec<PeerConn> = Vec::with_capacity(*workers);
@@ -269,7 +269,7 @@ fn coordinate(
             return Err(format!("rank {rank} announced unknown pid {}", hello.pid));
         }
         conns.push(
-            PeerConn::solo_into(rank, me as usize, stream, Some(*pol), &inbox)
+            PeerConn::solo_into(rank, me, stream, Some(*pol), &inbox)
                 .map_err(|e| format!("control conn for rank {rank}: {e}"))?,
         );
         pids.push(hello.pid);
@@ -277,59 +277,8 @@ fn coordinate(
 
     let kill = flags.kill.map(|(rank, step)| (rank, step as u32));
     let mut machine = Coordinator::new(*workers, kill);
-    // Telemetry arrives at beacon cadence even from a worker wedged
-    // before its Ready: the barrier gets a deadline, not a silence bound.
-    let ready_by = Instant::now() + pol.death_threshold();
-    let mut events: VecDeque<(usize, Event)> = VecDeque::new();
-    while !machine.done() {
-        // The launcher's one blocking wait. Telemetry piggybacks the
-        // heartbeat pump, which starts at conn creation, so its frames
-        // can precede a rank's Ready.
-        match inbox.recv_timeout(pol.heartbeat_interval()) {
-            Some((_, Some(f))) if f.kind == FrameKind::Telemetry => {
-                if let Some(t) = telem.as_deref_mut() {
-                    t.ingest(&f);
-                }
-            }
-            Some((rank, Some(f))) => {
-                let ev = Event::from_frame(&f).map_err(|e| format!("rank {rank}: {e}"))?;
-                events.extend(ev.map(|ev| (rank, ev)));
-            }
-            Some((rank, None)) => events.push_back((rank, Event::Gone)),
-            None => {}
-        }
-        // Time enters as events. Heartbeats flow even while a worker
-        // computes, so sustained silence means a wedged process.
-        let barrier_overdue = !machine.started() && Instant::now() >= ready_by;
-        for (rank, conn) in conns.iter().enumerate() {
-            let silent = machine.started() && conn.silence() > pol.death_threshold();
-            if machine.is_live(rank) && (silent || barrier_overdue) {
-                events.push_back((rank, Event::Silent));
-            }
-        }
-        while let Some((rank, ev)) = events.pop_front() {
-            for action in machine.on(rank, ev) {
-                match action {
-                    Action::Send { to, msg } => {
-                        if conns[to].send(&msg.frame(me)).is_err() {
-                            events.push_back((to, Event::Gone));
-                        }
-                    }
-                    Action::Kill(rank) => {
-                        if let Some(c) = children.iter_mut().find(|c| c.id() == pids[rank]) {
-                            let _ = c.kill();
-                        }
-                    }
-                    Action::Dead(rank) => {
-                        if let Some(t) = telem.as_deref_mut() {
-                            t.flight_dump(rank);
-                        }
-                    }
-                    Action::Fail(why) => return Err(why),
-                }
-            }
-        }
-    }
+    let mut shell = Processes { conns: &conns, pids: &pids, children, telem };
+    commit::coordinate(&mut machine, &inbox, pol, &mut shell)?;
 
     let survivors = machine.survivors();
     if survivors.is_empty() {
@@ -338,6 +287,44 @@ fn coordinate(
     write_atomic(dir, "summary.json", &machine.summary_json())
         .map_err(|e| format!("writing summary: {e}"))?;
     Ok((0..*workers).filter(|r| !survivors.contains(r)).map(|r| pids[r]).collect())
+}
+
+/// The coordinator's side of a launch: each rank's control connection
+/// (its silence is the heartbeat's), its process, and the telemetry
+/// plane a death's flight record goes to.
+struct Processes<'a> {
+    conns: &'a [PeerConn],
+    pids: &'a [u32],
+    children: &'a mut [Child],
+    telem: Option<&'a mut TelemetryPlane>,
+}
+
+impl Shell for Processes<'_> {
+    fn send(&mut self, rank: usize, frame: &Frame) -> bool {
+        self.conns[rank].send(frame).is_ok()
+    }
+
+    fn silence(&self, rank: usize) -> Duration {
+        self.conns[rank].silence()
+    }
+
+    fn kill(&mut self, rank: usize) {
+        if let Some(c) = self.children.iter_mut().find(|c| c.id() == self.pids[rank]) {
+            let _ = c.kill();
+        }
+    }
+
+    fn dead(&mut self, rank: usize) {
+        if let Some(t) = self.telem.as_deref_mut() {
+            t.flight_dump(rank);
+        }
+    }
+
+    fn telemetry(&mut self, frame: &Frame) {
+        if let Some(t) = self.telem.as_deref_mut() {
+            t.ingest(frame);
+        }
+    }
 }
 
 // ------------------------------------------------------------- telemetry
@@ -582,7 +569,8 @@ fn worker(flags: &Flags) -> Result<i32, String> {
     let mut cfg = preset(&flags.preset, *workers, *steps, flags.seed);
     let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     cfg.trace = session.clone();
-    let outcome = run_worker(&cfg, &mesh, &ctl, *pol, tel.as_deref()).map_err(|e| e.to_string())?;
+    let outcome =
+        run_worker(&cfg, &mesh, &ctl, *pol, tel.as_deref(), None).map_err(|e| e.to_string())?;
     let mut params = Vec::with_capacity(outcome.final_params.len() * 4);
     for &p in &outcome.final_params {
         params.extend_from_slice(&p.to_le_bytes());

@@ -1,13 +1,13 @@
 //! The commit protocol: which optimizer steps are applied, and by whom.
 //!
-//! Crash tolerance is where processes genuinely differ from threads:
-//! when a rank is SIGKILLed mid-step, some survivors may have finished
-//! the collective while others must abort — under e.g. recursive
-//! doubling the dead rank's last sends can complete one survivor's
-//! exchange posthumously (kernel-buffered bytes drain before EOF). If
-//! each survivor decided alone, they would diverge. So the optimizer
-//! update is gated by a coordinator (the launcher) over each worker's
-//! control stream:
+//! Crash tolerance needs one decision every survivor shares: when a
+//! rank dies mid-step — a SIGKILLed process, or a rank thread whose
+//! injected crash hangs it up — some survivors may have finished the
+//! collective while others must abort. Under e.g. recursive doubling
+//! the dead rank's last sends can complete one survivor's exchange
+//! posthumously (queued bytes drain before the EOF). If each survivor
+//! decided alone, they would diverge. So the optimizer update is gated
+//! by a coordinator over each worker's control stream:
 //!
 //! 1. A worker that completes step `s`'s exchange sends `Vote{s, era}`
 //!    and *waits* — it does not apply the update.
@@ -23,19 +23,25 @@
 //! and the optimizer is applied exactly once per step, on identical
 //! bytes, at every survivor.
 //!
-//! This module is the only place that knows the protocol. It has three
-//! parts: the six control messages and their frames ([`Msg`]); the
-//! coordinator as a pure state machine ([`Coordinator`]: events in,
+//! This module is the only place that knows the protocol, and it is
+//! the same protocol whether the workers are threads or processes. It
+//! has four parts: the six control messages and their frames ([`Msg`]);
+//! the coordinator as a pure state machine ([`Coordinator`]: events in,
 //! actions out — no socket, clock, file or process in it, so a test or
-//! a model drives it with plain values); and the worker's side of the
-//! conversation (join the start barrier, vote, wait for the verdict).
-//! `bin/dist_train.rs` turns sockets and time into [`Event`]s and
-//! [`Action`]s into sends, a SIGKILL and files.
+//! a model drives it with plain values); the coordinator's event loop
+//! ([`coordinate`]), which turns arrivals on an [`Inbox`] and silences
+//! into [`Event`]s and hands [`Action`]s to a [`Shell`]; and the
+//! worker's side of the conversation over any [`Control`] stream (join
+//! the start barrier, vote, wait for the verdict). `bin/dist_train.rs`
+//! is the shell for processes — socket connections, SIGKILL, files;
+//! `try_train` is the shell for threads — in-process
+//! [`LocalConn`](transport::LocalConn)s.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use faults::RetryPolicy;
-use transport::{Frame, FrameKind, WireError};
+use transport::{Control, Frame, FrameKind, Inbox, WireError};
 
 // ------------------------------------------------------------- messages
 
@@ -226,6 +232,16 @@ impl Coordinator {
         }
     }
 
+    /// A run resumed over `live` only — a checkpoint taken after a
+    /// degrade: every other rank is dead from the start, owes the
+    /// barrier nothing and is never degraded again.
+    pub fn with_live(mut self, live: &[usize]) -> Self {
+        for (rank, state) in self.ranks.iter_mut().enumerate() {
+            state.dead = !live.contains(&rank);
+        }
+        self
+    }
+
     /// Neither dead nor finished: the rank's silence still matters.
     pub fn is_live(&self, rank: usize) -> bool {
         self.ranks[rank].live()
@@ -283,7 +299,7 @@ impl Coordinator {
         match ev {
             Event::Ready if !self.started => {
                 self.ranks[rank].ready = true;
-                if self.ranks.iter().all(|s| s.ready) {
+                if self.ranks.iter().all(|s| s.ready || s.dead) {
                     self.started = true;
                     out.extend(self.live_ranks().map(|to| Action::Send { to, msg: Msg::Start }));
                 }
@@ -365,6 +381,83 @@ impl Coordinator {
     }
 }
 
+// ----------------------------------------------------------- event loop
+
+/// Where the coordinator's actions go, and the one event source besides
+/// its inbox: the launcher's worker processes, or an in-process run's
+/// rank threads.
+pub trait Shell {
+    /// Deliver `frame` to `rank`; false means the rank is gone.
+    fn send(&mut self, rank: usize, frame: &Frame) -> bool;
+    /// How long `rank` has been silent (zero where the only death
+    /// signal is an EOF).
+    fn silence(&self, rank: usize) -> Duration;
+    /// [`Action::Kill`]: kill `rank`'s process.
+    fn kill(&mut self, _rank: usize) {}
+    /// [`Action::Dead`]: the machine has just declared `rank` dead.
+    fn dead(&mut self, _rank: usize) {}
+    /// A telemetry snapshot arrived.
+    fn telemetry(&mut self, _frame: &Frame) {}
+}
+
+/// The coordinator's event loop, until every rank has finished or died:
+/// arrivals on `inbox` and `shell`'s silences become [`Event`]s, and
+/// the machine's [`Action`]s go to `shell`. The one blocking wait is on
+/// the inbox, woken at least every heartbeat interval of `pol`; a rank
+/// is `Silent` past one death threshold of quiet once the run has
+/// started, or when the start barrier has waited that long. A send that
+/// fails is that rank's `Gone`. Returns the machine's `Fail`, if any.
+pub fn coordinate(
+    machine: &mut Coordinator,
+    inbox: &Inbox,
+    pol: &RetryPolicy,
+    shell: &mut impl Shell,
+) -> Result<(), String> {
+    // The coordinator signs as no worker's id; nothing routes on it.
+    let me = machine.ranks.len() as u16;
+    // Telemetry arrives at beacon cadence even from a worker wedged
+    // before its Ready: the barrier gets a deadline, not a silence bound.
+    let ready_by = Instant::now().checked_add(pol.death_threshold());
+    let mut events: VecDeque<(usize, Event)> = VecDeque::new();
+    while !machine.done() {
+        // Telemetry piggybacks the heartbeat pump, which starts with the
+        // connection, so its frames can precede a rank's Ready.
+        match inbox.recv_timeout(pol.heartbeat_interval()) {
+            Some((_, Some(f))) if f.kind == FrameKind::Telemetry => shell.telemetry(&f),
+            Some((rank, Some(f))) => {
+                let ev = Event::from_frame(&f).map_err(|e| format!("rank {rank}: {e}"))?;
+                events.extend(ev.map(|ev| (rank, ev)));
+            }
+            Some((rank, None)) => events.push_back((rank, Event::Gone)),
+            None => {}
+        }
+        // Time enters as events. Heartbeats flow even while a worker
+        // computes, so sustained silence means a wedged process.
+        let barrier_overdue = !machine.started() && ready_by.is_some_and(|t| Instant::now() >= t);
+        for rank in 0..machine.ranks.len() {
+            let silent = machine.started() && shell.silence(rank) > pol.death_threshold();
+            if machine.is_live(rank) && (silent || barrier_overdue) {
+                events.push_back((rank, Event::Silent));
+            }
+        }
+        while let Some((rank, ev)) = events.pop_front() {
+            for action in machine.on(rank, ev) {
+                match action {
+                    Action::Send { to, msg } => {
+                        if !shell.send(to, &msg.frame(me)) {
+                            events.push_back((to, Event::Gone));
+                        }
+                    }
+                    Action::Kill(rank) => shell.kill(rank),
+                    Action::Dead(rank) => shell.dead(rank),
+                    Action::Fail(why) => return Err(why),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 // --------------------------------------------------------------- worker
 
 /// One elastic degradation as the worker observed it.
@@ -387,11 +480,7 @@ pub enum Verdict {
 
 /// Worker side of the start barrier: announce `Ready`, then wait —
 /// one death threshold at most — for `Start`.
-pub fn join_barrier(
-    ctl: &transport::PeerConn,
-    policy: &RetryPolicy,
-    rank: usize,
-) -> Result<(), String> {
+pub fn join_barrier(ctl: &dyn Control, policy: &RetryPolicy, rank: usize) -> Result<(), String> {
     ctl.send(&Msg::Ready.frame(rank as u16)).map_err(|e| format!("ready: {e}"))?;
     let f = ctl
         .recv_timeout(policy.death_threshold())
@@ -404,23 +493,20 @@ pub fn join_barrier(
 
 /// Tell the coordinator this rank applied all `steps` and wrote its
 /// results.
-pub fn report_finished(ctl: &transport::PeerConn, rank: usize, steps: usize) -> Result<(), String> {
+pub fn report_finished(ctl: &dyn Control, rank: usize, steps: usize) -> Result<(), String> {
     ctl.send(&Msg::Finished { steps: steps as u32 }.frame(rank as u16))
         .map_err(|e| format!("finished: {e}"))
 }
 
 /// Vote: this rank completed `step`'s exchange under `era`.
-pub fn vote(ctl: &transport::PeerConn, rank: usize, era: u32, step: usize) -> Result<(), String> {
+pub fn vote(ctl: &dyn Control, rank: usize, era: u32, step: usize) -> Result<(), String> {
     ctl.send(&Msg::Vote { era, step: step as u32 }.frame(rank as u16))
         .map_err(|e| format!("vote for step {step} failed: {e}"))
 }
 
 /// The in-exchange poll: has the coordinator announced a degrade?
 /// Never blocks. `Ok(None)` means carry on.
-pub fn poll_degrade(
-    ctl: &transport::PeerConn,
-    step: usize,
-) -> Result<Option<DegradeRecord>, String> {
+pub fn poll_degrade(ctl: &dyn Control, step: usize) -> Result<Option<DegradeRecord>, String> {
     let Ok(f) = ctl.recv_timeout(Duration::ZERO) else { return Ok(None) };
     Ok(match Msg::parse(&f)? {
         Msg::Degrade { era, dead, .. } => Some(DegradeRecord { step, dead, era }),
@@ -432,7 +518,7 @@ pub fn poll_degrade(
 /// Anything but that step's `Commit` or a `Degrade` is protocol
 /// insanity.
 pub fn await_verdict(
-    ctl: &transport::PeerConn,
+    ctl: &dyn Control,
     policy: &RetryPolicy,
     step: usize,
 ) -> Result<Verdict, String> {

@@ -1,6 +1,6 @@
 //! The real (numerical) half of the reproduction: a from-scratch
-//! mini-framework trained data-parallel across threads with genuine
-//! gradient allreduce.
+//! mini-framework trained data-parallel — across threads or across
+//! processes, by one rank body — with genuine gradient allreduce.
 
 pub mod checkpoint;
 pub mod commit;
@@ -22,4 +22,4 @@ pub use train::{
     evaluate, train, try_train, CheckpointConfig, EvalPoint, FaultToleranceConfig, TrainConfig,
     TrainError, TrainResult,
 };
-pub use worker::{preset, run_worker, WorkerError, WorkerOutcome};
+pub use worker::{preset, run_worker, WorkerOutcome};

@@ -1,36 +1,47 @@
 //! Data-parallel training with *real* gradients over *real* allreduce.
 //!
-//! Each worker thread owns a model replica and an optimizer; every step
-//! the workers compute gradients on disjoint shards of the global batch,
-//! average them with a genuine multi-threaded allreduce (the same
-//! algorithm schedules the simulator times — see
-//! [`collectives::exec_thread`]), and apply identical updates. This is
-//! the accuracy half of the reproduction: claim C6's substance is that
-//! synchronous gradient averaging matches serial training's mIoU.
+//! Every replica owns a model and an optimizer; every step the replicas
+//! compute gradients on disjoint shards of the global batch, average
+//! them with a genuine allreduce (the same algorithm schedules the
+//! simulator times — see [`collectives::exec_peer`]), and apply
+//! identical updates. This is the accuracy half of the reproduction:
+//! claim C6's substance is that synchronous gradient averaging matches
+//! serial training's mIoU.
+//!
+//! [`try_train`] runs the job in this process as N copies of the one
+//! rank body, [`run_worker`] — the very loop `dist_train` runs once per
+//! process — on the lanes of one pool, over an in-process channel mesh,
+//! under the same commit coordinator ([`commit::coordinate`]) fed by
+//! in-process control streams. Threads and processes therefore share
+//! one training loop and one degrade protocol. The layer-pipelined
+//! executor (`cfg.pipeline`) keeps a step loop of its own, which keeps
+//! its books through the same `Ledger`.
 
 use std::fmt;
+use std::mem;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use collectives::compression::{self, CodecKind, EncodeScratch, ErrorFeedback};
-use collectives::pool;
-use collectives::{
-    Algorithm, ElasticAllreduce, ElasticError, ExecTrace, FaultSession, ReduceOp, Violation,
-};
-use faults::{FaultEvent, FaultPlan, RetryPolicy};
+use collectives::compression::CodecKind;
+use collectives::pool::{self, CorePool};
+use collectives::{Algorithm, ExecTrace, FaultSession, FaultWire, PeerExecError, Violation};
+use faults::{FaultEvent, FaultKind, FaultPlan, Injection, RetryPolicy};
 use summit_metrics::rng::derive_seed;
 use summit_metrics::FaultCounterSnapshot;
-use trace::{Lane, TraceSession};
+use trace::{Counter, Gauge, Histogram, Lane, TraceSession};
+use transport::{ChannelWire, Control, Frame, Inbox, LocalConn, Wire};
 
 use super::checkpoint::{Checkpoint, CheckpointError};
+use super::commit::{self, Coordinator, Shell};
 use super::miou::Confusion;
-use super::net::{BatchWorkspace, NetConfig, SegNet};
+use super::net::{NetConfig, SegNet};
 use super::segdata::{augment, generate, generate_batch, DataConfig, Sample};
 use super::sgd::{LrSchedule, MomentumSgd};
+use super::worker::{run_worker, WorkerOutcome};
 
 /// Fault-injection knobs for a chaos run. Absent (`TrainConfig::faults
-/// = None`) the allreduce runs with no injector, snapshot or deadlines.
+/// = None`) the ranks run with no injector and no deadlines.
 #[derive(Debug, Clone)]
 pub struct FaultToleranceConfig {
     /// The seeded, replayable injection plan.
@@ -61,15 +72,19 @@ pub struct CheckpointConfig {
     pub halt_after: Option<usize>,
 }
 
-/// Why a training run failed (as a value — the trainer no longer
-/// panics on infrastructure faults).
+/// Why a training run — or one rank of it — failed (as a value: the
+/// trainer does not panic on infrastructure faults).
 #[derive(Debug)]
 pub enum TrainError {
-    /// The gradient allreduce schedule failed static verification.
+    /// The gradient allreduce schedule (the initial one, or one rebuilt
+    /// over the survivors) failed static verification.
     Verification(Vec<Violation>),
-    /// The collective layer gave up (all ranks dead, rebuilt schedule
-    /// rejected, or a non-recoverable executor error).
-    Elastic(ElasticError),
+    /// A rank's peer executor failed unrecoverably.
+    Exec(PeerExecError),
+    /// The commit protocol broke down (coordinator gone or insane).
+    Protocol(String),
+    /// Every worker died; nobody holds a result.
+    AllRanksDead,
     /// Checkpoint I/O or integrity failure.
     Checkpoint(CheckpointError),
     /// A checkpoint loaded fine but does not fit this config.
@@ -82,7 +97,9 @@ impl fmt::Display for TrainError {
             TrainError::Verification(v) => {
                 write!(f, "gradient allreduce schedule failed verification: {v:?}")
             }
-            TrainError::Elastic(e) => write!(f, "collective layer failed: {e}"),
+            TrainError::Exec(e) => write!(f, "peer executor failed: {e}"),
+            TrainError::Protocol(why) => write!(f, "commit protocol failed: {why}"),
+            TrainError::AllRanksDead => write!(f, "every worker died; no survivors"),
             TrainError::Checkpoint(e) => write!(f, "{e}"),
             TrainError::CheckpointMismatch(why) => write!(f, "checkpoint mismatch: {why}"),
         }
@@ -116,8 +133,8 @@ pub struct TrainConfig {
     /// gradient tiles are reduced across replicas as soon as the last
     /// backward task for that layer finishes, overlapping communication
     /// with the remaining backprop (Horovod's tensor-ready overlap).
-    /// Mutually exclusive with `faults` — chaos runs need the elastic
-    /// bulk-synchronous path.
+    /// Mutually exclusive with `faults` — chaos runs need the rank
+    /// bodies and their commit protocol.
     pub pipeline: bool,
     /// Wire codec applied to each worker's local-mean gradient before
     /// averaging (`None` ⇒ full fp32; `Fp16` is Horovod's
@@ -135,8 +152,8 @@ pub struct TrainConfig {
     pub eval_every: usize,
     pub eval_samples: usize,
     pub seed: u64,
-    /// Fault-injection session for chaos runs (`None` ⇒ no injector, no
-    /// snapshot, no deadlines; the numbers are the same either way).
+    /// Fault-injection session for chaos runs (`None` ⇒ no injector and
+    /// no deadlines; the numbers are the same either way).
     pub faults: Option<FaultToleranceConfig>,
     /// Checkpoint/restart (`None` ⇒ never saved, never resumed).
     pub checkpoint: Option<CheckpointConfig>,
@@ -202,18 +219,48 @@ impl TrainConfig {
         self.workers * self.batch_per_worker * self.accumulation_steps
     }
 
+    /// True when the run stops right after `step` (a simulated crash).
+    pub(crate) fn halts_after(&self, step: usize) -> bool {
+        self.checkpoint.as_ref().is_some_and(|ck| ck.halt_after == Some(step + 1))
+    }
+
     fn check(&self) {
         assert!(self.workers >= 1 && self.batch_per_worker >= 1 && self.steps >= 1);
         assert!(self.accumulation_steps >= 1, "need at least one micro-batch");
         assert!(
             !(self.pipeline && self.faults.is_some()),
-            "the pipelined executor does not support fault injection; use the elastic path"
+            "the pipelined executor does not support fault injection; use the rank bodies"
         );
+        if let Some((i, c)) = self.faults.as_ref().and_then(|f| crash_step_company(&f.plan)) {
+            panic!(
+                "fault plan: {i:?} shares step {} with {c:?}; a step someone dies in may hold \
+                 nothing else, or only round-0 crashes",
+                i.step
+            );
+        }
         assert_eq!(self.data.height, self.net.height, "data/net height");
         assert_eq!(self.data.width, self.net.width, "data/net width");
         assert_eq!(self.data.channels, self.net.cin, "data/net channels");
         assert_eq!(self.data.n_classes, self.net.n_classes, "data/net classes");
     }
+}
+
+/// An injection of `plan` that shares its step with crash `c` and that a
+/// training run could not replay, as `(injection, c)`. The coordinator
+/// aborts a step someone dies in wherever its `Degrade` finds each
+/// survivor — a point thread timing sets — and the survivors re-run it,
+/// so whether anything else in that step fires, and how often, would be
+/// timing too. Round-0 crashes may share a step: every rank enters
+/// round 0 of the step's first attempt before it can see a `Degrade`.
+fn crash_step_company(plan: &FaultPlan) -> Option<(Injection, Injection)> {
+    let all = plan.injections();
+    let round0_crash = |i: &Injection| i.kind == FaultKind::Crash && i.round == 0;
+    all.iter()
+        .filter(|c| c.kind == FaultKind::Crash)
+        .flat_map(|c| {
+            all.iter().filter(move |i| i.step == c.step && *i != c).map(move |i| (*i, *c))
+        })
+        .find(|(i, c)| !(round0_crash(i) && round0_crash(c)))
 }
 
 /// One evaluation point on the training curve.
@@ -232,14 +279,15 @@ pub struct TrainResult {
     pub final_miou: f64,
     pub final_pixel_accuracy: f64,
     pub final_params: Vec<f32>,
-    /// Mean training loss of every executed step, in order (a resumed
-    /// run records only the steps it actually ran).
+    /// Mean training loss of every executed step over the ranks that
+    /// committed it, in order (a resumed run records only the steps it
+    /// actually ran).
     pub step_losses: Vec<f64>,
     /// Original worker ids still alive at the end, ascending.
     pub survivors: Vec<usize>,
-    /// The deterministic fault-event core (injections, deaths,
-    /// degradations, checkpoint lifecycle) — identical on every replay
-    /// of the same plan. Empty when `faults` is `None`.
+    /// The deterministic fault-event core (injections, degradations,
+    /// checkpoint lifecycle) — identical on every replay of the same
+    /// plan. Empty when `faults` is `None`.
     pub fault_events: Vec<FaultEvent>,
     /// Frozen fault/recovery counters at the end of the run.
     pub fault_counters: FaultCounterSnapshot,
@@ -278,360 +326,471 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
 /// disjoint shards of a common data stream, and stay synchronized by
 /// construction; the run asserts replica consistency at the end.
 ///
-/// With `cfg.faults` set, the gradient allreduce goes through the
-/// fault-aware path: injected drops/corruptions are recovered
-/// bit-exactly, and confirmed rank deaths shrink the run onto the
-/// survivors (the dead worker's data shard is lost from that step on —
-/// the gradient stays an average over the live world). With
-/// `cfg.checkpoint` set, bit-exact snapshots are saved periodically and
-/// a run can resume from one identically to never having stopped.
+/// With `cfg.faults` set, every rank's link runs behind a `FaultWire`:
+/// injected drops/corruptions are recovered bit-exactly, and an injected
+/// crash hangs its rank up, so the coordinator degrades the run onto the
+/// survivors exactly as `dist_train` does on a SIGKILL (the dead
+/// worker's data shard is lost from that step on — the gradient stays
+/// an average over the live world). A plan that puts anything but
+/// round-0 crashes into a step some rank crashes in is refused as a
+/// misconfiguration: it could not replay. With `cfg.checkpoint` set,
+/// bit-exact snapshots are saved periodically and a run can resume from
+/// one identically to never having stopped.
 pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
     cfg.check();
-    let n_params = cfg.net.n_params();
-
-    // Comm lanes are keyed by ORIGINAL worker id (one per configured
-    // worker, rank → Chrome pid), so the attribution survives elastic
-    // renumbering after deaths, exactly like data sharding does.
-    let all_ids: Vec<usize> = (0..cfg.workers).collect();
-    let comm_trace: Option<ExecTrace> =
-        cfg.trace.as_ref().map(|ts| ExecTrace::comm(&ts.recorder, &all_ids));
-
-    let session: Option<FaultSession> = cfg.faults.as_ref().map(|f| {
-        let mut s = FaultSession::new(f.plan.clone()).with_policy(f.policy);
-        if let Some(t) = &comm_trace {
-            s = s.with_trace(t.clone());
-        }
-        s
-    });
-
     // Resume: the checkpoint dictates the starting step and the live
     // set (a checkpoint taken after a degradation has holes in it).
-    let mut start_step = 0usize;
-    let mut live: Vec<usize> = (0..cfg.workers).collect();
-    let mut resume_from: Option<Checkpoint> = None;
-    if let Some(ck_cfg) = &cfg.checkpoint {
-        if ck_cfg.resume && ck_cfg.path.exists() {
-            let ck = Checkpoint::load(&ck_cfg.path).map_err(TrainError::Checkpoint)?;
-            if ck.params.len() != n_params {
-                return Err(TrainError::CheckpointMismatch(format!(
-                    "checkpoint holds {} params, net has {n_params}",
-                    ck.params.len()
-                )));
-            }
-            if ck.live.is_empty() || ck.live.iter().any(|&id| id >= cfg.workers) {
-                return Err(TrainError::CheckpointMismatch(format!(
-                    "live set {:?} does not fit a {}-worker config",
-                    ck.live, cfg.workers
-                )));
-            }
-            if ck.step > cfg.steps {
-                return Err(TrainError::CheckpointMismatch(format!(
-                    "checkpoint at step {} is past the configured {} steps",
-                    ck.step, cfg.steps
-                )));
-            }
-            start_step = ck.step;
-            live = ck.live.clone();
-            resume_from = Some(ck);
-        }
+    let resume = resume_point(cfg)?;
+    if cfg.pipeline {
+        return train_pipelined(cfg, resume);
     }
+    let (start, live) = resume.map_or((0, (0..cfg.workers).collect()), |ck| (ck.step, ck.live));
 
-    let lr = cfg.lr_schedule();
-    // Per-worker state persists across steps: model replica, optimizer,
-    // reusable gradient workspaces, and a per-worker loss cell. `id` is
-    // the worker's *original* rank — data sharding keys off it, so the
-    // data stream layout survives degradations and resumes. The
-    // allreduce payload buffers (`grads`) are allocated once up front,
-    // so the steady-state step performs no heap allocation anywhere in
-    // the gradient or allreduce path (see `tests/zero_alloc.rs`).
-    struct WorkerState {
-        id: usize,
-        net: SegNet,
-        opt: MomentumSgd,
-        bw: BatchWorkspace,
-        loss: f64,
-        /// Compute lane (pid = original id, tid 0); the lane handle is
-        /// resolved once here so the per-step recording never touches
-        /// the recorder's registry.
-        lane: Option<Lane>,
-    }
-    let mut workers: Vec<WorkerState> = live
-        .iter()
-        .map(|&id| WorkerState {
-            id,
-            net: SegNet::new(cfg.net, derive_seed(cfg.seed, "init")),
-            opt: MomentumSgd::new(lr, cfg.momentum, n_params).with_weight_decay(cfg.weight_decay),
-            bw: BatchWorkspace::new(&cfg.net),
-            loss: 0.0,
-            lane: cfg
-                .trace
-                .as_ref()
-                .map(|ts| ts.recorder.lane(id as u32, 0, &format!("rank {id}"), "compute")),
+    // One fault log for the whole run. Comm lanes are keyed by ORIGINAL
+    // worker id (rank → Chrome pid), so the attribution survives
+    // degradations.
+    let session: Option<FaultSession> = cfg.faults.as_ref().map(|f| {
+        let s = FaultSession::new(f.plan.clone()).with_policy(f.policy);
+        match &cfg.trace {
+            Some(ts) => s.with_trace(ExecTrace::comm(&ts.recorder, &live)),
+            None => s,
+        }
+    });
+
+    let ranks = launch(cfg, &live, session.as_ref())?;
+    let Some(first) = ranks.iter().find(|o| !o.killed) else {
+        return Err(TrainError::AllRanksDead);
+    };
+    // A step's loss is the mean over the ranks that committed it,
+    // summed in rank order; a killed rank committed a prefix of the run.
+    let step_losses: Vec<f64> = (0..first.step_losses.len())
+        .map(|k| {
+            let at: Vec<f64> = ranks.iter().filter_map(|o| o.step_losses.get(k)).copied().collect();
+            at.iter().sum::<f64>() / at.len() as f64
         })
         .collect();
-    if let Some(ck) = &resume_from {
-        // All replicas are identical by the synchronous-SGD invariant,
-        // so one saved copy restores every survivor bit-exactly.
-        for state in workers.iter_mut() {
-            state.net.params_mut().copy_from_slice(&ck.params);
-            state.opt.restore(ck.opt_step, &ck.velocity);
-        }
-        if let Some(s) = &session {
-            s.record(FaultEvent::CheckpointRestore { step: ck.step });
-        }
+    // Leaders come and go with deaths; each kept the eval points of the
+    // steps it led. A rank knows its own loss: the curve carries the
+    // step's mean.
+    let mut curve: Vec<EvalPoint> = ranks.iter().flat_map(|o| o.curve.iter().copied()).collect();
+    curve.sort_by_key(|p| p.step);
+    for p in &mut curve {
+        p.train_loss = step_losses[p.step - 1 - start];
     }
-    let mut grads: Vec<Vec<f32>> = vec![vec![0.0f32; n_params]; workers.len()];
-    // Persistent elastic executor: it owns the schedule, the verifier
-    // gate, and the pooled payload buffers, and rebuilds all three over
-    // the survivors when a rank dies mid-collective.
-    let mut ela = ElasticAllreduce::with_live(cfg.algo, live, n_params).map_err(|e| match e {
-        ElasticError::Rejected(v) => TrainError::Verification(v),
-        other => TrainError::Elastic(other),
-    })?;
-    if let Some(t) = &comm_trace {
-        ela.set_trace(t.clone());
+    let replicas =
+        ranks.into_iter().filter(|o| !o.killed).map(|o| (o.rank, o.final_params)).collect();
+    Ok(finish(cfg, replicas, step_losses, curve, session.as_ref()))
+}
+
+/// Run `live`'s rank bodies and their coordinator in this process: lane
+/// `i` of one pool runs rank `live[i]`'s [`run_worker`] over its
+/// endpoint of an in-process channel mesh — behind a [`FaultWire`] in a
+/// chaos run — and its [`LocalConn`] to the coordinator; the last lane
+/// runs [`commit::coordinate`] over the other ends, parked on the inbox
+/// between arrivals. No thread is spawned beyond the pool's lanes and
+/// there is no socket or heartbeat: death is a hang-up and an EOF.
+/// Several rank bodies fold their own fan-outs inline
+/// ([`pool::fold_inline`]), so N ranks are N compute threads; a lone
+/// one leaves them to the shared pool, whose other lanes would idle.
+/// Returns every rank's outcome, in `live` order, or the first failure
+/// (the coordinator's before any rank's).
+fn launch(
+    cfg: &TrainConfig,
+    live: &[usize],
+    session: Option<&FaultSession>,
+) -> Result<Vec<WorkerOutcome>, TrainError> {
+    /// One lane's work, and where it leaves its result.
+    enum Job {
+        /// A rank body: its endpoint of the mesh (kept until every lane
+        /// is done, so a send to a rank that died still lands) and the
+        /// worker end of its control stream (dropped when the body
+        /// returns: the EOF a dead rank is degraded on).
+        Rank {
+            wire: ChannelWire,
+            ctl: Option<LocalConn>,
+            outcome: Result<WorkerOutcome, TrainError>,
+        },
+        /// The coordinator over the other ends, indexed by original id.
+        Coordinator { conns: Vec<Option<LocalConn>>, outcome: Result<(), String> },
     }
-    // Metric handles are resolved once: per-step updates are pure
-    // atomics, no registry lookups (and no allocation) on the hot path.
-    let metrics = cfg.trace.as_ref().map(|ts| {
-        (
-            ts.registry.counter("train_steps_total"),
-            ts.registry.histogram("train_step_seconds"),
-            ts.registry.histogram("train_allreduce_seconds"),
-            ts.registry.gauge("train_last_loss"),
-        )
-    });
-    // Wire-byte ledger: what each step's gradient exchange costs on the
-    // wire under the configured codec, vs the raw fp32 bytes it stands
-    // in for (one payload per live worker per step).
-    let codec = cfg.codec;
-    let wire_metrics = cfg.trace.as_ref().map(|ts| {
-        (
-            ts.registry.counter("train_wire_bytes_total"),
-            ts.registry.counter("train_raw_bytes_total"),
-        )
-    });
-    // Persistent codec state for the classic path: per-worker fp32
-    // error-feedback residuals and one reusable encode scratch
-    // (compression is serial there). Allocated once, so the step path
-    // stays allocation-free.
-    let mut ef_states: Vec<ErrorFeedback> = if cfg.error_feedback && codec.is_lossy() {
-        (0..workers.len()).map(|_| ErrorFeedback::new(n_params)).collect()
-    } else {
-        Vec::new()
-    };
-    let mut codec_scratch = EncodeScratch::new();
-    codec_scratch.reserve(codec, n_params);
 
-    // Layer-pipelined executor (opt-in via `cfg.pipeline`): backprop is
-    // split into per-layer phases on a work-stealing core pool and each
-    // layer's gradient tile is reduced across replicas the moment it is
-    // ready, overlapping the "allreduce" with the remaining backward
-    // work. Fault injection needs the elastic path, so the two are
-    // mutually exclusive (checked in `check()`).
-    let mut pipe = if cfg.pipeline {
-        let mut ex = super::pipeline::PipelineExecutor::new(
-            &cfg.net,
-            workers.len(),
-            cfg.batch_per_worker,
-            cfg.accumulation_steps,
-            pool::lanes(),
-        );
-        if let Some(ts) = &cfg.trace {
-            ex.attach_trace(&ts.recorder);
-        }
-        Some(ex)
-    } else {
-        None
-    };
-    let mut pipe_shards: Vec<Vec<super::segdata::Sample>> = Vec::new();
+    let inbox = Inbox::default();
+    let mut conns: Vec<Option<LocalConn>> = (0..cfg.workers).map(|_| None).collect();
+    let mut jobs: Vec<Job> = ChannelWire::mesh_of(live)
+        .into_iter()
+        .map(|wire| {
+            let (ctl, coordinator_end) = LocalConn::pair(wire.rank(), &inbox);
+            conns[wire.rank()] = Some(coordinator_end);
+            let outcome = Err(TrainError::Protocol("rank lane never ran".into()));
+            Job::Rank { wire, ctl: Some(ctl), outcome }
+        })
+        .collect();
+    jobs.push(Job::Coordinator { conns, outcome: Ok(()) });
 
-    let mut curve = Vec::new();
-    let mut step_losses = Vec::with_capacity(cfg.steps - start_step);
-    let mut last_loss = f64::NAN;
-    for step in start_step..cfg.steps {
-        let step_t0 = Instant::now();
-        if let Some(s) = &session {
-            s.begin_step(step);
-        }
-        if let Some(exec) = pipe.as_mut() {
-            // Pipelined step: generate the same shards the classic path
-            // would (identical seed addressing), micro-batch major, then
-            // hand compute + reduction + update to the executor.
-            pipe_shards.clear();
-            for state in workers.iter() {
-                let mut shard = Vec::with_capacity(cfg.accumulation_steps * cfg.batch_per_worker);
-                for m in 0..cfg.accumulation_steps {
-                    shard.append(&mut micro_batch(cfg, state.id, step, m));
-                }
-                pipe_shards.push(shard);
-            }
-            last_loss = exec.step(
-                workers.iter_mut().map(|w| (&mut w.net, &mut w.opt)),
-                &pipe_shards,
-                codec,
-                cfg.error_feedback,
-            );
-            for (state, &l) in workers.iter_mut().zip(exec.losses()) {
-                state.loss = l;
-            }
-            if let Some((_, _, ar_hist, _)) = &metrics {
-                ar_hist.observe(exec.last_reduce_seconds());
-            }
-            step_losses.push(last_loss);
-        } else {
-            // Gradient computation: workers fan out over the shared core
-            // pool; with more than one worker the per-sample fan-out
-            // inside each finds the pool busy and folds its slots in
-            // line. Each worker accumulates straight into its persistent
-            // allreduce buffer.
-            pool::for_each_zip_mut(&mut workers, &mut grads, |_, state, acc| {
-                let t0 = state.lane.as_ref().map(Lane::now_us);
-                state.loss =
-                    local_mean_gradient(cfg, state.id, step, &state.net, &mut state.bw, acc);
-                if let (Some(l), Some(t0)) = (state.lane.as_ref(), t0) {
-                    // Forward and backward are fused in batch_loss_grad_ws,
-                    // so one span covers both halves of the compute phase.
-                    l.record_args(
-                        "BACKWARD",
-                        "forward+backward",
-                        t0,
-                        l.now_us() - t0,
-                        step as u64,
-                        cfg.accumulation_steps as u64,
-                    );
-                }
-            });
-            last_loss = workers.iter().map(|s| s.loss).sum::<f64>() / workers.len() as f64;
-            // `ef_states` is empty without error feedback: `next()` then
-            // hands every worker the plain roundtrip.
-            let mut efs = ef_states.iter_mut();
-            for g in grads.iter_mut() {
-                apply_wire_codec(codec, efs.next(), g, &mut codec_scratch);
-            }
-
-            // The real allreduce: gradients cross threads through the same
-            // schedules the timing simulation measures, averaging in place.
-            // With a fault session, drops/corruptions are injected and
-            // recovered and rank deaths degrade the topology onto the
-            // survivors; without one, the same executor runs undisturbed.
-            let ar_t0 = Instant::now();
-            let report = ela
-                .allreduce(&mut grads, ReduceOp::Average, session.as_ref())
-                .map_err(TrainError::Elastic)?;
-            if let Some((_, _, ar_hist, _)) = &metrics {
-                ar_hist.observe(ar_t0.elapsed().as_secs_f64());
-            }
-            if report.degraded() {
-                // The elastic layer already removed the dead ranks' gradient
-                // buffers; drop the matching worker replicas (and their
-                // error-feedback residuals, which are positional).
-                if !ef_states.is_empty() {
-                    let keep: Vec<bool> =
-                        workers.iter().map(|w| !report.dead.contains(&w.id)).collect();
-                    let mut it = keep.iter();
-                    ef_states.retain(|_| *it.next().unwrap_or(&false)); // lint: allow(unwrap): keep mask built from the same workers vec, one entry per state
-                }
-                workers.retain(|w| !report.dead.contains(&w.id));
-                debug_assert_eq!(workers.len(), grads.len());
-            }
-
-            pool::for_each_mut(&mut workers, |w, state| {
-                let t0 = state.lane.as_ref().map(Lane::now_us);
-                state.opt.apply(state.net.params_mut(), &grads[w]);
-                if let (Some(l), Some(t0)) = (state.lane.as_ref(), t0) {
-                    l.record_args("OPTIMIZER", "apply", t0, l.now_us() - t0, step as u64, 0);
-                }
-            });
-            step_losses.push(last_loss);
-        }
-
-        let mut halt = false;
-        if let Some(ck_cfg) = &cfg.checkpoint {
-            if ck_cfg.every > 0 && (step + 1) % ck_cfg.every == 0 {
-                let ck_t0 = workers[0].lane.as_ref().map(Lane::now_us);
-                let ck = Checkpoint {
-                    step: step + 1,
-                    live: workers.iter().map(|w| w.id).collect(),
-                    opt_step: workers[0].opt.step_index(),
-                    params: workers[0].net.params().to_vec(),
-                    velocity: workers[0].opt.velocity().to_vec(),
+    // The control plane needs no deadline in-process: a rank that stops
+    // drops its control end, and that EOF is the only death there is.
+    let control = RetryPolicy::patient();
+    let policy = session.map_or_else(RetryPolicy::patient, FaultSession::policy);
+    let fold = live.len() > 1;
+    CorePool::new(jobs.len()).run_each(&mut jobs, |_, job| match job {
+        Job::Rank { wire, ctl, outcome } => {
+            let Some(ctl) = ctl.take() else { return };
+            *outcome = pool::fold_inline(fold, || {
+                let faulty = session.map(|s| FaultWire::new(&*wire, s));
+                let link: &dyn Wire = match &faulty {
+                    Some(faulty) => faulty,
+                    None => &*wire,
                 };
-                ck.save(&ck_cfg.path).map_err(TrainError::Checkpoint)?;
-                if let (Some(l), Some(t0)) = (workers[0].lane.as_ref(), ck_t0) {
-                    l.record_args("CHECKPOINT", "save", t0, l.now_us() - t0, (step + 1) as u64, 0);
+                commit::join_barrier(&ctl, &control, link.rank()).map_err(TrainError::Protocol)?;
+                let done = run_worker(cfg, link, &ctl, policy, None, session)?;
+                if !done.killed {
+                    commit::report_finished(&ctl, done.rank, cfg.steps)
+                        .map_err(TrainError::Protocol)?;
                 }
-                if let Some(s) = &session {
-                    s.record(FaultEvent::CheckpointSave { step: step + 1 });
+                Ok(done)
+            });
+            if !outcome.as_ref().is_ok_and(|o| !o.killed) {
+                // A rank that stops short hangs up, as a dead process's
+                // sockets close: its peers drain what it sent, then see
+                // it gone. Dropping `ctl` tells the coordinator.
+                for &peer in live {
+                    wire.hang_up(peer);
                 }
             }
-            halt = ck_cfg.halt_after == Some(step + 1);
         }
+        Job::Coordinator { conns, outcome } => {
+            let mut machine = Coordinator::new(cfg.workers, None).with_live(live);
+            // The shell drops its ends when the loop returns: a rank
+            // still waiting on a verdict from a failed coordinator sees
+            // it gone.
+            *outcome = commit::coordinate(
+                &mut machine,
+                &inbox,
+                &control,
+                &mut LocalShell(mem::take(conns)),
+            );
+            if let Some(s) = session {
+                record_degrades(s, live.len(), machine.degrades());
+            }
+        }
+    });
 
-        if cfg.eval_every > 0 && (step + 1) % cfg.eval_every == 0 {
-            let conf = evaluate(&workers[0].net, &cfg.data, cfg.seed, cfg.eval_samples);
-            curve.push(EvalPoint {
-                step: step + 1,
-                train_loss: last_loss,
+    let mut ranks = Vec::with_capacity(live.len());
+    for job in jobs {
+        match job {
+            Job::Rank { outcome, .. } => ranks.push(outcome),
+            Job::Coordinator { outcome, .. } => outcome.map_err(TrainError::Protocol)?,
+        }
+    }
+    ranks.into_iter().collect()
+}
+
+/// The coordinator ends of an in-process run's control streams, by
+/// original id. A rank dies by its EOF alone: none is ever silent.
+struct LocalShell(Vec<Option<LocalConn>>);
+
+impl Shell for LocalShell {
+    fn send(&mut self, rank: usize, frame: &Frame) -> bool {
+        self.0[rank].as_ref().is_some_and(|c| c.send(frame).is_ok())
+    }
+
+    fn silence(&self, _rank: usize) -> Duration {
+        Duration::ZERO
+    }
+}
+
+/// Log the coordinator's degrades of a run that started over `world`
+/// ranks: one `Degraded` per step someone died in, its dead ascending.
+/// Deaths in one step reach the coordinator in thread-timing order; the
+/// step and the set are what replays.
+fn record_degrades(session: &FaultSession, mut world: usize, degrades: &[(u32, Vec<usize>)]) {
+    for deaths in degrades.chunk_by(|a, b| a.0 == b.0) {
+        let mut dead: Vec<usize> = deaths.iter().flat_map(|(_, d)| d.iter().copied()).collect();
+        dead.sort_unstable();
+        world -= dead.len();
+        let step = deaths[0].0 as usize;
+        session.record(FaultEvent::Degraded { step, dead, new_world: world });
+    }
+}
+
+/// The checkpoint a run resumes from, validated against `cfg`; `None`
+/// when it starts at step 0 over every worker.
+pub(crate) fn resume_point(cfg: &TrainConfig) -> Result<Option<Checkpoint>, TrainError> {
+    let Some(ck_cfg) = cfg.checkpoint.as_ref().filter(|c| c.resume && c.path.exists()) else {
+        return Ok(None);
+    };
+    let ck = Checkpoint::load(&ck_cfg.path).map_err(TrainError::Checkpoint)?;
+    let n_params = cfg.net.n_params();
+    if ck.params.len() != n_params {
+        return Err(TrainError::CheckpointMismatch(format!(
+            "checkpoint holds {} params, net has {n_params}",
+            ck.params.len()
+        )));
+    }
+    if ck.live.is_empty() || ck.live.iter().any(|&id| id >= cfg.workers) {
+        return Err(TrainError::CheckpointMismatch(format!(
+            "live set {:?} does not fit a {}-worker config",
+            ck.live, cfg.workers
+        )));
+    }
+    if ck.step > cfg.steps {
+        return Err(TrainError::CheckpointMismatch(format!(
+            "checkpoint at step {} is past the configured {} steps",
+            ck.step, cfg.steps
+        )));
+    }
+    Ok(Some(ck))
+}
+
+/// The `train_*` metric handles, resolved once: per-step updates are
+/// pure atomics, no registry lookups (and no allocation).
+struct StepMetrics {
+    steps: Arc<Counter>,
+    step_s: Arc<Histogram>,
+    exchange_s: Arc<Histogram>,
+    last_loss: Arc<Gauge>,
+    /// What each step's gradient exchange costs on the wire under the
+    /// configured codec, vs the raw fp32 bytes it stands in for (one
+    /// payload per live rank per step).
+    wire_bytes: Arc<Counter>,
+    raw_bytes: Arc<Counter>,
+}
+
+/// What a run records for each applied step besides the math — the
+/// `train_*` metrics, a due checkpoint (its span on `lane`, its event in
+/// `faults`), a due eval point — written once for both step loops: the
+/// rank bodies' leader (the lowest live rank) keeps the books, and so
+/// does the pipelined loop.
+pub(crate) struct Ledger<'a> {
+    cfg: &'a TrainConfig,
+    lane: Option<&'a Lane>,
+    faults: Option<&'a FaultSession>,
+    metrics: Option<StepMetrics>,
+    /// Eval points recorded so far.
+    pub(crate) curve: Vec<EvalPoint>,
+}
+
+impl<'a> Ledger<'a> {
+    pub(crate) fn new(
+        cfg: &'a TrainConfig,
+        lane: Option<&'a Lane>,
+        faults: Option<&'a FaultSession>,
+    ) -> Self {
+        let metrics = cfg.trace.as_ref().map(|ts| StepMetrics {
+            steps: ts.registry.counter("train_steps_total"),
+            step_s: ts.registry.histogram("train_step_seconds"),
+            exchange_s: ts.registry.histogram("train_allreduce_seconds"),
+            last_loss: ts.registry.gauge("train_last_loss"),
+            wire_bytes: ts.registry.counter("train_wire_bytes_total"),
+            raw_bytes: ts.registry.counter("train_raw_bytes_total"),
+        });
+        Ledger { cfg, lane, faults, metrics, curve: Vec::new() }
+    }
+
+    /// The metrics of one applied step: its loss, its seconds from start
+    /// to update and in the gradient exchange, and its payloads (one per
+    /// live rank).
+    pub(crate) fn observe(&self, loss: f64, step_s: f64, exchange_s: f64, payloads: usize) {
+        if let Some(m) = &self.metrics {
+            let (n_params, payloads) = (self.cfg.net.n_params(), payloads as u64);
+            m.steps.inc();
+            m.step_s.observe(step_s);
+            m.exchange_s.observe(exchange_s);
+            m.last_loss.set(loss);
+            m.wire_bytes.add(self.cfg.codec.encoded_len(n_params) as u64 * payloads);
+            m.raw_bytes.add(4 * n_params as u64 * payloads);
+        }
+    }
+
+    /// `step` was applied over `live`, leaving the books' replica at
+    /// `net` and `opt`: save a checkpoint of the live set when one is
+    /// due.
+    pub(crate) fn checkpoint(
+        &self,
+        step: usize,
+        live: &[usize],
+        net: &SegNet,
+        opt: &MomentumSgd,
+    ) -> Result<(), TrainError> {
+        let done = step + 1;
+        let Some(ck_cfg) =
+            self.cfg.checkpoint.as_ref().filter(|c| c.every > 0 && done.is_multiple_of(c.every))
+        else {
+            return Ok(());
+        };
+        let t0 = self.lane.map(Lane::now_us);
+        let ck = Checkpoint {
+            step: done,
+            live: live.to_vec(),
+            opt_step: opt.step_index(),
+            params: net.params().to_vec(),
+            velocity: opt.velocity().to_vec(),
+        };
+        ck.save(&ck_cfg.path).map_err(TrainError::Checkpoint)?;
+        if let (Some(l), Some(t0)) = (self.lane, t0) {
+            l.record_args("CHECKPOINT", "save", t0, l.now_us() - t0, done as u64, 0);
+        }
+        if let Some(s) = self.faults {
+            s.record(FaultEvent::CheckpointSave { step: done });
+        }
+        Ok(())
+    }
+
+    /// Record `step`'s eval point when one is due: `net` as that step
+    /// left it, and the step's loss. The evaluation fans out over the
+    /// shared pool even from a rank lane that folds its own compute
+    /// inline — the rank body calls this while the other ranks wait on
+    /// it.
+    pub(crate) fn eval_point(&mut self, step: usize, loss: f64, net: &SegNet) {
+        let (cfg, done) = (self.cfg, step + 1);
+        if cfg.eval_every > 0 && done.is_multiple_of(cfg.eval_every) {
+            let conf =
+                pool::fold_inline(false, || evaluate(net, &cfg.data, cfg.seed, cfg.eval_samples));
+            self.curve.push(EvalPoint {
+                step: done,
+                train_loss: loss,
                 miou: conf.miou(),
                 pixel_accuracy: conf.pixel_accuracy(),
             });
         }
-        if let Some((steps_total, step_hist, _, loss_gauge)) = &metrics {
-            steps_total.inc();
-            step_hist.observe(step_t0.elapsed().as_secs_f64());
-            loss_gauge.set(last_loss);
+    }
+}
+
+/// The layer-pipelined run (`cfg.pipeline`): backprop is split into
+/// per-layer phases on a work-stealing core pool and each layer's
+/// gradient tile is reduced across the replicas the moment it is ready,
+/// overlapping the "allreduce" with the remaining backward work. Its
+/// own step loop, over replicas that share this address space; its
+/// books are the rank bodies' [`Ledger`].
+fn train_pipelined(
+    cfg: &TrainConfig,
+    resume: Option<Checkpoint>,
+) -> Result<TrainResult, TrainError> {
+    let n_params = cfg.net.n_params();
+    let lr = cfg.lr_schedule();
+    let (start, live) = match &resume {
+        Some(ck) => (ck.step, ck.live.clone()),
+        None => (0, (0..cfg.workers).collect::<Vec<_>>()),
+    };
+    let mut nets: Vec<SegNet> =
+        live.iter().map(|_| SegNet::new(cfg.net, derive_seed(cfg.seed, "init"))).collect();
+    let mut opts: Vec<MomentumSgd> = live
+        .iter()
+        .map(|_| MomentumSgd::new(lr, cfg.momentum, n_params).with_weight_decay(cfg.weight_decay))
+        .collect();
+    if let Some(ck) = &resume {
+        for (net, opt) in nets.iter_mut().zip(&mut opts) {
+            net.params_mut().copy_from_slice(&ck.params);
+            opt.restore(ck.opt_step, &ck.velocity);
         }
-        if let Some((wire_ctr, raw_ctr)) = &wire_metrics {
-            let payloads = workers.len() as u64;
-            wire_ctr.add(codec.encoded_len(n_params) as u64 * payloads);
-            raw_ctr.add(4 * n_params as u64 * payloads);
+    }
+    // The leader's compute lane carries the checkpoint spans; the
+    // executor records its own work on pid-900 lanes.
+    let lane = cfg
+        .trace
+        .as_ref()
+        .map(|ts| ts.recorder.lane(live[0] as u32, 0, &format!("rank {}", live[0]), "compute"));
+    let mut exec = super::pipeline::PipelineExecutor::new(
+        &cfg.net,
+        live.len(),
+        cfg.batch_per_worker,
+        cfg.accumulation_steps,
+        pool::lanes(),
+    );
+    if let Some(ts) = &cfg.trace {
+        exec.attach_trace(&ts.recorder);
+    }
+    let mut ledger = Ledger::new(cfg, lane.as_ref(), None);
+    let mut shards: Vec<Vec<Sample>> = Vec::new();
+    let mut step_losses = Vec::with_capacity(cfg.steps - start);
+    for step in start..cfg.steps {
+        let step_t0 = Instant::now();
+        // The shards the rank bodies would draw (identical seed
+        // addressing), micro-batch major.
+        shards.clear();
+        for &id in &live {
+            let mut shard = Vec::with_capacity(cfg.accumulation_steps * cfg.batch_per_worker);
+            for m in 0..cfg.accumulation_steps {
+                shard.append(&mut micro_batch(cfg, id, step, m));
+            }
+            shards.push(shard);
         }
-        if halt {
+        let loss =
+            exec.step(nets.iter_mut().zip(opts.iter_mut()), &shards, cfg.codec, cfg.error_feedback);
+        step_losses.push(loss);
+        ledger.observe(
+            loss,
+            step_t0.elapsed().as_secs_f64(),
+            exec.last_reduce_seconds(),
+            live.len(),
+        );
+        ledger.checkpoint(step, &live, &nets[0], &opts[0])?;
+        ledger.eval_point(step, loss, &nets[0]);
+        if cfg.halts_after(step) {
             break;
         }
     }
+    let replicas = live.iter().zip(&nets).map(|(&id, net)| (id, net.params().to_vec())).collect();
+    Ok(finish(cfg, replicas, step_losses, ledger.curve, None))
+}
 
+/// The run's result from its surviving replicas (original id, final
+/// parameters; ascending): the replica-consistency check, the final
+/// evaluation, and the fault log.
+fn finish(
+    cfg: &TrainConfig,
+    replicas: Vec<(usize, Vec<f32>)>,
+    step_losses: Vec<f64>,
+    mut curve: Vec<EvalPoint>,
+    session: Option<&FaultSession>,
+) -> TrainResult {
     // Replica-consistency invariant of synchronous data-parallel SGD —
     // it must hold across the survivors even after degradations.
-    let reference = workers[0].net.params().to_vec();
-    for state in workers.iter().skip(1) {
-        let p = state.net.params();
+    let reference = &replicas[0].1;
+    for (id, p) in &replicas[1..] {
         let max_dev = reference.iter().zip(p).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-        assert!(max_dev == 0.0, "replica {} diverged by {max_dev}", state.id);
+        assert!(max_dev == 0.0, "replica {id} diverged by {max_dev}");
     }
-
-    let conf = evaluate(&workers[0].net, &cfg.data, cfg.seed, cfg.eval_samples);
+    let mut net = SegNet::new(cfg.net, derive_seed(cfg.seed, "init"));
+    net.params_mut().copy_from_slice(reference);
+    let conf = evaluate(&net, &cfg.data, cfg.seed, cfg.eval_samples);
     let final_point = EvalPoint {
         step: cfg.steps,
-        train_loss: last_loss,
+        train_loss: step_losses.last().copied().unwrap_or(f64::NAN),
         miou: conf.miou(),
         pixel_accuracy: conf.pixel_accuracy(),
     };
     if curve.last().map(|p| p.step) != Some(cfg.steps) {
         curve.push(final_point);
     }
-    let (fault_events, fault_counters) = match &session {
+    let (fault_events, fault_counters) = match session {
         Some(s) => (s.events().deterministic_core(), s.counters().snapshot()),
         None => (Vec::new(), FaultCounterSnapshot::default()),
     };
-    Ok(TrainResult {
+    let survivors = replicas.iter().map(|(id, _)| *id).collect();
+    let final_params = replicas.into_iter().next().map(|(_, p)| p).unwrap_or_default();
+    TrainResult {
         curve,
         final_miou: final_point.miou,
         final_pixel_accuracy: final_point.pixel_accuracy,
-        final_params: reference,
+        final_params,
         step_losses,
-        survivors: workers.iter().map(|w| w.id).collect(),
+        survivors,
         fault_events,
         fault_counters,
-    })
+    }
 }
 
 /// Micro-batch `m` of worker `orig_rank`'s shard at `step`. Addressing
 /// uses the ORIGINAL world layout (`cfg.workers` and the worker's
 /// original id), so each survivor keeps its own slice of the data
 /// stream no matter who else has died.
-fn micro_batch(cfg: &TrainConfig, orig_rank: usize, step: usize, m: usize) -> Vec<Sample> {
+pub(crate) fn micro_batch(
+    cfg: &TrainConfig,
+    orig_rank: usize,
+    step: usize,
+    m: usize,
+) -> Vec<Sample> {
     let micro = cfg.workers * cfg.batch_per_worker;
     let base = (step * cfg.global_batch() + m * micro + orig_rank * cfg.batch_per_worker) as u64;
     let mut shard = generate_batch(&cfg.data, cfg.seed, base, cfg.batch_per_worker);
@@ -641,50 +800,6 @@ fn micro_batch(cfg: &TrainConfig, orig_rank: usize, step: usize, m: usize) -> Ve
         }
     }
     shard
-}
-
-/// One worker's gradient for `step`: accumulate its
-/// `cfg.accumulation_steps` micro-batches into `acc` and scale to their
-/// mean. Returns the mean loss. The one definition both the threaded
-/// classic path and [`run_worker`](super::worker::run_worker) compute —
-/// which is what makes the two bit-identical.
-pub(crate) fn local_mean_gradient(
-    cfg: &TrainConfig,
-    orig_rank: usize,
-    step: usize,
-    net: &SegNet,
-    bw: &mut BatchWorkspace,
-    acc: &mut [f32],
-) -> f64 {
-    let mut loss_sum = 0.0f64;
-    acc.fill(0.0);
-    for m in 0..cfg.accumulation_steps {
-        loss_sum += net.batch_loss_grad_ws(&micro_batch(cfg, orig_rank, step, m), bw);
-        for (a, gi) in acc.iter_mut().zip(&bw.grad) {
-            *a += gi;
-        }
-    }
-    let inv = 1.0 / cfg.accumulation_steps as f32;
-    acc.iter_mut().for_each(|a| *a *= inv);
-    loss_sum / cfg.accumulation_steps as f64
-}
-
-/// Apply the wire codec to one worker's local-mean gradient in place
-/// (the averaging itself stays fp32), error-feedback compensated when
-/// `ef` is given.
-pub(crate) fn apply_wire_codec(
-    codec: CodecKind,
-    ef: Option<&mut ErrorFeedback>,
-    grad: &mut [f32],
-    scratch: &mut EncodeScratch,
-) {
-    if !codec.is_lossy() {
-        return;
-    }
-    match ef {
-        Some(ef) => ef.roundtrip(codec, grad, scratch),
-        None => compression::roundtrip(codec, grad, scratch),
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
-//! One rank of the real trainer as a separate OS process.
+//! One rank of the real trainer: the rank body both launchers run.
 //!
-//! [`run_worker`] is the multi-process twin of
-//! [`try_train`](super::train::try_train)'s classic path: the same
-//! seed-derived initialization, the same original-id shard addressing,
-//! the same codec roundtrip, and the same schedule — executed over a
-//! [`transport::Wire`] by a [`collectives::PeerExecutor`] instead of
-//! across threads. Because every applied payload and every combine is
-//! ordered by the schedule, a multi-process run is bit-identical to
-//! the threaded run for the same seed (the socket-parity integration
-//! test pins this).
+//! [`run_worker`] trains one replica: the seed-derived initialization
+//! (or a checkpoint's state), the rank's original-id shard of every
+//! step's data, the codec roundtrip, and the gradient exchange over a
+//! [`transport::Wire`] by a [`collectives::PeerExecutor`], gated by the
+//! commit protocol over a [`Control`] stream. `dist_train` runs one per
+//! process over a `SocketMesh`; `try_train` runs N of them on the lanes
+//! of one pool over an in-process `ChannelWire` mesh, each behind a
+//! `FaultWire` in a chaos run. It is the only training loop of either,
+//! so a multi-process run is bit-identical to the threaded run for the
+//! same seed by construction (the socket-parity suite pins it).
 //!
 //! # Crash tolerance
 //!
@@ -20,23 +21,40 @@
 //! survivors, bumps the transport era (sequence numbers restart;
 //! stale-era frames are dropped on arrival), and re-executes the
 //! exchange. The optimizer is therefore applied exactly once per step,
-//! on identical bytes, at every survivor — which is what makes the
-//! chaos result reproducible by a threaded run with a crash injected at
-//! `(d, round 0)`.
+//! on identical bytes, at every survivor. A rank whose wire refuses a
+//! round — an injected crash — stops there and returns what it had
+//! committed, marked [`WorkerOutcome::killed`]; its launcher hangs up
+//! its wire and its control stream, which is the death the coordinator
+//! degrades on, exactly as for a SIGKILLed process.
+//!
+//! # The leader's bookkeeping
+//!
+//! The lowest live rank is the leader. For every step it commits it
+//! keeps the run's books — the `train_*` metrics, a due checkpoint of
+//! the live set, a due eval point (taken after its next gradient, while
+//! the others wait on it) — through the same `Ledger` the pipelined
+//! loop keeps them with. A checkpoint taken after a degrade
+//! therefore has holes in its live set, and a run resumed from it
+//! starts over exactly those ranks.
 
-use collectives::compression::{EncodeScratch, ErrorFeedback};
-use collectives::{CtlSignal, PeerExecError, PeerExecutor, ReduceOp, Schedule, Violation};
-use faults::RetryPolicy;
+use std::time::Instant;
+
+use collectives::compression::{self, CodecKind, EncodeScratch, ErrorFeedback};
+use collectives::{
+    CtlSignal, ExecTrace, FaultSession, FaultSink, PeerExecError, PeerExecutor, ReduceOp, Schedule,
+};
+use faults::{FaultEvent, RetryPolicy};
 use summit_metrics::rng::derive_seed;
 use trace::telemetry::{metric, WorkerTelemetry};
-use transport::{Frame, FrameKind, PeerConn, Wire};
+use trace::Lane;
+use transport::{Control, Frame, FrameKind, Wire};
 
 use super::commit::{self, DegradeRecord, Verdict};
 use super::net::{BatchWorkspace, SegNet};
 use super::sgd::MomentumSgd;
-use super::train::{apply_wire_codec, local_mean_gradient, TrainConfig};
+use super::train::{micro_batch, resume_point, EvalPoint, Ledger, TrainConfig, TrainError};
 
-/// What one worker process produced.
+/// What one rank produced.
 #[derive(Debug, Clone)]
 pub struct WorkerOutcome {
     pub rank: usize,
@@ -46,6 +64,11 @@ pub struct WorkerOutcome {
     /// Original ids alive at the end, ascending.
     pub survivors: Vec<usize>,
     pub degradations: Vec<DegradeRecord>,
+    /// The eval points this rank recorded while it was the leader.
+    pub curve: Vec<EvalPoint>,
+    /// The rank's wire refused a round (an injected crash): it stopped
+    /// there, with `step_losses` ending at its last committed step.
+    pub killed: bool,
 }
 
 impl WorkerOutcome {
@@ -70,29 +93,6 @@ impl WorkerOutcome {
         )
     }
 }
-
-/// Why a worker run failed.
-#[derive(Debug)]
-pub enum WorkerError {
-    /// The (initial or rebuilt) schedule failed static verification.
-    Verification(Vec<Violation>),
-    /// The peer executor failed unrecoverably.
-    Exec(PeerExecError),
-    /// The commit protocol broke down (coordinator gone or insane).
-    Coordinator(String),
-}
-
-impl std::fmt::Display for WorkerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkerError::Verification(v) => write!(f, "schedule failed verification: {v:?}"),
-            WorkerError::Exec(e) => write!(f, "peer executor failed: {e}"),
-            WorkerError::Coordinator(why) => write!(f, "commit protocol failed: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for WorkerError {}
 
 /// The names [`preset`] accepts — what a launcher checks a `--preset`
 /// flag against before it spawns anything.
@@ -135,31 +135,40 @@ pub fn preset(name: &str, workers: usize, steps: usize, seed: u64) -> TrainConfi
     cfg
 }
 
-/// Run this process's rank of `cfg` over `wire`, arbitrated by the
-/// coordinator on `ctl`. Applies exactly the classic-path math of
-/// `try_train` for `wire.rank()`.
+/// Run `wire.rank()`'s replica of `cfg` over `wire`, arbitrated by the
+/// coordinator on `ctl`, from step 0 or from `cfg.checkpoint`'s resume
+/// point, with every wait paced by `policy`.
 ///
 /// With `telemetry` set, the worker folds step counters, wire stats,
 /// and flight-recorder events into the shared [`WorkerTelemetry`] and
 /// pushes one synchronous snapshot over `ctl` at every step begin (the
 /// heartbeat thread pushes the rest at beacon cadence — see
-/// `PeerConn::solo_with_telemetry`). Telemetry never touches the
-/// training math: a telemetry run is bit-identical to a plain one.
+/// `PeerConn::solo_with_telemetry`). With `faults` set, the executor
+/// reports its recovery actions into that session, and the leader its
+/// checkpoint lifecycle. Neither touches the training math: such a run
+/// is bit-identical to a plain one.
 pub fn run_worker(
     cfg: &TrainConfig,
     wire: &dyn Wire,
-    ctl: &PeerConn,
+    ctl: &dyn Control,
     policy: RetryPolicy,
     telemetry: Option<&WorkerTelemetry>,
-) -> Result<WorkerOutcome, WorkerError> {
+    faults: Option<&FaultSession>,
+) -> Result<WorkerOutcome, TrainError> {
     let rank = wire.rank();
     let n_params = cfg.net.n_params();
-    // One trace lane per process, keyed by original rank so the
-    // launcher's merged timeline renders one row group per worker.
-    let lane = cfg.trace.as_ref().map(|ts| {
-        let process = format!("rank {rank} (os pid {})", std::process::id());
-        ts.recorder.lane(rank as u32, 0, &process, "train step")
-    });
+    // Trace lanes keyed by original rank: compute on tid 0, the
+    // executor's SEND/RECV on tid 1 (a fault session brings its own).
+    let lane = cfg
+        .trace
+        .as_ref()
+        .map(|ts| ts.recorder.lane(rank as u32, 0, &format!("rank {rank}"), "compute"));
+    let sink = match faults {
+        Some(session) => Some(session.sink(rank)),
+        None => cfg.trace.as_ref().and_then(|ts| {
+            ExecTrace::comm(&ts.recorder, &[rank]).lane(rank).cloned().map(FaultSink::lane_only)
+        }),
+    };
     let lr = cfg.lr_schedule();
     let mut net = SegNet::new(cfg.net, derive_seed(cfg.seed, "init"));
     let mut opt = MomentumSgd::new(lr, cfg.momentum, n_params).with_weight_decay(cfg.weight_decay);
@@ -167,9 +176,25 @@ pub fn run_worker(
     let mut grad = vec![0.0f32; n_params];
     let mut snapshot = vec![0.0f32; n_params];
 
-    let mut live: Vec<usize> = (0..cfg.workers).collect();
+    // Resume: the checkpoint dictates the starting step and the live
+    // set. All replicas are identical by the synchronous-SGD invariant,
+    // so one saved copy restores every rank bit-exactly.
+    let (start, mut live) = match resume_point(cfg)? {
+        Some(ck) => {
+            net.params_mut().copy_from_slice(&ck.params);
+            opt.restore(ck.opt_step, &ck.velocity);
+            if let Some(s) = faults.filter(|_| ck.live.first() == Some(&rank)) {
+                s.record(FaultEvent::CheckpointRestore { step: ck.step });
+            }
+            (ck.step, ck.live)
+        }
+        None => (0, (0..cfg.workers).collect()),
+    };
     let mut schedule = build_verified(cfg, live.len(), n_params)?;
     let mut exec = PeerExecutor::new(wire, policy);
+    if let Some(sink) = sink {
+        exec = exec.with_sink(sink);
+    }
 
     let codec = cfg.codec;
     let mut ef = if cfg.error_feedback && codec.is_lossy() {
@@ -180,14 +205,22 @@ pub fn run_worker(
     let mut codec_scratch = EncodeScratch::new();
     codec_scratch.reserve(codec, n_params);
 
-    let mut step_losses = Vec::with_capacity(cfg.steps);
+    let mut ledger = Ledger::new(cfg, lane.as_ref(), faults);
+    let mut step_losses = Vec::with_capacity(cfg.steps - start);
     let mut degradations: Vec<DegradeRecord> = Vec::new();
     // Reused telemetry payload buffer: synchronous snapshot sends
     // allocate nothing once it is warm.
     let mut tel_buf: Vec<u8> = Vec::new();
 
-    for step in 0..cfg.steps {
-        let step_t0 = std::time::Instant::now();
+    // The leader's last applied step and its loss, whose eval point (if
+    // due) is taken once the next step's gradient is computed: the other
+    // ranks then wait on this one in the exchange, so the evaluation has
+    // the machine to itself, and the replica is still as that step left
+    // it.
+    let mut to_eval: Option<(usize, f64)> = None;
+    let mut killed = false;
+    'steps: for step in start..cfg.steps {
+        let step_t0 = Instant::now();
         if let Some(tel) = telemetry {
             // Announce the step *before* any mesh traffic: no rank can
             // complete step S's exchange without this rank's sends, so
@@ -201,31 +234,32 @@ pub fn run_worker(
             fold_wire_stats(tel, &exec);
             send_telemetry(ctl, tel, &mut tel_buf);
         }
-        // Gradient and wire codec: the very functions try_train's
-        // classic path calls, so the two cannot drift apart.
-        let compute_t0 = lane.as_ref().map(|l| l.now_us());
-        let compute_t0i = std::time::Instant::now();
+        let compute_t0 = lane.as_ref().map(Lane::now_us);
+        let compute_t0i = Instant::now();
         let loss = local_mean_gradient(cfg, rank, step, &net, &mut bw, &mut grad);
         apply_wire_codec(codec, ef.as_mut(), &mut grad, &mut codec_scratch);
-
         if let (Some(l), Some(t0)) = (&lane, compute_t0) {
-            l.record("COMPUTE", "grad_compute", t0, l.now_us() - t0);
+            // Forward and backward are fused in batch_loss_grad_ws, so
+            // one span covers both halves of the compute phase.
+            let (dur, micro) = (l.now_us() - t0, cfg.accumulation_steps as u64);
+            l.record_args("BACKWARD", "grad_compute", t0, dur, step as u64, micro);
         }
         if let Some(tel) = telemetry {
-            tel.flight(
-                "COMPUTE",
-                "grad_compute",
-                step as u32,
-                compute_t0i.elapsed().as_micros() as u32,
-                0,
-            );
+            let us = compute_t0i.elapsed().as_micros() as u32;
+            tel.flight("BACKWARD", "grad_compute", step as u32, us, 0);
         }
+        let eval_t0 = Instant::now();
+        if let Some((done, done_loss)) = to_eval.take() {
+            ledger.eval_point(done, done_loss, &net);
+        }
+        let eval_s = eval_t0.elapsed().as_secs_f64();
 
         // The exchange + commit loop: re-entered once per degrade.
         snapshot.copy_from_slice(&grad);
+        let mut exchange_s = 0.0;
         loop {
-            let exchange_t0 = lane.as_ref().map(|l| l.now_us());
-            let exchange_t0i = std::time::Instant::now();
+            let exchange_t0 = lane.as_ref().map(Lane::now_us);
+            let exchange_t0i = Instant::now();
             exec.begin_step(step);
             let mut announced = Ok(None);
             let result =
@@ -236,19 +270,15 @@ pub fn run_worker(
                         _ => CtlSignal::Abort,
                     }
                 });
+            exchange_s += exchange_t0i.elapsed().as_secs_f64();
             if let (Some(l), Some(t0)) = (&lane, exchange_t0) {
-                l.record("MPI_ALLREDUCE", "exchange", t0, l.now_us() - t0);
+                l.record_args("MPI_ALLREDUCE", "exchange", t0, l.now_us() - t0, step as u64, 0);
             }
             let verdict = match result {
                 Ok(()) => {
                     if let Some(tel) = telemetry {
-                        tel.flight(
-                            "MPI_ALLREDUCE",
-                            "exchange",
-                            step as u32,
-                            exchange_t0i.elapsed().as_micros() as u32,
-                            0,
-                        );
+                        let us = exchange_t0i.elapsed().as_micros() as u32;
+                        tel.flight("MPI_ALLREDUCE", "exchange", step as u32, us, 0);
                         tel.flight("CTL", "vote", step as u32, 0, exec.era() as u64);
                         // Refresh the wire gauges before voting: if this
                         // rank dies or degrades between vote and commit,
@@ -257,46 +287,48 @@ pub fn run_worker(
                         // ran, not the stats of its last committed step.
                         fold_wire_stats(tel, &exec);
                     }
-                    commit::vote(ctl, rank, exec.era(), step).map_err(WorkerError::Coordinator)?;
-                    let vote_t0 = std::time::Instant::now();
-                    let v = commit::await_verdict(ctl, &policy, step)
-                        .map_err(WorkerError::Coordinator)?;
+                    commit::vote(ctl, rank, exec.era(), step).map_err(TrainError::Protocol)?;
+                    let vote_t0 = Instant::now();
+                    let v =
+                        commit::await_verdict(ctl, &policy, step).map_err(TrainError::Protocol)?;
                     if let Some(tel) = telemetry {
                         tel.set(metric::COMMIT_WAIT_US, vote_t0.elapsed().as_micros() as u64);
                     }
                     v
                 }
-                Err(PeerExecError::Aborted) => {
-                    match announced.map_err(WorkerError::Coordinator)? {
-                        Some(record) => Verdict::Degrade(record),
-                        None => {
-                            return Err(WorkerError::Coordinator(
-                                "aborted without a degrade frame".into(),
-                            ))
-                        }
+                Err(PeerExecError::Aborted) => match announced.map_err(TrainError::Protocol)? {
+                    Some(record) => Verdict::Degrade(record),
+                    // Nothing asked for the abort: the wire refused the
+                    // round. This rank was killed mid-step; what it
+                    // committed stands.
+                    None => {
+                        killed = true;
+                        break 'steps;
                     }
-                }
+                },
                 Err(PeerExecError::PeerDead { .. }) => {
                     // The coordinator sees the same death (control EOF /
                     // silence) and owns the verdict; a peer that died
                     // mid-exchange cannot have voted, so no Commit for
                     // this step can exist — only a Degrade can arrive.
-                    match commit::await_verdict(ctl, &policy, step)
-                        .map_err(WorkerError::Coordinator)?
-                    {
+                    match commit::await_verdict(ctl, &policy, step).map_err(TrainError::Protocol)? {
                         Verdict::Commit => {
-                            return Err(WorkerError::Coordinator(format!(
+                            return Err(TrainError::Protocol(format!(
                                 "commit for step {step} after a peer died mid-exchange"
                             )))
                         }
                         d => d,
                     }
                 }
-                Err(e) => return Err(WorkerError::Exec(e)),
+                Err(e) => return Err(TrainError::Exec(e)),
             };
             match verdict {
                 Verdict::Commit => {
+                    let apply_t0 = lane.as_ref().map(Lane::now_us);
                     opt.apply(net.params_mut(), &grad);
+                    if let (Some(l), Some(t0)) = (&lane, apply_t0) {
+                        l.record_args("OPTIMIZER", "apply", t0, l.now_us() - t0, step as u64, 0);
+                    }
                     if let Some(tel) = telemetry {
                         tel.add(metric::STEPS_COMMITTED, 1);
                         tel.set(metric::STEP_LATENCY_US, step_t0.elapsed().as_micros() as u64);
@@ -329,31 +361,87 @@ pub fn run_worker(
             }
         }
         step_losses.push(loss);
+        if live.first() == Some(&rank) {
+            let step_s = step_t0.elapsed().as_secs_f64() - eval_s;
+            ledger.observe(loss, step_s, exchange_s, live.len());
+            ledger.checkpoint(step, &live, &net, &opt)?;
+            to_eval = Some((step, loss));
+        }
+        if cfg.halts_after(step) {
+            break;
+        }
     }
 
-    if let Some(tel) = telemetry {
-        // One final synchronous snapshot so the coordinator's last view
-        // of this rank carries the full committed count.
-        tel.flight("STEP", "finished", cfg.steps as u32, 0, 0);
-        send_telemetry(ctl, tel, &mut tel_buf);
+    if let Some((done, done_loss)) = to_eval {
+        ledger.eval_point(done, done_loss, &net);
     }
-
-    Ok(WorkerOutcome {
+    let outcome = WorkerOutcome {
         rank,
         final_params: net.params().to_vec(),
         step_losses,
         survivors: live,
         degradations,
-    })
+        curve: ledger.curve,
+        killed,
+    };
+    if let Some(tel) = telemetry.filter(|_| !killed) {
+        // One final synchronous snapshot so the coordinator's last view
+        // of this rank carries the full committed count.
+        tel.flight("STEP", "finished", cfg.steps as u32, 0, 0);
+        send_telemetry(ctl, tel, &mut tel_buf);
+    }
+    Ok(outcome)
+}
+
+/// One worker's gradient for `step`: accumulate its
+/// `cfg.accumulation_steps` micro-batches into `acc` and scale to their
+/// mean. Returns the mean loss.
+fn local_mean_gradient(
+    cfg: &TrainConfig,
+    orig_rank: usize,
+    step: usize,
+    net: &SegNet,
+    bw: &mut BatchWorkspace,
+    acc: &mut [f32],
+) -> f64 {
+    let mut loss_sum = 0.0f64;
+    acc.fill(0.0);
+    for m in 0..cfg.accumulation_steps {
+        loss_sum += net.batch_loss_grad_ws(&micro_batch(cfg, orig_rank, step, m), bw);
+        for (a, gi) in acc.iter_mut().zip(&bw.grad) {
+            *a += gi;
+        }
+    }
+    let inv = 1.0 / cfg.accumulation_steps as f32;
+    acc.iter_mut().for_each(|a| *a *= inv);
+    loss_sum / cfg.accumulation_steps as f64
+}
+
+/// Apply the wire codec to one worker's local-mean gradient in place
+/// (the averaging itself stays fp32), error-feedback compensated when
+/// `ef` is given.
+fn apply_wire_codec(
+    codec: CodecKind,
+    ef: Option<&mut ErrorFeedback>,
+    grad: &mut [f32],
+    scratch: &mut EncodeScratch,
+) {
+    if !codec.is_lossy() {
+        return;
+    }
+    match ef {
+        Some(ef) => ef.roundtrip(codec, grad, scratch),
+        None => compression::roundtrip(codec, grad, scratch),
+    }
 }
 
 fn build_verified(
     cfg: &TrainConfig,
     n_ranks: usize,
     n_elems: usize,
-) -> Result<Schedule, WorkerError> {
+) -> Result<Schedule, TrainError> {
     let schedule = cfg.algo.build(n_ranks, n_elems);
-    schedule.verify_allreduce().map_err(WorkerError::Verification)?;
+    schedule.verify_allreduce().map_err(TrainError::Verification)?;
     Ok(schedule)
 }
 
@@ -374,7 +462,7 @@ fn fold_wire_stats(tel: &WorkerTelemetry, exec: &PeerExecutor<'_>) {
 /// step. The payload buffer is reused across calls (the frame borrows
 /// it via `mem::take` and hands it back), so the steady state
 /// allocates nothing.
-fn send_telemetry(ctl: &PeerConn, tel: &WorkerTelemetry, buf: &mut Vec<u8>) {
+fn send_telemetry(ctl: &dyn Control, tel: &WorkerTelemetry, buf: &mut Vec<u8>) {
     let seq = tel.encode_into(buf);
     let mut f = Frame::control(FrameKind::Telemetry, tel.rank(), 0, tel.current_step());
     f.seq = seq;

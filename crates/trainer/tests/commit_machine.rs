@@ -426,6 +426,8 @@ fn output_documents_are_pinned() {
         step_losses: vec![0.5, 1.0 / 3.0],
         survivors: vec![0, 3],
         degradations: vec![DegradeRecord { step: 7, dead: vec![1, 2], era: 1 }],
+        curve: vec![],
+        killed: false,
     };
     assert_eq!(
         outcome.result_json(),

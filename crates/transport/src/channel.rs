@@ -6,8 +6,9 @@
 //! from the mesh's shared pool; [`Wire::release`] returns it there, so
 //! a mesh held across collectives stops allocating once it is warm.
 //!
-//! This is the backend every threaded collective runs on — one
-//! `collectives::PeerExecutor` per rank thread, each endpoint wrapped
+//! This is the backend every in-process rank runs on — one
+//! `collectives::PeerExecutor` per rank thread, in the threaded
+//! collectives and in the threaded trainer alike, each endpoint wrapped
 //! in the `collectives::FaultWire` decorator when a fault plan is in
 //! play — and the one the protocol unit tests drive.
 
@@ -42,7 +43,7 @@ impl ChannelWire {
     }
 
     /// Build a full mesh over the original ids `ids` (ascending, with
-    /// holes after an elastic degradation), one wire per id in `ids`
+    /// holes after a degradation), one wire per id in `ids`
     /// order. Channels are unbounded — a send never blocks, which is
     /// what lets a verified schedule's deadlock-freedom carry over to
     /// the executor that hoists every round's sends.

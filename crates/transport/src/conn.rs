@@ -15,7 +15,8 @@
 //! reader for the next frame. An owner that waits on many connections
 //! at once hands them one [`Inbox`] instead of a ring each: arrivals
 //! come tagged with their peer, and a connection's EOF is an item
-//! queued behind every frame that connection carried.
+//! queued behind every frame that connection carried. [`LocalConn`] is
+//! the same conversation between two threads of one process.
 //!
 //! The send half never copies a payload either: [`PeerConn::send`]
 //! hands the kernel `[len + header] [frame.payload] [crc]` as one
@@ -35,7 +36,7 @@ use faults::{FaultClock, RetryPolicy};
 use parking_lot::Mutex;
 
 use crate::frame::{encode, envelope, read_frame, Frame, FrameKind, PREFIX_LEN};
-use crate::{TelemetrySource, WireError};
+use crate::{Control, TelemetrySource, WireError};
 
 /// Frames queued per connection before the ring grows (it still grows
 /// under pathological backlog rather than dropping — growth is rare
@@ -106,11 +107,16 @@ impl<T> Default for Ring<T> {
 }
 
 impl<T> Ring<T> {
-    fn push(&self, item: T) {
+    /// Queue `item`; false (and `item` dropped) once the ring is closed.
+    fn push(&self, item: T) -> bool {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if inner.closed {
+            return false;
+        }
         inner.queue.push_back(item);
         drop(inner);
         self.ready.notify_one();
+        true
     }
 
     fn close(&self) {
@@ -118,10 +124,16 @@ impl<T> Ring<T> {
         self.ready.notify_all();
     }
 
-    /// Pop the next item, waiting up to `timeout`. Queued items drain
-    /// before the closed state is reported.
+    fn is_closed(&self) -> bool {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed
+    }
+
+    /// Pop the next item, waiting up to `timeout` — without limit when
+    /// the deadline is past what an `Instant` can express (a patient
+    /// `RetryPolicy`). Queued items drain before the closed state is
+    /// reported.
     fn pop_timeout(&self, timeout: Duration) -> Result<T, WireError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(f) = inner.queue.pop_front() {
@@ -130,20 +142,17 @@ impl<T> Ring<T> {
             if inner.closed {
                 return Err(WireError::PeerGone);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(WireError::Timeout);
-            }
-            let (guard, wait) =
-                self.ready.wait_timeout(inner, deadline - now).unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if wait.timed_out() {
-                return match inner.queue.pop_front() {
-                    Some(f) => Ok(f),
-                    None if inner.closed => Err(WireError::PeerGone),
-                    None => Err(WireError::Timeout),
-                };
-            }
+            inner = match deadline {
+                None => self.ready.wait(inner).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(WireError::Timeout);
+                    }
+                    let wait = self.ready.wait_timeout(inner, deadline - now);
+                    wait.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
     }
 }
@@ -162,6 +171,70 @@ impl Inbox {
     /// `None` when nothing arrived in time.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(usize, Option<Frame>)> {
         self.0.pop_timeout(timeout).ok()
+    }
+}
+
+/// The in-process twin of a control connection: two threads of one
+/// process talk over it exactly as a launcher and a worker process talk
+/// over a [`PeerConn`] pair — the same frames, one [`Inbox`] on the
+/// coordinator's side, and an EOF when an end goes away. There is no
+/// thread, socket or heartbeat behind it, so [`Control::silence`] is
+/// always zero: death is the EOF and nothing else.
+///
+/// [`LocalConn::pair`] builds one stream's two ends. The *worker end*
+/// sends into the coordinator's inbox, tagged with its rank, and
+/// receives what the coordinator sends; dropping it delivers the
+/// `(rank, None)` a SIGKILLed worker's socket delivers. The
+/// *coordinator end* only sends (its arrivals come through the inbox,
+/// like a [`PeerConn::solo_into`] connection's); dropping it is the
+/// coordinator's EOF on the worker end.
+#[derive(Debug)]
+pub struct LocalConn {
+    /// What the coordinator end sends and the worker end receives;
+    /// closed when either end goes away.
+    down: Arc<FrameRing>,
+    /// The worker end's way up: the coordinator's inbox and its tag.
+    up: Option<(Inbox, usize)>,
+}
+
+impl LocalConn {
+    /// Rank `rank`'s control stream to the coordinator that receives on
+    /// `inbox`: `(worker end, coordinator end)`.
+    pub fn pair(rank: usize, inbox: &Inbox) -> (LocalConn, LocalConn) {
+        let down: Arc<FrameRing> = Arc::default();
+        let coordinator = LocalConn { down: Arc::clone(&down), up: None };
+        (LocalConn { down, up: Some((inbox.clone(), rank)) }, coordinator)
+    }
+}
+
+impl Control for LocalConn {
+    fn send(&self, frame: &Frame) -> Result<(), WireError> {
+        let sent = !self.down.is_closed()
+            && match &self.up {
+                Some((inbox, rank)) => inbox.0.push((*rank, Some(frame.clone()))),
+                None => self.down.push(frame.clone()),
+            };
+        sent.then_some(()).ok_or(WireError::PeerGone)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
+        match self.up {
+            Some(_) => self.down.pop_timeout(timeout),
+            None => Err(WireError::Timeout),
+        }
+    }
+
+    fn silence(&self) -> Duration {
+        Duration::ZERO
+    }
+}
+
+impl Drop for LocalConn {
+    fn drop(&mut self) {
+        self.down.close();
+        if let Some((inbox, rank)) = &self.up {
+            inbox.0.push((*rank, None));
+        }
     }
 }
 
@@ -230,7 +303,9 @@ fn send_frame(
 pub struct PeerConn {
     peer: usize,
     writer: Arc<Mutex<WriteHalf>>,
-    ring: Arc<FrameRing>,
+    /// The connection's own receive queue; `None` when it delivers into
+    /// an [`Inbox`] instead.
+    ring: Option<Arc<FrameRing>>,
     pool: Arc<BufPool>,
     /// Milliseconds since `epoch` when the last frame arrived.
     last_rx_ms: Arc<AtomicU64>,
@@ -256,7 +331,15 @@ impl PeerConn {
         telemetry: Option<Arc<dyn TelemetrySource>>,
         inbox: Option<&Inbox>,
     ) -> std::io::Result<Self> {
-        let ring: Arc<FrameRing> = Arc::default();
+        // The reader delivers into the inbox (`Ok`) or into a ring of
+        // this connection's own (`Err`) — allocated only then.
+        let (ring, into) = match inbox {
+            Some(inbox) => (None, Ok(inbox.clone())),
+            None => {
+                let ring: Arc<FrameRing> = Arc::default();
+                (Some(Arc::clone(&ring)), Err(ring))
+            }
+        };
         let epoch = Instant::now();
         let last_rx_ms = Arc::new(AtomicU64::new(0));
         let alive = Arc::new(AtomicBool::new(true));
@@ -265,17 +348,19 @@ impl PeerConn {
         let shutdown_handle = stream.try_clone()?;
         let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false }));
         {
-            let ring = Arc::clone(&ring);
-            let inbox = inbox.cloned();
             let pool = Arc::clone(&pool);
             let last = Arc::clone(&last_rx_ms);
             let alive = Arc::clone(&alive);
             std::thread::Builder::new().name(format!("rx-{self_rank}-{peer}")).spawn(
                 move || {
-                    let deliver = |frame: Option<Frame>| match (&inbox, frame) {
-                        (Some(inbox), frame) => inbox.0.push((peer, frame)),
-                        (None, Some(frame)) => ring.push(frame),
-                        (None, None) => ring.close(),
+                    let deliver = |frame: Option<Frame>| match (&into, frame) {
+                        (Ok(inbox), frame) => {
+                            inbox.0.push((peer, frame));
+                        }
+                        (Err(ring), Some(frame)) => {
+                            ring.push(frame);
+                        }
+                        (Err(ring), None) => ring.close(),
                     };
                     reader_main(read_stream, deliver, pool, last, alive, epoch)
                 },
@@ -306,9 +391,9 @@ impl PeerConn {
     }
 
     /// [`PeerConn::solo`], delivering into `inbox` (tagged `peer`)
-    /// instead of a ring of its own: the owner receives from the inbox,
-    /// and this connection's own [`PeerConn::recv_timeout`] never
-    /// yields a frame.
+    /// instead of a ring of its own, which it then never allocates: the
+    /// owner receives from the inbox, and this connection's own
+    /// [`PeerConn::recv_timeout`] never yields a frame.
     pub fn solo_into(
         peer: usize,
         self_rank: usize,
@@ -346,9 +431,14 @@ impl PeerConn {
         send_frame(&self.writer, frame, &self.alive)
     }
 
-    /// Next decoded frame, waiting up to `timeout`.
+    /// Next decoded frame, waiting up to `timeout`. A connection that
+    /// delivers into an [`Inbox`] has nothing to receive here and says
+    /// `Timeout` at once.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
-        self.ring.pop_timeout(timeout)
+        match &self.ring {
+            Some(ring) => ring.pop_timeout(timeout),
+            None => Err(WireError::Timeout),
+        }
     }
 
     /// How long since the peer was last heard from (any frame kind).
@@ -366,6 +456,20 @@ impl PeerConn {
     /// False once either direction of the stream has failed.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
+    }
+}
+
+impl Control for PeerConn {
+    fn send(&self, frame: &Frame) -> Result<(), WireError> {
+        PeerConn::send(self, frame)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
+        PeerConn::recv_timeout(self, timeout)
+    }
+
+    fn silence(&self) -> Duration {
+        PeerConn::silence(self)
     }
 }
 
@@ -548,10 +652,45 @@ mod tests {
         assert_eq!(inbox.recv_timeout(wait), Some((1, Some(f))));
         assert_eq!(inbox.recv_timeout(wait), Some((1, None)));
         assert_eq!(inbox.recv_timeout(Duration::from_millis(20)), None);
-        // The inbox is the only way to receive from a feeding connection.
+        // The inbox is the only way to receive from a feeding connection,
+        // which allocates no ring of its own.
         assert_eq!(conn_a.recv_timeout(Duration::ZERO), Err(WireError::Timeout));
+        assert!(conn_a.ring.is_none() && far_a.ring.is_some());
         conn_a.send(&Frame::control(FrameKind::Start, 9, 0, 0)).unwrap();
         assert_eq!(far_a.recv_timeout(wait).unwrap().kind, FrameKind::Start);
+    }
+
+    /// The in-process twin keeps the socket pair's contract: worker
+    /// frames arrive tagged on the inbox, the worker end's drop is one
+    /// EOF behind them, and either end's drop fails the other's sends.
+    #[test]
+    fn local_conn_is_a_control_stream_with_an_eof() {
+        let inbox = Inbox::default();
+        let (worker, coord) = LocalConn::pair(3, &inbox);
+        let wait = Duration::from_secs(2);
+        let vote = Frame::control(FrameKind::StepDone, 3, 0, 1);
+        worker.send(&vote).unwrap();
+        assert_eq!(inbox.recv_timeout(wait), Some((3, Some(vote.clone()))));
+        let commit = Frame::control(FrameKind::Commit, 4, 0, 1);
+        coord.send(&commit).unwrap();
+        assert_eq!(worker.recv_timeout(wait), Ok(commit.clone()));
+        assert_eq!(worker.silence(), Duration::ZERO);
+
+        worker.send(&vote).unwrap();
+        drop(worker);
+        assert_eq!(inbox.recv_timeout(wait), Some((3, Some(vote))));
+        assert_eq!(inbox.recv_timeout(wait), Some((3, None)));
+        assert_eq!(coord.send(&commit), Err(WireError::PeerGone));
+
+        let (worker, coord) = LocalConn::pair(0, &inbox);
+        coord.send(&commit).unwrap();
+        drop(coord);
+        assert_eq!(worker.recv_timeout(wait), Ok(commit), "queued frames drain first");
+        assert_eq!(worker.recv_timeout(wait), Err(WireError::PeerGone));
+        assert_eq!(
+            worker.send(&Frame::control(FrameKind::Ready, 0, 0, 0)),
+            Err(WireError::PeerGone)
+        );
     }
 
     #[test]

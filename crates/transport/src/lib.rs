@@ -28,7 +28,9 @@
 //! frames. The reliability protocol (seq/ack/nack/resend/dedup) has
 //! one implementation, `collectives::exec_peer`, which executes above
 //! this crate identically over both backends; fault injection is a
-//! [`Wire`] decorator (`collectives::FaultWire`), not a backend.
+//! [`Wire`] decorator (`collectives::FaultWire`), not a backend. A
+//! worker's control stream to its coordinator is a [`Control`]: a
+//! [`PeerConn`] between processes, a [`LocalConn`] between threads.
 
 pub mod channel;
 pub mod conn;
@@ -39,7 +41,9 @@ pub mod rendezvous;
 use std::time::Duration;
 
 pub use channel::ChannelWire;
-pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, Inbox, PeerConn};
+pub use conn::{
+    connect_with_backoff, read_frame_blocking, write_frame_blocking, Inbox, LocalConn, PeerConn,
+};
 pub use frame::{
     encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
     FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
@@ -94,9 +98,27 @@ pub trait TelemetrySource: Send + Sync {
     fn fill(&self, out: &mut Vec<u8>) -> bool;
 }
 
+/// One end of an ordered control stream between a worker and its
+/// coordinator: a [`PeerConn`] over a socket between processes, or a
+/// [`LocalConn`] between threads. Either way the far end's going away
+/// is an EOF behind everything it sent.
+pub trait Control: Send + Sync {
+    /// Queue `frame` to the far end; [`WireError::PeerGone`] once it is
+    /// gone.
+    fn send(&self, frame: &Frame) -> Result<(), WireError>;
+
+    /// Next frame from the far end, waiting up to `timeout`; queued
+    /// frames drain before [`WireError::PeerGone`].
+    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError>;
+
+    /// How long since the far end was last heard from (zero where
+    /// nothing but an EOF signals death).
+    fn silence(&self) -> Duration;
+}
+
 /// A full mesh of reliable, ordered frame links between this rank and
 /// its peers. Peers are addressed by **original (world) rank id** —
-/// the addressing survives elastic renumbering after deaths, exactly
+/// the addressing survives renumbering after deaths, exactly
 /// like the trainer's data sharding does.
 pub trait Wire: Send + Sync {
     /// This rank's original id.
