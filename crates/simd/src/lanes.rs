@@ -21,7 +21,7 @@ use std::arch::x86_64::*;
 /// crate's `have_*` predicates); the pointer methods additionally
 /// require the `LANES` floats at `p` — only those `m` selects, for the
 /// masked pair — to be in bounds.
-#[allow(clippy::missing_safety_doc)] // one contract for all nine methods, stated above
+#[allow(clippy::missing_safety_doc)] // one contract for all eleven methods, stated above
 pub trait Isa {
     type V: Copy;
     /// Lane mask of an edge tile.
@@ -32,18 +32,42 @@ pub trait Isa {
     unsafe fn store(p: *mut f32, v: Self::V);
     /// Selects the first `n.min(LANES)` lanes.
     unsafe fn mask(n: usize) -> Self::M;
+    /// The lanes of pixels `p..p + LANES` (`p` a multiple of `LANES`)
+    /// that a one-bit-per-pixel bitmap selects: bit `i` of byte `j` is
+    /// pixel `8j + i`. Reads the bitmap's bytes `p / 8..(p + LANES) / 8`.
+    unsafe fn mask_at(bits: *const u8, p: usize) -> Self::M;
     /// Unselected lanes read as zero and are not touched in memory.
     unsafe fn load_m(p: *const f32, m: Self::M) -> Self::V;
     unsafe fn store_m(p: *mut f32, m: Self::M, v: Self::V);
     /// `a·b + c`, one rounding.
     unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
+    /// A ReLU's backward through its output `x`: `g` where `x` is not
+    /// `≤ 0`, `+0.0` where it is.
+    unsafe fn relu_back(x: Self::V, g: Self::V) -> Self::V;
     /// The lane sums of four vectors, in order.
     unsafe fn hsum4(v: [Self::V; 4]) -> __m128;
 }
 
 /// AVX2+FMA: eight lanes, sixteen registers ([`crate::have_avx2_fma`]).
 pub struct Avx2;
+
+/// [`Isa::mask_at`] for eight lanes: entry `b` selects lane `i` iff bit
+/// `i` of `b` is set — one load instead of a broadcast, an and and a
+/// compare.
+static BYTE_MASKS: [[i32; 8]; 256] = {
+    let mut t = [[0; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            t[b][i] = -((b as i32 >> i) & 1);
+            i += 1;
+        }
+        b += 1;
+    }
+    t
+};
 
 /// AVX-512F: sixteen lanes, thirty-two registers, native lane masks
 /// ([`crate::have_avx512f`]).
@@ -71,6 +95,10 @@ impl Isa for Avx2 {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n.min(8) as i32), lane)
     }
     #[inline(always)]
+    unsafe fn mask_at(bits: *const u8, p: usize) -> __m256i {
+        _mm256_loadu_si256(BYTE_MASKS[*bits.add(p / 8) as usize].as_ptr().cast())
+    }
+    #[inline(always)]
     unsafe fn load_m(p: *const f32, m: __m256i) -> __m256 {
         _mm256_maskload_ps(p, m)
     }
@@ -85,6 +113,10 @@ impl Isa for Avx2 {
     #[inline(always)]
     unsafe fn max(a: __m256, b: __m256) -> __m256 {
         _mm256_max_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn relu_back(x: __m256, g: __m256) -> __m256 {
+        _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NLE_UQ), g)
     }
     #[inline(always)]
     unsafe fn hsum4(v: [__m256; 4]) -> __m128 {
@@ -114,6 +146,10 @@ impl Isa for Avx512 {
         ((1u32 << n.min(16)) - 1) as __mmask16
     }
     #[inline(always)]
+    unsafe fn mask_at(bits: *const u8, p: usize) -> __mmask16 {
+        bits.add(p / 8).cast::<u16>().read_unaligned()
+    }
+    #[inline(always)]
     unsafe fn load_m(p: *const f32, m: __mmask16) -> __m512 {
         _mm512_maskz_loadu_ps(m, p)
     }
@@ -128,6 +164,10 @@ impl Isa for Avx512 {
     #[inline(always)]
     unsafe fn max(a: __m512, b: __m512) -> __m512 {
         _mm512_max_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn relu_back(x: __m512, g: __m512) -> __m512 {
+        _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NLE_UQ), g)
     }
     #[inline(always)]
     unsafe fn hsum4(v: [__m512; 4]) -> __m128 {
@@ -147,7 +187,9 @@ mod tests {
 
     /// 4 × 16 floats in, per prefix length `n` in `0..=LANES + 1`:
     /// `max(fma(2, load_m(x, n), 1), 0.5)` stored through the same mask
-    /// over a `-1` background, then the four lane sums of the rows.
+    /// over a `-1` background, then the four lane sums of the rows, a
+    /// plain store, loads through [`BITS`] and the ReLU backward gated
+    /// by signed values and by NaN.
     #[inline(always)]
     unsafe fn probe<L: Isa>(x: &[f32; 64]) -> Vec<f32> {
         let mut seen = Vec::new();
@@ -165,8 +207,20 @@ mod tests {
         let mut copy = [0.0f32; 16];
         L::store(copy.as_mut_ptr(), rows[1]);
         seen.extend_from_slice(&copy[..L::LANES]);
+        for p in (0..48).step_by(L::LANES) {
+            let v = L::load_m(x.as_ptr().add(p), L::mask_at(BITS.as_ptr(), p));
+            L::store(copy.as_mut_ptr(), v);
+            seen.extend_from_slice(&copy[..L::LANES]);
+        }
+        for gate in [L::load(x.as_ptr().add(16)), L::splat(f32::NAN)] {
+            L::store(copy.as_mut_ptr(), L::relu_back(gate, L::splat(3.0)));
+            seen.extend_from_slice(&copy[..L::LANES]);
+        }
         seen
     }
+
+    /// The pixel bitmap [`probe`] reads through `mask_at`.
+    const BITS: [u8; 6] = [0b1010_0110, 0x3c, 0xff, 0x00, 0x81, 0x5a];
 
     #[target_feature(enable = "avx512f,avx2,fma")]
     unsafe fn probe_avx512(x: &[f32; 64]) -> Vec<f32> {
@@ -186,6 +240,12 @@ mod tests {
         }
         want.extend([0, 16, 32, 48].map(|r| x[r..r + lanes].iter().sum::<f32>()));
         want.extend_from_slice(&x[16..16 + lanes]);
+        for p in (0..48).step_by(lanes) {
+            let on = |q: usize| BITS[q / 8] >> (q % 8) & 1 == 1;
+            want.extend((p..p + lanes).map(|q| if on(q) { x[q] } else { 0.0 }));
+        }
+        want.extend((16..16 + lanes).map(|q| if x[q] > 0.0 { 3.0 } else { 0.0 }));
+        want.extend((0..lanes).map(|_| 3.0));
         want
     }
 

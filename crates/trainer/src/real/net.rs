@@ -15,24 +15,30 @@
 //! borrows, so the optimizer and the gradient allreduce operate on the
 //! storage in place, with no gather/scatter copies per step.
 //!
-//! Convolutions run as **im2col + register-tiled matmul** ([`im2col`],
-//! `matmul_bias` / `matmul_dw` / `matmul_t_acc`): im2col hoists the
-//! boundary handling out of the inner loops, and each matmul is one
-//! register-tile body written against `simd::lanes::Isa` and
-//! instantiated per ISA — a *rows* tile (12 rows × 32 pixels on
-//! AVX-512F, 4 × 16 on AVX2+FMA) that the forward and the transposed
-//! product share through row/reduction strides, and a *dot* tile (4 × 4
-//! and 2 × 4 vector accumulators) for the weight gradient, which
-//! contracts over the contiguous pixel axis. Lane masks cover the one
-//! edge tile of a pixel row; dispatch is by cached `cpuid`, AVX-512F →
-//! AVX2+FMA → the scalar twins (four output rows per pass over a
-//! `PIXEL_TILE`, written so the compiler autovectorizes them). The
+//! Convolutions are **implicit GEMMs**: a k×k convolution is a reduction
+//! over (channel, tap) pairs whose operand rows are the maps themselves,
+//! read at each tap's flat offset. A [`Taps`] plan per layer shape holds
+//! those offsets and, per tap, a bitmap of the pixels whose read lands
+//! inside the map, so a read that would leave it is a masked lane and no
+//! unrolled patch matrix is ever built. Two register-tile bodies written
+//! against `simd::lanes::Isa` and instantiated per ISA do the work: a
+//! *rows* tile (12 rows × 32 pixels on AVX-512F, 4 × 16 on AVX2+FMA)
+//! that serves the forward (rows = output channels) and the input
+//! gradient (rows = input channels, taps flipped, the ReLU backward
+//! fused into its store), and a *dot* tile (4 × 4 and 2 × 4 vector
+//! accumulators) for the weight gradient, which contracts over the
+//! contiguous pixel axis and reads its four tap-shifted rows from an
+//! aligned panel gathered once per block. A 1×1 layer is the one-tap
+//! case of the same kernels. Dispatch is by cached `cpuid`, AVX-512F →
+//! AVX2+FMA → the scalar twins (direct loops over each tap's valid rows
+//! and columns, written so the compiler autovectorizes them). The
 //! original naive loops are retained as [`reference_conv_forward`] /
 //! [`reference_conv_backward`] and property-tested equivalent (see
 //! `conv_proptests`).
 //!
-//! All per-sample scratch (activations, gradients, im2col matrices)
-//! lives in a reusable, cache-line-aligned [`Workspace`];
+//! All per-sample scratch (activations, gradients, the weight
+//! gradient's panel) lives in a reusable, cache-line-aligned
+//! [`Workspace`];
 //! [`SegNet::loss_grad_acc`] performs **zero heap allocations**, and
 //! [`SegNet::batch_loss_grad_ws`] folds a batch into per-thread
 //! workspaces ([`BatchWorkspace`]) so the steady-state training step
@@ -147,6 +153,8 @@ pub struct SegNet {
     pub cfg: NetConfig,
     layout: Layout,
     params: Vec<f32>,
+    /// The tap plans of the two k×k layers and of the 1×1 head.
+    taps: [Taps; 2],
 }
 
 // --------------------------------------------------------------- reference
@@ -264,100 +272,76 @@ pub fn reference_conv_backward(
 }
 
 // --------------------------------------------------------------- optimized
-// im2col + register-tiled matmul kernels. Shapes: `cols` is the
-// unrolled-patch matrix, `rdim = cin·k²` rows of `npix = h·w` pixels.
+// Implicit-GEMM kernels: a k×k convolution is a reduction over
+// (channel, tap) pairs whose operand rows are the maps themselves, read
+// at each tap's flat offset with the reads that leave the map masked.
 
-/// Pixel-tile width of the scalar matmul twins: one 2 KiB cols/dout row
-/// segment plus four output-row segments stay resident in L1 while the
-/// reduction dimension streams past.
-const PIXEL_TILE: usize = 512;
-
-/// Length of the im2col matrix for a `cin`-channel, `k×k` convolution
-/// over `npix` pixels.
-pub fn im2col_len(cin: usize, k: usize, npix: usize) -> usize {
-    cin * k * k * npix
+/// Where each tap of a same-padded `k×k` convolution over an `h×w` map
+/// reads, in the two orders the kernels walk the taps: forward (tap `t`
+/// of pixel `q` reads `q + off[t]`) and flipped (the input gradient's,
+/// reading `q − off[t]`). Per walk and tap: the flat offset, and a
+/// bitmap of the pixels whose read lands inside the map — the two lane
+/// tests, flat index in `[0, npix)` and column valid for the tap's `kx`,
+/// folded into one bit per pixel. Built once per layer shape.
+#[derive(Debug, Clone)]
+pub struct Taps {
+    h: usize,
+    w: usize,
+    k: usize,
+    /// Bytes per bitmap: whole 32-pixel tiles, so a tile's masks are in
+    /// bounds wherever it sits.
+    stride: usize,
+    /// `[forward | flipped]`, `k²` taps each.
+    off: Vec<isize>,
+    bits: Vec<u8>,
 }
 
-/// Unroll same-padded `k×k` patches: `cols[(i·k+dy)·k+dx, y·w+x] =
-/// input[i, y+dy-p, x+dx-p]` (zero outside the image). Row-shifted
-/// memcpys, so the matmul kernels never see a boundary branch.
-// lint: hot-path
-// lint: no-f64
-pub fn im2col(input: &[f32], cin: usize, h: usize, w: usize, k: usize, cols: &mut [f32]) {
-    let npix = h * w;
-    debug_assert_eq!(input.len(), cin * npix);
-    debug_assert_eq!(cols.len(), im2col_len(cin, k, npix));
-    let p = k / 2;
-    let mut rows = cols.chunks_exact_mut(npix);
-    for i in 0..cin {
-        let chan = &input[i * npix..(i + 1) * npix];
-        for dy in 0..k {
-            let oy = dy as isize - p as isize;
-            for dx in 0..k {
-                let ox = dx as isize - p as isize;
-                // A shift of the whole width or more leaves only padding.
-                let shift = ox.unsigned_abs().min(w);
-                let n = w - shift;
-                let row = rows.next().expect("cols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact_mut yields ci*k*k rows
-                for y in 0..h {
-                    let dst = &mut row[y * w..(y + 1) * w];
-                    let sy = y as isize + oy;
-                    if sy < 0 || sy >= h as isize {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &chan[(sy as usize) * w..(sy as usize + 1) * w];
-                    if ox >= 0 {
-                        dst[..n].copy_from_slice(&src[shift..]);
-                        dst[n..].fill(0.0);
-                    } else {
-                        dst[..shift].fill(0.0);
-                        dst[shift..].copy_from_slice(&src[..n]);
-                    }
-                }
+impl Taps {
+    pub fn new(h: usize, w: usize, k: usize) -> Self {
+        assert!(k % 2 == 1, "kernel must be odd for same padding");
+        let (k2, stride) = (k * k, (h * w).div_ceil(32) * 4);
+        let mut taps = Taps { h, w, k, stride, off: Vec::new(), bits: vec![0; 2 * k2 * stride] };
+        for n in 0..2 * k2 {
+            let (off, ys, xs) = taps.span(n % k2, n >= k2);
+            taps.off.push(off);
+            let map = &mut taps.bits[n * stride..(n + 1) * stride];
+            for q in ys.flat_map(|y| y * w + xs.start..y * w + xs.end) {
+                map[q / 8] |= 1 << (q % 8);
             }
         }
+        taps
     }
-}
 
-/// Inverse scatter of [`im2col`]: `dinput[i, y+dy-p, x+dx-p] +=
-/// dcols[(i·k+dy)·k+dx, y·w+x]`, accumulating into `dinput`.
-// lint: hot-path
-// lint: no-f64
-pub fn col2im_acc(dcols: &[f32], cin: usize, h: usize, w: usize, k: usize, dinput: &mut [f32]) {
-    let npix = h * w;
-    debug_assert_eq!(dinput.len(), cin * npix);
-    debug_assert_eq!(dcols.len(), im2col_len(cin, k, npix));
-    let p = k / 2;
-    let mut rows = dcols.chunks_exact(npix);
-    for i in 0..cin {
-        let chan = &mut dinput[i * npix..(i + 1) * npix];
-        for dy in 0..k {
-            let oy = dy as isize - p as isize;
-            for dx in 0..k {
-                let ox = dx as isize - p as isize;
-                // As in `im2col`: nothing lands inside the row once |ox| ≥ w.
-                let shift = ox.unsigned_abs().min(w);
-                let n = w - shift;
-                let row = rows.next().expect("dcols row per (i, dy, dx)"); // lint: allow(unwrap): chunks_exact yields ci*k*k rows
-                for y in 0..h {
-                    let sy = y as isize + oy;
-                    if sy < 0 || sy >= h as isize {
-                        continue;
-                    }
-                    let src = &row[y * w..(y + 1) * w];
-                    let dst = &mut chan[(sy as usize) * w..(sy as usize + 1) * w];
-                    let (dst, src) = if ox >= 0 {
-                        (&mut dst[shift..], &src[..n])
-                    } else {
-                        (&mut dst[..n], &src[shift..])
-                    };
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d += *s;
-                    }
-                }
-            }
-        }
+    fn npix(&self) -> usize {
+        self.h * self.w
+    }
+
+    fn k2(&self) -> usize {
+        self.k * self.k
+    }
+
+    /// Tap `t` of the walk `flip` selects: its flat offset, and the rows
+    /// and columns of the pixels whose read lands inside the map (both
+    /// empty when either is).
+    fn span(&self, t: usize, flip: bool) -> (isize, Range<usize>, Range<usize>) {
+        let (r, s) = ((self.k / 2) as isize, if flip { -1 } else { 1 });
+        let (dy, dx) = (s * ((t / self.k) as isize - r), s * ((t % self.k) as isize - r));
+        let valid = |d: isize, n: usize| {
+            let n = n as isize;
+            (-d).clamp(0, n) as usize..(n - d).clamp(0, n) as usize
+        };
+        let (ys, xs) = (valid(dy, self.h), valid(dx, self.w));
+        let (ys, xs) = if ys.is_empty() || xs.is_empty() { (0..0, 0..0) } else { (ys, xs) };
+        (dy * self.w as isize + dx, ys, xs)
+    }
+
+    /// The offsets and bitmaps of one walk.
+    fn walk(&self, flip: bool) -> (&[isize], &[u8]) {
+        let (k2, n) = (self.k2(), usize::from(flip));
+        (
+            &self.off[n * k2..(n + 1) * k2],
+            &self.bits[n * k2 * self.stride..(n + 1) * k2 * self.stride],
+        )
     }
 }
 
@@ -372,79 +356,6 @@ fn four_rows(buf: &mut [f32], npix: usize, o: usize) -> [&mut [f32]; 4] {
     let (r2, rest) = rest.split_at_mut(npix);
     let (r3, _) = rest.split_at_mut(npix);
     [r0, r1, r2, r3]
-}
-
-/// `out[o, p] = bias[o] + Σ_r w[o, r]·cols[r, p]` (then optional ReLU)
-/// — the forward matmul, scalar twin of [`matmul_bias_avx512`] /
-/// [`matmul_bias_avx2`].
-///
-/// Blocked two ways: pixel tiles of [`PIXEL_TILE`] keep the working set
-/// in L1, and four output rows advance together so each cols element
-/// loaded feeds four FMAs.
-// lint: hot-path
-// lint: no-f64
-#[allow(clippy::too_many_arguments)]
-fn matmul_bias_scalar(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(out.len(), cout * npix);
-    debug_assert_eq!(bias.len(), cout);
-    for (o, row) in out.chunks_exact_mut(npix).enumerate() {
-        row.fill(bias[o]);
-    }
-    let mut p0 = 0;
-    while p0 < npix {
-        let pt = PIXEL_TILE.min(npix - p0);
-        let mut o = 0;
-        while o + 4 <= cout {
-            let [r0, r1, r2, r3] = four_rows(out, npix, o);
-            let (t0, t1, t2, t3) = (
-                &mut r0[p0..p0 + pt],
-                &mut r1[p0..p0 + pt],
-                &mut r2[p0..p0 + pt],
-                &mut r3[p0..p0 + pt],
-            );
-            for r in 0..rdim {
-                let c = &cols[r * npix + p0..r * npix + p0 + pt];
-                let w0 = w[o * rdim + r];
-                let w1 = w[(o + 1) * rdim + r];
-                let w2 = w[(o + 2) * rdim + r];
-                let w3 = w[(o + 3) * rdim + r];
-                for p in 0..pt {
-                    let cv = c[p];
-                    t0[p] += w0 * cv;
-                    t1[p] += w1 * cv;
-                    t2[p] += w2 * cv;
-                    t3[p] += w3 * cv;
-                }
-            }
-            o += 4;
-        }
-        while o < cout {
-            let t = &mut out[o * npix + p0..o * npix + p0 + pt];
-            for r in 0..rdim {
-                let c = &cols[r * npix + p0..r * npix + p0 + pt];
-                let wv = w[o * rdim + r];
-                for p in 0..pt {
-                    t[p] += wv * c[p];
-                }
-            }
-            o += 1;
-        }
-        p0 += pt;
-    }
-    if relu {
-        out.iter_mut().for_each(|x| *x = x.max(0.0));
-    }
 }
 
 /// Eight-lane dot product: independent partial sums so the reduction
@@ -468,157 +379,157 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     lanes.iter().sum::<f32>() + tail
 }
 
-/// `dw[o, r] += Σ_p dout[o, p]·cols[r, p]` — the weight-gradient
-/// matmul, scalar twin of [`matmul_dw_avx512`] / [`matmul_dw_avx2`].
-///
-/// Loop order keeps each cols row L1-hot across all `cout` dot products.
-// lint: hot-path
-// lint: no-f64
-fn matmul_dw_scalar(
-    dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    dw: &mut [f32],
-) {
-    debug_assert_eq!(dw.len(), cout * rdim);
-    debug_assert_eq!(cols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    for r in 0..rdim {
-        let c = &cols[r * npix..(r + 1) * npix];
-        for o in 0..cout {
-            dw[o * rdim + r] += dot(&dout[o * npix..(o + 1) * npix], c);
-        }
-    }
-}
-
-/// `dcols[r, p] (+)= Σ_o w[o, r]·dout[o, p]` — the input-gradient
-/// (transposed) matmul, same tiling as [`matmul_bias_scalar`] with the
-/// roles of output channels and cols rows swapped. `acc` selects `+=`;
-/// without it `dcols` is overwritten and need not be initialised.
-/// Scalar twin of [`matmul_t_acc_avx512`] / [`matmul_t_acc_avx2`].
-// lint: hot-path
-// lint: no-f64
-fn matmul_t_acc_scalar(
-    w: &[f32],
-    dout: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    acc: bool,
-    dcols: &mut [f32],
-) {
-    debug_assert_eq!(w.len(), cout * rdim);
-    debug_assert_eq!(dcols.len(), rdim * npix);
-    debug_assert_eq!(dout.len(), cout * npix);
-    if !acc {
-        dcols.fill(0.0);
-    }
-    let mut p0 = 0;
-    while p0 < npix {
-        let pt = PIXEL_TILE.min(npix - p0);
-        let mut r = 0;
-        while r + 4 <= rdim {
-            let [t0, t1, t2, t3] = four_rows(dcols, npix, r);
-            let (t0, t1, t2, t3) = (
-                &mut t0[p0..p0 + pt],
-                &mut t1[p0..p0 + pt],
-                &mut t2[p0..p0 + pt],
-                &mut t3[p0..p0 + pt],
-            );
-            for o in 0..cout {
-                let d = &dout[o * npix + p0..o * npix + p0 + pt];
-                let w0 = w[o * rdim + r];
-                let w1 = w[o * rdim + r + 1];
-                let w2 = w[o * rdim + r + 2];
-                let w3 = w[o * rdim + r + 3];
-                for p in 0..pt {
-                    let dv = d[p];
-                    t0[p] += w0 * dv;
-                    t1[p] += w1 * dv;
-                    t2[p] += w2 * dv;
-                    t3[p] += w3 * dv;
-                }
-            }
-            r += 4;
-        }
-        while r < rdim {
-            let t = &mut dcols[r * npix + p0..r * npix + p0 + pt];
-            for o in 0..cout {
-                let d = &dout[o * npix + p0..o * npix + p0 + pt];
-                let wv = w[o * rdim + r];
-                for p in 0..pt {
-                    t[p] += wv * d[p];
-                }
-            }
-            r += 1;
-        }
-        p0 += pt;
-    }
-}
-
-// ---- rows form: out[row, p] (= bias | = 0 | +=) Σ_k a[row, k]·b[k, p] ----
-// The forward product (rows = output channels, k = cols rows) and the
-// transposed one (rows = cols rows, k = output channels) are the same
-// tile walked with different strides through the same weight matrix.
+// ---- rows form: out[i, q] = init + Σ_{j, t} a[i, j, t]·b[j, q ± off[t]] ----
+// The forward conv (rows = output channels, j = input channels) and the
+// input gradient (rows = input channels, j = output channels, taps
+// flipped) are the same walk with different strides through the same
+// weight tensor.
 
 /// What a rows-form accumulator starts from.
-#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 enum Init<'a> {
     /// `out[row, ·] = bias[row] + Σ`.
     Bias(&'a [f32]),
     /// `out = Σ`: whatever `out` held is overwritten, not read.
     Zero,
-    /// `out += Σ`.
+    /// `out += Σ`: a later reduction chunk.
     Acc,
 }
 
-/// One rows-form product: `out[i, p] = init + Σ_k a[i·ars + k·aks]·b[k·npix + p]`
-/// for `i < nrows`, `k < kdim`, `p < npix`, then an optional ReLU.
-#[cfg(target_arch = "x86_64")]
+/// What a rows-form output passes through on its way to memory.
+#[derive(Clone, Copy)]
+enum Post<'a> {
+    Store,
+    /// `max(0, ·)`: the forward ReLU.
+    Relu,
+    /// `0` wherever `x[row, q] ≤ 0`: the backward of the ReLU whose
+    /// output `x` is.
+    ReluBack(&'a [f32]),
+}
+
+/// One rows-form product: `out[i, q] = init + Σ a[i·ars + j·ajs + t]·
+/// b[j·npix + q ± off[t]]` for `i < nrows` over the channels `j < nj`
+/// and the taps `t` whose read at `q` lands in the map, then `post`.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     a: &'a [f32],
     ars: usize,
-    aks: usize,
+    ajs: usize,
     b: &'a [f32],
+    taps: &'a Taps,
+    flip: bool,
     nrows: usize,
-    kdim: usize,
-    npix: usize,
+    nj: usize,
     init: Init<'a>,
-    relu: bool,
+    post: Post<'a>,
 }
 
-#[cfg(target_arch = "x86_64")]
 impl<'a> Rows<'a> {
-    /// [`matmul_bias_scalar`]'s product: rows are output channels.
+    /// The forward product: `cin` input maps into `cout` outputs.
     fn forward(
-        w: &'a [f32],
-        cols: &'a [f32],
-        rdim: usize,
-        npix: usize,
+        taps: &'a Taps,
+        input: &'a [f32],
+        cin: usize,
+        weights: &'a [f32],
         cout: usize,
         bias: &'a [f32],
         relu: bool,
     ) -> Self {
-        let init = Init::Bias(bias);
-        Rows { a: w, ars: rdim, aks: 1, b: cols, nrows: cout, kdim: rdim, npix, init, relu }
+        let (k2, post) = (taps.k2(), if relu { Post::Relu } else { Post::Store });
+        let (a, b, init) = (weights, input, Init::Bias(bias));
+        Rows { a, ars: cin * k2, ajs: k2, b, taps, flip: false, nrows: cout, nj: cin, init, post }
     }
 
-    /// [`matmul_t_acc_scalar`]'s product: rows are cols rows, read down
-    /// the columns of `w`.
-    fn transposed(
-        w: &'a [f32],
+    /// The input gradient: `cout` output gradients back onto `cin` maps
+    /// through the flipped taps, read down `w[o, c, ·]`, written rather
+    /// than accumulated; `relu_out` gates it by the ReLU it passes back
+    /// through.
+    fn input_grad(
+        taps: &'a Taps,
         dout: &'a [f32],
-        rdim: usize,
-        npix: usize,
         cout: usize,
-        acc: bool,
+        weights: &'a [f32],
+        cin: usize,
+        relu_out: Option<&'a [f32]>,
     ) -> Self {
-        let init = if acc { Init::Acc } else { Init::Zero };
-        Rows { a: w, ars: 1, aks: rdim, b: dout, nrows: rdim, kdim: cout, npix, init, relu: false }
+        let (k2, post) = (taps.k2(), relu_out.map_or(Post::Store, Post::ReluBack));
+        let (a, b, init) = (weights, dout, Init::Zero);
+        Rows { a, ars: k2, ajs: cin * k2, b, taps, flip: true, nrows: cin, nj: cout, init, post }
+    }
+
+    /// The lengths every instantiation relies on.
+    fn check(&self, out: &[f32]) {
+        let npix = self.taps.npix();
+        assert_eq!(self.a.len(), self.nrows * self.nj * self.taps.k2());
+        assert_eq!(self.b.len(), self.nj * npix);
+        assert_eq!(out.len(), self.nrows * npix);
+        if let Init::Bias(bias) = self.init {
+            assert_eq!(bias.len(), self.nrows);
+        }
+        if let Post::ReluBack(x) = self.post {
+            assert_eq!(x.len(), out.len());
+        }
+    }
+}
+
+/// Scalar twin of [`conv_rows_avx512`] / [`conv_rows_avx2`]: direct
+/// loops over each tap's valid rows and columns, no masks. Four output
+/// rows advance per pass over a source row segment, so each element
+/// loaded feeds four multiply-adds.
+// lint: hot-path
+// lint: no-f64
+fn conv_rows_scalar(g: &Rows, out: &mut [f32]) {
+    g.check(out);
+    let (w, npix) = (g.taps.w, g.taps.npix());
+    for (i, row) in out.chunks_exact_mut(npix).enumerate() {
+        match g.init {
+            Init::Bias(bias) => row.fill(bias[i]),
+            Init::Zero => row.fill(0.0),
+            Init::Acc => {}
+        }
+    }
+    for t in 0..g.taps.k2() {
+        let (off, ys, xs) = g.taps.span(t, g.flip);
+        let n = xs.len();
+        for at in ys.map(|y| y * w + xs.start) {
+            for j in 0..g.nj {
+                let src = &g.b[(j * npix + at).wrapping_add_signed(off)..][..n];
+                let wt = |i: usize| g.a[i * g.ars + j * g.ajs + t];
+                let mut i = 0;
+                while i + 4 <= g.nrows {
+                    let [r0, r1, r2, r3] = four_rows(out, npix, i);
+                    let (t0, t1, t2, t3) = (
+                        &mut r0[at..at + n],
+                        &mut r1[at..at + n],
+                        &mut r2[at..at + n],
+                        &mut r3[at..at + n],
+                    );
+                    let (w0, w1, w2, w3) = (wt(i), wt(i + 1), wt(i + 2), wt(i + 3));
+                    for x in 0..n {
+                        let s = src[x];
+                        t0[x] += w0 * s;
+                        t1[x] += w1 * s;
+                        t2[x] += w2 * s;
+                        t3[x] += w3 * s;
+                    }
+                    i += 4;
+                }
+                for i in i..g.nrows {
+                    let wv = wt(i);
+                    for (d, &s) in out[i * npix + at..][..n].iter_mut().zip(src) {
+                        *d += wv * s;
+                    }
+                }
+            }
+        }
+    }
+    match g.post {
+        Post::Store => {}
+        Post::Relu => out.iter_mut().for_each(|v| *v = v.max(0.0)),
+        // A select, not a branch: the signs of `x` are data.
+        Post::ReluBack(x) => {
+            out.iter_mut().zip(x).for_each(|(v, &x)| *v = if x <= 0.0 { 0.0 } else { *v })
+        }
     }
 }
 
@@ -653,17 +564,19 @@ unsafe fn vec_ld2<L: Isa, const FULL: bool>(q: *const f32, m: [L::M; 2]) -> [L::
     [vec_ld::<L, FULL>(q, m[0]), vec_ld::<L, FULL>(q.wrapping_add(L::LANES), m[1])]
 }
 
-/// The rows-form register tile: `MR` rows × two vectors of pixels, every
-/// output one FMA chain over `k` in index order — so the result does
-/// not depend on the lane count or on where the tile sits. `FULL`
-/// tiles use plain loads and stores; the one edge tile of a pixel row
-/// goes through the lane masks `m` instead of a narrower copy of the
-/// loop.
+/// The rows-form register tile: `MR` rows × two vectors of pixels from
+/// `p`, every output one FMA chain over `(j, t)` in index order — so
+/// the result does not depend on the lane count or on where the tile
+/// sits. Source rows are read at the tap's offset through its bitmap:
+/// a read that would leave the map is a masked lane, never
+/// dereferenced, its pointer formed by wrapping arithmetic. `FULL`
+/// tiles store (and load `init` / `post` operands) plainly; the one
+/// edge tile of the map goes through the lane masks `m`.
 ///
 /// # Safety
-/// As [`Isa`]; `g`'s slices and `out` have the lengths [`rows_gemm`]
-/// checks, `r + MR ≤ g.nrows`, and the pixels `m` selects (all
-/// `2·LANES` when `FULL`) start at `p` inside a row.
+/// As [`Isa`]; `g` passed [`Rows::check`] against `out`, `r + MR ≤
+/// g.nrows`, `p < npix` is a multiple of `2·LANES`, and `m` selects the
+/// pixels from `p` inside the map (all `2·LANES` when `FULL`).
 // lint: hot-path
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
@@ -675,53 +588,85 @@ unsafe fn rows_tile<L: Isa, const MR: usize, const FULL: bool>(
     p: usize,
     m: [L::M; 2],
 ) {
+    let npix = g.taps.npix();
+    let (offs, bits) = g.taps.walk(g.flip);
     let a = g.a.as_ptr().add(r * g.ars);
-    let b = g.b.as_ptr().add(p);
-    let o = out.add(r * g.npix + p);
+    let o = out.add(r * npix + p);
     let zero = L::splat(0.0);
     let mut acc = [[zero; 2]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        match g.init {
-            Init::Bias(bias) => *row = [L::splat(*bias.get_unchecked(r + i)); 2],
-            Init::Zero => {}
-            Init::Acc => *row = vec_ld2::<L, FULL>(o.add(i * g.npix), m),
+    // Each `match` outside its row loop, so every row loop is small
+    // enough to unroll and `acc` stays in registers.
+    match g.init {
+        Init::Bias(bias) => {
+            for (i, row) in acc.iter_mut().enumerate() {
+                *row = [L::splat(*bias.get_unchecked(r + i)); 2];
+            }
+        }
+        Init::Zero => {}
+        Init::Acc => {
+            for (i, row) in acc.iter_mut().enumerate() {
+                *row = vec_ld2::<L, FULL>(o.add(i * npix), m);
+            }
         }
     }
-    for k in 0..g.kdim {
-        let bk = vec_ld2::<L, FULL>(b.add(k * g.npix), m);
-        for (i, row) in acc.iter_mut().enumerate() {
-            let av = L::splat(*a.add(i * g.ars + k * g.aks));
-            *row = [L::fma(av, bk[0], row[0]), L::fma(av, bk[1], row[1])];
+    let mut aj = a;
+    let mut bj = g.b.as_ptr().add(p);
+    for _ in 0..g.nj {
+        let mut map = bits.as_ptr();
+        for (t, &off) in offs.iter().enumerate() {
+            let q = bj.wrapping_offset(off);
+            let bk = [
+                L::load_m(q, L::mask_at(map, p)),
+                L::load_m(q.wrapping_add(L::LANES), L::mask_at(map, p + L::LANES)),
+            ];
+            let at = aj.add(t);
+            for (i, row) in acc.iter_mut().enumerate() {
+                let av = L::splat(*at.add(i * g.ars));
+                *row = [L::fma(av, bk[0], row[0]), L::fma(av, bk[1], row[1])];
+            }
+            map = map.add(g.taps.stride);
+        }
+        aj = aj.wrapping_add(g.ajs);
+        bj = bj.wrapping_add(npix);
+    }
+    match g.post {
+        Post::Store => {}
+        Post::Relu => {
+            for row in &mut acc {
+                *row = [L::max(row[0], zero), L::max(row[1], zero)];
+            }
+        }
+        Post::ReluBack(x) => {
+            for (i, row) in acc.iter_mut().enumerate() {
+                let x = vec_ld2::<L, FULL>(x.as_ptr().add((r + i) * npix + p), m);
+                *row = [L::relu_back(x[0], row[0]), L::relu_back(x[1], row[1])];
+            }
         }
     }
     for (i, row) in acc.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            let v = if g.relu { L::max(v, zero) } else { v };
-            let q = o.add(i * g.npix).wrapping_add(j * L::LANES);
-            if FULL {
-                L::store(q, v)
-            } else {
-                L::store_m(q, m[j], v)
-            }
+        let q = o.add(i * npix);
+        if FULL {
+            L::store(q, row[0]);
+            L::store(q.add(L::LANES), row[1]);
+        } else {
+            L::store_m(q, m[0], row[0]);
+            L::store_m(q.wrapping_add(L::LANES), m[1], row[1]);
         }
     }
 }
 
-/// Reduction-chunk length of the rows form: at most this many rows of
-/// `b` are live per pass, so a pixel tile's slab of them (two cache
-/// lines a row, rows a whole image row apart) stays within the ways of
-/// an L1 set even when the row stride is a multiple of a large power of
-/// two.
+/// Reduction-chunk length of the rows form, in (channel, tap) pairs,
+/// rounded down to whole channels: at most this many source rows are
+/// live per pass, so a pixel tile's slab of them stays in L1.
 #[cfg(target_arch = "x86_64")]
 const K_CHUNK: usize = 128;
 
 /// The rows-form loop nest. Inside a reduction chunk the pixel tile is
-/// the outer loop: its `K_CHUNK × 2·LANES` slab of `b` is fetched once
-/// and then read from L1 by every row block, while `a` (the weights) is
-/// the small operand that streams. Later chunks accumulate onto the
-/// first through `out`, which keeps every output one FMA chain over
-/// `k`. A last block of fewer than `MR` rows runs the same tile body at
-/// its own height.
+/// the outer loop: its slab of `b` is fetched once and then read from
+/// L1 by every row block, while `a` (the weights) is the small operand
+/// that streams. Later chunks accumulate onto the first through `out`,
+/// which keeps every output one FMA chain over `(j, t)`. A last block of
+/// fewer than `MR` rows runs the same tile body at its own height.
 ///
 /// # Safety
 /// As [`Isa`].
@@ -731,27 +676,25 @@ const K_CHUNK: usize = 128;
 #[inline(always)]
 unsafe fn rows_gemm<L: Isa, const MR: usize>(g: &Rows, out: &mut [f32]) {
     assert!(MR <= 12, "the tile match below covers heights 1..=12");
-    assert_eq!(g.a.len(), g.nrows * g.kdim);
-    assert_eq!(g.b.len(), g.kdim * g.npix);
-    assert_eq!(out.len(), g.nrows * g.npix);
-    if let Init::Bias(bias) = g.init {
-        assert_eq!(bias.len(), g.nrows);
-    }
+    g.check(out);
+    let npix = g.taps.npix();
+    let jc = (K_CHUNK / g.taps.k2()).max(1);
     let out = out.as_mut_ptr();
-    let mut k0 = 0;
+    let mut j0 = 0;
     loop {
-        let kc = K_CHUNK.min(g.kdim - k0);
+        let nj = jc.min(g.nj - j0);
+        let last = j0 + nj == g.nj;
         let chunk = Rows {
-            a: &g.a[k0 * g.aks..],
-            b: &g.b[k0 * g.npix..],
-            kdim: kc,
-            init: if k0 == 0 { g.init } else { Init::Acc },
-            relu: g.relu && k0 + kc == g.kdim,
+            a: &g.a[j0 * g.ajs..],
+            b: &g.b[j0 * npix..],
+            nj,
+            init: if j0 == 0 { g.init } else { Init::Acc },
+            post: if last { g.post } else { Post::Store },
             ..*g
         };
         let mut p = 0;
-        while p < g.npix {
-            let left = g.npix - p;
+        while p < npix {
+            let left = npix - p;
             let m = [L::mask(left), L::mask(left.saturating_sub(L::LANES))];
             let mut r = 0;
             while r < g.nrows {
@@ -770,49 +713,53 @@ unsafe fn rows_gemm<L: Isa, const MR: usize>(g: &Rows, out: &mut [f32]) {
             }
             p += 2 * L::LANES;
         }
-        k0 += kc;
-        if k0 >= g.kdim {
+        j0 += nj;
+        if last {
             return;
         }
     }
 }
 
-/// AVX-512F instantiation of the rows form: 16 lanes, 12-row tile (24
-/// accumulators of the 32 registers). Shared by [`matmul_bias_avx512`]
-/// and [`matmul_t_acc_avx512`].
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn matmul_rows_avx512(g: &Rows, out: &mut [f32]) {
-    rows_gemm::<Avx512, 12>(g, out)
-}
-
-/// AVX2+FMA instantiation of the rows form: 8 lanes, 4-row tile (8
-/// accumulators of the 16 registers). Shared by [`matmul_bias_avx2`]
-/// and [`matmul_t_acc_avx2`].
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available
-/// ([`simd::have_avx2_fma`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_rows_avx2(g: &Rows, out: &mut [f32]) {
-    rows_gemm::<Avx2, 4>(g, out)
-}
-
-// ---- dot form: dw[o, r] += Σ_p dout[o, p]·cols[r, p] ----
+// ---- dot form: dw[o, j, t] += Σ_q dout[o, q]·input[j, q + off[t]] ----
 // The weight gradient contracts over the contiguous pixel axis, so its
 // tile keeps vectors of per-lane partial sums and pays one horizontal
-// reduction per output instead of a broadcast per FMA.
+// reduction per output instead of a broadcast per FMA. Its four map
+// rows are read by every dout row, so they are gathered once into an
+// aligned panel rather than through a mask per load.
+
+/// Scalar twin of [`conv_dw_avx512`] / [`conv_dw_avx2`]: per input map
+/// and tap, one eight-lane [`dot`] per valid row segment and output
+/// channel, the map L1-hot across all `cout` of them. Needs no panel.
+// lint: hot-path
+// lint: no-f64
+fn conv_dw_scalar(
+    taps: &Taps,
+    input: &[f32],
+    cin: usize,
+    dout: &[f32],
+    cout: usize,
+    dw: &mut [f32],
+) {
+    let (w, npix, k2) = (taps.w, taps.npix(), taps.k2());
+    assert_eq!((input.len(), dout.len(), dw.len()), (cin * npix, cout * npix, cout * cin * k2));
+    for (j, map) in input.chunks_exact(npix).enumerate() {
+        for t in 0..k2 {
+            let (off, ys, xs) = taps.span(t, false);
+            for (o, d) in dout.chunks_exact(npix).enumerate() {
+                let mut s = 0.0f32;
+                for y in ys.start..ys.end {
+                    let at = y * w + xs.start;
+                    s += dot(&d[at..][..xs.len()], &map[at.wrapping_add_signed(off)..][..xs.len()]);
+                }
+                dw[(o * cin + j) * k2 + t] += s;
+            }
+        }
+    }
+}
 
 /// One pixel vector of the dot tile: `acc[i][j] += d[i][p..]·c[j][p..]`
-/// lane by lane.
+/// lane by lane, plain loads in a `FULL` step, through the tail mask `m`
+/// in the last.
 ///
 /// # Safety
 /// As [`dot_tile`], with the lanes `m` selects (all when `FULL`) at
@@ -842,7 +789,7 @@ unsafe fn dot_step<L: Isa, const DM: usize, const FULL: bool>(
     }
 }
 
-/// The dot-form register tile: `DM` dout rows × 4 cols rows of vector
+/// The dot-form register tile: `DM` dout rows × 4 panel rows of vector
 /// accumulators over the whole pixel axis (the tail through a lane
 /// mask), reduced by [`Isa::hsum4`] into `dw[i, 0..4]` per dout row.
 /// Rows past an edge are passed as repeats of the last valid row and
@@ -856,11 +803,9 @@ unsafe fn dot_step<L: Isa, const DM: usize, const FULL: bool>(
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn dot_tile<L: Isa, const DM: usize>(
-    d: [*const f32; DM],
-    c: [*const f32; 4],
+    (d, c): ([*const f32; DM], [*const f32; 4]),
     npix: usize,
-    mo: usize,
-    nr: usize,
+    (mo, nr): (usize, usize),
     dw: *mut f32,
     rdim: usize,
 ) {
@@ -881,8 +826,11 @@ unsafe fn dot_tile<L: Isa, const DM: usize>(
     }
 }
 
-/// The dot-form loop nest: four cols rows stay in L1 while the dout
-/// rows stream past `DM` at a time — the tile's shorter side streams.
+/// The dot-form loop nest. Per block of four reduction rows `(j, t)`:
+/// gather map `j` read at tap `t`'s offset into a line-aligned panel row
+/// — the reads that leave the map are masked lanes, never dereferenced,
+/// and land as `+0.0` — then stream the dout rows past the four panel
+/// rows `DM` at a time while those stay in L1.
 ///
 /// # Safety
 /// As [`Isa`].
@@ -891,34 +839,45 @@ unsafe fn dot_tile<L: Isa, const DM: usize>(
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn dot_gemm<L: Isa, const DM: usize>(
+    taps: &Taps,
+    input: &[f32],
+    cin: usize,
     dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
     cout: usize,
     dw: &mut [f32],
+    panel: &mut [f32],
 ) {
-    assert_eq!(dw.len(), cout * rdim);
-    assert_eq!(cols.len(), rdim * npix);
-    assert_eq!(dout.len(), cout * npix);
+    let (npix, k2) = (taps.npix(), taps.k2());
+    let (rdim, row) = (cin * k2, npix.next_multiple_of(16));
+    assert_eq!((input.len(), dout.len(), dw.len()), (cin * npix, cout * npix, cout * rdim));
+    assert!(panel.len() >= 4 * row, "the panel holds four rows of whole vectors");
+    let (offs, bits) = taps.walk(false);
+    let (mut j, mut t) = (0, 0);
     for r in (0..rdim).step_by(4) {
-        let c: [*const f32; 4] =
-            std::array::from_fn(|j| cols.as_ptr().add((r + j).min(rdim - 1) * npix));
+        let nr = 4.min(rdim - r);
+        for n in 0..nr {
+            let src = input.as_ptr().add(j * npix).wrapping_offset(offs[t]);
+            let (map, dst) = (bits.as_ptr().add(t * taps.stride), panel.as_mut_ptr().add(n * row));
+            for p in (0..npix).step_by(L::LANES) {
+                L::store(dst.add(p), L::load_m(src.wrapping_add(p), L::mask_at(map, p)));
+            }
+            (j, t) = if t + 1 == k2 { (j + 1, 0) } else { (j, t + 1) };
+        }
+        let c: [*const f32; 4] = std::array::from_fn(|n| panel.as_ptr().add(n.min(nr - 1) * row));
         for o in (0..cout).step_by(DM) {
             let d: [*const f32; DM] =
                 std::array::from_fn(|i| dout.as_ptr().add((o + i).min(cout - 1) * npix));
-            let (mo, nr) = (DM.min(cout - o), 4.min(rdim - r));
-            dot_tile::<L, DM>(d, c, npix, mo, nr, dw.as_mut_ptr().add(o * rdim + r), rdim);
+            let at = dw.as_mut_ptr().add(o * rdim + r);
+            dot_tile::<L, DM>((d, c), npix, (DM.min(cout - o), nr), at, rdim);
         }
     }
 }
 
-// ---- the instantiations: one `#[target_feature]` entry per matmul and
-// ISA, each with the signature of its scalar twin.
+// ---- the instantiations: one `#[target_feature]` entry per form and
+// ISA.
 
-/// AVX-512F twin of [`matmul_bias_scalar`]: the bias seeds the
-/// accumulators and the ReLU is applied in-register before the single
-/// store of each output.
+/// AVX-512F instantiation of the rows form: 16 lanes, 12-row tile (24
+/// accumulators of the 32 registers).
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
@@ -926,21 +885,12 @@ unsafe fn dot_gemm<L: Isa, const DM: usize>(
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_bias_avx512(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    matmul_rows_avx512(&Rows::forward(w, cols, rdim, npix, cout, bias, relu), out)
+unsafe fn conv_rows_avx512(g: &Rows, out: &mut [f32]) {
+    rows_gemm::<Avx512, 12>(g, out)
 }
 
-/// AVX2+FMA twin of [`matmul_bias_scalar`], as [`matmul_bias_avx512`].
+/// AVX2+FMA instantiation of the rows form: 8 lanes, 4-row tile (8
+/// accumulators of the 16 registers).
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available
@@ -949,23 +899,12 @@ unsafe fn matmul_bias_avx512(
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_bias_avx2(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
-    matmul_rows_avx2(&Rows::forward(w, cols, rdim, npix, cout, bias, relu), out)
+unsafe fn conv_rows_avx2(g: &Rows, out: &mut [f32]) {
+    rows_gemm::<Avx2, 4>(g, out)
 }
 
-/// AVX-512F twin of [`matmul_t_acc_scalar`]: with `acc` the
-/// accumulators are loaded from `dcols`, without it they start at zero
-/// and `dcols` is only written.
+/// AVX-512F instantiation of the dot form: 4 × 4 tile (16 accumulators,
+/// 4 panel vectors and 1 dout vector of the 32 registers).
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
@@ -973,62 +912,20 @@ unsafe fn matmul_bias_avx2(
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn matmul_t_acc_avx512(
-    w: &[f32],
+unsafe fn conv_dw_avx512(
+    taps: &Taps,
+    input: &[f32],
+    cin: usize,
     dout: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    acc: bool,
-    dcols: &mut [f32],
-) {
-    matmul_rows_avx512(&Rows::transposed(w, dout, rdim, npix, cout, acc), dcols)
-}
-
-/// AVX2+FMA twin of [`matmul_t_acc_scalar`], as
-/// [`matmul_t_acc_avx512`].
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available
-/// ([`simd::have_avx2_fma`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_t_acc_avx2(
-    w: &[f32],
-    dout: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    acc: bool,
-    dcols: &mut [f32],
-) {
-    matmul_rows_avx2(&Rows::transposed(w, dout, rdim, npix, cout, acc), dcols)
-}
-
-/// AVX-512F twin of [`matmul_dw_scalar`]: 4 × 4 dot tile (16
-/// accumulators, 4 cols vectors and 1 dout vector of the 32 registers).
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available ([`simd::have_avx512f`]).
-// lint: hot-path
-// lint: no-f64
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn matmul_dw_avx512(
-    dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
     cout: usize,
     dw: &mut [f32],
+    panel: &mut [f32],
 ) {
-    dot_gemm::<Avx512, 4>(dout, cols, rdim, npix, cout, dw)
+    dot_gemm::<Avx512, 4>(taps, input, cin, dout, cout, dw, panel)
 }
 
-/// AVX2+FMA twin of [`matmul_dw_scalar`]: 2 × 4 dot tile (8
-/// accumulators, 4 cols vectors and 1 dout vector of the 16 registers).
+/// AVX2+FMA instantiation of the dot form: 2 × 4 tile (8 accumulators, 4
+/// panel vectors and 1 dout vector of the 16 registers).
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available
@@ -1037,154 +934,116 @@ unsafe fn matmul_dw_avx512(
 // lint: no-f64
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_dw_avx2(
+unsafe fn conv_dw_avx2(
+    taps: &Taps,
+    input: &[f32],
+    cin: usize,
     dout: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
     cout: usize,
     dw: &mut [f32],
+    panel: &mut [f32],
 ) {
-    dot_gemm::<Avx2, 2>(dout, cols, rdim, npix, cout, dw)
+    dot_gemm::<Avx2, 2>(taps, input, cin, dout, cout, dw, panel)
 }
 
 // ---- dispatch: the widest instantiation the CPU has, by cached cpuid.
 
-/// [`matmul_bias_avx512`] → [`matmul_bias_avx2`] →
-/// [`matmul_bias_scalar`]. `relu` fuses the activation into the same
-/// pass (one store per output element instead of a second sweep).
+/// [`conv_rows_avx512`] → [`conv_rows_avx2`] → [`conv_rows_scalar`].
 // lint: hot-path
 // lint: no-f64
-#[allow(clippy::too_many_arguments)]
-fn matmul_bias(
-    w: &[f32],
-    cols: &[f32],
-    rdim: usize,
-    npix: usize,
-    cout: usize,
-    bias: &[f32],
-    relu: bool,
-    out: &mut [f32],
-) {
+fn conv_rows(g: &Rows, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx512f() {
         // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
-        unsafe { matmul_bias_avx512(w, cols, rdim, npix, cout, bias, relu, out) };
+        unsafe { conv_rows_avx512(g, out) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx2_fma() {
         // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_bias_avx2(w, cols, rdim, npix, cout, bias, relu, out) };
+        unsafe { conv_rows_avx2(g, out) };
         return;
     }
-    matmul_bias_scalar(w, cols, rdim, npix, cout, bias, relu, out);
+    conv_rows_scalar(g, out);
 }
 
-/// [`matmul_dw_avx512`] → [`matmul_dw_avx2`] → [`matmul_dw_scalar`].
+/// [`conv_dw_avx512`] → [`conv_dw_avx2`] → [`conv_dw_scalar`].
 // lint: hot-path
 // lint: no-f64
-fn matmul_dw(dout: &[f32], cols: &[f32], rdim: usize, npix: usize, cout: usize, dw: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx512f() {
-        // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
-        unsafe { matmul_dw_avx512(dout, cols, rdim, npix, cout, dw) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if simd::have_avx2_fma() {
-        // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_dw_avx2(dout, cols, rdim, npix, cout, dw) };
-        return;
-    }
-    matmul_dw_scalar(dout, cols, rdim, npix, cout, dw);
-}
-
-/// [`matmul_t_acc_avx512`] → [`matmul_t_acc_avx2`] →
-/// [`matmul_t_acc_scalar`].
-// lint: hot-path
-// lint: no-f64
-fn matmul_t_acc(
-    w: &[f32],
+fn conv_dw(
+    taps: &Taps,
+    input: &[f32],
+    cin: usize,
     dout: &[f32],
-    rdim: usize,
-    npix: usize,
     cout: usize,
-    acc: bool,
-    dcols: &mut [f32],
+    dw: &mut [f32],
+    panel: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx512f() {
         // SAFETY: the dispatch predicate just confirmed AVX-512F (and with it AVX2+FMA).
-        unsafe { matmul_t_acc_avx512(w, dout, rdim, npix, cout, acc, dcols) };
+        unsafe { conv_dw_avx512(taps, input, cin, dout, cout, dw, panel) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if simd::have_avx2_fma() {
         // SAFETY: the dispatch predicate just confirmed AVX2+FMA.
-        unsafe { matmul_t_acc_avx2(w, dout, rdim, npix, cout, acc, dcols) };
+        unsafe { conv_dw_avx2(taps, input, cin, dout, cout, dw, panel) };
         return;
     }
-    matmul_t_acc_scalar(w, dout, rdim, npix, cout, acc, dcols);
+    conv_dw_scalar(taps, input, cin, dout, cout, dw);
 }
 
-/// Optimized convolution forward: im2col into `cols` (caller-provided,
-/// [`im2col_len`]-sized; unused for `k == 1`), then blocked matmul.
-/// `relu` fuses `max(0, ·)` into the matmul's output store.
-/// Numerically equivalent to [`reference_conv_forward`] (plus a ReLU
-/// pass when requested) up to float summation order.
+/// Length of the scratch [`conv_backward`] gathers the weight
+/// gradient's tap-shifted rows into, for an `npix`-pixel map: four rows
+/// of whole 16-lane vectors.
+pub fn dw_panel_len(npix: usize) -> usize {
+    4 * npix.next_multiple_of(16)
+}
+
+/// Optimized convolution forward over the map and kernel `taps`
+/// describes: the rows form, with `relu` fusing `max(0, ·)` into the
+/// store. Numerically equivalent to [`reference_conv_forward`] (plus a
+/// ReLU pass when requested) up to float summation order.
 // lint: hot-path
 // lint: no-f64
 #[allow(clippy::too_many_arguments)]
 pub fn conv_forward(
     input: &[f32],
     cin: usize,
-    h: usize,
-    w: usize,
+    taps: &Taps,
     weights: &[f32],
     bias: &[f32],
-    k: usize,
     cout: usize,
     relu: bool,
-    cols: &mut [f32],
     out: &mut [f32],
 ) {
-    let npix = h * w;
-    let rdim = cin * k * k;
-    if k == 1 {
-        // 1×1 convolution: the input already is the cols matrix.
-        matmul_bias(weights, input, rdim, npix, cout, bias, relu, out);
-        return;
-    }
-    im2col(input, cin, h, w, k, cols);
-    matmul_bias(weights, cols, rdim, npix, cout, bias, relu, out);
+    conv_rows(&Rows::forward(taps, input, cin, weights, cout, bias, relu), out);
 }
 
-/// Optimized convolution backward. `cols` must hold the im2col of the
-/// layer input (left over from [`conv_forward`], ignored for `k == 1`);
-/// `dcols` is scratch for the input gradient (ignored when `dinput` is
-/// `None` or `k == 1`; overwritten, so it need not be cleared).
-/// Accumulates into `dw` / `db` / `dinput` like the reference.
+/// Optimized convolution backward. Accumulates into `dw` / `db` like the
+/// reference; *writes* the input gradient into `dinput`, which need not
+/// be cleared. With `relu_input` the input is a ReLU's output, and
+/// `dinput` leaves already passed back through that ReLU: zero wherever
+/// the input is `≤ 0`, in the same store. `panel` is scratch of at least
+/// [`dw_panel_len`] floats.
 // lint: hot-path
 // lint: no-f64
 #[allow(clippy::too_many_arguments)]
 pub fn conv_backward(
     input: &[f32],
     cin: usize,
-    h: usize,
-    w: usize,
+    taps: &Taps,
     weights: &[f32],
-    k: usize,
     cout: usize,
     dout: &[f32],
-    cols: &[f32],
-    dcols: &mut [f32],
     dw: &mut [f32],
     db: &mut [f32],
     dinput: Option<&mut [f32]>,
+    relu_input: bool,
+    panel: &mut [f32],
 ) {
-    let npix = h * w;
-    let rdim = cin * k * k;
+    let npix = taps.npix();
     for (o, bo) in db.iter_mut().enumerate() {
         let row = &dout[o * npix..(o + 1) * npix];
         // Eight-lane sum, same reassociation as `dot`.
@@ -1197,28 +1056,24 @@ pub fn conv_backward(
         let rem = row.len() - row.len() % 8;
         *bo += lanes.iter().sum::<f32>() + row[rem..].iter().sum::<f32>();
     }
-    let cols = if k == 1 { input } else { cols };
-    matmul_dw(dout, cols, rdim, npix, cout, dw);
+    conv_dw(taps, input, cin, dout, cout, dw, panel);
     if let Some(din) = dinput {
-        if k == 1 {
-            matmul_t_acc(weights, dout, rdim, npix, cout, true, din);
-        } else {
-            matmul_t_acc(weights, dout, rdim, npix, cout, false, dcols);
-            col2im_acc(dcols, cin, h, w, k, din);
-        }
+        let gate = relu_input.then_some(input);
+        conv_rows(&Rows::input_grad(taps, dout, cout, weights, cin, gate), din);
     }
 }
 
 // --------------------------------------------------------------- workspace
 
 /// A zero-initialised `f32` buffer whose first element sits on a
-/// cache-line boundary. With `npix` a multiple of 16 every matrix row
-/// in it is line-aligned too, and a vector load of the dot-form tile —
-/// eight per sixteen FMAs — never straddles two lines, which on a
-/// plain `Vec<f32>` (16-byte-aligned by the allocator) every 64-byte
-/// load does. Over-allocates by one line and skips to the boundary, so
-/// the storage still comes from `alloc_zeroed` and pages no phase
-/// touches are never made resident.
+/// cache-line boundary. With `npix` a multiple of 16 every map in it is
+/// line-aligned too, and so is every panel row, so a vector load of the
+/// dot-form tile — eight per sixteen FMAs, half from dout, half from the
+/// panel — never straddles two lines, which on a plain `Vec<f32>`
+/// (16-byte-aligned by the allocator) every 64-byte load does.
+/// Over-allocates by one line and skips to the boundary, so the storage
+/// still comes from `alloc_zeroed` and pages no phase touches are never
+/// made resident.
 #[derive(Debug)]
 struct Buf {
     store: Vec<f32>,
@@ -1259,9 +1114,10 @@ impl std::ops::DerefMut for Buf {
 }
 
 /// Reusable per-sample scratch for [`SegNet::loss_grad_acc`]: forward
-/// activations, backward gradients, and the im2col matrices of both
-/// k×k layers. Constructing one allocates everything the hot path
-/// needs; using it allocates nothing.
+/// activations, backward gradients and the weight gradient's four-row
+/// panel — the kernels read the maps in place, so nothing larger is
+/// staged. Constructing one allocates everything the hot path needs;
+/// using it allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Workspace {
     a1: Buf,
@@ -1270,9 +1126,8 @@ pub struct Workspace {
     dlogits: Buf,
     da1: Buf,
     da2: Buf,
-    cols1: Buf,
-    cols2: Buf,
-    dcols: Buf,
+    /// The weight gradient's gathered rows ([`dw_panel_len`]).
+    panel: Buf,
 }
 
 impl Workspace {
@@ -1284,9 +1139,7 @@ impl Workspace {
             dlogits: Buf::new(cfg.n_classes * npix),
             da1: Buf::new(cfg.hidden1 * npix),
             da2: Buf::new(cfg.hidden2 * npix),
-            cols1: Buf::new(im2col_len(cfg.cin, cfg.k, npix)),
-            cols2: Buf::new(im2col_len(cfg.hidden1, cfg.k, npix)),
-            dcols: Buf::new(im2col_len(cfg.hidden1, cfg.k, npix)),
+            panel: Buf::new(dw_panel_len(npix)),
         }
     }
 }
@@ -1322,7 +1175,7 @@ impl BatchWorkspace {
 impl SegNet {
     /// He-initialized network, deterministic in `seed`.
     pub fn new(cfg: NetConfig, seed: u64) -> Self {
-        assert!(cfg.k % 2 == 1, "kernel must be odd for same padding");
+        let taps = [Taps::new(cfg.height, cfg.width, cfg.k), Taps::new(cfg.height, cfg.width, 1)];
         let layout = Layout::new(&cfg);
         let mut params = vec![0.0f32; layout.n_params()];
         let mut rng = rng_for(seed, "segnet-init");
@@ -1335,7 +1188,7 @@ impl SegNet {
                 *v = (rng.gen::<f32>() * 2.0 - 1.0) * scale;
             }
         }
-        SegNet { cfg, layout, params }
+        SegNet { cfg, layout, params, taps }
     }
 
     pub fn n_params(&self) -> usize {
@@ -1372,37 +1225,12 @@ impl SegNet {
 
     /// Forward through the workspace; logits end up in `ws.dlogits`.
     fn forward_ws(&self, pixels: &[f32], ws: &mut Workspace) {
-        let c = &self.cfg;
-        let (h, w) = (c.height, c.width);
+        let (c, [kxk, head]) = (&self.cfg, &self.taps);
         let [w1, b1, w2, b2, w3, b3] = self.layout.split(&self.params);
-        // ReLU is fused into the matmul's output store (`relu: true`).
-        conv_forward(pixels, c.cin, h, w, w1, b1, c.k, c.hidden1, true, &mut ws.cols1, &mut ws.a1);
-        conv_forward(
-            &ws.a1,
-            c.hidden1,
-            h,
-            w,
-            w2,
-            b2,
-            c.k,
-            c.hidden2,
-            true,
-            &mut ws.cols2,
-            &mut ws.a2,
-        );
-        conv_forward(
-            &ws.a2,
-            c.hidden2,
-            h,
-            w,
-            w3,
-            b3,
-            1,
-            c.n_classes,
-            false,
-            &mut ws.dcols,
-            &mut ws.dlogits,
-        );
+        // ReLU is fused into the kernel's output store (`relu: true`).
+        conv_forward(pixels, c.cin, kxk, w1, b1, c.hidden1, true, &mut ws.a1);
+        conv_forward(&ws.a1, c.hidden1, kxk, w2, b2, c.hidden2, true, &mut ws.a2);
+        conv_forward(&ws.a2, c.hidden2, head, w3, b3, c.n_classes, false, &mut ws.dlogits);
     }
 
     /// Argmax class map.
@@ -1492,67 +1320,36 @@ impl SegNet {
     }
 
     /// Pipeline phase 2: 1×1 head backward. Accumulates into the
-    /// `w3`/`b3` gradient blocks and leaves the ReLU-masked activation
-    /// gradient in `ws.da2`. Requires phase 1's workspace state.
+    /// `w3`/`b3` gradient blocks and writes the ReLU-masked activation
+    /// gradient into `ws.da2`. Requires phase 1's workspace state.
     // lint: hot-path
     pub fn phase_backward_head(&self, ws: &mut Workspace, gw3: &mut [f32], gb3: &mut [f32]) {
-        let c = &self.cfg;
-        let (h, w) = (c.height, c.width);
+        let (c, head) = (&self.cfg, &self.taps[1]);
         let [_, _, _, _, w3, _] = self.layout.split(&self.params);
-        let (a2, dlogits) = (&ws.a2, &ws.dlogits);
+        let (a2, dlogits, da2) = (&ws.a2, &ws.dlogits, Some(&mut *ws.da2));
         conv_backward(
             a2,
             c.hidden2,
-            h,
-            w,
+            head,
             w3,
-            1,
             c.n_classes,
             dlogits,
-            &[],
-            &mut [],
             gw3,
             gb3,
-            None,
+            da2,
+            true,
+            &mut ws.panel,
         );
-        // A 1×1 layer's input gradient is the transposed product itself:
-        // written rather than accumulated, so `da2` needs no zero fill.
-        matmul_t_acc(w3, dlogits, c.hidden2, h * w, c.n_classes, false, &mut ws.da2);
-        for (d, &a) in ws.da2.iter_mut().zip(ws.a2.iter()) {
-            if a <= 0.0 {
-                *d = 0.0;
-            }
-        }
     }
 
     /// Pipeline phase 3: middle k×k layer backward. Accumulates into
-    /// `w2`/`b2` and leaves the ReLU-masked `ws.da1`. Requires phase 2.
+    /// `w2`/`b2` and writes the ReLU-masked `ws.da1`. Requires phase 2.
     // lint: hot-path
     pub fn phase_backward_mid(&self, ws: &mut Workspace, gw2: &mut [f32], gb2: &mut [f32]) {
-        let c = &self.cfg;
-        let (h, w) = (c.height, c.width);
+        let (c, kxk) = (&self.cfg, &self.taps[0]);
         let [_, _, w2, _, _, _] = self.layout.split(&self.params);
-        ws.da1.fill(0.0);
-        conv_backward(
-            &ws.a1,
-            c.hidden1,
-            h,
-            w,
-            w2,
-            c.k,
-            c.hidden2,
-            &ws.da2,
-            &ws.cols2,
-            &mut ws.dcols,
-            gw2,
-            gb2,
-            Some(&mut ws.da1),
-        );
-        for (d, &a) in ws.da1.iter_mut().zip(ws.a1.iter()) {
-            if a <= 0.0 {
-                *d = 0.0;
-            }
-        }
+        let (a1, da2, da1) = (&ws.a1, &ws.da2, Some(&mut *ws.da1));
+        conv_backward(a1, c.hidden1, kxk, w2, c.hidden2, da2, gw2, gb2, da1, true, &mut ws.panel);
     }
 
     /// Pipeline phase 4: input k×k layer backward. Accumulates into
@@ -1565,24 +1362,10 @@ impl SegNet {
         gw1: &mut [f32],
         gb1: &mut [f32],
     ) {
-        let c = &self.cfg;
-        let (h, w) = (c.height, c.width);
+        let (c, kxk) = (&self.cfg, &self.taps[0]);
         let [w1, _, _, _, _, _] = self.layout.split(&self.params);
-        conv_backward(
-            &sample.pixels,
-            c.cin,
-            h,
-            w,
-            w1,
-            c.k,
-            c.hidden1,
-            &ws.da1,
-            &ws.cols1,
-            &mut [],
-            gw1,
-            gb1,
-            None,
-        );
+        let (pixels, da1) = (&sample.pixels, &ws.da1);
+        conv_backward(pixels, c.cin, kxk, w1, c.hidden1, da1, gw1, gb1, None, false, &mut ws.panel);
     }
 
     /// Cross-entropy loss and flat parameter gradient for one sample
@@ -1920,8 +1703,7 @@ mod tests {
     #[test]
     fn workspace_buffers_start_on_a_cache_line() {
         let ws = Workspace::new(&NetConfig::default());
-        for buf in [&ws.a1, &ws.a2, &ws.dlogits, &ws.da1, &ws.da2, &ws.cols1, &ws.cols2, &ws.dcols]
-        {
+        for buf in [&ws.a1, &ws.a2, &ws.dlogits, &ws.da1, &ws.da2, &ws.panel] {
             assert_eq!(buf.as_ptr() as usize % 64, 0);
         }
         assert_eq!(ws.a1.len(), 8 * 24 * 24);
@@ -1930,25 +1712,6 @@ mod tests {
         odd[16] = 3.0;
         let copy = odd.clone();
         assert_eq!((copy.len(), copy[16], copy.as_ptr() as usize % 64), (17, 3.0, 0));
-    }
-
-    /// A map narrower than the kernel's half-width: every column shift
-    /// of the outer taps is pure padding (`w - ox` used to underflow).
-    #[test]
-    fn im2col_on_a_map_narrower_than_the_kernel() {
-        let (cin, h, w, k) = (1, 4, 1, 5);
-        let input = [1.0, 2.0, 3.0, 4.0];
-        let mut cols = vec![f32::NAN; im2col_len(cin, k, h * w)];
-        im2col(&input, cin, h, w, k, &mut cols);
-        let weights = vec![1.0; k * k];
-        let (mut want, mut got) = (vec![0.0; 4], vec![0.0; 4]);
-        reference_conv_forward(&input, cin, h, w, &weights, &[0.0], k, 1, &mut want);
-        conv_forward(&input, cin, h, w, &weights, &[0.0], k, 1, false, &mut cols, &mut got);
-        assert_eq!(got, want);
-        let mut back = vec![0.0; 4];
-        col2im_acc(&cols, cin, h, w, k, &mut back);
-        // Only the centre column's five vertical taps see the image.
-        assert_eq!(back, [3.0, 8.0, 12.0, 12.0]);
     }
 
     // ---- the SIMD instantiations against their scalar twins ----
@@ -1987,9 +1750,26 @@ mod tests {
         buf[GUARD..GUARD + init.len()].to_vec()
     }
 
+    /// An input the kernels read, between [`GUARD`] NaN canaries: a read
+    /// that leaves the map through a lane that should have been masked
+    /// turns its output into NaN (or, inside the map, into a mismatch).
+    struct Fenced(Vec<f32>);
+
+    impl Fenced {
+        fn new(data: Vec<f32>) -> Self {
+            let mut buf = vec![f32::NAN; data.len() + 2 * GUARD];
+            buf[GUARD..GUARD + data.len()].copy_from_slice(&data);
+            Fenced(buf)
+        }
+
+        fn get(&self) -> &[f32] {
+            &self.0[GUARD..self.0.len() - GUARD]
+        }
+    }
+
     fn assert_close(got: &[f32], want: &[f32], what: &str) {
         for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-            assert!(close(g, w), "{what} [{i}]: {g} vs scalar twin {w}");
+            assert!(g.is_finite() && close(g, w), "{what} [{i}]: {g} vs {w}");
         }
     }
 
@@ -2032,79 +1812,141 @@ mod tests {
         }
     }
 
+    /// The three conv kernels of one layer — `rows` output channels of
+    /// the forward, `nj` maps into it, `k×k` over `h×w` — every
+    /// instantiation against the scalar twins, which `oracle` also holds
+    /// against the naive `reference_*` kernels. Every input is
+    /// [`Fenced`]; what a kernel overwrites starts as NaN.
+    #[cfg(target_arch = "x86_64")]
+    fn check_layer(
+        have: (bool, bool),
+        seed: &mut u64,
+        (h, w, k): (usize, usize, usize),
+        (rows, nj): (usize, usize),
+        oracle: bool,
+    ) {
+        // SAFETY (every `unsafe` below): `check_instantiations` runs a
+        // kernel only when its predicate, read by `runnable`, reported
+        // the ISA.
+        let (taps, npix, k2) = (Taps::new(h, w, k), h * w, k * k);
+        let shape = format!("{h}×{w} k {k} rows {rows} maps {nj}");
+        let (input, weights, bias) =
+            (Fenced::new(noise(seed, nj * npix)), noise(seed, rows * nj * k2), noise(seed, rows));
+        let (dout, relu_out) = (Fenced::new(noise(seed, rows * npix)), noise(seed, nj * npix));
+        let stale = |n: usize| vec![f32::NAN; n];
+        let (mut dw_ref, mut db_ref, mut din_ref) =
+            (vec![0.0; rows * nj * k2], vec![0.0; rows], vec![0.0; nj * npix]);
+        if oracle {
+            reference_conv_backward(
+                input.get(),
+                nj,
+                h,
+                w,
+                &weights,
+                k,
+                rows,
+                dout.get(),
+                &mut dw_ref,
+                &mut db_ref,
+                Some(&mut din_ref),
+            );
+        }
+
+        for relu in [false, true] {
+            let g = Rows::forward(&taps, input.get(), nj, &weights, rows, &bias, relu);
+            let what = format!("forward {shape} relu {relu}");
+            let mut want = stale(rows * npix);
+            conv_rows_scalar(&g, &mut want);
+            if oracle {
+                let mut naive = vec![0.0; rows * npix];
+                reference_conv_forward(input.get(), nj, h, w, &weights, &bias, k, rows, &mut naive);
+                if relu {
+                    naive.iter_mut().for_each(|v| *v = v.max(0.0));
+                }
+                assert_close(&want, &naive, &format!("{what}: scalar twin vs reference"));
+            }
+            let kernels: [Run; 2] = [&|out| unsafe { conv_rows_avx512(&g, out) }, &|out| unsafe {
+                conv_rows_avx2(&g, out)
+            }];
+            check_instantiations(&what, (&stale(rows * npix), &want), true, have, kernels);
+        }
+
+        for gate in [None, Some(&relu_out[..])] {
+            let g = Rows::input_grad(&taps, dout.get(), rows, &weights, nj, gate);
+            let what = format!("dX {shape} relu {}", gate.is_some());
+            let mut want = stale(nj * npix);
+            conv_rows_scalar(&g, &mut want);
+            if oracle {
+                let mut naive = din_ref.clone();
+                let dead = |i: usize| gate.is_some_and(|x| x[i] <= 0.0);
+                (0..naive.len()).filter(|&i| dead(i)).for_each(|i| naive[i] = 0.0);
+                assert_close(&want, &naive, &format!("{what}: scalar twin vs reference"));
+            }
+            let kernels: [Run; 2] = [&|out| unsafe { conv_rows_avx512(&g, out) }, &|out| unsafe {
+                conv_rows_avx2(&g, out)
+            }];
+            check_instantiations(&what, (&stale(nj * npix), &want), true, have, kernels);
+        }
+
+        // Always `+=`; its summation order follows the lane count.
+        let what = format!("dW {shape}");
+        let start = noise(seed, rows * nj * k2);
+        let mut want = start.clone();
+        conv_dw_scalar(&taps, input.get(), nj, dout.get(), rows, &mut want);
+        if oracle {
+            let naive: Vec<f32> = start.iter().zip(&dw_ref).map(|(a, b)| a + b).collect();
+            assert_close(&want, &naive, &format!("{what}: scalar twin vs reference"));
+        }
+        let (map, d, panel) = (input.get(), dout.get(), || vec![f32::NAN; dw_panel_len(npix)]);
+        let kernels: [Run; 2] = [
+            &|dw| unsafe { conv_dw_avx512(&taps, map, nj, d, rows, dw, &mut panel()) },
+            &|dw| unsafe { conv_dw_avx2(&taps, map, nj, d, rows, dw, &mut panel()) },
+        ];
+        check_instantiations(&what, (&start, &want), false, have, kernels);
+    }
+
     /// Every instantiation called directly — not through the
     /// dispatchers, which only ever take one branch per machine — over
     /// shapes that put every tile edge in play: pixel counts around one
     /// and two vectors of either width, row counts around both tile
-    /// heights, odd reduction lengths on both sides of [`K_CHUNK`].
+    /// heights, channel counts on both sides of a [`K_CHUNK`] boundary.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_instantiations_match_scalar_twins() {
-        // SAFETY (every `unsafe` below): `check_instantiations` runs a
-        // kernel only when its predicate, read here, reported the ISA.
         let have = runnable();
         let mut seed = 0x5eed;
-        for npix in [1, 7, 15, 16, 17, 31, 33, 100, 576] {
+        let maps = [(1, 1), (1, 7), (3, 5), (2, 8), (1, 17), (1, 31), (3, 11), (4, 25), (24, 24)];
+        for (h, w) in maps {
             for rows in [1, 3, 4, 5, 11, 12, 13, 64] {
-                for k in [1, 5, 27, 131] {
-                    // Forward: `rows` output channels, reduction `k`.
-                    let (w, cols) = (noise(&mut seed, rows * k), noise(&mut seed, k * npix));
-                    let bias = noise(&mut seed, rows);
-                    for relu in [false, true] {
-                        let what = format!("bias npix {npix} cout {rows} rdim {k} relu {relu}");
-                        let stale = vec![f32::NAN; rows * npix];
-                        let mut want = stale.clone();
-                        matmul_bias_scalar(&w, &cols, k, npix, rows, &bias, relu, &mut want);
-                        let kernels: [Run; 2] = [
-                            &|out| unsafe {
-                                matmul_bias_avx512(&w, &cols, k, npix, rows, &bias, relu, out)
-                            },
-                            &|out| unsafe {
-                                matmul_bias_avx2(&w, &cols, k, npix, rows, &bias, relu, out)
-                            },
-                        ];
-                        check_instantiations(&what, (&stale, &want), true, have, kernels);
-                    }
-
-                    // Transposed: `rows` cols rows, reduction over `k` channels.
-                    let (w, dout) = (noise(&mut seed, k * rows), noise(&mut seed, k * npix));
-                    for acc in [false, true] {
-                        let what = format!("t_acc npix {npix} rdim {rows} cout {k} acc {acc}");
-                        // `=` must not read what it overwrites; `+=` must.
-                        let start = if acc {
-                            noise(&mut seed, rows * npix)
-                        } else {
-                            vec![f32::NAN; rows * npix]
-                        };
-                        let mut want = start.clone();
-                        matmul_t_acc_scalar(&w, &dout, rows, npix, k, acc, &mut want);
-                        let kernels: [Run; 2] = [
-                            &|out| unsafe {
-                                matmul_t_acc_avx512(&w, &dout, rows, npix, k, acc, out)
-                            },
-                            &|out| unsafe { matmul_t_acc_avx2(&w, &dout, rows, npix, k, acc, out) },
-                        ];
-                        check_instantiations(&what, (&start, &want), true, have, kernels);
-                    }
-
-                    // Weight gradient: `rows` channels × `k` cols rows, always
-                    // `+=`; its summation order follows the lane count.
-                    let (dout, cols) = (noise(&mut seed, rows * npix), noise(&mut seed, k * npix));
-                    let what = format!("dw npix {npix} cout {rows} rdim {k}");
-                    let start = noise(&mut seed, rows * k);
-                    let mut want = start.clone();
-                    matmul_dw_scalar(&dout, &cols, k, npix, rows, &mut want);
-                    let kernels: [Run; 2] = [
-                        &|dw| unsafe { matmul_dw_avx512(&dout, &cols, k, npix, rows, dw) },
-                        &|dw| unsafe { matmul_dw_avx2(&dout, &cols, k, npix, rows, dw) },
-                    ];
-                    check_instantiations(&what, (&start, &want), false, have, kernels);
+                for (k, nj) in [(1, 1), (1, 5), (1, 131), (3, 1), (3, 3), (3, 15), (5, 2), (5, 6)] {
+                    check_layer(have, &mut seed, (h, w, k), (rows, nj), false);
                 }
             }
         }
     }
 
-    // ---- ROADMAP 1(d): the kernels against what this machine can do ----
+    /// Maps every tap reaches past — a side of 1, 2, `k/2` or `k − 1` —
+    /// on every instantiation with NaN around every input: outputs
+    /// finite, SIMD within tolerance of the scalar twins, the twins
+    /// within tolerance of the naive reference.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn masked_lanes_stay_masked() {
+        let have = runnable();
+        let mut seed = 0xfe7ce;
+        for k in [1, 3, 5, 7] {
+            let mut sides: Vec<usize> =
+                [1, 2, k / 2, k - 1].into_iter().filter(|&s| s > 0).collect();
+            sides.dedup();
+            for &h in &sides {
+                for &w in &sides {
+                    check_layer(have, &mut seed, (h, w, k), (5, 3), true);
+                }
+            }
+        }
+    }
+
+    // ---- the kernels against what this machine can do ----
 
     /// Seconds per call, best of five timed loops of `reps` calls.
     fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -2117,25 +1959,20 @@ mod tests {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Floats per array of the bandwidth triad: three of them are
-    /// 768 KiB, L2-resident like the im2col matrices the copy kernels
-    /// stream.
-    const TRIAD_LEN: usize = 1 << 16;
-
-    /// (GFLOP/s of twelve independent FMA chains — two ports × four
-    /// cycles of latency need eight — , GB/s of `a = b + s·c`). The
-    /// timed loops are written out rather than passed to [`best_secs`]:
-    /// a closure would not inherit the caller's target features.
+    /// GFLOP/s of twelve independent FMA chains (two ports × four cycles
+    /// of latency need eight). The timed loop is written out rather than
+    /// passed to [`best_secs`]: a closure would not inherit the caller's
+    /// target features.
     ///
     /// # Safety
     /// As [`Isa`].
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    unsafe fn roofs<L: Isa>() -> (f64, f64) {
+    unsafe fn roof<L: Isa>() -> f64 {
         let (x, y) = (L::splat(black_box(1.0 + 1e-7)), L::splat(black_box(1.0 - 1e-7)));
         let mut acc = [L::splat(0.0); 12];
         let iters = 1 << 16;
-        let mut fma_secs = f64::INFINITY;
+        let mut secs = f64::INFINITY;
         for _ in 0..5 {
             let t = std::time::Instant::now();
             for _ in 0..iters {
@@ -2143,54 +1980,35 @@ mod tests {
                     *v = L::fma(x, y, *v);
                 }
             }
-            fma_secs = fma_secs.min(t.elapsed().as_secs_f64());
+            secs = secs.min(t.elapsed().as_secs_f64());
         }
         let mut sink = [0.0f32; 16];
         for &v in &acc {
             L::store_m(sink.as_mut_ptr(), L::mask(L::LANES), v);
             black_box(&sink);
         }
-
-        let (mut a, b, c) = (Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN));
-        let s = L::splat(black_box(0.5));
-        let passes = 64;
-        let mut triad_secs = f64::INFINITY;
-        for _ in 0..5 {
-            let t = std::time::Instant::now();
-            for _ in 0..passes {
-                for i in (0..TRIAD_LEN).step_by(L::LANES) {
-                    let v = L::fma(s, L::load(c.as_ptr().add(i)), L::load(b.as_ptr().add(i)));
-                    L::store(a.as_mut_ptr().add(i), v);
-                }
-                black_box(a.as_ptr());
-            }
-            triad_secs = triad_secs.min(t.elapsed().as_secs_f64() / passes as f64);
-        }
-        (
-            (iters * 12 * 2 * L::LANES) as f64 / fma_secs / 1e9,
-            (3 * 4 * TRIAD_LEN) as f64 / triad_secs / 1e9,
-        )
+        (iters * 12 * 2 * L::LANES) as f64 / secs / 1e9
     }
 
     /// # Safety
     /// Caller must ensure AVX-512F is available.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn roofs_avx512() -> (f64, f64) {
-        roofs::<Avx512>()
+    unsafe fn roof_avx512() -> f64 {
+        roof::<Avx512>()
     }
 
     /// # Safety
     /// Caller must ensure AVX2 and FMA are available.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn roofs_avx2() -> (f64, f64) {
-        roofs::<Avx2>()
+    unsafe fn roof_avx2() -> f64 {
+        roof::<Avx2>()
     }
 
     /// What the scalar twins are written against: multiply then add on
     /// whatever the baseline target autovectorizes to.
-    fn roofs_scalar() -> (f64, f64) {
+    fn roof_scalar() -> f64 {
         let (x, y) = (black_box(1.0f32 + 1e-7), black_box(1.0f32 - 1e-7));
         let mut acc = [0.0f32; 48];
         let iters = 1 << 16;
@@ -2202,96 +2020,91 @@ mod tests {
             }
         });
         black_box(acc);
-        let (mut a, b, c) = (Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN), Buf::new(TRIAD_LEN));
-        let s = black_box(0.5f32);
-        let triad = best_secs(64, || {
-            for ((a, b), c) in a.iter_mut().zip(b.iter()).zip(c.iter()) {
-                *a = b + s * c;
-            }
-            black_box(a.as_ptr());
-        });
-        ((iters * 48 * 2) as f64 / secs / 1e9, (3 * 4 * TRIAD_LEN) as f64 / triad / 1e9)
+        (iters * 48 * 2) as f64 / secs / 1e9
     }
 
     /// `cargo test -p trainer --release --lib kernel_roofline -- --ignored --nocapture`
     ///
-    /// Prints, per instantiation this CPU can run, the FMA and L2-triad
-    /// roofs and each kernel at the six layer shapes of the wide and
-    /// quick nets as a share of them — one core, workspace-aligned
-    /// buffers, best of five. The tables go into EXPERIMENTS.md.
+    /// Prints, per instantiation this CPU can run, the FMA roof and each
+    /// conv kernel — forward, weight gradient, ReLU-gated input gradient
+    /// — at the six layer shapes of the wide and quick nets as a share of
+    /// it (one core, workspace-aligned buffers, best of five, FLOPs
+    /// counted over every tap as a dense GEMM would), then the
+    /// `Workspace` bytes per sample of both nets. The tables go into
+    /// EXPERIMENTS.md.
     #[cfg(target_arch = "x86_64")]
     #[test]
     #[ignore = "timing report, not a check"]
     fn kernel_roofline_report() {
-        type Bias = unsafe fn(&[f32], &[f32], usize, usize, usize, &[f32], bool, &mut [f32]);
-        type Dw = unsafe fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
-        type TAcc = unsafe fn(&[f32], &[f32], usize, usize, usize, bool, &mut [f32]);
+        type RowsK = unsafe fn(&Rows, &mut [f32]);
+        type DwK = unsafe fn(&Taps, &[f32], usize, &[f32], usize, &mut [f32], &mut [f32]);
         let (avx512, avx2) = runnable();
-        /// Name, (FMA GFLOP/s, triad GB/s), the three matmuls.
-        type Instantiation = (&'static str, (f64, f64), Bias, Dw, TAcc);
-        let mut isas: Vec<Instantiation> = Vec::new();
+        let mut isas: Vec<(&str, f64, RowsK, DwK)> = Vec::new();
         if avx512 {
             // SAFETY: gated on the predicate, here and for the kernels below.
-            let roofs = unsafe { roofs_avx512() };
-            isas.push(("avx512", roofs, matmul_bias_avx512, matmul_dw_avx512, matmul_t_acc_avx512));
+            isas.push(("avx512", unsafe { roof_avx512() }, conv_rows_avx512, conv_dw_avx512));
         }
         if avx2 {
-            let roofs = unsafe { roofs_avx2() };
-            isas.push(("avx2", roofs, matmul_bias_avx2, matmul_dw_avx2, matmul_t_acc_avx2));
+            isas.push(("avx2", unsafe { roof_avx2() }, conv_rows_avx2, conv_dw_avx2));
         }
-        let twins = (matmul_bias_scalar, matmul_dw_scalar, matmul_t_acc_scalar);
-        isas.push(("scalar", roofs_scalar(), twins.0, twins.1, twins.2));
+        let dw_scalar: DwK = |t, i, ci, d, co, dw, _| conv_dw_scalar(t, i, ci, d, co, dw);
+        isas.push(("scalar", roof_scalar(), conv_rows_scalar, dw_scalar));
 
-        println!("| ISA | FMA peak GFLOP/s | L2 triad GB/s |\n|---|---|---|");
-        for (isa, (gflops, gbs), ..) in &isas {
-            println!("| {isa} | {gflops:.0} | {gbs:.0} |");
+        println!("| ISA | FMA peak GFLOP/s |\n|---|---|");
+        for (isa, gflops, ..) in &isas {
+            println!("| {isa} | {gflops:.0} |");
         }
-        let triad = isas.iter().map(|i| i.1 .1).fold(0.0, f64::max);
-
-        println!(
-            "\n| layer (cout × rdim × npix) | kernel | ISA | µs | GFLOP/s or GB/s | % of roof |"
-        );
+        println!("\n| layer (cout × cin·k² × npix) | kernel | ISA | µs | GFLOP/s | % of roof |");
         println!("|---|---|---|---|---|---|");
         let mut seed = 1;
+        let mut footprints = Vec::new();
         for (net, h1, h2) in [("wide", 32, 64), ("quick", 8, 16)] {
-            let (cin, classes, k, side) = (3, 4, 3, 24);
+            let (cin, n_classes, k, side) = (3, 4, 3, 24);
+            let cfg = NetConfig {
+                height: side,
+                width: side,
+                cin,
+                hidden1: h1,
+                hidden2: h2,
+                n_classes,
+                k,
+            };
+            let ws = Workspace::new(&cfg);
+            let bufs = [&ws.a1, &ws.a2, &ws.dlogits, &ws.da1, &ws.da2, &ws.panel];
+            footprints.push((net, bufs.iter().map(|b| b.len() * 4).sum::<usize>()));
             let npix = side * side;
-            let layers =
-                [("input", h1, cin, k), ("middle", h2, h1, k), ("head", classes, h2, 1usize)];
+            let layers = [("input", h1, cin, k), ("middle", h2, h1, k), ("head", n_classes, h2, 1)];
             for (layer, cout, lcin, lk) in layers {
-                let rdim = lcin * lk * lk;
-                let shape = format!("{net} {layer} ({cout} × {rdim} × {npix})");
+                let (taps, k2) = (Taps::new(side, side, lk), lk * lk);
+                let shape = format!("{net} {layer} ({cout} × {} × {npix})", lcin * k2);
                 let fill = |seed: &mut u64, n: usize| {
                     let mut b = Buf::new(n);
                     b.copy_from_slice(&noise(seed, n));
                     b
                 };
-                let (w, bias) = (noise(&mut seed, cout * rdim), noise(&mut seed, cout));
-                let (cols, dout) = (fill(&mut seed, rdim * npix), fill(&mut seed, cout * npix));
-                let (mut out, mut dcols) = (Buf::new(cout * npix), Buf::new(rdim * npix));
-                let mut dw = vec![0.0f32; cout * rdim];
-                let flop = (2 * cout * rdim * npix) as f64;
+                let (w, bias) = (noise(&mut seed, cout * lcin * k2), noise(&mut seed, cout));
+                let (input, relu_out) =
+                    (fill(&mut seed, lcin * npix), fill(&mut seed, lcin * npix));
+                let dout = fill(&mut seed, cout * npix);
+                let (mut out, mut din) = (Buf::new(cout * npix), Buf::new(lcin * npix));
+                let (mut dw, mut panel) =
+                    (vec![0.0f32; cout * lcin * k2], Buf::new(dw_panel_len(npix)));
+                let fwd = Rows::forward(&taps, &input, lcin, &w, cout, &bias, true);
+                let dx = Rows::input_grad(&taps, &dout, cout, &w, lcin, Some(&relu_out));
+                let flop = (2 * cout * lcin * k2 * npix) as f64;
                 let reps = ((2e7 / flop) as usize).clamp(4, 2000);
-                for &(isa, (peak, _), bias_k, dw_k, t_k) in &isas {
+                for &(isa, peak, rows_k, dw_k) in &isas {
                     // SAFETY: `isas` holds only what `runnable` reported.
-                    let timed: [(&str, f64); 3] = unsafe {
+                    let timed = unsafe {
                         [
+                            ("forward", best_secs(reps, || rows_k(&fwd, &mut out))),
                             (
-                                "matmul_bias",
+                                "dW",
                                 best_secs(reps, || {
-                                    bias_k(&w, &cols, rdim, npix, cout, &bias, true, &mut out)
+                                    dw_k(&taps, &input, lcin, &dout, cout, &mut dw, &mut panel)
                                 }),
                             ),
-                            (
-                                "matmul_dw",
-                                best_secs(reps, || dw_k(&dout, &cols, rdim, npix, cout, &mut dw)),
-                            ),
-                            (
-                                "matmul_t_acc",
-                                best_secs(reps, || {
-                                    t_k(&w, &dout, rdim, npix, cout, false, &mut dcols)
-                                }),
-                            ),
+                            ("dX", best_secs(reps, || rows_k(&dx, &mut din))),
                         ]
                     };
                     for (kernel, secs) in timed {
@@ -2303,32 +2116,11 @@ mod tests {
                         );
                     }
                 }
-                if lk > 1 {
-                    let input = noise(&mut seed, lcin * npix);
-                    let mut cols = Buf::new(rdim * npix);
-                    let mut din = Buf::new(lcin * npix);
-                    let copies = [
-                        (
-                            "im2col",
-                            (lcin + rdim) * npix * 4,
-                            best_secs(reps, || im2col(&input, lcin, side, side, lk, &mut cols)),
-                        ),
-                        (
-                            "col2im_acc",
-                            (rdim + 2 * lcin) * npix * 4,
-                            best_secs(reps, || col2im_acc(&dcols, lcin, side, side, lk, &mut din)),
-                        ),
-                    ];
-                    for (kernel, bytes, secs) in copies {
-                        let gbs = bytes as f64 / secs / 1e9;
-                        println!(
-                            "| {shape} | {kernel} | any | {:.1} | {gbs:.1} GB/s | {:.0} % |",
-                            secs * 1e6,
-                            100.0 * gbs / triad
-                        );
-                    }
-                }
             }
+        }
+        println!("\n| net | Workspace bytes per sample |\n|---|---|");
+        for (net, bytes) in footprints {
+            println!("| {net} | {bytes} ({:.2} MiB) |", bytes as f64 / (1 << 20) as f64);
         }
     }
 }

@@ -1,14 +1,16 @@
-//! Property-tested equivalence of the optimized cache-blocked conv
-//! kernels (im2col + tiled matmul) against the retained naive
-//! `reference_*` implementations, across random shapes including
-//! k = 1, non-square h×w and maps narrower than the kernel, within 1e-4.
+//! Property-tested equivalence of the optimized implicit-GEMM conv
+//! kernels (tap-masked rows and dot tiles, whichever instantiation the
+//! CPU dispatches to) against the retained naive `reference_*`
+//! implementations, within 1e-4: random shapes with k up to 7,
+//! non-square h×w, maps narrower than the kernel, and widths around one
+//! and two pixel tiles of either vector width (15–17, 23–25, 31, 33).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trainer::real::net::{
-    col2im_acc, conv_backward, conv_forward, im2col, im2col_len, reference_conv_backward,
-    reference_conv_forward, BatchWorkspace, NetConfig, SegNet,
+    conv_backward, conv_forward, dw_panel_len, reference_conv_backward, reference_conv_forward,
+    BatchWorkspace, NetConfig, SegNet, Taps,
 };
 use trainer::real::segdata::Sample;
 
@@ -31,13 +33,15 @@ fn fill(rng: &mut StdRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect()
 }
 
-/// Random conv shape: kernel in {1, 3, 5}, deliberately non-square h×w
-/// most of the time — down to one pixel, so a map can be narrower than
-/// the kernel or than its half-width — channel counts small enough to
-/// keep cases fast.
+/// Random conv shape: kernel in {1, 3, 5, 7}, deliberately non-square
+/// h×w most of the time — down to one pixel, so a map can be narrower
+/// than the kernel or than its half-width — with widths around the
+/// 16- and 32-pixel tiles too, channel counts small enough to keep
+/// cases fast.
 fn shape_strategy() -> impl Strategy<Value = (usize, usize, usize, usize, usize, u64)> {
-    (1usize..=9, 1usize..=9, 1usize..=4, 1usize..=5, 0usize..3, 0u64..1 << 48)
-        .prop_map(|(h, w, cin, cout, ki, seed)| (h, w, cin, cout, [1, 3, 5][ki], seed))
+    let width = prop_oneof![1usize..=9, prop::sample::select(vec![15, 16, 17, 23, 24, 25, 31, 33])];
+    (1usize..=9, width, 1usize..=4, 1usize..=5, 0usize..4, 0u64..1 << 48)
+        .prop_map(|(h, w, cin, cout, ki, seed)| (h, w, cin, cout, [1, 3, 5, 7][ki], seed))
 }
 
 proptest! {
@@ -54,14 +58,14 @@ proptest! {
         let mut want = vec![0.0f32; cout * npix];
         reference_conv_forward(&input, cin, h, w, &weights, &bias, k, cout, &mut want);
 
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
+        let taps = Taps::new(h, w, k);
         let mut got = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut cols, &mut got);
+        conv_forward(&input, cin, &taps, &weights, &bias, cout, false, &mut got);
         assert_all_close(&got, &want, 1e-4, "out")?;
 
         // Fused ReLU must equal a separate max(0, ·) pass.
         let mut relu_got = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, true, &mut cols, &mut relu_got);
+        conv_forward(&input, cin, &taps, &weights, &bias, cout, true, &mut relu_got);
         let relu_want: Vec<f32> = want.iter().map(|&x| x.max(0.0)).collect();
         assert_all_close(&relu_got, &relu_want, 1e-4, "relu out")?;
     }
@@ -72,64 +76,38 @@ proptest! {
         let npix = h * w;
         let input = fill(&mut rng, cin * npix);
         let weights = fill(&mut rng, cout * cin * k * k);
-        let bias = fill(&mut rng, cout);
         let dout = fill(&mut rng, cout * npix);
-        // Start the accumulators non-zero: both kernels must *accumulate*.
+        // Start the weight accumulators non-zero: both kernels must *accumulate*.
         let dw0 = fill(&mut rng, weights.len());
         let db0 = fill(&mut rng, cout);
-        let din0 = fill(&mut rng, input.len());
 
-        let (mut dw_want, mut db_want, mut din_want) = (dw0.clone(), db0.clone(), din0.clone());
+        let (mut dw_want, mut db_want, mut din_want) =
+            (dw0.clone(), db0.clone(), vec![0.0f32; input.len()]);
         reference_conv_backward(
             &input, cin, h, w, &weights, k, cout, &dout,
             &mut dw_want, &mut db_want, Some(&mut din_want),
         );
 
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
-        let mut out = vec![0.0f32; cout * npix];
-        conv_forward(&input, cin, h, w, &weights, &bias, k, cout, false, &mut cols, &mut out);
-        let mut dcols = vec![0.0f32; cols.len()];
-        let (mut dw, mut db, mut din) = (dw0, db0, din0);
+        // The input gradient is written, not accumulated: start it stale.
+        let (taps, mut panel) = (Taps::new(h, w, k), vec![f32::NAN; dw_panel_len(npix)]);
+        let (mut dw, mut db, mut din) = (dw0, db0, vec![f32::NAN; input.len()]);
         conv_backward(
-            &input, cin, h, w, &weights, k, cout, &dout,
-            &cols, &mut dcols, &mut dw, &mut db, Some(&mut din),
+            &input, cin, &taps, &weights, cout, &dout,
+            &mut dw, &mut db, Some(&mut din), false, &mut panel,
         );
         assert_all_close(&dw, &dw_want, 1e-4, "dw")?;
         assert_all_close(&db, &db_want, 1e-4, "db")?;
         assert_all_close(&din, &din_want, 1e-4, "dinput")?;
-    }
 
-    /// im2col followed by its adjoint scatter (col2im) is exactly the
-    /// patch-multiplicity operator: each pixel's coefficient counts how
-    /// many valid k×k windows cover it.
-    #[test]
-    fn im2col_col2im_adjoint_roundtrip((h, w, cin, _cout, k, seed) in shape_strategy()) {
-        prop_assume!(k > 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let npix = h * w;
-        let input = fill(&mut rng, cin * npix);
-        let mut cols = vec![0.0f32; im2col_len(cin, k, npix)];
-        im2col(&input, cin, h, w, k, &mut cols);
-        let mut back = vec![0.0f32; input.len()];
-        col2im_acc(&cols, cin, h, w, k, &mut back);
-        let r = (k / 2) as isize;
-        for c in 0..cin {
-            for y in 0..h as isize {
-                for x in 0..w as isize {
-                    // Multiplicity along each axis: number of window centers
-                    // within radius r that are in-bounds.
-                    let my = ((y - r).max(0)..=(y + r).min(h as isize - 1)).count();
-                    let mx = ((x - r).max(0)..=(x + r).min(w as isize - 1)).count();
-                    let idx = c * npix + (y as usize) * w + x as usize;
-                    let want = input[idx] * (my * mx) as f32;
-                    prop_assert!(
-                        close(back[idx], want, 1e-4),
-                        "pixel ({}, {}, {}): col2im(im2col(x)) = {} vs multiplicity {} × {}",
-                        c, y, x, back[idx], (my * mx), input[idx]
-                    );
-                }
-            }
-        }
+        // The fused ReLU backward must equal masking afterwards.
+        let mut relu_din = vec![f32::NAN; input.len()];
+        conv_backward(
+            &input, cin, &taps, &weights, cout, &dout,
+            &mut dw, &mut db, Some(&mut relu_din), true, &mut panel,
+        );
+        let relu_want: Vec<f32> =
+            din_want.iter().zip(&input).map(|(&d, &x)| if x <= 0.0 { 0.0 } else { d }).collect();
+        assert_all_close(&relu_din, &relu_want, 1e-4, "relu dinput")?;
     }
 }
 

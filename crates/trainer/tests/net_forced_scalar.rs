@@ -1,13 +1,15 @@
-//! The net's scalar matmul twins, run the way a machine without AVX2
+//! The net's scalar conv twins, run the way a machine without AVX2
 //! would run them: through the dispatchers, with every SIMD predicate
 //! forced off.
 //!
 //! `simd::force_scalar_for_testing` is irreversible for the process, so
 //! this pass is a test binary of its own; the in-module suite in
 //! `src/real/net.rs` calls each instantiation directly against its
-//! twin. Here the whole optimized gradient — im2col, the three scalar
-//! twins, col2im — is checked against the naive reference network, to
-//! the tolerances `optimized_matches_reference_loss_grad` uses with
+//! twin. Here the whole optimized gradient — the rows-form twin for the
+//! forward and the ReLU-gated input gradient, the dot-form twin for the
+//! weight gradient, each a direct loop over every tap's valid rows and
+//! columns — is checked against the naive reference network, to the
+//! tolerances `optimized_matches_reference_loss_grad` uses with
 //! dispatch active.
 
 use trainer::real::net::{NetConfig, SegNet};
