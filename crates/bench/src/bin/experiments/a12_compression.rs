@@ -41,8 +41,9 @@ fn gradient(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Real training per codec: wire bytes from the trainer's own metrics
-/// registry against the accuracy cost, fp32 as the baseline. Lossy
+/// Real training per codec: encoded bytes (`encoded_len` of every
+/// payload) from the trainer's own metrics registry against the
+/// accuracy cost, fp32 as the baseline. Lossy
 /// codecs run with error feedback — the configuration the convergence
 /// argument (DESIGN.md §5g) is made for.
 fn accuracy_table() {
@@ -55,7 +56,7 @@ fn accuracy_table() {
     ];
     let mut t = Table::new(
         "real training per codec (the F8 run: 4 workers, ring allreduce, 160 steps)",
-        &["codec", "wire ratio", "wire MB", "mIoU", "Δ mIoU vs fp32", "tail loss"],
+        &["codec", "encoded ratio", "encoded MB", "mIoU", "Δ mIoU vs fp32", "tail loss"],
     );
     let mut fp32_miou = 0.0;
     for (codec, error_feedback) in plan {
@@ -67,8 +68,8 @@ fn accuracy_table() {
             ..f8_miou::config(4, 2)
         };
         let r = train(&cfg);
-        let wire_bytes = session.registry.counter("train_wire_bytes_total").get() as f64;
-        let ratio = session.registry.counter("train_raw_bytes_total").get() as f64 / wire_bytes;
+        let encoded = session.registry.counter("train_encoded_bytes_total").get() as f64;
+        let ratio = session.registry.counter("train_raw_bytes_total").get() as f64 / encoded;
         if codec == CodecKind::None {
             fp32_miou = r.final_miou;
         }
@@ -77,7 +78,7 @@ fn accuracy_table() {
         t.row(&[
             format!("{codec}{}", if error_feedback { "+ef" } else { "" }),
             format!("{ratio:.4}x"),
-            format!("{:.2}", wire_bytes / 1e6),
+            format!("{:.2}", encoded / 1e6),
             format!("{:.4}", r.final_miou),
             format!("{delta:+.4}"),
             format!("{:.4}", tail.iter().sum::<f64>() / tail.len() as f64),
@@ -85,7 +86,7 @@ fn accuracy_table() {
         if codec == CodecKind::Int8 {
             assert!(
                 ratio >= INT8_RATIO_FLOOR,
-                "int8 wire reduction {ratio:.2}x is below the {INT8_RATIO_FLOOR}x floor"
+                "int8 encoded-byte reduction {ratio:.2}x is below the {INT8_RATIO_FLOOR}x floor"
             );
             assert!(
                 delta.abs() <= INT8_MIOU_LIMIT,
@@ -96,7 +97,7 @@ fn accuracy_table() {
     }
     t.print();
     println!(
-        "Gate passed: int8+ef cuts wire bytes >= {INT8_RATIO_FLOOR}x at <= {:.1} pt of mIoU.\n",
+        "Gate passed: int8+ef cuts encoded bytes >= {INT8_RATIO_FLOOR}x at <= {:.1} pt of mIoU.\n",
         INT8_MIOU_LIMIT * 100.0
     );
 }

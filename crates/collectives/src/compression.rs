@@ -271,20 +271,6 @@ impl ErrorFeedback {
         assert_eq!(xs.len(), self.residual.len(), "buffer/residual length mismatch");
         ef_roundtrip(kind, xs, &mut self.residual, scratch);
     }
-
-    /// Compensated roundtrip of the sub-range starting at `offset` —
-    /// the pipelined executor compresses per parameter tile.
-    // lint: hot-path
-    pub fn roundtrip_at(
-        &mut self,
-        kind: CodecKind,
-        offset: usize,
-        xs: &mut [f32],
-        scratch: &mut EncodeScratch,
-    ) {
-        let res = &mut self.residual[offset..offset + xs.len()];
-        ef_roundtrip(kind, xs, res, scratch);
-    }
 }
 
 /// Reinterpret quantized bytes (i8 and u8 have identical layout).

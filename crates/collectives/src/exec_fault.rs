@@ -33,11 +33,13 @@
 //! snapshot restore, the re-verified schedule — is the trainer's commit
 //! protocol, the same for threads and processes.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use faults::{EventLog, FaultClock, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SendFault};
-use parking_lot::Mutex;
-use summit_metrics::FaultCounters;
+use faults::{
+    EventLog, FaultClock, FaultCounterSnapshot, FaultEvent, FaultKind, FaultPlan, RetryPolicy,
+    SendFault,
+};
 use trace::Lane;
 use transport::{encode_into, parse_body, Frame, FrameKind, Wire, WireError};
 
@@ -52,7 +54,6 @@ pub struct FaultSession {
     plan: FaultPlan,
     policy: RetryPolicy,
     clock: FaultClock,
-    counters: FaultCounters,
     events: EventLog,
     /// Trace lanes keyed by *original* rank id (the ids the plan and
     /// the event log speak), so a rank keeps its trace row across
@@ -97,38 +98,23 @@ impl FaultSession {
         &self.clock
     }
 
-    pub fn counters(&self) -> &FaultCounters {
-        &self.counters
-    }
-
     pub fn events(&self) -> &EventLog {
         &self.events
     }
 
-    /// Log `event` and bump the counter that tallies its kind — every
-    /// event has exactly one.
+    /// How many events of each kind the session has logged.
+    pub fn counts(&self) -> FaultCounterSnapshot {
+        self.events.counts()
+    }
+
+    /// Log `event`: the session's one store.
     pub fn record(&self, event: FaultEvent) {
-        let c = &self.counters;
-        FaultCounters::bump(match &event {
-            FaultEvent::Injected { kind: FaultKind::Straggle { .. }, .. } => &c.injected_straggles,
-            FaultEvent::Injected { kind: FaultKind::Drop, .. } => &c.injected_drops,
-            FaultEvent::Injected { kind: FaultKind::Corrupt, .. } => &c.injected_corruptions,
-            FaultEvent::Injected { kind: FaultKind::Crash, .. } => &c.injected_crashes,
-            FaultEvent::RetryTimeout { .. } => &c.timeouts,
-            FaultEvent::CrcReject { .. } => &c.crc_rejects,
-            FaultEvent::Resend { .. } => &c.resends,
-            FaultEvent::DuplicateDropped { .. } => &c.duplicates_dropped,
-            FaultEvent::PeerDead { .. } => &c.rank_deaths,
-            FaultEvent::Degraded { .. } => &c.degradations,
-            FaultEvent::CheckpointSave { .. } => &c.checkpoint_saves,
-            FaultEvent::CheckpointRestore { .. } => &c.checkpoint_restores,
-        });
         self.events.push(event);
     }
 
     /// The handle rank `rank` (original id) reports through: this
-    /// session's counters and event log, plus the rank's trace lane
-    /// when tracing is on.
+    /// session's event log, plus the rank's trace lane when tracing is
+    /// on.
     pub fn sink(&self, rank: usize) -> FaultSink<'_> {
         FaultSink { session: Some(self), lane: self.trace().and_then(|t| t.lane(rank)).cloned() }
     }
@@ -137,8 +123,8 @@ impl FaultSession {
 /// One rank's observability sinks — what [`FaultWire`] reports
 /// injections through and what a
 /// [`PeerExecutor`](crate::exec_peer::PeerExecutor) reports its spans
-/// and recovery actions through: a [`FaultSession`]'s counters and
-/// event log, a trace lane, or both.
+/// and recovery actions through: a [`FaultSession`]'s event log, a
+/// trace lane, or both.
 #[derive(Debug)]
 pub struct FaultSink<'s> {
     session: Option<&'s FaultSession>,
@@ -152,8 +138,8 @@ impl FaultSink<'_> {
         FaultSink { session: None, lane: Some(lane) }
     }
 
-    /// Mark (on the lane, if traced, with args `a0`/`a1`), count, and
-    /// log one injection or recovery action.
+    /// Mark (on the lane, if traced, with args `a0`/`a1`) and log one
+    /// injection or recovery action.
     pub(crate) fn note(&self, a0: u64, a1: u64, event: FaultEvent) {
         if let Some(l) = &self.lane {
             let cat = match event {
@@ -239,7 +225,9 @@ impl<W: Wire + ?Sized> Wire for FaultWire<'_, W> {
         if frame.kind != FrameKind::Data {
             return self.inner.send(peer, frame);
         }
-        let mut guard = self.link.lock();
+        // Poisoned: a send panicked mid-update, and its rank's run is
+        // failing anyway; the seq marks it left only ever grow.
+        let mut guard = self.link.lock().unwrap_or_else(PoisonError::into_inner);
         let link = &mut *guard;
         let fresh = &mut link.fresh[peer];
         if (frame.era, frame.seq) < *fresh {
@@ -344,6 +332,6 @@ mod tests {
         f.seq = 1;
         tx.send(1, &f).unwrap();
         assert_eq!(rx.recv_timeout(0, tick), Ok(f), "no injection on this round");
-        assert_eq!(session.counters().snapshot().injected_drops, 2);
+        assert_eq!(session.counts().injected_drops, 2);
     }
 }

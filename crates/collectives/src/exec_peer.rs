@@ -1034,7 +1034,7 @@ mod tests {
             mesh.iter().map(|w| FaultWire::new(w, &session)).collect();
         let got = run_mesh(wires, &schedule, ins, ReduceOp::Sum, 0);
         assert_eq!(by_ref, got);
-        assert_eq!(session.counters().snapshot().injected_drops, 2 * n as u64);
+        assert_eq!(session.counts().injected_drops, 2 * n as u64);
     }
 
     #[test]

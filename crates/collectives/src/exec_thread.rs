@@ -40,9 +40,9 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use faults::RetryPolicy;
-use parking_lot::Mutex;
 use trace::{Lane, TraceRecorder};
 use transport::{ChannelWire, Wire};
 
@@ -215,17 +215,21 @@ impl RankSet {
 /// allocates nothing.
 #[derive(Default)]
 pub struct ExecContext {
-    /// The rank set of the last call.
+    /// The rank set of the last call. Held only to take or park the
+    /// set, never across a run, so a poisoned lock still holds a whole
+    /// `Option`.
     ranks: Mutex<Option<RankSet>>,
     /// Payload bytes this context's runs have put on their wires.
     wire_bytes: AtomicU64,
     /// Fingerprints of schedules already proven clean by this context.
+    /// A panic cannot half-insert one, so a poisoned memo is still true.
     verified: Mutex<std::collections::HashSet<u64>>,
 }
 
 impl fmt::Debug for ExecContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.ranks.lock().as_ref().map(|set| set.ranks.len());
+        let ranks = self.ranks.lock().unwrap_or_else(PoisonError::into_inner);
+        let n = ranks.as_ref().map(|set| set.ranks.len());
         f.debug_struct("ExecContext").field("ranks", &n).finish_non_exhaustive()
     }
 }
@@ -263,11 +267,12 @@ impl ExecContext {
     /// any channel is created or thread spawned.
     fn verify_before_spawn(&self, schedule: &Schedule) -> Result<(), ExecError> {
         let fp = schedule_fingerprint(schedule);
-        if self.verified.lock().contains(&fp) {
+        let verified = || self.verified.lock().unwrap_or_else(PoisonError::into_inner);
+        if verified().contains(&fp) {
             return Ok(());
         }
         schedule.validate().map_err(ExecError::Rejected)?;
-        self.verified.lock().insert(fp);
+        verified().insert(fp);
         Ok(())
     }
 
@@ -300,16 +305,15 @@ impl ExecContext {
         self.preflight(schedule, buffers)?;
         let n = schedule.n_ranks;
         if n > 1 && !schedule.rounds.is_empty() {
-            let mut set = self
-                .ranks
-                .lock()
+            let ranks = || self.ranks.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut set = ranks()
                 .take()
                 .filter(|set| set.ranks.len() == n)
                 .unwrap_or_else(|| RankSet::new(n));
             let before = set.data_bytes();
             set.run(schedule, buffers, op, &call);
             self.wire_bytes.fetch_add(set.data_bytes() - before, Ordering::Relaxed); // lint: allow(relaxed): byte statistic; the rank threads that moved the bytes are joined
-            *self.ranks.lock() = Some(set);
+            *ranks() = Some(set);
         }
         if call.finish {
             for b in buffers.iter_mut() {
@@ -717,7 +721,7 @@ mod tests {
             assert_eq!(bufs, want);
         };
         plain(&ctx);
-        assert!(ctx.ranks.lock().is_some(), "a call parks its rank set");
+        assert!(ctx.ranks.lock().unwrap().is_some(), "a call parks its rank set");
         let mut coded = ins.clone();
         ctx.allreduce_compressed(&s, &mut coded, ReduceOp::Sum, CodecKind::Int8).unwrap();
         assert_eq!(coded, want_int8, "a warm set changes codec between calls");

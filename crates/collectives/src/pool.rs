@@ -40,10 +40,8 @@ use std::mem;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle, Thread};
-
-use parking_lot::Mutex;
 
 /// Raw job entry point: `(context, lane index)`.
 type JobFn = unsafe fn(*const (), usize);
@@ -61,6 +59,8 @@ struct Shared {
     panicked: AtomicBool,
     shutdown: AtomicBool,
     /// The thread blocked in [`CorePool::run`], to unpark on completion.
+    /// Poisoned only if storing a `Thread` handle panicked, which
+    /// leaves the handle whole.
     submitter: Mutex<Thread>,
 }
 
@@ -123,7 +123,7 @@ impl CorePool {
             f(0);
             return;
         }
-        *self.shared.submitter.lock() = thread::current();
+        *self.shared.submitter.lock().unwrap_or_else(PoisonError::into_inner) = thread::current();
         self.shared.job_ctx.store(f as *const F as *const () as usize, Ordering::Release);
         self.shared.job_fn.store(trampoline::<F> as JobFn as usize, Ordering::Release);
         self.shared.remaining.store(self.workers - 1, Ordering::Release);
@@ -207,7 +207,7 @@ fn helper_loop(shared: &Shared, idx: usize) {
             shared.panicked.store(true, Ordering::Release);
         }
         if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            shared.submitter.lock().unpark();
+            shared.submitter.lock().unwrap_or_else(PoisonError::into_inner).unpark();
         }
     }
 }
@@ -269,6 +269,15 @@ fn shared_pool() -> &'static Mutex<CorePool> {
     POOL.get_or_init(|| Mutex::new(CorePool::new(lanes())))
 }
 
+/// `m`'s guard if no one holds it, poisoned or not; `None` if it is held.
+fn try_lock_poisoned_too<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 thread_local! {
     /// Set while this thread folds its shared fan-outs inline.
     static INLINE: Cell<bool> = const { Cell::new(false) };
@@ -299,10 +308,9 @@ pub fn fold_inline<R>(on: bool, f: impl FnOnce() -> R) -> R {
 // lint: hot-path
 fn fan_out(n: usize, body: impl Fn(usize) + Sync) {
     if n > 1 && !INLINE.with(Cell::get) {
-        // The stand-in's `try_lock` hands back a poisoned lock too: a
-        // job that panicked left the pool itself consistent (`run`
-        // drains the helpers before unwinding).
-        if let Some(mut pool) = shared_pool().try_lock() {
+        // Poisoned means a job panicked, but the pool itself is
+        // consistent: `run` drains its helpers before unwinding.
+        if let Some(mut pool) = try_lock_poisoned_too(shared_pool()) {
             let k = pool.workers().min(n);
             pool.run(&|lane| {
                 if lane < k {
@@ -571,6 +579,19 @@ mod tests {
             for_each_chunk_mut(&mut after, 8, |c, window| window.fill(c));
             assert!(after.iter().enumerate().all(|(i, &v)| v == i / 8));
         }
+    }
+
+    #[test]
+    fn a_poisoned_shared_lock_is_still_taken() {
+        let m = Mutex::new(0u8);
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = m.lock();
+            panic!("poison");
+        }));
+        assert!(m.is_poisoned());
+        let guard = try_lock_poisoned_too(&m);
+        assert!(guard.is_some(), "a poisoned pool is still handed out");
+        assert!(try_lock_poisoned_too(&m).is_none(), "a held one is not");
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn recoverable_faults_leave_results_bit_identical() {
         apply_allreduce(&schedule, &mut clean, ReduceOp::Sum);
         assert_eq!(run.bufs, clean, "{algo:?}: recovery must be bit-exact");
         // The plan actually fired and the protocol actually recovered.
-        let c = session.counters().snapshot();
+        let c = session.counts();
         assert!(c.injected_total() > 0, "{algo:?}: {c}");
     }
 }
@@ -93,7 +93,7 @@ fn chaos_runs_replay_identically_from_the_same_seed() {
             finished,
             run.crashed(),
             session.events().deterministic_core(),
-            session.counters().snapshot().deterministic_part(),
+            session.counts().deterministic_part(),
         )
     };
     let a = run();

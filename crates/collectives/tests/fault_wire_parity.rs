@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use collectives::reference::apply_allreduce;
 use collectives::{Algorithm, ExecTrace, FaultSession, ReduceOp, Schedule};
-use faults::{FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy};
-use summit_metrics::FaultCounterSnapshot;
+use faults::{FaultCounterSnapshot, FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy};
 use transport::{ChannelWire, Wire};
 
 use common::{run_faulty, run_faulty_channels};
@@ -68,7 +67,7 @@ fn dropped_payloads_are_recovered_exactly() {
     let session = FaultSession::new(plan);
     let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 32), ReduceOp::Sum);
     assert_eq!(run.bufs, reference(&s), "drop recovery must be bit-exact");
-    let c = session.counters().snapshot();
+    let c = session.counts();
     assert_eq!(c.injected_drops, 2);
     assert!(c.resends >= 2, "each drop needs at least one resend: {c}");
     assert!(c.timeouts >= 2, "drops are only noticed via deadlines: {c}");
@@ -84,7 +83,7 @@ fn corrupted_payloads_are_rejected_and_resent() {
     let session = FaultSession::new(plan);
     let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 32), ReduceOp::Sum);
     assert_eq!(run.bufs, reference(&s), "corruption must never reach the buffers");
-    let c = session.counters().snapshot();
+    let c = session.counts();
     assert_eq!(c.injected_corruptions, 1);
     assert!(c.crc_rejects >= 1, "{c}");
     assert!(c.resends >= 1, "{c}");
@@ -108,7 +107,7 @@ fn stragglers_only_delay_under_virtual_clock() {
     assert!(t0.elapsed() < Duration::from_secs(10));
     assert_eq!(run.bufs, reference(&s));
     assert_eq!(session.clock().injected(), Duration::from_secs(60));
-    assert_eq!(session.counters().snapshot().injected_straggles, 1);
+    assert_eq!(session.counts().injected_straggles, 1);
 }
 
 #[test]
@@ -121,7 +120,7 @@ fn crash_aborts_with_the_dead_rank_reported() {
     let session = FaultSession::new(plan);
     let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 24), ReduceOp::Sum);
     assert_eq!(run.crashed(), vec![2], "a crashed rank must abort the collective");
-    let c = session.counters().snapshot();
+    let c = session.counts();
     assert_eq!(c.injected_crashes, 1);
     assert!(c.rank_deaths >= 1, "at least one peer must observe the death: {c}");
 }
@@ -142,7 +141,7 @@ fn injections_address_original_ids() {
     let session = FaultSession::new(FaultPlan::explicit(1, vec![drop]));
     let run = run_faulty_channels(&[2, 5, 7, 8], &session, &s, inputs(4, 96), ReduceOp::Sum);
     assert_eq!(run.bufs, reference(&s));
-    assert_eq!(session.counters().snapshot().injected_drops, 1);
+    assert_eq!(session.counts().injected_drops, 1);
     let crash = Injection { step: 0, rank: 7, round: 0, kind: FaultKind::Crash };
     let session = FaultSession::new(FaultPlan::explicit(2, vec![crash]));
     let run = run_faulty_channels(&[2, 5, 7, 8], &session, &s, inputs(4, 96), ReduceOp::Sum);
@@ -182,11 +181,7 @@ fn faulty_runs_replay_identically_from_the_same_plan() {
     let run = |seed: u64| {
         let session = FaultSession::new(FaultPlan::seeded(seed, &spec));
         let run = run_faulty_channels(&ids(4), &session, &s, inputs(4, 48), ReduceOp::Sum);
-        (
-            run.bufs,
-            session.events().deterministic_core(),
-            session.counters().snapshot().deterministic_part(),
-        )
+        (run.bufs, session.events().deterministic_core(), session.counts().deterministic_part())
     };
     let (b1, e1, c1) = run(11);
     let (b2, e2, c2) = run(11);
@@ -210,7 +205,7 @@ fn repair<W: Wire>(
     // No rank stops under a recoverable plan, so none is hung up.
     let run = run_faulty(&mut mesh, &session, schedule, ins, ReduceOp::Sum, |_| {});
     assert!(run.outcomes.iter().all(Result::is_ok), "recoverable faults only");
-    (run.bufs, session.counters().snapshot())
+    (run.bufs, session.counts())
 }
 
 #[test]

@@ -179,8 +179,9 @@ fn steady_state_socket_allreduce_is_allocation_free() {
 }
 
 /// The telemetry plane makes the same promise as the gradient path: a
-/// warmed worker records its per-step metrics and flight spans, encodes
-/// the snapshot, frames it, and ships it down a real socket without a
+/// warmed worker records its per-step metrics and its spans on the
+/// compute lane whose tail is the flight recorder, encodes the
+/// snapshot, frames it, and ships it down a real socket without a
 /// single allocation. Mirrors the sequence `run_worker` +
 /// `heartbeat_main` perform each step: record → `encode_into` →
 /// payload swap → frame → write (the pump itself hands the same three
@@ -189,7 +190,8 @@ fn steady_state_socket_allreduce_is_allocation_free() {
 #[test]
 fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     use std::io::{Read, Write};
-    use trace::telemetry::{metric, WorkerTelemetry};
+    use trace::telemetry::{metric, WorkerTelemetry, FLIGHT_CAPACITY};
+    use trace::TraceRecorder;
     use transport::frame::{encode_into, Frame, FrameKind};
 
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -205,7 +207,8 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         }
     });
 
-    let tel = WorkerTelemetry::new(0);
+    let lane = TraceRecorder::with_capacity(FLIGHT_CAPACITY).lane(0, 0, "rank 0", "compute");
+    let tel = WorkerTelemetry::new(0, lane);
     let mut payload: Vec<u8> = Vec::new();
     let mut wire: Vec<u8> = Vec::new();
     let mut frame = Frame::control(FrameKind::Telemetry, 0, 0, 0);
@@ -215,9 +218,10 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         tel.add(metric::STEPS_BEGUN, 1);
         tel.add(metric::WIRE_BYTES, 4096);
         tel.set(metric::STEP_LATENCY_US, 1234);
-        tel.flight("STEP", "begin", step, 0, 0);
-        tel.flight("BACKWARD", "grad_compute", step, 500, 0);
-        tel.flight("MPI_ALLREDUCE", "exchange", step, 900, 0);
+        let (lane, s) = (tel.lane(), step as u64);
+        lane.record_args("STEP", "begin", lane.now_us(), 0.0, s, 0);
+        lane.record_args("BACKWARD", "grad_compute", lane.now_us(), 500.0, s, 1);
+        lane.record_args("MPI_ALLREDUCE", "exchange", lane.now_us(), 900.0, s, 0);
         frame.seq = tel.encode_into(&mut payload);
         frame.step = step;
         std::mem::swap(&mut frame.payload, &mut payload);
@@ -227,9 +231,9 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         step += 1;
     };
 
-    // Warm until the flight ring has wrapped (capacity 32, 3 spans per
-    // step): once it is saturated the payload size is steady, so the
-    // encode buffers stop growing.
+    // Warm until the lane has wrapped (capacity 32, 3 spans per step):
+    // once the tail is full the payload size is steady, so the encode
+    // buffers stop growing.
     for _ in 0..16 {
         one_step();
     }

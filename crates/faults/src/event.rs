@@ -6,12 +6,13 @@
 //! (spurious timeouts, duplicate deliveries, which survivor noticed a
 //! hang-up) that depends on OS scheduling. The chaos suite asserts
 //! equality on the former ([`FaultEvent::is_deterministic`]) and only
-//! sanity bounds on the latter.
+//! sanity bounds on the latter. [`FaultCounterSnapshot`] is the log's
+//! quantitative face: a tally of its events, never a second store kept
+//! beside it.
 
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::plan::FaultKind;
 
@@ -128,14 +129,25 @@ impl EventLog {
         EventLog { start: Instant::now(), events: Mutex::new(Vec::new()) }
     }
 
+    /// The log, riding out poison: a thread that panicked while holding
+    /// it either pushed its event or did not, so the log stays whole.
+    fn events(&self) -> MutexGuard<'_, Vec<Stamped>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn push(&self, event: FaultEvent) {
         let t = self.start.elapsed().as_secs_f64();
-        self.events.lock().push(Stamped { t, event });
+        self.events().push(Stamped { t, event });
     }
 
     /// Every event observed so far, in arrival order.
     pub fn snapshot(&self) -> Vec<Stamped> {
-        self.events.lock().clone()
+        self.events().clone()
+    }
+
+    /// How many events of each kind the log holds.
+    pub fn counts(&self) -> FaultCounterSnapshot {
+        FaultCounterSnapshot::tally(self.events().iter().map(|s| &s.event))
     }
 
     /// The deterministic core, stripped of timestamps — the part a
@@ -147,8 +159,7 @@ impl EventLog {
     /// [`snapshot`]: EventLog::snapshot
     pub fn deterministic_core(&self) -> Vec<FaultEvent> {
         let mut core: Vec<FaultEvent> = self
-            .events
-            .lock()
+            .events()
             .iter()
             .filter(|s| s.event.is_deterministic())
             .map(|s| s.event.clone())
@@ -158,17 +169,108 @@ impl EventLog {
     }
 
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events().is_empty()
     }
 }
 
 impl Default for EventLog {
     fn default() -> Self {
         EventLog::new()
+    }
+}
+
+/// How many events of each kind a fault log holds — the quantitative
+/// face of a chaos run, folded from the log by [`EventLog::counts`].
+/// Injection counts and topology changes are deterministic under a
+/// fixed fault plan; timeout/resend/duplicate counts depend on OS
+/// scheduling and should only be bounded, not matched exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounterSnapshot {
+    pub injected_straggles: u64,
+    pub injected_drops: u64,
+    pub injected_corruptions: u64,
+    pub injected_crashes: u64,
+    pub timeouts: u64,
+    pub resends: u64,
+    pub crc_rejects: u64,
+    pub duplicates_dropped: u64,
+    pub rank_deaths: u64,
+    pub degradations: u64,
+    pub checkpoint_saves: u64,
+    pub checkpoint_restores: u64,
+}
+
+impl FaultCounterSnapshot {
+    /// Tally `events`: each adds one to the field of its kind.
+    pub fn tally<'a>(events: impl IntoIterator<Item = &'a FaultEvent>) -> Self {
+        let mut c = FaultCounterSnapshot::default();
+        for event in events {
+            *match event {
+                FaultEvent::Injected { kind, .. } => match kind {
+                    FaultKind::Straggle { .. } => &mut c.injected_straggles,
+                    FaultKind::Drop => &mut c.injected_drops,
+                    FaultKind::Corrupt => &mut c.injected_corruptions,
+                    FaultKind::Crash => &mut c.injected_crashes,
+                },
+                FaultEvent::RetryTimeout { .. } => &mut c.timeouts,
+                FaultEvent::CrcReject { .. } => &mut c.crc_rejects,
+                FaultEvent::Resend { .. } => &mut c.resends,
+                FaultEvent::DuplicateDropped { .. } => &mut c.duplicates_dropped,
+                FaultEvent::PeerDead { .. } => &mut c.rank_deaths,
+                FaultEvent::Degraded { .. } => &mut c.degradations,
+                FaultEvent::CheckpointSave { .. } => &mut c.checkpoint_saves,
+                FaultEvent::CheckpointRestore { .. } => &mut c.checkpoint_restores,
+            } += 1;
+        }
+        c
+    }
+
+    /// Total injected faults of every kind.
+    pub fn injected_total(&self) -> u64 {
+        self.injected_straggles
+            + self.injected_drops
+            + self.injected_corruptions
+            + self.injected_crashes
+    }
+
+    /// The fields that must replay identically under a fixed fault plan
+    /// — the tally of the [`FaultEvent::is_deterministic`] events.
+    pub fn deterministic_part(&self) -> FaultCounterSnapshot {
+        FaultCounterSnapshot {
+            timeouts: 0,
+            resends: 0,
+            crc_rejects: 0,
+            duplicates_dropped: 0,
+            rank_deaths: 0,
+            ..*self
+        }
+    }
+}
+
+impl fmt::Display for FaultCounterSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "injected[straggle={} drop={} corrupt={} crash={}] \
+             recovery[timeout={} resend={} crc={} dup={} dead={} degraded={}] \
+             checkpoint[save={} restore={}]",
+            self.injected_straggles,
+            self.injected_drops,
+            self.injected_corruptions,
+            self.injected_crashes,
+            self.timeouts,
+            self.resends,
+            self.crc_rejects,
+            self.duplicates_dropped,
+            self.rank_deaths,
+            self.degradations,
+            self.checkpoint_saves,
+            self.checkpoint_restores,
+        )
     }
 }
 
@@ -216,6 +318,72 @@ mod tests {
             vec![FaultEvent::Degraded { step: 0, dead: vec![1], new_world: 3 }]
         );
         assert_eq!(a.snapshot().len(), 2, "the raw log keeps the observation");
+    }
+
+    /// Reads one field of a tally.
+    type Field = fn(&FaultCounterSnapshot) -> u64;
+
+    /// One event of every kind, each with the field it tallies into.
+    fn one_of_each() -> Vec<(FaultEvent, Field)> {
+        let inj = |kind| FaultEvent::Injected { step: 0, rank: 1, round: 0, kind };
+        vec![
+            (inj(FaultKind::Straggle { millis: 5 }), |c| c.injected_straggles),
+            (inj(FaultKind::Drop), |c| c.injected_drops),
+            (inj(FaultKind::Corrupt), |c| c.injected_corruptions),
+            (inj(FaultKind::Crash), |c| c.injected_crashes),
+            (FaultEvent::RetryTimeout { step: 0, rank: 0, peer: 1, round: 0, attempt: 1 }, |c| {
+                c.timeouts
+            }),
+            (FaultEvent::CrcReject { step: 0, rank: 0, peer: 1, round: 0, seq: 2 }, |c| {
+                c.crc_rejects
+            }),
+            (FaultEvent::Resend { step: 0, rank: 0, peer: 1, seq: 2 }, |c| c.resends),
+            (FaultEvent::DuplicateDropped { step: 0, rank: 0, peer: 1, seq: 2 }, |c| {
+                c.duplicates_dropped
+            }),
+            (FaultEvent::PeerDead { step: 0, rank: 2, peer: 1, round: 0 }, |c| c.rank_deaths),
+            (FaultEvent::Degraded { step: 0, dead: vec![1], new_world: 3 }, |c| c.degradations),
+            (FaultEvent::CheckpointSave { step: 1 }, |c| c.checkpoint_saves),
+            (FaultEvent::CheckpointRestore { step: 1 }, |c| c.checkpoint_restores),
+        ]
+    }
+
+    /// Every field summed (each kind's field appears once above).
+    fn total(c: &FaultCounterSnapshot) -> u64 {
+        one_of_each().iter().map(|(_, field)| field(c)).sum()
+    }
+
+    #[test]
+    fn every_kind_tallies_to_one_in_its_field() {
+        for (event, field) in one_of_each() {
+            let c = FaultCounterSnapshot::tally([&event]);
+            assert_eq!((field(&c), total(&c)), (1, 1), "{event}: {c}");
+        }
+        let log = EventLog::new();
+        one_of_each().into_iter().for_each(|(e, _)| log.push(e));
+        let c = log.counts();
+        assert!(one_of_each().iter().all(|(_, field)| field(&c) == 1), "{c}");
+        assert_eq!(total(&c), 12);
+    }
+
+    #[test]
+    fn deterministic_part_is_the_tally_of_the_deterministic_core() {
+        let log = EventLog::new();
+        for (e, _) in one_of_each().into_iter().chain(one_of_each()) {
+            log.push(e);
+        }
+        let det = log.counts().deterministic_part();
+        assert_eq!(det, FaultCounterSnapshot::tally(&log.deterministic_core()));
+        assert_eq!(det.rank_deaths, 0, "who noticed a hang-up first is thread timing");
+        assert_eq!(det.degradations, 2);
+    }
+
+    #[test]
+    fn counts_display_compactly() {
+        let log = EventLog::new();
+        log.push(FaultEvent::Degraded { step: 2, dead: vec![1], new_world: 3 });
+        let text = log.counts().to_string();
+        assert!(text.contains("degraded=1"), "{text}");
     }
 
     #[test]

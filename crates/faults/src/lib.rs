@@ -23,7 +23,7 @@
 //!   action (retry, resend, CRC reject, declared death, degradation,
 //!   checkpoint save/restore) as a structured, timestamped record, so
 //!   chaos runs are observable and their deterministic core is
-//!   assertable.
+//!   assertable; [`FaultCounterSnapshot`] is the log's per-kind tally.
 //!
 //! Nothing here knows about schedules or training; the injecting wire
 //! decorator (`collectives::exec_fault`) and the trainer consume these
@@ -36,5 +36,5 @@ pub mod plan;
 
 pub use clock::FaultClock;
 pub use crc::{crc32_bytes, Crc32};
-pub use event::{EventLog, FaultEvent, Stamped};
+pub use event::{EventLog, FaultCounterSnapshot, FaultEvent, Stamped};
 pub use plan::{FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy, SendFault};

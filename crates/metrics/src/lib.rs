@@ -8,7 +8,6 @@
 //! Nothing in here knows about Horovod, MPI or networks; the other crates
 //! depend on this one and not vice versa.
 
-pub mod counters;
 pub mod rng;
 pub mod scaling;
 pub mod series;
@@ -16,7 +15,6 @@ pub mod stats;
 pub mod table;
 pub mod units;
 
-pub use counters::{FaultCounterSnapshot, FaultCounters};
 pub use scaling::{scaling_efficiency, speedup, ScalingPoint, ScalingSeries};
 pub use series::Series;
 pub use stats::Summary;

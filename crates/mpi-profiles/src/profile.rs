@@ -1,8 +1,8 @@
 //! An MPI library personality: knobs + cost-model implementation + a
 //! cached allreduce-time oracle.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use collectives::{Algorithm, CostModel, MsgParams};
 use summit_sim::{DataPath, GpuId, Machine, SimTime};
@@ -129,12 +129,18 @@ impl<'m> AllreduceOracle<'m> {
         self.n_ranks
     }
 
+    /// The memo. A panic cannot half-insert an entry, so a poisoned
+    /// cache still holds only true times.
+    fn cache(&self) -> MutexGuard<'_, HashMap<u64, f64>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn grid_time(&self, bytes: u64) -> f64 {
-        if let Some(&t) = self.cache.lock().get(&bytes) {
+        if let Some(&t) = self.cache().get(&bytes) {
             return t;
         }
         let t = self.profile.allreduce_time(self.machine, self.n_ranks, bytes).as_secs_f64();
-        self.cache.lock().insert(bytes, t);
+        self.cache().insert(bytes, t);
         t
     }
 
@@ -160,7 +166,7 @@ impl<'m> AllreduceOracle<'m> {
 
     /// Number of distinct grid points simulated so far.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache().len()
     }
 }
 

@@ -44,10 +44,6 @@ impl ChromeEvent {
             args: Vec::new(),
         }
     }
-
-    pub fn is_metadata(&self) -> bool {
-        self.ph == 'M'
-    }
 }
 
 /// A `process_name` metadata event: names the `pid` row group.

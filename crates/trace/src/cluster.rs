@@ -205,11 +205,6 @@ impl ClusterView {
         self.ranks.get(&rank).map(|s| &s.snap)
     }
 
-    /// Ranks ever heard from, ascending.
-    pub fn known_ranks(&self) -> Vec<u16> {
-        self.ranks.keys().copied().collect()
-    }
-
     /// Prometheus text exposition of the cluster: every wire metric as
     /// a rank-labeled series, the straggler gauges, and cluster
     /// totals. Deterministic (ranks ascending, metric ids ascending).

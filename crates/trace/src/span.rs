@@ -83,15 +83,15 @@ impl LaneBuf {
         }
     }
 
-    /// Spans in chronological insertion order (oldest surviving first).
-    fn ordered(&self) -> Vec<SpanRec> {
-        let cap = self.ring.len();
-        let mut out = Vec::with_capacity(self.len);
-        let start = if self.len < cap { 0 } else { self.head };
-        for i in 0..self.len {
-            out.push(self.ring[(start + i) % cap]);
+    /// The held spans in insertion order (oldest surviving first), as
+    /// the two halves of the ring they lie in.
+    fn halves(&self) -> (&[SpanRec], &[SpanRec]) {
+        if self.len < self.ring.len() {
+            (&self.ring[..self.len], &[])
+        } else {
+            let (newer, older) = self.ring.split_at(self.head);
+            (older, newer)
         }
-        out
     }
 }
 
@@ -163,12 +163,6 @@ impl Lane {
         self.record_args(cat, name, ts_us, dur_us, 0, 0);
     }
 
-    /// Record an instantaneous (zero-duration) event.
-    // lint: hot-path
-    pub fn instant(&self, cat: &'static str, name: &'static str, ts_us: f64) {
-        self.record_args(cat, name, ts_us, 0.0, 0, 0);
-    }
-
     /// Record a span with an owned label. **Allocates** — the xtask
     /// lint bans this call inside hot-path-marked functions; use it
     /// only on cold paths (fault events, degradations, checkpoints).
@@ -177,6 +171,22 @@ impl Lane {
             return;
         }
         lock(&self.buf).dyn_spans.push(DynSpan { name, cat, ts_us, dur_us });
+    }
+
+    /// Hand `f` the newest `n` ring spans, oldest first, as two slices
+    /// (the ring may wrap between them), plus how many older spans the
+    /// lane lost to overwrites or holds beyond them. Copies nothing out,
+    /// so an encoder on the hot path stays allocation-free.
+    pub fn with_tail<R>(&self, n: usize, f: impl FnOnce(u64, &[SpanRec], &[SpanRec]) -> R) -> R {
+        let buf = lock(&self.buf);
+        let (a, b) = buf.halves();
+        let skip = buf.len - n.min(buf.len);
+        let older = buf.dropped + skip as u64;
+        if skip <= a.len() {
+            f(older, &a[skip..], b)
+        } else {
+            f(older, &[], &b[skip - a.len()..])
+        }
     }
 
     /// Spans recorded so far (ring + dynamic).
@@ -260,10 +270,6 @@ impl TraceRecorder {
         TraceRecorder { enabled: false, ..Self::new() }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Register a `(pid, tid)` lane. `process` names the pid (shown as
     /// the Chrome process row, e.g. "rank 3"), `thread` names the tid
     /// ("compute", "comm", ...). The ring buffer is preallocated here,
@@ -292,12 +298,13 @@ impl TraceRecorder {
             .iter()
             .map(|(meta, buf)| {
                 let b = lock(buf);
+                let (older, newer) = b.halves();
                 LaneSnapshot {
                     pid: meta.pid,
                     tid: meta.tid,
                     process_name: meta.process_name.clone(),
                     thread_name: meta.thread_name.clone(),
-                    spans: b.ordered(),
+                    spans: [older, newer].concat(),
                     dyn_spans: b.dyn_spans.clone(),
                     dropped: b.dropped,
                 }
@@ -388,6 +395,25 @@ mod tests {
         // Oldest surviving first: ticks 6..10.
         let ids: Vec<u64> = l.spans.iter().map(|s| s.a0).collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn tail_is_the_newest_spans_across_the_wrap() {
+        let rec = TraceRecorder::with_capacity(4);
+        let lane = rec.lane(0, 0, "rank 0", "compute");
+        for i in 0..6u64 {
+            lane.record_args("C", "tick", i as f64, 1.0, i, 0);
+        }
+        let tail = |n| {
+            lane.with_tail(n, |older, a, b| {
+                (older, a.iter().chain(b).map(|s| s.a0).collect::<Vec<_>>())
+            })
+        };
+        // Held: ticks 2..6 (2 overwritten); the ring wraps after tick 3.
+        assert_eq!(tail(9), (2, vec![2, 3, 4, 5]));
+        assert_eq!(tail(3), (3, vec![3, 4, 5]));
+        assert_eq!(tail(1), (5, vec![5]));
+        assert_eq!(tail(0), (6, vec![]));
     }
 
     #[test]

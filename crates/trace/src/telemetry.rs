@@ -3,8 +3,10 @@
 //! Each worker process keeps one [`WorkerTelemetry`]: a fixed table of
 //! atomic metric cells keyed by a compact **u16 metric id** (names are
 //! schema, not wire data — see [`metric`]), the step currently being
-//! trained, and a bounded **flight recorder** ring of the most recent
-//! spans/events. [`WorkerTelemetry::encode_into`] serializes all of it
+//! trained, and the rank's compute [`Lane`], whose newest
+//! [`FLIGHT_CAPACITY`] spans are the **flight recorder** — every span is
+//! recorded once, in the lane, and the recorder reads its tail.
+//! [`WorkerTelemetry::encode_into`] serializes all of it
 //! into a reused byte buffer — the payload of one
 //! `FrameKind::Telemetry` frame — without allocating once the buffer
 //! is warm, so snapshots can ride the heartbeat cadence from inside
@@ -31,20 +33,28 @@
 //!                  u32 step, u64 ts_us, u32 dur_us, u64 a0 }
 //! ```
 //!
+//! A flight record is one lane span: `step` is the span's `a0` (every
+//! compute-lane span carries its step there) and `a0` its `a1`; times
+//! are the span's µs since the recorder epoch, cast to integers; labels
+//! are cut to 16 bytes on a char boundary. `flight_dropped` counts the
+//! older spans not shipped — overwritten in the lane, or held there
+//! beyond the newest [`FLIGHT_CAPACITY`].
+//!
 //! All integers little-endian. Unknown metric ids are carried through
 //! (forward compatibility: an old coordinator exposes them as
 //! `telemetry_metric_<id>`); an unknown *version* is a hard
 //! [`TelemetryError::BadVersion`], because field layout may differ.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+
+use crate::span::Lane;
 
 /// Version byte leading every telemetry payload.
 pub const TELEMETRY_VERSION: u8 = 1;
 
-/// Flight-recorder ring capacity: enough to reconstruct the last few
-/// steps of a worker's life without bloating the heartbeat frames.
+/// Spans of the lane's tail each snapshot ships: enough to reconstruct
+/// the last few steps of a worker's life without bloating the
+/// heartbeat frames.
 pub const FLIGHT_CAPACITY: usize = 32;
 
 /// Decode-side sanity bound on `metric_count` / `flight_count` — far
@@ -55,8 +65,7 @@ pub const MAX_COUNT: usize = 1024;
 // Wide enough for the longest trace-lane category ("MPI_ALLREDUCE"),
 // so flight-recorder spans carry the same labels the critical-path
 // analyzer keys on offline.
-const MAX_CAT_LEN: usize = 16;
-const MAX_NAME_LEN: usize = 16;
+const MAX_LABEL_LEN: usize = 16;
 
 /// The fixed metric-id schema. Ids are wire format: **never renumber**
 /// — append new ids and bump nothing (unknown ids pass through
@@ -108,121 +117,33 @@ pub mod metric {
     }
 }
 
-/// One flight-recorder record: a span/event with its labels inlined
-/// into fixed arrays so recording is `Copy` and allocation-free.
-#[derive(Debug, Clone, Copy)]
-pub struct FlightRec {
-    cat: [u8; MAX_CAT_LEN],
-    cat_len: u8,
-    name: [u8; MAX_NAME_LEN],
-    name_len: u8,
-    /// Training step the record belongs to.
-    pub step: u32,
-    /// Microseconds since the worker's telemetry epoch.
-    pub ts_us: u64,
-    /// Span duration in µs (0 for instant events).
-    pub dur_us: u32,
-    /// One free argument (dead rank id, byte count, …).
-    pub a0: u64,
-}
-
-impl FlightRec {
-    pub fn cat(&self) -> &str {
-        // Only ever built from &str truncated on a char boundary check;
-        // lossy is belt-and-braces for decoded records.
-        std::str::from_utf8(&self.cat[..self.cat_len as usize]).unwrap_or("?") // lint: allow(unwrap): unwrap_or, not unwrap — total
-    }
-
-    pub fn name(&self) -> &str {
-        std::str::from_utf8(&self.name[..self.name_len as usize]).unwrap_or("?")
-        // lint: allow(unwrap): unwrap_or, not unwrap — total
-    }
-}
-
-/// Copy `s` into a fixed label array, truncating on a UTF-8 boundary.
-fn fixed_label<const N: usize>(s: &str) -> ([u8; N], u8) {
-    let mut out = [0u8; N];
-    let mut len = s.len().min(N);
-    while len > 0 && !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    out[..len].copy_from_slice(&s.as_bytes()[..len]);
-    (out, len as u8)
-}
-
-/// The bounded ring of recent [`FlightRec`]s. Oldest records are
-/// overwritten; `dropped` counts the overwrites so a post-mortem says
-/// how much history it is missing.
-#[derive(Debug)]
-struct FlightRing {
-    recs: Box<[FlightRec]>,
-    head: usize,
-    len: usize,
-    dropped: u64,
-}
-
-impl FlightRing {
-    fn new() -> Self {
-        let zero = FlightRec {
-            cat: [0; MAX_CAT_LEN],
-            cat_len: 0,
-            name: [0; MAX_NAME_LEN],
-            name_len: 0,
-            step: 0,
-            ts_us: 0,
-            dur_us: 0,
-            a0: 0,
-        };
-        FlightRing {
-            recs: vec![zero; FLIGHT_CAPACITY].into_boxed_slice(),
-            head: 0,
-            len: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, rec: FlightRec) {
-        if self.len < self.recs.len() {
-            self.recs[(self.head + self.len) % self.recs.len()] = rec;
-            self.len += 1;
-        } else {
-            self.recs[self.head] = rec;
-            self.head = (self.head + 1) % self.recs.len();
-            self.dropped += 1;
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Per-worker telemetry state: metric cells, current step, and the
-/// flight recorder. All recording methods are lock-cheap and
+/// Per-worker telemetry state: metric cells, the current step, and the
+/// rank's compute [`Lane`], whose newest [`FLIGHT_CAPACITY`] spans are
+/// the flight recorder. The metric methods are atomics and
 /// allocation-free; `encode_into` snapshots everything into a reused
 /// buffer. Shared by `Arc` between the training loop (writes) and the
 /// heartbeat thread's `TelemetrySource` (encodes).
 #[derive(Debug)]
 pub struct WorkerTelemetry {
     rank: u16,
-    epoch: Instant,
     cells: [AtomicU64; metric::COUNT],
     current_step: AtomicU64,
     seq: AtomicU64,
-    flight: Mutex<FlightRing>,
+    lane: Lane,
 }
 
 impl WorkerTelemetry {
-    pub fn new(rank: u16) -> Self {
+    /// Telemetry for `rank`, whose flight recorder is the tail of
+    /// `lane`: the lane the rank records its compute spans on.
+    pub fn new(rank: u16, lane: Lane) -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         WorkerTelemetry {
             rank,
-            epoch: Instant::now(),
             cells: [ZERO; metric::COUNT],
             current_step: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            flight: Mutex::new(FlightRing::new()),
+            lane,
         }
     }
 
@@ -230,9 +151,9 @@ impl WorkerTelemetry {
         self.rank
     }
 
-    /// Microseconds since this worker's telemetry epoch.
-    pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+    /// The rank's compute lane, whose tail every snapshot ships.
+    pub fn lane(&self) -> &Lane {
+        &self.lane
     }
 
     /// Add `n` to a counter cell. Out-of-schema ids are ignored.
@@ -262,16 +183,6 @@ impl WorkerTelemetry {
         self.current_step.load(Ordering::Relaxed) as u32 // lint: allow(relaxed): independent statistic; the snapshot needs no cross-cell ordering
     }
 
-    /// Record one flight-recorder event, stamped with [`Self::now_us`].
-    /// Labels longer than the fixed fields truncate (16/16 bytes).
-    pub fn flight(&self, cat: &str, name: &str, step: u32, dur_us: u32, a0: u64) {
-        let (cat, cat_len) = fixed_label::<MAX_CAT_LEN>(cat);
-        let (name, name_len) = fixed_label::<MAX_NAME_LEN>(name);
-        let rec =
-            FlightRec { cat, cat_len, name, name_len, step, ts_us: self.now_us(), dur_us, a0 };
-        lock(&self.flight).push(rec);
-    }
-
     /// Serialize the current state into `out` (cleared first) as one
     /// telemetry payload, assigning and returning the snapshot's seq.
     /// Allocation-free once `out` has warmed to the payload size.
@@ -288,22 +199,31 @@ impl WorkerTelemetry {
             out.extend_from_slice(&(id as u16).to_le_bytes());
             out.extend_from_slice(&cell.load(Ordering::Relaxed).to_le_bytes()); // lint: allow(relaxed): statistic read; snapshot tolerates races with writers
         }
-        let ring = lock(&self.flight);
-        out.extend_from_slice(&ring.dropped.to_le_bytes());
-        out.extend_from_slice(&(ring.len as u16).to_le_bytes());
-        for i in 0..ring.len {
-            let rec = &ring.recs[(ring.head + i) % ring.recs.len()];
-            out.push(rec.cat_len);
-            out.extend_from_slice(&rec.cat[..rec.cat_len as usize]);
-            out.push(rec.name_len);
-            out.extend_from_slice(&rec.name[..rec.name_len as usize]);
-            out.extend_from_slice(&rec.step.to_le_bytes());
-            out.extend_from_slice(&rec.ts_us.to_le_bytes());
-            out.extend_from_slice(&rec.dur_us.to_le_bytes());
-            out.extend_from_slice(&rec.a0.to_le_bytes());
-        }
+        self.lane.with_tail(FLIGHT_CAPACITY, |older, a, b| {
+            out.extend_from_slice(&older.to_le_bytes());
+            out.extend_from_slice(&((a.len() + b.len()) as u16).to_le_bytes());
+            for s in a.iter().chain(b) {
+                put_label(out, s.cat);
+                put_label(out, s.name);
+                out.extend_from_slice(&(s.a0 as u32).to_le_bytes());
+                out.extend_from_slice(&(s.ts_us as u64).to_le_bytes());
+                out.extend_from_slice(&(s.dur_us as u32).to_le_bytes());
+                out.extend_from_slice(&s.a1.to_le_bytes());
+            }
+        });
         seq
     }
+}
+
+/// Append `s` as a length-prefixed label, cut to [`MAX_LABEL_LEN`]
+/// bytes on a UTF-8 boundary.
+fn put_label(out: &mut Vec<u8>, s: &str) {
+    let mut len = s.len().min(MAX_LABEL_LEN);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    out.push(len as u8);
+    out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
 /// Why a telemetry payload failed to decode. Total over arbitrary
@@ -401,9 +321,9 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn label(&mut self, max: usize) -> Result<String, TelemetryError> {
+    fn label(&mut self) -> Result<String, TelemetryError> {
         let len = self.u8()? as usize;
-        if len > max {
+        if len > MAX_LABEL_LEN {
             return Err(TelemetryError::BadCount(len));
         }
         let raw = self.take(len)?;
@@ -441,8 +361,8 @@ pub fn decode(payload: &[u8]) -> Result<TelemetrySnapshot, TelemetryError> {
     }
     let mut flight = Vec::with_capacity(flight_count);
     for _ in 0..flight_count {
-        let cat = c.label(MAX_CAT_LEN)?;
-        let name = c.label(MAX_NAME_LEN)?;
+        let cat = c.label()?;
+        let name = c.label()?;
         let step = c.u32()?;
         let ts_us = c.u64()?;
         let dur_us = c.u32()?;
@@ -458,16 +378,24 @@ pub fn decode(payload: &[u8]) -> Result<TelemetrySnapshot, TelemetryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::TraceRecorder;
+
+    /// Telemetry for `rank` over a fresh compute lane of `capacity` spans.
+    fn telemetry(rank: u16, capacity: usize) -> WorkerTelemetry {
+        let lane = TraceRecorder::with_capacity(capacity).lane(rank as u32, 0, "rank", "compute");
+        WorkerTelemetry::new(rank, lane)
+    }
 
     #[test]
     fn encode_decode_roundtrips_state() {
-        let tel = WorkerTelemetry::new(3);
+        let tel = telemetry(3, FLIGHT_CAPACITY);
         tel.begin_step(7);
         tel.add(metric::STEPS_BEGUN, 8);
         tel.add(metric::STEPS_COMMITTED, 7);
         tel.set(metric::STEP_LATENCY_US, 1234);
-        tel.flight("STEP", "begin", 7, 0, 0);
-        tel.flight("MPI_ALLREDUCE", "exchange", 7, 900, 42);
+        let lane = tel.lane();
+        lane.record_args("STEP", "begin", 10.0, 0.0, 7, 0);
+        lane.record_args("MPI_ALLREDUCE", "exchange", 12.9, 900.7, 7, 42);
 
         let mut buf = Vec::new();
         let seq = tel.encode_into(&mut buf);
@@ -477,11 +405,14 @@ mod tests {
         assert_eq!(snap.seq, seq);
         assert_eq!(snap.metric(metric::STEPS_BEGUN), Some(8));
         assert_eq!(snap.metric(metric::STEP_LATENCY_US), Some(1234));
+        assert_eq!(snap.flight_dropped, 0);
         assert_eq!(snap.flight.len(), 2);
         assert_eq!(snap.flight[0].name, "begin");
-        // The longest trace-lane category fits the 16-byte field whole.
-        assert_eq!(snap.flight[1].cat, "MPI_ALLREDUCE");
-        assert_eq!(snap.flight[1].a0, 42);
+        // The longest trace-lane category fits the 16-byte field whole;
+        // the span's a0 is the record's step, its a1 the record's a0.
+        let ex = &snap.flight[1];
+        assert_eq!(ex.cat, "MPI_ALLREDUCE");
+        assert_eq!((ex.step, ex.ts_us, ex.dur_us, ex.a0), (7, 12, 900, 42));
 
         // Seqs are monotonic across encodes.
         let seq2 = tel.encode_into(&mut buf);
@@ -489,24 +420,39 @@ mod tests {
     }
 
     #[test]
-    fn flight_ring_bounds_history_and_counts_drops() {
-        let tel = WorkerTelemetry::new(0);
-        for i in 0..(FLIGHT_CAPACITY as u64 + 5) {
-            tel.flight("STEP", "begin", i as u32, 0, 0);
+    fn flight_is_the_newest_spans_of_the_lane() {
+        // The lane holds 40 of the 45 spans recorded (5 overwritten) and
+        // ships its newest 32, oldest first: 8 more held, not shipped.
+        let tel = telemetry(0, 40);
+        for i in 0..45u64 {
+            tel.lane().record_args("STEP", "begin", i as f64, 0.0, i, 0);
         }
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         let snap = decode(&buf).expect("decodes");
-        assert_eq!(snap.flight.len(), FLIGHT_CAPACITY);
-        assert_eq!(snap.flight_dropped, 5);
-        // Oldest-first: the first surviving record is step 5.
-        assert_eq!(snap.flight[0].step, 5);
-        assert_eq!(snap.flight[FLIGHT_CAPACITY - 1].step, FLIGHT_CAPACITY as u32 + 4);
+        let steps: Vec<u32> = snap.flight.iter().map(|e| e.step).collect();
+        assert_eq!(steps, (13..45).collect::<Vec<u32>>());
+        assert_eq!(snap.flight_dropped, 5 + 8);
+    }
+
+    #[test]
+    fn long_multibyte_labels_are_cut_on_a_char_boundary() {
+        // 17 bytes whose byte 16 splits a char: the cut backs off to 15.
+        // 18 bytes of two-byte chars: byte 16 is a boundary, cut there.
+        const CAT: &str = "xжжжжжжжж";
+        const NAME: &str = "ééééééééé";
+        let tel = telemetry(0, 4);
+        tel.lane().record_args(CAT, NAME, 0.0, 0.0, 1, 0);
+        let mut buf = Vec::new();
+        tel.encode_into(&mut buf);
+        let snap = decode(&buf).expect("a cut label is still UTF-8");
+        assert_eq!(snap.flight[0].cat, "xжжжжжжж");
+        assert_eq!(snap.flight[0].name, "éééééééé");
     }
 
     #[test]
     fn version_skew_is_a_clean_error() {
-        let tel = WorkerTelemetry::new(1);
+        let tel = telemetry(1, 4);
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         buf[0] = TELEMETRY_VERSION + 1;
@@ -515,8 +461,8 @@ mod tests {
 
     #[test]
     fn truncation_and_trailing_bytes_are_clean_errors() {
-        let tel = WorkerTelemetry::new(1);
-        tel.flight("FAULT", "degrade", 3, 0, 2);
+        let tel = telemetry(1, 4);
+        tel.lane().record_args("FAULT", "degrade", 0.0, 0.0, 3, 2);
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         for cut in 0..buf.len() {
@@ -528,7 +474,7 @@ mod tests {
 
     #[test]
     fn out_of_schema_ids_are_ignored_not_panics() {
-        let tel = WorkerTelemetry::new(0);
+        let tel = telemetry(0, 4);
         tel.add(999, 5);
         tel.set(999, 5);
         assert_eq!(tel.get(999), 0);

@@ -77,7 +77,7 @@ fn every_value_falls_inside_its_bucket_bounds() {
 #[test]
 fn exposition_formats_match_golden_snapshot() {
     let reg = Registry::new();
-    reg.counter("train_steps_total").add(4);
+    reg.counter("train_steps_committed_total").add(4);
     reg.gauge("train_last_loss").set(0.25);
     let h = reg.histogram("step_seconds");
     h.observe(0.0); // zero bucket
@@ -85,8 +85,8 @@ fn exposition_formats_match_golden_snapshot() {
     let snap = reg.snapshot();
 
     let golden_text = "\
-# TYPE train_steps_total counter
-train_steps_total 4
+# TYPE train_steps_committed_total counter
+train_steps_committed_total 4
 # TYPE train_last_loss gauge
 train_last_loss 0.25
 # TYPE step_seconds histogram
@@ -98,7 +98,7 @@ step_seconds_count 2
 ";
     assert_eq!(snap.to_prometheus_text(), golden_text);
 
-    let golden_json = "{\"counters\":{\"train_steps_total\":4},\
+    let golden_json = "{\"counters\":{\"train_steps_committed_total\":4},\
 \"gauges\":{\"train_last_loss\":0.25},\
 \"histograms\":{\"step_seconds\":{\"count\":2,\"sum\":0.0000000002,\
 \"buckets\":[[\"0e0\",1],[\"9.313225746154785e-10\",2],[\"+Inf\",2]]}}}";

@@ -7,52 +7,89 @@
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
-use trace::telemetry::{decode, metric, TelemetryError, WorkerTelemetry, TELEMETRY_VERSION};
+use trace::telemetry::{
+    decode, metric, TelemetryError, WorkerTelemetry, FLIGHT_CAPACITY, TELEMETRY_VERSION,
+};
+use trace::TraceRecorder;
 
-/// Labels from arbitrary bytes (lossily decoded, so multi-byte
-/// replacement chars exercise the UTF-8-boundary truncation).
-fn label_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec(0u8..=255, 0..24).prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+/// Lane labels are `&'static str`, so they come from a fixed table. It
+/// holds the empty label, ASCII at and past the 16-byte field, and
+/// multi-byte labels longer than 16 bytes whose cut falls mid-char and
+/// on a boundary, so the UTF-8-boundary truncation stays covered.
+const LABELS: &[&str] = &[
+    "",
+    "STEP",
+    "MPI_ALLREDUCE",
+    "sixteen_bytes_xy",
+    "seventeen_bytes_x",
+    "xжжжжжжжж",
+    "ééééééééé",
+    "ステップの始まり",
+    "🦀🦀🦀🦀🦀",
+];
+
+fn label_strategy() -> impl Strategy<Value = &'static str> {
+    (0..LABELS.len()).prop_map(|i| LABELS[i])
 }
 
-/// `(cat, name, step, dur_us, a0)` — one flight span's worth of input.
-type Span = (String, String, u32, u32, u64);
+/// `(cat, name, step, ts_us, dur_us, a0)` — one flight span's worth of
+/// input.
+type Span = (&'static str, &'static str, u32, u32, u32, u64);
 
 fn span_strategy() -> impl Strategy<Value = Span> {
-    (label_strategy(), label_strategy(), 0u32..=u32::MAX, 0u32..=u32::MAX, 0u64..=u64::MAX)
+    (
+        label_strategy(),
+        label_strategy(),
+        0u32..=u32::MAX,
+        0u32..=u32::MAX,
+        0u32..=u32::MAX,
+        0u64..=u64::MAX,
+    )
 }
 
 /// Arbitrary worker telemetry state: rank, step, one value per metric
-/// slot, and a pile of flight spans (more than the ring holds).
-fn state_strategy() -> impl Strategy<Value = (u16, u32, Vec<u64>, Vec<Span>)> {
+/// slot, the compute lane's capacity (below and above the flight tail),
+/// and a pile of spans recorded on it.
+fn state_strategy() -> impl Strategy<Value = (u16, u32, Vec<u64>, usize, Vec<Span>)> {
     (
         0u16..=u16::MAX,
         0u32..=u32::MAX,
         prop::collection::vec(0u64..=u64::MAX, metric::COUNT),
-        prop::collection::vec(span_strategy(), 0..48),
+        1usize..64,
+        prop::collection::vec(span_strategy(), 0..80),
     )
 }
 
-fn build(rank: u16, step: u32, values: &[u64], spans: &[Span]) -> WorkerTelemetry {
-    let tel = WorkerTelemetry::new(rank);
+fn build(rank: u16, step: u32, values: &[u64], capacity: usize, spans: &[Span]) -> WorkerTelemetry {
+    let lane = TraceRecorder::with_capacity(capacity).lane(rank as u32, 0, "rank", "compute");
+    let tel = WorkerTelemetry::new(rank, lane);
     tel.begin_step(step);
     for (id, &v) in values.iter().enumerate() {
         tel.set(id as u16, v);
     }
-    for (cat, name, s, dur, a0) in spans {
-        tel.flight(cat, name, *s, *dur, *a0);
+    for &(cat, name, s, ts, dur, a0) in spans {
+        tel.lane().record_args(cat, name, ts as f64, dur as f64, s as u64, a0);
     }
     tel
+}
+
+/// `s` cut to the 16-byte label field on a char boundary.
+fn cut_label(s: &str) -> &str {
+    let mut len = s.len().min(16);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    &s[..len]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Whatever state a worker accumulates, its own encoding decodes
-    /// back to exactly that state (modulo the bounded flight ring).
+    /// back to exactly that state (modulo the bounded flight tail).
     #[test]
-    fn roundtrip_is_identity((rank, step, values, spans) in state_strategy()) {
-        let tel = build(rank, step, &values, &spans);
+    fn roundtrip_is_identity((rank, step, values, capacity, spans) in state_strategy()) {
+        let tel = build(rank, step, &values, capacity, &spans);
         let mut buf = Vec::new();
         let seq = tel.encode_into(&mut buf);
         let snap = decode(&buf).expect("own encoding must decode");
@@ -62,14 +99,14 @@ proptest! {
         for (id, &v) in values.iter().enumerate() {
             prop_assert_eq!(snap.metric(id as u16), Some(v));
         }
-        // The ring keeps the most recent spans; what survived must
-        // match the tail of what went in, field for field.
+        // The flight is the lane's newest spans, oldest first: the tail
+        // of what went in, field for field, labels cut to 16 bytes.
         let kept = snap.flight.len();
-        prop_assert!(kept <= spans.len());
-        for (ev, (_, _, s, dur, a0)) in snap.flight.iter().zip(&spans[spans.len() - kept..]) {
-            prop_assert_eq!(ev.step, *s);
-            prop_assert_eq!(ev.dur_us, *dur);
-            prop_assert_eq!(ev.a0, *a0);
+        prop_assert_eq!(kept, spans.len().min(capacity).min(FLIGHT_CAPACITY));
+        for (ev, &(cat, name, s, ts, dur, a0)) in snap.flight.iter().zip(&spans[spans.len() - kept..]) {
+            prop_assert_eq!(ev.cat.as_str(), cut_label(cat));
+            prop_assert_eq!(ev.name.as_str(), cut_label(name));
+            prop_assert_eq!((ev.step, ev.ts_us, ev.dur_us, ev.a0), (s, ts as u64, dur, a0));
         }
         prop_assert_eq!(snap.flight_dropped as usize, spans.len() - kept);
     }
@@ -77,8 +114,8 @@ proptest! {
     /// Every proper prefix of a valid encoding is rejected cleanly —
     /// a snapshot is all-or-nothing.
     #[test]
-    fn truncation_never_decodes((rank, step, values, spans) in state_strategy(), cut in 0usize..1 << 20) {
-        let tel = build(rank, step, &values, &spans);
+    fn truncation_never_decodes((rank, step, values, capacity, spans) in state_strategy(), cut in 0usize..1 << 20) {
+        let tel = build(rank, step, &values, capacity, &spans);
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         let at = cut % buf.len(); // always a proper prefix
@@ -90,11 +127,11 @@ proptest! {
     /// is caught a layer below — but the codec itself stays total.)
     #[test]
     fn bit_flips_never_panic(
-        (rank, step, values, spans) in state_strategy(),
+        (rank, step, values, capacity, spans) in state_strategy(),
         pos in 0usize..1 << 20,
         bit in 0u8..8,
     ) {
-        let tel = build(rank, step, &values, &spans);
+        let tel = build(rank, step, &values, capacity, &spans);
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         let at = pos % buf.len();
@@ -106,11 +143,11 @@ proptest! {
     /// version, before any field is trusted.
     #[test]
     fn version_skew_is_refused(
-        (rank, step, values, spans) in state_strategy(),
+        (rank, step, values, capacity, spans) in state_strategy(),
         skew in 0u8..=255,
     ) {
         prop_assume!(skew != TELEMETRY_VERSION);
-        let tel = build(rank, step, &values, &spans);
+        let tel = build(rank, step, &values, capacity, &spans);
         let mut buf = Vec::new();
         tel.encode_into(&mut buf);
         buf[0] = skew;

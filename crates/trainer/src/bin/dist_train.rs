@@ -33,10 +33,10 @@ use std::time::{Duration, Instant};
 use faults::{FaultClock, RetryPolicy};
 use trace::chrome::{parse_trace, write_trace, ChromeEvent};
 use trace::cluster::{ClusterView, StragglerPolicy};
-use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry};
-use trace::TraceSession;
+use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry, FLIGHT_CAPACITY};
+use trace::{TraceRecorder, TraceSession};
 use trainer::real::commit::{self, Coordinator, Shell};
-use trainer::real::worker::{preset, preset_names, run_worker};
+use trainer::real::worker::{compute_lane, preset, preset_names, run_worker};
 use transport::{join, Frame, Inbox, PeerConn, Rendezvous, TelemetrySource};
 
 fn main() {
@@ -550,9 +550,18 @@ fn worker(flags: &Flags) -> Result<i32, String> {
     let rank = joined.rank;
     let (mesh, ctl_stream) =
         joined.build_mesh(*pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
+    let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     // Telemetry rides the control conn only — data wires stay
-    // byte-identical with or without the plane.
-    let tel = flags.telemetry.then(|| Arc::new(WorkerTelemetry::new(rank as u16)));
+    // byte-identical with or without the plane. Its flight recorder is
+    // the tail of the rank's compute lane: the trace session's, or a
+    // private one just long enough to ship.
+    let tel = flags.telemetry.then(|| {
+        let lane = match &session {
+            Some(s) => compute_lane(&s.recorder, rank),
+            None => compute_lane(&TraceRecorder::with_capacity(FLIGHT_CAPACITY), rank),
+        };
+        Arc::new(WorkerTelemetry::new(rank as u16, lane))
+    });
     let ctl = match &tel {
         Some(t) => PeerConn::solo_with_telemetry(
             *workers,
@@ -567,7 +576,6 @@ fn worker(flags: &Flags) -> Result<i32, String> {
     commit::join_barrier(&ctl, pol, rank)?;
 
     let mut cfg = preset(&flags.preset, *workers, *steps, flags.seed);
-    let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     cfg.trace = session.clone();
     let outcome =
         run_worker(&cfg, &mesh, &ctl, *pol, tel.as_deref(), None).map_err(|e| e.to_string())?;

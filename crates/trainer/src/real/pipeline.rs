@@ -149,7 +149,9 @@ pub struct PipelineExecutor {
     #[allow(dead_code)]
     scratch: Vec<EncodeScratch>,
     /// Per-replica fp32 error-feedback residuals (tile-sliced by the
-    /// reductions; persistent across steps).
+    /// reductions; persistent across steps). Owned storage reached only
+    /// through `ef_ptr_tab`.
+    #[allow(dead_code)]
     ef: Vec<Vec<f32>>,
     queues: Vec<RangeQueue>,
     counters: [AtomicUsize; N_TILES],
@@ -293,20 +295,6 @@ impl PipelineExecutor {
     /// The cross-replica averaged gradient of the last step.
     pub fn reduced(&self) -> &[f32] {
         &self.reduced
-    }
-
-    /// Replica `r`'s persistent error-feedback residual (zero until a
-    /// step runs with `error_feedback` on and a lossy codec).
-    pub fn error_residual(&self, r: usize) -> &[f32] {
-        &self.ef[r]
-    }
-
-    /// Zero every error-feedback residual (only sound alongside an
-    /// optimizer-state reset).
-    pub fn reset_error_feedback(&mut self) {
-        for e in &mut self.ef {
-            e.fill(0.0);
-        }
     }
 
     /// Seconds spent inside tile reductions during the last step.

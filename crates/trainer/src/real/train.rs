@@ -26,9 +26,8 @@ use std::time::{Duration, Instant};
 use collectives::compression::CodecKind;
 use collectives::pool::{self, CorePool};
 use collectives::{Algorithm, ExecTrace, FaultSession, FaultWire, PeerExecError, Violation};
-use faults::{FaultEvent, FaultKind, FaultPlan, Injection, RetryPolicy};
+use faults::{FaultCounterSnapshot, FaultEvent, FaultKind, FaultPlan, Injection, RetryPolicy};
 use summit_metrics::rng::derive_seed;
-use summit_metrics::FaultCounterSnapshot;
 use trace::{Counter, Gauge, Histogram, Lane, TraceSession};
 use transport::{ChannelWire, Control, Frame, Inbox, LocalConn, Wire};
 
@@ -38,7 +37,7 @@ use super::miou::Confusion;
 use super::net::{NetConfig, SegNet};
 use super::segdata::{augment, generate, generate_batch, DataConfig, Sample};
 use super::sgd::{LrSchedule, MomentumSgd};
-use super::worker::{run_worker, WorkerOutcome};
+use super::worker::{compute_lane, run_worker, WorkerOutcome};
 
 /// Fault-injection knobs for a chaos run. Absent (`TrainConfig::faults
 /// = None`) the ranks run with no injector and no deadlines.
@@ -549,10 +548,12 @@ struct StepMetrics {
     step_s: Arc<Histogram>,
     exchange_s: Arc<Histogram>,
     last_loss: Arc<Gauge>,
-    /// What each step's gradient exchange costs on the wire under the
-    /// configured codec, vs the raw fp32 bytes it stands in for (one
-    /// payload per live rank per step).
-    wire_bytes: Arc<Counter>,
+    /// `train_encoded_bytes_total`: the configured codec's
+    /// `encoded_len` of every step's payloads (one per live rank), by
+    /// arithmetic — what the exchange would move were the codec on the
+    /// wire — vs the raw fp32 bytes they stand in for. The measured
+    /// wire bytes are telemetry's `train_wire_bytes_total`.
+    encoded_bytes: Arc<Counter>,
     raw_bytes: Arc<Counter>,
 }
 
@@ -577,11 +578,11 @@ impl<'a> Ledger<'a> {
         faults: Option<&'a FaultSession>,
     ) -> Self {
         let metrics = cfg.trace.as_ref().map(|ts| StepMetrics {
-            steps: ts.registry.counter("train_steps_total"),
+            steps: ts.registry.counter("train_steps_committed_total"),
             step_s: ts.registry.histogram("train_step_seconds"),
             exchange_s: ts.registry.histogram("train_allreduce_seconds"),
             last_loss: ts.registry.gauge("train_last_loss"),
-            wire_bytes: ts.registry.counter("train_wire_bytes_total"),
+            encoded_bytes: ts.registry.counter("train_encoded_bytes_total"),
             raw_bytes: ts.registry.counter("train_raw_bytes_total"),
         });
         Ledger { cfg, lane, faults, metrics, curve: Vec::new() }
@@ -597,7 +598,7 @@ impl<'a> Ledger<'a> {
             m.step_s.observe(step_s);
             m.exchange_s.observe(exchange_s);
             m.last_loss.set(loss);
-            m.wire_bytes.add(self.cfg.codec.encoded_len(n_params) as u64 * payloads);
+            m.encoded_bytes.add(self.cfg.codec.encoded_len(n_params) as u64 * payloads);
             m.raw_bytes.add(4 * n_params as u64 * payloads);
         }
     }
@@ -628,7 +629,7 @@ impl<'a> Ledger<'a> {
         };
         ck.save(&ck_cfg.path).map_err(TrainError::Checkpoint)?;
         if let (Some(l), Some(t0)) = (self.lane, t0) {
-            l.record_args("CHECKPOINT", "save", t0, l.now_us() - t0, done as u64, 0);
+            l.record_args("CHECKPOINT", "save", t0, l.now_us() - t0, step as u64, done as u64);
         }
         if let Some(s) = self.faults {
             s.record(FaultEvent::CheckpointSave { step: done });
@@ -686,10 +687,7 @@ fn train_pipelined(
     }
     // The leader's compute lane carries the checkpoint spans; the
     // executor records its own work on pid-900 lanes.
-    let lane = cfg
-        .trace
-        .as_ref()
-        .map(|ts| ts.recorder.lane(live[0] as u32, 0, &format!("rank {}", live[0]), "compute"));
+    let lane = cfg.trace.as_ref().map(|ts| compute_lane(&ts.recorder, live[0]));
     let mut exec = super::pipeline::PipelineExecutor::new(
         &cfg.net,
         live.len(),
@@ -764,8 +762,8 @@ fn finish(
         curve.push(final_point);
     }
     let (fault_events, fault_counters) = match session {
-        Some(s) => (s.events().deterministic_core(), s.counters().snapshot()),
-        None => (Vec::new(), FaultCounterSnapshot::default()),
+        Some(s) => (s.events().deterministic_core(), s.counts()),
+        None => (Vec::new(), FaultCounterSnapshot::tally([])),
     };
     let survivors = replicas.iter().map(|(id, _)| *id).collect();
     let final_params = replicas.into_iter().next().map(|(_, p)| p).unwrap_or_default();
@@ -995,7 +993,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_byte_counters_record_codec_reduction() {
+    fn encoded_byte_counters_record_codec_reduction() {
         let mut cfg = tiny(2, 4);
         cfg.codec = CodecKind::Int8;
         let ts = Arc::new(TraceSession::new());
@@ -1004,16 +1002,16 @@ mod tests {
         let m = ts.registry.snapshot();
         let get =
             |name: &str| m.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0);
-        let wire = get("train_wire_bytes_total");
+        let encoded = get("train_encoded_bytes_total");
         let raw = get("train_raw_bytes_total");
         let n_params = cfg.net.n_params();
         assert_eq!(raw, 4 * n_params as u64 * 2 * 4, "raw = 4B x params x workers x steps");
         assert_eq!(
-            wire,
+            encoded,
             CodecKind::Int8.encoded_len(n_params) as u64 * 2 * 4,
-            "wire = encoded_len x workers x steps"
+            "encoded = encoded_len x workers x steps"
         );
-        assert!(raw as f64 / wire as f64 >= 3.5, "int8 must log >= 3.5x reduction");
+        assert!(raw as f64 / encoded as f64 >= 3.5, "int8 must log >= 3.5x reduction");
     }
 
     #[test]
@@ -1119,7 +1117,7 @@ mod tests {
             assert!(events.iter().any(|e| e.cat == cat), "missing {cat} spans");
         }
         let m = ts.registry.snapshot();
-        assert!(m.counters.contains(&("train_steps_total".to_string(), 4)));
+        assert!(m.counters.contains(&("train_steps_committed_total".to_string(), 4)));
         let (_, step_hist) =
             m.histograms.iter().find(|(n, _)| n == "train_step_seconds").expect("hist");
         assert_eq!(step_hist.count, 4);
@@ -1193,7 +1191,7 @@ mod tests {
         }
         // Step/metrics plumbing is shared with the classic path.
         let m = ts.registry.snapshot();
-        assert!(m.counters.contains(&("train_steps_total".to_string(), 3)));
+        assert!(m.counters.contains(&("train_steps_committed_total".to_string(), 3)));
         let (_, ar_hist) =
             m.histograms.iter().find(|(n, _)| n == "train_allreduce_seconds").expect("hist");
         assert_eq!(ar_hist.count, 3, "one tile-reduce observation per step");

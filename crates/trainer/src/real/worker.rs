@@ -46,7 +46,7 @@ use collectives::{
 use faults::{FaultEvent, RetryPolicy};
 use summit_metrics::rng::derive_seed;
 use trace::telemetry::{metric, WorkerTelemetry};
-use trace::Lane;
+use trace::{Lane, TraceRecorder};
 use transport::{Control, Frame, FrameKind, Wire};
 
 use super::commit::{self, DegradeRecord, Verdict};
@@ -135,12 +135,22 @@ pub fn preset(name: &str, workers: usize, steps: usize, seed: u64) -> TrainConfi
     cfg
 }
 
+/// Rank `rank`'s compute lane on `recorder`: pid = original rank, tid 0
+/// (the executor's SEND/RECV go on tid 1).
+pub fn compute_lane(recorder: &TraceRecorder, rank: usize) -> Lane {
+    recorder.lane(rank as u32, 0, &format!("rank {rank}"), "compute")
+}
+
 /// Run `wire.rank()`'s replica of `cfg` over `wire`, arbitrated by the
 /// coordinator on `ctl`, from step 0 or from `cfg.checkpoint`'s resume
 /// point, with every wait paced by `policy`.
 ///
-/// With `telemetry` set, the worker folds step counters, wire stats,
-/// and flight-recorder events into the shared [`WorkerTelemetry`] and
+/// Every record on the rank's compute lane carries its step in `a0`.
+/// The lane is the telemetry's when `telemetry` is set — its tail is
+/// the crash flight recorder, and the worker adds the `STEP`/`begin`
+/// and `CTL`/`vote` instants a post-mortem anchors on — and otherwise
+/// `cfg.trace`'s. With `telemetry` set, the worker also folds step
+/// counters and wire stats into the shared [`WorkerTelemetry`] and
 /// pushes one synchronous snapshot over `ctl` at every step begin (the
 /// heartbeat thread pushes the rest at beacon cadence — see
 /// `PeerConn::solo_with_telemetry`). With `faults` set, the executor
@@ -157,12 +167,12 @@ pub fn run_worker(
 ) -> Result<WorkerOutcome, TrainError> {
     let rank = wire.rank();
     let n_params = cfg.net.n_params();
-    // Trace lanes keyed by original rank: compute on tid 0, the
-    // executor's SEND/RECV on tid 1 (a fault session brings its own).
-    let lane = cfg
-        .trace
-        .as_ref()
-        .map(|ts| ts.recorder.lane(rank as u32, 0, &format!("rank {rank}"), "compute"));
+    // The rank's one compute lane; the executor's SEND/RECV lane comes
+    // from the trace session (a fault session brings its own).
+    let lane = match telemetry {
+        Some(tel) => Some(tel.lane().clone()),
+        None => cfg.trace.as_ref().map(|ts| compute_lane(&ts.recorder, rank)),
+    };
     let sink = match faults {
         Some(session) => Some(session.sink(rank)),
         None => cfg.trace.as_ref().and_then(|ts| {
@@ -230,12 +240,12 @@ pub fn run_worker(
             // at S always shows last_step == S.
             tel.begin_step(step as u32);
             tel.add(metric::STEPS_BEGUN, 1);
-            tel.flight("STEP", "begin", step as u32, 0, 0);
+            let l = tel.lane();
+            l.record_args("STEP", "begin", l.now_us(), 0.0, step as u64, 0);
             fold_wire_stats(tel, &exec);
             send_telemetry(ctl, tel, &mut tel_buf);
         }
         let compute_t0 = lane.as_ref().map(Lane::now_us);
-        let compute_t0i = Instant::now();
         let loss = local_mean_gradient(cfg, rank, step, &net, &mut bw, &mut grad);
         apply_wire_codec(codec, ef.as_mut(), &mut grad, &mut codec_scratch);
         if let (Some(l), Some(t0)) = (&lane, compute_t0) {
@@ -243,10 +253,6 @@ pub fn run_worker(
             // one span covers both halves of the compute phase.
             let (dur, micro) = (l.now_us() - t0, cfg.accumulation_steps as u64);
             l.record_args("BACKWARD", "grad_compute", t0, dur, step as u64, micro);
-        }
-        if let Some(tel) = telemetry {
-            let us = compute_t0i.elapsed().as_micros() as u32;
-            tel.flight("BACKWARD", "grad_compute", step as u32, us, 0);
         }
         let eval_t0 = Instant::now();
         if let Some((done, done_loss)) = to_eval.take() {
@@ -277,9 +283,8 @@ pub fn run_worker(
             let verdict = match result {
                 Ok(()) => {
                     if let Some(tel) = telemetry {
-                        let us = exchange_t0i.elapsed().as_micros() as u32;
-                        tel.flight("MPI_ALLREDUCE", "exchange", step as u32, us, 0);
-                        tel.flight("CTL", "vote", step as u32, 0, exec.era() as u64);
+                        let (l, era) = (tel.lane(), exec.era() as u64);
+                        l.record_args("CTL", "vote", l.now_us(), 0.0, step as u64, era);
                         // Refresh the wire gauges before voting: if this
                         // rank dies or degrades between vote and commit,
                         // the heartbeat-shipped snapshots (and the
@@ -333,18 +338,16 @@ pub fn run_worker(
                         tel.add(metric::STEPS_COMMITTED, 1);
                         tel.set(metric::STEP_LATENCY_US, step_t0.elapsed().as_micros() as u64);
                         fold_wire_stats(tel, &exec);
-                        tel.flight("CTL", "commit", step as u32, 0, 0);
                     }
                     break;
                 }
                 Verdict::Degrade(record) => {
                     if let Some(l) = &lane {
-                        l.instant("FAULT", "degrade", l.now_us());
+                        let dead0 = record.dead.first().map_or(0, |&d| d as u64);
+                        l.record_args("FAULT", "degrade", l.now_us(), 0.0, step as u64, dead0);
                     }
                     if let Some(tel) = telemetry {
                         tel.add(metric::DEGRADES, 1);
-                        let dead0 = record.dead.first().copied().unwrap_or(0) as u64;
-                        tel.flight("FAULT", "degrade", step as u32, 0, dead0);
                         fold_wire_stats(tel, &exec);
                     }
                     // Restore the pre-exchange gradient, shrink the
@@ -387,7 +390,6 @@ pub fn run_worker(
     if let Some(tel) = telemetry.filter(|_| !killed) {
         // One final synchronous snapshot so the coordinator's last view
         // of this rank carries the full committed count.
-        tel.flight("STEP", "finished", cfg.steps as u32, 0, 0);
         send_telemetry(ctl, tel, &mut tel_buf);
     }
     Ok(outcome)

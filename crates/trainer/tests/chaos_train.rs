@@ -291,11 +291,11 @@ fn int8_error_feedback_survives_a_rank_death() {
     let counter = |name: &str| session.registry.counter(name).get();
     let n_params = cfg.net.n_params() as u64;
     let payloads = (n * d + (n - 1) * (steps - d)) as u64;
-    let wire = counter("train_wire_bytes_total");
-    assert_eq!(wire, CodecKind::Int8.encoded_len(cfg.net.n_params()) as u64 * payloads);
+    let encoded = counter("train_encoded_bytes_total");
+    assert_eq!(encoded, CodecKind::Int8.encoded_len(cfg.net.n_params()) as u64 * payloads);
     assert_eq!(counter("train_raw_bytes_total"), 4 * n_params * payloads);
     assert!(
-        (4 * n_params * payloads) as f64 / wire as f64 >= 3.5,
+        (4 * n_params * payloads) as f64 / encoded as f64 >= 3.5,
         "int8 must keep its compression ratio on the degraded topology"
     );
 

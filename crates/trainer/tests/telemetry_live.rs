@@ -152,6 +152,18 @@ fn telemetry_plane_is_inert_observable_and_survives_sigkill() {
         "flight record does not pin the kill step: {flight}"
     );
     assert!(flight.contains("\"cat\": \"STEP\""), "no flight spans: {flight}");
+    // The flight tail is the rank's compute lane. The snapshot sent at
+    // the begin of KILL_STEP (the one that pinned last_step) already
+    // held that step's begin and the previous step's compute and
+    // exchange; later snapshots only add newer spans.
+    for (cat, name, step) in [
+        ("STEP", "begin", KILL_STEP),
+        ("BACKWARD", "grad_compute", KILL_STEP - 1),
+        ("MPI_ALLREDUCE", "exchange", KILL_STEP - 1),
+    ] {
+        let rec = format!("\"cat\": \"{cat}\", \"name\": \"{name}\", \"step\": {step},");
+        assert!(flight.contains(&rec), "flight tail lacks {cat}/{name} at step {step}: {flight}");
+    }
 
     // The cluster summary records the shrunken world.
     let cluster =

@@ -89,7 +89,7 @@ fn hot_gradient_path_is_allocation_free() {
     // up front and updated with atomics.
     let session = trace::TraceSession::new();
     let lane = session.recorder.lane(0, 0, "rank 0", "compute");
-    let steps = session.registry.counter("train_steps_total");
+    let steps = session.registry.counter("train_steps_committed_total");
     let hist = session.registry.histogram("train_step_seconds");
     // Warm-up creates nothing lazily, but keep symmetry with the rest.
     lane.record_args("BACKWARD", "forward+backward", lane.now_us(), 1.0, 0, 1);

@@ -13,10 +13,8 @@
 //! play — and the one the protocol unit tests drive.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::conn::BufPool;
 use crate::frame::Frame;
@@ -130,7 +128,9 @@ impl Wire for ChannelWire {
             .ok_or(WireError::NoSuchPeer(peer))?
             .as_ref()
             .ok_or(WireError::NoSuchPeer(peer))?
-            .lock();
+            .lock()
+            // Poisoned: a receive panicked; the channel itself is whole.
+            .unwrap_or_else(PoisonError::into_inner);
         // Drain-before-gone: a disconnected channel still yields its
         // queued frames through try_recv.
         match rx.try_recv() {

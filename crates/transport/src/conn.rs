@@ -29,11 +29,10 @@ use std::io::{IoSlice, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use faults::{FaultClock, RetryPolicy};
-use parking_lot::Mutex;
 
 use crate::frame::{encode, envelope, read_frame, Frame, FrameKind, PREFIX_LEN};
 use crate::{Control, TelemetrySource, WireError};
@@ -59,8 +58,14 @@ impl BufPool {
         Arc::new(BufPool { free: Mutex::new(Vec::with_capacity(RING_CAPACITY)) })
     }
 
+    /// The free list. A panic mid-push or mid-pop loses at most one
+    /// spare buffer, so a poisoned list is still a valid pool.
+    fn free(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn acquire(&self) -> Vec<u8> {
-        self.free.lock().pop().unwrap_or_default()
+        self.free().pop().unwrap_or_default()
     }
 
     /// Payload-less frames carry `Vec::new()`; there is nothing in one
@@ -69,20 +74,19 @@ impl BufPool {
         if buf.capacity() == 0 {
             return;
         }
-        let mut free = self.free.lock();
+        let mut free = self.free();
         if free.len() < RING_CAPACITY {
             free.push(buf);
         }
     }
 }
 
-/// A blocking MPSC ring with explicit close. Built on std's paired
-/// `Mutex`/`Condvar` (the vendored `parking_lot` shim carries no
-/// condvar).
+/// A blocking MPSC ring with explicit close, on a paired
+/// `Mutex`/`Condvar`.
 #[derive(Debug)]
 struct Ring<T> {
-    inner: std::sync::Mutex<RingInner<T>>,
-    ready: std::sync::Condvar,
+    inner: Mutex<RingInner<T>>,
+    ready: Condvar,
 }
 
 #[derive(Debug)]
@@ -97,11 +101,11 @@ type FrameRing = Ring<Frame>;
 impl<T> Default for Ring<T> {
     fn default() -> Self {
         Ring {
-            inner: std::sync::Mutex::new(RingInner {
+            inner: Mutex::new(RingInner {
                 queue: std::collections::VecDeque::with_capacity(RING_CAPACITY),
                 closed: false,
             }),
-            ready: std::sync::Condvar::new(),
+            ready: Condvar::new(),
         }
     }
 }
@@ -278,7 +282,13 @@ fn send_frame(
     alive: &AtomicBool,
 ) -> Result<(), WireError> {
     let (prefix, crc) = envelope(frame);
-    let mut w = writer.lock();
+    // Poisoned: a write panicked mid-frame and may have torn the
+    // stream, so the half is broken.
+    let mut w = writer.lock().unwrap_or_else(|torn| {
+        let mut w = torn.into_inner();
+        w.broken = true;
+        w
+    });
     if w.broken {
         return Err(WireError::PeerGone);
     }

@@ -63,12 +63,6 @@ pub fn verify_allreduce(s: &ir::Schedule) -> Vec<Violation> {
     out
 }
 
-/// Just the structural layer — the cheap `O(actions)` subset suitable
-/// for release-mode per-call guards on hot executor paths.
-pub fn verify_structural(s: &ir::Schedule) -> Vec<Violation> {
-    structural::check(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
