@@ -141,7 +141,7 @@ impl std::fmt::Display for PeerExecError {
 impl std::error::Error for PeerExecError {}
 
 /// Cumulative reliability-layer statistics for one executor: what the
-/// telemetry plane ships to the coordinator every heartbeat (§5j).
+/// rank body reads into every telemetry snapshot it ships (§5j).
 /// All counters are totals since construction; eras do not reset them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireStats {

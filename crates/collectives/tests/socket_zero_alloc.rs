@@ -179,23 +179,22 @@ fn steady_state_socket_allreduce_is_allocation_free() {
 }
 
 /// The telemetry plane makes the same promise as the gradient path: a
-/// warmed worker records its per-step metrics and its spans on the
-/// compute lane whose tail is the flight recorder, encodes the
-/// snapshot, frames it, and ships it down a real socket without a
-/// single allocation. Mirrors the sequence `run_worker` +
-/// `heartbeat_main` perform each step: record → `encode_into` →
-/// payload swap → frame → write (the pump itself hands the same three
-/// pieces to one vectored write instead of staging them; the proof
-/// above covers that path, this one the contiguous encoder).
+/// warmed worker records its spans on the compute lane whose tail is
+/// the flight recorder, builds its metric values, encodes the snapshot
+/// and ships it down a real socket without a single allocation.
+/// Mirrors `run_worker`'s send at every step begin: record → value
+/// array → `encode_into` → payload into the frame → `Control::send`,
+/// the one vectored write of `[len + header] [payload] [crc]` that
+/// borrows the payload where it lies → payload back.
 #[test]
 fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
-    use std::io::{Read, Write};
+    use std::io::Read;
     use trace::telemetry::{metric, WorkerTelemetry, FLIGHT_CAPACITY};
     use trace::TraceRecorder;
-    use transport::frame::{encode_into, Frame, FrameKind};
+    use transport::{Control, PeerConn};
 
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+    let (tx, mut rx) = UnixStream::pair().expect("socketpair");
     let sink = std::thread::spawn(move || {
         let mut buf = [0u8; 4096];
         let mut total = 0usize;
@@ -207,33 +206,35 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
         }
     });
 
+    // The worker's control stream, seen as `run_worker` sees it.
+    let conn = PeerConn::solo(1, 0, tx, None).expect("control conn");
+    let ctl: &dyn Control = &conn;
     let lane = TraceRecorder::with_capacity(FLIGHT_CAPACITY).lane(0, 0, "rank 0", "compute");
-    let tel = WorkerTelemetry::new(0, lane);
+    let mut tel = WorkerTelemetry::new(0, lane);
     let mut payload: Vec<u8> = Vec::new();
-    let mut wire: Vec<u8> = Vec::new();
-    let mut frame = Frame::control(FrameKind::Telemetry, 0, 0, 0);
     let mut step = 0u32;
     let mut one_step = || {
-        tel.begin_step(step);
-        tel.add(metric::STEPS_BEGUN, 1);
-        tel.add(metric::WIRE_BYTES, 4096);
-        tel.set(metric::STEP_LATENCY_US, 1234);
         let (lane, s) = (tel.lane(), step as u64);
         lane.record_args("STEP", "begin", lane.now_us(), 0.0, s, 0);
         lane.record_args("BACKWARD", "grad_compute", lane.now_us(), 500.0, s, 1);
         lane.record_args("MPI_ALLREDUCE", "exchange", lane.now_us(), 900.0, s, 0);
-        frame.seq = tel.encode_into(&mut payload);
-        frame.step = step;
-        std::mem::swap(&mut frame.payload, &mut payload);
-        encode_into(&frame, &mut wire);
-        tx.write_all(&wire).expect("ship telemetry");
-        std::mem::swap(&mut frame.payload, &mut payload);
+        let mut values = [0u64; metric::COUNT];
+        values[metric::STEPS_BEGUN as usize] = s + 1;
+        values[metric::STEPS_COMMITTED as usize] = s;
+        values[metric::WIRE_BYTES as usize] = 4096 * s;
+        values[metric::STEP_LATENCY_US as usize] = 1234;
+        let seq = tel.encode_into(step, &values, &mut payload);
+        let mut frame = Frame::control(FrameKind::Telemetry, 0, 0, step);
+        frame.seq = seq;
+        frame.payload = std::mem::take(&mut payload);
+        ctl.send(&frame).expect("ship telemetry");
+        payload = frame.payload;
         step += 1;
     };
 
     // Warm until the lane has wrapped (capacity 32, 3 spans per step):
     // once the tail is full the payload size is steady, so the encode
-    // buffers stop growing.
+    // buffer stops growing.
     for _ in 0..16 {
         one_step();
     }
@@ -242,10 +243,10 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     assert_eq!(
         n, 0,
         "steady-state telemetry encode+ship allocated {n} times; snapshots must reuse \
-         the payload and wire buffers after warmup"
+         the payload buffer and borrow it into the write after warmup"
     );
 
-    drop(tx);
+    drop(conn);
     let total = sink.join().expect("sink thread");
     assert!(total > 0, "the sink must have received the telemetry bytes");
 }

@@ -2,10 +2,9 @@
 //! cluster-wide aggregation of per-worker [`TelemetrySnapshot`]s.
 //!
 //! [`ClusterView::ingest`] folds each arriving snapshot (keeping the
-//! newest by seq — telemetry is best-effort and may arrive out of
-//! order from the heartbeat thread racing the training loop), feeds
-//! the **online straggler model**, and reports a [`StragglerAlert`]
-//! when a rank newly crosses the threshold. The model is the live twin
+//! newest by seq), feeds the **online straggler model**, and reports a
+//! [`StragglerAlert`] when a rank newly crosses the threshold. The
+//! model is the live twin
 //! of the offline critical-path analyzer's: per-rank step-latency
 //! EWMAs run through the *same* [`lateness_from`] helper the analyzer
 //! applies to per-rank finish times — the fastest rank defines zero,
@@ -93,10 +92,12 @@ impl ClusterView {
     }
 
     /// Fold one decoded snapshot in. Stale seqs (at or below the
-    /// newest already held for the rank) are dropped. Returns an alert
-    /// iff this snapshot moved its rank *across* the straggler
-    /// threshold (level-triggered alerts would spam the log every
-    /// heartbeat).
+    /// newest already held for the rank) are dropped: a rank's one
+    /// sender ships in seq order down an ordered stream, so only a
+    /// duplicated or replayed frame is stale, and it must not fold the
+    /// model twice. Returns an alert iff this snapshot moved its rank
+    /// *across* the straggler threshold (level-triggered alerts would
+    /// spam the log every step).
     pub fn ingest(&mut self, snap: TelemetrySnapshot) -> Option<StragglerAlert> {
         let rank = snap.rank;
         match self.ranks.get_mut(&rank) {
@@ -456,7 +457,8 @@ mod tests {
     fn ewma_folds_once_per_committed_step() {
         let mut view = ClusterView::new(StragglerPolicy { alpha: 0.5, ..policy() });
         view.ingest(snap(0, 1, 1, 1, 1000));
-        // Same committed count, new seq: heartbeat resends don't fold.
+        // Same committed count, new seq: a second snapshot of one
+        // commit doesn't fold.
         view.ingest(snap(0, 2, 1, 1, 9000));
         view.ingest(snap(0, 3, 2, 2, 2000));
         let json = view.to_json();

@@ -12,11 +12,6 @@
 //! categories are `&'static str` — no interning, no formatting; spans
 //! carry two free `u64` args (`a0`, `a1`) for payload bytes, peers,
 //! counts, rendered only at export time.
-//!
-//! Dynamic labels (fault events, degradation messages) go through
-//! [`Lane::record_dyn`], which allocates into a side buffer — the
-//! in-repo lint (`xtask`) bans that call inside hot-path-marked
-//! regions, so the allocating tier cannot creep onto the hot path.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -51,15 +46,6 @@ pub struct SpanRec {
 
 const EMPTY_SPAN: SpanRec = SpanRec { name: "", cat: "", ts_us: 0.0, dur_us: 0.0, a0: 0, a1: 0 };
 
-/// A dynamically-labelled span (cold path only; see module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynSpan {
-    pub name: String,
-    pub cat: &'static str,
-    pub ts_us: f64,
-    pub dur_us: f64,
-}
-
 #[derive(Debug)]
 struct LaneBuf {
     ring: Box<[SpanRec]>,
@@ -69,7 +55,6 @@ struct LaneBuf {
     len: usize,
     /// Spans overwritten because the ring was full.
     dropped: u64,
-    dyn_spans: Vec<DynSpan>,
 }
 
 impl LaneBuf {
@@ -79,7 +64,6 @@ impl LaneBuf {
             head: 0,
             len: 0,
             dropped: 0,
-            dyn_spans: Vec::new(),
         }
     }
 
@@ -163,16 +147,6 @@ impl Lane {
         self.record_args(cat, name, ts_us, dur_us, 0, 0);
     }
 
-    /// Record a span with an owned label. **Allocates** — the xtask
-    /// lint bans this call inside hot-path-marked functions; use it
-    /// only on cold paths (fault events, degradations, checkpoints).
-    pub fn record_dyn(&self, cat: &'static str, name: String, ts_us: f64, dur_us: f64) {
-        if !self.enabled {
-            return;
-        }
-        lock(&self.buf).dyn_spans.push(DynSpan { name, cat, ts_us, dur_us });
-    }
-
     /// Hand `f` the newest `n` ring spans, oldest first, as two slices
     /// (the ring may wrap between them), plus how many older spans the
     /// lane lost to overwrites or holds beyond them. Copies nothing out,
@@ -189,10 +163,9 @@ impl Lane {
         }
     }
 
-    /// Spans recorded so far (ring + dynamic).
+    /// Spans the ring holds.
     pub fn recorded(&self) -> usize {
-        let buf = lock(&self.buf);
-        buf.len + buf.dyn_spans.len()
+        lock(&self.buf).len
     }
 }
 
@@ -205,8 +178,6 @@ pub struct LaneSnapshot {
     pub thread_name: String,
     /// Ring spans, oldest surviving first.
     pub spans: Vec<SpanRec>,
-    /// Dynamically-labelled spans, insertion order.
-    pub dyn_spans: Vec<DynSpan>,
     /// Ring overwrites (0 ⇔ nothing was lost).
     pub dropped: u64,
 }
@@ -219,9 +190,9 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Total spans across all lanes (ring + dynamic).
+    /// Total spans across all lanes.
     pub fn total_spans(&self) -> usize {
-        self.lanes.iter().map(|l| l.spans.len() + l.dyn_spans.len()).sum()
+        self.lanes.iter().map(|l| l.spans.len()).sum()
     }
 
     /// Distinct pids present, ascending.
@@ -305,7 +276,6 @@ impl TraceRecorder {
                     process_name: meta.process_name.clone(),
                     thread_name: meta.thread_name.clone(),
                     spans: [older, newer].concat(),
-                    dyn_spans: b.dyn_spans.clone(),
                     dropped: b.dropped,
                 }
             })
@@ -352,10 +322,6 @@ pub fn snapshot_to_chrome_events(snap: &TraceSnapshot) -> Vec<ChromeEvent> {
                 ev.args = vec![("a0", s.a0), ("a1", s.a1)];
             }
             events.push(ev);
-        }
-        for d in &lane.dyn_spans {
-            events
-                .push(ChromeEvent::complete(&d.name, d.cat, d.ts_us, d.dur_us, lane.pid, lane.tid));
         }
     }
     events
@@ -421,7 +387,6 @@ mod tests {
         let rec = TraceRecorder::disabled();
         let lane = rec.lane(0, 0, "rank 0", "compute");
         lane.record("C", "tick", 0.0, 1.0);
-        lane.record_dyn("C", "dynamic".to_string(), 0.0, 1.0);
         assert_eq!(rec.snapshot().total_spans(), 0);
         assert_eq!(lane.recorded(), 0);
     }
@@ -452,17 +417,6 @@ mod tests {
         assert_eq!(metas.len(), 3);
         assert_eq!(metas[0].name, "process_name");
         assert_eq!(events.iter().filter(|e| e.ph == 'X').count(), 2);
-    }
-
-    #[test]
-    fn dyn_spans_survive_alongside_ring_spans() {
-        let rec = TraceRecorder::with_capacity(2);
-        let lane = rec.lane(9, 2, "faults", "faults");
-        lane.record("FAULT", "inject", 1.0, 0.0);
-        lane.record_dyn("FAULT", "inject drop step 3 rank 1".to_string(), 2.0, 0.0);
-        let snap = rec.snapshot();
-        assert_eq!(snap.total_spans(), 2);
-        assert_eq!(snap.lanes[0].dyn_spans[0].name, "inject drop step 3 rank 1");
     }
 
     #[test]

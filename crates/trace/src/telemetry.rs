@@ -1,16 +1,17 @@
 //! The worker side of the distributed telemetry plane (§5j).
 //!
-//! Each worker process keeps one [`WorkerTelemetry`]: a fixed table of
-//! atomic metric cells keyed by a compact **u16 metric id** (names are
-//! schema, not wire data — see [`metric`]), the step currently being
-//! trained, and the rank's compute [`Lane`], whose newest
+//! Each worker process keeps one [`WorkerTelemetry`]: its rank, its
+//! snapshot sequence, and the rank's compute [`Lane`], whose newest
 //! [`FLIGHT_CAPACITY`] spans are the **flight recorder** — every span is
-//! recorded once, in the lane, and the recorder reads its tail.
-//! [`WorkerTelemetry::encode_into`] serializes all of it
-//! into a reused byte buffer — the payload of one
-//! `FrameKind::Telemetry` frame — without allocating once the buffer
-//! is warm, so snapshots can ride the heartbeat cadence from inside
-//! the hot training loop (the counting-allocator proof in
+//! recorded once, in the lane, and the recorder reads its tail. The
+//! metric values, keyed by a compact **u16 metric id** (names are
+//! schema, not wire data — see [`metric`]), are not stored here: the
+//! rank body builds them from its own state when it ships a
+//! snapshot, and [`WorkerTelemetry::encode_into`] serializes them, the
+//! step and the lane's tail into a reused byte buffer — the payload of
+//! one `FrameKind::Telemetry` frame — without allocating once the
+//! buffer is warm, so snapshots can ship from inside the hot training
+//! loop (the counting-allocator proof in
 //! `collectives/tests/socket_zero_alloc.rs` pins this).
 //!
 //! The coordinator decodes payloads with [`decode`], which is **total**
@@ -45,8 +46,6 @@
 //! `telemetry_metric_<id>`); an unknown *version* is a hard
 //! [`TelemetryError::BadVersion`], because field layout may differ.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::span::Lane;
 
 /// Version byte leading every telemetry payload.
@@ -54,7 +53,7 @@ pub const TELEMETRY_VERSION: u8 = 1;
 
 /// Spans of the lane's tail each snapshot ships: enough to reconstruct
 /// the last few steps of a worker's life without bloating the
-/// heartbeat frames.
+/// control stream.
 pub const FLIGHT_CAPACITY: usize = 32;
 
 /// Decode-side sanity bound on `metric_count` / `flight_count` — far
@@ -91,7 +90,7 @@ pub mod metric {
     /// Wall time from last vote to its verdict, µs (gauge).
     pub const COMMIT_WAIT_US: u16 = 8;
 
-    /// Number of ids in the schema (cells in [`super::WorkerTelemetry`]).
+    /// Number of ids in the schema (values in every snapshot).
     pub const COUNT: usize = 9;
 
     /// The exposition name for `id`, if the schema knows it.
@@ -117,18 +116,14 @@ pub mod metric {
     }
 }
 
-/// Per-worker telemetry state: metric cells, the current step, and the
-/// rank's compute [`Lane`], whose newest [`FLIGHT_CAPACITY`] spans are
-/// the flight recorder. The metric methods are atomics and
-/// allocation-free; `encode_into` snapshots everything into a reused
-/// buffer. Shared by `Arc` between the training loop (writes) and the
-/// heartbeat thread's `TelemetrySource` (encodes).
+/// Per-worker telemetry state: the rank, the next snapshot's seq, and
+/// the rank's compute [`Lane`], whose newest [`FLIGHT_CAPACITY`] spans
+/// are the flight recorder. Owned by the rank body, the one writer and
+/// the one sender of its snapshots.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
     rank: u16,
-    cells: [AtomicU64; metric::COUNT],
-    current_step: AtomicU64,
-    seq: AtomicU64,
+    seq: u64,
     lane: Lane,
 }
 
@@ -136,15 +131,7 @@ impl WorkerTelemetry {
     /// Telemetry for `rank`, whose flight recorder is the tail of
     /// `lane`: the lane the rank records its compute spans on.
     pub fn new(rank: u16, lane: Lane) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        WorkerTelemetry {
-            rank,
-            cells: [ZERO; metric::COUNT],
-            current_step: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            lane,
-        }
+        WorkerTelemetry { rank, seq: 0, lane }
     }
 
     pub fn rank(&self) -> u16 {
@@ -156,48 +143,28 @@ impl WorkerTelemetry {
         &self.lane
     }
 
-    /// Add `n` to a counter cell. Out-of-schema ids are ignored.
-    pub fn add(&self, id: u16, n: u64) {
-        if let Some(cell) = self.cells.get(id as usize) {
-            cell.fetch_add(n, Ordering::Relaxed); // lint: allow(relaxed): monotonic statistic; snapshot tolerates races with writers
-        }
-    }
-
-    /// Overwrite a gauge cell. Out-of-schema ids are ignored.
-    pub fn set(&self, id: u16, v: u64) {
-        if let Some(cell) = self.cells.get(id as usize) {
-            cell.store(v, Ordering::Relaxed); // lint: allow(relaxed): gauge cell; last-writer-wins is the gauge contract
-        }
-    }
-
-    pub fn get(&self, id: u16) -> u64 {
-        self.cells.get(id as usize).map_or(0, |c| c.load(Ordering::Relaxed)) // lint: allow(relaxed): statistic read; snapshot tolerates races with writers
-    }
-
-    /// Mark `step` as the step currently in progress.
-    pub fn begin_step(&self, step: u32) {
-        self.current_step.store(step as u64, Ordering::Relaxed); // lint: allow(relaxed): independent statistic; the snapshot needs no cross-cell ordering
-    }
-
-    pub fn current_step(&self) -> u32 {
-        self.current_step.load(Ordering::Relaxed) as u32 // lint: allow(relaxed): independent statistic; the snapshot needs no cross-cell ordering
-    }
-
-    /// Serialize the current state into `out` (cleared first) as one
-    /// telemetry payload, assigning and returning the snapshot's seq.
+    /// Serialize one snapshot — `step`, `values` (indexed by metric id)
+    /// and the lane's tail — into `out` (cleared first) as one telemetry
+    /// payload, assigning and returning the snapshot's seq.
     /// Allocation-free once `out` has warmed to the payload size.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed): seq uniqueness only needs atomicity, not ordering
+    pub fn encode_into(
+        &mut self,
+        step: u32,
+        values: &[u64; metric::COUNT],
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
         out.clear();
         out.push(TELEMETRY_VERSION);
         out.push(0); // flags
         out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.current_step().to_le_bytes());
+        out.extend_from_slice(&step.to_le_bytes());
         out.extend_from_slice(&seq.to_le_bytes());
         out.extend_from_slice(&(metric::COUNT as u16).to_le_bytes());
-        for (id, cell) in self.cells.iter().enumerate() {
+        for (id, v) in values.iter().enumerate() {
             out.extend_from_slice(&(id as u16).to_le_bytes());
-            out.extend_from_slice(&cell.load(Ordering::Relaxed).to_le_bytes()); // lint: allow(relaxed): statistic read; snapshot tolerates races with writers
+            out.extend_from_slice(&v.to_le_bytes());
         }
         self.lane.with_tail(FLIGHT_CAPACITY, |older, a, b| {
             out.extend_from_slice(&older.to_le_bytes());
@@ -386,25 +353,29 @@ mod tests {
         WorkerTelemetry::new(rank, lane)
     }
 
+    /// No metric values: the snapshots below test the header and flight.
+    const ZEROS: [u64; metric::COUNT] = [0; metric::COUNT];
+
     #[test]
     fn encode_decode_roundtrips_state() {
-        let tel = telemetry(3, FLIGHT_CAPACITY);
-        tel.begin_step(7);
-        tel.add(metric::STEPS_BEGUN, 8);
-        tel.add(metric::STEPS_COMMITTED, 7);
-        tel.set(metric::STEP_LATENCY_US, 1234);
+        let mut tel = telemetry(3, FLIGHT_CAPACITY);
+        // A distinct value per id, so a swapped or dropped id shows.
+        let mut values: [u64; metric::COUNT] = std::array::from_fn(|id| 100 + id as u64);
+        values[metric::STEP_LATENCY_US as usize] = u64::MAX;
         let lane = tel.lane();
         lane.record_args("STEP", "begin", 10.0, 0.0, 7, 0);
         lane.record_args("MPI_ALLREDUCE", "exchange", 12.9, 900.7, 7, 42);
 
         let mut buf = Vec::new();
-        let seq = tel.encode_into(&mut buf);
+        let seq = tel.encode_into(7, &values, &mut buf);
         let snap = decode(&buf).expect("own encoding decodes");
         assert_eq!(snap.rank, 3);
         assert_eq!(snap.current_step, 7);
         assert_eq!(snap.seq, seq);
-        assert_eq!(snap.metric(metric::STEPS_BEGUN), Some(8));
-        assert_eq!(snap.metric(metric::STEP_LATENCY_US), Some(1234));
+        assert_eq!(snap.metrics.len(), metric::COUNT);
+        for (id, &v) in values.iter().enumerate() {
+            assert_eq!(snap.metric(id as u16), Some(v), "metric id {id}");
+        }
         assert_eq!(snap.flight_dropped, 0);
         assert_eq!(snap.flight.len(), 2);
         assert_eq!(snap.flight[0].name, "begin");
@@ -415,7 +386,7 @@ mod tests {
         assert_eq!((ex.step, ex.ts_us, ex.dur_us, ex.a0), (7, 12, 900, 42));
 
         // Seqs are monotonic across encodes.
-        let seq2 = tel.encode_into(&mut buf);
+        let seq2 = tel.encode_into(8, &values, &mut buf);
         assert_eq!(seq2, seq + 1);
     }
 
@@ -423,12 +394,12 @@ mod tests {
     fn flight_is_the_newest_spans_of_the_lane() {
         // The lane holds 40 of the 45 spans recorded (5 overwritten) and
         // ships its newest 32, oldest first: 8 more held, not shipped.
-        let tel = telemetry(0, 40);
+        let mut tel = telemetry(0, 40);
         for i in 0..45u64 {
             tel.lane().record_args("STEP", "begin", i as f64, 0.0, i, 0);
         }
         let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        tel.encode_into(44, &ZEROS, &mut buf);
         let snap = decode(&buf).expect("decodes");
         let steps: Vec<u32> = snap.flight.iter().map(|e| e.step).collect();
         assert_eq!(steps, (13..45).collect::<Vec<u32>>());
@@ -441,10 +412,10 @@ mod tests {
         // 18 bytes of two-byte chars: byte 16 is a boundary, cut there.
         const CAT: &str = "xжжжжжжжж";
         const NAME: &str = "ééééééééé";
-        let tel = telemetry(0, 4);
+        let mut tel = telemetry(0, 4);
         tel.lane().record_args(CAT, NAME, 0.0, 0.0, 1, 0);
         let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        tel.encode_into(1, &ZEROS, &mut buf);
         let snap = decode(&buf).expect("a cut label is still UTF-8");
         assert_eq!(snap.flight[0].cat, "xжжжжжжж");
         assert_eq!(snap.flight[0].name, "éééééééé");
@@ -452,32 +423,24 @@ mod tests {
 
     #[test]
     fn version_skew_is_a_clean_error() {
-        let tel = telemetry(1, 4);
+        let mut tel = telemetry(1, 4);
         let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        tel.encode_into(0, &ZEROS, &mut buf);
         buf[0] = TELEMETRY_VERSION + 1;
         assert_eq!(decode(&buf), Err(TelemetryError::BadVersion(TELEMETRY_VERSION + 1)));
     }
 
     #[test]
     fn truncation_and_trailing_bytes_are_clean_errors() {
-        let tel = telemetry(1, 4);
+        let mut tel = telemetry(1, 4);
         tel.lane().record_args("FAULT", "degrade", 0.0, 0.0, 3, 2);
         let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        tel.encode_into(3, &ZEROS, &mut buf);
         for cut in 0..buf.len() {
             assert!(decode(&buf[..cut]).is_err(), "cut at {cut} must not decode");
         }
         buf.push(0);
         assert_eq!(decode(&buf), Err(TelemetryError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn out_of_schema_ids_are_ignored_not_panics() {
-        let tel = telemetry(0, 4);
-        tel.add(999, 5);
-        tel.set(999, 5);
-        assert_eq!(tel.get(999), 0);
     }
 
     #[test]

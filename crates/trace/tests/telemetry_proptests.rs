@@ -47,30 +47,32 @@ fn span_strategy() -> impl Strategy<Value = Span> {
     )
 }
 
+/// One value per metric id, as the rank body hands them to the encoder.
+type Values = [u64; metric::COUNT];
+
 /// Arbitrary worker telemetry state: rank, step, one value per metric
-/// slot, the compute lane's capacity (below and above the flight tail),
+/// id, the compute lane's capacity (below and above the flight tail),
 /// and a pile of spans recorded on it.
-fn state_strategy() -> impl Strategy<Value = (u16, u32, Vec<u64>, usize, Vec<Span>)> {
+fn state_strategy() -> impl Strategy<Value = (u16, u32, Values, usize, Vec<Span>)> {
     (
         0u16..=u16::MAX,
         0u32..=u32::MAX,
-        prop::collection::vec(0u64..=u64::MAX, metric::COUNT),
+        prop::collection::vec(0u64..=u64::MAX, metric::COUNT)
+            .prop_map(|v| Values::try_from(v).expect("one value per metric id")),
         1usize..64,
         prop::collection::vec(span_strategy(), 0..80),
     )
 }
 
-fn build(rank: u16, step: u32, values: &[u64], capacity: usize, spans: &[Span]) -> WorkerTelemetry {
+/// The payload a worker in this state ships, and its seq.
+fn build(rank: u16, step: u32, values: &Values, capacity: usize, spans: &[Span]) -> (u64, Vec<u8>) {
     let lane = TraceRecorder::with_capacity(capacity).lane(rank as u32, 0, "rank", "compute");
-    let tel = WorkerTelemetry::new(rank, lane);
-    tel.begin_step(step);
-    for (id, &v) in values.iter().enumerate() {
-        tel.set(id as u16, v);
-    }
     for &(cat, name, s, ts, dur, a0) in spans {
-        tel.lane().record_args(cat, name, ts as f64, dur as f64, s as u64, a0);
+        lane.record_args(cat, name, ts as f64, dur as f64, s as u64, a0);
     }
-    tel
+    let mut buf = Vec::new();
+    let seq = WorkerTelemetry::new(rank, lane).encode_into(step, values, &mut buf);
+    (seq, buf)
 }
 
 /// `s` cut to the 16-byte label field on a char boundary.
@@ -89,9 +91,7 @@ proptest! {
     /// back to exactly that state (modulo the bounded flight tail).
     #[test]
     fn roundtrip_is_identity((rank, step, values, capacity, spans) in state_strategy()) {
-        let tel = build(rank, step, &values, capacity, &spans);
-        let mut buf = Vec::new();
-        let seq = tel.encode_into(&mut buf);
+        let (seq, buf) = build(rank, step, &values, capacity, &spans);
         let snap = decode(&buf).expect("own encoding must decode");
         prop_assert_eq!(snap.rank, rank);
         prop_assert_eq!(snap.current_step, step);
@@ -115,9 +115,7 @@ proptest! {
     /// a snapshot is all-or-nothing.
     #[test]
     fn truncation_never_decodes((rank, step, values, capacity, spans) in state_strategy(), cut in 0usize..1 << 20) {
-        let tel = build(rank, step, &values, capacity, &spans);
-        let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        let (_, buf) = build(rank, step, &values, capacity, &spans);
         let at = cut % buf.len(); // always a proper prefix
         prop_assert!(decode(&buf[..at]).is_err(), "prefix of {} bytes decoded", at);
     }
@@ -131,9 +129,7 @@ proptest! {
         pos in 0usize..1 << 20,
         bit in 0u8..8,
     ) {
-        let tel = build(rank, step, &values, capacity, &spans);
-        let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        let (_, mut buf) = build(rank, step, &values, capacity, &spans);
         let at = pos % buf.len();
         buf[at] ^= 1 << bit;
         let _ = decode(&buf);
@@ -147,9 +143,7 @@ proptest! {
         skew in 0u8..=255,
     ) {
         prop_assume!(skew != TELEMETRY_VERSION);
-        let tel = build(rank, step, &values, capacity, &spans);
-        let mut buf = Vec::new();
-        tel.encode_into(&mut buf);
+        let (_, mut buf) = build(rank, step, &values, capacity, &spans);
         buf[0] = skew;
         prop_assert_eq!(decode(&buf), Err(TelemetryError::BadVersion(skew)));
     }

@@ -37,7 +37,7 @@ use trace::telemetry::{decode as decode_telemetry, WorkerTelemetry, FLIGHT_CAPAC
 use trace::{TraceRecorder, TraceSession};
 use trainer::real::commit::{self, Coordinator, Shell};
 use trainer::real::worker::{compute_lane, preset, preset_names, run_worker};
-use transport::{join, Frame, Inbox, PeerConn, Rendezvous, TelemetrySource};
+use transport::{join, Frame, Inbox, PeerConn, Rendezvous};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -529,18 +529,6 @@ fn gap_event(name: &str, rank: usize) -> ChromeEvent {
 
 // ---------------------------------------------------------------- worker
 
-/// Adapter hanging the worker's [`WorkerTelemetry`] off the control
-/// conn's heartbeat thread: every beacon interval becomes a fresh
-/// snapshot frame instead of an empty beacon.
-struct TelemetryFeed(Arc<WorkerTelemetry>);
-
-impl TelemetrySource for TelemetryFeed {
-    fn fill(&self, out: &mut Vec<u8>) -> bool {
-        self.0.encode_into(out);
-        true
-    }
-}
-
 fn worker(flags: &Flags) -> Result<i32, String> {
     let Flags { dir, workers, steps, pol, .. } = flags;
     let tag = flags.tag.as_deref().ok_or("--tag: is required")?;
@@ -552,33 +540,25 @@ fn worker(flags: &Flags) -> Result<i32, String> {
         joined.build_mesh(*pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
     let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     // Telemetry rides the control conn only — data wires stay
-    // byte-identical with or without the plane. Its flight recorder is
-    // the tail of the rank's compute lane: the trace session's, or a
-    // private one just long enough to ship.
-    let tel = flags.telemetry.then(|| {
+    // byte-identical with or without the plane — and the rank body is
+    // its only sender. Its flight recorder is the tail of the rank's
+    // compute lane: the trace session's, or a private one just long
+    // enough to ship.
+    let mut tel = flags.telemetry.then(|| {
         let lane = match &session {
             Some(s) => compute_lane(&s.recorder, rank),
             None => compute_lane(&TraceRecorder::with_capacity(FLIGHT_CAPACITY), rank),
         };
-        Arc::new(WorkerTelemetry::new(rank as u16, lane))
+        WorkerTelemetry::new(rank as u16, lane)
     });
-    let ctl = match &tel {
-        Some(t) => PeerConn::solo_with_telemetry(
-            *workers,
-            rank,
-            ctl_stream,
-            *pol,
-            Arc::new(TelemetryFeed(Arc::clone(t))),
-        ),
-        None => PeerConn::solo(*workers, rank, ctl_stream, Some(*pol)),
-    }
-    .map_err(|e| format!("control conn: {e}"))?;
+    let ctl = PeerConn::solo(*workers, rank, ctl_stream, Some(*pol))
+        .map_err(|e| format!("control conn: {e}"))?;
     commit::join_barrier(&ctl, pol, rank)?;
 
     let mut cfg = preset(&flags.preset, *workers, *steps, flags.seed);
     cfg.trace = session.clone();
     let outcome =
-        run_worker(&cfg, &mesh, &ctl, *pol, tel.as_deref(), None).map_err(|e| e.to_string())?;
+        run_worker(&cfg, &mesh, &ctl, *pol, tel.as_mut(), None).map_err(|e| e.to_string())?;
     let mut params = Vec::with_capacity(outcome.final_params.len() * 4);
     for &p in &outcome.final_params {
         params.extend_from_slice(&p.to_le_bytes());

@@ -415,13 +415,14 @@ pub fn coordinate(
 ) -> Result<(), String> {
     // The coordinator signs as no worker's id; nothing routes on it.
     let me = machine.ranks.len() as u16;
-    // Telemetry arrives at beacon cadence even from a worker wedged
-    // before its Ready: the barrier gets a deadline, not a silence bound.
+    // Beacons flow even from a worker wedged before its Ready, so its
+    // silence never grows: the barrier gets a deadline, not a silence
+    // bound.
     let ready_by = Instant::now().checked_add(pol.death_threshold());
     let mut events: VecDeque<(usize, Event)> = VecDeque::new();
     while !machine.done() {
-        // Telemetry piggybacks the heartbeat pump, which starts with the
-        // connection, so its frames can precede a rank's Ready.
+        // Telemetry is the rank body's, a side channel of the protocol:
+        // it goes to the shell and never becomes an event.
         match inbox.recv_timeout(pol.heartbeat_interval()) {
             Some((_, Some(f))) if f.kind == FrameKind::Telemetry => shell.telemetry(&f),
             Some((rank, Some(f))) => {

@@ -45,7 +45,7 @@ use collectives::{
 };
 use faults::{FaultEvent, RetryPolicy};
 use summit_metrics::rng::derive_seed;
-use trace::telemetry::{metric, WorkerTelemetry};
+use trace::telemetry::WorkerTelemetry;
 use trace::{Lane, TraceRecorder};
 use transport::{Control, Frame, FrameKind, Wire};
 
@@ -149,11 +149,12 @@ pub fn compute_lane(recorder: &TraceRecorder, rank: usize) -> Lane {
 /// The lane is the telemetry's when `telemetry` is set — its tail is
 /// the crash flight recorder, and the worker adds the `STEP`/`begin`
 /// and `CTL`/`vote` instants a post-mortem anchors on — and otherwise
-/// `cfg.trace`'s. With `telemetry` set, the worker also folds step
-/// counters and wire stats into the shared [`WorkerTelemetry`] and
-/// pushes one synchronous snapshot over `ctl` at every step begin (the
-/// heartbeat thread pushes the rest at beacon cadence — see
-/// `PeerConn::solo_with_telemetry`). With `faults` set, the executor
+/// `cfg.trace`'s. With `telemetry` set, this loop is the one writer and
+/// the one sender of the rank's snapshots: at every step begin, and
+/// once more at the end of a run it was not killed in, it builds the
+/// metric values from its own state (its counts, the degrade log, the
+/// executor's wire stats, the last committed step's timings) and ships
+/// them over `ctl`. With `faults` set, the executor
 /// reports its recovery actions into that session, and the leader its
 /// checkpoint lifecycle. Neither touches the training math: such a run
 /// is bit-identical to a plain one.
@@ -162,14 +163,14 @@ pub fn run_worker(
     wire: &dyn Wire,
     ctl: &dyn Control,
     policy: RetryPolicy,
-    telemetry: Option<&WorkerTelemetry>,
+    mut telemetry: Option<&mut WorkerTelemetry>,
     faults: Option<&FaultSession>,
 ) -> Result<WorkerOutcome, TrainError> {
     let rank = wire.rank();
     let n_params = cfg.net.n_params();
     // The rank's one compute lane; the executor's SEND/RECV lane comes
     // from the trace session (a fault session brings its own).
-    let lane = match telemetry {
+    let lane = match telemetry.as_deref() {
         Some(tel) => Some(tel.lane().clone()),
         None => cfg.trace.as_ref().map(|ts| compute_lane(&ts.recorder, rank)),
     };
@@ -218,9 +219,12 @@ pub fn run_worker(
     let mut ledger = Ledger::new(cfg, lane.as_ref(), faults);
     let mut step_losses = Vec::with_capacity(cfg.steps - start);
     let mut degradations: Vec<DegradeRecord> = Vec::new();
-    // Reused telemetry payload buffer: synchronous snapshot sends
-    // allocate nothing once it is warm.
+    // Reused telemetry payload buffer: snapshot sends allocate nothing
+    // once it is warm.
     let mut tel_buf: Vec<u8> = Vec::new();
+    // The last committed step's latency (wall time less the leader's
+    // eval) and commit wait (vote to verdict), µs.
+    let (mut latency_us, mut commit_wait_us) = (0, 0);
 
     // The leader's last applied step and its loss, whose eval point (if
     // due) is taken once the next step's gradient is computed: the other
@@ -231,19 +235,18 @@ pub fn run_worker(
     let mut killed = false;
     'steps: for step in start..cfg.steps {
         let step_t0 = Instant::now();
-        if let Some(tel) = telemetry {
+        if let Some(tel) = telemetry.as_deref_mut() {
             // Announce the step *before* any mesh traffic: no rank can
             // complete step S's exchange without this rank's sends, so
             // by the time a StepDone{S} vote reaches the coordinator,
             // this frame (ordered ahead on the control stream) is
             // already queued there — the post-mortem for a rank killed
             // at S always shows last_step == S.
-            tel.begin_step(step as u32);
-            tel.add(metric::STEPS_BEGUN, 1);
             let l = tel.lane();
             l.record_args("STEP", "begin", l.now_us(), 0.0, step as u64, 0);
-            fold_wire_stats(tel, &exec);
-            send_telemetry(ctl, tel, &mut tel_buf);
+            let counts = [step + 1 - start, step_losses.len(), degradations.len()];
+            let timings = [latency_us, commit_wait_us];
+            send_telemetry(ctl, tel, step, counts, &exec, timings, &mut tel_buf);
         }
         let compute_t0 = lane.as_ref().map(Lane::now_us);
         let loss = local_mean_gradient(cfg, rank, step, &net, &mut bw, &mut grad);
@@ -282,23 +285,15 @@ pub fn run_worker(
             }
             let verdict = match result {
                 Ok(()) => {
-                    if let Some(tel) = telemetry {
+                    if let Some(tel) = telemetry.as_deref() {
                         let (l, era) = (tel.lane(), exec.era() as u64);
                         l.record_args("CTL", "vote", l.now_us(), 0.0, step as u64, era);
-                        // Refresh the wire gauges before voting: if this
-                        // rank dies or degrades between vote and commit,
-                        // the heartbeat-shipped snapshots (and the
-                        // post-mortem) must show the exchange it just
-                        // ran, not the stats of its last committed step.
-                        fold_wire_stats(tel, &exec);
                     }
                     commit::vote(ctl, rank, exec.era(), step).map_err(TrainError::Protocol)?;
                     let vote_t0 = Instant::now();
                     let v =
                         commit::await_verdict(ctl, &policy, step).map_err(TrainError::Protocol)?;
-                    if let Some(tel) = telemetry {
-                        tel.set(metric::COMMIT_WAIT_US, vote_t0.elapsed().as_micros() as u64);
-                    }
+                    commit_wait_us = vote_t0.elapsed().as_micros() as u64;
                     v
                 }
                 Err(PeerExecError::Aborted) => match announced.map_err(TrainError::Protocol)? {
@@ -334,21 +329,12 @@ pub fn run_worker(
                     if let (Some(l), Some(t0)) = (&lane, apply_t0) {
                         l.record_args("OPTIMIZER", "apply", t0, l.now_us() - t0, step as u64, 0);
                     }
-                    if let Some(tel) = telemetry {
-                        tel.add(metric::STEPS_COMMITTED, 1);
-                        tel.set(metric::STEP_LATENCY_US, step_t0.elapsed().as_micros() as u64);
-                        fold_wire_stats(tel, &exec);
-                    }
                     break;
                 }
                 Verdict::Degrade(record) => {
                     if let Some(l) = &lane {
                         let dead0 = record.dead.first().map_or(0, |&d| d as u64);
                         l.record_args("FAULT", "degrade", l.now_us(), 0.0, step as u64, dead0);
-                    }
-                    if let Some(tel) = telemetry {
-                        tel.add(metric::DEGRADES, 1);
-                        fold_wire_stats(tel, &exec);
                     }
                     // Restore the pre-exchange gradient, shrink the
                     // world, rebuild + RE-VERIFY the schedule, and step
@@ -364,8 +350,10 @@ pub fn run_worker(
             }
         }
         step_losses.push(loss);
+        // The latency the ledger observes and the next snapshot ships.
+        let step_s = step_t0.elapsed().as_secs_f64() - eval_s;
+        latency_us = (step_s * 1e6) as u64;
         if live.first() == Some(&rank) {
-            let step_s = step_t0.elapsed().as_secs_f64() - eval_s;
             ledger.observe(loss, step_s, exchange_s, live.len());
             ledger.checkpoint(step, &live, &net, &opt)?;
             to_eval = Some((step, loss));
@@ -378,7 +366,15 @@ pub fn run_worker(
     if let Some((done, done_loss)) = to_eval {
         ledger.eval_point(done, done_loss, &net);
     }
-    let outcome = WorkerOutcome {
+    if let Some(tel) = telemetry.filter(|_| !killed) {
+        // One final snapshot so the coordinator's last view of this
+        // rank carries the full committed count: it committed every
+        // step it began.
+        let done = step_losses.len();
+        let (last, counts) = ((start + done).saturating_sub(1), [done, done, degradations.len()]);
+        send_telemetry(ctl, tel, last, counts, &exec, [latency_us, commit_wait_us], &mut tel_buf);
+    }
+    Ok(WorkerOutcome {
         rank,
         final_params: net.params().to_vec(),
         step_losses,
@@ -386,13 +382,7 @@ pub fn run_worker(
         degradations,
         curve: ledger.curve,
         killed,
-    };
-    if let Some(tel) = telemetry.filter(|_| !killed) {
-        // One final synchronous snapshot so the coordinator's last view
-        // of this rank carries the full committed count.
-        send_telemetry(ctl, tel, &mut tel_buf);
-    }
-    Ok(outcome)
+    })
 }
 
 /// One worker's gradient for `step`: accumulate its
@@ -447,26 +437,40 @@ fn build_verified(
     Ok(schedule)
 }
 
-/// Fold the executor's wire counters into the telemetry gauges, so the
-/// next shipped snapshot — synchronous or heartbeat-cadence — carries
-/// the transport state of the step being run, not of the last commit.
-fn fold_wire_stats(tel: &WorkerTelemetry, exec: &PeerExecutor<'_>) {
-    let stats = exec.stats();
-    tel.set(metric::WIRE_BYTES, stats.data_bytes);
-    tel.set(metric::NACKS, stats.nacks_sent);
-    tel.set(metric::RESENDS, stats.resends);
-    tel.set(metric::INFLIGHT_SENDS, exec.pending_sends() as u64);
-}
-
-/// Push one synchronous telemetry snapshot over the control stream.
+/// Ship one snapshot of `step` over the control stream, its values
+/// read from the rank's own state as it ships: the loop's `[begun,
+/// committed, degrades]`, the executor's wire counters and in-flight
+/// sends, and the last committed step's `[latency, commit wait]` in µs.
 /// Best-effort: a failed send means the coordinator is gone, which the
 /// commit protocol surfaces on its own — telemetry never aborts a
 /// step. The payload buffer is reused across calls (the frame borrows
 /// it via `mem::take` and hands it back), so the steady state
 /// allocates nothing.
-fn send_telemetry(ctl: &dyn Control, tel: &WorkerTelemetry, buf: &mut Vec<u8>) {
-    let seq = tel.encode_into(buf);
-    let mut f = Frame::control(FrameKind::Telemetry, tel.rank(), 0, tel.current_step());
+fn send_telemetry(
+    ctl: &dyn Control,
+    tel: &mut WorkerTelemetry,
+    step: usize,
+    counts: [usize; 3],
+    exec: &PeerExecutor<'_>,
+    [latency_us, wait_us]: [u64; 2],
+    buf: &mut Vec<u8>,
+) {
+    let [begun, committed, degrades] = counts.map(|c| c as u64);
+    let (wire, inflight) = (exec.stats(), exec.pending_sends() as u64);
+    // In metric-id order, `STEPS_BEGUN` (0) to `COMMIT_WAIT_US` (8).
+    let values = [
+        begun,
+        committed,
+        degrades,
+        wire.data_bytes,
+        wire.nacks_sent,
+        wire.resends,
+        latency_us,
+        inflight,
+        wait_us,
+    ];
+    let seq = tel.encode_into(step as u32, &values, buf);
+    let mut f = Frame::control(FrameKind::Telemetry, tel.rank(), 0, step as u32);
     f.seq = seq;
     f.payload = std::mem::take(buf);
     let _ = ctl.send(&f);

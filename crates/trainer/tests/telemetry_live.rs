@@ -151,6 +151,23 @@ fn telemetry_plane_is_inert_observable_and_survives_sigkill() {
         flight.contains(&format!("\"last_step\": {KILL_STEP},")),
         "flight record does not pin the kill step: {flight}"
     );
+    // The rank body is the only sender, so the victim's last snapshot
+    // is the one it shipped at the begin of KILL_STEP: every earlier
+    // step begun and committed, this one begun, no degrade yet, and
+    // the bytes of every exchange before it.
+    for (name, want) in [
+        ("train_steps_begun_total", KILL_STEP + 1),
+        ("train_steps_committed_total", KILL_STEP),
+        ("train_degrades_total", 0),
+    ] {
+        let cell = format!("\"{name}\": {want},");
+        assert!(flight.contains(&cell), "last snapshot lacks {cell}: {flight}");
+    }
+    let wire_bytes = flight
+        .split_once("\"train_wire_bytes_total\": ")
+        .and_then(|(_, rest)| rest.split(',').next()?.parse::<u64>().ok())
+        .expect("train_wire_bytes_total in the flight record");
+    assert!(wire_bytes > 0, "no wire bytes before the kill step: {flight}");
     assert!(flight.contains("\"cat\": \"STEP\""), "no flight spans: {flight}");
     // The flight tail is the rank's compute lane. The snapshot sent at
     // the begin of KILL_STEP (the one that pinned last_step) already

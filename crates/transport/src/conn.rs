@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use faults::{FaultClock, RetryPolicy};
 
 use crate::frame::{encode, envelope, read_frame, Frame, FrameKind, PREFIX_LEN};
-use crate::{Control, TelemetrySource, WireError};
+use crate::{Control, WireError};
 
 /// Frames queued per connection before the ring grows (it still grows
 /// under pathological backlog rather than dropping — growth is rare
@@ -244,7 +244,7 @@ impl Drop for LocalConn {
 
 /// Write half: the stream, serialized under one lock so concurrent
 /// senders cannot interleave frame bytes. *Every* frame write —
-/// consumer sends and the heartbeat/telemetry pump alike — goes through
+/// consumer sends and heartbeat beacons alike — goes through
 /// [`send_frame`]; a partially completed write under send-buffer
 /// backpressure would otherwise splice two frames together and the
 /// peer's reader would see framing loss.
@@ -338,7 +338,6 @@ impl PeerConn {
         stream: UnixStream,
         pool: Arc<BufPool>,
         heartbeat: Option<RetryPolicy>,
-        telemetry: Option<Arc<dyn TelemetrySource>>,
         inbox: Option<&Inbox>,
     ) -> std::io::Result<Self> {
         // The reader delivers into the inbox (`Ok`) or into a ring of
@@ -381,7 +380,7 @@ impl PeerConn {
             let alive = Arc::clone(&alive);
             std::thread::Builder::new()
                 .name(format!("hb-{self_rank}-{peer}"))
-                .spawn(move || heartbeat_main(writer, self_rank, policy, alive, telemetry))?;
+                .spawn(move || heartbeat_main(writer, self_rank, policy, alive))?;
         }
         Ok(PeerConn { peer, writer, ring, pool, last_rx_ms, epoch, alive, shutdown_handle })
     }
@@ -397,7 +396,7 @@ impl PeerConn {
         stream: UnixStream,
         heartbeat: Option<RetryPolicy>,
     ) -> std::io::Result<Self> {
-        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None, None)
+        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None)
     }
 
     /// [`PeerConn::solo`], delivering into `inbox` (tagged `peer`)
@@ -411,23 +410,7 @@ impl PeerConn {
         heartbeat: Option<RetryPolicy>,
         inbox: &Inbox,
     ) -> std::io::Result<Self> {
-        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, None, Some(inbox))
-    }
-
-    /// [`PeerConn::solo`] with a [`TelemetrySource`] piggybacking the
-    /// heartbeat cadence: each beacon interval the source fills a
-    /// reused payload buffer and a `Telemetry` frame ships in place of
-    /// the plain beacon. Requires `heartbeat` (the beacon thread is the
-    /// telemetry pump).
-    pub fn solo_with_telemetry(
-        peer: usize,
-        self_rank: usize,
-        stream: UnixStream,
-        heartbeat: RetryPolicy,
-        telemetry: Arc<dyn TelemetrySource>,
-    ) -> std::io::Result<Self> {
-        let pool = BufPool::new();
-        PeerConn::spawn(peer, self_rank, stream, pool, Some(heartbeat), Some(telemetry), None)
+        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, Some(inbox))
     }
 
     pub fn peer(&self) -> usize {
@@ -531,23 +514,15 @@ fn heartbeat_main(
     self_rank: usize,
     policy: RetryPolicy,
     alive: Arc<AtomicBool>,
-    telemetry: Option<Arc<dyn TelemetrySource>>,
 ) {
     let beacon = Frame::control(FrameKind::Heartbeat, self_rank as u16, 0, 0);
     let interval = policy.heartbeat_interval();
-    // Telemetry reuses one frame (its payload buffer included) across
-    // intervals, so the pump allocates nothing once the buffer is warm.
-    let mut tel_frame = Frame::control(FrameKind::Telemetry, self_rank as u16, 0, 0);
     while alive.load(Ordering::Acquire) {
         // The beacon must track wall time even under a virtual
         // FaultClock — a real socket peer really times out.
         std::thread::sleep(interval); // lint: allow(sleep): heartbeat pacing, interval from RetryPolicy::heartbeat_interval
-        let snapshot = telemetry.as_ref().is_some_and(|src| src.fill(&mut tel_frame.payload));
-        if send_frame(&writer, if snapshot { &tel_frame } else { &beacon }, &alive).is_err() {
+        if send_frame(&writer, &beacon, &alive).is_err() {
             break;
-        }
-        if snapshot {
-            tel_frame.seq += 1;
         }
     }
 }
@@ -608,8 +583,8 @@ mod tests {
     fn frames_cross_a_socketpair() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None, None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
+        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 3);
         f.seq = 5;
         f.payload = vec![1, 2, 3];
@@ -623,8 +598,8 @@ mod tests {
     fn eof_drains_queued_frames_then_reports_gone() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None, None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
+        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 0);
         f.payload = vec![9; 4];
         left.send(&f).unwrap();
@@ -707,9 +682,8 @@ mod tests {
     fn heartbeats_keep_silence_low_and_never_surface() {
         let (a, b) = pair();
         let pool = BufPool::new();
-        let _left =
-            PeerConn::spawn(1, 0, a, Arc::clone(&pool), Some(policy_fast()), None, None).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, None, None).unwrap();
+        let _left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), Some(policy_fast()), None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
         // No data frames at all: receives time out...
         assert_eq!(right.recv_timeout(Duration::from_millis(60)), Err(WireError::Timeout));
         // ...but the beacon keeps the peer visibly alive.

@@ -90,9 +90,9 @@ pub enum FrameKind {
     /// Worker -> coordinator: run complete, results written.
     Finished = 12,
     /// Worker -> coordinator: a versioned telemetry snapshot (metric
-    /// cells, current step, flight-recorder tail). Rides the heartbeat
-    /// cadence on control streams; never crosses a data wire. Payload
-    /// format: `trace::telemetry`.
+    /// values, current step, flight-recorder tail), sent by the rank
+    /// body at every step begin on control streams; never crosses a
+    /// data wire. Payload format: `trace::telemetry`.
     Telemetry = 13,
 }
 

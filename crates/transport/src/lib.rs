@@ -22,7 +22,7 @@
 //! [`faults::RetryPolicy::death_threshold`] silence bound (slow path).
 //! Every timeout in the crate derives from [`faults::RetryPolicy`] and
 //! sleeps route through [`faults::FaultClock`] — `xtask lint` bans bare
-//! `thread::sleep` and hard-coded `Duration` literals here (rule 8).
+//! `thread::sleep` and hard-coded `Duration` literals here (rule 7).
 //!
 //! The crate knows nothing about schedules or reduction: it moves
 //! frames. The reliability protocol (seq/ack/nack/resend/dedup) has
@@ -31,6 +31,8 @@
 //! [`Wire`] decorator (`collectives::FaultWire`), not a backend. A
 //! worker's control stream to its coordinator is a [`Control`]: a
 //! [`PeerConn`] between processes, a [`LocalConn`] between threads.
+//! What travels on it — votes, verdicts, telemetry snapshots — is the
+//! sender's to write: the heartbeat thread only ever sends beacons.
 
 pub mod channel;
 pub mod conn;
@@ -76,27 +78,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// A producer of telemetry payloads that piggyback the heartbeat
-/// cadence (see [`PeerConn::solo_with_telemetry`]). Every heartbeat
-/// interval the beacon thread calls `fill`; when it returns `true` the
-/// bytes left in `out` ship as one [`FrameKind::Telemetry`] frame in
-/// place of the plain beacon (a telemetry frame refreshes the peer's
-/// last-heard-from clock just like a heartbeat would, so liveness is
-/// preserved).
-///
-/// `fill` runs on the beacon thread at heartbeat cadence with a
-/// *reused* buffer — implementations that only write into `out` keep
-/// the steady state allocation-free (the counting-allocator proof in
-/// `collectives/tests/socket_zero_alloc.rs` covers the trainer's
-/// implementation). The transport does not interpret the payload; the
-/// format contract lives with the producer/consumer pair (the
-/// trainer's is `trace::telemetry`).
-pub trait TelemetrySource: Send + Sync {
-    /// Overwrite `out` with the next snapshot payload. Return `false`
-    /// to skip this interval (a plain heartbeat is sent instead).
-    fn fill(&self, out: &mut Vec<u8>) -> bool;
-}
 
 /// One end of an ordered control stream between a worker and its
 /// coordinator: a [`PeerConn`] over a socket between processes, or a

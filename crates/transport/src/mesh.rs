@@ -38,8 +38,7 @@ impl SocketMesh {
         let pool = BufPool::new();
         let mut conns: Vec<Option<PeerConn>> = (0..=max_id).map(|_| None).collect();
         for (peer, stream) in streams {
-            let conn =
-                PeerConn::spawn(peer, rank, stream, Arc::clone(&pool), Some(policy), None, None)?;
+            let conn = PeerConn::spawn(peer, rank, stream, Arc::clone(&pool), Some(policy), None)?;
             conns[peer] = Some(conn);
         }
         Ok(SocketMesh { rank, world_ids, conns, pool })

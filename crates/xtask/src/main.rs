@@ -19,17 +19,13 @@
 //!    paths accumulate in `f32` exactly like the GPU kernels they
 //!    model, and a stray widening would silently change every
 //!    fingerprinted result.
-//! 4. **hot-path-dyn-trace** — inside a `// lint: hot-path` fn,
-//!    instrumentation must use the span recorder's no-alloc API
-//!    (`Lane::record` / `record_args`, `&'static str` names); the
-//!    allocating `record_dyn(` escape hatch is banned there.
-//! 5. **sleep-ban** — no bare `thread::sleep` in library code: every
+//! 4. **sleep-ban** — no bare `thread::sleep` in library code: every
 //!    delay must go through `faults::FaultClock`, so chaos runs can be
 //!    replayed on a virtual clock. The one sanctioned site (the clock
 //!    itself) carries a same-line waiver
 //!    `// lint: allow(sleep): <reason>`; an empty reason is itself a
 //!    violation.
-//! 6. **simd-fallback** — every `#[target_feature]` fn must (a) carry
+//! 5. **simd-fallback** — every `#[target_feature]` fn must (a) carry
 //!    an `_avx512` / `_avx2` / `_f16c` / `_pclmul` suffix naming the
 //!    feature it needs, (b) have
 //!    a same-file `_scalar` twin, (c) be reachable only through a
@@ -40,7 +36,7 @@
 //!    honest — an uncalled twin proves nothing. A helper whose every
 //!    call site sits inside a `#[target_feature]` fn of the same suffix
 //!    is covered by those callers' twins and dispatch and owes only (a).
-//! 7. **atomic-ordering** — every `Ordering::Relaxed` in library code
+//! 6. **atomic-ordering** — every `Ordering::Relaxed` in library code
 //!    must carry a same-line `// lint: allow(relaxed): <invariant>`
 //!    waiver naming the invariant that makes the relaxation sound (an
 //!    empty reason is itself a violation), and every `compare_exchange`
@@ -50,7 +46,7 @@
 //!    prove exactly which orderings the executor protocols need; this
 //!    rule keeps a future "harmless" demotion from slipping past review
 //!    unjustified.
-//! 8. **transport-timeout** — no hard-coded `Duration::from_*` in
+//! 7. **transport-timeout** — no hard-coded `Duration::from_*` in
 //!    `crates/transport/src`: socket deadlines, heartbeat pacing, and
 //!    backoff must derive from `faults::RetryPolicy` / `FaultClock` so
 //!    every wait in the byte-stream path obeys one tunable policy and
@@ -58,7 +54,7 @@
 //!    timestamp) may be waived with a same-line
 //!    `// lint: allow(duration): <reason>`; an empty reason is itself
 //!    a violation. Test code is exempt as for every rule.
-//! 9. **hot-path-spawn** — inside a `// lint: hot-path` fn, creating a
+//! 8. **hot-path-spawn** — inside a `// lint: hot-path` fn, creating a
 //!    thread is a violation: `thread::spawn`, `thread::scope`, and any
 //!    `.spawn(` (a `thread::Builder` chain, a scope handle). Per-step
 //!    fan-out goes through `collectives::pool`, whose helpers are
@@ -318,16 +314,6 @@ fn lint_file(path: &Path, text: &str, root: &Path, findings: &mut Vec<Finding>) 
                             detail: format!("{what} `{tok}` in a `// lint: hot-path` fn"),
                         });
                     }
-                }
-                if code.contains("record_dyn(") {
-                    findings.push(Finding {
-                        path: rel.clone(),
-                        line: line_no,
-                        rule: "hot-path-dyn-trace",
-                        detail: "allocating `record_dyn(` in a `// lint: hot-path` fn; \
-                                 use `record`/`record_args` with static names"
-                            .to_string(),
-                    });
                 }
             }
             if no_f64 && code.contains("f64") {
@@ -798,17 +784,6 @@ fn f(w: &AtomicU64) {
     }
 
     #[test]
-    fn record_dyn_is_banned_in_hot_path_fns() {
-        let src = "\
-// lint: hot-path
-fn step(lane: &Lane) {
-    lane.record_dyn(\"CAT\", &name, t0, dur);
-}
-";
-        assert_eq!(findings_for(src), vec![("hot-path-dyn-trace".to_string(), 3)]);
-    }
-
-    #[test]
     fn thread_creation_is_banned_in_hot_path_fns() {
         let src = "\
 // lint: hot-path
@@ -846,16 +821,6 @@ fn step(lane: &Lane) {
     }
 
     #[test]
-    fn record_dyn_is_allowed_on_cold_paths() {
-        let src = "\
-fn replay(lane: &Lane) {
-    lane.record_dyn(\"CAT\", &name, t0, dur);
-}
-";
-        assert!(findings_for(src).is_empty());
-    }
-
-    #[test]
     fn hot_path_marker_covers_only_the_next_fn() {
         let src = "\
 // lint: hot-path
@@ -864,24 +829,10 @@ fn hot(lane: &Lane) {
 }
 
 fn cold(lane: &Lane) {
-    lane.record_dyn(\"CAT\", &name, t0, dur);
     let v = Vec::new();
 }
 ";
         assert!(findings_for(src).is_empty());
-    }
-
-    #[test]
-    fn alloc_tokens_still_fire_alongside_the_dyn_rule() {
-        let src = "\
-// lint: hot-path
-fn step(lane: &Lane) {
-    lane.record_dyn(\"CAT\", &format!(\"x{i}\"), t0, dur);
-}
-";
-        let rules: Vec<String> = findings_for(src).into_iter().map(|(r, _)| r).collect();
-        assert!(rules.contains(&"hot-path-alloc".to_string()), "{rules:?}");
-        assert!(rules.contains(&"hot-path-dyn-trace".to_string()), "{rules:?}");
     }
 
     fn simd_findings_for(src: &str) -> Vec<(String, usize)> {
@@ -1061,7 +1012,7 @@ pub fn gemm(x: &mut [f32]) {
 mod tests {
     // lint: hot-path
     fn helper(lane: &Lane) {
-        lane.record_dyn(\"CAT\", &name, t0, dur);
+        let v = Vec::new();
     }
 }
 ";
