@@ -16,9 +16,10 @@
 //! * **drop** — the first transmission of the round's data frames is
 //!   swallowed; the receiver's deadline nacks it and the sender's clean
 //!   buffered copy repairs it;
-//! * **corrupt** — the frame is encoded, one payload bit is flipped,
-//!   and the production decoder ([`parse_body`]) rejects it on its
-//!   CRC, exactly as a socket reader would: corruption becomes loss;
+//! * **corrupt** — the frame is encoded (a bulk-lane frame's slot
+//!   bytes included), one payload bit is flipped, and the production
+//!   decoder ([`parse_body`]) rejects it on its CRC, exactly as a
+//!   socket reader would: corruption becomes loss;
 //! * **straggle** — the rank's round entry is delayed on the session's
 //!   [`FaultClock`];
 //! * **crash** — the rank refuses the round: its executor returns
@@ -41,7 +42,7 @@ use faults::{
     SendFault,
 };
 use trace::Lane;
-use transport::{encode_into, parse_body, Frame, FrameKind, Wire, WireError};
+use transport::{encode_into, parse_body, Frame, FrameKind, Lease, Wire, WireError};
 
 use crate::exec_thread::ExecTrace;
 
@@ -282,6 +283,10 @@ impl<W: Wire + ?Sized> Wire for FaultWire<'_, W> {
 
     fn release(&self, payload: Vec<u8>) {
         self.inner.release(payload);
+    }
+
+    fn lease(&self, peer: usize, len: usize) -> Lease {
+        self.inner.lease(peer, len)
     }
 
     fn enter_round(&self, step: u32, round: u32) -> bool {

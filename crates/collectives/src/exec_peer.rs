@@ -13,13 +13,14 @@
 //!
 //! [`PeerExecutor`] is the body of a single rank — Phase A
 //! snapshot-and-send, Phase B validated in-order receive-and-apply —
-//! under one reliability discipline: per-peer sequence numbers, a
-//! clean-copy resend buffer cleared by acks, nacks on deadline expiry
-//! with exponential backoff ([`RetryPolicy`]), CRC-rejected frames
-//! surfacing as loss (the wire drops them at decode), and a
+//! under one reliability discipline: per-peer sequence numbers, every
+//! sent frame kept as its own resend copy until its ack (its payload in
+//! the buffer or bulk-lane slot it was encoded into), nacks on deadline
+//! expiry with exponential backoff ([`RetryPolicy`]), CRC-rejected
+//! frames surfacing as loss (the wire drops them at decode), and a
 //! [`DedupWindow`] that discards duplicates idempotently and re-orders
-//! early arrivals. Injected faults touch only the wire copy — the
-//! resend buffer always holds clean bytes — and the applied payloads
+//! early arrivals. Injected faults touch only what crosses the wire —
+//! the kept frame always holds clean bytes — and the applied payloads
 //! and the per-rank combine order are exactly those of the schedule,
 //! so the result under faults is bit-identical to the in-process
 //! executors' fault-free one. That is the parity the chaos suites and
@@ -27,25 +28,29 @@
 //!
 //! # Payload bytes
 //!
-//! Without a codec ([`CodecKind::None`]) the executor touches each
-//! payload byte twice: one bulk copy of the outgoing segment into the
-//! resend buffer (the frame borrows those bytes for the send), and one
-//! pass of the reduction kernel reading the f32s straight out of the
-//! received frame's payload. With one ([`PeerExecutor::with_codec`])
-//! the copy becomes the encode — the segment is encoded straight into
-//! the pooled resend buffer, so the bytes on the wire (and in
-//! [`WireStats::data_bytes`]) are exactly `encoded_len` — and the
-//! receiver decodes into one reused f32 stage before the same
-//! reduction kernel. Lossy codecs re-quantise per hop, so a coded
-//! allreduce is approximate, but it is bit-deterministic: the codecs
-//! are CPU-independent and the schedule fixes every combine order.
-//! Error feedback stays with the caller.
+//! Every outgoing payload is encoded once, straight into a send buffer
+//! leased from the wire ([`Wire::lease`]): a buffer from the wire's one
+//! pool, or — on a socket wire, for a payload of at least
+//! [`transport::BULK_MIN`] bytes — a slot of the connection's
+//! shared-memory bulk lane, whose bytes the peer reads where they lie.
+//! The sent frame keeps the lease until its ack. Without a codec
+//! ([`CodecKind::None`]) the executor then touches each payload byte
+//! twice: that encode (a bulk copy of the segment's little-endian f32s)
+//! and one pass of the reduction kernel reading the f32s straight out
+//! of the received frame's bytes, in a pooled buffer or in the peer's
+//! slot. With one ([`PeerExecutor::with_codec`]) the encode is the
+//! codec's, so the bytes on the wire (and in [`WireStats::data_bytes`])
+//! are exactly `encoded_len` — and the receiver decodes into one reused
+//! f32 stage before the same reduction kernel. Lossy codecs re-quantise
+//! per hop, so a coded allreduce is approximate, but it is
+//! bit-deterministic: the codecs are CPU-independent and the schedule
+//! fixes every combine order. Error feedback stays with the caller.
 //!
 //! # Streams multiplex data and control
 //!
 //! A wire gives us one full-duplex stream per peer, so data, acks, and
-//! nacks interleave on it. Every receive demultiplexes: acks clear the
-//! resend buffer, nacks answer with the clean copy, data goes through
+//! nacks interleave on it. Every receive demultiplexes: acks release the
+//! kept frames, nacks answer with the kept frame, data goes through
 //! the era filter and the dedup window, and in-order deliveries queue
 //! per peer until the schedule asks for them (a frame from peer Q can
 //! land while Phase B is blocked on peer P).
@@ -93,7 +98,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use faults::{FaultEvent, RetryPolicy};
-use transport::{DedupWindow, Frame, FrameKind, Offer, Wire, WireError};
+use transport::{DedupWindow, Frame, FrameKind, Lease, Offer, Wire, WireError};
 
 use crate::compression::{codec_for, CodecKind, EncodeScratch};
 use crate::exec_fault::FaultSink;
@@ -153,17 +158,9 @@ pub struct WireStats {
     pub nacks_sent: u64,
     /// Resends this executor answered.
     pub resends: u64,
-}
-
-/// One un-acked send: the clean payload bytes plus the header needed to
-/// reconstruct the exact frame on a nack.
-#[derive(Debug)]
-struct PendingOut {
-    seq: u64,
-    step: u32,
-    round: u32,
-    offset: u32,
-    clean: Vec<u8>,
+    /// Data frames first-sent with their payload in a bulk-lane slot
+    /// (a subset of `data_frames`).
+    pub lane_frames: u64,
 }
 
 /// Everything a [`PeerExecutor`] owns, apart from its borrow of the
@@ -181,8 +178,9 @@ pub(crate) struct PeerState {
     step: u32,
     /// Next outbound sequence number, per destination.
     next_seq: Vec<u64>,
-    /// Un-acked sends per destination, oldest first.
-    pending: Vec<VecDeque<PendingOut>>,
+    /// Un-acked sends per destination, oldest first: each the frame as
+    /// sent, its lease its resend copy.
+    pending: Vec<VecDeque<Frame>>,
     /// Inbound sequencing per source.
     window: Vec<DedupWindow>,
     /// First not-yet-acked inbound seq per source (acks trail the
@@ -192,10 +190,11 @@ pub(crate) struct PeerState {
     ready: Vec<VecDeque<Frame>>,
     /// Frames from a future era per source, replayed after `bump_era`.
     future: Vec<VecDeque<Frame>>,
-    /// Recycled payload-byte buffers for outbound clean copies.
-    byte_pool: Vec<Vec<u8>>,
-    /// Codec working buffers and the f32s a coded payload decodes into.
+    /// Codec working buffers, the staging a coded payload is encoded
+    /// into when it goes to a slot, and the f32s a coded payload
+    /// decodes into.
     scratch: EncodeScratch,
+    coded: Vec<u8>,
     stage: Vec<f32>,
     /// Cumulative wire statistics (telemetry reads these).
     pub(crate) stats: WireStats,
@@ -283,8 +282,8 @@ impl<'w> PeerExecutor<'w> {
             self.st.window[p].reset();
             self.st.next_seq[p] = 0;
             self.st.acked[p] = 0;
-            while let Some(entry) = self.st.pending[p].pop_front() {
-                self.st.byte_pool.push(entry.clean);
+            while let Some(sent) = self.st.pending[p].pop_front() {
+                self.wire.release(sent.payload);
             }
             while let Some(f) = self.st.ready[p].pop_front() {
                 self.wire.release(f.payload);
@@ -381,10 +380,11 @@ impl<'w> PeerExecutor<'w> {
                     frame.offset as usize, seg.offset,
                     "rank {my}: segment mismatch from {peer}"
                 );
-                self.apply(&frame.payload, &mut buf[seg.offset..seg.end()], reduce.then_some(op));
+                self.apply(frame.bytes(), &mut buf[seg.offset..seg.end()], reduce.then_some(op));
                 if let Some(s) = &self.sink {
-                    s.span("RECV", "recv", t0, peer as u64, frame.payload.len() as u64);
+                    s.span("RECV", "recv", t0, peer as u64, frame.bytes().len() as u64);
                 }
+                // A lane frame's slot reference goes with the frame.
                 self.wire.release(frame.payload);
             }
         }
@@ -425,11 +425,11 @@ impl<'w> PeerExecutor<'w> {
         Ok(())
     }
 
-    /// Send one data frame and park its clean copy in the resend
-    /// buffer: the segment's little-endian f32s, or its encoding — the
-    /// one copy of a payload this executor makes, since `buf` is
-    /// overwritten by later rounds before the ack arrives. A dead
-    /// stream surfaces immediately as `PeerDead`.
+    /// Send one data frame, its payload encoded into a lease from the
+    /// wire — the segment's little-endian f32s, or its encoding: the one
+    /// copy of a payload this executor makes — and keep the frame until
+    /// its ack, since `buf` is overwritten by later rounds before then.
+    /// A dead stream surfaces immediately as `PeerDead`.
     // lint: hot-path
     fn send_data(
         &mut self,
@@ -439,34 +439,30 @@ impl<'w> PeerExecutor<'w> {
         src: &[f32],
     ) -> Result<(), PeerExecError> {
         let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
-        let mut clean = self.st.byte_pool.pop().unwrap_or_default();
-        match self.st.codec {
-            CodecKind::None => f32s_to_bytes(src, &mut clean),
-            kind => codec_for(kind).encode(src, &mut clean, &mut self.st.scratch),
+        let st = &mut self.st;
+        let mut lease = self.wire.lease(peer, st.codec.encoded_len(src.len()));
+        match (st.codec, &mut lease) {
+            (CodecKind::None, lease) => f32s_to_bytes(src, lease.bytes_mut()),
+            (kind, Lease::Heap(buf)) => codec_for(kind).encode(src, buf, &mut st.scratch),
+            (kind, Lease::Slot(slot)) => {
+                codec_for(kind).encode(src, &mut st.coded, &mut st.scratch);
+                slot.bytes_mut().copy_from_slice(&st.coded);
+            }
         }
-        let seq = self.st.next_seq[peer];
-        self.st.next_seq[peer] += 1;
-        let frame = Frame {
-            kind: FrameKind::Data,
-            from: self.wire.rank() as u16,
-            era: self.st.era,
-            seq,
-            step: self.st.step,
-            round: round as u32,
-            offset: offset as u32,
-            payload: clean,
-        };
+        if matches!(lease, Lease::Slot(_)) {
+            st.stats.lane_frames += 1;
+        }
+        let mut frame = Frame::control(FrameKind::Data, self.wire.rank() as u16, st.era, st.step);
+        frame.seq = st.next_seq[peer];
+        frame.round = round as u32;
+        frame.offset = offset as u32;
+        st.next_seq[peer] += 1;
+        let frame = frame.carrying(lease);
         let sent = self.wire.send(peer, &frame);
-        let bytes = frame.payload.len() as u64;
+        let bytes = frame.bytes().len() as u64;
         self.st.stats.data_frames += 1;
         self.st.stats.data_bytes += bytes;
-        self.st.pending[peer].push_back(PendingOut {
-            seq,
-            step: self.st.step,
-            round: round as u32,
-            offset: offset as u32,
-            clean: frame.payload,
-        });
+        self.st.pending[peer].push_back(frame);
         if let Some(s) = &self.sink {
             s.span("SEND", "send", t0, peer as u64, bytes);
         }
@@ -611,8 +607,8 @@ impl<'w> PeerExecutor<'w> {
             FrameKind::Ack => {
                 let pending = &mut self.st.pending[peer];
                 if let Some(pos) = pending.iter().position(|p| p.seq == frame.seq) {
-                    let entry = pending.remove(pos).expect("position just found"); // lint: allow(unwrap): position just found by iter().position
-                    self.st.byte_pool.push(entry.clean);
+                    let sent = pending.remove(pos).expect("position just found"); // lint: allow(unwrap): position just found by iter().position
+                    self.wire.release(sent.payload);
                 }
                 self.wire.release(frame.payload);
             }
@@ -674,34 +670,17 @@ impl<'w> PeerExecutor<'w> {
         }
     }
 
-    /// Answer a nack with the clean buffered copy, if still held.
+    /// Answer a nack with the kept frame, if still held.
     fn resend(&mut self, peer: usize, seq: u64) {
         // Already acked or not yet assigned: a benign race.
-        let Some(pos) = self.st.pending[peer].iter().position(|p| p.seq == seq) else {
+        let Some(frame) = self.st.pending[peer].iter().find(|p| p.seq == seq) else {
             return;
         };
         let t0 = self.sink.as_ref().and_then(FaultSink::now_us);
-        // The clean bytes ride the frame only for the send, then go
-        // straight back into the buffer.
-        let (step, round, offset, clean) = {
-            let e = &mut self.st.pending[peer][pos];
-            (e.step, e.round, e.offset, std::mem::take(&mut e.clean))
-        };
-        let frame = Frame {
-            kind: FrameKind::Data,
-            from: self.wire.rank() as u16,
-            era: self.st.era,
-            seq,
-            step,
-            round,
-            offset,
-            payload: clean,
-        };
-        let sent = self.wire.send(peer, &frame);
-        let bytes = frame.payload.len() as u64;
+        let sent = self.wire.send(peer, frame);
+        let bytes = frame.bytes().len() as u64;
         self.st.stats.resends += 1;
         self.st.stats.data_bytes += bytes;
-        self.st.pending[peer][pos].clean = frame.payload;
         if let Some(s) = &self.sink {
             s.span("SEND", "resend", t0, peer as u64, bytes);
         }
@@ -739,18 +718,19 @@ fn dead(peer: usize) -> PeerExecError {
     PeerExecError::PeerDead { dead: vec![peer] }
 }
 
-/// Encode f32s little-endian into a reused byte buffer.
-fn f32s_to_bytes(src: &[f32], out: &mut Vec<u8>) {
-    out.clear();
+/// Encode f32s little-endian into `out`, exactly `4 * src.len()` bytes.
+fn f32s_to_bytes(src: &[f32], out: &mut [u8]) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: any initialized f32 is four initialized bytes, u8 has
         // no alignment requirement, and the view borrows `src`.
         let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), src.len() * 4) };
-        out.extend_from_slice(bytes);
+        out.copy_from_slice(bytes);
     }
     #[cfg(target_endian = "big")]
-    out.extend(src.iter().flat_map(|x| x.to_le_bytes()));
+    for (o, x) in out.chunks_exact_mut(4).zip(src) {
+        o.copy_from_slice(&x.to_le_bytes());
+    }
 }
 
 /// f32s staged per pass when a payload cannot be viewed in place.
@@ -842,7 +822,7 @@ mod tests {
     fn payload_bytes_apply_identically_at_every_alignment() {
         let n = STAGE_ELEMS * 2 + 37;
         let src: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
-        let mut bytes = Vec::new();
+        let mut bytes = vec![0u8; 4 * n];
         f32s_to_bytes(&src, &mut bytes);
         assert_eq!(bytes, src.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -947,6 +927,9 @@ mod tests {
         }
         fn release(&self, payload: Vec<u8>) {
             self.inner.release(payload);
+        }
+        fn lease(&self, peer: usize, len: usize) -> Lease {
+            self.inner.lease(peer, len)
         }
     }
 

@@ -41,6 +41,9 @@ pub struct Faulty {
     /// Σ over ranks of `WireStats::data_bytes`: payload bytes on the
     /// wire, resends included.
     pub wire_bytes: u64,
+    /// Σ over ranks of `WireStats::lane_frames`: data frames whose
+    /// payload rode a socket's bulk lane.
+    pub lane_frames: u64,
 }
 
 impl Faulty {
@@ -71,33 +74,34 @@ pub fn run_faulty<W: Wire>(
 ) -> Faulty {
     let ids: Vec<usize> = wires[0].world_ids().to_vec();
     let mut bufs = inputs;
-    let (outcomes, wire_bytes) = std::thread::scope(|scope| {
+    let (outcomes, wire_bytes, lane_frames) = std::thread::scope(|scope| {
         let handles: Vec<_> = wires
             .iter_mut()
             .zip(bufs.iter_mut())
             .map(|(wire, buf)| {
                 let (ids, hang_up) = (&ids, &hang_up);
                 scope.spawn(move || {
-                    let (outcome, bytes) = {
+                    let (outcome, stats) = {
                         let link = FaultWire::new(&*wire, session);
                         let mut exec = PeerExecutor::new(&link, session.policy())
                             .with_sink(session.sink(link.rank()));
                         let outcome =
                             exec.allreduce(schedule, buf, op, ids, &mut || CtlSignal::Continue);
-                        (outcome, exec.stats().data_bytes)
+                        (outcome, exec.stats())
                     };
                     if outcome.is_err() {
                         hang_up(wire);
                     }
-                    (outcome, bytes)
+                    (outcome, stats)
                 })
             })
             .collect();
         let done: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
-        let bytes = done.iter().map(|(_, b)| b).sum();
-        (done.into_iter().map(|(o, _)| o).collect(), bytes)
+        let bytes = done.iter().map(|(_, s)| s.data_bytes).sum();
+        let lane = done.iter().map(|(_, s)| s.lane_frames).sum();
+        (done.into_iter().map(|(o, _)| o).collect(), bytes, lane)
     });
-    Faulty { bufs, outcomes, wire_bytes }
+    Faulty { bufs, outcomes, wire_bytes, lane_frames }
 }
 
 /// [`run_faulty`] over a fresh in-process mesh on original ids `ids`,

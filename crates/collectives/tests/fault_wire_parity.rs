@@ -6,7 +6,8 @@
 //! protocols into one buys: the same seeded [`FaultPlan`] drives the
 //! same decorator over the in-process channel backend and over real
 //! Unix-domain sockets, and both repair every drop and corruption
-//! bit-exactly.
+//! bit-exactly — frames inline and frames in the sockets' bulk lane
+//! alike.
 
 mod common;
 
@@ -14,8 +15,10 @@ use std::time::Duration;
 
 use collectives::reference::apply_allreduce;
 use collectives::{Algorithm, ExecTrace, FaultSession, ReduceOp, Schedule};
-use faults::{FaultCounterSnapshot, FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy};
-use transport::{ChannelWire, Wire};
+use faults::{
+    FaultCounterSnapshot, FaultEvent, FaultKind, FaultPlan, FaultSpec, Injection, RetryPolicy,
+};
+use transport::{ChannelWire, Wire, BULK_MIN};
 
 use common::{run_faulty, run_faulty_channels};
 
@@ -193,26 +196,40 @@ fn faulty_runs_replay_identically_from_the_same_plan() {
     assert_eq!(b1, clean, "faults repaired ⇒ identical to the fault-free run");
 }
 
-/// One run of a recoverable `plan` over `mesh`: the per-rank results
-/// and the session's counters.
-fn repair<W: Wire>(
-    mut mesh: Vec<W>,
-    plan: FaultPlan,
-    schedule: &Schedule,
-) -> (Vec<Vec<f32>>, FaultCounterSnapshot) {
+/// What one run of a recoverable plan left: the per-rank results, the
+/// session's counters, its deterministic event log, and the data frames
+/// that rode a bulk lane.
+struct Repaired {
+    bufs: Vec<Vec<f32>>,
+    counts: FaultCounterSnapshot,
+    events: Vec<FaultEvent>,
+    lane_frames: u64,
+}
+
+/// One run of a recoverable `plan` over `mesh`.
+fn repair<W: Wire>(mut mesh: Vec<W>, plan: FaultPlan, schedule: &Schedule) -> Repaired {
     let session = FaultSession::new(plan).with_policy(policy());
     let ins = inputs(schedule.n_ranks, schedule.n_elems);
     // No rank stops under a recoverable plan, so none is hung up.
     let run = run_faulty(&mut mesh, &session, schedule, ins, ReduceOp::Sum, |_| {});
     assert!(run.outcomes.iter().all(Result::is_ok), "recoverable faults only");
-    (run.bufs, session.counts())
+    Repaired {
+        bufs: run.bufs,
+        counts: session.counts(),
+        events: session.events().deterministic_core(),
+        lane_frames: run.lane_frames,
+    }
 }
 
+/// 96 elements keep every frame inline; 2^16 put every segment at or
+/// above `BULK_MIN` (a 4-rank ring's quarter is exactly 64 KiB), so on
+/// sockets the plan's drops and corruptions hit bulk-lane frames and
+/// their resends.
 #[test]
 fn one_plan_repairs_identically_over_channels_and_sockets() {
-    for n in [2usize, 4] {
+    for (n, e) in [2usize, 4].into_iter().flat_map(|n| [(n, 96usize), (n, 1 << 16)]) {
         for algo in [Algorithm::Ring, Algorithm::RecursiveDoubling] {
-            let schedule = algo.build(n, 96);
+            let schedule = algo.build(n, e);
             let spec = FaultSpec {
                 drops: 2,
                 corruptions: 2,
@@ -222,15 +239,20 @@ fn one_plan_repairs_identically_over_channels_and_sockets() {
             let plan = FaultPlan::seeded(0xFA17 + n as u64, &spec);
             let want = reference(&schedule);
 
-            let (by_channel, chan) = repair(ChannelWire::mesh(n), plan.clone(), &schedule);
-            let (by_socket, sock) = repair(common::socket_mesh(n, policy()), plan, &schedule);
-            assert_eq!(by_channel, want, "{algo:?} n={n}: channel result");
-            assert_eq!(by_socket, want, "{algo:?} n={n}: socket result");
+            let by_channel = repair(ChannelWire::mesh(n), plan.clone(), &schedule);
+            let by_socket = repair(common::socket_mesh(n, policy()), plan, &schedule);
+            let (chan, sock) = (by_channel.counts, by_socket.counts);
+            assert_eq!(by_channel.bufs, want, "{algo:?} n={n}: channel result");
+            assert_eq!(by_socket.bufs, want, "{algo:?} n={n}: socket result");
             assert_eq!(
                 chan.deterministic_part(),
                 sock.deterministic_part(),
                 "{algo:?} n={n}: the plan must fire identically on both wires"
             );
+            assert_eq!(by_channel.events, by_socket.events, "{algo:?} n={n} e={e}: one event log");
+            assert_eq!(by_channel.lane_frames, 0, "channels have no bulk lane");
+            let bulk = e / n * 4 >= BULK_MIN;
+            assert_eq!(by_socket.lane_frames > 0, bulk, "{algo:?} n={n} e={e}: lane engaged");
             assert!(chan.injected_drops + chan.injected_corruptions > 0, "{algo:?} n={n}: {chan}");
             for (wire, c) in [("channel", chan), ("socket", sock)] {
                 assert!(c.crc_rejects >= c.injected_corruptions, "{algo:?} n={n} {wire}: {c}");

@@ -3,8 +3,10 @@
 //! Unix-domain sockets allocates nothing — payload buffers recycle
 //! through the connection pool (a CRC-rejected frame's included), the
 //! frame rings are retained, sends borrow their payload, and the
-//! executor's working state is reused. The socket backend may allocate
-//! only at connection setup/teardown.
+//! executor's working state is reused; at 2 MiB frames the payloads
+//! ride the bulk lane's shared-memory slots, which are reclaimed and
+//! reused instead. The socket backend may allocate only at connection
+//! setup/teardown.
 //!
 //! The in-process channel backend's zero-alloc story is covered by the
 //! executor proofs; this test pins the harder claim for the byte-stream
@@ -174,6 +176,83 @@ fn steady_state_socket_allreduce_is_allocation_free() {
         assert_eq!(mine.to_bits(), theirs.to_bits(), "elem {i} disagrees across ranks");
         let want =
             (last * N_ELEMS + i) as f32 * 0.5 + 1.0 + ((last * N_ELEMS + i) as f32 * 0.25 - 3.0);
+        assert_eq!(mine.to_bits(), want.to_bits(), "elem {i} has the wrong sum");
+    }
+}
+
+/// The bulk lane makes the same promise at 2 MiB frames: once warm,
+/// every data frame's payload is encoded straight into a slot of the
+/// sender's shared segment, checked and applied where it lies, and the
+/// slot reclaimed for a later step — no buffer is allocated for it on
+/// either side, and every data frame of the measured steps rode the
+/// lane (by `WireStats::lane_frames`). The 1 024-element proof above
+/// is the inline path.
+#[test]
+fn steady_state_bulk_lane_allreduce_is_allocation_free() {
+    const ELEMS: usize = 1 << 20;
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (a, b) = UnixStream::pair().expect("socketpair");
+    let schedule = Algorithm::Ring.build(2, ELEMS);
+    schedule.verify_allreduce().expect("ring schedule verifies");
+    let input = |rank: usize, step: usize, i: usize| ((step * 7 + i * (rank + 1)) % 1024) as f32;
+    let fence = Arc::new(Barrier::new(2));
+
+    let peer_schedule = schedule.clone();
+    let peer_fence = Arc::clone(&fence);
+    let peer = std::thread::spawn(move || {
+        let mesh = SocketMesh::new(1, vec![0, 1], vec![(0, b)], policy()).expect("mesh rank 1");
+        let mut exec = PeerExecutor::new(&mesh, policy());
+        let mut buf = vec![0.0f32; ELEMS];
+        let mut warm = exec.stats();
+        for step in 0..TOTAL {
+            if step == WARMUP {
+                warm = exec.stats();
+            }
+            for (i, x) in buf.iter_mut().enumerate() {
+                *x = input(1, step, i);
+            }
+            peer_fence.wait();
+            exec.begin_step(step);
+            exec.allreduce(&peer_schedule, &mut buf, ReduceOp::Sum, &[0, 1], &mut || {
+                CtlSignal::Continue
+            })
+            .expect("rank 1 allreduce");
+        }
+        let done = exec.stats();
+        (buf, done.data_frames - warm.data_frames, done.lane_frames - warm.lane_frames)
+    });
+
+    let mesh = SocketMesh::new(0, vec![0, 1], vec![(1, a)], policy()).expect("mesh rank 0");
+    let mut exec = PeerExecutor::new(&mesh, policy());
+    let mut buf = vec![0.0f32; ELEMS];
+    let mut step = 0usize;
+    let mut one_step = |exec: &mut PeerExecutor, buf: &mut Vec<f32>| {
+        for (i, x) in buf.iter_mut().enumerate() {
+            *x = input(0, step, i);
+        }
+        fence.wait();
+        exec.begin_step(step);
+        exec.allreduce(&schedule, buf, ReduceOp::Sum, &[0, 1], &mut || CtlSignal::Continue)
+            .expect("rank 0 allreduce");
+        step += 1;
+    };
+    for _ in 0..WARMUP {
+        one_step(&mut exec, &mut buf);
+    }
+    let warm = exec.stats();
+    let n = count_allocs(|| one_step(&mut exec, &mut buf));
+    assert_eq!(n, 0, "steady-state bulk-lane allreduce allocated {n} times after warmup");
+
+    let (peer_buf, peer_frames, peer_lane) = peer.join().expect("rank 1 thread");
+    let done = exec.stats();
+    let (frames, lane) = (done.data_frames - warm.data_frames, done.lane_frames - warm.lane_frames);
+    assert_eq!(frames, 2 * MEASURED as u64, "one reduce-scatter and one allgather frame a step");
+    assert_eq!(lane, frames, "rank 0: every measured data frame rode the lane");
+    assert_eq!((peer_frames, peer_lane), (frames, frames), "rank 1: every one rode the lane");
+    let last = TOTAL - 1;
+    for (i, (&mine, &theirs)) in buf.iter().zip(&peer_buf).enumerate() {
+        assert_eq!(mine.to_bits(), theirs.to_bits(), "elem {i} disagrees across ranks");
+        let want = input(0, last, i) + input(1, last, i);
         assert_eq!(mine.to_bits(), want.to_bits(), "elem {i} has the wrong sum");
     }
 }

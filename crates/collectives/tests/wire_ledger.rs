@@ -75,10 +75,16 @@ fn run_coded<W: Wire>(
     (bufs, bytes)
 }
 
+/// 1 000 elements keep every frame inline; 2^16 put every raw segment
+/// at or above the socket wire's `BULK_MIN`, so those frames ride its
+/// bulk lane — and bill the same bytes.
 #[test]
 fn wire_byte_ledger_matches_encoded_len_exactly_on_both_wires() {
-    let (n, e) = (4usize, 1000usize);
-    for algo in [Algorithm::Ring, Algorithm::RecursiveDoubling] {
+    let n = 4usize;
+    for (e, algo) in [1000usize, 1 << 16]
+        .into_iter()
+        .flat_map(|e| [Algorithm::Ring, Algorithm::RecursiveDoubling].map(|a| (e, a)))
+    {
         let schedule = algo.build(n, e);
         let raw = over_sends(&schedule, |len| 4 * len);
         for codec in CodecKind::ALL {

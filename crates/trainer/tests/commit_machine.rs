@@ -512,6 +512,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             round,
             offset,
             payload,
+            slot: None,
         },
     )
 }

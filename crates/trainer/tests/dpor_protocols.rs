@@ -1,5 +1,6 @@
 //! DPOR model checking of the three lock-free protocols under the
-//! fan-outs (`collectives::pool`, `trainer::real::pipeline`), via the
+//! fan-outs (`collectives::pool`, `trainer::real::pipeline`) and of the
+//! socket wire's bulk-lane slot protocol (`transport::lane`), via the
 //! vendored `interleave` checker's relaxed-memory machine.
 //!
 //! Each protocol is modeled over [`interleave::Mem`] with the *exact*
@@ -32,6 +33,12 @@
 //!    (encode-to-scratch, publish reduced) — with a compression step
 //!    active, a stale partial read corrupts the wire payload, which is
 //!    why the drain's ordering is load-bearing.
+//! 4. [`LaneModel`] — the bulk lane's slots (`transport::lane`): lease
+//!    → write → publish → deliver → release → reclaim over a segment
+//!    of two-and-a-bit slots, with wrap-around. Mutants: publish before
+//!    the payload is written or with a Relaxed doorbell (torn read),
+//!    reclaim while a delivered reference is live (torn read), and a
+//!    wrap check that forgets the slot header (overlapping slots).
 //!
 //! Modeling conventions: park/unpark happens-before uses
 //! [`Mem::transfer`] at token-consume time (std guarantees
@@ -998,6 +1005,484 @@ fn tile_off_by_one_counter_mutant_refuted() {
         }
         other => panic!("expected a violation, got {other}"),
     }
+}
+
+// ---------------------------------------------------------------------
+// 4. Bulk-lane slot protocol (transport::lane)
+// ---------------------------------------------------------------------
+
+/// Segment cells: slot headers (the reference count) and payload words.
+const SEG: usize = 7;
+/// Header cells per slot (the real header is 64 bytes; one word here).
+const HDR: usize = 1;
+/// Payload words of each message, in send order. Spans 2, 3, 2, 3 in a
+/// 7-cell segment: the third slot ends flush with the segment, and the
+/// fourth must wrap to 0 — which fits only once the oldest live slot
+/// starts at 3 or later.
+const LANE_MSGS: [usize; 4] = [1, 2, 1, 2];
+const N_MSG: usize = LANE_MSGS.len();
+/// `desc[m]`: slot offset + 1 of message `m`, or [`INLINE`].
+const DESC0: Loc = SEG as Loc;
+const BELL: Loc = DESC0 + N_MSG as Loc;
+const ACK: Loc = BELL + 1;
+/// The descriptor of a message that found no room and went inline.
+const INLINE: u64 = 100;
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LaneBug {
+    None,
+    /// The descriptor is published before the payload is written.
+    PublishEarly,
+    /// The doorbell store is Relaxed: the payload writes are not
+    /// ordered before it.
+    PublishRelaxed,
+    /// Reclaim counts only the sender's own reference: a slot is reused
+    /// while the receiver still reads it.
+    ReclaimLive,
+    /// The wrap check forgets the slot header (`len <= tail`).
+    WrapOffByOne,
+    /// Not a bug: flags any wrap-around placement, to prove the
+    /// unmutated model reaches one.
+    WrapWitness,
+}
+
+/// `SendLane::lease` / `PeerConn::send` / the reader's `resolve` and
+/// the frame's drop, over a 7-cell segment: before each lease the
+/// sender services acks (Acquire), dropping its own reference to every
+/// acked message's slot (Release), as the executor does between sends;
+/// it leases a slot (reclaiming in order while counts read zero,
+/// Acquire), writes the count (1) and the payload, pins the
+/// descriptor's reference, and publishes descriptor then doorbell
+/// (Release — the socket in the real code). After the last message it
+/// waits for the final ack (the executor's flush). The receiver waits
+/// for the doorbell (Acquire), reads the descriptor, acks (at delivery,
+/// before the apply, as the executor does), reads the payload where it
+/// lies, and drops the descriptor's reference (Release). Slots that do
+/// not fit go inline.
+struct LaneModel {
+    bug: LaneBug,
+}
+
+#[derive(Clone, Hash, PartialEq, Eq, Debug)]
+struct LaneState {
+    mem: Mem,
+    /// Sender: message, pc within it, and its slot offset.
+    s_msg: usize,
+    s_pc: u8,
+    s_off: Option<usize>,
+    /// Slot of every message sent, and how many of them have had the
+    /// sender's own reference dropped / have been acked as far as the
+    /// sender has seen.
+    sent: Vec<Option<usize>>,
+    unpinned: usize,
+    acked: usize,
+    /// Sender's ring: next placement and live slots `(off, span)`.
+    head: usize,
+    live: Vec<(usize, usize)>,
+    /// Receiver: message, pc within it, slot offset, words read.
+    r_msg: usize,
+    r_pc: u8,
+    r_off: Option<usize>,
+    r_word: usize,
+    /// Violations, recorded where they happen.
+    torn: Option<String>,
+    overlap: Option<String>,
+    wrapped: bool,
+}
+
+// Sender pcs.
+const L_ACKS: u8 = 0;
+const L_UNPIN: u8 = 1;
+const L_RECLAIM: u8 = 2;
+const L_PLACE: u8 = 3;
+const L_COUNT: u8 = 4;
+const L_WRITE: u8 = 5; // + word
+const L_PIN: u8 = 10;
+const L_DESC: u8 = 11;
+const L_BELL: u8 = 12;
+const L_FLUSH: u8 = 13;
+const L_DONE: u8 = 14;
+// Receiver pcs.
+const R_BELL: u8 = 0;
+const R_DESC: u8 = 1;
+const R_ACK: u8 = 2;
+const R_READ: u8 = 3;
+const R_RELEASE: u8 = 4;
+const R_DONE: u8 = 5;
+
+impl LaneModel {
+    /// `Ring::place` after the reclaim: where a slot of `need` cells
+    /// goes, if anywhere.
+    fn place(&self, s: &LaneState, need: usize, len: usize) -> Option<(usize, bool)> {
+        let (Some(&(tail, _)), Some(&(last, _))) = (s.live.first(), s.live.last()) else {
+            return Some((0, false));
+        };
+        if last < tail {
+            return (s.head + need <= tail).then_some((s.head, false));
+        }
+        if s.head + need <= SEG {
+            return Some((s.head, false));
+        }
+        let fits = match self.bug {
+            LaneBug::WrapOffByOne => len <= tail,
+            _ => need <= tail,
+        };
+        fits.then_some((0, true))
+    }
+
+    /// The sender's step after message `m` is published: the next
+    /// message's ack service (the flush, after the last).
+    fn next_message(st: &mut LaneState) {
+        st.s_msg += 1;
+        st.s_pc = L_ACKS;
+    }
+
+    fn sender(&self, s: &LaneState) -> Steps<LaneState> {
+        const TID: usize = 0;
+        let m = s.s_msg;
+        let len = LANE_MSGS.get(m).copied().unwrap_or(0);
+        let early = self.bug == LaneBug::PublishEarly;
+        let mut st = s.clone();
+        let op = match s.s_pc {
+            L_ACKS | L_FLUSH => {
+                // Service whatever acks are visible. The flush waits
+                // for the last one: blocked until it is the newest
+                // write (stale reads there only retry).
+                let flush = s.s_pc == L_FLUSH;
+                if flush && s.mem.peek(ACK) < N_MSG as u64 {
+                    return Steps::Blocked;
+                }
+                let seen: Vec<_> = s
+                    .mem
+                    .load(TID, ACK, MemOrd::Acquire)
+                    .into_iter()
+                    .filter(|&(v, _)| !flush || v == N_MSG as u64)
+                    .map(|(v, mem)| {
+                        let mut st = s.clone();
+                        st.mem = mem;
+                        st.acked = st.acked.max(v as usize);
+                        st.s_pc = L_UNPIN;
+                        (Op::Read(ACK), st)
+                    })
+                    .collect();
+                return Steps::Ready(seen);
+            }
+            L_UNPIN if s.unpinned < s.acked => {
+                // The sender's own reference of the oldest acked
+                // message goes (an `Ack` in the executor's `ingest`).
+                st.unpinned += 1;
+                match s.sent[s.unpinned] {
+                    Some(off) => {
+                        let (_, mem) = s.mem.rmw(TID, off as Loc, MemOrd::Release, |v| v - 1);
+                        st.mem = mem;
+                        Op::CasOk(off as Loc)
+                    }
+                    None => Op::Local,
+                }
+            }
+            L_UNPIN => {
+                st.s_pc = match (m == N_MSG, s.unpinned == N_MSG) {
+                    (true, true) => L_DONE,
+                    (true, false) => L_FLUSH,
+                    (false, _) => L_RECLAIM,
+                };
+                Op::Local
+            }
+            L_DONE => return Steps::Done,
+            L_RECLAIM => {
+                let Some(&(front, _)) = s.live.first() else {
+                    st.s_pc = L_PLACE;
+                    return Steps::Ready(vec![(Op::Local, st)]);
+                };
+                let free = |refs: u64| match self.bug {
+                    LaneBug::ReclaimLive => refs <= 1,
+                    _ => refs == 0,
+                };
+                return Steps::Ready(
+                    s.mem
+                        .load(TID, front as Loc, MemOrd::Acquire)
+                        .into_iter()
+                        .map(|(refs, mem)| {
+                            let mut st = s.clone();
+                            st.mem = mem;
+                            if free(refs) {
+                                st.live.remove(0);
+                            } else {
+                                st.s_pc = L_PLACE;
+                            }
+                            (Op::Read(front as Loc), st)
+                        })
+                        .collect(),
+                );
+            }
+            L_PLACE => {
+                let need = HDR + len;
+                if st.live.is_empty() {
+                    st.head = 0;
+                }
+                match self.place(&st, need, len) {
+                    Some((off, wrapped)) => {
+                        let clash = s.live.iter().find(|&&(o, sp)| off < o + sp && o < off + need);
+                        if let Some(&(o, sp)) = clash {
+                            st.overlap = Some(format!(
+                                "message {m} placed at [{off}, {}) over the live slot [{o}, {})",
+                                off + need,
+                                o + sp
+                            ));
+                        }
+                        st.wrapped |= wrapped;
+                        st.live.push((off, need));
+                        st.head = off + need;
+                        st.s_off = Some(off);
+                        st.s_pc = L_COUNT;
+                    }
+                    None => {
+                        st.s_off = None;
+                        st.s_pc = L_DESC;
+                    }
+                }
+                Op::Local
+            }
+            L_COUNT => {
+                let off = s.s_off.expect("leased");
+                st.mem = s.mem.store(TID, off as Loc, 1, MemOrd::Relaxed);
+                st.s_pc = if early { L_PIN } else { L_WRITE };
+                Op::Write(off as Loc)
+            }
+            pc if (L_WRITE..L_PIN).contains(&pc) => {
+                let word = (pc - L_WRITE) as usize;
+                let cell = s.s_off.expect("leased") + HDR + word;
+                st.mem = s.mem.store(TID, cell as Loc, m as u64 + 1, MemOrd::Relaxed);
+                match (word + 1 == len, early) {
+                    (false, _) => st.s_pc = pc + 1,
+                    (true, false) => st.s_pc = L_PIN,
+                    (true, true) => LaneModel::next_message(&mut st),
+                }
+                Op::Write(cell as Loc)
+            }
+            L_PIN => {
+                let off = s.s_off.expect("leased");
+                let (_, mem) = s.mem.rmw(TID, off as Loc, MemOrd::Relaxed, |v| v + 1);
+                st.mem = mem;
+                st.s_pc = L_DESC;
+                Op::CasOk(off as Loc)
+            }
+            L_DESC => {
+                let desc = s.s_off.map_or(INLINE, |off| off as u64 + 1);
+                st.mem = s.mem.store(TID, DESC0 + m as Loc, desc, MemOrd::Relaxed);
+                st.s_pc = L_BELL;
+                Op::Write(DESC0 + m as Loc)
+            }
+            L_BELL => {
+                let ord = match self.bug {
+                    LaneBug::PublishRelaxed => MemOrd::Relaxed,
+                    _ => MemOrd::Release,
+                };
+                st.mem = s.mem.store(TID, BELL, m as u64 + 1, ord);
+                st.sent.push(s.s_off);
+                if early && s.s_off.is_some() {
+                    st.s_pc = L_WRITE;
+                } else {
+                    LaneModel::next_message(&mut st);
+                }
+                Op::Write(BELL)
+            }
+            _ => unreachable!("sender pc {}", s.s_pc),
+        };
+        Steps::Ready(vec![(op, st)])
+    }
+
+    fn receiver(&self, s: &LaneState) -> Steps<LaneState> {
+        const TID: usize = 1;
+        if s.r_msg == N_MSG {
+            return Steps::Done;
+        }
+        let m = s.r_msg;
+        let loads = |loc: Loc, ord: MemOrd, next: &dyn Fn(&mut LaneState, u64)| {
+            s.mem
+                .load(TID, loc, ord)
+                .into_iter()
+                .map(|(v, mem)| {
+                    let mut st = s.clone();
+                    st.mem = mem;
+                    next(&mut st, v);
+                    (Op::Read(loc), st)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut st = s.clone();
+        let op = match s.r_pc {
+            R_BELL => {
+                if s.mem.peek(BELL) <= m as u64 {
+                    return Steps::Blocked;
+                }
+                // As the sender's flush: stale reads only retry.
+                let rung: Vec<_> = s
+                    .mem
+                    .load(TID, BELL, MemOrd::Acquire)
+                    .into_iter()
+                    .filter(|&(v, _)| v > m as u64)
+                    .map(|(_, mem)| {
+                        let mut st = s.clone();
+                        st.mem = mem;
+                        st.r_pc = R_DESC;
+                        (Op::Read(BELL), st)
+                    })
+                    .collect();
+                return Steps::Ready(rung);
+            }
+            R_DESC => {
+                return Steps::Ready(loads(DESC0 + m as Loc, MemOrd::Relaxed, &|st, v| {
+                    match v {
+                        0 => st.torn = Some(format!("message {m}: its descriptor is not visible")),
+                        INLINE => st.r_off = None,
+                        off => st.r_off = Some(off as usize - 1),
+                    }
+                    st.r_pc = R_ACK;
+                }));
+            }
+            R_ACK => {
+                st.mem = s.mem.store(TID, ACK, m as u64 + 1, MemOrd::Release);
+                st.r_word = 0;
+                st.r_pc = if s.r_off.is_some() { R_READ } else { R_DONE };
+                Op::Write(ACK)
+            }
+            R_READ => {
+                let cell = (s.r_off.expect("slot") + HDR + s.r_word) as Loc;
+                let word = s.r_word;
+                return Steps::Ready(loads(cell, MemOrd::Relaxed, &|st, v| {
+                    if v != m as u64 + 1 {
+                        st.torn = Some(format!("message {m} word {word} read {v}"));
+                    }
+                    st.r_word += 1;
+                    if st.r_word == LANE_MSGS[m] {
+                        st.r_pc = R_RELEASE;
+                    }
+                }));
+            }
+            R_RELEASE => {
+                let off = s.r_off.expect("slot") as Loc;
+                let (_, mem) = s.mem.rmw(TID, off, MemOrd::Release, |v| v.wrapping_sub(1));
+                st.mem = mem;
+                st.r_pc = R_DONE;
+                Op::CasOk(off)
+            }
+            R_DONE => {
+                st.r_msg += 1;
+                st.r_pc = R_BELL;
+                Op::Local
+            }
+            _ => unreachable!("receiver pc {}", s.r_pc),
+        };
+        Steps::Ready(vec![(op, st)])
+    }
+}
+
+impl NdModel for LaneModel {
+    type State = LaneState;
+
+    fn initial(&self) -> LaneState {
+        LaneState {
+            mem: Mem::new(2, &[0; SEG + N_MSG + 2]),
+            s_msg: 0,
+            s_pc: L_RECLAIM,
+            s_off: None,
+            sent: Vec::new(),
+            unpinned: 0,
+            acked: 0,
+            head: 0,
+            live: Vec::new(),
+            r_msg: 0,
+            r_pc: R_BELL,
+            r_off: None,
+            r_word: 0,
+            torn: None,
+            overlap: None,
+            wrapped: false,
+        }
+    }
+
+    fn n_threads(&self) -> usize {
+        2
+    }
+
+    fn steps(&self, s: &LaneState, tid: usize) -> Steps<LaneState> {
+        match tid {
+            0 => self.sender(s),
+            _ => self.receiver(s),
+        }
+    }
+
+    fn invariant(&self, s: &LaneState) -> Result<(), String> {
+        if let Some(t) = &s.torn {
+            return Err(format!("torn read: {t}"));
+        }
+        if let Some(o) = &s.overlap {
+            return Err(format!("slot overlap: {o}"));
+        }
+        if self.bug == LaneBug::WrapWitness && s.wrapped {
+            return Err("wrapped around".into());
+        }
+        if s.s_pc == L_DONE && s.r_msg == N_MSG {
+            if let Some(&(off, _)) = s.live.iter().find(|&&(off, _)| s.mem.peek(off as Loc) != 0) {
+                return Err(format!("slot {off} still counted after every reference dropped"));
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn bulk_lane_slot_protocol_exhaustive_under_dpor() {
+    let m = LaneModel { bug: LaneBug::None };
+    let r = check_dpor(&m, DporOptions::default())
+        .unwrap_or_else(|v| panic!("bulk-lane slot protocol refuted: {v}"));
+    println!(
+        "bulk-lane model ({} messages, {SEG}-cell segment): DPOR explored {} nodes across {} \
+         traces, depth {}",
+        N_MSG, r.nodes, r.traces, r.depth
+    );
+    assert!(r.complete);
+    assert!(r.traces > 1, "reclaim-before vs after the release must fork ({r:?})");
+    let v = check_dpor(&LaneModel { bug: LaneBug::WrapWitness }, DporOptions::default())
+        .expect_err("some interleaving wraps around");
+    assert!(
+        matches!(v, NdVerdict::InvariantViolated { ref reason, .. } if reason == "wrapped around")
+    );
+}
+
+fn refute_lane(bug: LaneBug, what: &str, expect: &str) {
+    let m = LaneModel { bug };
+    let v = check_dpor(&m, DporOptions::default()).expect_err(what);
+    println!("{what} counterexample: {v}");
+    match &v {
+        NdVerdict::InvariantViolated { trace, state, reason, .. } => {
+            assert!(reason.contains(expect), "{reason}");
+            let states = replay_nd(&m, trace);
+            assert_eq!(states.last(), Some(state), "trace must replay to the violation");
+        }
+        other => panic!("expected an invariant violation, got {other}"),
+    }
+}
+
+#[test]
+fn bulk_lane_publish_before_write_mutant_refuted() {
+    refute_lane(LaneBug::PublishEarly, "publish-before-write", "torn read");
+}
+
+#[test]
+fn bulk_lane_relaxed_publish_mutant_refuted() {
+    refute_lane(LaneBug::PublishRelaxed, "relaxed-publish", "torn read");
+}
+
+#[test]
+fn bulk_lane_reclaim_while_delivered_mutant_refuted() {
+    refute_lane(LaneBug::ReclaimLive, "reclaim-while-delivered", "torn read");
+}
+
+#[test]
+fn bulk_lane_wrap_off_by_one_header_mutant_refuted() {
+    refute_lane(LaneBug::WrapOffByOne, "wrap-off-by-one-header", "slot overlap");
 }
 
 // ---------------------------------------------------------------------

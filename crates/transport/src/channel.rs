@@ -3,8 +3,9 @@
 //! serialization, no sockets, no heartbeats (a thread cannot be
 //! SIGKILLed out from under the mesh; explicit disconnection is the
 //! only death signal). A send copies the payload once, into a buffer
-//! from the mesh's shared pool; [`Wire::release`] returns it there, so
-//! a mesh held across collectives stops allocating once it is warm.
+//! from the mesh's shared pool; [`Wire::lease`] hands out send buffers
+//! from the same pool, and [`Wire::release`] returns both kinds there,
+//! so a mesh held across collectives stops allocating once it is warm.
 //!
 //! This is the backend every in-process rank runs on — one
 //! `collectives::PeerExecutor` per rank thread, in the threaded
@@ -18,6 +19,7 @@ use std::time::Duration;
 
 use crate::conn::BufPool;
 use crate::frame::Frame;
+use crate::lane::Lease;
 use crate::{Wire, WireError};
 
 /// One rank's endpoint of an in-process full mesh.
@@ -110,12 +112,12 @@ impl Wire for ChannelWire {
             .ok_or(WireError::PeerGone)?;
         // Control frames carry no payload; there is nothing to pool.
         let mut payload = Vec::new();
-        if !frame.payload.is_empty() {
+        if !frame.bytes().is_empty() {
             payload = self.pool.acquire();
             payload.clear();
-            payload.extend_from_slice(&frame.payload);
+            payload.extend_from_slice(frame.bytes());
         }
-        tx.send(Frame { payload, ..*frame }).map_err(|e| {
+        tx.send(Frame { payload, slot: None, ..*frame }).map_err(|e| {
             self.pool.release(e.0.payload);
             WireError::PeerGone
         })
@@ -153,6 +155,10 @@ impl Wire for ChannelWire {
 
     fn release(&self, payload: Vec<u8>) {
         self.pool.release(payload);
+    }
+
+    fn lease(&self, _peer: usize, len: usize) -> Lease {
+        Lease::heap(self.pool.acquire(), len)
     }
 }
 

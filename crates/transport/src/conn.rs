@@ -1,12 +1,15 @@
 //! One peer connection: a Unix-domain stream wrapped with a decoding
-//! reader thread, a liveness heartbeat, and pooled frame buffers.
+//! reader thread, a liveness heartbeat, pooled frame buffers, and the
+//! bulk lane ([`crate::lane`]) for large payloads.
 //!
 //! The reader thread owns the receive half: it runs
-//! [`read_frame`] in a loop — each payload is read off the socket
+//! [`read_frame_in`] in a loop — each payload is read off the socket
 //! straight into the pooled buffer its frame will own, and checksummed
-//! there — stamps a last-heard-from clock, consumes heartbeats, and
-//! pushes everything else into a pre-allocated ring the consumer drains
-//! with a timeout. EOF (the peer died — a SIGKILLed process's kernel
+//! there; a descriptor frame's slot is checksummed in place in the
+//! peer's segment, which the reader maps when the segment's descriptor
+//! arrives with the first of them — stamps a last-heard-from clock,
+//! consumes heartbeats, and pushes everything else into a pre-allocated
+//! ring the consumer drains with a timeout. EOF (the peer died — a SIGKILLed process's kernel
 //! closes its sockets) closes the ring: queued frames drain first, then
 //! receives report [`WireError::PeerGone`]. A frame that fails its CRC
 //! is *dropped* here, before any header field is trusted — to the
@@ -18,14 +21,18 @@
 //! queued behind every frame that connection carried. [`LocalConn`] is
 //! the same conversation between two threads of one process.
 //!
-//! The send half never copies a payload either: [`PeerConn::send`]
-//! hands the kernel `[len + header] [frame.payload] [crc]` as one
-//! vectored write, under the lock every writer of the stream shares.
+//! The send half never copies a payload in user space:
+//! [`PeerConn::send`] hands the kernel `[len + header] [payload] [crc]`
+//! as one vectored write, under the lock every writer of the stream
+//! shares — or, for a payload the executor encoded straight into a slot
+//! it leased ([`PeerConn::lease`]), `[len + header] [descriptor] [crc]`,
+//! and the payload's bytes never touch the socket.
 //!
 //! All pacing derives from [`RetryPolicy`]; connect retries sleep
 //! through [`FaultClock`].
 
 use std::io::{IoSlice, Write};
+use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,7 +41,11 @@ use std::time::{Duration, Instant};
 
 use faults::{FaultClock, RetryPolicy};
 
-use crate::frame::{encode, envelope, read_frame, Frame, FrameKind, PREFIX_LEN};
+use crate::frame::{
+    encode, envelope, read_frame, read_frame_in, slot_envelope, Frame, FrameKind, PREFIX_LEN,
+};
+use crate::lane::{Lease, RecvLane, SendLane, Slot};
+use crate::sys::{self, FdReader};
 use crate::{Control, WireError};
 
 /// Frames queued per connection before the ring grows (it still grows
@@ -252,6 +263,9 @@ impl Drop for LocalConn {
 struct WriteHalf {
     stream: UnixStream,
     broken: bool,
+    /// The bulk-lane segment's descriptor has gone to the peer (with
+    /// the first descriptor frame).
+    announced: bool,
 }
 
 /// `write_all` over several slices: one `writev` per pass, resuming
@@ -271,17 +285,13 @@ fn write_all_vectored(
     Ok(())
 }
 
-/// Put one frame on the wire: `[len + header] [payload] [crc]`, the
-/// payload borrowed where it lies. Header and CRC are computed before
-/// the lock is taken; only the write itself serializes. A payload-less
-/// frame is one contiguous write. A failure marks the half broken and
-/// the connection dead.
-fn send_frame(
+/// Run `write` on the write half under its lock. A failure marks the
+/// half broken and the connection dead.
+fn write_locked(
     writer: &Mutex<WriteHalf>,
-    frame: &Frame,
     alive: &AtomicBool,
+    write: impl FnOnce(&mut WriteHalf) -> std::io::Result<()>,
 ) -> Result<(), WireError> {
-    let (prefix, crc) = envelope(frame);
     // Poisoned: a write panicked mid-frame and may have torn the
     // stream, so the half is broken.
     let mut w = writer.lock().unwrap_or_else(|torn| {
@@ -292,20 +302,77 @@ fn send_frame(
     if w.broken {
         return Err(WireError::PeerGone);
     }
-    let written = if frame.payload.is_empty() {
-        let mut whole = [0u8; PREFIX_LEN + 4];
-        whole[..PREFIX_LEN].copy_from_slice(&prefix);
-        whole[PREFIX_LEN..].copy_from_slice(&crc);
-        w.stream.write_all(&whole)
-    } else {
-        let mut parts = [IoSlice::new(&prefix), IoSlice::new(&frame.payload), IoSlice::new(&crc)];
-        write_all_vectored(&mut w.stream, &mut parts)
-    };
-    written.map_err(|_| {
+    write(&mut w).map_err(|_| {
         w.broken = true;
         alive.store(false, Ordering::Release);
         WireError::PeerGone
     })
+}
+
+/// Put one frame on the wire: `[len + header] [payload] [crc]`, the
+/// payload borrowed where it lies (a slot's included: a resend of a
+/// lane frame goes inline). Header and CRC are computed before the lock
+/// is taken; only the write itself serializes. A payload-less frame is
+/// one contiguous write.
+fn send_frame(
+    writer: &Mutex<WriteHalf>,
+    frame: &Frame,
+    alive: &AtomicBool,
+) -> Result<(), WireError> {
+    let (prefix, crc) = envelope(frame);
+    let payload = frame.bytes();
+    write_locked(writer, alive, |w| {
+        if payload.is_empty() {
+            let mut whole = [0u8; PREFIX_LEN + 4];
+            whole[..PREFIX_LEN].copy_from_slice(&prefix);
+            whole[PREFIX_LEN..].copy_from_slice(&crc);
+            w.stream.write_all(&whole)
+        } else {
+            let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload), IoSlice::new(&crc)];
+            write_all_vectored(&mut w.stream, &mut parts)
+        }
+    })
+}
+
+/// Ring the doorbell for `frame`, whose payload is in `slot` of the
+/// segment `seg_fd` names: the payload's CRC, the descriptor's
+/// reference, then `[len + header] [descriptor] [crc]`. The first such
+/// frame on the stream carries the segment's descriptor, attached to
+/// its `[descriptor] [crc]` bytes and not to the prefix: the reader
+/// reads every prefix with a plain `read`, which would close it, and
+/// only a flagged frame's body with `recvmsg`.
+fn send_slot(
+    writer: &Mutex<WriteHalf>,
+    frame: &Frame,
+    slot: &Slot,
+    seg_fd: RawFd,
+    alive: &AtomicBool,
+) -> Result<(), WireError> {
+    let desc = slot.descriptor(faults::crc32_bytes(slot.bytes()));
+    let (prefix, crc) = slot_envelope(frame, &desc);
+    slot.pin();
+    let sent = write_locked(writer, alive, |w| {
+        if w.announced {
+            let mut parts = [IoSlice::new(&prefix), IoSlice::new(&desc), IoSlice::new(&crc)];
+            return write_all_vectored(&mut w.stream, &mut parts);
+        }
+        w.stream.write_all(&prefix)?;
+        let mut parts = [IoSlice::new(&desc), IoSlice::new(&crc)];
+        let n = loop {
+            match sys::send_with_fd(&w.stream, &parts, seg_fd) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                sent => break sent?,
+            }
+        };
+        w.announced = true;
+        let mut rest = &mut parts[..];
+        IoSlice::advance_slices(&mut rest, n);
+        write_all_vectored(&mut w.stream, rest)
+    });
+    if sent.is_err() {
+        slot.unpin();
+    }
+    sent
 }
 
 /// See the module docs.
@@ -317,6 +384,8 @@ pub struct PeerConn {
     /// an [`Inbox`] instead.
     ring: Option<Arc<FrameRing>>,
     pool: Arc<BufPool>,
+    /// This end's half of the bulk lane: the segment it sends through.
+    lane: SendLane,
     /// Milliseconds since `epoch` when the last frame arrived.
     last_rx_ms: Arc<AtomicU64>,
     epoch: Instant,
@@ -355,7 +424,7 @@ impl PeerConn {
 
         let read_stream = stream.try_clone()?;
         let shutdown_handle = stream.try_clone()?;
-        let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false }));
+        let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false, announced: false }));
         {
             let pool = Arc::clone(&pool);
             let last = Arc::clone(&last_rx_ms);
@@ -382,7 +451,17 @@ impl PeerConn {
                 .name(format!("hb-{self_rank}-{peer}"))
                 .spawn(move || heartbeat_main(writer, self_rank, policy, alive))?;
         }
-        Ok(PeerConn { peer, writer, ring, pool, last_rx_ms, epoch, alive, shutdown_handle })
+        Ok(PeerConn {
+            peer,
+            writer,
+            ring,
+            pool,
+            lane: SendLane::default(),
+            last_rx_ms,
+            epoch,
+            alive,
+            shutdown_handle,
+        })
     }
 
     /// A standalone connection with its own private buffer pool —
@@ -417,11 +496,30 @@ impl PeerConn {
         self.peer
     }
 
-    /// Write one frame (see [`send_frame`]). A write error marks the
-    /// connection broken (the peer is gone; Rust ignores SIGPIPE, so a
-    /// dead reader surfaces as `BrokenPipe` here).
+    /// Write one frame: its descriptor when its payload is a slot of
+    /// this connection's lane that has not been announced yet
+    /// ([`send_slot`]), else the whole frame ([`send_frame`]). A write
+    /// error marks the connection broken (the peer is gone; Rust
+    /// ignores SIGPIPE, so a dead reader surfaces as `BrokenPipe` here).
     pub fn send(&self, frame: &Frame) -> Result<(), WireError> {
+        if let Some(slot) = &frame.slot {
+            if let Some(seg_fd) = self.lane.segment_of(slot) {
+                if slot.announce() {
+                    return send_slot(&self.writer, frame, slot, seg_fd, &self.alive);
+                }
+            }
+        }
         send_frame(&self.writer, frame, &self.alive)
+    }
+
+    /// A send buffer of exactly `len` bytes for a payload to this peer:
+    /// a slot of the bulk lane when `len` is in the lane's range and the
+    /// ring has room, else a buffer from the pool.
+    pub fn lease(&self, len: usize) -> Lease {
+        match self.lane.lease(len) {
+            Some(slot) => Lease::Slot(slot),
+            None => Lease::heap(self.pool.acquire(), len),
+        }
     }
 
     /// Next decoded frame, waiting up to `timeout`. A connection that
@@ -478,15 +576,18 @@ impl Drop for PeerConn {
 }
 
 fn reader_main(
-    mut stream: UnixStream,
+    stream: UnixStream,
     deliver: impl Fn(Option<Frame>),
     pool: Arc<BufPool>,
     last_rx_ms: Arc<AtomicU64>,
     alive: Arc<AtomicBool>,
     epoch: Instant,
 ) {
+    let mut stream = FdReader::new(stream);
+    let mut lane = RecvLane::default();
     // The buffer the next payload lands in. A delivered data frame
-    // takes it; a payload-less or rejected frame leaves it here.
+    // takes it; a payload-less or rejected frame, or a descriptor once
+    // resolved, leaves it here.
     let mut buf = Vec::new();
     loop {
         if buf.capacity() == 0 {
@@ -494,11 +595,21 @@ fn reader_main(
         }
         // EOF, an I/O error, or a length out of bounds: the peer is
         // gone or framing is lost for good — a dead stream either way.
-        let Ok(frame) = read_frame(&mut stream, &mut buf) else { break };
+        let read = read_frame_in(&mut stream, &mut buf, Some(FdReader::read_exact_keeping_fd));
+        let Ok(frame) = read else { break };
         last_rx_ms.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
         match frame {
-            Ok(frame) if frame.kind == FrameKind::Heartbeat => pool.release(frame.payload),
-            Ok(frame) => deliver(Some(frame)),
+            Ok((frame, false)) if frame.kind == FrameKind::Heartbeat => pool.release(frame.payload),
+            Ok((frame, false)) => deliver(Some(frame)),
+            Ok((mut frame, true)) => {
+                buf = std::mem::take(&mut frame.payload);
+                frame.slot = lane.resolve(&buf, stream.take_fd());
+                // Unresolved (no segment, out of bounds, CRC mismatch):
+                // loss, like any reject below.
+                if frame.slot.is_some() {
+                    deliver(Some(frame));
+                }
+            }
             // CRC/version rejects look like loss to the layer above;
             // its deadline/nack machinery requests a resend.
             Err(_) => {}
@@ -592,6 +703,43 @@ mod tests {
         let got = right.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(got, f);
         right.release(got.payload);
+    }
+
+    /// A payload leased from the lane crosses as a descriptor and is
+    /// read in the sender's segment; the same frame sent again (a
+    /// resend) goes inline; a small lease is a pooled buffer; and once
+    /// both ends have dropped the frame its slot is leased again.
+    #[test]
+    fn bulk_lane_announces_once_then_goes_inline() {
+        use crate::lane::{BULK_MIN, SLOT_MAX};
+        let (a, b) = pair();
+        let pool = BufPool::new();
+        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, None).unwrap();
+        let right = PeerConn::spawn(0, 1, b, pool, None, None).unwrap();
+        assert!(matches!(left.lease(BULK_MIN - 1), Lease::Heap(v) if v.len() == BULK_MIN - 1));
+        let mut lease = left.lease(BULK_MIN);
+        assert!(matches!(lease, Lease::Slot(_)));
+        for (i, x) in lease.bytes_mut().iter_mut().enumerate() {
+            *x = (i * 7) as u8;
+        }
+        let mut f = Frame::control(FrameKind::Data, 0, 0, 1);
+        f.seq = 3;
+        let f = f.carrying(lease);
+        left.send(&f).unwrap();
+        left.send(&f).unwrap();
+        let wait = Duration::from_secs(2);
+        let first = right.recv_timeout(wait).unwrap();
+        assert!(first.slot.is_some() && first.payload.is_empty(), "in the lane: {first:?}");
+        assert_eq!(first, f);
+        let again = right.recv_timeout(wait).unwrap();
+        assert!(again.slot.is_none(), "a resend goes inline");
+        assert_eq!(again, f);
+        // Two largest slots fill a segment: the live one keeps one out.
+        let big = left.lease(SLOT_MAX);
+        assert!(matches!(big, Lease::Slot(_)));
+        assert!(matches!(left.lease(SLOT_MAX), Lease::Heap(_)), "no room while f is held");
+        drop((f, first, big));
+        assert!(matches!(left.lease(SLOT_MAX), Lease::Slot(_)), "reclaimed once dropped");
     }
 
     #[test]

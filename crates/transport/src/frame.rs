@@ -18,6 +18,15 @@
 //! u32  crc      CRC32 (IEEE) over header-after-len + payload
 //! ```
 //!
+//! A frame whose payload rides the bulk lane ([`crate::lane`]) sets the
+//! top bit of `kind` ([`SLOT_FLAG`]) and carries, as its payload, the
+//! [`DESC_LEN`]-byte slot descriptor (slot offset, payload length, the
+//! payload's CRC32) instead of the payload: the tail CRC covers header
+//! and descriptor, the descriptor's CRC the payload in the slot. Only a
+//! connection's reader resolves such a frame; [`read_frame`],
+//! [`parse_body`] and [`reference_decode`] reject the flagged kind byte
+//! as [`FrameError::BadKind`], as they always have.
+//!
 //! The CRC tail covers everything after the length prefix, so a
 //! bit-flip anywhere in the header or payload is detected; the length
 //! prefix itself is sanity-bounded ([`MAX_FRAME_LEN`]) so a corrupted
@@ -34,12 +43,15 @@
 //! [`parse_body`] (contiguous buffers — the fault injector, the
 //! benchmark, the reference decoder), the socket send path
 //! ([`envelope`]: the payload is borrowed into a vectored write, never
-//! copied), and the socket read path ([`read_frame`]: the payload is
-//! read straight into the buffer the frame will own).
+//! copied; [`slot_envelope`] for a descriptor), and the socket read
+//! path ([`read_frame_in`]: the payload is read straight into the
+//! buffer the frame will own).
 
 use std::io::{self, Read};
 
 use faults::Crc32;
+
+use crate::lane::{Lease, Slot, DESC_LEN};
 
 /// Header bytes after the u32 length prefix.
 pub const HEADER_LEN: usize = 1 + 1 + 2 + 4 + 8 + 4 + 4 + 4;
@@ -54,6 +66,10 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Wire-format version stamped into every frame.
 pub const WIRE_VERSION: u8 = 1;
+
+/// Top bit of the kind byte: the payload is in a slot of the sender's
+/// bulk-lane segment, and the frame carries its descriptor.
+pub const SLOT_FLAG: u8 = 0x80;
 
 /// What a frame is. Discriminants are the on-wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,8 +134,10 @@ impl FrameKind {
 }
 
 /// One decoded frame. `payload` buffers are plain `Vec<u8>` so callers
-/// can pool and recycle them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// can pool and recycle them. A payload that rode the bulk lane is in
+/// `slot` instead, and `payload` is empty; [`Frame::bytes`] is the
+/// payload wherever it lies, and frames compare by it.
+#[derive(Debug, Clone)]
 pub struct Frame {
     pub kind: FrameKind,
     pub from: u16,
@@ -129,14 +147,52 @@ pub struct Frame {
     pub round: u32,
     pub offset: u32,
     pub payload: Vec<u8>,
+    pub slot: Option<Slot>,
 }
 
 impl Frame {
     /// A payload-less control frame.
     pub fn control(kind: FrameKind, from: u16, era: u32, step: u32) -> Self {
-        Frame { kind, from, era, seq: 0, step, round: 0, offset: 0, payload: Vec::new() }
+        Frame {
+            kind,
+            from,
+            era,
+            seq: 0,
+            step,
+            round: 0,
+            offset: 0,
+            payload: Vec::new(),
+            slot: None,
+        }
+    }
+
+    /// The payload bytes: the slot's, or `payload`.
+    pub fn bytes(&self) -> &[u8] {
+        match &self.slot {
+            Some(slot) => slot.bytes(),
+            None => &self.payload,
+        }
+    }
+
+    /// This frame with `lease`, filled, as its payload.
+    pub fn carrying(mut self, lease: Lease) -> Frame {
+        match lease {
+            Lease::Heap(buf) => self.payload = buf,
+            Lease::Slot(slot) => self.slot = Some(slot.seal()),
+        }
+        self
     }
 }
+
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        (self.kind, self.from, self.era, self.seq, self.step, self.round, self.offset)
+            == (other.kind, other.from, other.era, other.seq, other.step, other.round, other.offset)
+            && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Frame {}
 
 /// Why a byte sequence failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,14 +226,15 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// The length prefix and header of `frame` — the one place the layout
-/// of the module docs is written.
-fn write_header(frame: &Frame) -> [u8; PREFIX_LEN] {
-    let body_len = HEADER_LEN + frame.payload.len() + 4;
+/// The length prefix and header of `frame` ahead of `payload_len`
+/// bytes, with `kind` as its kind byte — the one place the layout of
+/// the module docs is written.
+fn write_header(frame: &Frame, kind: u8, payload_len: usize) -> [u8; PREFIX_LEN] {
+    let body_len = HEADER_LEN + payload_len + 4;
     debug_assert!(body_len <= MAX_FRAME_LEN, "no receiver accepts a {body_len}-byte body");
     let mut h = [0u8; PREFIX_LEN];
     h[0..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    h[4] = frame.kind as u8;
+    h[4] = kind;
     h[5] = WIRE_VERSION;
     h[6..8].copy_from_slice(&frame.from.to_le_bytes());
     h[8..12].copy_from_slice(&frame.era.to_le_bytes());
@@ -191,13 +248,17 @@ fn write_header(frame: &Frame) -> [u8; PREFIX_LEN] {
 /// Interpret a CRC-verified `header` (the [`HEADER_LEN`] bytes after
 /// the length prefix) — the one place the layout is read. The frame
 /// comes back payload-less; the caller attaches the payload it holds.
-fn read_header(header: &[u8]) -> Result<Frame, FrameError> {
+/// With `lane`, a [`SLOT_FLAG`]ged kind byte is accepted and reported
+/// (`true`: the payload is a slot descriptor); without, it is a
+/// [`FrameError::BadKind`] like any other unknown byte.
+fn read_header(header: &[u8], lane: bool) -> Result<(Frame, bool), FrameError> {
     debug_assert_eq!(header.len(), HEADER_LEN);
-    let kind = FrameKind::from_byte(header[0])?;
+    let in_slot = lane && header[0] & SLOT_FLAG != 0;
+    let kind = FrameKind::from_byte(if in_slot { header[0] & !SLOT_FLAG } else { header[0] })?;
     if header[1] != WIRE_VERSION {
         return Err(FrameError::BadVersion(header[1]));
     }
-    Ok(Frame {
+    let frame = Frame {
         kind,
         from: read_u16(header, 2),
         era: read_u32(header, 4),
@@ -206,7 +267,9 @@ fn read_header(header: &[u8]) -> Result<Frame, FrameError> {
         round: read_u32(header, 20),
         offset: read_u32(header, 24),
         payload: Vec::new(),
-    })
+        slot: None,
+    };
+    Ok((frame, in_slot))
 }
 
 /// The CRC tail of a frame: header (after the length prefix), then
@@ -231,8 +294,17 @@ fn check_crc(header: &[u8], payload: &[u8], tail: &[u8]) -> Result<(), FrameErro
 /// Everything of `frame`'s wire form except the payload: the bytes
 /// that go before it (length prefix + header) and after it (CRC tail).
 pub(crate) fn envelope(frame: &Frame) -> ([u8; PREFIX_LEN], [u8; 4]) {
-    let prefix = write_header(frame);
-    let crc = frame_crc(&prefix[4..], &frame.payload);
+    let payload = frame.bytes();
+    let prefix = write_header(frame, frame.kind as u8, payload.len());
+    let crc = frame_crc(&prefix[4..], payload);
+    (prefix, crc.to_le_bytes())
+}
+
+/// The envelope of `frame` sent as the slot descriptor `desc`: the
+/// flagged kind byte, and the tail CRC over header and descriptor.
+pub(crate) fn slot_envelope(frame: &Frame, desc: &[u8; DESC_LEN]) -> ([u8; PREFIX_LEN], [u8; 4]) {
+    let prefix = write_header(frame, frame.kind as u8 | SLOT_FLAG, DESC_LEN);
+    let crc = frame_crc(&prefix[4..], desc);
     (prefix, crc.to_le_bytes())
 }
 
@@ -242,9 +314,9 @@ pub(crate) fn envelope(frame: &Frame) -> ([u8; PREFIX_LEN], [u8; 4]) {
 pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
     let (prefix, crc) = envelope(frame);
     out.clear();
-    out.reserve(PREFIX_LEN + frame.payload.len() + 4);
+    out.reserve(PREFIX_LEN + frame.bytes().len() + 4);
     out.extend_from_slice(&prefix);
-    out.extend_from_slice(&frame.payload);
+    out.extend_from_slice(frame.bytes());
     out.extend_from_slice(&crc);
 }
 
@@ -280,7 +352,7 @@ pub fn parse_body(body: &[u8], mut payload_buf: Vec<u8>) -> Result<Frame, FrameE
     let (covered, tail) = body.split_at(body.len() - 4);
     let (header, payload) = covered.split_at(HEADER_LEN);
     check_crc(header, payload, tail)?;
-    let mut frame = read_header(header)?;
+    let (mut frame, _) = read_header(header, false)?;
     payload_buf.clear();
     payload_buf.extend_from_slice(payload);
     frame.payload = payload_buf;
@@ -306,28 +378,52 @@ pub fn parse_body(body: &[u8], mut payload_buf: Vec<u8>) -> Result<Frame, FrameE
 /// resized to the payload length — which only zero-fills bytes past its
 /// old length — and then overwritten by the read, so a recycled buffer
 /// is not cleared per frame.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Result<Frame, FrameError>> {
+pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Result<Frame, FrameError>> {
+    Ok(read_frame_in(r, buf, None)?.map(|(frame, _)| frame))
+}
+
+/// How a connection's reader reads a descriptor frame's body (see
+/// [`read_frame_in`]).
+pub(crate) type SlotBodyRead<R> = fn(&mut R, &mut [u8]) -> io::Result<()>;
+
+/// [`read_frame`], accepting descriptor frames when `slot_body` is
+/// given: the body (descriptor and tail) of a frame whose prefix has
+/// the [`SLOT_FLAG`] is read with it instead of `read_exact` — the
+/// segment's own descriptor may ride those bytes — and the `bool` says
+/// the payload taken from `buf` is a slot descriptor.
+pub(crate) fn read_frame_in<R: Read>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+    slot_body: Option<SlotBodyRead<R>>,
+) -> io::Result<Result<(Frame, bool), FrameError>> {
     let mut prefix = [0u8; PREFIX_LEN];
     r.read_exact(&mut prefix)?;
     let body_len = read_u32(&prefix, 0) as usize;
     if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, FrameError::BadLength(body_len)));
     }
+    let read_body: SlotBodyRead<R> = match slot_body {
+        Some(read) if prefix[4] & SLOT_FLAG != 0 => read,
+        _ => |r, b| r.read_exact(b),
+    };
     let payload_len = body_len - HEADER_LEN - 4;
     if payload_len > 0 {
         buf.resize(payload_len, 0);
-        r.read_exact(buf)?;
+        read_body(r, buf)?;
     }
     let mut tail = [0u8; 4];
-    r.read_exact(&mut tail)?;
+    read_body(r, &mut tail)?;
+    let lane = slot_body.is_some();
     let header = &prefix[4..];
     let payload: &[u8] = if payload_len > 0 { buf } else { &[] };
-    Ok(check_crc(header, payload, &tail).and_then(|()| read_header(header)).map(|mut frame| {
-        if payload_len > 0 {
-            frame.payload = std::mem::take(buf);
-        }
-        frame
-    }))
+    Ok(check_crc(header, payload, &tail).and_then(|()| read_header(header, lane)).map(
+        |(mut frame, in_slot)| {
+            if payload_len > 0 {
+                frame.payload = std::mem::take(buf);
+            }
+            (frame, in_slot)
+        },
+    ))
 }
 
 /// Reference decoder: the naive, obviously-correct full-buffer decode
@@ -436,6 +532,7 @@ mod tests {
             round: 1,
             offset: 128,
             payload: payload.to_vec(),
+            slot: None,
         }
     }
 

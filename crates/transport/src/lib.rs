@@ -14,8 +14,12 @@
 //!   silence is distinguishable from death; payload buffers are pooled
 //!   so steady-state exchange allocates nothing. No payload is copied
 //!   in user space on either side: a send is one vectored write that
-//!   borrows `frame.payload`, a receive reads the payload off the
-//!   socket into the buffer the frame will own and checksums it there.
+//!   borrows the payload, a receive reads the payload off the socket
+//!   into the buffer the frame will own and checksums it there. A
+//!   payload of [`BULK_MIN`] bytes or more that was encoded into a
+//!   [`Wire::lease`] does not cross the socket at all: it sits in a
+//!   slot of a shared-memory segment the peer has mapped, and the
+//!   socket carries only its descriptor ([`lane`], the bulk lane).
 //!
 //! Death detection is two-signal: a SIGKILLed peer's socket returns EOF
 //! (fast path), and a wedged-but-open peer trips the
@@ -37,8 +41,10 @@
 pub mod channel;
 pub mod conn;
 pub mod frame;
+pub mod lane;
 pub mod mesh;
 pub mod rendezvous;
+mod sys;
 
 use std::time::Duration;
 
@@ -50,6 +56,7 @@ pub use frame::{
     encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
     FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
 };
+pub use lane::{Lease, Slot, SlotMut, BULK_MIN};
 pub use mesh::SocketMesh;
 pub use rendezvous::{join, Joined, Rendezvous, Welcome, WorkerHello, COORD_SOCK};
 
@@ -127,6 +134,14 @@ pub trait Wire: Send + Sync {
     /// that recycle every received payload keep the steady state
     /// allocation-free on both backends.
     fn release(&self, payload: Vec<u8>);
+
+    /// A send buffer of exactly `len` bytes for a payload to `peer`, to
+    /// be filled and sealed into a frame with [`Frame::carrying`]: a
+    /// buffer from the backend's pool (back there through
+    /// [`Wire::release`] once the frame is done with), or — on a socket
+    /// wire, for a payload of at least [`BULK_MIN`] bytes — a slot of
+    /// the connection's bulk lane, released when the frame is dropped.
+    fn lease(&self, peer: usize, len: usize) -> Lease;
 
     /// The executor is about to run `round` of `step`'s schedule. A
     /// backend ignores it; a fault-injecting decorator keys its

@@ -2,7 +2,10 @@
 //! Unix-domain sockets, one per peer pair, addressed by original rank
 //! id. Built by the rendezvous protocol ([`crate::rendezvous`]); the
 //! buffer pool is shared across connections so released payloads serve
-//! whichever peer reads next.
+//! whichever peer reads next, and whichever send leases next. A lease
+//! of [`BULK_MIN`](crate::BULK_MIN) bytes or more comes from the bulk
+//! lane of the connection to its peer ([`crate::lane`]): a slot of a
+//! shared-memory segment that peer reads in place.
 
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -12,6 +15,7 @@ use faults::RetryPolicy;
 
 use crate::conn::{BufPool, PeerConn};
 use crate::frame::Frame;
+use crate::lane::Lease;
 use crate::{Wire, WireError};
 
 /// See the module docs.
@@ -75,6 +79,13 @@ impl Wire for SocketMesh {
 
     fn release(&self, payload: Vec<u8>) {
         self.pool.release(payload);
+    }
+
+    fn lease(&self, peer: usize, len: usize) -> Lease {
+        match self.conn(peer) {
+            Ok(c) => c.lease(len),
+            Err(_) => Lease::heap(self.pool.acquire(), len),
+        }
     }
 }
 

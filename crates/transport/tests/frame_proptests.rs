@@ -57,6 +57,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             round,
             offset,
             payload,
+            slot: None,
         })
 }
 
@@ -157,6 +158,7 @@ fn peer_conn_send_puts_encode_bytes_on_the_socket() {
             round: i as u32,
             offset: 128,
             payload: (0..len).map(|b| (b * 31 + i) as u8).collect(),
+            slot: None,
         })
         .collect();
     let want: Vec<u8> = frames.iter().flat_map(encode).collect();

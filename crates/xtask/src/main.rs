@@ -59,6 +59,13 @@
 //!    `.spawn(` (a `thread::Builder` chain, a scope handle). Per-step
 //!    fan-out goes through `collectives::pool`, whose helpers are
 //!    spawned once, at pool construction.
+//! 9. **ffi-boundary** — `extern "C"` appears only in
+//!    `crates/transport/src/sys.rs`, the one module that declares
+//!    foreign functions (the bulk lane's `memfd_create`, `mmap`,
+//!    `sendmsg`/`recvmsg`), and every `unsafe` in the transport crate
+//!    carries its argument: a `SAFETY:` comment (or, on an `unsafe fn`,
+//!    a `# Safety` doc section) in the comment lines just above it or
+//!    on its own line. No waiver.
 //!
 //! The pass is deliberately token-based (comment- and string-stripped
 //! lines, brace counting) rather than AST-based: it has zero
@@ -79,6 +86,9 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The one file allowed to declare foreign functions (rule 9).
+const FFI_MODULE: &str = "crates/transport/src/sys.rs";
 
 /// Crates whose sources the lint pass skips: report binaries (`bench`)
 /// and this tool itself — neither is library code on the hot path.
@@ -421,6 +431,24 @@ fn lint_file(path: &Path, text: &str, root: &Path, findings: &mut Vec<Finding>) 
                 }),
             }
         }
+        if code.contains("extern") && raw.contains("extern \"") && !rel.ends_with(FFI_MODULE) {
+            findings.push(Finding {
+                path: rel.clone(),
+                line: line_no,
+                rule: "ffi-boundary",
+                detail: format!("`extern \"…\"` outside `{FFI_MODULE}`, the one FFI module"),
+            });
+        }
+        if in_transport && has_word(&code, "unsafe") && !safety_argued(&all_lines, idx) {
+            findings.push(Finding {
+                path: rel.clone(),
+                line: line_no,
+                rule: "ffi-boundary",
+                detail: "`unsafe` without a `SAFETY:` comment (or `# Safety` section) \
+                         just above it"
+                    .to_string(),
+            });
+        }
         if code.contains("compare_exchange") && !orderings_explicit(&all_lines, idx) {
             findings.push(Finding {
                 path: rel.clone(),
@@ -432,6 +460,31 @@ fn lint_file(path: &Path, text: &str, root: &Path, findings: &mut Vec<Finding>) 
             });
         }
     }
+}
+
+/// `word` as a whole identifier in `code`.
+fn has_word(code: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(word).any(|(at, _)| {
+        !code[..at].chars().next_back().is_some_and(ident)
+            && !code[at + word.len()..].chars().next().is_some_and(ident)
+    })
+}
+
+/// True when the line `all_lines[idx]`, or the run of comment and
+/// attribute lines directly above it, argues its `unsafe`: a
+/// `SAFETY:` comment, or a `# Safety` doc section.
+fn safety_argued(all_lines: &[&str], idx: usize) -> bool {
+    let argues = |l: &str| l.contains("SAFETY:") || l.contains("# Safety");
+    if argues(all_lines[idx]) {
+        return true;
+    }
+    all_lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+        .any(argues)
 }
 
 /// True when the `compare_exchange*` call starting on `all_lines[idx]`
@@ -713,6 +766,45 @@ fn f(policy: &RetryPolicy) {
             vec![("transport-timeout".to_string(), 2), ("transport-timeout".to_string(), 3)]
         );
         // The same source outside crates/transport/src is untouched.
+        assert_eq!(findings_for(src), vec![]);
+    }
+
+    #[test]
+    fn foreign_functions_live_in_the_one_ffi_module() {
+        let src = "\
+extern \"C\" {
+    fn getpid() -> i32;
+}
+extern crate alloc;
+// extern \"C\" in a comment is fine
+";
+        assert_eq!(findings_for(src), vec![("ffi-boundary".to_string(), 1)]);
+        let mut out = Vec::new();
+        lint_file(Path::new(FFI_MODULE), src, Path::new("."), &mut out);
+        assert!(out.is_empty(), "the FFI module may declare them");
+    }
+
+    #[test]
+    fn transport_unsafe_must_argue_its_safety() {
+        let src = "\
+fn f(p: *const u8) -> u8 {
+    // SAFETY: the caller's pointer is live.
+    let a = unsafe { *p };
+    // Reads the next byte.
+    let b = unsafe { *p.add(1) };
+    let c = unsafe { *p.add(2) }; // SAFETY: in bounds.
+    a + b + c
+}
+/// Frees it.
+///
+/// # Safety
+/// `p` came from `alloc`.
+unsafe fn g(p: *mut u8) {}
+unsafe impl Send for X {}
+";
+        let want = vec![("ffi-boundary".to_string(), 5), ("ffi-boundary".to_string(), 14)];
+        assert_eq!(transport_findings_for(src), want);
+        // Outside the transport crate only the first half applies.
         assert_eq!(findings_for(src), vec![]);
     }
 
