@@ -2,7 +2,7 @@
 //! [`SocketMesh`] is warmed up, a steady-state allreduce step over real
 //! Unix-domain sockets allocates nothing — payload buffers recycle
 //! through the connection pool (a CRC-rejected frame's included), the
-//! frame rings are retained, sends borrow their payload, and the
+//! receive halves keep their buffers, sends borrow their payload, and the
 //! executor's working state is reused; at 2 MiB frames the payloads
 //! ride the bulk lane's shared-memory slots, which are reclaimed and
 //! reused instead. The socket backend may allocate only at connection
@@ -90,7 +90,7 @@ fn steady_state_socket_allreduce_is_allocation_free() {
     schedule.verify_allreduce().expect("ring schedule verifies");
 
     // A second handle on rank 1's end of the socket: bytes written to
-    // it reach rank 0's reader thread exactly like rank 1's own frames.
+    // it reach rank 0's receive exactly like rank 1's own frames.
     // Every measured step opens with a burst of data-sized frames, each
     // with a bit flipped in flight. Rank 0's reader must reject every
     // one on its CRC *and keep the pooled buffer it was read into*: a

@@ -261,7 +261,7 @@ fn coordinate(
     let Flags { dir, workers, pol, .. } = flags;
     let me = *workers; // no worker's id; nothing routes on it
     let joined = rdzv.assemble(*workers).map_err(|e| format!("rendezvous failed: {e}"))?;
-    let inbox = Inbox::default();
+    let inbox = Inbox::sockets();
     let mut conns: Vec<PeerConn> = Vec::with_capacity(*workers);
     let mut pids: Vec<u32> = Vec::with_capacity(*workers);
     for (rank, (hello, stream)) in joined.into_iter().enumerate() {

@@ -413,7 +413,7 @@ fn launch(
         Coordinator { conns: Vec<Option<LocalConn>>, outcome: Result<(), String> },
     }
 
-    let inbox = Inbox::default();
+    let inbox = Inbox::local();
     let mut conns: Vec<Option<LocalConn>> = (0..cfg.workers).map(|_| None).collect();
     let mut jobs: Vec<Job> = ChannelWire::mesh_of(live)
         .into_iter()

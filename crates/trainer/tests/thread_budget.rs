@@ -1,0 +1,136 @@
+//! The thread budget of a launch, read from `/proc/<pid>/task` while a
+//! `dist_train launch --workers 2` trains. The launcher runs 3 threads:
+//! main, and a heartbeat per worker's control stream. Each worker runs
+//! main, a heartbeat to the coordinator and one to its peer, and the
+//! shared core pool's helpers — one per lane past the first, so
+//! `available_parallelism() - 1` of them: 4 threads in all on a 2-core
+//! machine, 6 on a 4-core one, 3 on one core. Every socket is read by
+//! the thread that waits on it, so no thread is a dedicated reader:
+//! none may be named `rx-*`.
+
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// How many of a process's threads are heartbeats, core-pool helpers,
+/// readers, and anything else (the main thread).
+#[derive(Debug, PartialEq)]
+struct Budget {
+    heartbeats: usize,
+    pool_helpers: usize,
+    readers: usize,
+    other: usize,
+}
+
+impl Budget {
+    fn of(names: &[String]) -> Budget {
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        let (heartbeats, pool_helpers, readers) = (count("hb-"), count("core-pool-"), count("rx-"));
+        Budget {
+            heartbeats,
+            pool_helpers,
+            readers,
+            other: names.len() - heartbeats - pool_helpers - readers,
+        }
+    }
+}
+
+const LAUNCHER: Budget = Budget { heartbeats: 2, pool_helpers: 0, readers: 0, other: 1 };
+
+/// A worker's budget: its shared core pool has a lane per available
+/// core, the calling thread being the first.
+fn worker_budget() -> Budget {
+    let pool_helpers = collectives::pool::lanes() - 1;
+    Budget { heartbeats: 2, pool_helpers, readers: 0, other: 1 }
+}
+
+/// Names of `pid`'s threads; `None` once it has exited.
+fn threads(pid: u32) -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).ok()?;
+    let names = tasks
+        .flatten()
+        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    Some(names)
+}
+
+/// Pids whose parent is `pid`.
+fn children(pid: u32) -> Vec<u32> {
+    let Ok(proc_dir) = std::fs::read_dir("/proc") else { return Vec::new() };
+    proc_dir
+        .flatten()
+        .filter_map(|e| std::fs::read_to_string(e.path().join("stat")).ok())
+        .filter_map(|stat| {
+            // `pid (comm) state ppid ...`; comm may hold spaces.
+            let (head, tail) = stat.rsplit_once(')')?;
+            let ppid: u32 = tail.split_whitespace().nth(1)?.parse().ok()?;
+            let child: u32 = head.split_whitespace().next()?.parse().ok()?;
+            (ppid == pid).then_some(child)
+        })
+        .collect()
+}
+
+/// SIGKILLs the launcher and its workers however the test ends.
+struct Launch {
+    launcher: Child,
+    workers: Vec<u32>,
+}
+
+impl Drop for Launch {
+    fn drop(&mut self) {
+        for pid in &self.workers {
+            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+        }
+        let _ = self.launcher.kill();
+        let _ = self.launcher.wait();
+    }
+}
+
+#[test]
+fn two_worker_launch_runs_heartbeats_and_pool_helpers_and_no_reader() {
+    let dir = std::env::temp_dir().join(format!("seg_threads_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let launcher = Command::new(env!("CARGO_BIN_EXE_dist_train"))
+        .arg("launch")
+        .args(["--dir", &dir.to_string_lossy()])
+        .args(["--workers", "2", "--steps", "100000", "--preset", "quick"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("launching dist_train");
+    let pid = launcher.id();
+    let mut launch = Launch { launcher, workers: Vec::new() };
+
+    // Training is under way once both workers have their heartbeats
+    // and have fanned out onto the shared core pool (which has no
+    // helper to wait for on a single core).
+    let worker = worker_budget();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        launch.workers = children(pid);
+        let training = launch.workers.len() == 2
+            && launch.workers.iter().all(|&w| {
+                threads(w).is_some_and(|t| {
+                    let now = Budget::of(&t);
+                    now.heartbeats == worker.heartbeats && now.pool_helpers == worker.pool_helpers
+                })
+            });
+        if training {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no two training workers under launcher {pid}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    for _ in 0..20 {
+        let mut seen = vec![("launcher", pid, &LAUNCHER)];
+        seen.extend(launch.workers.iter().map(|&w| ("worker", w, &worker)));
+        for (role, p, want) in seen {
+            let names = threads(p).unwrap_or_else(|| panic!("{role} {p} exited mid-run"));
+            assert_eq!(&Budget::of(&names), want, "{role} {p} threads: {names:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(launch);
+    let _ = std::fs::remove_dir_all(&dir);
+}

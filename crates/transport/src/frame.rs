@@ -44,10 +44,10 @@
 //! benchmark, the reference decoder), the socket send path
 //! ([`envelope`]: the payload is borrowed into a vectored write, never
 //! copied; [`slot_envelope`] for a descriptor), and the socket read
-//! path ([`read_frame_in`]: the payload is read straight into the
-//! buffer the frame will own).
+//! path ([`PartialFrame`]: the payload is read straight into the buffer
+//! the frame will own, resuming wherever a non-blocking socket stopped).
 
-use std::io::{self, Read};
+use std::io::{self, IoSliceMut, Read};
 
 use faults::Crc32;
 
@@ -359,13 +359,15 @@ pub fn parse_body(body: &[u8], mut payload_buf: Vec<u8>) -> Result<Frame, FrameE
     Ok(frame)
 }
 
-/// Read one frame off a byte stream, the payload straight into `buf`
-/// — the framing loop of the socket reader thread and of the
-/// rendezvous handshakes.
+/// Read one frame off a blocking byte stream, the payload straight into
+/// `buf` — [`PartialFrame`] run to the end of one frame; the rendezvous
+/// handshakes read with it before a connection is non-blocking.
 ///
 /// * `Err` — the stream is finished: EOF, an I/O error, or a length
 ///   prefix outside bounds (`InvalidData` wrapping
-///   [`FrameError::BadLength`]; byte alignment is lost for good).
+///   [`FrameError::BadLength`]; byte alignment is lost for good). A
+///   stream that would block is an error here too (`WouldBlock`), and
+///   what was read of the frame is lost with it.
 /// * `Ok(Err(_))` — one whole frame was consumed and rejected: CRC
 ///   first, and only then kind and version, exactly like
 ///   [`parse_body`]. The stream is still aligned and `buf` stays with
@@ -379,51 +381,108 @@ pub fn parse_body(body: &[u8], mut payload_buf: Vec<u8>) -> Result<Frame, FrameE
 /// old length — and then overwritten by the read, so a recycled buffer
 /// is not cleared per frame.
 pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Result<Frame, FrameError>> {
-    Ok(read_frame_in(r, buf, None)?.map(|(frame, _)| frame))
+    PartialFrame::default().read(r, buf)?.ok_or_else(|| io::ErrorKind::WouldBlock.into())
 }
 
 /// How a connection's reader reads a descriptor frame's body (see
-/// [`read_frame_in`]).
-pub(crate) type SlotBodyRead<R> = fn(&mut R, &mut [u8]) -> io::Result<()>;
+/// [`PartialFrame`]): one vectored read that keeps a descriptor riding
+/// the bytes.
+pub(crate) type SlotBodyRead<R> = fn(&mut R, &mut [IoSliceMut<'_>]) -> io::Result<usize>;
 
-/// [`read_frame`], accepting descriptor frames when `slot_body` is
-/// given: the body (descriptor and tail) of a frame whose prefix has
-/// the [`SLOT_FLAG`] is read with it instead of `read_exact` — the
-/// segment's own descriptor may ride those bytes — and the `bool` says
-/// the payload taken from `buf` is a slot descriptor.
-pub(crate) fn read_frame_in<R: Read>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    slot_body: Option<SlotBodyRead<R>>,
-) -> io::Result<Result<(Frame, bool), FrameError>> {
-    let mut prefix = [0u8; PREFIX_LEN];
-    r.read_exact(&mut prefix)?;
-    let body_len = read_u32(&prefix, 0) as usize;
-    if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, FrameError::BadLength(body_len)));
+/// One frame part-way off a stream that may stop short — the one
+/// framing loop of the crate. Each [`PartialFrame::read`] reads on from
+/// where the last one stopped: the length prefix and header into
+/// `prefix`, then the payload straight into the caller's buffer and the
+/// CRC tail into `tail`, in one vectored read per pass. A reader that
+/// would block (`WouldBlock`) ends the call with everything read so far
+/// kept, here and in the buffer; the next call, with the same buffer,
+/// goes on.
+#[derive(Debug)]
+pub struct PartialFrame {
+    prefix: [u8; PREFIX_LEN],
+    tail: [u8; 4],
+    /// Bytes of the frame in hand: prefix, then payload, then tail.
+    got: usize,
+}
+
+impl Default for PartialFrame {
+    fn default() -> Self {
+        PartialFrame { prefix: [0; PREFIX_LEN], tail: [0; 4], got: 0 }
     }
-    let read_body: SlotBodyRead<R> = match slot_body {
-        Some(read) if prefix[4] & SLOT_FLAG != 0 => read,
-        _ => |r, b| r.read_exact(b),
-    };
-    let payload_len = body_len - HEADER_LEN - 4;
-    if payload_len > 0 {
-        buf.resize(payload_len, 0);
-        read_body(r, buf)?;
+}
+
+/// What one pass of a read did: `Some` as [`read_frame`] returns it;
+/// `None` when the stream would block first.
+type Step<T> = io::Result<Option<Result<T, FrameError>>>;
+
+impl PartialFrame {
+    /// Read on until one frame is whole — its outcome as [`read_frame`]
+    /// gives it, `Some` — or the stream would block: `None`, with the
+    /// frame's bytes so far kept for the next call, which must pass the
+    /// same `buf`. Nothing is read past the frame's end.
+    pub fn read<R: Read>(&mut self, r: &mut R, buf: &mut Vec<u8>) -> Step<Frame> {
+        Ok(self.read_in(r, buf, None)?.map(|got| got.map(|(frame, _)| frame)))
     }
-    let mut tail = [0u8; 4];
-    read_body(r, &mut tail)?;
-    let lane = slot_body.is_some();
-    let header = &prefix[4..];
-    let payload: &[u8] = if payload_len > 0 { buf } else { &[] };
-    Ok(check_crc(header, payload, &tail).and_then(|()| read_header(header, lane)).map(
-        |(mut frame, in_slot)| {
+
+    /// [`PartialFrame::read`], accepting descriptor frames when
+    /// `slot_body` is given: the body (descriptor and tail) of a frame
+    /// whose prefix has the [`SLOT_FLAG`] is read with it — the
+    /// segment's own descriptor may ride those bytes — and the `bool`
+    /// says the payload taken from `buf` is a slot descriptor.
+    pub(crate) fn read_in<R: Read>(
+        &mut self,
+        r: &mut R,
+        buf: &mut Vec<u8>,
+        slot_body: Option<SlotBodyRead<R>>,
+    ) -> Step<(Frame, bool)> {
+        while self.got < PREFIX_LEN {
+            match r.read(&mut self.prefix[self.got..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+        let body_len = read_u32(&self.prefix, 0) as usize;
+        if !(HEADER_LEN + 4..=MAX_FRAME_LEN).contains(&body_len) {
+            let bad = FrameError::BadLength(body_len);
+            return Err(io::Error::new(io::ErrorKind::InvalidData, bad));
+        }
+        let read_body: SlotBodyRead<R> = match slot_body {
+            Some(read) if self.prefix[4] & SLOT_FLAG != 0 => read,
+            _ => |r, b| r.read_vectored(b),
+        };
+        let payload_len = body_len - HEADER_LEN - 4;
+        if self.got == PREFIX_LEN {
+            buf.resize(payload_len, 0);
+        }
+        while self.got < PREFIX_LEN + body_len - HEADER_LEN {
+            let at = self.got - PREFIX_LEN;
+            let (payload, tail) = match at.checked_sub(payload_len) {
+                None => (&mut buf[at..], &mut self.tail[..]),
+                Some(t) => (&mut [][..], &mut self.tail[t..]),
+            };
+            match read_body(r, &mut [IoSliceMut::new(payload), IoSliceMut::new(tail)]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+        self.got = 0;
+        let header = &self.prefix[4..];
+        let payload: &[u8] = if payload_len > 0 { buf } else { &[] };
+        let checked = check_crc(header, payload, &self.tail);
+        let read = checked.and_then(|()| read_header(header, slot_body.is_some()));
+        Ok(Some(read.map(|(mut frame, in_slot)| {
             if payload_len > 0 {
                 frame.payload = std::mem::take(buf);
             }
             (frame, in_slot)
-        },
-    ))
+        })))
+    }
 }
 
 /// Reference decoder: the naive, obviously-correct full-buffer decode

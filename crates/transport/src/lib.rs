@@ -9,13 +9,16 @@
 //!   threaded collective and of the protocol unit tests.
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed
-//!   [`frame::Frame`]. A reader thread per connection decodes frames
-//!   into a pre-allocated ring; a heartbeat thread beacons liveness so
-//!   silence is distinguishable from death; payload buffers are pooled
-//!   so steady-state exchange allocates nothing. No payload is copied
-//!   in user space on either side: a send is one vectored write that
-//!   borrows the payload, a receive reads the payload off the socket
-//!   into the buffer the frame will own and checksums it there. A
+//!   [`frame::Frame`]. A receive reads and decodes its connection's
+//!   socket on the caller's thread, `poll(2)`ing it when it runs dry,
+//!   and a send that finds the socket full reads the mesh's sockets
+//!   while it waits (MPI's progress inside the call). A heartbeat
+//!   thread beacons liveness so silence is distinguishable from death,
+//!   and reads what its connection's owner left unread; payload buffers
+//!   are pooled so steady-state exchange allocates nothing. No payload
+//!   is copied in user space on either side: a send is one vectored
+//!   write that borrows the payload, a receive reads the payload off the
+//!   socket into the buffer the frame will own and checksums it there. A
 //!   payload of [`BULK_MIN`] bytes or more that was encoded into a
 //!   [`Wire::lease`] does not cross the socket at all: it sits in a
 //!   slot of a shared-memory segment the peer has mapped, and the
@@ -24,6 +27,8 @@
 //! Death detection is two-signal: a SIGKILLed peer's socket returns EOF
 //! (fast path), and a wedged-but-open peer trips the
 //! [`faults::RetryPolicy::death_threshold`] silence bound (slow path).
+//! Both are seen at the owner's next read, or its heartbeat's: what
+//! arrives while it computes waits in the kernel's socket buffer.
 //! Every timeout in the crate derives from [`faults::RetryPolicy`] and
 //! sleeps route through [`faults::FaultClock`] — `xtask lint` bans bare
 //! `thread::sleep` and hard-coded `Duration` literals here (rule 7).
@@ -54,7 +59,7 @@ pub use conn::{
 };
 pub use frame::{
     encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
-    FrameKind, Offer, HEADER_LEN, MAX_FRAME_LEN,
+    FrameKind, Offer, PartialFrame, HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use lane::{Lease, Slot, SlotMut, BULK_MIN};
 pub use mesh::SocketMesh;

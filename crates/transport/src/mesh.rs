@@ -5,7 +5,9 @@
 //! whichever peer reads next, and whichever send leases next. A lease
 //! of [`BULK_MIN`](crate::BULK_MIN) bytes or more comes from the bulk
 //! lane of the connection to its peer ([`crate::lane`]): a slot of a
-//! shared-memory segment that peer reads in place.
+//! shared-memory segment that peer reads in place. Each connection is
+//! read by the thread that receives from it, and by its heartbeat once
+//! per beacon ([`crate::conn`]).
 
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -30,8 +32,8 @@ pub struct SocketMesh {
 
 impl SocketMesh {
     /// Assemble a mesh for original rank `rank` over `world_ids` from
-    /// established per-peer streams. Each stream gets a reader thread
-    /// and (per `policy`) a heartbeat beacon.
+    /// established per-peer streams. Each stream gets a heartbeat
+    /// beacon paced by `policy`.
     pub fn new(
         rank: usize,
         world_ids: Vec<usize>,
@@ -42,7 +44,7 @@ impl SocketMesh {
         let pool = BufPool::new();
         let mut conns: Vec<Option<PeerConn>> = (0..=max_id).map(|_| None).collect();
         for (peer, stream) in streams {
-            let conn = PeerConn::spawn(peer, rank, stream, Arc::clone(&pool), Some(policy), None)?;
+            let conn = PeerConn::spawn(peer, rank, stream, Arc::clone(&pool), Some(policy), false)?;
             conns[peer] = Some(conn);
         }
         Ok(SocketMesh { rank, world_ids, conns, pool })

@@ -1,8 +1,10 @@
-//! What the bulk lane needs from the OS and cannot get from `std`: an
+//! What the transport needs from the OS and cannot get from `std`: an
 //! anonymous shared-memory file (`memfd_create`), a shared mapping of
 //! it (`mmap`/`munmap`), and the passing of its descriptor to the peer
 //! over the connection's socket (`sendmsg`/`recvmsg` with an
-//! `SCM_RIGHTS` control message). The build has no registry access for
+//! `SCM_RIGHTS` control message) for the bulk lane; and the wait for a
+//! socket to become readable or writable (`poll`) for the receive that
+//! runs on the caller's thread. The build has no registry access for
 //! `libc`, so these are hand-declared here, in the one module of the
 //! crate allowed to say `extern "C"` (`xtask lint` enforces it, and that
 //! every `unsafe` below carries its `SAFETY:` argument). Layouts and
@@ -10,9 +12,10 @@
 
 use std::ffi::{c_char, c_void};
 use std::fs::File;
-use std::io::{self, IoSlice, Read};
+use std::io::{self, IoSlice, IoSliceMut, Read};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 #[repr(C)]
 struct MsgHdr {
@@ -25,12 +28,34 @@ struct MsgHdr {
     flags: i32,
 }
 
-/// `struct iovec`, for `recvmsg` (a send passes `IoSlice`s, which std
-/// guarantees to be ABI compatible with it).
+/// `struct iovec`, which std guarantees `IoSlice` and `IoSliceMut` to
+/// be ABI compatible with; a message header points at an array of them.
 #[repr(C)]
 struct IoVec {
     base: *mut c_void,
     len: usize,
+}
+
+/// `struct pollfd`: one descriptor to wait on, the events asked for and
+/// the events that happened.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    pub(crate) fn new(fd: RawFd, events: i16) -> Self {
+        PollFd { fd, events, revents: 0 }
+    }
+
+    /// Something happened on the descriptor: an asked-for event, or a
+    /// hang-up or error, which `poll` reports unasked.
+    pub(crate) fn woke(&self) -> bool {
+        self.revents != 0
+    }
 }
 
 extern "C" {
@@ -40,7 +65,13 @@ extern "C" {
     fn munmap(addr: *mut c_void, len: usize) -> i32;
     fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
     fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
+    fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
 }
+
+/// Data (or an EOF) can be read.
+pub(crate) const POLLIN: i16 = 0x1;
+/// Data can be written without blocking.
+pub(crate) const POLLOUT: i16 = 0x4;
 
 const MFD_CLOEXEC: u32 = 1;
 const PROT_READ: i32 = 1;
@@ -139,10 +170,31 @@ pub(crate) fn send_with_fd(
     Ok(n as usize)
 }
 
+/// Wait until an event asked for in `fds` happens, or `timeout` passes
+/// (`None`: no limit); each entry's [`PollFd::woke`] says which. The
+/// wait is rounded up to whole milliseconds, so a short one cannot spin.
+/// A signal cuts it short like a timeout does: callers re-check their
+/// own deadline.
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    let ms = match timeout {
+        None => -1,
+        Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
+    };
+    // SAFETY: `fds` is a live, writable array of `fds.len()` `pollfd`s;
+    // the kernel writes only their `revents`.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
+    if n < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
 /// The read half of a connection's socket: a plain `Read`, plus
-/// [`FdReader::read_exact_keeping_fd`] for the bytes a peer may have
-/// attached a descriptor to, which a plain `read` would have the kernel
-/// close.
+/// [`FdReader::read_keeping_fd`] for the bytes a peer may have attached
+/// a descriptor to, which a plain `read` would have the kernel close.
 #[derive(Debug)]
 pub(crate) struct FdReader {
     stream: UnixStream,
@@ -153,6 +205,10 @@ pub(crate) struct FdReader {
 impl Read for FdReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.stream.read(buf)
+    }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        self.stream.read_vectored(bufs)
     }
 }
 
@@ -166,37 +222,30 @@ impl FdReader {
         self.fd.take()
     }
 
-    /// `read_exact` through `recvmsg`, keeping a descriptor that rides
-    /// these bytes for [`FdReader::take_fd`].
-    pub(crate) fn read_exact_keeping_fd(&mut self, mut buf: &mut [u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            match self.recv(buf) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => buf = &mut buf[n..],
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    /// The socket's descriptor, to [`wait`] on.
+    pub(crate) fn raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
-    fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+    /// One `read_vectored` through `recvmsg`, keeping a descriptor that
+    /// rides these bytes for [`FdReader::take_fd`].
+    pub(crate) fn read_keeping_fd(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
         // Room for a few descriptors' control messages; the lane sends
         // one, and anything more is closed below.
         let mut control = [0u64; 8];
-        let mut iov = IoVec { base: buf.as_mut_ptr().cast(), len: buf.len() };
         let mut msg = MsgHdr {
             name: std::ptr::null_mut(),
             namelen: 0,
-            iov: &mut iov,
-            iovlen: 1,
+            iov: bufs.as_mut_ptr().cast(),
+            iovlen: bufs.len(),
             control: control.as_mut_ptr().cast(),
             controllen: std::mem::size_of_val(&control),
             flags: 0,
         };
-        // SAFETY: `msg` points at `iov` (over `buf`, writable for its
-        // length) and at `control`, all live for the call; the kernel
-        // writes only inside them and updates the lengths in `msg`.
+        // SAFETY: `msg` points at `bufs` (IoSliceMut is ABI compatible
+        // with iovec; each is writable for its length) and at `control`,
+        // all live for the call; the kernel writes only inside them and
+        // updates the lengths in `msg`.
         let n = unsafe { recvmsg(self.stream.as_raw_fd(), &mut msg, MSG_CMSG_CLOEXEC) };
         if n < 0 {
             return Err(io::Error::last_os_error());

@@ -4,12 +4,15 @@
 //! reordered frames must come out of the dedup window exactly once, in
 //! order.
 //!
-//! [`read_frame`] — the one framing loop, run by the socket reader
-//! thread and the rendezvous handshakes — is differentially tested
-//! against the naive [`reference_decode`] through a short-read `Read`
-//! adapter (arbitrary cut points down to a one-byte dribble) into a
-//! dirty recycled buffer, and a golden pins the bytes
-//! [`PeerConn::send`] puts on a raw socket to [`encode`]'s.
+//! [`PartialFrame`] — the one framing loop, run by every socket receive
+//! and, as [`read_frame`], by the rendezvous handshakes — is
+//! differentially tested against the naive [`reference_decode`] both
+//! ways: through [`read_frame`] over a short-read `Read` adapter
+//! (arbitrary cut points down to a one-byte dribble), and resumed over
+//! an adapter that, like a non-blocking socket, says `WouldBlock`
+//! between every two chunks; each into a dirty recycled buffer. A
+//! golden pins the bytes [`PeerConn::send`] puts on a raw socket to
+//! [`encode`]'s.
 
 use std::io::{self, Read};
 use std::os::unix::net::UnixStream;
@@ -17,7 +20,7 @@ use std::os::unix::net::UnixStream;
 use proptest::prelude::*;
 use transport::frame::{
     encode, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError, FrameKind,
-    Offer, HEADER_LEN, MAX_FRAME_LEN,
+    Offer, PartialFrame, HEADER_LEN, MAX_FRAME_LEN, SLOT_FLAG,
 };
 use transport::PeerConn;
 
@@ -86,12 +89,32 @@ impl Read for ShortReads<'_> {
     }
 }
 
-/// Run [`read_frame`] over `bytes` the way the reader thread does —
-/// one buffer carried from call to call, replaced by a *dirty* recycled
-/// one whenever a frame takes it — until the stream ends. Returns the
-/// per-frame outcomes, the error that ended the stream, and how many
-/// bytes were still unread when the failing call began.
-fn read_all(bytes: &[u8], cuts: &[usize]) -> (Vec<Result<Frame, FrameError>>, io::Error, usize) {
+/// [`ShortReads`] that says `WouldBlock` before every chunk, as a
+/// non-blocking socket does whenever the bytes so far are used up.
+struct WouldBlocks<'a> {
+    inner: ShortReads<'a>,
+    blocked: bool,
+}
+
+impl Read for WouldBlocks<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        self.blocked = !self.blocked;
+        if self.blocked {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        self.inner.read(out)
+    }
+}
+
+/// What reading a whole stream gave: the per-frame outcomes, the error
+/// that ended the stream, and how many bytes were still unread when the
+/// frame it failed in began.
+type ReadAll = (Vec<Result<Frame, FrameError>>, io::Error, usize);
+
+/// Run [`read_frame`] over `bytes` the way the handshakes do — one
+/// buffer carried from call to call, replaced by a *dirty* recycled one
+/// whenever a frame takes it — until the stream ends.
+fn read_all(bytes: &[u8], cuts: &[usize]) -> ReadAll {
     let mut stream = ShortReads { bytes, at: 0, cuts, calls: 0 };
     let mut frames = Vec::new();
     let mut buf = Vec::new();
@@ -107,19 +130,50 @@ fn read_all(bytes: &[u8], cuts: &[usize]) -> (Vec<Result<Frame, FrameError>>, io
     }
 }
 
-/// [`read_all`] must see exactly what [`reference_decode`] sees: the
+/// Run one [`PartialFrame`] over `bytes` the way a connection's receive
+/// does — resumed after every `WouldBlock`, the payload buffer kept
+/// across them and replaced by a dirty one whenever a frame takes it —
+/// until the stream ends.
+fn read_all_resumed(bytes: &[u8], cuts: &[usize]) -> ReadAll {
+    let inner = ShortReads { bytes, at: 0, cuts, calls: 0 };
+    let mut stream = WouldBlocks { inner, blocked: false };
+    let mut partial = PartialFrame::default();
+    let (mut frames, mut buf, mut left) = (Vec::new(), Vec::new(), bytes.len());
+    loop {
+        if buf.capacity() == 0 {
+            buf = vec![0xA5; 300];
+        }
+        match partial.read(&mut stream, &mut buf) {
+            Ok(Some(frame)) => {
+                frames.push(frame);
+                left = bytes.len() - stream.inner.at;
+            }
+            Ok(None) => {}
+            Err(e) => return (frames, e, left),
+        }
+    }
+}
+
+/// Both readers must see exactly what [`reference_decode`] sees: the
 /// same frames and per-frame rejects in the same order, and a stream
 /// end of the matching kind — `InvalidData` carrying the same
 /// `BadLength` where the reference calls the stream unframeable (given
-/// the 32 bytes `read_frame` reads before it looks), `UnexpectedEof`
-/// for truncation and for a clean end.
+/// the 32 bytes a reader reads before it looks), `UnexpectedEof` for
+/// truncation and for a clean end.
 fn assert_reads_like_reference(bytes: &[u8], cuts: &[usize]) -> Result<(), TestCaseError> {
+    for read in [read_all, read_all_resumed] {
+        assert_read_like_reference(bytes, read(bytes, cuts))?;
+    }
+    Ok(())
+}
+
+fn assert_read_like_reference(bytes: &[u8], read: ReadAll) -> Result<(), TestCaseError> {
     let mut want = reference_decode(bytes);
     let fatal = match want.last() {
         Some(Err(FrameError::Truncated | FrameError::BadLength(_))) => want.pop(),
         _ => None,
     };
-    let (got, end, left) = read_all(bytes, cuts);
+    let (got, end, left) = read;
     prop_assert_eq!(&got, &want);
     match fatal {
         Some(Err(FrameError::BadLength(n))) if left >= 4 + HEADER_LEN => {
@@ -183,8 +237,8 @@ fn peer_conn_send_puts_encode_bytes_on_the_socket() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// encode → `read_frame` is the identity however the socket chops
-    /// the stream, including a one-byte dribble.
+    /// encode → read is the identity however the socket chops the
+    /// stream, including a one-byte dribble, and wherever it would block.
     #[test]
     fn read_frame_roundtrips_under_short_reads(
         frames in prop::collection::vec(frame_strategy(), 1..8),
@@ -193,11 +247,46 @@ proptest! {
         let bytes: Vec<u8> = frames.iter().flat_map(encode).collect();
         let want: Vec<Result<Frame, FrameError>> = frames.into_iter().map(Ok).collect();
         for cuts in [&cuts[..], &[1]] {
-            let (got, end, left) = read_all(&bytes, cuts);
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
-            prop_assert_eq!(left, 0);
+            for read in [read_all, read_all_resumed] {
+                let (got, end, left) = read(&bytes, cuts);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+                prop_assert_eq!(left, 0);
+            }
         }
+    }
+
+    /// Descriptor frames — the bulk lane's flagged kind byte, a 16-byte
+    /// descriptor, a tail CRC that verifies — mixed into inline ones are
+    /// rejected one by one as the reference rejects them (`BadKind`),
+    /// and the inline frames around them still decode, whether the
+    /// stream is dribbled or would block between chunks.
+    #[test]
+    fn descriptor_frames_read_like_the_reference(
+        frames in prop::collection::vec((frame_strategy(), 0u8..2), 1..8),
+        cuts in prop::collection::vec(1usize..96, 0..12),
+    ) {
+        let mut bytes = Vec::new();
+        for (mut frame, flag) in frames {
+            let flagged = flag == 1;
+            if flagged {
+                frame.payload.resize(16, 0x5A);
+            }
+            let mut wire = encode(&frame);
+            if flagged {
+                wire[4] |= SLOT_FLAG;
+                let end = wire.len() - 4;
+                let crc = faults::crc32_bytes(&wire[4..end]);
+                wire[end..].copy_from_slice(&crc.to_le_bytes());
+                prop_assert_eq!(
+                    reference_decode(&wire),
+                    vec![Err(FrameError::BadKind(frame.kind as u8 | SLOT_FLAG))]
+                );
+            }
+            bytes.extend_from_slice(&wire);
+        }
+        assert_reads_like_reference(&bytes, &cuts)?;
+        assert_reads_like_reference(&bytes, &[1])?;
     }
 
     /// A valid stream damaged one way — cut short, one bit flipped
@@ -277,10 +366,12 @@ proptest! {
     ) {
         let bytes = encode(&frame);
         let cut = cut_sel % bytes.len(); // strictly shorter than the frame
-        let (got, end, left) = read_all(&bytes[..cut], &cuts);
-        prop_assert_eq!(got, vec![]);
-        prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
-        prop_assert_eq!(left, cut);
+        for read in [read_all, read_all_resumed] {
+            let (got, end, left) = read(&bytes[..cut], &cuts);
+            prop_assert_eq!(got, vec![]);
+            prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(left, cut);
+        }
         // The reference decoder calls the same prefix truncated.
         if cut > 0 {
             let want = reference_decode(&bytes[..cut]);
@@ -302,9 +393,11 @@ proptest! {
         let bit = bit_sel % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
 
-        let (got, _, _) = read_all(&bytes, &[]);
-        for g in got.into_iter().flatten() {
-            prop_assert_eq!(g, frame.clone());
+        for read in [read_all, read_all_resumed] {
+            let (got, _, _) = read(&bytes, &[]);
+            for g in got.into_iter().flatten() {
+                prop_assert_eq!(g, frame.clone());
+            }
         }
 
         // The body parser (post-length layer) must always reject a
