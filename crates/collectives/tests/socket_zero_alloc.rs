@@ -262,7 +262,7 @@ fn steady_state_bulk_lane_allreduce_is_allocation_free() {
 /// the flight recorder, builds its metric values, encodes the snapshot
 /// and ships it down a real socket without a single allocation.
 /// Mirrors `run_worker`'s send at every step begin: record → value
-/// array → `encode_into` → payload into the frame → `Control::send`,
+/// array → `encode_into` → payload into the frame → `PeerConn::send`,
 /// the one vectored write of `[len + header] [payload] [crc]` that
 /// borrows the payload where it lies → payload back.
 #[test]
@@ -270,7 +270,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     use std::io::Read;
     use trace::telemetry::{metric, WorkerTelemetry, FLIGHT_CAPACITY};
     use trace::TraceRecorder;
-    use transport::{Control, PeerConn};
+    use transport::PeerConn;
 
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (tx, mut rx) = UnixStream::pair().expect("socketpair");
@@ -286,8 +286,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
     });
 
     // The worker's control stream, seen as `run_worker` sees it.
-    let conn = PeerConn::solo(1, 0, tx, None).expect("control conn");
-    let ctl: &dyn Control = &conn;
+    let ctl = PeerConn::solo(1, 0, tx, None).expect("control conn");
     let lane = TraceRecorder::with_capacity(FLIGHT_CAPACITY).lane(0, 0, "rank 0", "compute");
     let mut tel = WorkerTelemetry::new(0, lane);
     let mut payload: Vec<u8> = Vec::new();
@@ -325,7 +324,7 @@ fn steady_state_telemetry_encode_and_ship_is_allocation_free() {
          the payload buffer and borrow it into the write after warmup"
     );
 
-    drop(conn);
+    drop(ctl);
     let total = sink.join().expect("sink thread");
     assert!(total > 0, "the sink must have received the telemetry bytes");
 }

@@ -124,15 +124,21 @@ pub fn write_trace(events: &[ChromeEvent]) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+/// `s` as the body of a JSON string: quotes and backslashes escaped,
+/// control characters as `\u00XX`, everything else as it is.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Why a trace failed to parse.
@@ -449,8 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn control_chars_are_flattened_not_emitted() {
-        let json = write_trace(&[ChromeEvent::complete("a\nb", "C", 0.0, 1.0, 0, 0)]);
-        assert!(json.contains("\"a b\""), "{json}");
+    fn control_chars_round_trip_as_unicode_escapes() {
+        let name = "a\nb\tc\u{1}d\"e\\f";
+        let json = write_trace(&[ChromeEvent::complete(name, "C\n", 0.0, 1.0, 0, 0)]);
+        let escaped = "a\\u000ab\\u0009c\\u0001d\\\"e\\\\f";
+        assert!(json.contains(escaped), "{json}");
+        let back = parse_trace(&json).map(|e| (e[0].name.clone(), e[0].cat.clone()));
+        assert_eq!(back, Ok((name.to_string(), "C\n".to_string())));
     }
 }

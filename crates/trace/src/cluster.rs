@@ -29,6 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use crate::chrome::escape;
 use crate::critical_path::lateness_from;
 use crate::telemetry::{metric, TelemetrySnapshot};
 
@@ -313,8 +314,8 @@ impl ClusterView {
             let _ = write!(
                 out,
                 "\n    {{\"cat\": \"{}\", \"name\": \"{}\", \"step\": {}, \"ts_us\": {}, \"dur_us\": {}, \"a0\": {}}}",
-                escape_json(&ev.cat),
-                escape_json(&ev.name),
+                escape(&ev.cat),
+                escape(&ev.name),
                 ev.step,
                 ev.ts_us,
                 ev.dur_us,
@@ -359,23 +360,6 @@ fn metric_series_name(id: u16) -> String {
         Some(name) => name.to_string(),
         None => format!("telemetry_metric_{id}"),
     }
-}
-
-/// Minimal JSON string escaping for decoded labels (which arrived off
-/// the wire and are only guaranteed to be UTF-8).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -262,23 +262,23 @@ fn coordinate(
     let me = *workers; // no worker's id; nothing routes on it
     let joined = rdzv.assemble(*workers).map_err(|e| format!("rendezvous failed: {e}"))?;
     let inbox = Inbox::sockets();
-    let mut conns: Vec<PeerConn> = Vec::with_capacity(*workers);
+    let mut conns: Vec<Option<PeerConn>> = Vec::with_capacity(*workers);
     let mut pids: Vec<u32> = Vec::with_capacity(*workers);
     for (rank, (hello, stream)) in joined.into_iter().enumerate() {
         if !children.iter().any(|c| c.id() == hello.pid) {
             return Err(format!("rank {rank} announced unknown pid {}", hello.pid));
         }
-        conns.push(
+        conns.push(Some(
             PeerConn::solo_into(rank, me, stream, Some(*pol), &inbox)
                 .map_err(|e| format!("control conn for rank {rank}: {e}"))?,
-        );
+        ));
         pids.push(hello.pid);
     }
 
     let kill = flags.kill.map(|(rank, step)| (rank, step as u32));
     let mut machine = Coordinator::new(*workers, kill);
-    let mut shell = Processes { conns: &conns, pids: &pids, children, telem };
-    commit::coordinate(&mut machine, &inbox, pol, &mut shell)?;
+    let mut shell = Processes { pids: &pids, children, telem };
+    commit::coordinate(&mut machine, &inbox, &conns, pol, &mut shell)?;
 
     let survivors = machine.survivors();
     if survivors.is_empty() {
@@ -289,25 +289,16 @@ fn coordinate(
     Ok((0..*workers).filter(|r| !survivors.contains(r)).map(|r| pids[r]).collect())
 }
 
-/// The coordinator's side of a launch: each rank's control connection
-/// (its silence is the heartbeat's), its process, and the telemetry
-/// plane a death's flight record goes to.
+/// The coordinator's side of a launch besides the control connections:
+/// each rank's process, and the telemetry plane a death's flight record
+/// goes to.
 struct Processes<'a> {
-    conns: &'a [PeerConn],
     pids: &'a [u32],
     children: &'a mut [Child],
     telem: Option<&'a mut TelemetryPlane>,
 }
 
 impl Shell for Processes<'_> {
-    fn send(&mut self, rank: usize, frame: &Frame) -> bool {
-        self.conns[rank].send(frame).is_ok()
-    }
-
-    fn silence(&self, rank: usize) -> Duration {
-        self.conns[rank].silence()
-    }
-
     fn kill(&mut self, rank: usize) {
         if let Some(c) = self.children.iter_mut().find(|c| c.id() == self.pids[rank]) {
             let _ = c.kill();

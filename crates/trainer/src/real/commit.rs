@@ -29,19 +29,21 @@
 //! the coordinator as a pure state machine ([`Coordinator`]: events in,
 //! actions out — no socket, clock, file or process in it, so a test or
 //! a model drives it with plain values); the coordinator's event loop
-//! ([`coordinate`]), which turns arrivals on an [`Inbox`] and silences
-//! into [`Event`]s and hands [`Action`]s to a [`Shell`]; and the
-//! worker's side of the conversation over any [`Control`] stream (join
-//! the start barrier, vote, wait for the verdict). `bin/dist_train.rs`
-//! is the shell for processes — socket connections, SIGKILL, files;
-//! `try_train` is the shell for threads — in-process
-//! [`LocalConn`](transport::LocalConn)s.
+//! ([`coordinate`]), which turns arrivals on an [`Inbox`] and the
+//! silences of the control connections into [`Event`]s, sends the
+//! machine's messages on those connections and hands its other
+//! [`Action`]s to a [`Shell`]; and the worker's side of the
+//! conversation over its control [`PeerConn`] (join the start barrier,
+//! vote, wait for the verdict). The connections are sockets either way:
+//! between processes for `bin/dist_train.rs`, whose shell kills
+//! processes and writes files, and a `socketpair` per rank for
+//! `try_train`, which needs no shell.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use faults::RetryPolicy;
-use transport::{Control, Frame, FrameKind, Inbox, WireError};
+use transport::{Frame, FrameKind, Inbox, PeerConn, WireError};
 
 // ------------------------------------------------------------- messages
 
@@ -383,15 +385,10 @@ impl Coordinator {
 
 // ----------------------------------------------------------- event loop
 
-/// Where the coordinator's actions go, and the one event source besides
-/// its inbox: the launcher's worker processes, or an in-process run's
-/// rank threads.
+/// What the coordinator's actions touch besides the control streams:
+/// the launcher's worker processes and telemetry plane. Every hook does
+/// nothing unless implemented; an in-process run has none (`()`).
 pub trait Shell {
-    /// Deliver `frame` to `rank`; false means the rank is gone.
-    fn send(&mut self, rank: usize, frame: &Frame) -> bool;
-    /// How long `rank` has been silent (zero where the only death
-    /// signal is an EOF).
-    fn silence(&self, rank: usize) -> Duration;
     /// [`Action::Kill`]: kill `rank`'s process.
     fn kill(&mut self, _rank: usize) {}
     /// [`Action::Dead`]: the machine has just declared `rank` dead.
@@ -400,16 +397,21 @@ pub trait Shell {
     fn telemetry(&mut self, _frame: &Frame) {}
 }
 
+impl Shell for () {}
+
 /// The coordinator's event loop, until every rank has finished or died:
-/// arrivals on `inbox` and `shell`'s silences become [`Event`]s, and
-/// the machine's [`Action`]s go to `shell`. The one blocking wait is on
-/// the inbox, woken at least every heartbeat interval of `pol`; a rank
-/// is `Silent` past one death threshold of quiet once the run has
+/// arrivals on `inbox` and the silences of `conns` — each rank's control
+/// connection by original id, `None` for a rank a resumed run starts
+/// without — become [`Event`]s; the machine's messages go out on
+/// `conns` and its other [`Action`]s to `shell`. The one blocking wait
+/// is on the inbox, woken at least every heartbeat interval of `pol`; a
+/// rank is `Silent` past one death threshold of quiet once the run has
 /// started, or when the start barrier has waited that long. A send that
 /// fails is that rank's `Gone`. Returns the machine's `Fail`, if any.
 pub fn coordinate(
     machine: &mut Coordinator,
     inbox: &Inbox,
+    conns: &[Option<PeerConn>],
     pol: &RetryPolicy,
     shell: &mut impl Shell,
 ) -> Result<(), String> {
@@ -435,8 +437,9 @@ pub fn coordinate(
         // Time enters as events. Heartbeats flow even while a worker
         // computes, so sustained silence means a wedged process.
         let barrier_overdue = !machine.started() && ready_by.is_some_and(|t| Instant::now() >= t);
-        for rank in 0..machine.ranks.len() {
-            let silent = machine.started() && shell.silence(rank) > pol.death_threshold();
+        for (rank, conn) in conns.iter().enumerate() {
+            let silent = machine.started()
+                && conn.as_ref().is_some_and(|c| c.silence() > pol.death_threshold());
             if machine.is_live(rank) && (silent || barrier_overdue) {
                 events.push_back((rank, Event::Silent));
             }
@@ -445,7 +448,9 @@ pub fn coordinate(
             for action in machine.on(rank, ev) {
                 match action {
                     Action::Send { to, msg } => {
-                        if !shell.send(to, &msg.frame(me)) {
+                        let sent =
+                            conns[to].as_ref().is_some_and(|c| c.send(&msg.frame(me)).is_ok());
+                        if !sent {
                             events.push_back((to, Event::Gone));
                         }
                     }
@@ -481,7 +486,7 @@ pub enum Verdict {
 
 /// Worker side of the start barrier: announce `Ready`, then wait —
 /// one death threshold at most — for `Start`.
-pub fn join_barrier(ctl: &dyn Control, policy: &RetryPolicy, rank: usize) -> Result<(), String> {
+pub fn join_barrier(ctl: &PeerConn, policy: &RetryPolicy, rank: usize) -> Result<(), String> {
     ctl.send(&Msg::Ready.frame(rank as u16)).map_err(|e| format!("ready: {e}"))?;
     let f = ctl
         .recv_timeout(policy.death_threshold())
@@ -494,20 +499,20 @@ pub fn join_barrier(ctl: &dyn Control, policy: &RetryPolicy, rank: usize) -> Res
 
 /// Tell the coordinator this rank applied all `steps` and wrote its
 /// results.
-pub fn report_finished(ctl: &dyn Control, rank: usize, steps: usize) -> Result<(), String> {
+pub fn report_finished(ctl: &PeerConn, rank: usize, steps: usize) -> Result<(), String> {
     ctl.send(&Msg::Finished { steps: steps as u32 }.frame(rank as u16))
         .map_err(|e| format!("finished: {e}"))
 }
 
 /// Vote: this rank completed `step`'s exchange under `era`.
-pub fn vote(ctl: &dyn Control, rank: usize, era: u32, step: usize) -> Result<(), String> {
+pub fn vote(ctl: &PeerConn, rank: usize, era: u32, step: usize) -> Result<(), String> {
     ctl.send(&Msg::Vote { era, step: step as u32 }.frame(rank as u16))
         .map_err(|e| format!("vote for step {step} failed: {e}"))
 }
 
 /// The in-exchange poll: has the coordinator announced a degrade?
 /// Never blocks. `Ok(None)` means carry on.
-pub fn poll_degrade(ctl: &dyn Control, step: usize) -> Result<Option<DegradeRecord>, String> {
+pub fn poll_degrade(ctl: &PeerConn, step: usize) -> Result<Option<DegradeRecord>, String> {
     let Ok(f) = ctl.recv_timeout(Duration::ZERO) else { return Ok(None) };
     Ok(match Msg::parse(&f)? {
         Msg::Degrade { era, dead, .. } => Some(DegradeRecord { step, dead, era }),
@@ -518,11 +523,7 @@ pub fn poll_degrade(ctl: &dyn Control, step: usize) -> Result<Option<DegradeReco
 /// Block on the control stream until the coordinator resolves `step`.
 /// Anything but that step's `Commit` or a `Degrade` is protocol
 /// insanity.
-pub fn await_verdict(
-    ctl: &dyn Control,
-    policy: &RetryPolicy,
-    step: usize,
-) -> Result<Verdict, String> {
+pub fn await_verdict(ctl: &PeerConn, policy: &RetryPolicy, step: usize) -> Result<Verdict, String> {
     loop {
         match ctl.recv_timeout(policy.tick) {
             Ok(f) => match Msg::parse(&f)? {

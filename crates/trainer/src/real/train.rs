@@ -11,17 +11,19 @@
 //! [`try_train`] runs the job in this process as N copies of the one
 //! rank body, [`run_worker`] — the very loop `dist_train` runs once per
 //! process — on the lanes of one pool, over an in-process channel mesh,
-//! under the same commit coordinator ([`commit::coordinate`]) fed by
-//! in-process control streams. Threads and processes therefore share
-//! one training loop and one degrade protocol. The layer-pipelined
+//! under the same commit coordinator ([`commit::coordinate`]) over the
+//! same socket control streams, one `socketpair` per rank. Threads and
+//! processes therefore share one training loop, one degrade protocol
+//! and one control transport. The layer-pipelined
 //! executor (`cfg.pipeline`) keeps a step loop of its own, which keeps
 //! its books through the same `Ledger`.
 
 use std::fmt;
 use std::mem;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use collectives::compression::CodecKind;
 use collectives::pool::{self, CorePool};
@@ -29,10 +31,10 @@ use collectives::{Algorithm, ExecTrace, FaultSession, FaultWire, PeerExecError, 
 use faults::{FaultCounterSnapshot, FaultEvent, FaultKind, FaultPlan, Injection, RetryPolicy};
 use summit_metrics::rng::derive_seed;
 use trace::{Counter, Gauge, Histogram, Lane, TraceSession};
-use transport::{ChannelWire, Control, Frame, Inbox, LocalConn, Wire};
+use transport::{ChannelWire, Inbox, PeerConn, Wire};
 
 use super::checkpoint::{Checkpoint, CheckpointError};
-use super::commit::{self, Coordinator, Shell};
+use super::commit::{self, Coordinator};
 use super::miou::Confusion;
 use super::net::{NetConfig, SegNet};
 use super::segdata::{augment, generate, generate_batch, DataConfig, Sample};
@@ -384,10 +386,11 @@ pub fn try_train(cfg: &TrainConfig) -> Result<TrainResult, TrainError> {
 /// Run `live`'s rank bodies and their coordinator in this process: lane
 /// `i` of one pool runs rank `live[i]`'s [`run_worker`] over its
 /// endpoint of an in-process channel mesh — behind a [`FaultWire`] in a
-/// chaos run — and its [`LocalConn`] to the coordinator; the last lane
-/// runs [`commit::coordinate`] over the other ends, parked on the inbox
-/// between arrivals. No thread is spawned beyond the pool's lanes and
-/// there is no socket or heartbeat: death is a hang-up and an EOF.
+/// chaos run — and its end of a `socketpair` to the coordinator; the
+/// last lane runs [`commit::coordinate`] over the other ends, parked in
+/// the inbox's `poll` between arrivals. No thread is spawned beyond the
+/// pool's lanes and no control stream has a heartbeat: under a patient
+/// policy silence condemns no one, and death is a hang-up and an EOF.
 /// Several rank bodies fold their own fan-outs inline
 /// ([`pool::fold_inline`]), so N ranks are N compute threads; a lone
 /// one leaves them to the shared pool, whose other lanes would idle.
@@ -406,24 +409,28 @@ fn launch(
         /// returns: the EOF a dead rank is degraded on).
         Rank {
             wire: ChannelWire,
-            ctl: Option<LocalConn>,
+            ctl: Option<Box<PeerConn>>,
             outcome: Result<WorkerOutcome, TrainError>,
         },
         /// The coordinator over the other ends, indexed by original id.
-        Coordinator { conns: Vec<Option<LocalConn>>, outcome: Result<(), String> },
+        Coordinator { conns: Vec<Option<PeerConn>>, outcome: Result<(), String> },
     }
 
-    let inbox = Inbox::local();
-    let mut conns: Vec<Option<LocalConn>> = (0..cfg.workers).map(|_| None).collect();
-    let mut jobs: Vec<Job> = ChannelWire::mesh_of(live)
-        .into_iter()
-        .map(|wire| {
-            let (ctl, coordinator_end) = LocalConn::pair(wire.rank(), &inbox);
-            conns[wire.rank()] = Some(coordinator_end);
-            let outcome = Err(TrainError::Protocol("rank lane never ran".into()));
-            Job::Rank { wire, ctl: Some(ctl), outcome }
-        })
-        .collect();
+    let inbox = Inbox::sockets();
+    // The coordinator signs as no worker's id, as `dist_train`'s does.
+    let me = cfg.workers;
+    let mut conns: Vec<Option<PeerConn>> = (0..cfg.workers).map(|_| None).collect();
+    let mut jobs: Vec<Job> = Vec::with_capacity(live.len() + 1);
+    for wire in ChannelWire::mesh_of(live) {
+        let rank = wire.rank();
+        let (worker_end, coordinator_end) = UnixStream::pair().map_err(control_stream)?;
+        let ctl = PeerConn::solo(me, rank, worker_end, None).map_err(control_stream)?;
+        conns[rank] = Some(
+            PeerConn::solo_into(rank, me, coordinator_end, None, &inbox).map_err(control_stream)?,
+        );
+        let outcome = Err(TrainError::Protocol("rank lane never ran".into()));
+        jobs.push(Job::Rank { wire, ctl: Some(Box::new(ctl)), outcome });
+    }
     jobs.push(Job::Coordinator { conns, outcome: Ok(()) });
 
     // The control plane needs no deadline in-process: a rank that stops
@@ -459,15 +466,12 @@ fn launch(
         }
         Job::Coordinator { conns, outcome } => {
             let mut machine = Coordinator::new(cfg.workers, None).with_live(live);
-            // The shell drops its ends when the loop returns: a rank
-            // still waiting on a verdict from a failed coordinator sees
-            // it gone.
-            *outcome = commit::coordinate(
-                &mut machine,
-                &inbox,
-                &control,
-                &mut LocalShell(mem::take(conns)),
-            );
+            // The ends are dropped as the loop returns: a rank still
+            // waiting on a verdict from a failed coordinator sees it
+            // gone.
+            let conns = mem::take(conns);
+            *outcome = commit::coordinate(&mut machine, &inbox, &conns, &control, &mut ());
+            drop(conns);
             if let Some(s) = session {
                 record_degrades(s, live.len(), machine.degrades());
             }
@@ -484,18 +488,10 @@ fn launch(
     ranks.into_iter().collect()
 }
 
-/// The coordinator ends of an in-process run's control streams, by
-/// original id. A rank dies by its EOF alone: none is ever silent.
-struct LocalShell(Vec<Option<LocalConn>>);
-
-impl Shell for LocalShell {
-    fn send(&mut self, rank: usize, frame: &Frame) -> bool {
-        self.0[rank].as_ref().is_some_and(|c| c.send(frame).is_ok())
-    }
-
-    fn silence(&self, _rank: usize) -> Duration {
-        Duration::ZERO
-    }
+/// A control stream that could not be built: the process is out of
+/// descriptors or memory.
+fn control_stream(e: std::io::Error) -> TrainError {
+    TrainError::Protocol(format!("control stream: {e}"))
 }
 
 /// Log the coordinator's degrades of a run that started over `world`

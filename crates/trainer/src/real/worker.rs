@@ -4,7 +4,7 @@
 //! (or a checkpoint's state), the rank's original-id shard of every
 //! step's data, the codec roundtrip, and the gradient exchange over a
 //! [`transport::Wire`] by a [`collectives::PeerExecutor`], gated by the
-//! commit protocol over a [`Control`] stream. `dist_train` runs one per
+//! commit protocol over a control [`PeerConn`]. `dist_train` runs one per
 //! process over a `SocketMesh`; `try_train` runs N of them on the lanes
 //! of one pool over an in-process `ChannelWire` mesh, each behind a
 //! `FaultWire` in a chaos run. It is the only training loop of either,
@@ -47,7 +47,7 @@ use faults::{FaultEvent, RetryPolicy};
 use summit_metrics::rng::derive_seed;
 use trace::telemetry::WorkerTelemetry;
 use trace::{Lane, TraceRecorder};
-use transport::{Control, Frame, FrameKind, Wire};
+use transport::{Frame, FrameKind, PeerConn, Wire};
 
 use super::commit::{self, DegradeRecord, Verdict};
 use super::net::{BatchWorkspace, SegNet};
@@ -161,7 +161,7 @@ pub fn compute_lane(recorder: &TraceRecorder, rank: usize) -> Lane {
 pub fn run_worker(
     cfg: &TrainConfig,
     wire: &dyn Wire,
-    ctl: &dyn Control,
+    ctl: &PeerConn,
     policy: RetryPolicy,
     mut telemetry: Option<&mut WorkerTelemetry>,
     faults: Option<&FaultSession>,
@@ -447,7 +447,7 @@ fn build_verified(
 /// it via `mem::take` and hands it back), so the steady state
 /// allocates nothing.
 fn send_telemetry(
-    ctl: &dyn Control,
+    ctl: &PeerConn,
     tel: &mut WorkerTelemetry,
     step: usize,
     counts: [usize; 3],

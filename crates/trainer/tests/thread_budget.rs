@@ -7,9 +7,21 @@
 //! machine, 6 on a 4-core one, 3 on one core. Every socket is read by
 //! the thread that waits on it, so no thread is a dedicated reader:
 //! none may be named `rx-*`.
+//!
+//! An in-process run (`try_train`) takes the same socket control
+//! streams, a `socketpair` per rank, with no heartbeat: read from
+//! `/proc/self`, it adds no `hb-*` thread and leaves no descriptor open.
 
 use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use trainer::real::train::try_train;
+use trainer::real::worker::preset;
+
+/// One test at a time: spawning the launcher opens descriptors in this
+/// process for a moment, which the in-process test would count.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// How many of a process's threads are heartbeats, core-pool helpers,
 /// readers, and anything else (the main thread).
@@ -88,6 +100,7 @@ impl Drop for Launch {
 
 #[test]
 fn two_worker_launch_runs_heartbeats_and_pool_helpers_and_no_reader() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("seg_threads_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let launcher = Command::new(env!("CARGO_BIN_EXE_dist_train"))
@@ -133,4 +146,33 @@ fn two_worker_launch_runs_heartbeats_and_pool_helpers_and_no_reader() {
     }
     drop(launch);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// This process's open descriptors, each with what it points at.
+fn open_fds() -> Vec<(String, String)> {
+    let mut fds: Vec<(String, String)> = std::fs::read_dir("/proc/self/fd")
+        .expect("/proc/self/fd")
+        .flatten()
+        .map(|e| {
+            let target = std::fs::read_link(e.path()).unwrap_or_default();
+            (e.file_name().to_string_lossy().into_owned(), target.to_string_lossy().into_owned())
+        })
+        .collect();
+    fds.sort();
+    fds
+}
+
+#[test]
+fn in_process_run_adds_no_heartbeat_and_leaves_no_descriptor() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let me = std::process::id();
+    let heartbeats = || {
+        let names = threads(me).expect("own threads");
+        names.into_iter().filter(|n| n.starts_with("hb-")).collect::<Vec<_>>()
+    };
+    let (hb_before, fds_before) = (heartbeats(), open_fds());
+    let result = try_train(&preset("tiny", 3, 12, 42)).expect("in-process run");
+    assert_eq!(result.step_losses.len(), 12);
+    assert_eq!(heartbeats(), hb_before, "no heartbeat thread");
+    assert_eq!(open_fds(), fds_before, "every control stream closed");
 }

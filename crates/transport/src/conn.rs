@@ -33,9 +33,9 @@
 //! socket [`Inbox`] instead: one `poll` over all their sockets on the
 //! owner's thread, each wake draining every readable connection,
 //! arrivals tagged with their peer, and a connection's EOF an item
-//! behind every frame it carried. [`LocalConn`] is the same
-//! conversation between two threads of one process, into a local
-//! inbox.
+//! behind every frame it carried. Control streams between threads of
+//! one process are the same sockets: a `socketpair` per stream, with no
+//! heartbeat.
 //!
 //! The send half never copies a payload in user space:
 //! [`PeerConn::send`] hands the kernel `[len + header] [payload] [crc]`
@@ -61,7 +61,7 @@ use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use faults::{FaultClock, RetryPolicy};
@@ -71,13 +71,11 @@ use crate::frame::{
 };
 use crate::lane::{Lease, RecvLane, SendLane, Slot};
 use crate::sys::{self, FdReader, PollFd, POLLIN, POLLOUT};
-use crate::{Control, WireError};
+use crate::WireError;
 
-/// Items an in-process queue holds before it grows, and spare payload
-/// buffers a pool keeps (queues still grow under pathological backlog
-/// rather than dropping — growth is rare enough that the steady-state
-/// zero-allocation proof tolerates it by never reaching it).
-const RING_CAPACITY: usize = 256;
+/// Spare payload buffers a pool keeps; a buffer released to a full
+/// pool is freed.
+const POOL_SPARES: usize = 256;
 
 /// Frames a blocked send can read ahead before its queue grows.
 const EARLY_CAPACITY: usize = 16;
@@ -94,7 +92,7 @@ pub(crate) struct BufPool {
 
 impl BufPool {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(BufPool { free: Mutex::new(Vec::with_capacity(RING_CAPACITY)) })
+        Arc::new(BufPool { free: Mutex::new(Vec::with_capacity(POOL_SPARES)) })
     }
 
     /// The free list. A panic mid-push or mid-pop loses at most one
@@ -114,85 +112,8 @@ impl BufPool {
             return;
         }
         let mut free = self.free();
-        if free.len() < RING_CAPACITY {
+        if free.len() < POOL_SPARES {
             free.push(buf);
-        }
-    }
-}
-
-/// A blocking MPSC ring with explicit close, on a paired
-/// `Mutex`/`Condvar`: what one thread of a process hands another.
-#[derive(Debug)]
-struct Ring<T> {
-    inner: Mutex<RingInner<T>>,
-    ready: Condvar,
-}
-
-#[derive(Debug)]
-struct RingInner<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> Default for Ring<T> {
-    fn default() -> Self {
-        Ring {
-            inner: Mutex::new(RingInner {
-                queue: VecDeque::with_capacity(RING_CAPACITY),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-impl<T> Ring<T> {
-    /// Queue `item`; false (and `item` dropped) once the ring is closed.
-    fn push(&self, item: T) -> bool {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed {
-            return false;
-        }
-        inner.queue.push_back(item);
-        drop(inner);
-        self.ready.notify_one();
-        true
-    }
-
-    fn close(&self) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.ready.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed
-    }
-
-    /// Pop the next item, waiting up to `timeout` — without limit when
-    /// the deadline is past what an `Instant` can express (a patient
-    /// `RetryPolicy`). Queued items drain before the closed state is
-    /// reported.
-    fn pop_timeout(&self, timeout: Duration) -> Result<T, WireError> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(f) = inner.queue.pop_front() {
-                return Ok(f);
-            }
-            if inner.closed {
-                return Err(WireError::PeerGone);
-            }
-            inner = match deadline {
-                None => self.ready.wait(inner).unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(WireError::Timeout);
-                    }
-                    let wait = self.ready.wait_timeout(inner, deadline - now);
-                    wait.unwrap_or_else(|e| e.into_inner()).0
-                }
-            };
         }
     }
 }
@@ -214,22 +135,12 @@ fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>, WireError> {
 type Arrival = (usize, Option<Frame>);
 
 /// One receive point for several connections, for an owner that waits
-/// on all of them at once (a coordinator's control streams): arrivals
-/// come tagged with their peer. Which kind of connection feeds it is
-/// fixed when it is built.
-#[derive(Debug, Clone)]
-pub struct Inbox(Feed);
-
-#[derive(Debug, Clone)]
-enum Feed {
-    /// Fed by [`LocalConn`] worker ends, each pushing from its own
-    /// thread.
-    Local(Arc<Ring<Arrival>>),
-    /// Reads the sockets of connections built with
-    /// [`PeerConn::solo_into`]: one `poll` over all of them on the
-    /// receiving thread.
-    Sockets(Arc<Mutex<Socks>>),
-}
+/// on all of them at once (a coordinator's control streams): the
+/// sockets of connections built with [`PeerConn::solo_into`], read by
+/// one `poll` over all of them on the receiving thread, arrivals tagged
+/// with their peer.
+#[derive(Debug)]
+pub struct Inbox(Mutex<Socks>);
 
 #[derive(Debug, Default)]
 struct Socks {
@@ -247,25 +158,25 @@ impl Socks {
     /// one that is to its end for now — so the silence of every
     /// connection is fresh after the call, whichever arrival is handed
     /// out first. A connection's EOF is queued behind its last frame.
+    /// A `poll` that fails (not one a signal cuts short) would fail
+    /// again on the next wait, so it ends every connection: each is
+    /// read out as it stands and its EOF queued.
     fn drain(&mut self, wait: Option<Duration>) {
         let Socks { conns, ready, fds } = self;
         fds.clear();
         fds.extend(conns.iter().flat_map(|(_, rx)| rx).map(|rx| PollFd::new(rx.fd, POLLIN)));
-        // A failed poll is a wake with nothing ready; the caller's
-        // deadline still bounds the wait.
-        if sys::wait(fds, wait).is_err() {
-            return;
-        }
+        let failed = sys::wait(fds, wait).is_err();
         let mut polled = fds.iter();
         for (peer, slot) in conns.iter_mut() {
             let Some(rx) = slot else { continue };
-            if !polled.next().is_some_and(PollFd::woke) {
+            if !polled.next().is_some_and(PollFd::woke) && !failed {
                 continue;
             }
             let mut st = rx.lock();
             while let Some(frame) = rx.next(&mut st) {
                 ready.push_back((*peer, Some(frame)));
             }
+            st.ended |= failed;
             if st.ended {
                 ready.push_back((*peer, None));
                 drop(st);
@@ -293,14 +204,9 @@ impl Socks {
 }
 
 impl Inbox {
-    /// An inbox for [`LocalConn`] worker ends.
-    pub fn local() -> Inbox {
-        Inbox(Feed::Local(Arc::default()))
-    }
-
     /// An inbox for connections built with [`PeerConn::solo_into`].
     pub fn sockets() -> Inbox {
-        Inbox(Feed::Sockets(Arc::default()))
+        Inbox(Mutex::default())
     }
 
     /// The next arrival on any feeding connection, waiting up to
@@ -308,84 +214,11 @@ impl Inbox {
     /// connection's EOF, delivered once, after every frame it carried.
     /// `None` when nothing arrived in time.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arrival> {
-        match &self.0 {
-            Feed::Local(ring) => ring.pop_timeout(timeout).ok(),
-            // Poisoned: a read panicked mid-drain. The queue and the
-            // poll set are whole; that connection's receive half knows
-            // its stream is over.
-            Feed::Sockets(socks) => socks
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .recv(Instant::now().checked_add(timeout)),
-        }
-    }
-}
-
-/// The in-process twin of a control connection: two threads of one
-/// process talk over it exactly as a launcher and a worker process talk
-/// over a [`PeerConn`] pair — the same frames, one [`Inbox`] on the
-/// coordinator's side, and an EOF when an end goes away. There is no
-/// thread, socket or heartbeat behind it, so [`Control::silence`] is
-/// always zero: death is the EOF and nothing else.
-///
-/// [`LocalConn::pair`] builds one stream's two ends. The *worker end*
-/// sends into the coordinator's inbox, tagged with its rank, and
-/// receives what the coordinator sends; dropping it delivers the
-/// `(rank, None)` a SIGKILLed worker's socket delivers. The
-/// *coordinator end* only sends (its arrivals come through the inbox,
-/// like a [`PeerConn::solo_into`] connection's); dropping it is the
-/// coordinator's EOF on the worker end.
-#[derive(Debug)]
-pub struct LocalConn {
-    /// What the coordinator end sends and the worker end receives;
-    /// closed when either end goes away.
-    down: Arc<Ring<Frame>>,
-    /// The worker end's way up: the coordinator's inbox and its tag.
-    up: Option<(Arc<Ring<Arrival>>, usize)>,
-}
-
-impl LocalConn {
-    /// Rank `rank`'s control stream to the coordinator that receives on
-    /// `inbox`, which must be an [`Inbox::local`]: `(worker end,
-    /// coordinator end)`.
-    pub fn pair(rank: usize, inbox: &Inbox) -> (LocalConn, LocalConn) {
-        let Feed::Local(up) = &inbox.0 else {
-            panic!("a LocalConn feeds a local inbox, not a socket one");
-        };
-        let down: Arc<Ring<Frame>> = Arc::default();
-        let coordinator = LocalConn { down: Arc::clone(&down), up: None };
-        (LocalConn { down, up: Some((Arc::clone(up), rank)) }, coordinator)
-    }
-}
-
-impl Control for LocalConn {
-    fn send(&self, frame: &Frame) -> Result<(), WireError> {
-        let sent = !self.down.is_closed()
-            && match &self.up {
-                Some((inbox, rank)) => inbox.push((*rank, Some(frame.clone()))),
-                None => self.down.push(frame.clone()),
-            };
-        sent.then_some(()).ok_or(WireError::PeerGone)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
-        match self.up {
-            Some(_) => self.down.pop_timeout(timeout),
-            None => Err(WireError::Timeout),
-        }
-    }
-
-    fn silence(&self) -> Duration {
-        Duration::ZERO
-    }
-}
-
-impl Drop for LocalConn {
-    fn drop(&mut self) {
-        self.down.close();
-        if let Some((inbox, rank)) = &self.up {
-            inbox.push((*rank, None));
-        }
+        // Poisoned: a read panicked mid-drain. The queue and the poll
+        // set are whole; that connection's receive half knows its
+        // stream is over.
+        let mut socks = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        socks.recv(Instant::now().checked_add(timeout))
     }
 }
 
@@ -730,8 +563,6 @@ impl PeerConn {
     /// [`PeerConn::solo`], read by `inbox` (its arrivals tagged `peer`)
     /// instead of by itself: the owner receives from the inbox, and this
     /// connection's own [`PeerConn::recv_timeout`] never yields a frame.
-    /// `inbox` must be an [`Inbox::sockets`]; a local one is
-    /// `InvalidInput`.
     pub fn solo_into(
         peer: usize,
         self_rank: usize,
@@ -739,12 +570,8 @@ impl PeerConn {
         heartbeat: Option<RetryPolicy>,
         inbox: &Inbox,
     ) -> std::io::Result<Self> {
-        let Feed::Sockets(socks) = &inbox.0 else {
-            let local = "a socket connection feeds a socket inbox, not a local one";
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, local));
-        };
         let conn = PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, true)?;
-        let mut socks = socks.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut socks = inbox.0.lock().unwrap_or_else(PoisonError::into_inner);
         socks.conns.push((peer, Some(Arc::clone(&conn.rx))));
         Ok(conn)
     }
@@ -822,20 +649,6 @@ impl PeerConn {
     /// Return a payload buffer to this connection's pool.
     pub fn release(&self, payload: Vec<u8>) {
         self.rx.pool.release(payload);
-    }
-}
-
-impl Control for PeerConn {
-    fn send(&self, frame: &Frame) -> Result<(), WireError> {
-        PeerConn::send(self, frame)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
-        PeerConn::recv_timeout(self, timeout)
-    }
-
-    fn silence(&self) -> Duration {
-        PeerConn::silence(self)
     }
 }
 
@@ -1026,49 +839,6 @@ mod tests {
         assert!(conn_a.rx.fed && !far_a.rx.fed);
         conn_a.send(&Frame::control(FrameKind::Start, 9, 0, 0)).unwrap();
         assert_eq!(far_a.recv_timeout(wait).unwrap().kind, FrameKind::Start);
-        // A socket inbox takes sockets only.
-        let (c, _c_far) = pair();
-        let local = PeerConn::solo_into(2, 9, c, None, &Inbox::local()).unwrap_err();
-        assert_eq!(local.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    #[should_panic(expected = "a LocalConn feeds a local inbox")]
-    fn local_conn_refuses_a_socket_inbox() {
-        let _ = LocalConn::pair(0, &Inbox::sockets());
-    }
-
-    /// The in-process twin keeps the socket pair's contract: worker
-    /// frames arrive tagged on the inbox, the worker end's drop is one
-    /// EOF behind them, and either end's drop fails the other's sends.
-    #[test]
-    fn local_conn_is_a_control_stream_with_an_eof() {
-        let inbox = Inbox::local();
-        let (worker, coord) = LocalConn::pair(3, &inbox);
-        let wait = Duration::from_secs(2);
-        let vote = Frame::control(FrameKind::StepDone, 3, 0, 1);
-        worker.send(&vote).unwrap();
-        assert_eq!(inbox.recv_timeout(wait), Some((3, Some(vote.clone()))));
-        let commit = Frame::control(FrameKind::Commit, 4, 0, 1);
-        coord.send(&commit).unwrap();
-        assert_eq!(worker.recv_timeout(wait), Ok(commit.clone()));
-        assert_eq!(worker.silence(), Duration::ZERO);
-
-        worker.send(&vote).unwrap();
-        drop(worker);
-        assert_eq!(inbox.recv_timeout(wait), Some((3, Some(vote))));
-        assert_eq!(inbox.recv_timeout(wait), Some((3, None)));
-        assert_eq!(coord.send(&commit), Err(WireError::PeerGone));
-
-        let (worker, coord) = LocalConn::pair(0, &inbox);
-        coord.send(&commit).unwrap();
-        drop(coord);
-        assert_eq!(worker.recv_timeout(wait), Ok(commit), "queued frames drain first");
-        assert_eq!(worker.recv_timeout(wait), Err(WireError::PeerGone));
-        assert_eq!(
-            worker.send(&Frame::control(FrameKind::Ready, 0, 0, 0)),
-            Err(WireError::PeerGone)
-        );
     }
 
     #[test]

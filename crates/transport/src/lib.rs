@@ -38,10 +38,12 @@
 //! one implementation, `collectives::exec_peer`, which executes above
 //! this crate identically over both backends; fault injection is a
 //! [`Wire`] decorator (`collectives::FaultWire`), not a backend. A
-//! worker's control stream to its coordinator is a [`Control`]: a
-//! [`PeerConn`] between processes, a [`LocalConn`] between threads.
-//! What travels on it — votes, verdicts, telemetry snapshots — is the
-//! sender's to write: the heartbeat thread only ever sends beacons.
+//! worker's control stream to its coordinator is a [`PeerConn`],
+//! between processes and between threads alike (a `socketpair` with no
+//! heartbeat, in-process), and the coordinator reads every one through
+//! one [`Inbox`]. What travels on it — votes, verdicts, telemetry
+//! snapshots — is the sender's to write: the heartbeat thread only
+//! ever sends beacons.
 
 pub mod channel;
 pub mod conn;
@@ -54,9 +56,7 @@ mod sys;
 use std::time::Duration;
 
 pub use channel::ChannelWire;
-pub use conn::{
-    connect_with_backoff, read_frame_blocking, write_frame_blocking, Inbox, LocalConn, PeerConn,
-};
+pub use conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, Inbox, PeerConn};
 pub use frame::{
     encode, encode_into, parse_body, read_frame, reference_decode, DedupWindow, Frame, FrameError,
     FrameKind, Offer, PartialFrame, HEADER_LEN, MAX_FRAME_LEN,
@@ -90,24 +90,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// One end of an ordered control stream between a worker and its
-/// coordinator: a [`PeerConn`] over a socket between processes, or a
-/// [`LocalConn`] between threads. Either way the far end's going away
-/// is an EOF behind everything it sent.
-pub trait Control: Send + Sync {
-    /// Queue `frame` to the far end; [`WireError::PeerGone`] once it is
-    /// gone.
-    fn send(&self, frame: &Frame) -> Result<(), WireError>;
-
-    /// Next frame from the far end, waiting up to `timeout`; queued
-    /// frames drain before [`WireError::PeerGone`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError>;
-
-    /// How long since the far end was last heard from (zero where
-    /// nothing but an EOF signals death).
-    fn silence(&self) -> Duration;
-}
 
 /// A full mesh of reliable, ordered frame links between this rank and
 /// its peers. Peers are addressed by **original (world) rank id** —
