@@ -527,8 +527,7 @@ fn worker(flags: &Flags) -> Result<i32, String> {
 
     let joined = join(dir, tag, pol, &clock).map_err(|e| format!("rendezvous join: {e}"))?;
     let rank = joined.rank;
-    let (mesh, ctl_stream) =
-        joined.build_mesh(*pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
+    let (mesh, ctl) = joined.build_mesh(*pol, &clock).map_err(|e| format!("mesh build: {e}"))?;
     let session = flags.traced.then(|| Arc::new(TraceSession::new()));
     // Telemetry rides the control conn only — data wires stay
     // byte-identical with or without the plane — and the rank body is
@@ -542,8 +541,6 @@ fn worker(flags: &Flags) -> Result<i32, String> {
         };
         WorkerTelemetry::new(rank as u16, lane)
     });
-    let ctl = PeerConn::solo(*workers, rank, ctl_stream, Some(*pol))
-        .map_err(|e| format!("control conn: {e}"))?;
     commit::join_barrier(&ctl, pol, rank)?;
 
     let mut cfg = preset(&flags.preset, *workers, *steps, flags.seed);

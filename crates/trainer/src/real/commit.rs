@@ -40,7 +40,7 @@
 //! `try_train`, which needs no shell.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use faults::RetryPolicy;
 use transport::{Frame, FrameKind, Inbox, PeerConn, WireError};
@@ -307,8 +307,8 @@ impl Coordinator {
                 }
             }
             Event::Ready => {}
-            // Past the barrier's deadline every live rank is reported
-            // silent; only the unready ones are to blame.
+            // A ready rank waits for `Start` and beacons while it does;
+            // silence before `Start` blames only an unready one.
             Event::Silent if !self.started => {
                 if !self.ranks[rank].ready {
                     out.push(Action::Fail(format!("rank {rank} never became ready")));
@@ -405,9 +405,11 @@ impl Shell for () {}
 /// without — become [`Event`]s; the machine's messages go out on
 /// `conns` and its other [`Action`]s to `shell`. The one blocking wait
 /// is on the inbox, woken at least every heartbeat interval of `pol`; a
-/// rank is `Silent` past one death threshold of quiet once the run has
-/// started, or when the start barrier has waited that long. A send that
-/// fails is that rank's `Gone`. Returns the machine's `Fail`, if any.
+/// rank is `Silent` past one death threshold of quiet, before `Start`
+/// as after it: a worker beacons while it waits, in the start barrier
+/// as in its steps, and goes quiet only when it computes or when it is
+/// wedged. A send that fails is that rank's `Gone`. Returns the
+/// machine's `Fail`, if any.
 pub fn coordinate(
     machine: &mut Coordinator,
     inbox: &Inbox,
@@ -417,10 +419,6 @@ pub fn coordinate(
 ) -> Result<(), String> {
     // The coordinator signs as no worker's id; nothing routes on it.
     let me = machine.ranks.len() as u16;
-    // Beacons flow even from a worker wedged before its Ready, so its
-    // silence never grows: the barrier gets a deadline, not a silence
-    // bound.
-    let ready_by = Instant::now().checked_add(pol.death_threshold());
     let mut events: VecDeque<(usize, Event)> = VecDeque::new();
     while !machine.done() {
         // Telemetry is the rank body's, a side channel of the protocol:
@@ -434,13 +432,12 @@ pub fn coordinate(
             Some((rank, None)) => events.push_back((rank, Event::Gone)),
             None => {}
         }
-        // Time enters as events. Heartbeats flow even while a worker
-        // computes, so sustained silence means a wedged process.
-        let barrier_overdue = !machine.started() && ready_by.is_some_and(|t| Instant::now() >= t);
+        // Time enters as events. A worker beacons from every wait, and
+        // its compute phases are far shorter than the bound, so
+        // sustained silence means a rank body that stopped waiting.
         for (rank, conn) in conns.iter().enumerate() {
-            let silent = machine.started()
-                && conn.as_ref().is_some_and(|c| c.silence() > pol.death_threshold());
-            if machine.is_live(rank) && (silent || barrier_overdue) {
+            let silent = conn.as_ref().is_some_and(|c| c.silence() > pol.death_threshold());
+            if machine.is_live(rank) && silent {
                 events.push_back((rank, Event::Silent));
             }
         }
@@ -537,8 +534,8 @@ pub fn await_verdict(ctl: &PeerConn, policy: &RetryPolicy, step: usize) -> Resul
                 other => return Err(format!("unexpected {other:?} while waiting on step {step}")),
             },
             // The coordinator may legitimately be waiting on slower
-            // workers' compute; only sustained heartbeat silence
-            // condemns it.
+            // workers' compute; it beacons while it waits, so only
+            // sustained silence condemns it.
             Err(WireError::Timeout) => {
                 if ctl.silence() > policy.death_threshold().saturating_mul(4) {
                     return Err(format!(

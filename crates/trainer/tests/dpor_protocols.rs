@@ -39,6 +39,16 @@
 //!    the payload is written or with a Relaxed doorbell (torn read),
 //!    reclaim while a delivered reference is live (torn read), and a
 //!    wrap check that forgets the slot header (overlapping slots).
+//! 5. [`ProgressModel`] — the transport's progress rule
+//!    (`transport::conn`): a ring of three ranks over sockets that hold
+//!    one frame each, every rank writing two frames to its successor
+//!    before it reads its predecessor's. A send that finds its socket
+//!    full waits by the rule — it reads every connection of its rank,
+//!    and gives up once its peer has been silent past the death bound
+//!    (a rank that waits beacons, so only a rank that stopped waiting
+//!    is ever that silent). Mutants: a blocked writer that reads only
+//!    the socket it writes to, and a blocked send with no silence
+//!    bound against a peer that stopped waiting. Both deadlock.
 //!
 //! Modeling conventions: park/unpark happens-before uses
 //! [`Mem::transfer`] at token-consume time (std guarantees
@@ -48,6 +58,7 @@
 
 use interleave::{
     check_dpor, check_nd, replay_nd, DporOptions, Loc, Mem, MemOrd, NdModel, NdVerdict, Op, Steps,
+    LOC_ANY,
 };
 
 fn pack(head: u32, end: u32) -> u64 {
@@ -1483,6 +1494,187 @@ fn bulk_lane_reclaim_while_delivered_mutant_refuted() {
 #[test]
 fn bulk_lane_wrap_off_by_one_header_mutant_refuted() {
     refute_lane(LaneBug::WrapOffByOne, "wrap-off-by-one-header", "slot overlap");
+}
+
+// ---------------------------------------------------------------------
+// 5. The progress rule: a ring of writers
+// ---------------------------------------------------------------------
+
+/// Ranks in the ring.
+const RING: usize = 3;
+/// Frames a socket holds before a write to it blocks.
+const SOCKET_FRAMES: u8 = 1;
+/// Frames each rank writes to its successor before it reads.
+const RING_FRAMES: u8 = 2;
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ProgressBug {
+    None,
+    /// A blocked writer reads only the socket it writes to, which in a
+    /// ring brings it nothing.
+    OwnSocketOnly,
+    /// A blocked send never gives up on a silent peer.
+    NoSendBound,
+}
+
+/// `PeerConn::send` and `PeerConn::recv_timeout` on a ring of
+/// [`RING`] ranks: rank `r` writes [`RING_FRAMES`] frames on the
+/// socket to `r + 1`, which holds [`SOCKET_FRAMES`] of them, then
+/// receives as many from `r - 1`. A write to a full socket waits by the
+/// progress rule: it reads whatever its predecessor's socket holds into
+/// that connection's early queue, and gives up once its successor has
+/// been silent past the death bound. A receive takes the early queue
+/// first, then the socket, and gives up on the same bound. Every rank
+/// that waits beacons, so the only silent rank is `wedged`: its
+/// process is alive and its sockets open, but it never waits again.
+struct ProgressModel {
+    bug: ProgressBug,
+    wedged: Option<usize>,
+}
+
+#[derive(Clone, Hash, PartialEq, Eq, Debug)]
+struct ProgressState {
+    /// Frames in rank `r`'s socket to its successor.
+    wire: [u8; RING],
+    /// Frames rank `r` has read off its predecessor's socket while it
+    /// waited, not yet received.
+    early: [u8; RING],
+    sent: [u8; RING],
+    received: [u8; RING],
+    /// Rank `r`'s send, or its receive, gave up on a silent peer.
+    send_gave_up: [bool; RING],
+    recv_gave_up: [bool; RING],
+}
+
+impl ProgressModel {
+    fn silent(&self, rank: usize) -> bool {
+        self.wedged == Some(rank)
+    }
+
+    /// Rank `r`'s wait for room on its full socket.
+    fn blocked_send(&self, s: &ProgressState, r: usize) -> Vec<(Op, ProgressState)> {
+        let (succ, pred) = ((r + 1) % RING, (r + RING - 1) % RING);
+        let mut branches = Vec::new();
+        if self.bug != ProgressBug::OwnSocketOnly && s.wire[pred] > 0 {
+            let mut n = s.clone();
+            n.early[r] += n.wire[pred];
+            n.wire[pred] = 0;
+            // It reads both sockets: its own is full, its predecessor's
+            // is not empty.
+            branches.push((Op::Write(LOC_ANY), n));
+        }
+        if self.silent(succ) && self.bug != ProgressBug::NoSendBound {
+            let mut n = s.clone();
+            n.send_gave_up[r] = true;
+            branches.push((Op::Read(r as Loc), n));
+        }
+        branches
+    }
+}
+
+impl NdModel for ProgressModel {
+    type State = ProgressState;
+
+    fn initial(&self) -> ProgressState {
+        ProgressState {
+            wire: [0; RING],
+            early: [0; RING],
+            sent: [0; RING],
+            received: [0; RING],
+            send_gave_up: [false; RING],
+            recv_gave_up: [false; RING],
+        }
+    }
+
+    fn n_threads(&self) -> usize {
+        RING
+    }
+
+    fn steps(&self, s: &ProgressState, r: usize) -> Steps<ProgressState> {
+        if self.silent(r) {
+            return Steps::Done;
+        }
+        let pred = (r + RING - 1) % RING;
+        let mut n = s.clone();
+        if s.sent[r] < RING_FRAMES && !s.send_gave_up[r] {
+            if s.wire[r] < SOCKET_FRAMES {
+                n.wire[r] += 1;
+                n.sent[r] += 1;
+                return Steps::Ready(vec![(Op::Write(r as Loc), n)]);
+            }
+            let branches = self.blocked_send(s, r);
+            return if branches.is_empty() { Steps::Blocked } else { Steps::Ready(branches) };
+        }
+        if s.received[r] == RING_FRAMES || s.recv_gave_up[r] {
+            return Steps::Done;
+        }
+        n.received[r] += 1;
+        if s.early[r] > 0 {
+            n.early[r] -= 1;
+            Steps::Ready(vec![(Op::Local, n)])
+        } else if s.wire[pred] > 0 {
+            n.wire[pred] -= 1;
+            Steps::Ready(vec![(Op::Write(pred as Loc), n)])
+        } else if self.silent(pred) {
+            let mut n = s.clone();
+            n.recv_gave_up[r] = true;
+            Steps::Ready(vec![(Op::Read(pred as Loc), n)])
+        } else {
+            Steps::Blocked
+        }
+    }
+
+    /// No frame is lost or made up: every frame a rank sent is in its
+    /// socket, in its successor's early queue, or received.
+    fn invariant(&self, s: &ProgressState) -> Result<(), String> {
+        for r in 0..RING {
+            let succ = (r + 1) % RING;
+            if s.sent[r] != s.wire[r] + s.early[succ] + s.received[succ] {
+                return Err(format!("rank {r}'s frames not conserved: {s:?}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn progress_rule_turns_the_ring_exhaustively_under_dpor() {
+    for wedged in [None, Some(2)] {
+        let m = ProgressModel { bug: ProgressBug::None, wedged };
+        let r = check_dpor(&m, DporOptions::default())
+            .unwrap_or_else(|v| panic!("progress rule refuted (wedged {wedged:?}): {v}"));
+        println!(
+            "progress model (wedged {wedged:?}): DPOR explored {} nodes across {} traces, \
+             depth {}",
+            r.nodes, r.traces, r.depth
+        );
+        assert!(r.complete);
+        check_nd(&m, 1_000_000).unwrap_or_else(|v| panic!("BFS refuted the rule: {v}"));
+    }
+}
+
+fn refute_progress(m: &ProgressModel, what: &str) {
+    let v = check_dpor(m, DporOptions::default()).expect_err(what);
+    println!("{what} counterexample: {v}");
+    match &v {
+        NdVerdict::Deadlock { trace, state, .. } => {
+            let states = replay_nd(m, trace);
+            assert_eq!(states.last(), Some(state), "trace must replay to the deadlock");
+        }
+        other => panic!("expected a deadlock, got {other}"),
+    }
+}
+
+#[test]
+fn progress_own_socket_only_mutant_deadlocks() {
+    let m = ProgressModel { bug: ProgressBug::OwnSocketOnly, wedged: None };
+    refute_progress(&m, "blocked writer reading only its own socket");
+}
+
+#[test]
+fn progress_no_send_bound_mutant_deadlocks() {
+    let m = ProgressModel { bug: ProgressBug::NoSendBound, wedged: Some(2) };
+    refute_progress(&m, "blocked send with no silence bound");
 }
 
 // ---------------------------------------------------------------------

@@ -1,15 +1,15 @@
 //! The thread budget of a launch, read from `/proc/<pid>/task` while a
-//! `dist_train launch --workers 2` trains. The launcher runs 3 threads:
-//! main, and a heartbeat per worker's control stream. Each worker runs
-//! main, a heartbeat to the coordinator and one to its peer, and the
-//! shared core pool's helpers — one per lane past the first, so
-//! `available_parallelism() - 1` of them: 4 threads in all on a 2-core
-//! machine, 6 on a 4-core one, 3 on one core. Every socket is read by
-//! the thread that waits on it, so no thread is a dedicated reader:
-//! none may be named `rx-*`.
+//! `dist_train launch` trains, at 2 and at 4 workers. The transport
+//! runs no thread: every wait on a connection polls, reads and beacons
+//! all of its owner's connections. So the launcher runs main alone, and
+//! each worker runs main and the shared core pool's helpers — one per
+//! lane past the first, so `available_parallelism() - 1` of them: 2
+//! threads a worker on a 2-core machine, 4 on a 4-core one, 1 on one
+//! core. No thread is a heartbeat (`hb-*`) or a dedicated reader
+//! (`rx-*`).
 //!
 //! An in-process run (`try_train`) takes the same socket control
-//! streams, a `socketpair` per rank, with no heartbeat: read from
+//! streams, a `socketpair` per rank, with no beacon: read from
 //! `/proc/self`, it adds no `hb-*` thread and leaves no descriptor open.
 
 use std::process::{Child, Command, Stdio};
@@ -46,13 +46,13 @@ impl Budget {
     }
 }
 
-const LAUNCHER: Budget = Budget { heartbeats: 2, pool_helpers: 0, readers: 0, other: 1 };
+const LAUNCHER: Budget = Budget { heartbeats: 0, pool_helpers: 0, readers: 0, other: 1 };
 
 /// A worker's budget: its shared core pool has a lane per available
 /// core, the calling thread being the first.
 fn worker_budget() -> Budget {
     let pool_helpers = collectives::pool::lanes() - 1;
-    Budget { heartbeats: 2, pool_helpers, readers: 0, other: 1 }
+    Budget { heartbeats: 0, pool_helpers, readers: 0, other: 1 }
 }
 
 /// Names of `pid`'s threads; `None` once it has exited.
@@ -98,15 +98,18 @@ impl Drop for Launch {
     }
 }
 
-#[test]
-fn two_worker_launch_runs_heartbeats_and_pool_helpers_and_no_reader() {
+/// Launch `workers` workers on the quick preset and, once every one is
+/// training, check every process's threads twenty times over: the
+/// launcher's against [`LAUNCHER`], each worker's against
+/// [`worker_budget`].
+fn check_launch(workers: usize) {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = std::env::temp_dir().join(format!("seg_threads_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("seg_threads_{workers}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let launcher = Command::new(env!("CARGO_BIN_EXE_dist_train"))
         .arg("launch")
         .args(["--dir", &dir.to_string_lossy()])
-        .args(["--workers", "2", "--steps", "100000", "--preset", "quick"])
+        .args(["--workers", &workers.to_string(), "--steps", "100000", "--preset", "quick"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -114,38 +117,49 @@ fn two_worker_launch_runs_heartbeats_and_pool_helpers_and_no_reader() {
     let pid = launcher.id();
     let mut launch = Launch { launcher, workers: Vec::new() };
 
-    // Training is under way once both workers have their heartbeats
-    // and have fanned out onto the shared core pool (which has no
-    // helper to wait for on a single core).
+    // Training is under way once every worker has fanned out onto the
+    // shared core pool (which has no helper to wait for on a single
+    // core).
     let worker = worker_budget();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         launch.workers = children(pid);
-        let training = launch.workers.len() == 2
+        let training = launch.workers.len() == workers
             && launch.workers.iter().all(|&w| {
-                threads(w).is_some_and(|t| {
-                    let now = Budget::of(&t);
-                    now.heartbeats == worker.heartbeats && now.pool_helpers == worker.pool_helpers
-                })
+                threads(w).is_some_and(|t| Budget::of(&t).pool_helpers == worker.pool_helpers)
             });
         if training {
             break;
         }
-        assert!(Instant::now() < deadline, "no two training workers under launcher {pid}");
+        assert!(Instant::now() < deadline, "no {workers} training workers under launcher {pid}");
         std::thread::sleep(Duration::from_millis(5));
     }
 
     for _ in 0..20 {
         let mut seen = vec![("launcher", pid, &LAUNCHER)];
         seen.extend(launch.workers.iter().map(|&w| ("worker", w, &worker)));
+        let mut total = 0;
         for (role, p, want) in seen {
             let names = threads(p).unwrap_or_else(|| panic!("{role} {p} exited mid-run"));
             assert_eq!(&Budget::of(&names), want, "{role} {p} threads: {names:?}");
+            total += names.len();
         }
+        assert_eq!(total, 1 + workers * collectives::pool::lanes(), "threads in the launch");
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(launch);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_worker_launch_runs_main_and_pool_helpers_only() {
+    check_launch(2);
+}
+
+/// 9 threads on a 2-core machine.
+#[test]
+fn four_worker_launch_runs_main_and_pool_helpers_only() {
+    check_launch(4);
 }
 
 /// This process's open descriptors, each with what it points at.

@@ -1,67 +1,73 @@
 //! One peer connection: a Unix-domain stream read on the thread that
-//! waits on it, a liveness heartbeat, pooled frame buffers, and the bulk
-//! lane ([`crate::lane`]) for large payloads.
+//! waits on it, liveness beacons sent from that thread's waits, pooled
+//! frame buffers, and the bulk lane ([`crate::lane`]) for large
+//! payloads.
 //!
-//! The socket is non-blocking, and [`PeerConn::recv_timeout`] runs the
-//! framing loop on the caller's thread: it reads on with the
-//! connection's [`PartialFrame`], `poll(2)`s the socket when a read
-//! would block, and returns the first frame for its caller. Each
-//! payload is read off the socket straight into the pooled buffer its
-//! frame will own, and checksummed there; a descriptor frame's slot is
-//! checksummed in place in the peer's segment, which the receive half
-//! maps when the segment's descriptor arrives with the first of them.
-//! Every frame read stamps a last-heard-from clock; heartbeats are
-//! consumed there and never surface. EOF (the peer died — a SIGKILLed
-//! process's kernel closes its sockets) ends the stream: frames already
-//! read out go first, then receives report [`WireError::PeerGone`]. A
-//! frame that fails its CRC is *dropped*, before any header field is
-//! trusted — to the reliability layer above it looks like loss, and
-//! the §5d deadline/nack machinery recovers it; its buffer stays with
-//! the receive half for the next frame.
+//! Every connection belongs to one set: the connections one owner
+//! waits on — a rank's mesh peers and its control stream, or a
+//! coordinator's [`Inbox`]. The transport runs no thread of its own.
+//! Instead every blocking wait on any connection of a set — a receive
+//! that has to `poll`, a send that finds its socket full, an inbox's
+//! wait — follows one progress rule, as MPI's blocking calls do:
 //!
-//! A receive half has one reader at a time, behind its lock; the
-//! heartbeat thread only ever `try_lock`s it. What arrives while the
-//! owner is busy elsewhere waits in the kernel's socket buffer until the
-//! owner's next receive or the heartbeat's next beacon, which reads what
-//! the owner left into the early queue first. So a peer writing to an
-//! owner that computes, waits on another stream, or is done with its
-//! connection still open waits at most a heartbeat interval for room,
-//! and [`PeerConn::silence`] is fresh right after a receive and at most
-//! an interval stale otherwise.
+//! * it `poll(2)`s every connection of the set;
+//! * it reads every arrival, on any of them, into that connection's
+//!   early queue (an inbox's onto the inbox's queue, tagged with the
+//!   peer) — all but a waiting receive's own, which that receive reads
+//!   itself the moment the wait returns;
+//! * it beacons on each connection whose last send is older than
+//!   [`RetryPolicy::heartbeat_interval`], and wakes when the next one
+//!   is due. A beacon that would block is skipped: a socket already
+//!   full of our frames keeps us heard.
 //!
-//! An owner that waits on many connections at once hands them one
-//! socket [`Inbox`] instead: one `poll` over all their sockets on the
-//! owner's thread, each wake draining every readable connection,
-//! arrivals tagged with their peer, and a connection's EOF an item
-//! behind every frame it carried. Control streams between threads of
-//! one process are the same sockets: a `socketpair` per stream, with no
-//! heartbeat.
+//! So a peer writing to an owner that waits on another connection, or
+//! on its coordinator, finds room as soon as anything arrives there,
+//! and a ring of ranks each blocked writing to the next turns without a
+//! timer. And an owner is heard exactly while it waits: a rank body
+//! wedged in its own code, with its process alive, goes silent, and its
+//! peers declare it dead past [`RetryPolicy::death_threshold`]. A send
+//! that waits for room gives up with [`WireError::PeerGone`] on that
+//! bound too, as a receive does; under the patient policy neither ever
+//! gives up.
+//!
+//! A receive reads on with the connection's [`PartialFrame`], waits as
+//! above whenever the socket runs dry, and returns the first frame for
+//! its caller, early queue first. Each payload is read off the socket
+//! straight into the pooled buffer its frame will own, and checksummed
+//! there; a descriptor frame's slot is checksummed in place in the
+//! peer's segment, which the receive side maps when the segment's
+//! descriptor arrives with the first of them. Every frame read stamps a
+//! last-heard-from clock; beacons are consumed there and never surface.
+//! EOF (the peer died — a SIGKILLed process's kernel closes its
+//! sockets) ends the stream: frames already read out go first, then
+//! receives report [`WireError::PeerGone`], and the connection leaves
+//! its set. A frame that fails its CRC is *dropped*, before any header
+//! field is trusted — to the reliability layer above it looks like
+//! loss, and the §5d deadline/nack machinery recovers it; its buffer
+//! stays with the connection for the next frame.
+//!
+//! The waits of one set serialize on its lock: one thread at a time
+//! polls for all of them, as one rank body or one coordinator does.
+//! Control streams between threads of one process are the same sockets:
+//! a `socketpair` per stream, with no beacon.
 //!
 //! The send half never copies a payload in user space:
 //! [`PeerConn::send`] hands the kernel `[len + header] [payload] [crc]`
 //! as one vectored write, under the lock every writer of the stream
 //! shares — or, for a payload the executor encoded straight into a slot
 //! it leased ([`PeerConn::lease`]), `[len + header] [descriptor] [crc]`,
-//! and the payload's bytes never touch the socket. A write that would
-//! block reads while it waits: two ends that both write more than the
-//! socket buffers hold, and read only afterwards, would otherwise wait
-//! on each other for ever. The blocked writer polls for room *and* for
-//! arrivals on the socket it writes to, and reads what arrives into a
-//! small queue that the next receive hands out first. A longer circle —
-//! a ring of ranks each blocked writing to the next — turns on the
-//! heartbeat's read: each blocked writer waits at most a heartbeat
-//! interval for its successor's heartbeat to make room.
+//! and the payload's bytes never touch the socket.
 //!
 //! All pacing derives from [`RetryPolicy`]; connect retries sleep
 //! through [`FaultClock`].
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Write};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use faults::{FaultClock, RetryPolicy};
@@ -77,7 +83,7 @@ use crate::WireError;
 /// pool is freed.
 const POOL_SPARES: usize = 256;
 
-/// Frames a blocked send can read ahead before its queue grows.
+/// Frames a wait can read ahead before a connection's queue grows.
 const EARLY_CAPACITY: usize = 16;
 
 /// A shared pool of payload byte buffers: receives acquire, the
@@ -134,68 +140,128 @@ fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>, WireError> {
 /// `None` for that connection's EOF.
 type Arrival = (usize, Option<Frame>);
 
-/// One receive point for several connections, for an owner that waits
-/// on all of them at once (a coordinator's control streams): the
-/// sockets of connections built with [`PeerConn::solo_into`], read by
-/// one `poll` over all of them on the receiving thread, arrivals tagged
-/// with their peer.
+/// The connections one owner waits on, and the wait that progresses
+/// them all (see the module docs). A [`SocketMesh`] is a rank's set,
+/// and its control stream joins it; an [`Inbox`] is a coordinator's.
+///
+/// [`SocketMesh`]: crate::mesh::SocketMesh
 #[derive(Debug)]
-pub struct Inbox(Mutex<Socks>);
+pub(crate) struct Set {
+    /// Arrivals go onto the set's queue, tagged with their peer, rather
+    /// than to each connection's own receive: an [`Inbox`].
+    fed: bool,
+    socks: Mutex<Socks>,
+}
 
 #[derive(Debug, Default)]
 struct Socks {
-    /// Each connection's peer, and its receive half until its EOF has
-    /// been queued.
-    conns: Vec<(usize, Option<Arc<RecvHalf>>)>,
-    /// Arrivals read off the sockets and not yet handed out.
+    /// The connections whose streams have not ended.
+    links: Vec<Arc<Link>>,
+    /// A fed set's arrivals, read off the sockets and not yet handed out.
     ready: VecDeque<Arrival>,
     /// The poll set, refilled per wait in the allocation it keeps.
     fds: Vec<PollFd>,
 }
 
-impl Socks {
-    /// Wait up to `wait` for any socket to be readable, then read every
-    /// one that is to its end for now — so the silence of every
-    /// connection is fresh after the call, whichever arrival is handed
-    /// out first. A connection's EOF is queued behind its last frame.
-    /// A `poll` that fails (not one a signal cuts short) would fail
-    /// again on the next wait, so it ends every connection: each is
-    /// read out as it stands and its EOF queued.
-    fn drain(&mut self, wait: Option<Duration>) {
-        let Socks { conns, ready, fds } = self;
-        fds.clear();
-        fds.extend(conns.iter().flat_map(|(_, rx)| rx).map(|rx| PollFd::new(rx.fd, POLLIN)));
-        let failed = sys::wait(fds, wait).is_err();
-        let mut polled = fds.iter();
-        for (peer, slot) in conns.iter_mut() {
-            let Some(rx) = slot else { continue };
-            if !polled.next().is_some_and(PollFd::woke) && !failed {
-                continue;
-            }
-            let mut st = rx.lock();
-            while let Some(frame) = rx.next(&mut st) {
-                ready.push_back((*peer, Some(frame)));
-            }
-            st.ended |= failed;
-            if st.ended {
-                ready.push_back((*peer, None));
-                drop(st);
-                *slot = None;
-            }
-        }
+impl Set {
+    pub(crate) fn new(fed: bool) -> Arc<Set> {
+        Arc::new(Set { fed, socks: Mutex::default() })
     }
 
-    /// The next arrival, reading the sockets until `deadline`. Queued
-    /// arrivals go first, but not before the sockets have been read once
-    /// more, so silences are fresh whatever is handed out.
-    fn recv(&mut self, deadline: Option<Instant>) -> Option<Arrival> {
+    /// The set, for its one waiter. Poisoned: a read panicked mid-wait.
+    /// The queue and the poll set are whole; that connection's receive
+    /// state knows its stream is over.
+    fn lock(&self) -> MutexGuard<'_, Socks> {
+        self.socks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Socks {
+    /// One wait of the progress rule: beacon on every connection due
+    /// one, wait up to `wait` (cut short when the next beacon falls
+    /// due) for any connection to be readable — or `room` writable —
+    /// and read every readable one to its end for now, so every
+    /// silence is fresh after the call. `mine`, a receive's own
+    /// connection, is left for that receive to read as soon as the wait
+    /// returns: a frame it hands out straight off the socket is not
+    /// queued first. A connection whose stream has ended leaves the
+    /// set, a fed one's EOF queued behind its last frame. A `poll` that
+    /// fails (not one a signal cuts short) would fail again on the next
+    /// wait, so it ends every connection: each is read out as it
+    /// stands, and the error is returned.
+    fn progress(
+        &mut self,
+        fed: bool,
+        mine: Option<&Link>,
+        room: Option<&Link>,
+        mut wait: Option<Duration>,
+    ) -> std::io::Result<()> {
+        let Socks { links, ready, fds } = self;
+        fds.clear();
+        for link in links.iter() {
+            wait = wait.into_iter().chain(link.beacon()).min();
+            fds.push(PollFd::new(link.fd, POLLIN));
+        }
+        // Last, the connection written to: its stream may have ended and
+        // left the set, and it can still be written to until the peer's
+        // end is closed.
+        fds.extend(room.map(|r| PollFd::new(r.fd, POLLOUT)));
+        let polled = sys::wait(fds, wait);
+        let mut woke = fds.iter().map(|fd| fd.woke() || polled.is_err());
+        links.retain(|link| {
+            let left = polled.is_ok() && mine.is_some_and(|m| std::ptr::eq(m, &**link));
+            if woke.next() != Some(true) || left {
+                return true;
+            }
+            let mut st = link.lock();
+            while let Some(frame) = link.next(&mut st) {
+                st.early.push_back(frame);
+            }
+            if fed {
+                ready.extend(st.early.drain(..).map(|frame| (link.peer, Some(frame))));
+            }
+            st.ended |= polled.is_err();
+            if st.ended && fed {
+                ready.push_back((link.peer, None));
+            }
+            !st.ended
+        });
+        polled
+    }
+}
+
+/// One receive point for several connections, for an owner that waits
+/// on all of them at once (a coordinator's control streams): the set of
+/// the connections built with [`PeerConn::solo_into`], read by one
+/// `poll` over all of them on the receiving thread, arrivals tagged
+/// with their peer. Its waits beacon on every one of them.
+#[derive(Debug)]
+pub struct Inbox(Arc<Set>);
+
+impl Inbox {
+    /// An inbox for connections built with [`PeerConn::solo_into`].
+    pub fn sockets() -> Inbox {
+        Inbox(Set::new(true))
+    }
+
+    /// The next arrival on any feeding connection, waiting up to
+    /// `timeout`: `(peer, Some(frame))`, or `(peer, None)` — that
+    /// connection's EOF, delivered once, after every frame it carried.
+    /// `None` when nothing arrived in time. Queued arrivals go first,
+    /// but not before the sockets have been read once more, so silences
+    /// are fresh whatever is handed out.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Arrival> {
+        let deadline = Instant::now().checked_add(timeout);
         let mut wait = remaining(deadline).unwrap_or(Some(Duration::ZERO));
+        let mut socks = self.0.lock();
         loop {
-            if !self.ready.is_empty() {
+            if !socks.ready.is_empty() {
                 wait = Some(Duration::ZERO);
             }
-            self.drain(wait);
-            if let Some(arrival) = self.ready.pop_front() {
+            // A failed poll has ended every connection and queued
+            // their EOFs: nothing is left to report.
+            let _ = socks.progress(true, None, None, wait);
+            if let Some(arrival) = socks.ready.pop_front() {
                 return Some(arrival);
             }
             wait = remaining(deadline).ok()?;
@@ -203,26 +269,7 @@ impl Socks {
     }
 }
 
-impl Inbox {
-    /// An inbox for connections built with [`PeerConn::solo_into`].
-    pub fn sockets() -> Inbox {
-        Inbox(Mutex::default())
-    }
-
-    /// The next arrival on any feeding connection, waiting up to
-    /// `timeout`: `(peer, Some(frame))`, or `(peer, None)` — that
-    /// connection's EOF, delivered once, after every frame it carried.
-    /// `None` when nothing arrived in time.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Arrival> {
-        // Poisoned: a read panicked mid-drain. The queue and the poll
-        // set are whole; that connection's receive half knows its
-        // stream is over.
-        let mut socks = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        socks.recv(Instant::now().checked_add(timeout))
-    }
-}
-
-/// What a connection's receive half keeps between reads.
+/// What a connection's receive side keeps between reads.
 #[derive(Debug)]
 struct ReadState {
     stream: FdReader,
@@ -233,30 +280,47 @@ struct ReadState {
     /// resolved, leaves it here.
     buf: Vec<u8>,
     lane: RecvLane,
-    /// Frames a blocked send or the heartbeat read off the socket; a
-    /// receive hands them out ahead of anything still in it.
+    /// Frames a wait read off the socket; a receive hands them out
+    /// ahead of anything still in it.
     early: VecDeque<Frame>,
     /// The stream is over — EOF, an I/O error, or framing lost for good:
     /// nothing more will be read.
     ended: bool,
 }
 
-/// A connection's receive side, shared by the connection, its heartbeat
-/// thread (which only ever `try_lock`s it) and, for a connection built
-/// with [`PeerConn::solo_into`], the [`Inbox`] that reads it.
+/// Write half: the stream, serialized under one lock so concurrent
+/// senders cannot interleave frame bytes. A partially completed write
+/// under send-buffer backpressure would otherwise splice two frames
+/// together and the peer's reader would see framing loss.
 #[derive(Debug)]
-struct RecvHalf {
+struct WriteHalf {
+    stream: UnixStream,
+    broken: bool,
+    /// The bulk-lane segment's descriptor has gone to the peer (with
+    /// the first descriptor frame).
+    announced: bool,
+}
+
+/// One connection, shared by its [`PeerConn`] and the [`Set`] its owner
+/// waits on.
+#[derive(Debug)]
+struct Link {
+    peer: usize,
+    /// The id this end's beacons carry.
+    me: u16,
+    /// The socket's descriptor (the read half's), to `poll`.
     fd: RawFd,
     state: Mutex<ReadState>,
+    writer: Mutex<WriteHalf>,
     pool: Arc<BufPool>,
+    /// The beacon pacing of this end and the silence bound of a send
+    /// that waits on the peer; `None`: neither.
+    heartbeat: Option<RetryPolicy>,
+    epoch: Instant,
     /// Milliseconds since `epoch` when the last frame arrived.
     last_rx_ms: AtomicU64,
-    epoch: Instant,
-    /// Read by an [`Inbox`] only: neither the connection's own receive
-    /// nor a blocked send of it reads the socket.
-    fed: bool,
-    /// The connection has been dropped: its heartbeat stops.
-    dropped: AtomicBool,
+    /// Milliseconds since `epoch` when the last frame left.
+    last_tx_ms: AtomicU64,
 }
 
 /// A receive state whose last reader panicked part-way through a frame:
@@ -267,23 +331,24 @@ fn torn(poisoned: PoisonError<MutexGuard<'_, ReadState>>) -> MutexGuard<'_, Read
     st
 }
 
-impl RecvHalf {
+impl Link {
     /// The receive state, for its one reader.
     fn lock(&self) -> MutexGuard<'_, ReadState> {
         self.state.lock().unwrap_or_else(torn)
     }
 
-    /// [`RecvHalf::lock`], unless another reader holds it.
-    fn try_lock(&self) -> Option<MutexGuard<'_, ReadState>> {
-        match self.state.try_lock() {
-            Ok(st) => Some(st),
-            Err(TryLockError::Poisoned(poisoned)) => Some(torn(poisoned)),
-            Err(TryLockError::WouldBlock) => None,
-        }
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Read on to the next frame for the owner: heartbeats consumed,
-    /// CRC and version rejects and unresolvable descriptors dropped as
+    /// How long since the moment `stamp` holds.
+    fn since(&self, stamp: &AtomicU64) -> Duration {
+        let idle = self.now_ms().saturating_sub(stamp.load(Ordering::Acquire));
+        Duration::from_millis(idle) // lint: allow(duration): unit conversion of a timestamp delta, not a timeout constant
+    }
+
+    /// Read on to the next frame for the owner: beacons consumed, CRC
+    /// and version rejects and unresolvable descriptors dropped as
     /// loss, every frame read stamping the last-heard clock. `None` when
     /// the socket runs dry first or the stream is over (`ended`).
     fn next(&self, st: &mut ReadState) -> Option<Frame> {
@@ -303,7 +368,7 @@ impl RecvHalf {
                     return None;
                 }
             };
-            self.last_rx_ms.store(self.epoch.elapsed().as_millis() as u64, Ordering::Release);
+            self.last_rx_ms.store(self.now_ms(), Ordering::Release);
             match read {
                 Ok((frame, false)) if frame.kind == FrameKind::Heartbeat => {}
                 Ok((frame, false)) => return Some(frame),
@@ -324,90 +389,62 @@ impl RecvHalf {
         None
     }
 
-    /// Read every frame the socket holds now into the early queue.
-    fn read_ahead(&self, st: &mut ReadState) {
-        while let Some(frame) = self.next(st) {
-            st.early.push_back(frame);
+    /// Beacon if this end's last frame left a heartbeat interval ago or
+    /// more — unless a send holds the writer, or the socket is full:
+    /// either way our frames are on their way. How long until the next
+    /// beacon is due; `None` for a connection that does not beacon.
+    fn beacon(&self) -> Option<Duration> {
+        let interval = self.heartbeat?.heartbeat_interval();
+        let idle = self.since(&self.last_tx_ms);
+        if idle < interval {
+            return Some(interval - idle);
         }
-    }
-}
-
-/// How a writer whose socket is full waits for room.
-struct Blocked<'a> {
-    /// The connection written to, read while waiting.
-    rx: &'a RecvHalf,
-    /// Read `rx` only when no one else is (the heartbeat), rather than
-    /// wait for its lock (the owner).
-    try_only: bool,
-    /// The longest single wait; `None`: until the socket is ready.
-    wait: Option<Duration>,
-}
-
-impl Blocked<'_> {
-    /// Wait until the socket can take more bytes or frames arrive, and
-    /// read those that do into the receive half's early queue — the
-    /// peer may be blocked writing to us, and only our reading lets its
-    /// write, and so ours, through.
-    fn wait(&self) -> std::io::Result<()> {
-        let mut st = match self.try_only {
-            true => self.rx.try_lock(),
-            false => Some(self.rx.lock()),
-        };
-        let st = st.as_mut().filter(|st| !st.ended && !self.rx.fed);
-        let events = if st.is_some() { POLLIN | POLLOUT } else { POLLOUT };
-        let mut fds = [PollFd::new(self.rx.fd, events)];
-        sys::wait(&mut fds, self.wait)?;
-        if let Some(st) = st.filter(|_| fds[0].woke()) {
-            self.rx.read_ahead(st);
+        if let Some(mut w) = self.writer.try_lock().ok().filter(|w| !w.broken) {
+            let (prefix, crc) = envelope(&Frame::control(FrameKind::Heartbeat, self.me, 0, 0));
+            match w.stream.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(&crc)]) {
+                Ok(n) if n == PREFIX_LEN + 4 => {
+                    self.last_tx_ms.store(self.now_ms(), Ordering::Release)
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                // A frame this small goes onto a Unix stream socket
+                // whole or not at all; a part of one, or an error,
+                // leaves the stream unusable.
+                _ => w.broken = true,
+            }
         }
-        Ok(())
+        Some(interval)
     }
-}
-
-/// Write half: the stream, serialized under one lock so concurrent
-/// senders cannot interleave frame bytes. *Every* frame write —
-/// consumer sends and heartbeat beacons alike — goes through
-/// [`send_frame`]; a partially completed write under send-buffer
-/// backpressure would otherwise splice two frames together and the
-/// peer's reader would see framing loss.
-#[derive(Debug)]
-struct WriteHalf {
-    stream: UnixStream,
-    broken: bool,
-    /// The bulk-lane segment's descriptor has gone to the peer (with
-    /// the first descriptor frame).
-    announced: bool,
 }
 
 /// `write_all` over several slices: one `writev` per pass, resuming
-/// mid-slice after a partial write, and waiting as `blocked` says
+/// mid-slice after a partial write, and waiting for room on `conn`
 /// whenever the socket is full.
 fn write_all_vectored(
     stream: &mut UnixStream,
     mut bufs: &mut [IoSlice<'_>],
-    blocked: &Blocked<'_>,
+    conn: &PeerConn,
 ) -> std::io::Result<()> {
     while !bufs.is_empty() {
         match stream.write_vectored(bufs) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => blocked.wait()?,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => conn.await_room()?,
             Err(e) => return Err(e),
         }
     }
     Ok(())
 }
 
-/// Run `write` on the write half under its lock. A failure marks the
-/// half broken.
+/// Run `write` on the link's write half under its lock, stamping the
+/// last-sent clock when it succeeds. A failure marks the half broken.
 fn write_locked(
-    writer: &Mutex<WriteHalf>,
+    link: &Link,
     write: impl FnOnce(&mut WriteHalf) -> std::io::Result<()>,
 ) -> Result<(), WireError> {
     // Poisoned: a write panicked mid-frame and may have torn the
     // stream, so the half is broken.
-    let mut w = writer.lock().unwrap_or_else(|torn| {
+    let mut w = link.writer.lock().unwrap_or_else(|torn| {
         let mut w = torn.into_inner();
         w.broken = true;
         w
@@ -415,7 +452,7 @@ fn write_locked(
     if w.broken {
         return Err(WireError::PeerGone);
     }
-    write(&mut w).map_err(|_| {
+    write(&mut w).map(|()| link.last_tx_ms.store(link.now_ms(), Ordering::Release)).map_err(|_| {
         w.broken = true;
         WireError::PeerGone
     })
@@ -426,22 +463,18 @@ fn write_locked(
 /// lane frame goes inline). Header and CRC are computed before the lock
 /// is taken; only the write itself serializes. A payload-less frame is
 /// one contiguous write.
-fn send_frame(
-    writer: &Mutex<WriteHalf>,
-    frame: &Frame,
-    blocked: &Blocked<'_>,
-) -> Result<(), WireError> {
+fn send_frame(conn: &PeerConn, frame: &Frame) -> Result<(), WireError> {
     let (prefix, crc) = envelope(frame);
     let payload = frame.bytes();
-    write_locked(writer, |w| {
+    write_locked(&conn.link, |w| {
         if payload.is_empty() {
             let mut whole = [0u8; PREFIX_LEN + 4];
             whole[..PREFIX_LEN].copy_from_slice(&prefix);
             whole[PREFIX_LEN..].copy_from_slice(&crc);
-            write_all_vectored(&mut w.stream, &mut [IoSlice::new(&whole)], blocked)
+            write_all_vectored(&mut w.stream, &mut [IoSlice::new(&whole)], conn)
         } else {
             let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload), IoSlice::new(&crc)];
-            write_all_vectored(&mut w.stream, &mut parts, blocked)
+            write_all_vectored(&mut w.stream, &mut parts, conn)
         }
     })
 }
@@ -453,34 +486,28 @@ fn send_frame(
 /// its `[descriptor] [crc]` bytes and not to the prefix: the reader
 /// reads every prefix with a plain `read`, which would close it, and
 /// only a flagged frame's body with `recvmsg`.
-fn send_slot(
-    writer: &Mutex<WriteHalf>,
-    frame: &Frame,
-    slot: &Slot,
-    seg_fd: RawFd,
-    blocked: &Blocked<'_>,
-) -> Result<(), WireError> {
+fn send_slot(conn: &PeerConn, frame: &Frame, slot: &Slot, seg_fd: RawFd) -> Result<(), WireError> {
     let desc = slot.descriptor(faults::crc32_bytes(slot.bytes()));
     let (prefix, crc) = slot_envelope(frame, &desc);
     slot.pin();
-    let sent = write_locked(writer, |w| {
+    let sent = write_locked(&conn.link, |w| {
         if w.announced {
             let mut parts = [IoSlice::new(&prefix), IoSlice::new(&desc), IoSlice::new(&crc)];
-            return write_all_vectored(&mut w.stream, &mut parts, blocked);
+            return write_all_vectored(&mut w.stream, &mut parts, conn);
         }
-        write_all_vectored(&mut w.stream, &mut [IoSlice::new(&prefix)], blocked)?;
+        write_all_vectored(&mut w.stream, &mut [IoSlice::new(&prefix)], conn)?;
         let mut parts = [IoSlice::new(&desc), IoSlice::new(&crc)];
         let n = loop {
             match sys::send_with_fd(&w.stream, &parts, seg_fd) {
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => blocked.wait()?,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => conn.await_room()?,
                 sent => break sent?,
             }
         };
         w.announced = true;
         let mut rest = &mut parts[..];
         IoSlice::advance_slices(&mut rest, n);
-        write_all_vectored(&mut w.stream, rest, blocked)
+        write_all_vectored(&mut w.stream, rest, conn)
     });
     if sent.is_err() {
         slot.unpin();
@@ -491,34 +518,32 @@ fn send_slot(
 /// See the module docs.
 #[derive(Debug)]
 pub struct PeerConn {
-    peer: usize,
-    writer: Arc<Mutex<WriteHalf>>,
-    rx: Arc<RecvHalf>,
+    link: Arc<Link>,
+    /// The set this connection's waits progress.
+    set: Arc<Set>,
     /// This end's half of the bulk lane: the segment it sends through.
     lane: SendLane,
-    /// Clone of the stream used only by `Drop`: shutdown must not wait
-    /// on the writer lock, which a heartbeat blocked mid-write under
-    /// backpressure could hold.
-    shutdown_handle: UnixStream,
 }
 
 impl PeerConn {
     /// Wrap an established stream to original rank `peer`, making it
-    /// non-blocking, and — when `heartbeat` is set — spawn a beacon
-    /// thread pacing [`RetryPolicy::heartbeat_interval`]. A `fed`
-    /// connection is read by an [`Inbox`] only.
-    pub(crate) fn spawn(
+    /// non-blocking, as a member of `set`. With a `heartbeat` policy
+    /// the set's waits beacon on it, and a send to it gives up on the
+    /// policy's silence bound.
+    pub(crate) fn open(
         peer: usize,
         self_rank: usize,
         stream: UnixStream,
         pool: Arc<BufPool>,
         heartbeat: Option<RetryPolicy>,
-        fed: bool,
+        set: &Arc<Set>,
     ) -> std::io::Result<Self> {
-        // The flag is the socket's, shared by every clone below.
+        // The flag is the socket's, shared by the clone below.
         stream.set_nonblocking(true)?;
         let read = FdReader::new(stream.try_clone()?);
-        let rx = Arc::new(RecvHalf {
+        let link = Arc::new(Link {
+            peer,
+            me: self_rank as u16,
             fd: read.raw_fd(),
             state: Mutex::new(ReadState {
                 stream: read,
@@ -528,27 +553,20 @@ impl PeerConn {
                 early: VecDeque::with_capacity(EARLY_CAPACITY),
                 ended: false,
             }),
+            writer: Mutex::new(WriteHalf { stream, broken: false, announced: false }),
             pool,
-            last_rx_ms: AtomicU64::new(0),
+            heartbeat,
             epoch: Instant::now(),
-            fed,
-            dropped: AtomicBool::new(false),
+            last_rx_ms: AtomicU64::new(0),
+            last_tx_ms: AtomicU64::new(0),
         });
-        let shutdown_handle = stream.try_clone()?;
-        let writer = Arc::new(Mutex::new(WriteHalf { stream, broken: false, announced: false }));
-        if let Some(policy) = heartbeat {
-            let writer = Arc::clone(&writer);
-            let rx = Arc::clone(&rx);
-            std::thread::Builder::new()
-                .name(format!("hb-{self_rank}-{peer}"))
-                .spawn(move || heartbeat_main(&writer, &rx, self_rank, policy))?;
-        }
-        Ok(PeerConn { peer, writer, rx, lane: SendLane::default(), shutdown_handle })
+        set.lock().links.push(Arc::clone(&link));
+        Ok(PeerConn { link, set: Arc::clone(set), lane: SendLane::default() })
     }
 
-    /// A standalone connection with its own private buffer pool —
-    /// for control streams that are not part of a [`SocketMesh`]
-    /// (whose connections share one pool).
+    /// A standalone connection, the only one of its set, with its own
+    /// private buffer pool — for control streams that are not part of
+    /// a [`SocketMesh`].
     ///
     /// [`SocketMesh`]: crate::mesh::SocketMesh
     pub fn solo(
@@ -557,12 +575,13 @@ impl PeerConn {
         stream: UnixStream,
         heartbeat: Option<RetryPolicy>,
     ) -> std::io::Result<Self> {
-        PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, false)
+        PeerConn::open(peer, self_rank, stream, BufPool::new(), heartbeat, &Set::new(false))
     }
 
-    /// [`PeerConn::solo`], read by `inbox` (its arrivals tagged `peer`)
-    /// instead of by itself: the owner receives from the inbox, and this
-    /// connection's own [`PeerConn::recv_timeout`] never yields a frame.
+    /// [`PeerConn::solo`], a member of `inbox`'s set and read by it (its
+    /// arrivals tagged `peer`) instead of by itself: the owner receives
+    /// from the inbox, and this connection's own
+    /// [`PeerConn::recv_timeout`] never yields a frame.
     pub fn solo_into(
         peer: usize,
         self_rank: usize,
@@ -570,31 +589,45 @@ impl PeerConn {
         heartbeat: Option<RetryPolicy>,
         inbox: &Inbox,
     ) -> std::io::Result<Self> {
-        let conn = PeerConn::spawn(peer, self_rank, stream, BufPool::new(), heartbeat, true)?;
-        let mut socks = inbox.0.lock().unwrap_or_else(PoisonError::into_inner);
-        socks.conns.push((peer, Some(Arc::clone(&conn.rx))));
-        Ok(conn)
+        PeerConn::open(peer, self_rank, stream, BufPool::new(), heartbeat, &inbox.0)
     }
 
     pub fn peer(&self) -> usize {
-        self.peer
+        self.link.peer
     }
 
     /// Write one frame: its descriptor when its payload is a slot of
     /// this connection's lane that has not been announced yet
     /// ([`send_slot`]), else the whole frame ([`send_frame`]). A write
-    /// error marks the connection broken (the peer is gone; Rust
+    /// that finds the socket full waits by the progress rule. A write
+    /// error, or the peer's silence past the death threshold while the
+    /// write waits, marks the connection broken (the peer is gone; Rust
     /// ignores SIGPIPE, so a dead reader surfaces as `BrokenPipe` here).
     pub fn send(&self, frame: &Frame) -> Result<(), WireError> {
-        let blocked = Blocked { rx: &self.rx, try_only: false, wait: None };
         if let Some(slot) = &frame.slot {
             if let Some(seg_fd) = self.lane.segment_of(slot) {
                 if slot.announce() {
-                    return send_slot(&self.writer, frame, slot, seg_fd, &blocked);
+                    return send_slot(self, frame, slot, seg_fd);
                 }
             }
         }
-        send_frame(&self.writer, frame, &blocked)
+        send_frame(self, frame)
+    }
+
+    /// Wait until the socket can take more bytes or frames arrive on
+    /// any connection of the set, and read those that do — the peer may
+    /// be blocked writing to us, or to a rank that is blocked writing
+    /// to us, and only our reading lets its write, and so ours,
+    /// through. Fails once the peer has been silent past the death
+    /// threshold.
+    fn await_room(&self) -> std::io::Result<()> {
+        self.set.lock().progress(self.set.fed, None, Some(&self.link), None)?;
+        match self.link.heartbeat {
+            Some(policy) if self.link.since(&self.link.last_rx_ms) > policy.death_threshold() => {
+                Err(ErrorKind::TimedOut.into())
+            }
+            _ => Ok(()),
+        }
     }
 
     /// A send buffer of exactly `len` bytes for a payload to this peer:
@@ -603,37 +636,34 @@ impl PeerConn {
     pub fn lease(&self, len: usize) -> Lease {
         match self.lane.lease(len) {
             Some(slot) => Lease::Slot(slot),
-            None => Lease::heap(self.rx.pool.acquire(), len),
+            None => Lease::heap(self.link.pool.acquire(), len),
         }
     }
 
     /// Next frame, waiting up to `timeout`, read on this thread: frames
-    /// a blocked send or the heartbeat already read come first, then the
-    /// socket is read on and `poll`ed whenever it runs dry. A `poll` that
-    /// fails (not one a signal cuts short) ends the stream like an I/O
-    /// error does. A connection read by an [`Inbox`] has nothing to
-    /// receive here and says `Timeout` at once.
+    /// a wait already read come first, then the socket is read on, and
+    /// whenever it runs dry the set is waited on by the progress rule.
+    /// A connection read by an [`Inbox`] has nothing to receive here
+    /// and says `Timeout` at once.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, WireError> {
-        let rx = &*self.rx;
-        if rx.fed {
+        if self.set.fed {
             return Err(WireError::Timeout);
         }
+        let link = &*self.link;
         let deadline = Instant::now().checked_add(timeout);
-        let mut st = rx.lock();
-        if let Some(frame) = st.early.pop_front() {
-            return Ok(frame);
-        }
         loop {
-            if let Some(frame) = rx.next(&mut st) {
+            let mut st = link.lock();
+            if let Some(frame) = st.early.pop_front().or_else(|| link.next(&mut st)) {
                 return Ok(frame);
             }
             if st.ended {
                 return Err(WireError::PeerGone);
             }
+            // Released first: a wait whose poll fails reads this
+            // connection too, and ends it — the next pass says so.
+            drop(st);
             let wait = remaining(deadline)?;
-            if sys::wait(&mut [PollFd::new(rx.fd, POLLIN)], wait).is_err() {
-                st.ended = true;
-            }
+            let _ = self.set.lock().progress(false, Some(link), None, wait);
         }
     }
 
@@ -641,51 +671,22 @@ impl PeerConn {
     /// as of the last read of this connection, which is what a caller
     /// that has just tried to receive wants.
     pub fn silence(&self) -> Duration {
-        let now = self.rx.epoch.elapsed().as_millis() as u64;
-        let last = self.rx.last_rx_ms.load(Ordering::Acquire);
-        Duration::from_millis(now.saturating_sub(last)) // lint: allow(duration): unit conversion of the rx timestamp delta, not a timeout constant
+        self.link.since(&self.link.last_rx_ms)
     }
 
     /// Return a payload buffer to this connection's pool.
     pub fn release(&self, payload: Vec<u8>) {
-        self.rx.pool.release(payload);
+        self.link.pool.release(payload);
     }
 }
 
 impl Drop for PeerConn {
     fn drop(&mut self) {
-        self.rx.dropped.store(true, Ordering::Release);
-        // Shut the socket down so the peer sees EOF. Deliberately does
-        // NOT take the writer lock: a heartbeat waiting on a full socket
-        // holds it, and this shutdown is exactly what wakes that wait.
-        let _ = self.shutdown_handle.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// Every heartbeat interval while the connection lives: read whatever
-/// the owner has left in the socket into the early queue, unless someone
-/// is reading it right now, then beacon. The read is what keeps a peer
-/// that writes to an owner busy elsewhere — computing, waiting on
-/// another stream, or done with its collective while its mesh stays
-/// open — from waiting on a full socket for longer than an interval.
-fn heartbeat_main(writer: &Mutex<WriteHalf>, rx: &RecvHalf, self_rank: usize, policy: RetryPolicy) {
-    let beacon = Frame::control(FrameKind::Heartbeat, self_rank as u16, 0, 0);
-    let interval = policy.heartbeat_interval();
-    // A full socket: read only what no one else is reading, and give the
-    // owner its turn at the receive half at least every tick.
-    let blocked = Blocked { rx, try_only: true, wait: Some(policy.tick) };
-    while !rx.dropped.load(Ordering::Acquire) {
-        // The beacon must track wall time even under a virtual
-        // FaultClock — a real socket peer really times out.
-        std::thread::sleep(interval); // lint: allow(sleep): heartbeat pacing, interval from RetryPolicy::heartbeat_interval
-        if !rx.fed {
-            if let Some(mut st) = rx.try_lock() {
-                rx.read_ahead(&mut st);
-            }
-        }
-        if send_frame(writer, &beacon, &blocked).is_err() {
-            break;
-        }
+        self.set.lock().links.retain(|l| !Arc::ptr_eq(l, &self.link));
+        // Shut the socket down so the peer sees EOF whatever else still
+        // holds it.
+        let w = self.link.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = w.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -716,8 +717,7 @@ pub fn connect_with_backoff(
 /// handshakes, before the stream becomes a [`PeerConn`]). Not for the
 /// hot path.
 pub fn read_frame_blocking(stream: &mut UnixStream) -> std::io::Result<Frame> {
-    read_frame(stream, &mut Vec::new())?
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    read_frame(stream, &mut Vec::new())?.map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))
 }
 
 /// Write one frame to a raw stream (rendezvous handshakes).
@@ -745,9 +745,8 @@ mod tests {
     #[test]
     fn frames_cross_a_socketpair() {
         let (a, b) = pair();
-        let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, false).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, false).unwrap();
+        let left = PeerConn::solo(1, 0, a, None).unwrap();
+        let right = PeerConn::solo(0, 1, b, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 3);
         f.seq = 5;
         f.payload = vec![1, 2, 3];
@@ -765,9 +764,8 @@ mod tests {
     fn bulk_lane_announces_once_then_goes_inline() {
         use crate::lane::{BULK_MIN, SLOT_MAX};
         let (a, b) = pair();
-        let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, false).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, false).unwrap();
+        let left = PeerConn::solo(1, 0, a, None).unwrap();
+        let right = PeerConn::solo(0, 1, b, None).unwrap();
         assert!(matches!(left.lease(BULK_MIN - 1), Lease::Heap(v) if v.len() == BULK_MIN - 1));
         let mut lease = left.lease(BULK_MIN);
         assert!(matches!(lease, Lease::Slot(_)));
@@ -797,9 +795,8 @@ mod tests {
     #[test]
     fn eof_drains_queued_frames_then_reports_gone() {
         let (a, b) = pair();
-        let pool = BufPool::new();
-        let left = PeerConn::spawn(1, 0, a, Arc::clone(&pool), None, false).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, false).unwrap();
+        let left = PeerConn::solo(1, 0, a, None).unwrap();
+        let right = PeerConn::solo(0, 1, b, None).unwrap();
         let mut f = Frame::control(FrameKind::Data, 0, 0, 0);
         f.payload = vec![9; 4];
         left.send(&f).unwrap();
@@ -836,22 +833,34 @@ mod tests {
         assert_eq!(inbox.recv_timeout(Duration::from_millis(20)), None);
         // The inbox is the only reader of a feeding connection.
         assert_eq!(conn_a.recv_timeout(Duration::ZERO), Err(WireError::Timeout));
-        assert!(conn_a.rx.fed && !far_a.rx.fed);
+        assert!(conn_a.set.fed && !far_a.set.fed);
         conn_a.send(&Frame::control(FrameKind::Start, 9, 0, 0)).unwrap();
         assert_eq!(far_a.recv_timeout(wait).unwrap().kind, FrameKind::Start);
     }
 
+    /// One end waits in a receive for ten heartbeat intervals and hears
+    /// nothing: that wait beacons, so the other end's silence stays
+    /// within two intervals throughout and no beacon surfaces. Once the
+    /// wait is over the end is silent, though its connection is open.
     #[test]
-    fn heartbeats_keep_silence_low_and_never_surface() {
+    fn a_waiting_receive_beacons_and_no_beacon_surfaces() {
+        let policy = RetryPolicy { base: Duration::from_millis(100), ..policy_fast() };
+        let interval = policy.heartbeat_interval();
         let (a, b) = pair();
-        let pool = BufPool::new();
-        let _left =
-            PeerConn::spawn(1, 0, a, Arc::clone(&pool), Some(policy_fast()), false).unwrap();
-        let right = PeerConn::spawn(0, 1, b, pool, None, false).unwrap();
-        // No data frames at all: receives time out...
-        assert_eq!(right.recv_timeout(Duration::from_millis(60)), Err(WireError::Timeout));
-        // ...but the beacon keeps the peer visibly alive.
-        assert!(right.silence() < policy_fast().death_threshold());
+        let waiting = PeerConn::solo(1, 0, a, Some(policy)).unwrap();
+        let watching = PeerConn::solo(0, 1, b, None).unwrap();
+        std::thread::scope(|s| {
+            let waits = s.spawn(|| waiting.recv_timeout(interval * 10));
+            while !waits.is_finished() {
+                let got = watching.recv_timeout(interval / 4);
+                assert_eq!(got, Err(WireError::Timeout), "a beacon never surfaces");
+                let silence = watching.silence();
+                assert!(silence <= interval * 2, "silence {silence:?} while the peer waits");
+            }
+            assert_eq!(waits.join().unwrap(), Err(WireError::Timeout));
+        });
+        assert_eq!(watching.recv_timeout(interval * 3), Err(WireError::Timeout));
+        assert!(watching.silence() > interval * 2, "an end that does not wait is silent");
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! * [`mesh::SocketMesh`] — Unix-domain sockets, one full-duplex stream
 //!   per peer pair, every message a length-prefixed CRC32-tailed
 //!   [`frame::Frame`]. A receive reads and decodes its connection's
-//!   socket on the caller's thread, `poll(2)`ing it when it runs dry,
-//!   and a send that finds the socket full reads the mesh's sockets
-//!   while it waits (MPI's progress inside the call). A heartbeat
-//!   thread beacons liveness so silence is distinguishable from death,
-//!   and reads what its connection's owner left unread; payload buffers
-//!   are pooled so steady-state exchange allocates nothing. No payload
+//!   socket on the caller's thread. Every blocking wait — a receive
+//!   whose socket runs dry, a send that finds it full — `poll(2)`s all
+//!   of the rank's connections, reads every arrival, and beacons
+//!   liveness on each connection it has not written to for a heartbeat
+//!   interval (MPI's progress inside the call); the crate runs no
+//!   thread. Payload buffers are pooled so steady-state exchange
+//!   allocates nothing. No payload
 //!   is copied in user space on either side: a send is one vectored
 //!   write that borrows the payload, a receive reads the payload off the
 //!   socket into the buffer the frame will own and checksums it there. A
@@ -25,10 +26,12 @@
 //!   socket carries only its descriptor ([`lane`], the bulk lane).
 //!
 //! Death detection is two-signal: a SIGKILLed peer's socket returns EOF
-//! (fast path), and a wedged-but-open peer trips the
-//! [`faults::RetryPolicy::death_threshold`] silence bound (slow path).
-//! Both are seen at the owner's next read, or its heartbeat's: what
-//! arrives while it computes waits in the kernel's socket buffer.
+//! (fast path), and a peer that stops waiting — a stopped process, or a
+//! rank body wedged in its own code — trips the
+//! [`faults::RetryPolicy::death_threshold`] silence bound (slow path),
+//! since a rank beacons only from its waits. Both are seen at the
+//! owner's next wait: what arrives while it computes waits in the
+//! kernel's socket buffer.
 //! Every timeout in the crate derives from [`faults::RetryPolicy`] and
 //! sleeps route through [`faults::FaultClock`] — `xtask lint` bans bare
 //! `thread::sleep` and hard-coded `Duration` literals here (rule 7).
@@ -40,10 +43,11 @@
 //! [`Wire`] decorator (`collectives::FaultWire`), not a backend. A
 //! worker's control stream to its coordinator is a [`PeerConn`],
 //! between processes and between threads alike (a `socketpair` with no
-//! heartbeat, in-process), and the coordinator reads every one through
-//! one [`Inbox`]. What travels on it — votes, verdicts, telemetry
-//! snapshots — is the sender's to write: the heartbeat thread only
-//! ever sends beacons.
+//! beacon, in-process). A worker's control connection joins its mesh's set
+//! ([`Joined::build_mesh`]), and the coordinator reads every one through
+//! one [`Inbox`], which is the coordinator's set. What travels on it —
+//! votes, verdicts, telemetry snapshots — is the sender's to write;
+//! the waits add only beacons.
 
 pub mod channel;
 pub mod conn;

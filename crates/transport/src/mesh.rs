@@ -5,9 +5,10 @@
 //! whichever peer reads next, and whichever send leases next. A lease
 //! of [`BULK_MIN`](crate::BULK_MIN) bytes or more comes from the bulk
 //! lane of the connection to its peer ([`crate::lane`]): a slot of a
-//! shared-memory segment that peer reads in place. Each connection is
-//! read by the thread that receives from it, and by its heartbeat once
-//! per beacon ([`crate::conn`]).
+//! shared-memory segment that peer reads in place. The mesh is its
+//! rank's set of connections ([`crate::conn`]): every wait on any of
+//! them — and on the rank's control stream, which joins the set — polls,
+//! reads and beacons them all.
 
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use std::time::Duration;
 
 use faults::RetryPolicy;
 
-use crate::conn::{BufPool, PeerConn};
+use crate::conn::{BufPool, PeerConn, Set};
 use crate::frame::Frame;
 use crate::lane::Lease;
 use crate::{Wire, WireError};
@@ -28,12 +29,15 @@ pub struct SocketMesh {
     /// Indexed by original id; `None` for self and never-connected ids.
     conns: Vec<Option<PeerConn>>,
     pool: Arc<BufPool>,
+    /// The rank's set: every connection above, and any it adopts.
+    set: Arc<Set>,
 }
 
 impl SocketMesh {
     /// Assemble a mesh for original rank `rank` over `world_ids` from
-    /// established per-peer streams. Each stream gets a heartbeat
-    /// beacon paced by `policy`.
+    /// established per-peer streams. The waits on any of them beacon on
+    /// each at the pace of `policy`, and a send gives up on its silence
+    /// bound.
     pub fn new(
         rank: usize,
         world_ids: Vec<usize>,
@@ -41,13 +45,25 @@ impl SocketMesh {
         policy: RetryPolicy,
     ) -> std::io::Result<Self> {
         let max_id = world_ids.iter().copied().max().unwrap_or(0);
-        let pool = BufPool::new();
+        let (pool, set) = (BufPool::new(), Set::new(false));
         let mut conns: Vec<Option<PeerConn>> = (0..=max_id).map(|_| None).collect();
         for (peer, stream) in streams {
-            let conn = PeerConn::spawn(peer, rank, stream, Arc::clone(&pool), Some(policy), false)?;
+            let conn = PeerConn::open(peer, rank, stream, Arc::clone(&pool), Some(policy), &set)?;
             conns[peer] = Some(conn);
         }
-        Ok(SocketMesh { rank, world_ids, conns, pool })
+        Ok(SocketMesh { rank, world_ids, conns, pool, set })
+    }
+
+    /// A connection to `peer` outside the mesh — the rank's control
+    /// stream — a member of its set, so a wait on it progresses the
+    /// mesh and a wait in the mesh reads it.
+    pub(crate) fn adopt(
+        &self,
+        peer: usize,
+        stream: UnixStream,
+        policy: RetryPolicy,
+    ) -> std::io::Result<PeerConn> {
+        PeerConn::open(peer, self.rank, stream, Arc::clone(&self.pool), Some(policy), &self.set)
     }
 
     fn conn(&self, peer: usize) -> Result<&PeerConn, WireError> {

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use faults::{FaultClock, RetryPolicy};
 
-use crate::conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking};
+use crate::conn::{connect_with_backoff, read_frame_blocking, write_frame_blocking, PeerConn};
 use crate::frame::{Frame, FrameKind};
 use crate::mesh::SocketMesh;
 
@@ -176,12 +176,14 @@ pub fn join(dir: &Path, tag: &str, policy: &RetryPolicy, clock: &FaultClock) -> 
 
 impl Joined {
     /// Wire the full mesh (dial lower ranks, accept higher ranks) and
-    /// hand back the [`SocketMesh`] plus the control stream.
+    /// hand back the [`SocketMesh`] plus the control connection to the
+    /// coordinator, whose id is the world size. The control connection
+    /// is a member of the mesh's set: waiting on either progresses both.
     pub fn build_mesh(
         self,
         policy: RetryPolicy,
         clock: &FaultClock,
-    ) -> io::Result<(SocketMesh, UnixStream)> {
+    ) -> io::Result<(SocketMesh, PeerConn)> {
         let rank = self.rank;
         let world: Vec<usize> = (0..self.world_paths.len()).collect();
         let mut streams: Vec<(usize, UnixStream)> = Vec::with_capacity(world.len() - 1);
@@ -203,7 +205,8 @@ impl Joined {
             streams.push((peer, s));
         }
         let mesh = SocketMesh::new(rank, world, streams, policy)?;
-        Ok((mesh, self.ctl))
+        let ctl = mesh.adopt(self.world_paths.len(), self.ctl, policy)?;
+        Ok((mesh, ctl))
     }
 }
 
@@ -274,13 +277,11 @@ mod tests {
                     let clock = FaultClock::real();
                     let joined = join(&dir, &format!("t{i}"), &fast(), &clock).unwrap();
                     let rank = joined.rank;
-                    let (mesh, mut ctl) = joined.build_mesh(fast(), &clock).unwrap();
-                    write_frame_blocking(
-                        &mut ctl,
-                        &Frame::control(FrameKind::Ready, rank as u16, 0, 0),
-                    )
-                    .unwrap();
-                    assert_eq!(read_frame_blocking(&mut ctl).unwrap().kind, FrameKind::Start);
+                    let (mesh, ctl) = joined.build_mesh(fast(), &clock).unwrap();
+                    assert_eq!(ctl.peer(), n, "the coordinator's id is the world size");
+                    ctl.send(&Frame::control(FrameKind::Ready, rank as u16, 0, 0)).unwrap();
+                    let start = ctl.recv_timeout(Duration::from_secs(5)).unwrap();
+                    assert_eq!(start.kind, FrameKind::Start);
 
                     use crate::Wire;
                     let next = (rank + 1) % n;

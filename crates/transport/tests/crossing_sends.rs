@@ -1,13 +1,13 @@
 //! Ranks that write before they read. Each test has every rank of a
 //! `SocketMesh` send frames far larger than a socket buffer before it
 //! receives one, so no write can finish unless someone reads what is
-//! arriving while the writers wait. Two ranks crossing rely on the
-//! blocked writer reading the socket it writes to: their meshes run a
-//! patient policy, whose heartbeats never fire, so nothing else reads.
-//! A ring of three relies on the heartbeat's read, since each blocked
-//! writer's own socket brings nothing: its meshes run the default
-//! policy, as a launch does. Without the progress each test relies on,
-//! it hangs, and CI runs them under a timeout. Every payload byte is
+//! arriving while the writers wait. Both rely on the progress rule: a
+//! blocked writer reads every connection of its mesh while it waits.
+//! Two ranks crossing need only the socket each writes to; a ring of
+//! three needs the others, since each blocked writer's own socket
+//! brings nothing. Both run a patient policy, so no beacon is ever due
+//! and no timer helps. Without the progress each test relies on, it
+//! hangs, and CI runs them under a timeout. Every payload byte is
 //! checked on arrival.
 
 use std::os::unix::net::UnixStream;
@@ -23,7 +23,7 @@ const FRAMES: usize = 3;
 /// timeout error: CI's wall-clock limit is what fails it.
 const PATIENCE: Duration = Duration::from_secs(600);
 
-/// No heartbeat: only a blocked writer reads.
+/// No beacon ever falls due: only a blocked writer's own reads help.
 fn heartless() -> RetryPolicy {
     RetryPolicy { tick: Duration::from_millis(1), ..RetryPolicy::patient() }
 }
@@ -74,11 +74,10 @@ fn two_ranks_crossing_inline_frames_both_get_through() {
 
 /// Three ranks in a ring, each writing to its successor before reading
 /// from its predecessor: a blocked writer's own socket brings nothing,
-/// so the ring turns only as each rank's heartbeat to its predecessor
-/// reads what that predecessor wrote — at most a heartbeat interval of
-/// waiting per socketful.
+/// so the ring turns only as each blocked writer reads what its
+/// predecessor wrote, on the other connection of its mesh.
 #[test]
-fn a_ring_of_writers_turns_on_heartbeat_reads() {
+fn a_ring_of_writers_turns_on_the_blocked_writers_reads() {
     let len = 1 << 20;
     let (n, mut ends): (usize, Vec<Vec<(usize, UnixStream)>>) = (3, vec![vec![], vec![], vec![]]);
     for r in 0..n {
@@ -92,7 +91,7 @@ fn a_ring_of_writers_turns_on_heartbeat_reads() {
         .into_iter()
         .enumerate()
         .map(|(r, streams)| {
-            SocketMesh::new(r, (0..n).collect(), streams, RetryPolicy::default()).expect("mesh")
+            SocketMesh::new(r, (0..n).collect(), streams, heartless()).expect("mesh")
         })
         .collect();
     std::thread::scope(|s| {
