@@ -7,7 +7,7 @@
 use bench::{header, paper_machine, paper_model, tuned_candidate, v100, BATCH_PER_GPU, SEED};
 use horovod::StepSim;
 use summit_metrics::Table;
-use trainer::paper_gpu_counts;
+use tuner::paper_gpu_counts;
 
 pub const TITLE: &str = "Compute/communication overlap ablation";
 

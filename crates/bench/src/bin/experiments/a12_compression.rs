@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use bench::{header, paper_model, v100, BATCH_PER_GPU, SEED, SIM_STEPS};
 use collectives::compression::{codec_for, CodecKind, EncodeScratch};
-use horovod::{Compression, HorovodConfig, StepSim};
+use horovod::{HorovodConfig, StepSim};
 use mpi_profiles::Backend;
 use summit_metrics::rng::splitmix64;
 use summit_metrics::Table;
@@ -172,7 +172,7 @@ pub fn run() {
         let mut row = vec![backend.profile().name.to_string()];
         let fp32 = sim(&machine, backend, HorovodConfig::default(), 96);
         row.push(format!("{fp32:.1}"));
-        for c in [Compression::Fp16, Compression::Int8, Compression::Int4, Compression::TopK] {
+        for c in [CodecKind::Fp16, CodecKind::Int8, CodecKind::Int4, CodecKind::TopK] {
             let x = sim(&machine, backend, HorovodConfig::default().with_compression(c), 96);
             row.push(format!("{x:.1} ({:+.0}%)", (x / fp32 - 1.0) * 100.0));
         }
@@ -198,9 +198,9 @@ pub fn run() {
             .map(|&th| sim(&m, backend, HorovodConfig::default().with_fusion(th), gpus))
             .fold(0.0f64, f64::max);
         let int8 =
-            sim(&m, backend, HorovodConfig::default().with_compression(Compression::Int8), gpus);
+            sim(&m, backend, HorovodConfig::default().with_compression(CodecKind::Int8), gpus);
         let topk =
-            sim(&m, backend, HorovodConfig::default().with_compression(Compression::TopK), gpus);
+            sim(&m, backend, HorovodConfig::default().with_compression(CodecKind::TopK), gpus);
         if int8 > tuned && crossover.is_none() {
             crossover = Some(gpus);
         }

@@ -7,7 +7,7 @@ use bench::{header, paper_machine, paper_model, v100, BATCH_PER_GPU, SEED, SIM_S
 use horovod::HorovodConfig;
 use mpi_profiles::Backend;
 use summit_metrics::Table;
-use trainer::{paper_gpu_counts, SweepSpec};
+use tuner::{paper_gpu_counts, Candidate, Objective};
 
 pub const TITLE: &str = "DLv3+ scaling with default Horovod knobs";
 
@@ -23,18 +23,10 @@ pub fn run() {
     );
     let counts = paper_gpu_counts();
     let mut rows: Vec<Vec<String>> = counts.iter().map(|n| vec![n.to_string()]).collect();
+    let objective = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, 1, SIM_STEPS, SEED);
     for backend in Backend::all() {
-        let spec = SweepSpec {
-            machine: &machine,
-            profile: backend.profile(),
-            config: HorovodConfig::default(),
-            model: &model,
-            gpu: &gpu,
-            batch_per_gpu: BATCH_PER_GPU,
-            steps: SIM_STEPS,
-            seed: SEED,
-        };
-        let series = spec.sweep(backend.profile().name, &counts);
+        let default = Candidate { backend, config: HorovodConfig::default() };
+        let series = objective.sweep(&default, backend.profile().name, &counts);
         for (i, (n, eff)) in series.efficiencies().iter().enumerate() {
             let thr = series.throughput_at(*n).expect("measured");
             rows[i].push(format!("{thr:.1}"));

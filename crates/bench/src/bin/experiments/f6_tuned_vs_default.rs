@@ -11,7 +11,7 @@ use bench::{
 };
 use summit_metrics::scaling::compare_at;
 use summit_metrics::Table;
-use trainer::{paper_gpu_counts, SweepSpec};
+use tuner::{paper_gpu_counts, Objective};
 
 pub const TITLE: &str = "Tuned (MVAPICH2-GDR) vs default Horovod scaling of DLv3+";
 
@@ -22,22 +22,9 @@ pub fn run() {
     let gpu = v100();
     let counts = paper_gpu_counts();
 
-    let run = |cand: tuner::Candidate, label: &str| {
-        let spec = SweepSpec {
-            machine: &machine,
-            profile: cand.backend.profile(),
-            config: cand.config,
-            model: &model,
-            gpu: &gpu,
-            batch_per_gpu: BATCH_PER_GPU,
-            steps: SIM_STEPS,
-            seed: SEED,
-        };
-        spec.sweep(label, &counts)
-    };
-
-    let default = run(default_candidate(), "default");
-    let tuned = run(tuned_candidate(), "tuned");
+    let objective = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, 1, SIM_STEPS, SEED);
+    let default = objective.sweep(&default_candidate(), "default", &counts);
+    let tuned = objective.sweep(&tuned_candidate(), "tuned", &counts);
 
     let mut t = Table::new(
         "images/second and efficiency (batch 1/GPU)",

@@ -19,17 +19,16 @@ pub fn run() {
     let space = KnobSpace::paper();
     let n = 96;
 
+    let objective = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, n, 2, SEED);
+
     // Full grid: the reference optimum (expensive).
-    let grid_obj = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, n, 2, SEED);
-    let grid = grid_search(&space, &grid_obj);
+    let grid = grid_search(&space, &objective);
 
     // Coordinate descent from the default.
-    let cd_obj = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, n, 2, SEED);
-    let cd = coordinate_descent(&space, &cd_obj, Candidate::paper_default(), 3);
+    let cd = coordinate_descent(&space, &objective, Candidate::paper_default(), 3);
 
     // Random search with the same budget coordinate descent used.
-    let rs_obj = Objective::new(&machine, &model, &gpu, BATCH_PER_GPU, n, 2, SEED);
-    let rs = random_search(&space, &rs_obj, cd.evaluations, SEED);
+    let rs = random_search(&space, &objective, cd.trajectory.len(), SEED);
 
     let mut t = Table::new(
         format!("space = {} candidates", space.size()),
@@ -40,7 +39,7 @@ pub fn run() {
     {
         t.row(&[
             name.to_string(),
-            report.evaluations.to_string(),
+            report.trajectory.len().to_string(),
             format!("{:.1}", report.best.throughput),
             format!("{:.1}%", report.best.throughput / grid.best.throughput * 100.0),
         ]);
@@ -55,6 +54,6 @@ pub fn run() {
          reaches the same plateau — the methodology's value is getting there\n\
          deterministically at ~{}x below grid cost (random matching it depends\n\
          on the draw: ~1/3 of candidates use the right backend).",
-        space.size() / cd.evaluations.max(1)
+        space.size() / cd.trajectory.len()
     );
 }

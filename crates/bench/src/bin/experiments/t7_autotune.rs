@@ -48,7 +48,7 @@ pub fn run() {
             format!("{default_throughput:.1}"),
             format!("{:.1}", report.best.throughput),
             format!("{:.2}x", report.best.throughput / default_throughput),
-            report.evaluations.to_string(),
+            report.trajectory.len().to_string(),
         ]);
     }
     t.print();

@@ -6,69 +6,6 @@
 
 use collectives::CodecKind;
 
-/// Gradient compression applied before allreduce
-/// (`HOROVOD_COMPRESSION`). Fp16 halves the wire bytes at the cost of a
-/// compress/decompress pass and reduced mantissa; the quantizing and
-/// sparsifying codecs shrink the wire further (the accuracy side of all
-/// of them is exercised for real in `trainer::real` via
-/// [`collectives::compression`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Compression {
-    #[default]
-    None,
-    Fp16,
-    /// Per-chunk-scale 8-bit quantization (~3.94x).
-    Int8,
-    /// Per-chunk-scale 4-bit quantization (~7.76x).
-    Int4,
-    /// Top-k sparsification, k = n/8 index+value pairs (4x).
-    TopK,
-}
-
-impl Compression {
-    /// Every variant, in sweep order.
-    pub const ALL: [Compression; 5] = [
-        Compression::None,
-        Compression::Fp16,
-        Compression::Int8,
-        Compression::Int4,
-        Compression::TopK,
-    ];
-
-    /// The real codec whose wire format this simulated knob models.
-    pub fn codec(self) -> CodecKind {
-        match self {
-            Compression::None => CodecKind::None,
-            Compression::Fp16 => CodecKind::Fp16,
-            Compression::Int8 => CodecKind::Int8,
-            Compression::Int4 => CodecKind::Int4,
-            Compression::TopK => CodecKind::TopK,
-        }
-    }
-
-    /// Wire bytes for a payload of `bytes` fp32 gradient bytes — exact
-    /// per the codec's wire format (scale headers and index overhead
-    /// included), not a nominal ratio.
-    pub fn wire_bytes(self, bytes: u64) -> u64 {
-        match self {
-            Compression::None => bytes,
-            Compression::Fp16 => bytes / 2,
-            _ => self.codec().encoded_len((bytes / 4) as usize) as u64,
-        }
-    }
-
-    /// The `HOROVOD_COMPRESSION` value string.
-    pub fn env_name(self) -> &'static str {
-        match self {
-            Compression::None => "none",
-            Compression::Fp16 => "fp16",
-            Compression::Int8 => "int8",
-            Compression::Int4 => "int4",
-            Compression::TopK => "topk",
-        }
-    }
-}
-
 /// Horovod runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HorovodConfig {
@@ -84,8 +21,13 @@ pub struct HorovodConfig {
     /// `HOROVOD_HIERARCHICAL_ALLREDUCE` — force the two-level algorithm
     /// regardless of the MPI library's own selection table.
     pub hierarchical_allreduce: bool,
-    /// `HOROVOD_COMPRESSION` — gradient compression before allreduce.
-    pub compression: Compression,
+    /// `HOROVOD_COMPRESSION` — gradient compression before allreduce,
+    /// modelled by its real codec's wire format: fp16 halves the wire
+    /// bytes at the cost of a compress/decompress pass and reduced
+    /// mantissa; the quantizing and sparsifying codecs shrink the wire
+    /// further (the accuracy side of all of them is exercised for real
+    /// in `trainer::real` via [`collectives::compression`]).
+    pub compression: CodecKind,
 }
 
 impl Default for HorovodConfig {
@@ -97,7 +39,7 @@ impl Default for HorovodConfig {
             cycle_time: 5e-3,
             response_cache: true,
             hierarchical_allreduce: false,
-            compression: Compression::None,
+            compression: CodecKind::None,
         }
     }
 }
@@ -132,7 +74,7 @@ impl HorovodConfig {
         self
     }
 
-    pub fn with_compression(mut self, c: Compression) -> Self {
+    pub fn with_compression(mut self, c: CodecKind) -> Self {
         self.compression = c;
         self
     }
@@ -145,7 +87,7 @@ impl HorovodConfig {
             self.cycle_time * 1e3,
             if self.response_cache { 1024 } else { 0 },
             u8::from(self.hierarchical_allreduce),
-            self.compression.env_name(),
+            self.compression.name(),
         )
     }
 }
@@ -161,7 +103,7 @@ mod tests {
         assert!((c.cycle_time - 5e-3).abs() < 1e-12);
         assert!(c.response_cache);
         assert!(!c.hierarchical_allreduce);
-        assert_eq!(c.compression, Compression::None);
+        assert_eq!(c.compression, CodecKind::None);
         c.validate();
     }
 
@@ -186,9 +128,9 @@ mod tests {
 
     #[test]
     fn compression_wire_bytes() {
-        assert_eq!(Compression::None.wire_bytes(100), 100);
-        assert_eq!(Compression::Fp16.wire_bytes(100), 50);
-        let c = HorovodConfig::default().with_compression(Compression::Fp16);
+        assert_eq!(CodecKind::None.encoded_len(100 / 4), 100);
+        assert_eq!(CodecKind::Fp16.encoded_len(100 / 4), 50);
+        let c = HorovodConfig::default().with_compression(CodecKind::Fp16);
         assert!(c.render_env().contains("HOROVOD_COMPRESSION=fp16"));
     }
 
@@ -197,21 +139,20 @@ mod tests {
         // 1 MiB of fp32 gradients = 262144 elements.
         let bytes = 1u64 << 20;
         let n = (bytes / 4) as usize;
-        for c in Compression::ALL {
-            assert_eq!(c.codec().name(), c.env_name());
-            let wire = c.wire_bytes(bytes);
-            assert_eq!(wire, c.codec().encoded_len(n) as u64, "{}", c.env_name());
+        for c in CodecKind::ALL {
+            let env = HorovodConfig::default().with_compression(c).render_env();
+            assert!(env.contains(&format!("HOROVOD_COMPRESSION={}", c.name())), "{env}");
         }
         // Int8: 1 scale f32 per 256-elem chunk -> ratio just under 4x.
-        let r = bytes as f64 / Compression::Int8.wire_bytes(bytes) as f64;
+        let r = bytes as f64 / CodecKind::Int8.encoded_len(n) as f64;
         assert!(r > 3.9 && r < 4.0, "int8 ratio {r}");
         // Int4: two elements per byte + headers -> just under 8x.
-        let r = bytes as f64 / Compression::Int4.wire_bytes(bytes) as f64;
+        let r = bytes as f64 / CodecKind::Int4.encoded_len(n) as f64;
         assert!(r > 7.7 && r < 8.0, "int4 ratio {r}");
         // TopK keeps n/8 (index,value) pairs -> exactly 4x on multiples of 8.
-        assert_eq!(Compression::TopK.wire_bytes(bytes), bytes / 4);
+        assert_eq!(CodecKind::TopK.encoded_len(n) as u64, bytes / 4);
         assert!(HorovodConfig::default()
-            .with_compression(Compression::Int4)
+            .with_compression(CodecKind::Int4)
             .render_env()
             .contains("HOROVOD_COMPRESSION=int4"));
     }

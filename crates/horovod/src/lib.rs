@@ -4,7 +4,8 @@
 //! The pieces mirror Horovod's actual architecture:
 //!
 //! * [`config`] — `HOROVOD_FUSION_THRESHOLD`, `HOROVOD_CYCLE_TIME`,
-//!   response cache, forced hierarchical allreduce;
+//!   response cache, forced hierarchical allreduce, and
+//!   `HOROVOD_COMPRESSION` as a [`collectives::CodecKind`];
 //! * [`coordinator`] — the per-cycle negotiation cost (with/without the
 //!   response cache);
 //! * [`fusion`] — greedy packing of ready tensors into fusion buffers,
@@ -38,15 +39,13 @@
 //! assert!(report.efficiency > 0.5 && report.efficiency <= 1.0);
 //! ```
 
-pub mod autotune;
 pub mod config;
 pub mod coordinator;
 pub mod fusion;
 pub mod runtime;
 pub mod timeline;
 
-pub use autotune::{autotune, AutotuneReport};
-pub use config::{Compression, HorovodConfig};
+pub use config::HorovodConfig;
 pub use fusion::{pack, FusedBuffer};
 pub use runtime::{StepBreakdown, StepSim, TrainReport, DEFAULT_JITTER_SIGMA};
 pub use timeline::{Phase, Span, Timeline};

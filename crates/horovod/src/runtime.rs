@@ -23,7 +23,7 @@ use rand::Rng;
 use summit_metrics::rng::rng_for_indexed;
 use summit_sim::Machine;
 
-use collectives::{Algorithm, LeaderAlgo};
+use collectives::{Algorithm, CodecKind, LeaderAlgo};
 use dlmodels::{EmissionSchedule, GpuModel, ModelGraph};
 use mpi_profiles::{AllreduceOracle, MpiProfile, SelectionTable};
 
@@ -142,6 +142,15 @@ impl<'m> StepSim<'m> {
         &self.emission
     }
 
+    /// Bytes a fused buffer of `bytes` fp32 gradient bytes puts on the
+    /// wire under the configured codec: exact per its wire format.
+    fn wire_bytes(&self, bytes: u64) -> u64 {
+        match self.config.compression {
+            CodecKind::None => bytes,
+            codec => codec.encoded_len((bytes / 4) as usize) as u64,
+        }
+    }
+
     /// Per-rank compute scale factors for `step`: one mean-one
     /// lognormal draw per rank, in rank order. [`StepSim::step_jitter`]
     /// is their maximum; the individual values drive the per-rank
@@ -220,7 +229,7 @@ impl<'m> StepSim<'m> {
                 for buf in pack(&ready, self.config.fusion_threshold) {
                     let start = issue_at.max(comm_free);
                     let mut copy = fusion_copy_time(&buf, FUSION_COPY_BW);
-                    let wire = self.config.compression.wire_bytes(buf.bytes);
+                    let wire = self.wire_bytes(buf.bytes);
                     if wire != buf.bytes {
                         // Compress + decompress passes over the payload.
                         copy += 2.0 * buf.bytes as f64 / FUSION_COPY_BW;
@@ -312,7 +321,7 @@ impl<'m> StepSim<'m> {
                 for buf in pack(&ready, self.config.fusion_threshold) {
                     let start = issue_at.max(comm_free);
                     let mut copy = fusion_copy_time(&buf, FUSION_COPY_BW);
-                    let wire = self.config.compression.wire_bytes(buf.bytes);
+                    let wire = self.wire_bytes(buf.bytes);
                     if wire != buf.bytes {
                         copy += 2.0 * buf.bytes as f64 / FUSION_COPY_BW;
                     }

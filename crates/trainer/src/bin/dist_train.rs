@@ -147,6 +147,12 @@ impl Flags {
             (None, None) => None,
             _ => return Err("--kill-rank: goes together with --kill-step".into()),
         };
+        let base_ms: u64 = num(&given, "--base-ms")?.unwrap_or(25);
+        // The heartbeat interval and the death threshold derive from it:
+        // at 0 every peer is dead before it is heard.
+        if base_ms == 0 {
+            return Err("--base-ms: must be at least 1".into());
+        }
         let metrics_addr = get(&given, "--metrics-addr").map(str::to_string);
         Ok(Flags {
             dir: get(&given, "--dir").map(PathBuf::from).ok_or("--dir: is required")?,
@@ -156,7 +162,7 @@ impl Flags {
             seed: num(&given, "--seed")?.unwrap_or(42),
             preset: preset.to_string(),
             pol: RetryPolicy {
-                base: Duration::from_millis(num(&given, "--base-ms")?.unwrap_or(25)),
+                base: Duration::from_millis(base_ms),
                 factor: 2,
                 max_attempts: 6,
                 tick: Duration::from_millis(2),

@@ -1,12 +1,10 @@
-//! Synchronous data-parallel training, in two registers:
-//!
-//! * [`sim`] — *timing*: scaling sweeps of DLv3+/ResNet-50 training over
-//!   the simulated Summit + MPI + Horovod stack (the paper's throughput
-//!   and efficiency figures);
-//! * [`real`] — *numerics*: a from-scratch segmentation network trained
-//!   across OS threads with real gradient allreduce on a synthetic
-//!   shapes dataset (the paper's mIoU claim, per the substitution in
-//!   DESIGN.md §2).
+//! Synchronous data-parallel training for real: a from-scratch
+//! segmentation network trained across OS threads or processes with
+//! real gradient allreduce on a synthetic shapes dataset (the paper's
+//! mIoU claim, per the substitution in DESIGN.md §2), plus the
+//! [`input`] pipeline model. Simulated scaling sweeps over the
+//! Summit + MPI + Horovod stack are `tuner::Objective::sweep`; this
+//! crate does not depend on the simulator.
 //!
 //! # Example: real distributed training
 //!
@@ -21,7 +19,5 @@
 
 pub mod input;
 pub mod real;
-pub mod sim;
 
 pub use input::InputPipeline;
-pub use sim::{paper_gpu_counts, SweepSpec};

@@ -23,7 +23,7 @@ fn processes_mentioning(needle: &str) -> Vec<String> {
 
 #[test]
 fn malformed_launch_flags_exit_2_naming_the_flag_and_spawn_nothing() {
-    let cases: [(&str, &[&str]); 13] = [
+    let cases: [(&str, &[&str]); 14] = [
         ("--workers", &["--workers", "abc"]),
         ("--workers", &["--workers", "0"]),
         ("--workers", &["--workers", "65536"]),
@@ -32,6 +32,7 @@ fn malformed_launch_flags_exit_2_naming_the_flag_and_spawn_nothing() {
         ("--steps", &["--steps", "0"]),
         ("--seed", &["--seed", "-1"]),
         ("--base-ms", &["--base-ms", "fast"]),
+        ("--base-ms", &["--base-ms", "0"]),
         ("--preset", &["--preset", "bogus"]),
         // Unknown tokens: a misspelt flag, a stray positional, a value
         // after a flag that takes none, a flag of the other mode.

@@ -3,12 +3,15 @@
 //! Horovod, MPI, or the model* — every candidate is just a knob setting
 //! handed to the unmodified runtime simulation.
 //!
-//! * [`space`] — the knob space (`HOROVOD_FUSION_THRESHOLD`,
-//!   `HOROVOD_CYCLE_TIME`, response cache, hierarchical allreduce, MPI
-//!   backend);
-//! * [`objective`] — candidate scoring by simulated training throughput;
-//! * [`search`] — exhaustive grid sweep and greedy coordinate descent
-//!   (the one-knob-family-at-a-time methodology, formalized).
+//! * [`space`] — the knob space as one list of axes (MPI backend,
+//!   `HOROVOD_FUSION_THRESHOLD`, `HOROVOD_CYCLE_TIME`, response cache,
+//!   hierarchical allreduce);
+//! * [`objective`] — candidate scoring by simulated training throughput,
+//!   at one scale or swept across the paper's GPU counts;
+//! * [`search`] — exhaustive grid sweep, greedy coordinate descent (the
+//!   one-knob-family-at-a-time methodology, formalized) and the online
+//!   hill-climber (`HOROVOD_AUTOTUNE`), all walking the same axes;
+//! * [`random`] — the budget-matched random baseline.
 //!
 //! # Example
 //!
@@ -31,7 +34,7 @@ pub mod random;
 pub mod search;
 pub mod space;
 
-pub use objective::{Objective, Scored};
+pub use objective::{paper_gpu_counts, Objective, Scored};
 pub use random::random_search;
-pub use search::{coordinate_descent, grid_search, TuneReport};
-pub use space::{Candidate, KnobSpace};
+pub use search::{coordinate_descent, grid_search, hill_climb, TuneReport};
+pub use space::{Axis, Candidate, KnobSpace};

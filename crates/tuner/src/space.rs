@@ -1,7 +1,8 @@
 //! The knob space the paper sweeps: Horovod runtime parameters × MPI
-//! backend choice.
+//! backend choice, as one list of axes every search walks.
 
-use horovod::{Compression, HorovodConfig};
+use collectives::CodecKind;
+use horovod::HorovodConfig;
 use mpi_profiles::Backend;
 
 /// Axes of the tuning space. Every axis must be non-empty.
@@ -14,9 +15,23 @@ pub struct KnobSpace {
     pub cycle_times: Vec<f64>,
     pub response_cache: Vec<bool>,
     pub hierarchical: Vec<bool>,
-    /// Gradient compression choices (the paper does not tune this; the
-    /// extended space adds fp16 for the compression study).
-    pub compression: Vec<Compression>,
+}
+
+/// One axis of a [`KnobSpace`]: the knob a search moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    Backend,
+    Fusion,
+    Cycle,
+    Cache,
+    Hierarchical,
+}
+
+impl Axis {
+    /// Every axis, in walk order: the grid's outermost loop first, and
+    /// the order coordinate descent optimizes them in.
+    pub const ALL: [Axis; 5] =
+        [Axis::Backend, Axis::Fusion, Axis::Cycle, Axis::Cache, Axis::Hierarchical];
 }
 
 impl KnobSpace {
@@ -26,28 +41,25 @@ impl KnobSpace {
     pub fn paper() -> Self {
         KnobSpace {
             backends: vec![Backend::SpectrumDefault, Backend::Mvapich2Gdr, Backend::Nccl],
-            fusion_thresholds: vec![
-                0,
-                2 << 20,
-                8 << 20,
-                16 << 20,
-                32 << 20,
-                64 << 20,
-                128 << 20,
-                256 << 20,
-            ],
+            fusion_thresholds: [0, 2, 8, 16, 32, 64, 128, 256].map(|mb| mb << 20).to_vec(),
             cycle_times: vec![0.5e-3, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3],
             response_cache: vec![true, false],
             hierarchical: vec![false, true],
-            compression: vec![Compression::None],
         }
     }
 
-    /// The paper space plus the full gradient-codec axis — fp16 and the
-    /// quantizing/sparsifying codecs from `collectives::compression`
-    /// (used by the compression and search-strategy studies).
-    pub fn extended() -> Self {
-        KnobSpace { compression: Compression::ALL.to_vec(), ..Self::paper() }
+    /// The ladders the online climber ([`crate::hill_climb`]) moves
+    /// along, like `HOROVOD_AUTOTUNE`: fusion 2–128 MB and the paper's
+    /// cycle times, climbed on `backend` with cache on and hierarchical
+    /// off.
+    pub fn online(backend: Backend) -> Self {
+        KnobSpace {
+            backends: vec![backend],
+            fusion_thresholds: [2, 4, 8, 16, 32, 64, 128].map(|mb| mb << 20).to_vec(),
+            response_cache: vec![true],
+            hierarchical: vec![false],
+            ..Self::paper()
+        }
     }
 
     /// A reduced space for fast tests.
@@ -58,56 +70,73 @@ impl KnobSpace {
             cycle_times: vec![1e-3, 5e-3],
             response_cache: vec![true],
             hierarchical: vec![false],
-            compression: vec![Compression::None],
         }
     }
 
     pub fn validate(&self) {
-        assert!(!self.backends.is_empty(), "backend axis empty");
-        assert!(!self.fusion_thresholds.is_empty(), "fusion axis empty");
-        assert!(!self.cycle_times.is_empty(), "cycle axis empty");
-        assert!(!self.response_cache.is_empty(), "cache axis empty");
-        assert!(!self.hierarchical.is_empty(), "hierarchical axis empty");
-        assert!(!self.compression.is_empty(), "compression axis empty");
+        for axis in Axis::ALL {
+            assert!(self.len(axis) > 0, "{axis:?} axis empty");
+        }
         assert!(self.cycle_times.iter().all(|&c| c > 0.0), "cycle times must be positive");
+    }
+
+    /// Number of values on `axis`.
+    pub fn len(&self, axis: Axis) -> usize {
+        match axis {
+            Axis::Backend => self.backends.len(),
+            Axis::Fusion => self.fusion_thresholds.len(),
+            Axis::Cycle => self.cycle_times.len(),
+            Axis::Cache => self.response_cache.len(),
+            Axis::Hierarchical => self.hierarchical.len(),
+        }
+    }
+
+    /// Set `c`'s knob on `axis` to the axis's `i`-th value.
+    pub fn set(&self, axis: Axis, i: usize, c: &mut Candidate) {
+        match axis {
+            Axis::Backend => c.backend = self.backends[i],
+            Axis::Fusion => c.config.fusion_threshold = self.fusion_thresholds[i],
+            Axis::Cycle => c.config.cycle_time = self.cycle_times[i],
+            Axis::Cache => c.config.response_cache = self.response_cache[i],
+            Axis::Hierarchical => c.config.hierarchical_allreduce = self.hierarchical[i],
+        }
+    }
+
+    /// The index of the value on the numeric `axis` (fusion or cycle)
+    /// nearest `c`'s knob. Ties go to the lower index.
+    pub fn nearest(&self, axis: Axis, c: &Candidate) -> usize {
+        let distance = |i: usize| match axis {
+            Axis::Fusion => {
+                (self.fusion_thresholds[i] as f64 - c.config.fusion_threshold as f64).abs()
+            }
+            Axis::Cycle => (self.cycle_times[i] - c.config.cycle_time).abs(),
+            Axis::Backend | Axis::Cache | Axis::Hierarchical => {
+                panic!("{axis:?} is not a numeric axis")
+            }
+        };
+        (0..self.len(axis))
+            .min_by(|&a, &b| distance(a).total_cmp(&distance(b)))
+            .expect("non-empty axis") // lint: allow(unwrap): validate() rejects an empty axis
     }
 
     /// Cardinality of the full grid.
     pub fn size(&self) -> usize {
-        self.backends.len()
-            * self.fusion_thresholds.len()
-            * self.cycle_times.len()
-            * self.response_cache.len()
-            * self.hierarchical.len()
-            * self.compression.len()
+        Axis::ALL.iter().map(|&axis| self.len(axis)).product()
     }
 
-    /// Enumerate every candidate in deterministic order.
+    /// Enumerate every candidate in deterministic order: the first axis
+    /// of [`Axis::ALL`] varies slowest, the last fastest.
     pub fn candidates(&self) -> Vec<Candidate> {
-        let mut out = Vec::with_capacity(self.size());
-        for &backend in &self.backends {
-            for &fusion in &self.fusion_thresholds {
-                for &cycle in &self.cycle_times {
-                    for &cache in &self.response_cache {
-                        for &hier in &self.hierarchical {
-                            for &compression in &self.compression {
-                                out.push(Candidate {
-                                    backend,
-                                    config: HorovodConfig {
-                                        fusion_threshold: fusion,
-                                        cycle_time: cycle,
-                                        response_cache: cache,
-                                        hierarchical_allreduce: hier,
-                                        compression,
-                                    },
-                                });
-                            }
-                        }
-                    }
+        (0..self.size())
+            .map(|mut k| {
+                let mut c = Candidate::paper_default();
+                for axis in Axis::ALL.into_iter().rev() {
+                    self.set(axis, k % self.len(axis), &mut c);
+                    k /= self.len(axis);
                 }
-            }
-        }
-        out
+                c
+            })
+            .collect()
     }
 }
 
@@ -134,9 +163,9 @@ impl Candidate {
             u8::from(self.config.response_cache),
             u8::from(self.config.hierarchical_allreduce),
         );
-        if self.config.compression != Compression::None {
+        if self.config.compression != CodecKind::None {
             s.push(' ');
-            s.push_str(self.config.compression.env_name());
+            s.push_str(self.config.compression.name());
         }
         s
     }
@@ -151,8 +180,32 @@ mod tests {
         let s = KnobSpace::paper();
         s.validate();
         assert_eq!(s.size(), 3 * 8 * 6 * 2 * 2);
-        assert_eq!(KnobSpace::extended().size(), Compression::ALL.len() * s.size());
         assert_eq!(s.candidates().len(), s.size());
+    }
+
+    /// The grid order feeds `grid_search`, `random_search`'s shuffle and
+    /// T12: pinned at both ends.
+    #[test]
+    fn paper_candidates_order_is_pinned() {
+        let labels: Vec<String> =
+            KnobSpace::paper().candidates().iter().map(Candidate::label).collect();
+        assert_eq!(labels.len(), 576);
+        assert_eq!(
+            labels[..3],
+            [
+                "SpectrumDefault fusion=0 B cycle=0.5ms cache=1 hier=0",
+                "SpectrumDefault fusion=0 B cycle=0.5ms cache=1 hier=1",
+                "SpectrumDefault fusion=0 B cycle=0.5ms cache=0 hier=0",
+            ]
+        );
+        assert_eq!(
+            labels[573..],
+            [
+                "Nccl fusion=256 MiB cycle=25.0ms cache=1 hier=1",
+                "Nccl fusion=256 MiB cycle=25.0ms cache=0 hier=0",
+                "Nccl fusion=256 MiB cycle=25.0ms cache=0 hier=1",
+            ]
+        );
     }
 
     #[test]

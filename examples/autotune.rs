@@ -1,6 +1,6 @@
 //! Run the paper's tuning methodology: greedy coordinate descent over
 //! the Horovod/MPI knob space at 96 GPUs, starting from the system
-//! default.
+//! default — then the online hill-climber over the same knobs.
 //!
 //! ```text
 //! cargo run --example autotune --release
@@ -18,7 +18,7 @@ fn main() {
     println!("knob space: {} candidates; running coordinate descent...", space.size());
     let report = coordinate_descent(&space, &objective, Candidate::paper_default(), 3);
 
-    println!("evaluations: {} (vs {} for the full grid)", report.evaluations, space.size());
+    println!("evaluations: {} (vs {} for the full grid)", report.trajectory.len(), space.size());
     println!("start : {}", report.trajectory[0].candidate.label());
     println!(
         "        {:.1} img/s ({:.1}% efficiency)",
@@ -45,28 +45,18 @@ fn main() {
     // The online variant (HOROVOD_AUTOTUNE-style): tune *during* training
     // instead of sweeping offline.
     println!("\nonline autotuning (8 windows of 3 steps, starting from defaults):");
-    let online = summit_dlv3_repro::horovod::autotune(
-        &machine,
-        &MpiProfile::mvapich2_gdr(),
-        &model,
-        &gpu,
-        1,
-        96,
-        HorovodConfig::default(),
-        8,
-        3,
-        42,
-    );
-    for (i, w) in online.windows.iter().enumerate() {
+    let ladders = KnobSpace::online(Backend::Mvapich2Gdr);
+    let online = hill_climb(&ladders, &objective, Candidate::paper_default(), 8);
+    for (i, w) in online.trajectory.iter().enumerate() {
         println!(
             "  window {i}: {:>7.2} ms/step   {}",
             w.mean_step_time * 1e3,
-            w.config.render_env()
+            w.candidate.config.render_env()
         );
     }
     println!(
         "  best: {:.2} ms/step with {}",
-        online.best_step_time * 1e3,
-        online.best.render_env()
+        online.best.mean_step_time * 1e3,
+        online.best.candidate.config.render_env()
     );
 }

@@ -16,8 +16,8 @@
 //! | [`mpi_profiles`] | MVAPICH2-GDR, Spectrum-MPI-default and NCCL-like personalities: protocols, data paths, selection tables, OSU microbenchmarks |
 //! | [`dlmodels`] | DLv3+ (Xception-65 + ASPP + decoder) and ResNet-50 layer graphs, V100 roofline calibrated to the paper's 6.7 / 300 img/s |
 //! | [`horovod`] | the Horovod runtime: coordinator, response cache, tensor fusion, cycle loop, overlap, timeline |
-//! | [`trainer`] | simulated scaling sweeps + a real numerical data-parallel trainer (synthetic segmentation, from-scratch conv net, real gradient allreduce) |
-//! | [`tuner`] | the paper's contribution: knob space, grid sweep, coordinate descent |
+//! | [`trainer`] | a real numerical data-parallel trainer (synthetic segmentation, from-scratch conv net, real gradient allreduce) |
+//! | [`tuner`] | the paper's contribution: knob space, scaling sweeps, grid search, coordinate descent, online hill-climbing |
 //! | [`summit_metrics`] | stats, units, scaling math, report rendering |
 //! | [`trace`] | observability: per-rank span recorder, metrics registry, Chrome-trace emitter/parser, critical-path analyzer |
 //!
@@ -64,6 +64,8 @@ pub mod prelude {
     pub use mpi_profiles::{AllreduceOracle, Backend, MpiProfile};
     pub use summit_metrics::{ScalingSeries, Series, Summary, Table};
     pub use summit_sim::{DataPath, GpuId, Machine, MachineConfig, SimTime};
-    pub use trainer::{paper_gpu_counts, SweepSpec};
-    pub use tuner::{coordinate_descent, grid_search, Candidate, KnobSpace, Objective};
+    pub use tuner::{
+        coordinate_descent, grid_search, hill_climb, paper_gpu_counts, Candidate, KnobSpace,
+        Objective,
+    };
 }

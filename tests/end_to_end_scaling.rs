@@ -1,6 +1,6 @@
 //! End-to-end integration: the paper's headline numbers must hold across
 //! the whole stack (machine → collectives → MPI personality → Horovod
-//! runtime → trainer sweep).
+//! runtime → tuner sweep).
 //!
 //! Paper targets (abstract): tuned 92 % efficiency at 132 GPUs, default
 //! ≈ 68 %, +23.9 points, 1.3× speedup. The assertions use bands, not
@@ -13,17 +13,7 @@ fn sweep(cand: Candidate, counts: &[usize]) -> ScalingSeries {
     let machine = Machine::new(MachineConfig::summit_for_gpus(132));
     let model = deeplab_paper();
     let gpu = GpuModel::v100();
-    let spec = SweepSpec {
-        machine: &machine,
-        profile: cand.backend.profile(),
-        config: cand.config,
-        model: &model,
-        gpu: &gpu,
-        batch_per_gpu: 1,
-        steps: 3,
-        seed: 2020,
-    };
-    spec.sweep("s", counts)
+    Objective::new(&machine, &model, &gpu, 1, 1, 3, 2020).sweep(&cand, "s", counts)
 }
 
 fn tuned_candidate() -> Candidate {
